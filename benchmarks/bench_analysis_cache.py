@@ -11,8 +11,10 @@ Two layers:
   shared handle must deliver ≥ 2× wall-clock over per-metric recomputation on
   that suite, with identical metric values.  On a single-core runner the gate
   skips, like the parallel-engine gate — shared CI runners below two cores
-  produce timing noise larger than the effect (see ``docs/performance.md``
-  for recorded numbers).
+  produce timing noise larger than the effect.  The gate also needs a
+  recomputation leg of at least :data:`SERIAL_FLOOR_S`; below it a single
+  scheduler stall decides the ratio, so it skips with the measured time
+  instead (see ``docs/performance.md`` for recorded numbers).
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ from repro.scenarios.specs import MetricSpec
 N = 128
 INSTANCES = 12
 SEED = 2014
+#: Instances the gate streams through, one at a time: enough for a
+#: recomputation leg of about 2 s on a 2-core box.
+GATE_INSTANCES = 320
+#: Shortest recomputation leg the gate asserts on.
+SERIAL_FLOOR_S = 1.0
 
 #: The gated 4-metric suite: three of the four need the all-pairs arrival
 #: structure (diameter, summary fields, T_reach), one derives from an earlier
@@ -48,11 +55,14 @@ SUITE = (
 _CLIQUE = complete_graph(N, directed=True)
 
 
+def _instance(index: int):
+    network = normalized_urtn(_CLIQUE, seed=SEED + index)
+    network.timearc_csr  # warm the CSR cache so both paths time sweeps only
+    return network
+
+
 def _instances() -> list:
-    networks = [normalized_urtn(_CLIQUE, seed=SEED + i) for i in range(INSTANCES)]
-    for network in networks:
-        network.timearc_csr  # warm the CSR cache so both paths time sweeps only
-    return networks
+    return [_instance(i) for i in range(INSTANCES)]
 
 
 def _run_suite_shared(network) -> dict[str, float]:
@@ -86,10 +96,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _wall_clock(runner, networks) -> tuple[list[Mapping[str, Any]], float]:
+def _seconds(runner, network) -> tuple[Mapping[str, Any], float]:
     start = time.perf_counter()
-    results = [runner(network) for network in networks]
-    return results, time.perf_counter() - start
+    metrics = runner(network)
+    return metrics, time.perf_counter() - start
 
 
 def test_bench_suite_shared_handle(benchmark):
@@ -117,34 +127,41 @@ def test_analysis_cache_speedup_at_least_2x(perf_record):
     cpus = _usable_cpus()
     if cpus < 2:
         pytest.skip(f"only {cpus} usable core(s); timing noise swamps the gate")
-    networks = _instances()
 
-    def best_of(runner, attempts: int):
-        # Best-of-k wall clock: robust to scheduler stalls on shared CI
-        # runners, where a single-shot measurement is flaky.
-        best = float("inf")
-        results = None
-        for _ in range(attempts):
-            results, seconds = _wall_clock(runner, networks)
-            best = min(best, seconds)
-        return results, best
+    # Alternate the legs on every instance and keep each leg's best of two
+    # runs there: a slow phase of the host then falls on both legs, and a
+    # scheduler stall has to hit both runs of a leg to count.
+    shared_seconds = recompute_seconds = 0.0
+    for index in range(GATE_INSTANCES):
+        network = _instance(index)
+        shared_best = recompute_best = float("inf")
+        for _ in range(2):
+            shared, seconds = _seconds(_run_suite_shared, network)
+            shared_best = min(shared_best, seconds)
+            recompute, seconds = _seconds(_run_suite_recompute, network)
+            recompute_best = min(recompute_best, seconds)
+        assert shared == recompute, (
+            "the shared handle must produce identical metric values"
+        )
+        shared_seconds += shared_best
+        recompute_seconds += recompute_best
 
-    shared, shared_seconds = best_of(_run_suite_shared, attempts=3)
-    recompute, recompute_seconds = best_of(_run_suite_recompute, attempts=3)
-
-    assert shared == recompute, (
-        "the shared handle must produce identical metric values"
-    )
     speedup = recompute_seconds / shared_seconds
     perf_record(
         name="analysis_cache_speedup",
         n=N,
-        instances=INSTANCES,
+        instances=GATE_INSTANCES,
         shared_seconds=shared_seconds,
         recompute_seconds=recompute_seconds,
         speedup=speedup,
         required=2.0,
+        serial_floor_seconds=SERIAL_FLOOR_S,
     )
+    if recompute_seconds < SERIAL_FLOOR_S:
+        pytest.skip(
+            f"recomputation leg took {recompute_seconds * 1e3:.0f} ms, below the "
+            f"{SERIAL_FLOOR_S:.0f} s floor: one scheduler stall would decide the ratio"
+        )
     assert speedup >= 2.0, (
         f"shared handle only {speedup:.2f}x faster than per-metric "
         f"recomputation ({shared_seconds * 1e3:.0f} ms vs "

@@ -5,12 +5,14 @@ Two layers:
 * pytest-benchmark timings of ``run_trials`` on the E1 temporal-diameter
   workload, serial and with a 4-worker process pool, plus the streaming
   aggregation mode;
-* ``test_parallel_speedup_at_least_1_5x_at_jobs_4`` — the acceptance gate:
-  on a machine with at least 4 usable cores the multiprocess executor must
-  deliver ≥ 1.5× wall-clock over serial on the same workload, with
+* ``test_parallel_speedup_at_least_1_5x`` — the acceptance gate: at
+  ``jobs = min(4, cores)`` the multiprocess executor must deliver ≥ 1.5×
+  wall-clock over serial on a machine with at least 4 usable cores, with
   bit-identical results.  On 2–3 cores the bar drops to break-even (1.1×);
-  on a single-core runner the gate skips — there is nothing to parallelise
-  (see ``docs/performance.md`` for recorded numbers).
+  on a single-core runner the gate skips — there is nothing to parallelise.
+  The gate needs a serial leg of at least :data:`SERIAL_FLOOR_S`; below it
+  the speedup measures fork overhead, so it skips with the measured time
+  instead (see ``docs/performance.md`` for recorded numbers).
 """
 
 from __future__ import annotations
@@ -24,15 +26,18 @@ from repro.experiments.exp_temporal_diameter import trial_temporal_diameter
 from repro.montecarlo.experiment import Experiment
 from repro.montecarlo.runner import run_trials
 
-#: The E1 workload the gate measures: one Θ(log n)-diameter clique instance
-#: per trial, sized so the serial run takes a couple of seconds on CI.
+#: The E1 workload: one Θ(log n)-diameter clique instance per trial.  The
+#: gate runs GATE_REPETITIONS trials, so its serial leg takes about 1.3–1.9 s
+#: on a 2-core box.
 WORKLOAD = Experiment(
     name="E1-temporal-diameter",
     trial=trial_temporal_diameter,
-    parameters={"n": 128, "directed": True},
+    parameters={"n": 256, "directed": True},
 )
-REPETITIONS = 24
 SEED = 314
+GATE_REPETITIONS = 48
+#: Shortest serial leg the gate asserts on.
+SERIAL_FLOOR_S = 1.0
 
 
 def _usable_cpus() -> int:
@@ -43,7 +48,7 @@ def _usable_cpus() -> int:
 
 def _wall_clock(jobs: int | None) -> tuple[object, float]:
     start = time.perf_counter()
-    result = run_trials(WORKLOAD, repetitions=REPETITIONS, seed=SEED, jobs=jobs)
+    result = run_trials(WORKLOAD, repetitions=GATE_REPETITIONS, seed=SEED, jobs=jobs)
     return result, time.perf_counter() - start
 
 
@@ -74,40 +79,45 @@ def test_bench_run_trials_streaming(benchmark):
     assert result.accumulators is not None
 
 
-def test_parallel_speedup_at_least_1_5x_at_jobs_4(perf_record):
+def test_parallel_speedup_at_least_1_5x(perf_record):
     """Acceptance gate: multiprocess must beat serial on the E1 workload."""
     cpus = _usable_cpus()
     if cpus < 2:
         pytest.skip(f"only {cpus} usable core(s); parallel speedup is unmeasurable")
+    jobs = min(4, cpus)
     required = 1.5 if cpus >= 4 else 1.1
 
-    def best_of(jobs: int | None, attempts: int):
-        # Best-of-k wall clock: robust to scheduler stalls on shared CI
-        # runners, where a single-shot measurement is flaky.
-        best = float("inf")
-        result = None
-        for _ in range(attempts):
-            result, seconds = _wall_clock(jobs)
-            best = min(best, seconds)
-        return result, best
-
-    serial, serial_seconds = best_of(None, attempts=2)
-    parallel, parallel_seconds = best_of(4, attempts=2)
+    # Alternate the legs and keep each leg's best wall clock: a slow phase
+    # of the host then falls on both legs, and a scheduler stall has to hit
+    # every run of a leg to count.
+    serial_seconds = parallel_seconds = float("inf")
+    for _ in range(2):
+        serial, seconds = _wall_clock(None)
+        serial_seconds = min(serial_seconds, seconds)
+        parallel, seconds = _wall_clock(jobs)
+        parallel_seconds = min(parallel_seconds, seconds)
 
     assert serial.metrics == parallel.metrics, (
-        "jobs=4 must be bit-identical to serial for the same seed"
+        f"jobs={jobs} must be bit-identical to serial for the same seed"
     )
     speedup = serial_seconds / parallel_seconds
     perf_record(
         name="parallel_runner_speedup",
         cpus=cpus,
+        jobs=jobs,
         serial_seconds=serial_seconds,
         parallel_seconds=parallel_seconds,
         speedup=speedup,
         required=required,
+        serial_floor_seconds=SERIAL_FLOOR_S,
     )
+    if serial_seconds < SERIAL_FLOOR_S:
+        pytest.skip(
+            f"serial leg took {serial_seconds * 1e3:.0f} ms, below the "
+            f"{SERIAL_FLOOR_S:.0f} s floor: the speedup would measure fork overhead"
+        )
     assert speedup >= required, (
-        f"jobs=4 only {speedup:.2f}x faster than serial on {cpus} cores "
+        f"jobs={jobs} only {speedup:.2f}x faster than serial on {cpus} cores "
         f"({parallel_seconds * 1e3:.0f} ms vs {serial_seconds * 1e3:.0f} ms, "
         f"required {required}x)"
     )

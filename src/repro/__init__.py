@@ -119,7 +119,7 @@ from .scenarios import (
     run_scenario,
     scenario_names,
 )
-from .experiments import run_experiments, write_experiments_markdown
+from .experiments import write_experiments_markdown
 
 __all__ = [
     "__version__",
@@ -231,3 +231,14 @@ __all__ = [
     "run_experiments",
     "write_experiments_markdown",
 ]
+
+
+def __getattr__(name: str):
+    # ``run_experiments`` lives in ``repro.experiments.registry``, which is
+    # imported on first use so ``python -m repro.experiments.registry`` runs
+    # without runpy's "found in sys.modules" warning.
+    if name == "run_experiments":
+        from .experiments import registry
+
+        return registry.run_experiments
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

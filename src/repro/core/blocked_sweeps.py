@@ -76,8 +76,8 @@ from ..exceptions import ConfigurationError
 from ..telemetry import active as _telemetry_active
 from ..types import NEVER, UNREACHABLE
 from ..utils.validation import check_positive_int
-from .journeys import earliest_arrival_matrix
-from .reverse_journeys import latest_departure_matrix
+from .journeys import _earliest_arrival_state
+from .reverse_journeys import _latest_departure_state
 from .temporal_graph import TemporalGraph
 
 __all__ = [
@@ -385,20 +385,20 @@ class BlockedSummaryAccumulator:
             )
         reachable = tile < UNREACHABLE
         reachable[np.arange(k), row_indices] = False
-        tile_pairs = int(reachable.sum())
-        self.reach_counts += reachable.sum(axis=0)
+        tile_pairs = int(np.count_nonzero(reachable))
+        self.reach_counts += np.count_nonzero(reachable, axis=0)
         if tile_pairs:
             self.reachable_pairs += tile_pairs
             masked = np.where(reachable, tile, 0)
             # Row-wise int64 partials, accumulated cross-row in Python ints so
             # huge tiles cannot overflow the exact moment state.
             row_sums = masked.sum(axis=1)
-            row_sq_sums = (masked * masked).sum(axis=1)
+            row_sq_sums = np.einsum("ij,ij->i", masked, masked)
             self.moments.add_block(
                 tile_pairs,
                 sum(int(x) for x in row_sums.tolist()),
                 sum(int(x) for x in row_sq_sums.tolist()),
-                int(np.where(reachable, tile, UNREACHABLE).min()),
+                int(np.min(tile, where=reachable, initial=UNREACHABLE)),
                 int(masked.max()),
             )
         return eccentricities
@@ -534,12 +534,18 @@ def _distance_tile(
     direction: str,
     backend: str | None,
 ) -> np.ndarray:
-    """One ``(len(rows), n)`` block of distance rows through the kernel backend."""
+    """One ``(len(rows), n)`` block of distance rows through the kernel backend.
+
+    The block is a transpose view of the sweep's vertex-major state: no
+    row-major copy is made, and reverse departures become distances in place.
+    """
     if direction == "forward":
-        return earliest_arrival_matrix(network, rows, backend=backend)
-    departures = latest_departure_matrix(network, rows, backend=backend)
-    horizon = np.int64(network.lifetime + 1)
-    return np.where(departures == NEVER, UNREACHABLE, horizon - departures)
+        return _earliest_arrival_state(network, rows, backend=backend).T
+    state = _latest_departure_state(network, rows, backend=backend)
+    never = state == NEVER
+    np.subtract(network.lifetime + 1, state, out=state)
+    np.putmask(state, never, UNREACHABLE)
+    return state.T
 
 
 def blocked_sweep_summary(

@@ -179,6 +179,24 @@ def earliest_arrival_matrix(
     repro.core.distances.temporal_distance_matrix : thin wrapper fixing
         ``start_time = 0``.
     """
+    state = _earliest_arrival_state(
+        network, sources, start_time=start_time, backend=backend
+    )
+    return np.ascontiguousarray(state.T)
+
+
+def _earliest_arrival_state(
+    network: TemporalGraph,
+    sources: Sequence[int] | None,
+    *,
+    start_time: int = 0,
+    backend: str | None = None,
+) -> np.ndarray:
+    """Vertex-major ``(n, len(sources))`` state of :func:`earliest_arrival_matrix`.
+
+    Blocked sweeps reduce its transpose view directly instead of the
+    row-major copy the public function returns.
+    """
     n = network.n
     start_time = check_non_negative_int(start_time, "start_time")
     if sources is None:
@@ -214,7 +232,7 @@ def earliest_arrival_matrix(
             saturated=saturated,
             backend=kernel.name,
         )
-    return np.ascontiguousarray(arrival.T)
+    return arrival
 
 
 def earliest_arrival_times_reference(

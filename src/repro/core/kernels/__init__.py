@@ -101,6 +101,14 @@ class SweepKernelBackend(Protocol):
     single-target case.  Results must be bit-identical to the ``numpy``
     reference backend for every input (pinned by the oracle cross-check and
     parity suites).
+
+    Precondition: every state entry starts either below the first scanned
+    label or beyond every label — in the forward sweep a source's
+    ``start_time`` or :data:`~repro.types.UNREACHABLE`, in the reverse sweep
+    :data:`~repro.types.NEVER` or a target's ``deadline + 1``.  The four
+    sweep entry points (``earliest_arrival_times`` / ``_matrix``,
+    ``latest_departure_times`` / ``_matrix``) guarantee it; the ``numpy``
+    backend relies on it to detect saturation by counting settled entries.
     """
 
     #: Unique registry key (also the value of the ``backend=`` kwarg,

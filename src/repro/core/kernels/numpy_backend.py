@@ -4,11 +4,25 @@ This is the batched engine PR 1/PR 6 built, moved behind the
 :class:`~repro.core.kernels.SweepKernelBackend` protocol unchanged: per label
 group, the per-column "can forward" masks are OR-reduced over the arcs
 sharing a head (forward) or tail (reverse) on **packed bits**
-(``np.packbits`` + ``np.bitwise_or.reduceat``), improvements are applied
-with one ``np.where`` scatter, and the sweep exits early once the state
-saturates.  A dedicated ``width == 1`` path keeps the single-source /
-single-target calls on the cheaper 1-D ``np.minimum.at`` /
-``np.maximum.at`` code the free functions always used.
+(``np.packbits`` + ``np.bitwise_or.reduceat``), improvements are written
+into the gathered rows with ``np.putmask`` and scattered back, and the
+sweep exits early once the state saturates.  A dedicated ``width == 1``
+path keeps the single-source / single-target calls on the cheaper 1-D
+``np.minimum.at`` / ``np.maximum.at`` code the free functions always used.
+
+Saturation is detected by counting, not by rescanning the state.  By the
+protocol's precondition every entry starts either below the first scanned
+label (a source's ``start_time``, a target's ``deadline + 1`` in reverse)
+or beyond every label (unreached), so one ``count_nonzero`` before the
+first group counts the unreached entries.  An improvement always moves an
+unreached entry to the current label, and that entry can never improve
+again: later groups carry larger (forward) or smaller (reverse) labels.  A
+group's heads (tails in reverse) are distinct rows, so each ``True`` in its
+``improved`` mask settles exactly one entry.  The sweep is saturated when
+the count of unreached entries reaches zero, which is the group at which
+``state.max() <= label`` (``state.min() >= label`` in reverse) would first
+hold; ``tests/test_kernel_backends.py`` pins these exit points against the
+scalar loops' own scan.
 
 Every other backend is pinned bit-identical to this one.
 """
@@ -47,6 +61,10 @@ class NumpyBackend:
         width = state.shape[1]
         groups_scanned = 0
         saturated = False
+        if first_group >= labels.size:
+            return groups_scanned, saturated
+        # The unreached entries: everything above the first scanned label.
+        unsettled = int(np.count_nonzero(state > labels[first_group]))
         for group in range(first_group, labels.size):
             groups_scanned += 1
             label = int(labels[group])
@@ -73,11 +91,14 @@ class NumpyBackend:
             group_heads = head_values[hlo:hhi]
             current = state[group_heads]
             improved = any_reachable & (current > label)
-            if improved.any():
-                state[group_heads] = np.where(improved, label, current)
-                # Saturation early-exit: once no entry exceeds the current
-                # label, no later (larger) label can improve anything.
-                if int(state.max()) <= label:
+            settled = int(np.count_nonzero(improved))
+            if settled:
+                np.putmask(current, improved, label)
+                state[group_heads] = current
+                # Saturation early-exit: once every entry is settled, no
+                # later (larger) label can improve anything.
+                unsettled -= settled
+                if unsettled == 0:
                     saturated = True
                     break
         return groups_scanned, saturated
@@ -119,6 +140,10 @@ class NumpyBackend:
         width = state.shape[1]
         groups_scanned = 0
         saturated = False
+        if last_group <= 0:
+            return groups_scanned, saturated
+        # The unreached entries: everything below the first scanned label.
+        unsettled = int(np.count_nonzero(state < labels[last_group - 1]))
         for group in range(last_group - 1, -1, -1):
             groups_scanned += 1
             label = int(labels[group])
@@ -144,11 +169,14 @@ class NumpyBackend:
             group_tails = tail_values[tlo:thi]
             current = state[group_tails]
             improved = any_reachable & (current < label)
-            if improved.any():
-                state[group_tails] = np.where(improved, label, current)
-                # Saturation early-exit: once no entry is below the current
-                # label, no later (smaller) label can improve anything.
-                if int(state.min()) >= label:
+            settled = int(np.count_nonzero(improved))
+            if settled:
+                np.putmask(current, improved, label)
+                state[group_tails] = current
+                # Saturation early-exit: once every entry is settled, no
+                # later (smaller) label can improve anything.
+                unsettled -= settled
+                if unsettled == 0:
                     saturated = True
                     break
         return groups_scanned, saturated

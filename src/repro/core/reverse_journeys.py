@@ -181,6 +181,24 @@ def latest_departure_matrix(
     --------
     latest_departure_times : the single-target specialisation.
     """
+    state = _latest_departure_state(
+        network, targets, deadline=deadline, backend=backend
+    )
+    return np.ascontiguousarray(state.T)
+
+
+def _latest_departure_state(
+    network: TemporalGraph,
+    targets: Sequence[int] | None,
+    *,
+    deadline: int | None = None,
+    backend: str | None = None,
+) -> np.ndarray:
+    """Vertex-major ``(n, len(targets))`` state of :func:`latest_departure_matrix`.
+
+    Blocked sweeps reduce its transpose view directly instead of the
+    row-major copy the public function returns.
+    """
     n = network.n
     deadline = _resolve_deadline(network, deadline)
     if targets is None:
@@ -216,7 +234,7 @@ def latest_departure_matrix(
             saturated=saturated,
             backend=kernel.name,
         )
-    return np.ascontiguousarray(depart.T)
+    return depart
 
 
 def latest_departure_times_reference(

@@ -7,7 +7,6 @@ functions and provides the ``repro-experiments`` command-line entry point.
 """
 
 from .reporting import ExperimentReport, write_experiments_markdown
-from .registry import EXPERIMENTS, get_experiment, main, run_experiments
 
 __all__ = [
     "ExperimentReport",
@@ -17,3 +16,18 @@ __all__ = [
     "run_experiments",
     "main",
 ]
+
+#: Names served from :mod:`repro.experiments.registry` on first access.  The
+#: registry is not imported eagerly: ``python -m repro.experiments.registry``
+#: would otherwise find its own module already imported, and runpy warns.
+_REGISTRY_NAMES = frozenset(
+    {"EXPERIMENTS", "get_experiment", "main", "run_experiments"}
+)
+
+
+def __getattr__(name: str):
+    if name in _REGISTRY_NAMES:
+        from . import registry
+
+        return getattr(registry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,6 +1,6 @@
 """The pluggable sweep-kernel backend subsystem (:mod:`repro.core.kernels`).
 
-Four concerns are pinned here:
+Five concerns are pinned here:
 
 * **registry semantics** — names, registration, strict vs ambient
   resolution, the environment variable, process defaults, scopes, and the
@@ -12,7 +12,10 @@ Four concerns are pinned here:
   driver selected, results stay jobs-invariant under a non-default backend,
   and the merged telemetry proves which backend the workers used;
 * **telemetry tagging** — every sweep record carries a
-  ``kernel.<dir>.backend.<name>`` counter.
+  ``kernel.<dir>.backend.<name>`` counter;
+* **saturation exit points** — the numpy backend's settled-entry counter
+  stops every width > 1 sweep at the same label group as the scalar loops'
+  rescan, so ``groups_scanned`` / ``saturation_exits`` agree across backends.
 
 Backends that cannot run in this environment (numba not installed, the
 cython extension not built) are exercised wherever possible and skipped with
@@ -22,6 +25,7 @@ the registry's own reason string otherwise.
 from __future__ import annotations
 
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -37,6 +41,7 @@ from repro.analysis_api import NetworkAnalysis
 from repro import (
     complete_graph,
     erdos_renyi_graph,
+    grid_graph,
     hypercube_graph,
     normalized_urtn,
     star_graph,
@@ -247,6 +252,94 @@ class TestBackendParity:
     def test_compiled_backends(self, backend, n):
         for network in _parity_instances(n).values():
             _assert_backend_matches_reference(network, backend)
+
+
+# --------------------------------------------------------------------- #
+# saturation exit points
+# --------------------------------------------------------------------- #
+def _exit_point_instances():
+    """Small structured families × seeds, plus one single-label clique."""
+    instances = {}
+    for seed in range(3):
+        instances[f"complete-12-{seed}"] = normalized_urtn(
+            complete_graph(12, directed=True), seed=seed
+        )
+        instances[f"er-24-{seed}"] = uniform_random_labels(
+            erdos_renyi_graph(24, 0.2, directed=True, seed=seed),
+            lifetime=30,
+            labels_per_edge=2,
+            seed=seed + 10,
+        )
+        instances[f"star-16-{seed}"] = normalized_urtn(star_graph(15), seed=seed)
+        instances[f"hypercube-16-{seed}"] = uniform_random_labels(
+            hypercube_graph(4), lifetime=12, seed=seed + 20
+        )
+        instances[f"grid-5x5-{seed}"] = uniform_random_labels(
+            grid_graph(5, 5), lifetime=8, seed=seed + 30
+        )
+    # One label value on every arc: the first improving group settles
+    # every reachable entry, so the sweep saturates right there.
+    instances["complete-8-single-label"] = uniform_random_labels(
+        complete_graph(8, directed=True), lifetime=1, seed=0
+    )
+    return instances
+
+
+def _exit_point(network, backend, direction, rows, time):
+    """``(groups_scanned, saturation_exits)`` of one width > 1 sweep."""
+    with telemetry.session() as recorder:
+        if direction == "forward":
+            earliest_arrival_matrix(network, rows, start_time=time, backend=backend)
+        else:
+            latest_departure_matrix(network, rows, deadline=time, backend=backend)
+    counters = recorder.counters
+    return (
+        counters[f"kernel.{direction}.groups_scanned"],
+        counters.get(f"kernel.{direction}.saturation_exits", 0),
+    )
+
+
+class TestSaturationExitPoints:
+    """The numpy backend counts settled entries; the scalar loops rescan.
+
+    Both must stop at the same label group, so the ``python`` backend (the
+    loops' own scan, interpreted) is the reference for the numpy backend's
+    ``groups_scanned`` and ``saturation_exits`` on every width > 1 sweep.
+    """
+
+    DRAWS = 20
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    @pytest.mark.parametrize("instance_id", sorted(_exit_point_instances()), ids=str)
+    def test_numpy_exits_where_the_scalar_scan_does(self, instance_id, direction):
+        network = _exit_point_instances()[instance_id]
+        rng = np.random.default_rng(zlib.crc32(f"{instance_id}/{direction}".encode()))
+        for _ in range(self.DRAWS):
+            width = int(rng.integers(2, network.n + 1))
+            rows = np.sort(rng.choice(network.n, size=width, replace=False))
+            time = int(rng.integers(0, network.lifetime + 1))
+            assert _exit_point(network, "numpy", direction, rows, time) == _exit_point(
+                network, "python", direction, rows, time
+            ), (rows.tolist(), time)
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_grid_never_saturates(self, direction):
+        network = _exit_point_instances()["grid-5x5-0"]
+        time = 0 if direction == "forward" else network.lifetime
+        groups = np.unique(network.time_arc_labels).size
+        for backend in ("numpy", "python"):
+            assert _exit_point(
+                network, backend, direction, np.arange(network.n), time
+            ) == (groups, 0)
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_saturates_on_first_improving_group(self, direction):
+        network = _exit_point_instances()["complete-8-single-label"]
+        time = 0 if direction == "forward" else network.lifetime
+        for backend in ("numpy", "python"):
+            assert _exit_point(
+                network, backend, direction, np.arange(network.n), time
+            ) == (1, 1)
 
 
 @pytest.fixture

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments.registry import main
@@ -85,3 +88,23 @@ class TestCli:
             main(["--help"])
         assert excinfo.value.code == 0
         assert "E1" in capsys.readouterr().out
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_without_runpy_warning(self):
+        """``python -m`` must not find the registry module already imported.
+
+        runpy emits a ``RuntimeWarning`` when a package ``__init__`` imports
+        the module it is asked to run; ``-W error`` turns that into exit 1.
+        """
+        result = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.experiments.registry", "--help",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "E1" in result.stdout
