@@ -4,7 +4,7 @@ Before the reverse engine existed, the only way to answer a target-side
 question ("who can reach vertex ``t``, and departing when?") was the forward
 all-pairs sweep: compute the full ``(n, n)`` arrival matrix and read one
 column.  The reverse engine answers it in **one** single-target sweep over
-the target-major CSR layout.  Two layers:
+the time-reversed CSR layout.  Two layers:
 
 * pytest-benchmark timings of both paths on the n = 256 normalized directed
   clique;

@@ -205,7 +205,7 @@ __all__ = [
     "compute_events",
     # telemetry (spans, counters, sinks, the layered profile report)
     "telemetry",
-    # pluggable sweep kernel backends (numpy / numba / cython / python)
+    # pluggable sweep kernel backends (numpy / numba / python)
     "kernels",
     # monte carlo
     "Experiment",

@@ -34,7 +34,7 @@ Shared artifacts and what they feed
     memoized single-batch sweeps otherwise.
 ``departure_matrix()``
     The ``(n, n)`` latest-departure matrix — one batched *reverse* sweep
-    over the target-major CSR layout; independent of the forward cache.
+    over the time-reversed CSR layout; independent of the forward cache.
 ``departures_to(targets)`` / ``distances_to(targets)`` /
 ``reverse_reachable_set(target)``
     Target-side queries, answered from the cached departure matrix when it
@@ -584,7 +584,7 @@ class NetworkAnalysis:
         Entry ``[t, v]`` is the latest label a journey ``v → t`` can start
         with and still arrive by the lifetime (``lifetime + 1`` on the
         diagonal, :data:`~repro.types.NEVER` when no journey exists).
-        Computed by one batched *reverse* sweep over the target-major CSR
+        Computed by one batched *reverse* sweep over the time-reversed CSR
         layout on first access; entirely independent of the forward caches.
         """
         if self._rev_matrix is None:

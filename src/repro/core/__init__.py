@@ -31,7 +31,7 @@ of an instance.  Hold a handle when reading more than one quantity
 
 from .temporal_graph import TemporalGraph
 from .timearc_csr import TimeArcCSR, build_timearc_csr
-from .reverse_timearc_csr import ReverseTimeArcCSR, build_reverse_timearc_csr
+from .reverse_timearc_csr import build_reverse_timearc_csr
 from .labeling import (
     assign_deterministic_labels,
     box_assignment,
@@ -119,7 +119,6 @@ __all__ = [
     "TemporalGraph",
     "TimeArcCSR",
     "build_timearc_csr",
-    "ReverseTimeArcCSR",
     "build_reverse_timearc_csr",
     "uniform_random_labels",
     "normalized_urtn",

@@ -1,12 +1,13 @@
 """Shared telemetry emit helper for the CSR sweep kernels.
 
-The kernels (:mod:`repro.core.journeys`, :mod:`repro.core.reverse_journeys`)
-check :func:`repro.telemetry.active` exactly once per call; when no recorder is
+The sweep shared by both directions (``repro.core.journeys._sweep``, behind
+:mod:`repro.core.journeys` and :mod:`repro.core.reverse_journeys`) checks
+:func:`repro.telemetry.active` exactly once per call; when no recorder is
 attached the only cost is that check plus a handful of scalar assignments, so
 the disabled path stays indistinguishable from the uninstrumented kernels
 (pinned by ``benchmarks/bench_telemetry.py``).  When recorders are active,
 :func:`record_sweep` emits the per-sweep counters and the wall-clock timing in
-one place so the forward and reverse kernels report symmetric names
+one place so the forward and reverse sweeps report symmetric names
 (``kernel.forward.*`` / ``kernel.reverse.*``).
 """
 

@@ -8,8 +8,8 @@ fraction, distance moments) are *reductions* of that matrix, and every one of
 them decomposes over row blocks.  This module exploits that: the sweep is
 tiled over blocks of ``tile_size`` sources (forward) or targets (reverse),
 each tile runs through the ordinary :mod:`repro.core.kernels` backend
-protocol — numpy, numba, cython and any third-party backend all work
-unchanged — and the tile's contribution is folded into a mergeable
+protocol — numpy, numba and any third-party backend all work unchanged —
+and the tile's contribution is folded into a mergeable
 :class:`BlockedSummaryAccumulator` before the tile's rows are dropped.  Peak
 memory is ``O(n · tile_size)`` instead of ``O(n²)``, while every reported
 number stays **exact** (not sampled, not approximate) and bit-identical to
@@ -74,10 +74,9 @@ import numpy as np
 from ..analysis_api.handle import DistanceSummary
 from ..exceptions import ConfigurationError
 from ..telemetry import active as _telemetry_active
-from ..types import NEVER, UNREACHABLE
+from ..types import UNREACHABLE
 from ..utils.validation import check_positive_int
-from .journeys import _earliest_arrival_state
-from .reverse_journeys import _latest_departure_state
+from .journeys import _sweep
 from .temporal_graph import TemporalGraph
 
 __all__ = [
@@ -537,15 +536,13 @@ def _distance_tile(
     """One ``(len(rows), n)`` block of distance rows through the kernel backend.
 
     The block is a transpose view of the sweep's vertex-major state: no
-    row-major copy is made, and reverse departures become distances in place.
+    row-major copy is made.  Reverse, the sweep runs from the targets over
+    the time-reversed layout, so its arrivals already are the distances
+    ``lifetime + 1 − departure``.
     """
-    if direction == "forward":
-        return _earliest_arrival_state(network, rows, backend=backend).T
-    state = _latest_departure_state(network, rows, backend=backend)
-    never = state == NEVER
-    np.subtract(network.lifetime + 1, state, out=state)
-    np.putmask(state, never, UNREACHABLE)
-    return state.T
+    # Start 0 is start_time 0 forward and the lifetime deadline (a − a) reverse.
+    reverse = direction == "reverse"
+    return _sweep(network, rows, 0, reverse=reverse, backend=backend).T
 
 
 def blocked_sweep_summary(

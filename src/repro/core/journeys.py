@@ -39,7 +39,9 @@ the vectorised reference, ``numba`` — JIT-compiled scalar loops, …) and
 delegate the group advance to it; with no keyword the registry's ambient
 selection applies (process default, ``REPRO_KERNEL_BACKEND``, then the best
 available backend).  All backends are pinned bit-identical, so the choice
-only affects speed.
+only affects speed.  The reverse entry points of
+:mod:`repro.core.reverse_journeys` run the same private sweep over the
+time-reversed layout.
 """
 
 from __future__ import annotations
@@ -106,31 +108,7 @@ def earliest_arrival_times(
     """
     source = _validate_source(network.n, source)
     start_time = check_non_negative_int(start_time, "start_time")
-    kernel = _resolve_backend(backend)
-    recs = _telemetry_active()
-    sweep_start = time.perf_counter() if recs else 0.0
-    arrival = np.full(network.n, UNREACHABLE, dtype=np.int64)
-    arrival[source] = start_time
-    groups_scanned = 0
-    saturated = False
-    if network.num_time_arcs != 0:
-        csr = network.timearc_csr
-        first_group = int(np.searchsorted(csr.labels, start_time, side="right"))
-        groups_scanned, saturated = kernel.forward_sweep(
-            csr, arrival[:, None], first_group
-        )
-    if recs:
-        _record_sweep(
-            recs,
-            "kernel.forward",
-            start=sweep_start,
-            tile_name="sources",
-            tile=1,
-            groups=groups_scanned,
-            saturated=saturated,
-            backend=kernel.name,
-        )
-    return arrival
+    return _sweep(network, (source,), start_time, reverse=False, backend=backend)[:, 0]
 
 
 def earliest_arrival_matrix(
@@ -179,60 +157,71 @@ def earliest_arrival_matrix(
     repro.core.distances.temporal_distance_matrix : thin wrapper fixing
         ``start_time = 0``.
     """
-    state = _earliest_arrival_state(
-        network, sources, start_time=start_time, backend=backend
-    )
+    start_time = check_non_negative_int(start_time, "start_time")
+    state = _sweep(network, sources, start_time, reverse=False, backend=backend)
     return np.ascontiguousarray(state.T)
 
 
-def _earliest_arrival_state(
+def _sweep(
     network: TemporalGraph,
-    sources: Sequence[int] | None,
+    columns: Sequence[int] | None,
+    start: int,
     *,
-    start_time: int = 0,
-    backend: str | None = None,
+    reverse: bool,
+    backend: str | None,
 ) -> np.ndarray:
-    """Vertex-major ``(n, len(sources))`` state of :func:`earliest_arrival_matrix`.
+    """The one label-group sweep behind both directions.
 
-    Blocked sweeps reduce its transpose view directly instead of the
-    row-major copy the public function returns.
+    Returns the vertex-major ``(n, len(columns))`` earliest-arrival state of
+    journeys leaving each column vertex (every vertex when ``columns`` is
+    ``None``) at time ``start``.  Forward, the columns are sources and the
+    sweep runs over :attr:`TemporalGraph.timearc_csr` from ``start_time``.
+    Reverse, the columns are targets and the sweep runs over the
+    time-reversed :attr:`TemporalGraph.reverse_timearc_csr` from the
+    mirrored deadline ``a − deadline``, which is negative for a deadline
+    beyond the lifetime; the state then holds ``a + 1 − departure``, with
+    :data:`~repro.types.UNREACHABLE` where the departure is
+    :data:`~repro.types.NEVER`.  Either way the state is an arrival state,
+    so blocked sweeps reduce its transpose view directly.
     """
     n = network.n
-    start_time = check_non_negative_int(start_time, "start_time")
-    if sources is None:
-        source_arr = np.arange(n, dtype=np.int64)
+    if columns is None:
+        column_arr = np.arange(n, dtype=np.int64)
     else:
-        source_arr = as_vertex_array(sources, n)
-    num_sources = source_arr.size
+        column_arr = as_vertex_array(columns, n)
+    width = column_arr.size
     kernel = _resolve_backend(backend)
     recs = _telemetry_active()
     sweep_start = time.perf_counter() if recs else 0.0
-    # Vertex-major state: row v holds the arrivals at v for every source, so
+    # Vertex-major state: row v holds the arrivals at v for every column, so
     # the per-group gathers, segment reductions and scatters all touch
     # contiguous rows (the arcs of a group are sorted by head).
-    arrival = np.full((n, num_sources), UNREACHABLE, dtype=np.int64)
-    arrival[source_arr, np.arange(num_sources)] = start_time
+    state = np.full((n, width), UNREACHABLE, dtype=np.int64)
+    state[column_arr, np.arange(width)] = start
     groups_scanned = 0
     saturated = False
-    if network.num_time_arcs != 0 and num_sources != 0:
-        csr = network.timearc_csr
-        # Arrivals start at start_time and only ever take values equal to some
+    if network.num_time_arcs != 0 and width != 0:
+        if reverse:
+            csr, sweep = network.reverse_timearc_csr, kernel.reverse_sweep
+        else:
+            csr, sweep = network.timearc_csr, kernel.forward_sweep
+        # Arrivals start at ``start`` and only ever take values equal to some
         # label strictly greater than a tail's arrival, so groups labelled
-        # <= start_time can never be used; skip straight past them.
-        first_group = int(np.searchsorted(csr.labels, start_time, side="right"))
-        groups_scanned, saturated = kernel.forward_sweep(csr, arrival, first_group)
+        # <= start can never be used; skip straight past them.
+        first_group = int(np.searchsorted(csr.labels, start, side="right"))
+        groups_scanned, saturated = sweep(csr, state, first_group)
     if recs:
         _record_sweep(
             recs,
-            "kernel.forward",
+            "kernel.reverse" if reverse else "kernel.forward",
             start=sweep_start,
-            tile_name="sources",
-            tile=num_sources,
+            tile_name="targets" if reverse else "sources",
+            tile=width,
             groups=groups_scanned,
             saturated=saturated,
             backend=kernel.name,
         )
-    return arrival
+    return state
 
 
 def earliest_arrival_times_reference(

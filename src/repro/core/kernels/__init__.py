@@ -1,15 +1,16 @@
-"""Pluggable compiled kernel backends for the forward/reverse time-arc sweeps.
+"""Pluggable compiled kernel backends for the time-arc sweeps.
 
 Every quantity the framework computes — temporal distances, diameter,
 reachability, the Theorem 5 audits, the centrality family — bottoms out in
 the per-label-group advance loop of
-:func:`repro.core.journeys.earliest_arrival_matrix` and its reverse twin
-:func:`repro.core.reverse_journeys.latest_departure_matrix`.  This package
-makes that inner loop pluggable: a backend implements the
-:class:`SweepKernelBackend` protocol (advance a vertex-major ``(n, width)``
-state matrix over the label groups of a CSR layout, forward or reverse) and
-registers itself here; the sweep entry points resolve a backend per call and
-delegate the hot loop to it.
+:func:`repro.core.journeys.earliest_arrival_matrix`.  Its reverse twin
+:func:`repro.core.reverse_journeys.latest_departure_matrix` runs the same
+loop over the time-reversed layout (arcs flipped, labels ``l → a + 1 − l``),
+so there is one loop to make fast.  This package makes it pluggable: a
+backend implements the :class:`SweepKernelBackend` protocol (advance a
+vertex-major ``(n, width)`` state matrix over the label groups of a CSR
+layout) and registers itself here; the sweep entry points resolve a backend
+per call and delegate the hot loop to it.
 
 Registered backends
 -------------------
@@ -21,10 +22,6 @@ Registered backends
     The scalar loops of :mod:`repro.core.kernels._loops` JIT-compiled with
     ``numba.njit(cache=True)``.  Preferred automatically when numba is
     importable and the warm-up compilation succeeds.
-``cython``
-    The same loops as an optional ahead-of-time compiled extension
-    (``_cysweeps.pyx``); registered but unavailable unless the extension has
-    been built — see ``docs/kernels.md``.
 ``python``
     The scalar loops run *interpreted*.  Orders of magnitude slower than
     ``numpy`` and therefore never auto-selected (negative priority), but it
@@ -93,22 +90,29 @@ class SweepKernelBackend(Protocol):
     """What a sweep kernel backend must provide.
 
     A backend advances a **vertex-major** ``(n, width)`` ``int64`` state
-    matrix in place over the label groups of a CSR layout — ascending groups
-    for the forward (earliest-arrival) sweep, descending for the reverse
-    (latest-departure) sweep — and reports ``(groups_scanned, saturated)``
-    for the telemetry record.  The state columns are the sources (forward)
-    or targets (reverse) in flight; ``width == 1`` is the single-source /
-    single-target case.  Results must be bit-identical to the ``numpy``
-    reference backend for every input (pinned by the oracle cross-check and
-    parity suites).
+    matrix of earliest arrivals in place over the label groups of a
+    :class:`~repro.core.timearc_csr.TimeArcCSR`, ascending from
+    ``first_group``, and reports ``(groups_scanned, saturated)`` for the
+    telemetry record.  The state columns are the sources in flight;
+    ``width == 1`` is the single-source case.  Results must be
+    bit-identical to the ``numpy`` reference backend for every input
+    (pinned by the oracle cross-check and parity suites).
+
+    A reverse (latest-departure) sweep is the same advance over the
+    time-reversed layout :attr:`TemporalGraph.reverse_timearc_csr`, whose
+    columns are the targets.  ``reverse_sweep`` keeps its own name so that
+    telemetry and profilers can tell the two directions apart; every
+    built-in backend binds it to the same function
+    (``reverse_sweep = forward_sweep``).
 
     Precondition: every state entry starts either below the first scanned
-    label or beyond every label — in the forward sweep a source's
-    ``start_time`` or :data:`~repro.types.UNREACHABLE`, in the reverse sweep
-    :data:`~repro.types.NEVER` or a target's ``deadline + 1``.  The four
-    sweep entry points (``earliest_arrival_times`` / ``_matrix``,
-    ``latest_departure_times`` / ``_matrix``) guarantee it; the ``numpy``
-    backend relies on it to detect saturation by counting settled entries.
+    label or beyond every label — a column's start value (``start_time``
+    forward, the mirrored deadline ``a − deadline`` reverse, which is
+    negative for a deadline beyond the lifetime) or
+    :data:`~repro.types.UNREACHABLE`.  The four sweep entry points
+    (``earliest_arrival_times`` / ``_matrix``, ``latest_departure_times``
+    / ``_matrix``) guarantee it; the ``numpy`` backend relies on it to
+    detect saturation by counting settled entries.
     """
 
     #: Unique registry key (also the value of the ``backend=`` kwarg,
@@ -130,9 +134,9 @@ class SweepKernelBackend(Protocol):
         """Advance ``state`` over groups ``first_group ...`` ascending."""
 
     def reverse_sweep(
-        self, csr, state: np.ndarray, last_group: int
+        self, csr, state: np.ndarray, first_group: int
     ) -> tuple[int, bool]:
-        """Advance ``state`` over groups ``last_group - 1 ... 0`` descending."""
+        """:meth:`forward_sweep` over the time-reversed layout."""
 
 
 _REGISTRY: dict[str, SweepKernelBackend] = {}
@@ -343,14 +347,12 @@ def backend_scope(name: str | None, *, strict: bool = True) -> Iterator[None]:
 
 
 def _register_builtin_backends() -> None:
-    from .cython_backend import CythonBackend
     from .numba_backend import NumbaBackend
     from .numpy_backend import NumpyBackend
     from .python_backend import PythonLoopBackend
 
     register_backend(NumpyBackend())
     register_backend(NumbaBackend())
-    register_backend(CythonBackend())
     register_backend(PythonLoopBackend())
 
 

@@ -1,43 +1,37 @@
-"""Scalar sweep loop bodies shared by the compiled kernel backends.
+"""Scalar sweep loop body shared by the compiled kernel backends.
 
-These two functions are the *entire* algorithmic content of the compiled
-backends: the forward ascending-label advance and the reverse
-descending-label advance, written as plain Python loops over the flat CSR
-column arrays.  They are deliberately free of any NumPy vectorisation, any
-Python-object state and any closure capture so that
+This function is the *entire* algorithmic content of the compiled backends:
+the ascending-label advance, written as plain Python loops over the flat CSR
+column arrays.  Reverse sweeps run it over the time-reversed layout.  It is
+deliberately free of any NumPy vectorisation, any Python-object state and
+any closure capture so that
 
-* :mod:`repro.core.kernels.numba_backend` can compile them unchanged with
+* :mod:`repro.core.kernels.numba_backend` can compile it unchanged with
   ``numba.njit(cache=True)``;
-* :mod:`repro.core.kernels.python_backend` can run them interpreted, which
+* :mod:`repro.core.kernels.python_backend` can run it interpreted, which
   keeps the exact loop logic under test (bit-identical to the NumPy
-  reference) even in environments where no JIT compiler is installed;
-* ``src/repro/core/kernels/_cysweeps.pyx`` mirrors them line for line for
-  the optional Cython build.
+  reference) even in environments where no JIT compiler is installed.
 
 Semantics (identical to the NumPy reference backend):
 
-* **forward** — groups ascend; an arc labelled ``l`` forwards for a source
-  column ``s`` exactly when ``state[tail, s] < l`` and improves the head
-  exactly when ``state[head, s] > l``.  In-place updates inside a group are
-  safe: an update writes exactly ``l``, which can neither enable
-  (``l < l`` is false) nor disable (only entries ``> l`` are overwritten)
-  another arc of the same group, so the result is independent of arc order.
-* **reverse** — the mirror: groups descend; an arc labelled ``l`` extends a
-  journey suffix for target column ``t`` exactly when ``state[head, t] > l``
-  and improves the tail exactly when ``state[tail, t] < l``.
+* groups ascend; an arc labelled ``l`` forwards for a column ``s`` exactly
+  when ``state[tail, s] < l`` and improves the head exactly when
+  ``state[head, s] > l``.  In-place updates inside a group are safe: an
+  update writes exactly ``l``, which can neither enable (``l < l`` is
+  false) nor disable (only entries ``> l`` are overwritten) another arc of
+  the same group, so the result is independent of arc order;
 * **saturation early-exit** — checked only after a group that improved
-  something, exactly like the NumPy backend: once no entry exceeds (forward)
-  / falls below (reverse) the current label, no later group can change
-  anything.
+  something, exactly like the NumPy backend: once no entry exceeds the
+  current label, no later group can change anything.
 
-Both functions mutate ``state`` — the ``(n, width)`` vertex-major int64
-matrix — in place and return ``(groups_scanned, saturated)`` for the
+The function mutates ``state`` — the ``(n, width)`` vertex-major int64
+matrix — in place and returns ``(groups_scanned, saturated)`` for the
 telemetry record.
 """
 
 from __future__ import annotations
 
-__all__ = ["forward_sweep_loop", "reverse_sweep_loop"]
+__all__ = ["forward_sweep_loop"]
 
 
 def forward_sweep_loop(labels, arc_offsets, tails, heads, state, first_group):
@@ -72,39 +66,3 @@ def forward_sweep_loop(labels, arc_offsets, tails, heads, state, first_group):
                 break
     return groups_scanned, saturated
 
-
-def reverse_sweep_loop(labels, arc_offsets, tails, heads, state, last_group):
-    """Descending-label advance of the latest-departure state, in place.
-
-    ``last_group`` is the *exclusive* upper group bound (the first group
-    whose label exceeds the deadline); the sweep runs ``last_group - 1``
-    down to 0.
-    """
-    n = state.shape[0]
-    width = state.shape[1]
-    groups_scanned = 0
-    saturated = False
-    for group in range(last_group - 1, -1, -1):
-        groups_scanned += 1
-        label = labels[group]
-        improved = False
-        for arc in range(arc_offsets[group], arc_offsets[group + 1]):
-            tail_row = state[tails[arc]]
-            head_row = state[heads[arc]]
-            for column in range(width):
-                if head_row[column] > label and tail_row[column] < label:
-                    tail_row[column] = label
-                    improved = True
-        if improved:
-            saturated = True
-            for vertex in range(n):
-                row = state[vertex]
-                for column in range(width):
-                    if row[column] < label:
-                        saturated = False
-                        break
-                if not saturated:
-                    break
-            if saturated:
-                break
-    return groups_scanned, saturated

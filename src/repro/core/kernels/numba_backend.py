@@ -1,8 +1,8 @@
 """The Numba-jitted sweep backend.
 
-Compiles the shared scalar loops of :mod:`repro.core.kernels._loops` with
+Compiles the shared scalar loop of :mod:`repro.core.kernels._loops` with
 ``numba.njit(cache=True, nogil=True)`` the first time the backend is warmed
-up.  ``cache=True`` persists the machine code next to the source, so the
+up; reverse sweeps run the same machine code over the time-reversed layout.  ``cache=True`` persists the machine code next to the source, so the
 multi-second first-call compilation is paid once per machine, not once per
 process — spawned engine workers and fresh CLI runs load it from disk.
 
@@ -23,7 +23,7 @@ __all__ = ["NumbaBackend"]
 
 
 def _tiny_csr_arrays() -> tuple[np.ndarray, ...]:
-    """A 2-vertex, 2-arc instance: enough to drive both loops through a JIT."""
+    """A 2-vertex, 2-arc instance: enough to drive the loop through a JIT."""
     labels = np.array([1, 2], dtype=np.int64)
     arc_offsets = np.array([0, 1, 2], dtype=np.int64)
     tails = np.array([0, 1], dtype=np.int64)
@@ -32,14 +32,13 @@ def _tiny_csr_arrays() -> tuple[np.ndarray, ...]:
 
 
 class NumbaBackend:
-    """JIT-compiled execution of the shared scalar sweep loops."""
+    """JIT-compiled execution of the shared scalar sweep loop."""
 
     name = "numba"
     priority = 30
 
     def __init__(self) -> None:
         self._forward = None
-        self._reverse = None
 
     def availability(self) -> str | None:
         if self._forward is not None:
@@ -51,22 +50,17 @@ class NumbaBackend:
         return None
 
     def warm_up(self) -> None:
-        """Compile (or load from numba's on-disk cache) both sweep loops."""
+        """Compile (or load from numba's on-disk cache) the sweep loop."""
         if self._forward is not None:
             return
         import numba
 
         forward = numba.njit(cache=True, nogil=True)(_loops.forward_sweep_loop)
-        reverse = numba.njit(cache=True, nogil=True)(_loops.reverse_sweep_loop)
         labels, arc_offsets, tails, heads = _tiny_csr_arrays()
         state = np.full((2, 1), 3, dtype=np.int64)
         state[0, 0] = 0
         forward(labels, arc_offsets, tails, heads, state, 0)
-        state = np.zeros((2, 1), dtype=np.int64)
-        state[0, 0] = 3
-        reverse(labels, arc_offsets, tails, heads, state, 2)
         self._forward = forward
-        self._reverse = reverse
 
     def forward_sweep(self, csr, state: np.ndarray, first_group: int) -> tuple[int, bool]:
         self.warm_up()
@@ -75,12 +69,8 @@ class NumbaBackend:
         )
         return int(groups), bool(saturated)
 
-    def reverse_sweep(self, csr, state: np.ndarray, last_group: int) -> tuple[int, bool]:
-        self.warm_up()
-        groups, saturated = self._reverse(
-            csr.labels, csr.arc_offsets, csr.tails, csr.heads, state, last_group
-        )
-        return int(groups), bool(saturated)
+    # The time-reversed layout makes a reverse sweep a forward one.
+    reverse_sweep = forward_sweep
 
     def __repr__(self) -> str:
         state = "compiled" if self._forward is not None else "not compiled"

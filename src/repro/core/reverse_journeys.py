@@ -1,4 +1,4 @@
-"""Latest-departure journeys: the reverse (target-major) sweep kernels.
+"""Latest-departure journeys: the reverse sweeps, run as forward ones.
 
 The forward kernels (:mod:`repro.core.journeys`) answer "departing ``s`` at
 ``start_time``, when does each vertex first hear the message?".  This module
@@ -10,49 +10,42 @@ answers the mirrored single-*target* questions in one sweep each:
 * **reverse reachability** — which vertices can reach ``t`` at all, i.e. the
   support of the latest-departure vector.
 
-Semantics mirror the forward sweep exactly under *time reversal*.  Writing
-``M(x) = D + 1 − x``, a journey ``v → t`` with labels ``l_1 < … < l_k <= D``
-corresponds to a journey ``t → v`` in the arc-flipped network with labels
-``M(l_k) < … < M(l_1)``; its arrival there is ``M(l_1)``, so
+Labels lie in ``{1, …, a}`` (``a`` the lifetime), a range the time reversal
+``M(x) = a + 1 − x`` maps onto itself.  A journey ``v → t`` with labels
+``l_1 < … < l_k <= D`` is a journey ``t → v`` in the arc-flipped network
+with labels ``M(l_k) < … < M(l_1)``, all above ``M(D + 1) = a − D``; its
+arrival there is ``M(l_1)``, so
 
-``latest_departure(G, t)[v] == M(earliest_arrival(reverse(G), t)[v])``
+``latest_departure(G, t, deadline=D)[v] ==
+M(earliest_arrival(reverse(G), t, start_time=a − D)[v])``
 
-entry for entry (:meth:`TemporalGraph.time_reversed` builds ``reverse(G)``,
-and ``tests/test_reverse_sweep.py`` pins the identity bit-for-bit).  The
-conventions follow from the mirror: the target itself reports ``D + 1``
-(mirror of the source's ``start_time`` arrival) and vertices that cannot
-reach the target report :data:`~repro.types.NEVER` ``= 0`` (mirror of
-:data:`~repro.types.UNREACHABLE`).
+entry for entry, with :data:`~repro.types.UNREACHABLE` mapped to
+:data:`~repro.types.NEVER` ``= 0`` (:meth:`TemporalGraph.time_reversed`
+builds ``reverse(G)``, and ``tests/test_reverse_sweep.py`` pins the identity
+bit for bit).  The target itself reports ``D + 1``, the mirror of the
+source's ``start_time`` arrival.
 
-All kernels process the label groups of the cached target-major CSR layout
-(:attr:`TemporalGraph.reverse_timearc_csr`) in *descending* order: an arc
-labelled ``l`` can start a suffix towards the target exactly when its head
-already departs strictly after ``l``, so a single ordered pass computes exact
-latest departures; a sweep stops early once every departure is at least the
-current label (later groups carry only smaller labels and max-updates with a
-smaller value change nothing).  :func:`latest_departure_matrix` batches many
-targets through one sweep the same way :func:`earliest_arrival_matrix`
-batches sources.  A scalar pure-Python reference is kept for
-cross-validation.
-
-Like the forward module, the hot loop is pluggable: the sweep entry points
+So there is no reverse kernel: every sweep here is the forward sweep of
+:mod:`repro.core.journeys` from the targets, over the cached time-reversed
+layout :attr:`TemporalGraph.reverse_timearc_csr`, started at ``a − D``.
+That start is negative for a deadline beyond the lifetime, which the kernel
+precondition allows (it lies below every label).  The resulting state is
+mapped back to departures in place.  Like the forward entry points, these
 accept a ``backend=`` keyword naming a registered :mod:`repro.core.kernels`
-backend and delegate the descending group advance to it; all backends are
-pinned bit-identical, so the choice only affects speed.
+backend, and record their sweeps under ``kernel.reverse.*``.  A scalar
+pure-Python reference that walks the labels downwards is kept for
+cross-validation.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
 
-from ..telemetry import active as _telemetry_active
-from ..types import NEVER, as_vertex_array
+from ..types import NEVER, UNREACHABLE
 from ..utils.validation import check_non_negative_int
-from ._kernel_telemetry import record_sweep as _record_sweep
-from .kernels import resolve_backend as _resolve_backend
+from .journeys import _sweep
 from .temporal_graph import TemporalGraph
 
 __all__ = [
@@ -112,31 +105,10 @@ def latest_departure_times(
     """
     target = _validate_vertex(network.n, target, "target")
     deadline = _resolve_deadline(network, deadline)
-    kernel = _resolve_backend(backend)
-    recs = _telemetry_active()
-    sweep_start = time.perf_counter() if recs else 0.0
-    depart = np.full(network.n, NEVER, dtype=np.int64)
-    depart[target] = deadline + 1
-    groups_scanned = 0
-    saturated = False
-    if network.num_time_arcs != 0:
-        csr = network.reverse_timearc_csr
-        last_group = int(np.searchsorted(csr.labels, deadline, side="right"))
-        groups_scanned, saturated = kernel.reverse_sweep(
-            csr, depart[:, None], last_group
-        )
-    if recs:
-        _record_sweep(
-            recs,
-            "kernel.reverse",
-            start=sweep_start,
-            tile_name="targets",
-            tile=1,
-            groups=groups_scanned,
-            saturated=saturated,
-            backend=kernel.name,
-        )
-    return depart
+    state = _sweep(
+        network, (target,), network.lifetime - deadline, reverse=True, backend=backend
+    )
+    return _to_departures(state, network.lifetime)[:, 0]
 
 
 def latest_departure_matrix(
@@ -148,13 +120,11 @@ def latest_departure_matrix(
 ) -> np.ndarray:
     """Batched latest departures: one label-group sweep for many targets.
 
-    The target-major mirror of
-    :func:`repro.core.journeys.earliest_arrival_matrix`: the whole ``(T, n)``
-    departure state advances one label group at a time, in descending label
-    order, with the per-tail "some usable arc" masks OR-reduced on packed
-    bits (``np.bitwise_or.reduceat`` over indices precomputed in the reverse
-    CSR layout) — a handful of vectorised operations per label value
-    regardless of how many targets are in flight.
+    :func:`repro.core.journeys.earliest_arrival_matrix` from the targets
+    over the time-reversed layout: the whole state advances one label group
+    at a time, a handful of vectorised operations per label value regardless
+    of how many targets are in flight, and is mapped back to departures in
+    place.
 
     Parameters
     ----------
@@ -181,60 +151,24 @@ def latest_departure_matrix(
     --------
     latest_departure_times : the single-target specialisation.
     """
-    state = _latest_departure_state(
-        network, targets, deadline=deadline, backend=backend
-    )
-    return np.ascontiguousarray(state.T)
-
-
-def _latest_departure_state(
-    network: TemporalGraph,
-    targets: Sequence[int] | None,
-    *,
-    deadline: int | None = None,
-    backend: str | None = None,
-) -> np.ndarray:
-    """Vertex-major ``(n, len(targets))`` state of :func:`latest_departure_matrix`.
-
-    Blocked sweeps reduce its transpose view directly instead of the
-    row-major copy the public function returns.
-    """
-    n = network.n
     deadline = _resolve_deadline(network, deadline)
-    if targets is None:
-        target_arr = np.arange(n, dtype=np.int64)
-    else:
-        target_arr = as_vertex_array(targets, n)
-    num_targets = target_arr.size
-    kernel = _resolve_backend(backend)
-    recs = _telemetry_active()
-    sweep_start = time.perf_counter() if recs else 0.0
-    # Vertex-major state: row v holds the departures from v for every target,
-    # so the per-group gathers, segment reductions and scatters all touch
-    # contiguous rows (the arcs of a group are sorted by tail).
-    depart = np.full((n, num_targets), NEVER, dtype=np.int64)
-    depart[target_arr, np.arange(num_targets)] = deadline + 1
-    groups_scanned = 0
-    saturated = False
-    if network.num_time_arcs != 0 and num_targets != 0:
-        csr = network.reverse_timearc_csr
-        # Departures only ever take values strictly smaller than a head's
-        # current departure, so groups labelled > deadline can never be used;
-        # skip them.
-        last_group = int(np.searchsorted(csr.labels, deadline, side="right"))
-        groups_scanned, saturated = kernel.reverse_sweep(csr, depart, last_group)
-    if recs:
-        _record_sweep(
-            recs,
-            "kernel.reverse",
-            start=sweep_start,
-            tile_name="targets",
-            tile=num_targets,
-            groups=groups_scanned,
-            saturated=saturated,
-            backend=kernel.name,
-        )
-    return depart
+    state = _sweep(
+        network, targets, network.lifetime - deadline, reverse=True, backend=backend
+    )
+    return np.ascontiguousarray(_to_departures(state, network.lifetime).T)
+
+
+def _to_departures(state: np.ndarray, lifetime: int) -> np.ndarray:
+    """Map a time-reversed arrival state back to departures, in place.
+
+    An arrival ``x`` over the mirrored labels is the departure
+    ``lifetime + 1 − x``; :data:`~repro.types.UNREACHABLE` becomes
+    :data:`~repro.types.NEVER`.
+    """
+    unreached = state == UNREACHABLE
+    np.subtract(lifetime + 1, state, out=state)
+    np.putmask(state, unreached, NEVER)
+    return state
 
 
 def latest_departure_times_reference(

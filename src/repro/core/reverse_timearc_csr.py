@@ -1,234 +1,32 @@
-"""Target-major (reverse) label-grouped CSR layout of a network's time arcs.
+"""Time-reversed CSR layout: the forward layout of the mirrored time arcs.
 
-:class:`~repro.core.timearc_csr.TimeArcCSR` serves the *forward* kernels:
-arcs sorted by ``(label, head)`` so an ascending sweep can min-reduce new
-arrival times per head.  The reverse kernels — latest departure towards a
-fixed target, single-target reverse reachability
-(:mod:`repro.core.reverse_journeys`) — share the mirrored access pattern:
-visit the arcs one label value at a time in *descending* order and reduce the
-arcs that share a **tail** vertex (a sweep towards a target propagates
-departure times backwards over each arc, from head to tail).  The
-:class:`ReverseTimeArcCSR` precomputes exactly that view:
-
-* arcs are sorted by ``(label, tail)`` and stored as flat ``tails``/``heads``
-  column arrays;
-* ``arc_offsets`` is the CSR row-offset array over label groups, identical in
-  meaning to the forward layout (the two structures share their ``labels``
-  array values by construction);
-* for every group the distinct tail vertices and the start of each tail's run
-  (``tail_values``/``tail_starts``, indexed through ``tail_offsets``) are
-  precomputed so a kernel can OR-reduce per-tail "some usable arc" masks with
-  one ``reduceat`` and no per-call ``np.unique``.
-
-A descending sweep over the groups maintains the mirrored invariant "after
-group ``g``, every departure time ``>= labels[g]`` is final" — labels along a
-journey strictly increase, so an arc labelled ``l`` can extend a journey
-suffix exactly when the suffix departs strictly later than ``l``.  The
-structure is immutable and built lazily by
-:attr:`TemporalGraph.reverse_timearc_csr`, so the ``O(A log A)`` sort is paid
-once per network; forward and reverse layouts are independent caches (a
-workload that never runs a reverse sweep never builds this one).
+Labels are drawn from ``{1, …, a}``, and a latest-departure sweep towards a
+target is an earliest-arrival sweep from it over the time-reversed network:
+every arc flipped, every label ``l`` mirrored to ``a + 1 − l``.  The reverse
+kernels therefore run the forward kernels over an ordinary
+:class:`~repro.core.timearc_csr.TimeArcCSR` of the mirrored arcs, cached as
+:attr:`TemporalGraph.reverse_timearc_csr` next to the forward layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .timearc_csr import TimeArcCSR, build_timearc_csr_from_arrays
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .temporal_graph import TemporalGraph
 
-__all__ = [
-    "ReverseTimeArcCSR",
-    "build_reverse_timearc_csr",
-    "build_reverse_timearc_csr_from_arrays",
-]
+__all__ = ["build_reverse_timearc_csr"]
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-@dataclass(frozen=True, slots=True)
-class ReverseTimeArcCSR:
-    """Immutable target-major label-grouped CSR view of the time arcs.
-
-    Attributes
-    ----------
-    n:
-        Number of vertices of the network the layout was built from.
-    lifetime:
-        The network's lifetime ``a``.
-    labels:
-        The distinct label values present, ascending — one label group per
-        entry; shape ``(G,)``.  Reverse sweeps iterate the groups from the
-        *last* entry down.
-    arc_offsets:
-        Row-offset array of shape ``(G + 1,)``; group ``g`` spans arc
-        positions ``arc_offsets[g]`` to ``arc_offsets[g + 1]``.
-    tails, heads:
-        Tail/head vertex of every arc, sorted by ``(label, tail)``; shape
-        ``(A,)``.
-    arc_order:
-        Permutation mapping CSR arc position back to the index in the
-        network's original time-arc arrays, for journey reconstruction;
-        shape ``(A,)``.
-    edge_index:
-        Canonical edge index of every arc, in CSR order; shape ``(A,)``.
-    tail_values:
-        Distinct tail vertices of every group, concatenated; the tails of
-        group ``g`` are ``tail_values[tail_offsets[g]:tail_offsets[g + 1]]``.
-    tail_offsets:
-        Offsets into ``tail_values``/``tail_starts`` per group; shape
-        ``(G + 1,)``.
-    tail_starts:
-        For each entry of ``tail_values``, the start of that tail's run of
-        arcs *relative to its group's first arc* — the ``reduceat`` index
-        array for the group, shape matching ``tail_values``.
-    """
-
-    n: int
-    lifetime: int
-    labels: np.ndarray
-    arc_offsets: np.ndarray
-    tails: np.ndarray
-    heads: np.ndarray
-    arc_order: np.ndarray
-    edge_index: np.ndarray
-    tail_values: np.ndarray
-    tail_offsets: np.ndarray
-    tail_starts: np.ndarray
-
-    @property
-    def num_arcs(self) -> int:
-        """Total number of time arcs stored."""
-        return int(self.tails.size)
-
-    @property
-    def num_groups(self) -> int:
-        """Number of label groups (distinct label values)."""
-        return int(self.labels.size)
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes of the column arrays (diagnostics / capacity planning)."""
-        return int(
-            sum(
-                arr.nbytes
-                for arr in (
-                    self.labels,
-                    self.arc_offsets,
-                    self.tails,
-                    self.heads,
-                    self.arc_order,
-                    self.edge_index,
-                    self.tail_values,
-                    self.tail_offsets,
-                    self.tail_starts,
-                )
-            )
-        )
-
-    def group_slice(self, group: int) -> slice:
-        """The ``slice`` into the arc arrays covered by label group ``group``."""
-        return slice(int(self.arc_offsets[group]), int(self.arc_offsets[group + 1]))
-
-    def iter_groups_descending(self) -> Iterator[tuple[int, slice]]:
-        """Iterate ``(label, arc_slice)`` pairs in descending label order."""
-        for group in range(self.num_groups - 1, -1, -1):
-            yield int(self.labels[group]), self.group_slice(group)
-
-    def __repr__(self) -> str:
-        return (
-            f"ReverseTimeArcCSR(n={self.n}, arcs={self.num_arcs}, "
-            f"groups={self.num_groups}, lifetime={self.lifetime})"
-        )
-
-
-def build_reverse_timearc_csr(network: "TemporalGraph") -> ReverseTimeArcCSR:
-    """Build the target-major label-grouped CSR layout for a temporal network.
-
-    The arcs are sorted by ``(label, tail)`` so that inside each label group
-    arcs sharing a tail are contiguous; the per-group distinct tails and
-    their run starts are precomputed for the ``reduceat`` reduction used by
-    the batched reverse kernels.  Cost is ``O(A log A)`` time and ``O(A)``
-    memory; call sites should go through the cached
-    :attr:`TemporalGraph.reverse_timearc_csr` rather than rebuilding.
-    """
-    return build_reverse_timearc_csr_from_arrays(
+def build_reverse_timearc_csr(network: "TemporalGraph") -> TimeArcCSR:
+    """The forward layout of ``network``'s arcs flipped, labels ``l → a + 1 − l``."""
+    return build_timearc_csr_from_arrays(
         network.n,
         network.lifetime,
-        network.time_arc_tails,
         network.time_arc_heads,
-        network.time_arc_labels,
+        network.time_arc_tails,
+        network.lifetime + 1 - network.time_arc_labels,
         network.time_arc_edge_index,
-    )
-
-
-def build_reverse_timearc_csr_from_arrays(
-    n: int,
-    lifetime: int,
-    raw_tails: np.ndarray,
-    raw_heads: np.ndarray,
-    raw_labels: np.ndarray,
-    raw_edge_index: np.ndarray,
-) -> ReverseTimeArcCSR:
-    """Build the target-major CSR layout from flat time-arc arrays.
-
-    Array-level entry point mirroring
-    :func:`repro.core.timearc_csr.build_timearc_csr_from_arrays`; the four
-    input columns must be parallel ``int64`` arrays of equal length.
-    """
-    num_arcs = int(raw_labels.size)
-    if num_arcs == 0:
-        empty = _readonly(np.empty(0, dtype=np.int64))
-        return ReverseTimeArcCSR(
-            n=n,
-            lifetime=lifetime,
-            labels=empty,
-            arc_offsets=_readonly(np.zeros(1, dtype=np.int64)),
-            tails=empty,
-            heads=empty,
-            arc_order=empty,
-            edge_index=empty,
-            tail_values=empty,
-            tail_offsets=_readonly(np.zeros(1, dtype=np.int64)),
-            tail_starts=empty,
-        )
-
-    order = np.lexsort((raw_tails, raw_labels))
-    labels = raw_labels[order]
-    tails = raw_tails[order]
-    heads = raw_heads[order]
-    edge_index = raw_edge_index[order]
-
-    unique_labels, group_starts = np.unique(labels, return_index=True)
-    arc_offsets = np.append(group_starts, num_arcs).astype(np.int64)
-
-    # A tail run starts wherever the tail changes or a new label group begins.
-    run_start = np.empty(num_arcs, dtype=bool)
-    run_start[0] = True
-    run_start[1:] = (tails[1:] != tails[:-1]) | (labels[1:] != labels[:-1])
-    tail_starts_abs = np.flatnonzero(run_start).astype(np.int64)
-    tail_values = tails[tail_starts_abs]
-    # Every group start is itself a run start, so searchsorted lands exactly.
-    tail_offsets = np.searchsorted(tail_starts_abs, arc_offsets).astype(np.int64)
-    tails_per_group = np.diff(tail_offsets)
-    tail_starts = tail_starts_abs - np.repeat(arc_offsets[:-1], tails_per_group)
-
-    return ReverseTimeArcCSR(
-        n=n,
-        lifetime=lifetime,
-        labels=_readonly(unique_labels.astype(np.int64)),
-        arc_offsets=_readonly(arc_offsets),
-        tails=_readonly(tails),
-        heads=_readonly(heads),
-        arc_order=_readonly(order.astype(np.int64)),
-        edge_index=_readonly(edge_index),
-        tail_values=_readonly(tail_values),
-        tail_offsets=_readonly(tail_offsets),
-        tail_starts=_readonly(tail_starts),
     )

@@ -375,14 +375,14 @@ class TemporalGraph:
 
     @property
     def reverse_timearc_csr(self):
-        """The target-major (reverse) CSR layout of the time arcs, built lazily.
+        """The time-reversed CSR layout of the time arcs, built lazily.
 
         Returns
         -------
-        repro.core.reverse_timearc_csr.ReverseTimeArcCSR
-            Immutable CSR structure shared by the reverse (latest-departure)
-            kernels — arcs sorted by ``(label, tail)`` with per-tail run
-            indices, the mirror of :attr:`timearc_csr`.  The two layouts are
+        repro.core.timearc_csr.TimeArcCSR
+            The forward layout of the arcs flipped, with every label ``l``
+            mapped to ``lifetime + 1 − l``: the reverse (latest-departure)
+            sweeps run the forward kernels over it.  The two layouts are
             independent caches: a forward-only workload never pays for this
             sort, and vice versa.
         """

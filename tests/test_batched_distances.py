@@ -28,6 +28,7 @@ from repro.core.journeys import (
 )
 from repro.core.labeling import normalized_urtn, uniform_random_labels
 from repro.core.temporal_graph import TemporalGraph
+from repro.core.reverse_timearc_csr import build_reverse_timearc_csr
 from repro.core.timearc_csr import TimeArcCSR, build_timearc_csr
 from repro.graphs.generators import complete_graph, erdos_renyi_graph, path_graph
 from repro.graphs.static_graph import StaticGraph
@@ -106,14 +107,26 @@ class TestSourceHandling:
         assert earliest_arrival_matrix(random_clique_instance).flags.c_contiguous
 
 
-class TestCSRStructure:
-    def test_cached_and_reused(self, random_clique_instance):
-        csr = random_clique_instance.timearc_csr
-        assert isinstance(csr, TimeArcCSR)
-        assert random_clique_instance.timearc_csr is csr
+#: The forward layout and the time-reversed one share one structure.
+LAYOUTS = pytest.mark.parametrize(
+    "layout", ["timearc_csr", "reverse_timearc_csr"], ids=["forward", "reverse"]
+)
 
-    def test_layout_invariants(self, random_clique_instance):
-        csr = build_timearc_csr(random_clique_instance)
+
+class TestCSRStructure:
+    @LAYOUTS
+    def test_cached_and_reused(self, random_clique_instance, layout):
+        csr = getattr(random_clique_instance, layout)
+        assert isinstance(csr, TimeArcCSR)
+        assert getattr(random_clique_instance, layout) is csr
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_timearc_csr, build_reverse_timearc_csr],
+        ids=["forward", "reverse"],
+    )
+    def test_layout_invariants(self, random_clique_instance, build):
+        csr = build(random_clique_instance)
         assert csr.num_arcs == random_clique_instance.num_time_arcs
         # Labels strictly increasing, offsets monotone and covering.
         assert np.all(np.diff(csr.labels) > 0)
@@ -140,14 +153,16 @@ class TestCSRStructure:
             network.time_arc_edge_index[csr.arc_order], csr.edge_index
         )
 
-    def test_arrays_are_read_only(self, random_clique_instance):
-        csr = random_clique_instance.timearc_csr
+    @LAYOUTS
+    def test_arrays_are_read_only(self, random_clique_instance, layout):
+        csr = getattr(random_clique_instance, layout)
         with pytest.raises(ValueError):
             csr.tails[0] = 0
 
-    def test_empty_network_layout(self):
+    @LAYOUTS
+    def test_empty_network_layout(self, layout):
         network = TemporalGraph(StaticGraph(3), [])
-        csr = network.timearc_csr
+        csr = getattr(network, layout)
         assert csr.num_arcs == 0 and csr.num_groups == 0
         assert csr.arc_offsets.tolist() == [0]
 

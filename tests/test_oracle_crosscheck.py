@@ -8,8 +8,8 @@ reference) and the centrality family must all agree with them exactly.
 
 ``TestEveryBackendAgainstOracle`` additionally pins **every registered
 kernel backend** (:mod:`repro.core.kernels`) bit-identical to the oracles on
-the same pool; backends that cannot run here (numba not installed, cython
-extension not built) skip cleanly with the registry's reason string.
+the same pool; a backend that cannot run here (numba not installed) skips
+cleanly with the registry's reason string.
 """
 
 from __future__ import annotations

@@ -8,7 +8,11 @@ generated temporal networks:
 * every reconstructed journey is valid (strictly increasing labels, existing
   time edges) and achieves the reported arrival time,
 * the vectorised kernel agrees with the scalar reference,
-* adding labels never increases temporal distances (monotonicity).
+* adding labels never increases temporal distances (monotonicity),
+* both sweep directions equal the brute-force oracles of ``tests/oracles.py``
+  on every available kernel backend, at any start time or deadline —
+  including deadlines beyond the lifetime, where the reverse sweep over the
+  time-reversed layout starts below zero.
 """
 
 from __future__ import annotations
@@ -18,26 +22,44 @@ from itertools import permutations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.core import kernels
 from repro.core.journeys import (
+    earliest_arrival_matrix,
     earliest_arrival_times,
     earliest_arrival_times_reference,
     foremost_journey,
 )
+from repro.core.reverse_journeys import latest_departure_matrix, latest_departure_times
 from repro.core.temporal_graph import TemporalGraph
 from repro.graphs.static_graph import StaticGraph
 from repro.types import UNREACHABLE
 
+from oracles import oracle_earliest_arrival_times, oracle_latest_departure_times
+
 
 @st.composite
-def temporal_networks(draw, max_n: int = 6, max_labels: int = 2, max_lifetime: int = 8):
-    """A random small temporal network on a random undirected graph."""
+def temporal_networks(
+    draw,
+    max_n: int = 6,
+    max_labels: int = 2,
+    max_lifetime: int = 8,
+    allow_directed: bool = False,
+):
+    """A random small temporal network on a random (un)directed graph.
+
+    The graph is undirected unless ``allow_directed`` lets the draw pick a
+    digraph.
+    """
     n = draw(st.integers(min_value=2, max_value=max_n))
-    possible_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    directed = draw(st.booleans()) if allow_directed else False
+    possible_edges = [
+        (u, v) for u in range(n) for v in range(n) if (u != v if directed else u < v)
+    ]
     edge_flags = draw(
         st.lists(st.booleans(), min_size=len(possible_edges), max_size=len(possible_edges))
     )
     edges = [edge for edge, keep in zip(possible_edges, edge_flags) if keep]
-    graph = StaticGraph(n, edges)
+    graph = StaticGraph(n, edges, directed=directed)
     labels = [
         sorted(
             set(
@@ -144,3 +166,34 @@ def test_arrival_times_bounded_by_lifetime_or_unreachable(network):
     assert arrival[0] == 0
     finite = arrival[arrival < UNREACHABLE]
     assert np.all(finite <= network.lifetime)
+
+
+@settings(max_examples=80, deadline=None)
+@given(temporal_networks(allow_directed=True), st.data())
+def test_both_directions_match_oracles_on_every_backend(network, data):
+    """Forward from ``start_time = t`` and reverse to ``deadline = t``.
+
+    ``t`` ranges up to ``lifetime + 2``: a deadline beyond the lifetime is
+    the one input where the mirrored start of the reverse sweep is negative.
+    """
+    time = data.draw(st.integers(min_value=0, max_value=network.lifetime + 2))
+    arrivals = [
+        oracle_earliest_arrival_times(network, v, start_time=time) for v in range(network.n)
+    ]
+    departures = [
+        oracle_latest_departure_times(network, v, deadline=time) for v in range(network.n)
+    ]
+    for backend in kernels.available_backends():
+        arrival_rows = earliest_arrival_matrix(network, start_time=time, backend=backend)
+        departure_rows = latest_departure_matrix(network, deadline=time, backend=backend)
+        for vertex in range(network.n):
+            np.testing.assert_array_equal(arrival_rows[vertex], arrivals[vertex])
+            np.testing.assert_array_equal(
+                earliest_arrival_times(network, vertex, start_time=time, backend=backend),
+                arrivals[vertex],
+            )
+            np.testing.assert_array_equal(departure_rows[vertex], departures[vertex])
+            np.testing.assert_array_equal(
+                latest_departure_times(network, vertex, deadline=time, backend=backend),
+                departures[vertex],
+            )

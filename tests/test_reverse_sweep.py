@@ -8,10 +8,13 @@ earliest-arrival matrix of ``reverse(G)`` **bit for bit**, with
 ``UNREACHABLE ↔ NEVER`` at the sentinels.  That identity pins the whole
 reverse engine against the forward one, which is itself oracle-checked
 (``tests/test_oracle_crosscheck.py``); the rest of this module covers the
-reverse CSR layout, deadline semantics and degenerate networks.
+reverse CSR layout (the forward layout of the flipped arcs with mirrored
+labels), deadline semantics and degenerate networks.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from repro import (
 )
 from repro.core.reverse_journeys import latest_departure_times_reference
 from repro.core.temporal_graph import TemporalGraph
+from repro.core.timearc_csr import TimeArcCSR, build_timearc_csr_from_arrays
 
 
 def _family_pool():
@@ -98,6 +102,19 @@ class TestTimeReversalDuality:
                 np.flatnonzero(forward[:, target]),
             )
 
+    def test_deadline_duality_bit_identical(self, network):
+        """Deadline ``D`` mirrors to ``start_time = L − D`` on ``reverse(G)``."""
+        reversed_net = network.time_reversed()
+        lifetime = network.lifetime
+        for deadline in (0, lifetime // 2, lifetime - 1):
+            expected = _mirror(
+                earliest_arrival_matrix(reversed_net, start_time=lifetime - deadline),
+                lifetime,
+            )
+            np.testing.assert_array_equal(
+                latest_departure_matrix(network, deadline=deadline), expected
+            )
+
     def test_time_reversal_is_an_involution(self, network):
         twice = network.time_reversed().time_reversed()
         assert twice.n == network.n
@@ -128,6 +145,22 @@ class TestDeadlineSemantics:
         tight = latest_departure_times(network, 0, deadline=network.lifetime // 2)
         assert (tight[1:] <= full[1:]).all()
 
+    def test_deadline_beyond_lifetime_only_moves_the_targets(self, network):
+        """No label exceeds the lifetime, so a later deadline changes only the
+        targets' own ``deadline + 1`` entries (the mirrored start is negative)."""
+        full = latest_departure_matrix(network)
+        for deadline in (network.lifetime + 1, network.lifetime + 7):
+            expected = full.copy()
+            np.fill_diagonal(expected, deadline + 1)
+            np.testing.assert_array_equal(
+                latest_departure_matrix(network, deadline=deadline), expected
+            )
+            for target in range(network.n):
+                np.testing.assert_array_equal(
+                    latest_departure_times(network, target, deadline=deadline),
+                    expected[target],
+                )
+
     def test_deadline_zero_isolates_the_target(self, network):
         depart = latest_departure_times(network, 0, deadline=0)
         assert depart[0] == 1
@@ -144,32 +177,46 @@ class TestDeadlineSemantics:
 
 
 class TestReverseCsrLayout:
-    def test_groups_sorted_and_cover_all_arcs(self, network):
+    """The reverse layout is the forward layout of the time-reversed arcs."""
+
+    def test_equals_forward_layout_of_mirrored_arcs(self, network):
+        lifetime = network.lifetime
+        expected = build_timearc_csr_from_arrays(
+            network.n,
+            lifetime,
+            network.time_arc_heads,
+            network.time_arc_tails,
+            lifetime + 1 - network.time_arc_labels,
+            network.time_arc_edge_index,
+        )
+        csr = network.reverse_timearc_csr
+        assert isinstance(csr, TimeArcCSR)
+        for field in dataclasses.fields(TimeArcCSR):
+            actual, wanted = getattr(csr, field.name), getattr(expected, field.name)
+            if isinstance(wanted, np.ndarray):
+                np.testing.assert_array_equal(actual, wanted, err_msg=field.name)
+            else:
+                assert actual == wanted, field.name
+
+    def test_groups_hold_flipped_arcs_with_mirrored_labels(self, network):
         csr = network.reverse_timearc_csr
         assert csr.num_arcs == network.num_time_arcs
-        assert (np.diff(csr.labels) > 0).all()
-        assert csr.arc_offsets[0] == 0
-        assert csr.arc_offsets[-1] == csr.num_arcs
+        np.testing.assert_array_equal(np.sort(csr.arc_order), np.arange(csr.num_arcs))
         for group in range(csr.num_groups):
             arc_slice = csr.group_slice(group)
-            assert (csr.labels[group] == network.time_arc_labels[
-                csr.arc_order[arc_slice]
-            ]).all()
-            group_tails = csr.tails[arc_slice]
-            assert (np.diff(group_tails) >= 0).all()
-
-    def test_tail_runs_index_reduceat_correctly(self, network):
-        csr = network.reverse_timearc_csr
-        for group in range(csr.num_groups):
-            arc_slice = csr.group_slice(group)
-            tails = csr.tails[arc_slice]
-            tlo, thi = int(csr.tail_offsets[group]), int(csr.tail_offsets[group + 1])
+            original = csr.arc_order[arc_slice]
             np.testing.assert_array_equal(
-                csr.tail_values[tlo:thi], np.unique(tails)
+                csr.labels[group],
+                network.lifetime + 1 - network.time_arc_labels[original],
             )
-            starts = csr.tail_starts[tlo:thi]
             np.testing.assert_array_equal(
-                tails[starts], csr.tail_values[tlo:thi]
+                csr.tails[arc_slice], network.time_arc_heads[original]
+            )
+            np.testing.assert_array_equal(
+                csr.heads[arc_slice], network.time_arc_tails[original]
+            )
+            np.testing.assert_array_equal(
+                csr.edge_index[arc_slice], network.time_arc_edge_index[original]
             )
 
     def test_layout_is_cached_and_immutable(self, network):
@@ -177,10 +224,6 @@ class TestReverseCsrLayout:
         assert network.reverse_timearc_csr is csr
         with pytest.raises(ValueError):
             csr.tails[0] = 0
-
-    def test_descending_iteration_order(self, network):
-        labels = [label for label, _ in network.reverse_timearc_csr.iter_groups_descending()]
-        assert labels == sorted(labels, reverse=True)
 
 
 class TestDegenerateNetworks:
