@@ -1,6 +1,7 @@
 """Ablation benches for the design choices called out in DESIGN.md §5.
 
-* vectorised label-sweep journey kernel vs. the scalar reference,
+* vectorised label-sweep journey kernel vs. the interpreted ``python``
+  kernel backend (the same sweep, one arc at a time),
 * batched all-pairs distance matrix (CSR engine) vs. the row-by-row variant,
 * the one-off cost of building the cached CSR time-arc layout,
 * binary-search threshold location vs. the linear sweep.
@@ -11,13 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.distances import temporal_distance_matrix, temporal_distance_matrix_reference
+from repro.core.distances import temporal_distance_matrix
 from repro.core.guarantees import minimal_labels_for_reachability, minimal_labels_linear_sweep
-from repro.core.journeys import (
-    earliest_arrival_matrix,
-    earliest_arrival_times,
-    earliest_arrival_times_reference,
-)
+from repro.core.journeys import earliest_arrival_matrix, earliest_arrival_times
 from repro.core.labeling import normalized_urtn
 from repro.core.timearc_csr import build_timearc_csr
 from repro.graphs.generators import complete_graph, star_graph
@@ -28,18 +25,25 @@ def clique_instance():
     return normalized_urtn(complete_graph(128, directed=True), seed=21)
 
 
+def _row_by_row(network):
+    """The distance matrix from one single-source sweep per row."""
+    return np.stack([earliest_arrival_times(network, s) for s in range(network.n)])
+
+
 class TestSingleSourceKernelAblation:
     def test_bench_vectorised_single_source(self, benchmark, clique_instance):
         arrival = benchmark(lambda: earliest_arrival_times(clique_instance, 0))
         assert arrival[0] == 0
 
     def test_bench_reference_single_source(self, benchmark, clique_instance):
-        arrival = benchmark(lambda: earliest_arrival_times_reference(clique_instance, 0))
+        arrival = benchmark(
+            lambda: earliest_arrival_times(clique_instance, 0, backend="python")
+        )
         assert arrival[0] == 0
 
     def test_kernels_agree(self, clique_instance):
         fast = earliest_arrival_times(clique_instance, 0)
-        slow = earliest_arrival_times_reference(clique_instance, 0)
+        slow = earliest_arrival_times(clique_instance, 0, backend="python")
         assert np.array_equal(fast, slow)
 
 
@@ -50,9 +54,7 @@ class TestAllPairsKernelAblation:
 
     def test_bench_row_by_row_distance_matrix(self, benchmark, clique_instance):
         matrix = benchmark.pedantic(
-            lambda: temporal_distance_matrix_reference(clique_instance),
-            rounds=1,
-            iterations=1,
+            lambda: _row_by_row(clique_instance), rounds=1, iterations=1
         )
         assert matrix.shape[0] == clique_instance.n
 
@@ -63,7 +65,7 @@ class TestAllPairsKernelAblation:
 
     def test_batched_matches_row_by_row(self, clique_instance):
         fast = temporal_distance_matrix(clique_instance)
-        slow = temporal_distance_matrix_reference(clique_instance)
+        slow = _row_by_row(clique_instance)
         assert np.array_equal(fast, slow)
 
 

@@ -8,12 +8,12 @@ mask, distance summary, expansion traces, PoR audits) are computed lazily and
 memoized, so however many views you read, each underlying sweep runs at most
 once.
 
-The historical free functions (``temporal_diameter``,
-``temporal_distance_summary``, ``is_temporally_connected``, …) remain as
-thin one-line delegates that construct a throwaway handle, so existing code
-keeps working bit-for-bit; new code — and anything reading more than one
-quantity per instance — should hold a handle.  ``docs/api.md`` documents the
-full surface and the migration mapping.
+The handle only memoizes plain :mod:`repro.core` reductions
+(:class:`DistanceSummary` lives in :mod:`repro.core.distances`).  The free
+functions (``temporal_diameter``, ``is_temporally_connected``, …) run the
+sweep and apply the same reductions, so they agree bit for bit; anything
+reading more than one quantity per instance should hold a handle.
+``docs/api.md`` documents the full surface and the migration mapping.
 
 Cache behaviour is observable: :func:`compute_events` opens a scoped probe
 over artifact computations and cache hits (built on :mod:`repro.telemetry`).

@@ -5,8 +5,12 @@ Every quantity the paper studies on one sampled instance — temporal diameter
 ``T_reach`` predicate (Definition 6), expansion-process runs (Theorem 3),
 Price of Randomness audits (Theorems 7–8) — is a view over the *same*
 all-pairs arrival structure produced by one batched
-:func:`repro.core.journeys.earliest_arrival_matrix` sweep.  The handle makes
-that sharing explicit: construct it once per instance and every quantity is a
+:func:`repro.core.journeys.earliest_arrival_matrix` sweep.  The reductions
+themselves are plain functions in :mod:`repro.core`
+(:func:`~repro.core.distances.distance_summary`,
+:func:`~repro.core.centrality.centrality_arrays`,
+:func:`~repro.core.reachability.static_reachability_matrix`, …); the handle
+only memoizes.  Construct it once per instance and every quantity is a
 cached property or memoized method, so a multi-metric workload costs **one**
 sweep instead of one sweep per metric.
 
@@ -15,46 +19,18 @@ sweep instead of one sweep per metric.
 >>> analysis.diameter <= 32 and analysis.is_temporally_connected
 True
 
-Shared artifacts and what they feed
------------------------------------
-``arrival_matrix()``
-    The ``(n, n)`` earliest-arrival matrix — computed at most once, and the
-    substrate of everything below.
-``eccentricities()`` → ``diameter`` / ``radius``
-    Row maxima of the matrix.
-``reachability()`` → ``reachable_fraction`` / ``is_temporally_connected`` /
-``preserves_reachability()``
-    The boolean journey-existence mask (plus one static BFS pass for the
-    ``T_reach`` comparison).
-``summary``
-    The bundled :class:`DistanceSummary` (diameter, radius, average distance,
-    reachable fraction).
-``distances_from(sources)`` / ``distance(source, target)``
-    Row queries, answered from the cached matrix when it exists and from
-    memoized single-batch sweeps otherwise.
-``departure_matrix()``
-    The ``(n, n)`` latest-departure matrix — one batched *reverse* sweep
-    over the time-reversed CSR layout; independent of the forward cache.
-``departures_to(targets)`` / ``distances_to(targets)`` /
-``reverse_reachable_set(target)``
-    Target-side queries, answered from the cached departure matrix when it
-    exists and from memoized single-target reverse sweeps otherwise — a
-    single-target question never pays for an all-pairs forward pass.
-``closeness()`` / ``harmonic_closeness()`` / ``influence_counts()`` /
-``reach_counts()``
-    The temporal-centrality family, all derived together in one pass over
-    the arrival structure.
-``expansion(source, target)`` / ``por_audit()``
-    Algorithm 1 traces and Theorem 7/8 audits, memoized per argument set.
-
-Derived analyses
+Shared artifacts
 ----------------
-:meth:`NetworkAnalysis.restricted_to_max_label` returns a child handle over
-the labels-``≤ k`` subnetwork (the Theorem 5 construction).  When the parent's
-arrival matrix is already cached the child's is *derived* without a sweep:
-every label on a foremost journey is bounded by its arrival time (labels
-strictly increase), so ``δ_k(s, t) = δ(s, t)`` when ``δ(s, t) ≤ k`` and the
-pair is unreachable in the restriction otherwise.
+``arrival_matrix()``, the ``(n, n)`` earliest-arrival matrix, is computed at
+most once and feeds ``eccentricities()``, ``reachability()``, ``summary``,
+``preserves_reachability()`` and the centrality family;
+``departure_matrix()`` is its reverse-sweep twin.  Row queries
+(``distances_from``, ``departures_to``, …) slice a cached matrix or run
+memoized narrow sweeps, so a single-target question never pays for an
+all-pairs forward pass.  ``expansion()`` and ``por_audit()`` are memoized per
+argument set.  ``docs/api.md`` tabulates every artifact and the core
+reduction behind it.  :meth:`NetworkAnalysis.restricted_to_max_label` derives
+the labels-``≤ k`` child (Theorem 5) from a cached matrix without a sweep.
 
 Instrumentation
 ---------------
@@ -81,21 +57,29 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..types import NEVER, UNREACHABLE, as_vertex_array
 from ..core import kernels
-from ..core.journeys import earliest_arrival_matrix, earliest_arrival_times
-from ..core.reverse_journeys import latest_departure_matrix, latest_departure_times
+from ..core.blocked_sweeps import blocked_sweep_summary
+from ..core.centrality import centrality_arrays
+from ..core.distances import DistanceSummary, distance_summary, eccentricities_of
+from ..core.expansion import ExpansionParameters, ExpansionResult, expansion_process
+from ..core.journeys import earliest_arrival_matrix
+from ..core.price_of_randomness import (
+    opt_labels_upper_bound,
+    por_upper_bound_theorem8,
+    price_of_randomness,
+)
+from ..core.reachability import static_reachability_matrix
+from ..core.reverse_journeys import latest_departure_matrix
 from ..core.temporal_graph import TemporalGraph
+from ..graphs.properties import diameter as static_diameter
 from ..telemetry import TelemetryRecorder, attach as _telemetry_attach
 from ..telemetry import active as _telemetry_active
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.expansion import ExpansionParameters, ExpansionResult
 
 __all__ = [
     "ComputeEvents",
@@ -104,22 +88,6 @@ __all__ = [
     "PorAudit",
     "compute_events",
 ]
-
-#: Artifact names reported to the telemetry probes, in dependency order.
-ARTIFACTS = (
-    "arrival_matrix",
-    "eccentricities",
-    "reachability",
-    "summary",
-    "streamed_summary",
-    "static_reachability",
-    "source_rows",
-    "departure_matrix",
-    "target_columns",
-    "centrality",
-    "expansion",
-    "por_audit",
-)
 
 
 class ComputeEvents:
@@ -184,30 +152,6 @@ def compute_events() -> Iterator[ComputeEvents]:
 
 
 @dataclass(frozen=True, slots=True)
-class DistanceSummary:
-    """All-pairs distance statistics derived from one batched sweep.
-
-    Attributes
-    ----------
-    diameter:
-        ``max_{s,t} δ(s, t)``; :data:`~repro.types.UNREACHABLE` if some
-        ordered pair has no journey.
-    radius:
-        The minimum temporal eccentricity over all vertices.
-    average_distance:
-        Mean δ(s, t) over ordered pairs ``s ≠ t`` with a journey, or ``nan``
-        when no such pair exists.
-    reachable_fraction:
-        Fraction of ordered pairs ``s ≠ t`` connected by a journey.
-    """
-
-    diameter: int
-    radius: int
-    average_distance: float
-    reachable_fraction: float
-
-
-@dataclass(frozen=True, slots=True)
 class PorAudit:
     """One Price-of-Randomness audit of an instance (Definitions 7–8).
 
@@ -259,22 +203,7 @@ class NetworkAnalysis:
     first sweep); the default ``None`` uses the registry's ambient selection.
     """
 
-    __slots__ = (
-        "_network",
-        "_kernel_backend",
-        "_matrix",
-        "_ecc",
-        "_reach",
-        "_summary",
-        "_streamed",
-        "_preserves",
-        "_source_rows",
-        "_rev_matrix",
-        "_target_cols",
-        "_centrality",
-        "_expansions",
-        "_por_audits",
-    )
+    __slots__ = ("_network", "_kernel_backend", "_cache")
 
     def __init__(
         self, network: TemporalGraph, *, kernel_backend: str | None = None
@@ -296,27 +225,11 @@ class NetworkAnalysis:
     # ------------------------------------------------------------------ #
     def invalidate(self) -> None:
         """Drop every cached artifact so the next access recomputes it."""
-        self._matrix: np.ndarray | None = None
-        self._ecc: np.ndarray | None = None
-        self._reach: np.ndarray | None = None
-        self._summary: DistanceSummary | None = None
-        self._streamed: dict[tuple, DistanceSummary] = {}
-        self._preserves: bool | None = None
-        self._source_rows: dict[int, np.ndarray] = {}
-        self._rev_matrix: np.ndarray | None = None
-        self._target_cols: dict[int, np.ndarray] = {}
-        self._centrality: dict[str, np.ndarray] | None = None
-        self._expansions: dict[tuple, "ExpansionResult"] = {}
-        self._por_audits: dict[tuple, PorAudit] = {}
+        # (artifact, key) -> value; key is None for whole-instance artifacts.
+        self._cache: dict[tuple[str, Hashable], Any] = {}
 
     def _computed(self, artifact: str, start: float) -> None:
-        """Report one actual artifact computation to the telemetry recorders.
-
-        ``start`` is the ``time.perf_counter()`` reading taken just before the
-        computation; its cost is negligible next to any artifact compute, so
-        the timestamp is taken unconditionally and only turned into a timing
-        record when recorders are active.
-        """
+        """Report one artifact computation, begun at ``perf_counter() == start``."""
         recs = _telemetry_active()
         if recs:
             duration_ms = (time.perf_counter() - start) * 1e3
@@ -327,6 +240,59 @@ class NetworkAnalysis:
     def _cache_hit(self, artifact: str) -> None:
         for rec in _telemetry_active():
             rec.counter(f"analysis.cache_hit.{artifact}")
+
+    def _memo(self, artifact: str, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """The cached ``(artifact, key)`` value, computing and reporting it once."""
+        slot = (artifact, key)
+        if slot in self._cache:
+            self._cache_hit(artifact)
+            return self._cache[slot]
+        start = time.perf_counter()
+        value = self._cache[slot] = compute()
+        self._computed(artifact, start)
+        return value
+
+    def _matrix(self, artifact: str, sweep: Callable[..., np.ndarray]) -> np.ndarray:
+        """The memoized all-pairs ``sweep`` result (read-only)."""
+        backend = self._kernel_backend
+        return _read_only(
+            self._memo(artifact, None, lambda: sweep(self._network, backend=backend))
+        )
+
+    def _rows(
+        self,
+        artifact: str,
+        matrix_artifact: str,
+        vertices: Sequence[int],
+        sweep: Callable[..., np.ndarray],
+    ) -> np.ndarray:
+        """Rows of ``matrix_artifact`` for ``vertices`` (read-only).
+
+        Sliced out of the cached full matrix when it exists (a hit on
+        ``artifact``); otherwise the rows not seen yet run through one
+        batched ``sweep`` and are memoized per vertex under ``artifact``.
+        """
+        n = self.n
+        vertex_arr = as_vertex_array(vertices, n)
+        matrix = self._cache.get((matrix_artifact, None))
+        if matrix is not None:
+            self._cache_hit(artifact)
+            return _read_only(matrix[vertex_arr])
+        wanted = dict.fromkeys(int(v) for v in vertex_arr)
+        missing = [v for v in wanted if (artifact, v) not in self._cache]
+        if missing:
+            start = time.perf_counter()
+            rows = sweep(self._network, missing, backend=self._kernel_backend)
+            for vertex, row in zip(missing, rows):
+                self._cache[(artifact, vertex)] = row
+            self._computed(artifact, start)
+        elif wanted:
+            self._cache_hit(artifact)
+        if vertex_arr.size == 0:
+            return np.empty((0, n), dtype=np.int64)
+        return _read_only(
+            np.stack([self._cache[(artifact, int(v))] for v in vertex_arr])
+        )
 
     # ------------------------------------------------------------------ #
     # shared artifacts
@@ -349,129 +315,72 @@ class NetworkAnalysis:
         one batched sweep on first access; every other all-pairs quantity of
         the handle is a reduction of this array.
         """
-        if self._matrix is None:
-            start = time.perf_counter()
-            self._matrix = earliest_arrival_matrix(
-                self._network, backend=self._kernel_backend
-            )
-            self._computed("arrival_matrix", start)
-        else:
-            self._cache_hit("arrival_matrix")
-        return _read_only(self._matrix)
+        return self._matrix("arrival_matrix", earliest_arrival_matrix)
 
     def eccentricities(self) -> np.ndarray:
         """Temporal eccentricity of every vertex: ``max_v δ(s, v)`` (read-only).
 
         The maximum includes unreachable targets, so a vertex that cannot
         reach the whole graph has eccentricity
-        :data:`~repro.types.UNREACHABLE`.  The diagonal entries are 0 — the
-        minimum possible value, since every off-diagonal arrival is a label
-        ``≥ 1`` — so the row maximum needs no diagonal masking (and no O(n²)
-        matrix copy).
+        :data:`~repro.types.UNREACHABLE`.
         """
-        if self._ecc is None:
-            start = time.perf_counter()
-            if self.n <= 1:
-                self._ecc = np.zeros(self.n, dtype=np.int64)
-            else:
-                self._ecc = np.asarray(self.arrival_matrix().max(axis=1))
-            self._computed("eccentricities", start)
-        else:
-            self._cache_hit("eccentricities")
-        return _read_only(self._ecc)
+        return _read_only(
+            self._memo(
+                "eccentricities", None, lambda: eccentricities_of(self.arrival_matrix())
+            )
+        )
 
     def reachability(self) -> np.ndarray:
         """Boolean mask ``R[s, v]`` = "a journey from ``s`` to ``v`` exists".
 
         The diagonal is ``True`` (the empty journey).  Read-only, cached.
         """
-        if self._reach is None:
-            start = time.perf_counter()
-            self._reach = self.arrival_matrix() < UNREACHABLE
-            self._computed("reachability", start)
-        else:
-            self._cache_hit("reachability")
-        return _read_only(self._reach)
+        return _read_only(
+            self._memo(
+                "reachability", None, lambda: self.arrival_matrix() < UNREACHABLE
+            )
+        )
 
     @property
     def summary(self) -> DistanceSummary:
         """The bundled all-pairs statistics, from one shared sweep (cached)."""
-        if self._summary is not None:
-            self._cache_hit("summary")
-            return self._summary
-        start = time.perf_counter()
-        n = self.n
-        if n <= 1:
-            self._summary = DistanceSummary(
-                diameter=0, radius=0, average_distance=0.0, reachable_fraction=1.0
-            )
-        else:
-            matrix = self.arrival_matrix()
-            ecc = self.eccentricities()
-            reach_mask = self.reachability().copy()
-            np.fill_diagonal(reach_mask, False)
-            reachable_pairs = int(reach_mask.sum())
-            if reachable_pairs:
-                average = float(matrix[reach_mask].mean())
-            else:
-                average = float("nan")
-            self._summary = DistanceSummary(
-                diameter=int(ecc.max()),
-                radius=int(ecc.min()),
-                average_distance=average,
-                reachable_fraction=reachable_pairs / float(n * (n - 1)),
-            )
-        self._computed("summary", start)
-        return self._summary
+        return self._memo(
+            "summary",
+            None,
+            lambda: distance_summary(
+                self.arrival_matrix(), self.eccentricities(), self.reachability()
+            ),
+        )
 
     def streamed_distance_summary(
         self, *, tile_size: int | None = None, direction: str = "forward"
     ) -> DistanceSummary:
         """:attr:`summary` in ``O(n · tile_size)`` memory, bit-identical.
 
-        Runs the out-of-core blocked sweep engine
-        (:mod:`repro.core.blocked_sweeps`): the sweep is tiled over blocks of
-        ``tile_size`` sources (``direction="forward"``) or targets
-        (``"reverse"``), each tile runs through the handle's pinned kernel
-        backend, and the tile's contribution is streamed into exact mergeable
-        accumulators — the dense ``(n, n)`` matrix is never materialized and
-        the handle's artifact cache is left untouched.  The result is cached
-        per ``(direction, tile_size)``.
-
-        ``tile_size=None`` uses the ambient default
-        (:func:`repro.core.blocked_sweeps.default_tile_size`, the CLI's
-        ``--tile-size`` flag), else
+        Runs :func:`repro.core.blocked_sweeps.blocked_sweep_summary` over
+        tiles of ``tile_size`` sources (``direction="forward"``) or targets
+        (``"reverse"``) on the handle's kernel backend; the dense matrix is
+        never materialized and the other artifacts are left untouched.
+        Cached per ``(direction, tile_size)``; ``tile_size=None`` uses the
+        ambient default (the CLI's ``--tile-size`` flag), else
         :data:`~repro.core.blocked_sweeps.DEFAULT_TILE_SIZE`.
         """
-        from ..core.blocked_sweeps import blocked_sweep_summary
-
-        key = (
-            str(direction),
-            None if tile_size is None else int(tile_size),
+        key = (str(direction), None if tile_size is None else int(tile_size))
+        return self._memo(
+            "streamed_summary",
+            key,
+            lambda: blocked_sweep_summary(
+                self._network,
+                tile_size=tile_size,
+                direction=direction,
+                backend=self._kernel_backend,
+            ).summary,
         )
-        cached = self._streamed.get(key)
-        if cached is not None:
-            self._cache_hit("streamed_summary")
-            return cached
-        start = time.perf_counter()
-        result = blocked_sweep_summary(
-            self._network,
-            tile_size=tile_size,
-            direction=direction,
-            backend=self._kernel_backend,
-        )
-        self._streamed[key] = result.summary
-        self._computed("streamed_summary", start)
-        return result.summary
 
     def streamed_reachable_fraction(
         self, *, tile_size: int | None = None, direction: str = "forward"
     ) -> float:
-        """:attr:`reachable_fraction` in ``O(n · tile_size)`` memory.
-
-        Bit-identical to the dense value; see
-        :meth:`streamed_distance_summary` for the tiling model.
-        """
+        """:attr:`reachable_fraction` of :meth:`streamed_distance_summary`."""
         return self.streamed_distance_summary(
             tile_size=tile_size, direction=direction
         ).reachable_fraction
@@ -508,8 +417,6 @@ class NetworkAnalysis:
     @property
     def is_temporally_connected(self) -> bool:
         """Whether every ordered pair of vertices is connected by a journey."""
-        if self.n <= 1:
-            return True
         return self.summary.diameter < UNREACHABLE
 
     # ------------------------------------------------------------------ #
@@ -526,29 +433,9 @@ class NetworkAnalysis:
         """
         if sources is None:
             return self.arrival_matrix()
-        n = self.n
-        source_arr = as_vertex_array(sources, n)
-        if self._matrix is not None:
-            self._cache_hit("source_rows")
-            return _read_only(self._matrix[source_arr])
-        wanted = dict.fromkeys(int(s) for s in source_arr)
-        missing = [s for s in wanted if s not in self._source_rows]
-        if missing:
-            start = time.perf_counter()
-            rows = earliest_arrival_matrix(
-                self._network, missing, backend=self._kernel_backend
-            )
-            for index, source in enumerate(missing):
-                self._source_rows[source] = rows[index]
-            self._computed("source_rows", start)
-        elif wanted:
-            self._cache_hit("source_rows")
-        if source_arr.size == 0:
-            return np.empty((0, n), dtype=np.int64)
-        stacked = np.stack(
-            [self._source_rows[int(s)] for s in source_arr], axis=0
+        return self._rows(
+            "source_rows", "arrival_matrix", sources, earliest_arrival_matrix
         )
-        return _read_only(stacked)
 
     def distance(self, source: int, target: int) -> int:
         """Temporal distance δ(source, target) (:data:`~repro.types.UNREACHABLE`
@@ -557,23 +444,8 @@ class NetworkAnalysis:
         Served from the cached all-pairs matrix when available; otherwise one
         memoized single-source sweep.
         """
-        n = self.n
-        target = int(as_vertex_array([target], n)[0])
-        source = int(as_vertex_array([source], n)[0])
-        if self._matrix is not None:
-            self._cache_hit("source_rows")
-            return int(self._matrix[source, target])
-        row = self._source_rows.get(source)
-        if row is None:
-            start = time.perf_counter()
-            row = earliest_arrival_times(
-                self._network, source, backend=self._kernel_backend
-            )
-            self._source_rows[source] = row
-            self._computed("source_rows", start)
-        else:
-            self._cache_hit("source_rows")
-        return int(row[target])
+        (target,) = as_vertex_array([target], self.n)
+        return int(self.distances_from([source])[0, target])
 
     # ------------------------------------------------------------------ #
     # target-side queries (reverse sweeps)
@@ -587,15 +459,7 @@ class NetworkAnalysis:
         Computed by one batched *reverse* sweep over the time-reversed CSR
         layout on first access; entirely independent of the forward caches.
         """
-        if self._rev_matrix is None:
-            start = time.perf_counter()
-            self._rev_matrix = latest_departure_matrix(
-                self._network, backend=self._kernel_backend
-            )
-            self._computed("departure_matrix", start)
-        else:
-            self._cache_hit("departure_matrix")
-        return _read_only(self._rev_matrix)
+        return self._matrix("departure_matrix", latest_departure_matrix)
 
     def departures_to(self, targets: Sequence[int] | None = None) -> np.ndarray:
         """Latest departures towards the requested targets (read-only).
@@ -608,29 +472,9 @@ class NetworkAnalysis:
         """
         if targets is None:
             return self.departure_matrix()
-        n = self.n
-        target_arr = as_vertex_array(targets, n)
-        if self._rev_matrix is not None:
-            self._cache_hit("target_columns")
-            return _read_only(self._rev_matrix[target_arr])
-        wanted = dict.fromkeys(int(t) for t in target_arr)
-        missing = [t for t in wanted if t not in self._target_cols]
-        if missing:
-            start = time.perf_counter()
-            rows = latest_departure_matrix(
-                self._network, missing, backend=self._kernel_backend
-            )
-            for index, target in enumerate(missing):
-                self._target_cols[target] = rows[index]
-            self._computed("target_columns", start)
-        elif wanted:
-            self._cache_hit("target_columns")
-        if target_arr.size == 0:
-            return np.empty((0, n), dtype=np.int64)
-        stacked = np.stack(
-            [self._target_cols[int(t)] for t in target_arr], axis=0
+        return self._rows(
+            "target_columns", "departure_matrix", targets, latest_departure_matrix
         )
-        return _read_only(stacked)
 
     def latest_departure(self, source: int, target: int) -> int:
         """Latest departure of a journey ``source → target``
@@ -639,23 +483,8 @@ class NetworkAnalysis:
         Served from the cached departure matrix when available; otherwise one
         memoized single-target reverse sweep.
         """
-        n = self.n
-        source = int(as_vertex_array([source], n)[0])
-        target = int(as_vertex_array([target], n)[0])
-        if self._rev_matrix is not None:
-            self._cache_hit("target_columns")
-            return int(self._rev_matrix[target, source])
-        row = self._target_cols.get(target)
-        if row is None:
-            start = time.perf_counter()
-            row = latest_departure_times(
-                self._network, target, backend=self._kernel_backend
-            )
-            self._target_cols[target] = row
-            self._computed("target_columns", start)
-        else:
-            self._cache_hit("target_columns")
-        return int(row[source])
+        (source,) = as_vertex_array([source], self.n)
+        return int(self.departures_to([target])[0, source])
 
     def distances_to(self, targets: Sequence[int] | None = None) -> np.ndarray:
         """Reverse temporal distances to the requested targets (read-only).
@@ -685,40 +514,13 @@ class NetworkAnalysis:
     # ------------------------------------------------------------------ #
     # temporal centrality (one shared pass over the arrival structure)
     # ------------------------------------------------------------------ #
-    def _centrality_arrays(self) -> dict[str, np.ndarray]:
-        if self._centrality is not None:
-            self._cache_hit("centrality")
-            return self._centrality
-        start = time.perf_counter()
-        n = self.n
-        if n <= 1:
-            self._centrality = {
-                "closeness": np.zeros(n, dtype=np.float64),
-                "harmonic": np.zeros(n, dtype=np.float64),
-                "influence": np.zeros(n, dtype=np.int64),
-                "reach": np.zeros(n, dtype=np.int64),
-            }
-        else:
-            matrix = self.arrival_matrix()
-            off_diagonal = self.reachability().copy()
-            np.fill_diagonal(off_diagonal, False)
-            counts_out = off_diagonal.sum(axis=1)
-            distance_sums = np.where(off_diagonal, matrix, 0).sum(axis=1)
-            closeness = np.where(
-                distance_sums > 0,
-                counts_out / np.maximum(distance_sums, 1),
-                0.0,
-            )
-            inverse = np.zeros((n, n), dtype=np.float64)
-            inverse[off_diagonal] = 1.0 / matrix[off_diagonal]
-            self._centrality = {
-                "closeness": closeness.astype(np.float64),
-                "harmonic": inverse.sum(axis=1) / float(n - 1),
-                "influence": counts_out.astype(np.int64),
-                "reach": off_diagonal.sum(axis=0).astype(np.int64),
-            }
-        self._computed("centrality", start)
-        return self._centrality
+    def _centrality(self, measure: str) -> np.ndarray:
+        family = self._memo(
+            "centrality",
+            None,
+            lambda: centrality_arrays(self.arrival_matrix(), self.reachability()),
+        )
+        return _read_only(family[measure])
 
     def closeness(self) -> np.ndarray:
         """Temporal closeness of every vertex (read-only ``float64``).
@@ -726,7 +528,7 @@ class NetworkAnalysis:
         The reciprocal of the mean temporal distance from each vertex to the
         vertices it can reach; 0.0 for vertices that reach nothing.
         """
-        return _read_only(self._centrality_arrays()["closeness"])
+        return self._centrality("closeness")
 
     def harmonic_closeness(self) -> np.ndarray:
         """Temporal harmonic closeness of every vertex (read-only, in [0, 1]).
@@ -734,15 +536,15 @@ class NetworkAnalysis:
         ``H(u) = (1/(n−1)) Σ_{t ≠ u} 1/δ(u, t)`` with ``1/∞ = 0`` for
         unreachable targets.
         """
-        return _read_only(self._centrality_arrays()["harmonic"])
+        return self._centrality("harmonic")
 
     def influence_counts(self) -> np.ndarray:
         """Number of vertices ``t ≠ u`` temporally reachable from each ``u``."""
-        return _read_only(self._centrality_arrays()["influence"])
+        return self._centrality("influence")
 
     def reach_counts(self) -> np.ndarray:
         """Number of vertices ``s ≠ v`` with a journey to each ``v``."""
-        return _read_only(self._centrality_arrays()["reach"])
+        return self._centrality("reach")
 
     # ------------------------------------------------------------------ #
     # reachability preservation (Definition 6)
@@ -752,48 +554,22 @@ class NetworkAnalysis:
 
         True when, for every ordered pair ``(u, v)``, a journey exists in
         ``(G, L)`` exactly when a path exists in the underlying graph ``G`` —
-        i.e. the temporal reachability mask equals the static one.  (A journey
-        can only use labelled edges of ``G``, so a journey without a path
-        would mean label data inconsistent with the graph, which the
+        i.e. the temporal reachability mask equals the static one
+        (:func:`~repro.core.reachability.static_reachability_matrix`).  (A
+        journey can only use labelled edges of ``G``, so a journey without a
+        path would mean label data inconsistent with the graph, which the
         constructor forbids; the comparison checks both directions anyway.)
         """
-        if self._preserves is None:
-            start = time.perf_counter()
-            n = self.n
-            if n <= 1:
-                self._preserves = True
-            else:
-                self._preserves = bool(
-                    np.array_equal(
-                        self.reachability(), self._static_reachability_matrix()
-                    )
+        return self._memo(
+            "static_reachability",
+            None,
+            lambda: bool(
+                np.array_equal(
+                    self.reachability(),
+                    static_reachability_matrix(self._network.graph),
                 )
-            self._computed("static_reachability", start)
-        else:
-            self._cache_hit("static_reachability")
-        return self._preserves
-
-    def _static_reachability_matrix(self) -> np.ndarray:
-        """Boolean closure ``R[s, v]`` = "a static path from ``s`` to ``v``".
-
-        All sources are advanced together: one dense adjacency matrix and one
-        matmul per BFS level (float32, so the product runs on BLAS instead of
-        NumPy's scalar integer loops), instead of ``n`` per-source
-        Python-level BFS runs.  Levels are bounded by the static diameter, so
-        the clique substrates of the Monte-Carlo workloads finish in one step.
-        """
-        graph = self._network.graph
-        n = graph.n
-        adjacency = np.zeros((n, n), dtype=np.float32)
-        adjacency[graph.arc_tails, graph.arc_heads] = 1.0
-        reach = np.eye(n, dtype=bool)
-        frontier = reach
-        while True:
-            new = (frontier.astype(np.float32) @ adjacency > 0.0) & ~reach
-            if not new.any():
-                return reach
-            reach |= new
-            frontier = new
+            ),
+        )
 
     # ------------------------------------------------------------------ #
     # expansion process (Algorithm 1) and PoR audits (Theorems 7–8)
@@ -802,8 +578,8 @@ class NetworkAnalysis:
         self,
         source: int,
         target: int,
-        parameters: "ExpansionParameters | None" = None,
-    ) -> "ExpansionResult":
+        parameters: ExpansionParameters | None = None,
+    ) -> ExpansionResult:
         """Run Algorithm 1 between ``source`` and ``target`` (memoized).
 
         Repeated calls with the same arguments return the cached
@@ -811,18 +587,12 @@ class NetworkAnalysis:
         deterministic given the instance), so report builders can re-read the
         layer traces for free.
         """
-        from ..core.expansion import expansion_process
-
-        key = (int(source), int(target), parameters)
-        if key not in self._expansions:
-            start = time.perf_counter()
-            self._expansions[key] = expansion_process(
-                self._network, int(source), int(target), parameters
-            )
-            self._computed("expansion", start)
-        else:
-            self._cache_hit("expansion")
-        return self._expansions[key]
+        source, target = int(source), int(target)
+        return self._memo(
+            "expansion",
+            (source, target, parameters),
+            lambda: expansion_process(self._network, source, target, parameters),
+        )
 
     def por_audit(self, r: int | None = None, *, opt: int | None = None) -> PorAudit:
         """Price-of-Randomness audit of this instance (memoized per arguments).
@@ -843,44 +613,33 @@ class NetworkAnalysis:
         repro.exceptions.GraphError
             If the underlying graph is disconnected (OPT is undefined).
         """
-        key = (r, opt)
-        if key in self._por_audits:
-            self._cache_hit("por_audit")
-            return self._por_audits[key]
 
-        from ..core.price_of_randomness import (
-            opt_labels_upper_bound,
-            por_upper_bound_theorem8,
-            price_of_randomness,
-        )
-        from ..graphs.properties import diameter as static_diameter
-
-        start = time.perf_counter()
-        network = self._network
-        if r is None:
-            counts = network.label_count_per_edge()
-            resolved_r = int(counts.max()) if counts.size else 0
-        else:
-            resolved_r = int(r)
-        if resolved_r < 1:
-            raise ConfigurationError(
-                "por_audit needs at least one label per edge (r >= 1); "
-                "this instance has none and no explicit r was given"
+        def audit() -> PorAudit:
+            network = self._network
+            if r is None:
+                counts = network.label_count_per_edge()
+                resolved_r = int(counts.max()) if counts.size else 0
+            else:
+                resolved_r = int(r)
+            if resolved_r < 1:
+                raise ConfigurationError(
+                    "por_audit needs at least one label per edge (r >= 1); "
+                    "this instance has none and no explicit r was given"
+                )
+            graph = network.graph
+            opt_value = int(opt) if opt is not None else opt_labels_upper_bound(graph)
+            d = static_diameter(graph)
+            return PorAudit(
+                r=resolved_r,
+                total_labels=network.total_labels,
+                opt=opt_value,
+                static_diameter=d,
+                preserves_reachability=self.preserves_reachability(),
+                measured_por=price_of_randomness(graph, resolved_r, opt=opt_value),
+                theorem8_bound=por_upper_bound_theorem8(network.n, network.m, d),
             )
-        graph = network.graph
-        opt_value = int(opt) if opt is not None else opt_labels_upper_bound(graph)
-        d = static_diameter(graph)
-        self._por_audits[key] = PorAudit(
-            r=resolved_r,
-            total_labels=network.total_labels,
-            opt=opt_value,
-            static_diameter=d,
-            preserves_reachability=self.preserves_reachability(),
-            measured_por=price_of_randomness(graph, resolved_r, opt=opt_value),
-            theorem8_bound=por_upper_bound_theorem8(network.n, network.m, d),
-        )
-        self._computed("por_audit", start)
-        return self._por_audits[key]
+
+        return self._memo("por_audit", (r, opt), audit)
 
     # ------------------------------------------------------------------ #
     # derived analyses
@@ -898,9 +657,10 @@ class NetworkAnalysis:
             self._network.restricted_to_max_label(max_label),
             kernel_backend=self._kernel_backend,
         )
-        if self._matrix is not None:
-            child._matrix = np.where(
-                self._matrix <= int(max_label), self._matrix, UNREACHABLE
+        matrix = self._cache.get(("arrival_matrix", None))
+        if matrix is not None:
+            child._cache[("arrival_matrix", None)] = np.where(
+                matrix <= int(max_label), matrix, UNREACHABLE
             )
         return child
 
@@ -908,19 +668,7 @@ class NetworkAnalysis:
     # dunder methods
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:
-        cached = [
-            name
-            for name, value in (
-                ("arrival_matrix", self._matrix),
-                ("eccentricities", self._ecc),
-                ("reachability", self._reach),
-                ("summary", self._summary),
-                ("static_reachability", self._preserves),
-                ("departure_matrix", self._rev_matrix),
-                ("centrality", self._centrality),
-            )
-            if value is not None
-        ]
+        cached = list(dict.fromkeys(artifact for artifact, _ in self._cache))
         return (
             f"NetworkAnalysis(n={self.n}, lifetime={self._network.lifetime}, "
             f"cached={cached})"

@@ -22,11 +22,11 @@ This subpackage implements:
 * the Price of Randomness (:mod:`repro.core.price_of_randomness`);
 * lifetime-scaling analysis for Theorem 5 (:mod:`repro.core.lifetime`).
 
-The per-instance distance/reachability free functions in this package are
-thin delegates over :class:`repro.analysis_api.NetworkAnalysis` — the lazy,
-memoized analysis handle that shares one batched sweep across every quantity
-of an instance.  Hold a handle when reading more than one quantity
-(``docs/api.md`` has the migration table).
+The per-instance distance, reachability and centrality free functions each
+run one sweep and apply a pure core reduction of the arrival matrix.  Nothing
+here imports :mod:`repro.analysis_api`; its memoizing ``NetworkAnalysis``
+handle calls the same reductions.  Hold a handle when reading more than one
+quantity (``docs/api.md`` has the migration table).
 """
 
 from .temporal_graph import TemporalGraph
@@ -42,7 +42,6 @@ from .labeling import (
 from .journeys import (
     earliest_arrival_matrix,
     earliest_arrival_times,
-    earliest_arrival_times_reference,
     foremost_journey,
     foremost_journey_tree,
     temporal_distance,
@@ -51,7 +50,6 @@ from .reverse_journeys import (
     latest_departure,
     latest_departure_matrix,
     latest_departure_times,
-    latest_departure_times_reference,
     reverse_reachable_set,
 )
 from .centrality import (
@@ -66,7 +64,6 @@ from .distances import (
     average_temporal_distance,
     temporal_diameter,
     temporal_distance_matrix,
-    temporal_distance_matrix_reference,
     temporal_distance_summary,
     temporal_eccentricities,
     temporal_radius,
@@ -127,12 +124,10 @@ __all__ = [
     "assign_deterministic_labels",
     "earliest_arrival_matrix",
     "earliest_arrival_times",
-    "earliest_arrival_times_reference",
     "foremost_journey",
     "foremost_journey_tree",
     "temporal_distance",
     "latest_departure_times",
-    "latest_departure_times_reference",
     "latest_departure_matrix",
     "latest_departure",
     "reverse_reachable_set",
@@ -145,7 +140,6 @@ __all__ = [
     "FastestJourneyResult",
     "DistanceSummary",
     "temporal_distance_matrix",
-    "temporal_distance_matrix_reference",
     "temporal_distance_summary",
     "temporal_diameter",
     "temporal_eccentricities",

@@ -71,11 +71,11 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from ..analysis_api.handle import DistanceSummary
 from ..exceptions import ConfigurationError
 from ..telemetry import active as _telemetry_active
 from ..types import UNREACHABLE
 from ..utils.validation import check_positive_int
+from .distances import DistanceSummary, summary_of_distance_matrix
 from .journeys import _sweep
 from .temporal_graph import TemporalGraph
 
@@ -319,11 +319,11 @@ class BlockedSummaryAccumulator:
 
     One accumulator absorbs tiles of distance rows (:meth:`add_tile`) and/or
     other accumulators (:meth:`merge`); at the end :meth:`summary` yields the
-    same :class:`~repro.analysis_api.DistanceSummary` the dense path computes
-    from the full matrix.  All scalar state is exact-integer, and the one
-    vector (:attr:`reach_counts`, the per-column in-reach partial feeding the
-    centrality family's ``reach_counts``) merges by addition, so the whole
-    object is order- and partition-invariant.
+    same :class:`~repro.core.distances.DistanceSummary` the dense path
+    computes from the full matrix.  All scalar state is exact-integer, and
+    the one vector (:attr:`reach_counts`, the per-column in-reach partial
+    feeding the centrality family's ``reach_counts``) merges by addition, so
+    the whole object is order- and partition-invariant.
     """
 
     __slots__ = (
@@ -423,8 +423,8 @@ class BlockedSummaryAccumulator:
     def summary(self) -> DistanceSummary:
         """The dense-convention :class:`DistanceSummary` of the absorbed rows.
 
-        Matches :attr:`repro.analysis_api.NetworkAnalysis.summary` bit for bit,
-        including the degenerate conventions: ``n <= 1`` reports
+        Matches the dense :func:`~repro.core.distances.distance_summary` bit
+        for bit, including the degenerate conventions: ``n <= 1`` reports
         ``(0, 0, 0.0, 1.0)``; a fully-unreachable instance reports
         ``diameter = radius = UNREACHABLE``, ``average_distance = nan`` and
         ``reachable_fraction = 0.0``.
@@ -667,38 +667,3 @@ def streamed_reachable_fraction(
         network, tile_size=tile_size, direction=direction, backend=backend
     ).reachable_fraction
 
-
-def summary_of_distance_matrix(matrix: np.ndarray) -> DistanceSummary:
-    """Dense reference reduction of a full square distance matrix.
-
-    Exactly the reduction :attr:`repro.analysis_api.NetworkAnalysis.summary`
-    applies to the cached arrival matrix, exposed as a free function so the
-    parity suites can apply the *dense* code path to any distance matrix —
-    in particular the reverse-direction matrix
-    (:meth:`~repro.analysis_api.NetworkAnalysis.distances_to`), which has no
-    dense summary accessor of its own.
-    """
-    matrix = np.asarray(matrix, dtype=np.int64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ConfigurationError(
-            f"expected a square distance matrix, got shape {matrix.shape}"
-        )
-    n = matrix.shape[0]
-    if n <= 1:
-        return DistanceSummary(
-            diameter=0, radius=0, average_distance=0.0, reachable_fraction=1.0
-        )
-    eccentricities = matrix.max(axis=1)
-    reach_mask = matrix < UNREACHABLE
-    np.fill_diagonal(reach_mask, False)
-    reachable_pairs = int(reach_mask.sum())
-    if reachable_pairs:
-        average = float(matrix[reach_mask].mean())
-    else:
-        average = float("nan")
-    return DistanceSummary(
-        diameter=int(eccentricities.max()),
-        radius=int(eccentricities.min()),
-        average_distance=average,
-        reachable_fraction=reachable_pairs / float(n * (n - 1)),
-    )

@@ -20,20 +20,21 @@ opens that family on top of the existing arrival machinery:
   (:func:`repro.core.reverse_journeys.reverse_reachable_set`); the batched
   per-vertex vector here comes from the shared all-pairs structure.
 
-Every function is a thin delegate over
-:class:`repro.analysis_api.NetworkAnalysis`, which computes the whole family
-from one cached all-pairs sweep ("centrality" artifact); hold a handle when
-reading more than one of them (or any other quantity) on the same instance.
+The family is one reduction of the arrival matrix, :func:`centrality_arrays`;
+each free function runs one sweep and applies it.  The analysis handle
+memoizes the same reduction, so hold one when reading several quantities.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..analysis_api.handle import NetworkAnalysis
+from ..types import UNREACHABLE
+from .journeys import earliest_arrival_matrix
 from .temporal_graph import TemporalGraph
 
 __all__ = [
+    "centrality_arrays",
     "temporal_closeness",
     "temporal_harmonic_closeness",
     "temporal_influence_counts",
@@ -41,30 +42,69 @@ __all__ = [
 ]
 
 
+def centrality_arrays(
+    matrix: np.ndarray, reachable: np.ndarray
+) -> dict[str, np.ndarray]:
+    """``closeness``/``harmonic`` (float) and ``influence``/``reach`` (int) arrays.
+
+    ``reachable`` is ``matrix < UNREACHABLE``; all zeros for ``n ≤ 1``.
+    """
+    n = matrix.shape[0]
+    if n <= 1:
+        return {
+            "closeness": np.zeros(n, dtype=np.float64),
+            "harmonic": np.zeros(n, dtype=np.float64),
+            "influence": np.zeros(n, dtype=np.int64),
+            "reach": np.zeros(n, dtype=np.int64),
+        }
+    off_diagonal = reachable.copy()
+    np.fill_diagonal(off_diagonal, False)
+    counts_out = off_diagonal.sum(axis=1)
+    distance_sums = np.where(off_diagonal, matrix, 0).sum(axis=1)
+    closeness = np.where(
+        distance_sums > 0,
+        counts_out / np.maximum(distance_sums, 1),
+        0.0,
+    )
+    inverse = np.zeros((n, n), dtype=np.float64)
+    inverse[off_diagonal] = 1.0 / matrix[off_diagonal]
+    return {
+        "closeness": closeness.astype(np.float64),
+        "harmonic": inverse.sum(axis=1) / float(n - 1),
+        "influence": counts_out.astype(np.int64),
+        "reach": off_diagonal.sum(axis=0).astype(np.int64),
+    }
+
+
+def _family(network: TemporalGraph) -> dict[str, np.ndarray]:
+    matrix = earliest_arrival_matrix(network)
+    return centrality_arrays(matrix, matrix < UNREACHABLE)
+
+
 def temporal_closeness(network: TemporalGraph) -> np.ndarray:
-    """Temporal closeness of every vertex (read-only ``float64`` array).
+    """Temporal closeness of every vertex (``float64`` array).
 
     ``C(u)`` is the reciprocal of the mean temporal distance from ``u`` to
     the vertices it can reach (0.0 when it reaches none); higher is more
     central.
     """
-    return NetworkAnalysis(network).closeness()
+    return _family(network)["closeness"]
 
 
 def temporal_harmonic_closeness(network: TemporalGraph) -> np.ndarray:
-    """Temporal harmonic closeness of every vertex (read-only, in ``[0, 1]``).
+    """Temporal harmonic closeness of every vertex (in ``[0, 1]``).
 
     ``H(u) = (1/(n−1)) Σ_{t ≠ u} 1/δ(u, t)`` with ``1/∞ = 0`` for
     unreachable targets.
     """
-    return NetworkAnalysis(network).harmonic_closeness()
+    return _family(network)["harmonic"]
 
 
 def temporal_influence_counts(network: TemporalGraph) -> np.ndarray:
     """Number of vertices ``t ≠ u`` temporally reachable *from* each ``u``."""
-    return NetworkAnalysis(network).influence_counts()
+    return _family(network)["influence"]
 
 
 def temporal_reach_counts(network: TemporalGraph) -> np.ndarray:
     """Number of vertices ``s ≠ v`` with a journey *to* each ``v``."""
-    return NetworkAnalysis(network).reach_counts()
+    return _family(network)["reach"]

@@ -30,8 +30,8 @@ the current label: arrivals only ever decrease, and a group labelled ``l`` can
 only improve entries currently greater than ``l``, so the remaining groups
 cannot change anything.  On the paper's normalized clique this cuts the sweep
 from ``a = n`` groups to about the temporal diameter ``Θ(log n)`` of them.
-A scalar pure-Python reference (:func:`earliest_arrival_times_reference`) is
-kept for cross-validation and the ablation benchmark.
+The scalar references and brute-force journey oracles that cross-validate
+these kernels live with the tests (``tests/oracles.py``).
 
 The hot loop itself is pluggable: both entry points accept a ``backend=``
 keyword naming a registered :mod:`repro.core.kernels` backend (``numpy`` —
@@ -61,7 +61,6 @@ from .temporal_graph import TemporalGraph
 
 __all__ = [
     "earliest_arrival_times",
-    "earliest_arrival_times_reference",
     "earliest_arrival_matrix",
     "foremost_journey",
     "foremost_journey_tree",
@@ -222,45 +221,6 @@ def _sweep(
             backend=kernel.name,
         )
     return state
-
-
-def earliest_arrival_times_reference(
-    network: TemporalGraph, source: int, *, start_time: int = 0
-) -> np.ndarray:
-    """Scalar (pure-Python) reference implementation of earliest arrivals.
-
-    Used by the test suite to cross-validate both the vectorised single-source
-    kernel and the batched :func:`earliest_arrival_matrix` engine, and by the
-    kernel ablation benchmark.  Semantics are identical to
-    :func:`earliest_arrival_times`.
-    """
-    source = _validate_source(network.n, source)
-    start_time = check_non_negative_int(start_time, "start_time")
-    arrival = [UNREACHABLE] * network.n
-    arrival[source] = start_time
-    arcs = sorted(
-        zip(
-            network.time_arc_labels.tolist(),
-            network.time_arc_tails.tolist(),
-            network.time_arc_heads.tolist(),
-        )
-    )
-    index = 0
-    total = len(arcs)
-    while index < total:
-        label = arcs[index][0]
-        group_end = index
-        while group_end < total and arcs[group_end][0] == label:
-            group_end += 1
-        updates: list[tuple[int, int]] = []
-        for _, tail, head in arcs[index:group_end]:
-            if arrival[tail] < label and arrival[head] > label:
-                updates.append((head, label))
-        for head, label_value in updates:
-            if arrival[head] > label_value:
-                arrival[head] = label_value
-        index = group_end
-    return np.asarray(arrival, dtype=np.int64)
 
 
 def foremost_journey_tree(

@@ -32,9 +32,9 @@ That start is negative for a deadline beyond the lifetime, which the kernel
 precondition allows (it lies below every label).  The resulting state is
 mapped back to departures in place.  Like the forward entry points, these
 accept a ``backend=`` keyword naming a registered :mod:`repro.core.kernels`
-backend, and record their sweeps under ``kernel.reverse.*``.  A scalar
-pure-Python reference that walks the labels downwards is kept for
-cross-validation.
+backend, and record their sweeps under ``kernel.reverse.*``.  The scalar
+reference that walks the labels downwards, used to cross-validate them,
+lives with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .temporal_graph import TemporalGraph
 
 __all__ = [
     "latest_departure_times",
-    "latest_departure_times_reference",
     "latest_departure_matrix",
     "latest_departure",
     "reverse_reachable_set",
@@ -169,47 +168,6 @@ def _to_departures(state: np.ndarray, lifetime: int) -> np.ndarray:
     np.subtract(lifetime + 1, state, out=state)
     np.putmask(state, unreached, NEVER)
     return state
-
-
-def latest_departure_times_reference(
-    network: TemporalGraph, target: int, *, deadline: int | None = None
-) -> np.ndarray:
-    """Scalar (pure-Python) reference implementation of latest departures.
-
-    Used by the test suite to cross-validate both the vectorised
-    single-target kernel and the batched :func:`latest_departure_matrix`
-    engine.  Semantics are identical to :func:`latest_departure_times`.
-    """
-    target = _validate_vertex(network.n, target, "target")
-    deadline = _resolve_deadline(network, deadline)
-    depart = [NEVER] * network.n
-    depart[target] = deadline + 1
-    arcs = sorted(
-        zip(
-            network.time_arc_labels.tolist(),
-            network.time_arc_tails.tolist(),
-            network.time_arc_heads.tolist(),
-        ),
-        reverse=True,
-    )
-    index = 0
-    total = len(arcs)
-    while index < total and arcs[index][0] > deadline:
-        index += 1
-    while index < total:
-        label = arcs[index][0]
-        group_end = index
-        while group_end < total and arcs[group_end][0] == label:
-            group_end += 1
-        updates: list[tuple[int, int]] = []
-        for _, tail, head in arcs[index:group_end]:
-            if depart[head] > label and depart[tail] < label:
-                updates.append((tail, label))
-        for tail, label_value in updates:
-            if depart[tail] < label_value:
-                depart[tail] = label_value
-        index = group_end
-    return np.asarray(depart, dtype=np.int64)
 
 
 def latest_departure(

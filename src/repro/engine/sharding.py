@@ -125,10 +125,6 @@ class SeedPlan:
         """Per-trial seed sequences of one shard (trial ``i`` → child ``i``)."""
         return tuple(self.child(i) for i in range(shard.start, shard.stop))
 
-    def reservoir_seed(self, shard: Shard) -> np.random.SeedSequence:
-        """The shard's dedicated reservoir-sampling stream."""
-        return self.child(self.budget + shard.index)
-
     def merge_rng(self) -> np.random.Generator:
         """The driver-side stream used to merge shard partials in index order."""
         return np.random.default_rng(self.child(self.budget + self.num_shards))

@@ -31,7 +31,7 @@ from ..core.guarantees import (
 from ..core.price_of_randomness import opt_labels_star, price_of_randomness
 from ..graphs.generators import star_graph
 from ..scenarios import ScenarioRun, ScenarioTrial, get_scenario, run_scenario
-from ..scenarios.library import E5_SCALES as SCALES, star_label_grid
+from ..scenarios.library import E5_SCALES as SCALES
 from ..utils.seeding import SeedLike
 from .reporting import ExperimentReport
 
@@ -42,11 +42,6 @@ trial_star_reachability = ScenarioTrial(get_scenario("E5"))
 
 #: Target probability defining the empirical threshold r̂(n).
 TARGET_PROBABILITY = 0.9
-
-
-def _r_grid(n: int, max_r_factor: float) -> list[int]:
-    """Label counts to probe: 1 … ≈ max_r_factor·log n (unique, increasing)."""
-    return star_label_grid(n, max_r_factor)
 
 
 def run(

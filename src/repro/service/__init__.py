@@ -13,8 +13,8 @@ server at all:
   through the checkpointing parallel engine: progress, cancellation,
   store-hit dedup and crash-resume.
 * :mod:`repro.service.app` — :class:`ServiceApp`, the transport-agnostic
-  handlers; :mod:`repro.service.http_stdlib` and the optional
-  :mod:`repro.service.fastapi_adapter` expose them over HTTP.
+  handlers; the stdlib daemon in :mod:`repro.service.http_stdlib` exposes
+  them over HTTP.
 
 Start a server with the CLI (``repro-experiments serve``) or in-process::
 

@@ -3,11 +3,10 @@
 :class:`ServiceApp` wires the persistent :class:`~repro.service.store.ArtifactStore`,
 the :class:`~repro.service.cache.AnalysisCache` of live analysis handles and
 the :class:`~repro.service.jobs.JobManager` into one object whose methods are
-plain ``payload-in, payload-out`` handlers.  Transports stay thin: the stdlib
-:mod:`http.server` daemon (:mod:`repro.service.http_stdlib`) and the optional
-FastAPI adapter (:mod:`repro.service.fastapi_adapter`) both route into the
-*same* handler methods, so behaviour — and the test suite that pins it —
-cannot drift between transports.
+plain ``payload-in, payload-out`` handlers.  The transport stays thin: the
+stdlib :mod:`http.server` daemon (:mod:`repro.service.http_stdlib`) only
+parses requests, routes them into these handler methods and serialises the
+results, so the test suite pins behaviour here, below any transport.
 
 Handler errors raise :class:`ServiceError` with an HTTP status code; anything
 else escaping a handler is a 500.  Every handler bumps ``service.requests``

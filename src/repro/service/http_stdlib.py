@@ -3,9 +3,7 @@
 A thin :mod:`http.server` daemon over :class:`~repro.service.app.ServiceApp`:
 every route parses the request, calls the matching app handler and serialises
 the returned payload as JSON.  No framework, no dependencies — the service
-runs anywhere the repo does.  The optional FastAPI adapter
-(:mod:`repro.service.fastapi_adapter`) exposes the *same* handlers for
-deployments that already carry that stack.
+runs anywhere the repo does.  This daemon is the service's only transport.
 
 Routes
 ------

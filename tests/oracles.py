@@ -20,9 +20,15 @@ Conventions match the production kernels exactly:
 Restricting the enumeration to *simple* paths loses nothing: labels strictly
 increase along a journey, so the first/last visit of a repeated vertex
 dominates any non-simple journey for both objectives.
+
+The scalar references :func:`earliest_arrival_times_reference` and
+:func:`latest_departure_times_reference` run the label-group sweep one arc at
+a time in plain Python; being polynomial, they also check larger instances.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 import numpy as np
 
@@ -239,3 +245,52 @@ def oracle_centrality(network: TemporalGraph) -> dict[str, np.ndarray]:
         "influence": influence,
         "reach": reach,
     }
+
+
+
+def _label_groups(network: TemporalGraph, *, descending: bool):
+    """``(label, [(tail, head), ...])`` for each label of the raw time arcs."""
+    arcs = sorted(
+        zip(
+            network.time_arc_labels.tolist(),
+            network.time_arc_tails.tolist(),
+            network.time_arc_heads.tolist(),
+        ),
+        reverse=descending,
+    )
+    for label, group in groupby(arcs, key=lambda arc: arc[0]):
+        yield label, [(tail, head) for _, tail, head in group]
+
+
+def earliest_arrival_times_reference(
+    network: TemporalGraph, source: int, *, start_time: int = 0
+) -> np.ndarray:
+    """Scalar sweep: earliest arrivals from ``source``, labels ascending.
+
+    Every arc of a label group is tested against the arrivals from before
+    the group, so a group never chains two of its own arcs.
+    """
+    arrival = [UNREACHABLE] * network.n
+    arrival[source] = start_time
+    for label, group in _label_groups(network, descending=False):
+        for head in [h for t, h in group if arrival[t] < label < arrival[h]]:
+            arrival[head] = label
+    return np.asarray(arrival, dtype=np.int64)
+
+
+def latest_departure_times_reference(
+    network: TemporalGraph, target: int, *, deadline: int | None = None
+) -> np.ndarray:
+    """Scalar sweep: latest departures towards ``target``, labels descending.
+
+    Only arcs labelled at most ``deadline`` (default: the lifetime) count.
+    """
+    if deadline is None:
+        deadline = network.lifetime
+    depart = [NEVER] * network.n
+    depart[target] = deadline + 1
+    for label, group in _label_groups(network, descending=True):
+        if label <= deadline:
+            for tail in [t for t, h in group if depart[t] < label < depart[h]]:
+                depart[tail] = label
+    return np.asarray(depart, dtype=np.int64)

@@ -14,6 +14,7 @@ import pytest
 
 import repro.analysis_api as analysis_api
 from repro import (
+    ExpansionParameters,
     NetworkAnalysis,
     UNREACHABLE,
     complete_graph,
@@ -376,8 +377,12 @@ class TestTrialContextSharing:
         assert set(metrics) >= {"success", "time_bound", "sqrt_n"}
         if metrics["success"]:
             assert metrics["optimal_arrival"] <= metrics["arrival_time"]
-        # the trace is memoized on the shared handle
-        assert ctx.analysis is not None and ctx.analysis._expansions
+        # the trace is memoized on the shared handle: Algorithm 1 with the
+        # metric's own arguments (the same rng draw) is a cache hit
+        source, target = np.random.default_rng(5).choice(32, size=2, replace=False)
+        with analysis_api.compute_events() as events:
+            ctx.analysis.expansion(int(source), int(target), ExpansionParameters.suggest(32))
+        assert events.hits == {"expansion": 1} and events.counts == {}
 
 
 class TestReverseArtifacts:

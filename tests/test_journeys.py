@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.journeys import (
     earliest_arrival_times,
-    earliest_arrival_times_reference,
     foremost_journey,
     foremost_journey_tree,
     temporal_distance,
@@ -17,6 +16,8 @@ from repro.core.temporal_graph import TemporalGraph
 from repro.exceptions import UnreachableVertexError
 from repro.graphs.generators import complete_graph, erdos_renyi_graph, path_graph, star_graph
 from repro.types import UNREACHABLE
+
+from oracles import earliest_arrival_times_reference
 
 
 class TestEarliestArrival:

@@ -6,6 +6,10 @@ raw time-arc list.  On every ``n <= 8`` instance in the pool, the forward
 kernel, the reverse kernels (single-target, batched and pure-Python
 reference) and the centrality family must all agree with them exactly.
 
+``TestFreeFunctionsAgainstOracle`` pins the core free functions (one sweep,
+one ``repro.core`` reduction, no handle) over the pool plus a single vertex
+and a network whose edges carry no labels.
+
 ``TestEveryBackendAgainstOracle`` additionally pins **every registered
 kernel backend** (:mod:`repro.core.kernels`) bit-identical to the oracles on
 the same pool; a backend that cannot run here (numba not installed) skips
@@ -14,11 +18,16 @@ cleanly with the registry's reason string.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from repro import (
+    UNREACHABLE,
     NetworkAnalysis,
+    StaticGraph,
+    TemporalGraph,
     complete_graph,
     earliest_arrival_matrix,
     earliest_arrival_times,
@@ -28,14 +37,11 @@ from repro import (
     star_graph,
     uniform_random_labels,
 )
-from repro.core import kernels
-from repro.core.reverse_journeys import (
-    latest_departure_matrix,
-    latest_departure_times,
-    latest_departure_times_reference,
-)
+from repro.core import centrality, distances, kernels, reachability
+from repro.core.reverse_journeys import latest_departure_matrix, latest_departure_times
 
 from oracles import (
+    latest_departure_times_reference,
     oracle_arrival_matrix,
     oracle_centrality,
     oracle_departure_matrix,
@@ -71,10 +77,22 @@ def _instance_pool():
 
 _POOL = _instance_pool()
 
+#: Kept out of ``_POOL`` so the per-backend legs do not grow.
+_DEGENERATE = {
+    "single-vertex": TemporalGraph(StaticGraph(1, []), []),
+    "unlabelled-path": TemporalGraph(path_graph(4), {}),
+}
+_FREE_POOL = {**_POOL, **_DEGENERATE}
+
 
 @pytest.fixture(params=sorted(_POOL), ids=sorted(_POOL))
 def network(request):
     return _POOL[request.param]
+
+
+@pytest.fixture(params=sorted(_FREE_POOL), ids=sorted(_FREE_POOL))
+def any_network(request):
+    return _FREE_POOL[request.param]
 
 
 def backend_params():
@@ -268,3 +286,43 @@ class TestCentralityAgainstOracle:
             analysis.influence_counts(), expected["influence"]
         )
         np.testing.assert_array_equal(analysis.reach_counts(), expected["reach"])
+
+
+class TestFreeFunctionsAgainstOracle:
+    def test_distance_summary_and_eccentricities(self, any_network):
+        expected = oracle_distance_summary(any_network)
+        summary = distances.temporal_distance_summary(any_network)
+        assert summary.diameter == expected["diameter"]
+        assert summary.radius == expected["radius"]
+        _assert_same_float(summary.average_distance, expected["average_distance"])
+        assert summary.reachable_fraction == expected["reachable_fraction"]
+        rows = oracle_arrival_matrix(any_network).tolist()
+        np.testing.assert_array_equal(
+            distances.temporal_eccentricities(any_network), [max(row) for row in rows]
+        )
+
+    def test_reachability(self, any_network):
+        expected = oracle_arrival_matrix(any_network) < UNREACHABLE
+        actual = reachability.reachability_matrix(any_network)
+        np.testing.assert_array_equal(actual, expected)
+        assert reachability.is_temporally_connected(any_network) == expected.all()
+        assert reachability.preserves_reachability(any_network) == (
+            NetworkAnalysis(any_network).preserves_reachability()
+        )
+
+    def test_centrality(self, any_network):
+        expected = oracle_centrality(any_network)
+        for name, measure in [
+            ("closeness", centrality.temporal_closeness),
+            ("harmonic", centrality.temporal_harmonic_closeness),
+            ("influence", centrality.temporal_influence_counts),
+            ("reach", centrality.temporal_reach_counts),
+        ]:
+            np.testing.assert_allclose(measure(any_network), expected[name], rtol=1e-12)
+
+    def test_degenerate_summaries(self):
+        single = NetworkAnalysis(_DEGENERATE["single-vertex"]).summary
+        assert astuple(single) == (0, 0, 0.0, 1.0)
+        empty = distances.temporal_distance_summary(_DEGENERATE["unlabelled-path"])
+        assert (empty.diameter, empty.radius) == (UNREACHABLE, UNREACHABLE)
+        assert np.isnan(empty.average_distance) and empty.reachable_fraction == 0.0

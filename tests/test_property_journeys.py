@@ -26,7 +26,6 @@ from repro.core import kernels
 from repro.core.journeys import (
     earliest_arrival_matrix,
     earliest_arrival_times,
-    earliest_arrival_times_reference,
     foremost_journey,
 )
 from repro.core.reverse_journeys import latest_departure_matrix, latest_departure_times
@@ -34,7 +33,11 @@ from repro.core.temporal_graph import TemporalGraph
 from repro.graphs.static_graph import StaticGraph
 from repro.types import UNREACHABLE
 
-from oracles import oracle_earliest_arrival_times, oracle_latest_departure_times
+from oracles import (
+    earliest_arrival_times_reference,
+    oracle_earliest_arrival_times,
+    oracle_latest_departure_times,
+)
 
 
 @st.composite

@@ -34,9 +34,10 @@ from repro import (
     star_graph,
     uniform_random_labels,
 )
-from repro.core.reverse_journeys import latest_departure_times_reference
 from repro.core.temporal_graph import TemporalGraph
 from repro.core.timearc_csr import TimeArcCSR, build_timearc_csr_from_arrays
+
+from oracles import latest_departure_times_reference
 
 
 def _family_pool():

@@ -17,9 +17,7 @@ import urllib.request
 
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.service import ServiceApp, serve
-from repro.service.fastapi_adapter import create_fastapi_app, fastapi_available
+from repro.service import serve
 
 QUERY = {
     "op": "centrality",
@@ -248,22 +246,3 @@ class TestServeCLI:
         assert result.returncode == 2
         assert "no-such-backend" in result.stderr
 
-
-class TestFastAPIAdapter:
-    def test_gated_when_fastapi_missing(self, tmp_path):
-        app = ServiceApp(data_dir=tmp_path / "data")
-        try:
-            if fastapi_available():  # pragma: no cover - env-dependent branch
-                asgi = create_fastapi_app(app)
-                routes = {route.path for route in asgi.routes}
-                assert {"/scenarios", "/query", "/healthz", "/stats"} <= routes
-            else:
-                with pytest.raises(ConfigurationError, match="fastapi"):
-                    create_fastapi_app(app)
-        finally:
-            app.close()
-
-    def test_import_is_safe_without_fastapi(self):
-        import repro.service.fastapi_adapter as adapter
-
-        assert callable(adapter.create_fastapi_app)
