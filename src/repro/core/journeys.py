@@ -123,8 +123,8 @@ def earliest_arrival_matrix(
     matrix, eccentricities, diameter, radius, average distance).  Instead of
     running ``len(sources)`` independent single-source sweeps it advances the
     whole ``(S, n)`` arrival matrix one label group at a time: for each group
-    the per-source "can forward" mask is OR-reduced over the arcs sharing a
-    head (``np.logical_or.reduceat`` with indices precomputed in the CSR
+    the per-source "can forward" bits are OR-reduced over the arcs sharing a
+    head (``np.bitwise_or.reduceat`` with indices precomputed in the CSR
     layout), giving a handful of vectorised NumPy operations per label value
     regardless of ``S``.
 

@@ -13,7 +13,7 @@ precomputes exactly that view once per :class:`~repro.core.temporal_graph.Tempor
 * for every group the distinct head vertices and the start of each head's run
   (``head_values``/``head_starts``, indexed through ``head_offsets``) are
   precomputed, so a kernel can OR-reduce per-head reachability with a single
-  ``np.logical_or.reduceat`` and no per-call ``np.unique``.
+  ``np.bitwise_or.reduceat`` and no per-call ``np.unique``.
 
 Because a journey's labels must strictly increase, a sweep that processes the
 groups in order maintains the invariant "after group ``g``, every arrival time

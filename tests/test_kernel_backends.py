@@ -1,6 +1,6 @@
 """The pluggable sweep-kernel backend subsystem (:mod:`repro.core.kernels`).
 
-Five concerns are pinned here:
+Six concerns are pinned here:
 
 * **registry semantics** — names, registration, strict vs ambient
   resolution, the environment variable, process defaults, scopes, and the
@@ -16,6 +16,9 @@ Five concerns are pinned here:
 * **saturation exit points** — the numpy backend's settled-entry counter
   stops every width > 1 sweep at the same label group as the scalar loops'
   rescan, so ``groups_scanned`` / ``saturation_exits`` agree across backends.
+* **packed words** — the numpy backend's packed ``reached`` bitset at
+  widths across 64-bit word boundaries, on both of its write-back branches,
+  equals the scalar loops and the ``tests/oracles.py`` references.
 
 Backends that cannot run in this environment (numba not installed) are
 exercised wherever possible and skipped with the registry's own reason
@@ -32,6 +35,7 @@ import pytest
 
 from repro import telemetry
 from repro.core import kernels
+from repro.core.kernels import numpy_backend
 from repro.core.journeys import earliest_arrival_matrix, earliest_arrival_times
 from repro.core.reverse_journeys import latest_departure_matrix, latest_departure_times
 from repro.engine.executors import ShardTask, ShardWork, execute_shard
@@ -50,6 +54,8 @@ from repro import (
 from repro.experiments.exp_temporal_diameter import trial_temporal_diameter
 from repro.montecarlo.experiment import Experiment
 from repro.montecarlo.runner import run_trials
+
+from oracles import earliest_arrival_times_reference, latest_departure_times_reference
 
 
 @pytest.fixture(autouse=True)
@@ -279,18 +285,27 @@ def _exit_point_instances():
     return instances
 
 
-def _exit_point(network, backend, direction, rows, time):
-    """``(groups_scanned, saturation_exits)`` of one width > 1 sweep."""
+def _swept(network, backend, direction, rows, time):
+    """The matrix and ``(groups_scanned, saturation_exits)`` of one sweep."""
     with telemetry.session() as recorder:
         if direction == "forward":
-            earliest_arrival_matrix(network, rows, start_time=time, backend=backend)
+            matrix = earliest_arrival_matrix(
+                network, rows, start_time=time, backend=backend
+            )
         else:
-            latest_departure_matrix(network, rows, deadline=time, backend=backend)
+            matrix = latest_departure_matrix(
+                network, rows, deadline=time, backend=backend
+            )
     counters = recorder.counters
-    return (
+    return matrix, (
         counters[f"kernel.{direction}.groups_scanned"],
         counters.get(f"kernel.{direction}.saturation_exits", 0),
     )
+
+
+def _exit_point(network, backend, direction, rows, time):
+    """``(groups_scanned, saturation_exits)`` of one width > 1 sweep."""
+    return _swept(network, backend, direction, rows, time)[1]
 
 
 class TestSaturationExitPoints:
@@ -334,6 +349,81 @@ class TestSaturationExitPoints:
             assert _exit_point(
                 network, backend, direction, np.arange(network.n), time
             ) == (1, 1)
+
+
+# --------------------------------------------------------------------- #
+# the packed kernel across word boundaries
+# --------------------------------------------------------------------- #
+class _WriteBackSpy:
+    """Stands in for ``np`` in the numpy backend.  It counts the groups that
+    write back (one ``np.unpackbits`` each) and those whose write-back keeps
+    only the heads that gained a bit (one ``np.flatnonzero`` each)."""
+
+    def __init__(self):
+        self.write_backs = self.subsets = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def unpackbits(self, *args, **kwargs):
+        self.write_backs += 1
+        return np.unpackbits(*args, **kwargs)
+
+    def flatnonzero(self, array):
+        self.subsets += 1
+        return np.flatnonzero(array)
+
+
+class TestPackedKernelWidths:
+    """The numpy backend's packed sweep where the other pins do not reach.
+
+    Those pins sweep at most 64 columns, one ``uint64`` word per vertex.
+    Here widths across the word boundaries run forward and reverse on a
+    12 × 12 grid with 4 labels, whose label groups have 86 to 109 heads:
+    above the row-subset cutoff at width 129, below it at width ≤ 65.  Each
+    width sweeps random columns from every start time (forward) or deadline
+    (reverse) in ``[0, lifetime + 2]``.  Every sweep must equal the python
+    backend (matrix, ``groups_scanned``, ``saturation_exits``) and the
+    scalar references, and both write-back branches must run.
+    """
+
+    WIDTHS = (7, 8, 9, 63, 64, 65, 129)
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_matches_python_backend_and_references(self, direction, monkeypatch):
+        network = uniform_random_labels(grid_graph(12, 12), lifetime=4, seed=0)
+        forward = direction == "forward"
+        csr = network.timearc_csr if forward else network.reverse_timearc_csr
+        heads = np.diff(csr.head_offsets)
+        cutoff = numpy_backend._ROW_SUBSET_ENTRIES
+        assert heads.max() * 65 <= cutoff < heads.min() * 129
+        spy = _WriteBackSpy()
+        monkeypatch.setattr(numpy_backend, "np", spy)
+        reference = (
+            earliest_arrival_times_reference
+            if forward
+            else latest_departure_times_reference
+        )
+        keyword = "start_time" if forward else "deadline"
+        rng = np.random.default_rng(zlib.crc32(f"packed/{direction}".encode()))
+        for width in self.WIDTHS:
+            write_backs, subsets = spy.write_backs, spy.subsets
+            for time in range(network.lifetime + 3):
+                rows = np.sort(rng.choice(network.n, size=width, replace=False))
+                matrix, exits = _swept(network, "numpy", direction, rows, time)
+                expected, expected_exits = _swept(
+                    network, "python", direction, rows, time
+                )
+                np.testing.assert_array_equal(matrix, expected)
+                assert exits == expected_exits, (width, time)
+                for row, vertex in zip(matrix, rows.tolist()):
+                    np.testing.assert_array_equal(
+                        row, reference(network, vertex, **{keyword: time})
+                    )
+            write_backs = spy.write_backs - write_backs
+            subsets = spy.subsets - subsets
+            assert write_backs > 0, width
+            assert subsets == (write_backs if width > 65 else 0), width
 
 
 @pytest.fixture
