@@ -14,7 +14,11 @@ Two layers:
 * ``test_label_sampling_speedup_at_least_3x`` — the acceptance gate: on the
   E1 clique workload (directed ``K_128``, one uniform label per arc) the
   fast path must be ≥ 3× faster than the dict-build path at producing an
-  identical network + CSR (see ``docs/performance.md`` for recorded numbers).
+  identical network + CSR.  The gate alternates its legs over
+  :data:`ROUNDS` rounds and needs a dict leg of at least
+  :data:`SERIAL_FLOOR_S`; below it a single scheduler stall decides the
+  ratio, so it skips with the measured time instead.  Its perf record is
+  ``benchmarks/results/label_sampling_speedup.json``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.temporal_graph import TemporalGraph
 from repro.graphs.generators import complete_graph
@@ -29,7 +34,11 @@ from repro.graphs.generators import complete_graph
 #: The E1 workload: the directed hostile clique with one label per arc.
 N = 128
 LABELS_PER_EDGE = 1
-ROUNDS = 8
+#: Rounds the gate alternates its legs over, one build per leg per round:
+#: enough for a dict leg of about 2.5 s on a 2-core box.
+ROUNDS = 24
+#: Shortest dict leg the gate asserts on.
+SERIAL_FLOOR_S = 1.0
 REQUIRED_SPEEDUP = 3.0
 
 
@@ -81,15 +90,17 @@ def test_label_sampling_speedup_at_least_3x(perf_record):
     candidate = _fast_build(graph, matrix, graph.n)
     assert candidate == reference, "fast path must build an identical network"
 
-    start = time.perf_counter()
+    # Alternate the legs every round and sum each leg over the rounds: a
+    # slow phase of the host then falls on both legs, and a scheduler stall
+    # costs one round's share of a leg instead of deciding the ratio.
+    dict_seconds = fast_seconds = 0.0
     for _ in range(ROUNDS):
+        start = time.perf_counter()
         _dict_build(graph, matrix, graph.n)
-    dict_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for _ in range(ROUNDS):
+        dict_seconds += time.perf_counter() - start
+        start = time.perf_counter()
         _fast_build(graph, matrix, graph.n)
-    fast_seconds = time.perf_counter() - start
+        fast_seconds += time.perf_counter() - start
 
     speedup = dict_seconds / fast_seconds
     perf_record(
@@ -101,7 +112,13 @@ def test_label_sampling_speedup_at_least_3x(perf_record):
         fast_seconds=fast_seconds,
         speedup=speedup,
         required=REQUIRED_SPEEDUP,
+        serial_floor_seconds=SERIAL_FLOOR_S,
     )
+    if dict_seconds < SERIAL_FLOOR_S:
+        pytest.skip(
+            f"dict leg took {dict_seconds * 1e3:.0f} ms, below the "
+            f"{SERIAL_FLOOR_S:.0f} s floor: one scheduler stall would decide the ratio"
+        )
     assert speedup >= REQUIRED_SPEEDUP, (
         f"direct-to-CSR path only {speedup:.2f}x faster than the dict build "
         f"on the E1 clique workload (n={N}, r={LABELS_PER_EDGE}); "

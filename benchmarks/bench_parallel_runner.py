@@ -3,8 +3,7 @@
 Two layers:
 
 * pytest-benchmark timings of ``run_trials`` on the E1 temporal-diameter
-  workload, serial and with a 4-worker process pool, plus the streaming
-  aggregation mode;
+  workload, serial and with a 4-worker process pool;
 * ``test_parallel_speedup_at_least_1_5x`` — the acceptance gate: at
   ``jobs = min(4, cores)`` the multiprocess executor must deliver ≥ 1.5×
   wall-clock over serial on a machine with at least 4 usable cores, with
@@ -68,15 +67,6 @@ def test_bench_run_trials_jobs4(benchmark):
         iterations=1,
     )
     assert result.repetitions == 8
-
-
-def test_bench_run_trials_streaming(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_trials(WORKLOAD, repetitions=8, seed=SEED, aggregation="streaming"),
-        rounds=1,
-        iterations=1,
-    )
-    assert result.accumulators is not None
 
 
 def test_parallel_speedup_at_least_1_5x(perf_record):

@@ -24,14 +24,11 @@ Temporal distances are integers, so the accumulator keeps its moment state in
 as Python ints, plus min/max).  Merging tile partials is therefore associative
 and commutative *exactly* — any permutation or partition of the tiles merges
 to the same state, which the hypothesis suite pins
-(``tests/test_property_blocked_sweeps.py``).  The derived ``mean`` / ``m2``
-are the correctly-rounded floats of the exact rationals, which reproduces the
-dense path's ``numpy.mean`` bit for bit whenever the distance sum is below
+(``tests/test_property_blocked_sweeps.py``).  The derived ``mean`` is the
+correctly-rounded float of the exact rational, which reproduces the dense
+path's ``numpy.mean`` bit for bit whenever the distance sum is below
 ``2**53`` (always true at the pinned scales; beyond it the streamed value is
-the *more* accurate of the two).  :meth:`ExactDistanceMoments.to_streaming`
-exports the state as a PR-2 :class:`repro.engine.accumulators.StreamingMoments`
-so blocked partials plug straight into the parallel engine's shard-merge
-machinery.
+the *more* accurate of the two).
 
 Degenerate conventions match the dense path exactly (pinned by a regression
 test): on a fully-unreachable instance the summary reports
@@ -57,7 +54,7 @@ Composition with the engine: tiles run *within* a shard — the parallel
 engine's ``--jobs N`` fans trials out across worker processes as before, and
 each worker streams its own trials' tiles, so shard-level parallelism and
 tile-level memory bounding compose.  The ambient tile size (the CLI's
-``--tile-size`` flag) ships to spawned workers inside the shard task, like
+``--tile-size`` flag) ships to spawned workers in the run's context, like
 the kernel backend.
 """
 
@@ -145,7 +142,7 @@ def tile_size_scope(size: int | None) -> Iterator[None]:
     """Temporarily install ``size`` as the process-wide tile size.
 
     ``None`` is a no-op scope (keeps the current default), so engine workers
-    can apply a shard task's snapshot unconditionally.
+    can apply a run's snapshot unconditionally.
     """
     if size is None:
         yield
@@ -180,11 +177,9 @@ class ExactDistanceMoments:
     The integer state (count, Σδ, Σδ² as arbitrary-precision Python ints,
     running min/max) makes accumulation and :meth:`merge` exactly associative
     and commutative: any partition of the distance stream into tiles, merged
-    in any order, yields the same state bit for bit — the property the
-    floating-point Chan merge of
-    :class:`repro.engine.accumulators.StreamingMoments` cannot offer.  The
-    float views (:attr:`mean`, :attr:`m2`, :attr:`variance`) are correctly
-    rounded from the exact rationals.
+    in any order, yields the same state bit for bit — the property a
+    floating-point Chan merge cannot offer.  The float views (:attr:`mean`,
+    :attr:`variance`) are correctly rounded from the exact rationals.
     """
 
     __slots__ = ("count", "total", "total_sq", "minimum", "maximum")
@@ -247,39 +242,12 @@ class ExactDistanceMoments:
         return self.total / self.count
 
     @property
-    def m2(self) -> float:
-        """Correctly-rounded sum of squared deviations from the mean."""
-        if self.count == 0:
-            return 0.0
-        exact = Fraction(self.total_sq) - Fraction(self.total * self.total, self.count)
-        return float(max(exact, Fraction(0)))
-
-    @property
     def variance(self) -> float:
         """Unbiased (``ddof=1``) sample variance; 0.0 with fewer than 2 samples."""
         if self.count < 2:
             return 0.0
         exact = Fraction(self.total_sq) - Fraction(self.total * self.total, self.count)
         return float(max(exact / (self.count - 1), Fraction(0)))
-
-    def to_streaming(self):
-        """Export as a PR-2 :class:`~repro.engine.accumulators.StreamingMoments`.
-
-        The exported count/mean/m2/min/max are derived from the exact integer
-        state, so the export itself is order-invariant; downstream the engine
-        may merge it with ordinary floating-point partials.
-        """
-        from ..engine.accumulators import StreamingMoments
-
-        moments = StreamingMoments()
-        if self.count == 0:
-            return moments
-        moments.count = self.count
-        moments.mean = self.mean
-        moments.m2 = self.m2
-        moments.minimum = float(self.minimum)
-        moments.maximum = float(self.maximum)
-        return moments
 
     def to_state(self) -> dict[str, Any]:
         """JSON-serialisable snapshot (Python ints are arbitrary precision)."""

@@ -5,12 +5,11 @@ randomness, ER connectivity probabilities) are all estimated by repeated
 independent trials — an embarrassingly parallel workload.  This subpackage
 executes such trial budgets in deterministic shards:
 
-* :mod:`repro.engine.sharding` — shard planning and per-trial seed streams
-  (the determinism contract lives here);
-* :mod:`repro.engine.accumulators` — mergeable streaming aggregation
-  (Welford moments, min/max/count, reservoir sampling);
+* :mod:`repro.engine.sharding` — shard planning, per-trial seed streams (the
+  determinism contract lives here) and the shard unit;
 * :mod:`repro.engine.executors` — the :class:`Executor` protocol with serial
-  and process-pool implementations;
+  and process-pool implementations, and :func:`run_unit`, the one worker
+  entry that runs shards and direct-mode scenario points alike;
 * :mod:`repro.engine.checkpoint` — crash/resume persistence of completed
   shards;
 * :mod:`repro.engine.driver` — :func:`run_sharded`, the entry point that the
@@ -21,33 +20,29 @@ contract: for a fixed master seed the results are bit-identical across
 ``jobs`` counts, executors, and crash/resume boundaries.
 """
 
-from .accumulators import (
-    DEFAULT_RESERVOIR_CAPACITY,
-    AccumulatorSet,
-    MetricAccumulator,
-    ReservoirSample,
-    StreamingMoments,
-)
 from .checkpoint import CheckpointStore
 from .driver import EngineResult, ProgressCallback, run_sharded
 from .executors import (
     Executor,
     MultiprocessExecutor,
+    RunContext,
     SerialExecutor,
-    ShardResult,
-    ShardTask,
-    ShardWork,
-    execute_shard,
+    UnitResult,
+    WorkUnit,
+    merge_telemetry,
     resolve_executor,
+    run_unit,
 )
-from .sharding import DEFAULT_MAX_SHARDS, SeedPlan, Shard, plan_shards
+from .sharding import (
+    DEFAULT_MAX_SHARDS,
+    SeedPlan,
+    Shard,
+    ShardResult,
+    ShardWork,
+    plan_shards,
+)
 
 __all__ = [
-    "AccumulatorSet",
-    "MetricAccumulator",
-    "ReservoirSample",
-    "StreamingMoments",
-    "DEFAULT_RESERVOIR_CAPACITY",
     "CheckpointStore",
     "EngineResult",
     "ProgressCallback",
@@ -56,12 +51,15 @@ __all__ = [
     "SerialExecutor",
     "MultiprocessExecutor",
     "resolve_executor",
-    "ShardTask",
-    "ShardWork",
-    "ShardResult",
-    "execute_shard",
+    "RunContext",
+    "WorkUnit",
+    "UnitResult",
+    "run_unit",
+    "merge_telemetry",
     "DEFAULT_MAX_SHARDS",
     "Shard",
     "SeedPlan",
+    "ShardWork",
+    "ShardResult",
     "plan_shards",
 ]

@@ -6,7 +6,7 @@ A checkpoint directory holds one JSON file per completed shard plus a
 ```text
 checkpoint-dir/
   meta.json          run fingerprint: experiment, budget, shard plan, seed
-  shard-0000.json    ShardResult payload (metrics and/or accumulator state)
+  shard-0000.json    ShardResult payload: per-trial values and telemetry
   shard-0001.json
   ...
 ```
@@ -30,7 +30,7 @@ from typing import Any
 
 from ..exceptions import CheckpointError
 from ..utils.logging import get_logger
-from .executors import ShardResult
+from .sharding import ShardResult
 
 __all__ = ["CheckpointStore"]
 
@@ -97,7 +97,9 @@ class CheckpointStore:
             try:
                 payload = json.loads(path.read_text(encoding="utf-8"))
                 result = ShardResult.from_payload(payload)
-            except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (
+                OSError, json.JSONDecodeError, KeyError, TypeError, AttributeError
+            ) as exc:
                 raise CheckpointError(f"corrupt checkpoint shard at {path}") from exc
             completed[result.index] = result
         if completed:

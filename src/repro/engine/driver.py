@@ -1,4 +1,4 @@
-"""The engine driver: plan shards, execute them, merge the partials.
+"""The engine driver: plan shards, execute them, merge the results.
 
 :func:`run_sharded` is the single entry point the Monte-Carlo layer calls.
 It owns the determinism contract end to end:
@@ -6,11 +6,10 @@ It owns the determinism contract end to end:
 1. the shard plan is a pure function of ``(budget, shard_size)``;
 2. trial ``i`` draws from seed child ``i`` regardless of which shard or
    worker runs it;
-3. partials are merged in ascending shard index with a dedicated merge
-   stream, no matter in which order workers finish.
+3. shard results are merged in ascending shard index, no matter in which
+   order workers finish.
 
-Together these make the result — raw per-trial values in ``full`` collection
-mode, streamed moments/reservoirs always — bit-identical across executors,
+Together these make the per-trial values bit-identical across executors,
 worker counts and crash/resume boundaries.
 """
 
@@ -18,26 +17,18 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .. import telemetry
-from ..core import blocked_sweeps, kernels
 from ..exceptions import ConfigurationError
 from ..utils.fingerprint import checkpoint_fingerprint
 from ..utils.logging import get_logger
 from ..utils.seeding import SeedLike
 from ..utils.timing import Timer
-from .accumulators import DEFAULT_RESERVOIR_CAPACITY, AccumulatorSet
 from .checkpoint import CheckpointStore
-from .executors import (
-    Executor,
-    ShardResult,
-    ShardTask,
-    ShardWork,
-    resolve_executor,
-)
-from .sharding import SeedPlan, plan_shards
+from .executors import Executor, RunContext, merge_telemetry, resolve_executor
+from .sharding import SeedPlan, ShardResult, ShardWork, plan_shards
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..montecarlo.experiment import Experiment
@@ -61,18 +52,14 @@ class EngineResult:
     repetitions:
         Total number of trials executed (always the full budget).
     values:
-        Raw per-trial metric arrays in trial order, or ``None`` in streaming
-        collection mode.
-    accumulators:
-        Streamed moments + reservoir per metric (always present).
+        Raw per-trial metric arrays in trial order.
     shards_total / shards_executed / shards_resumed:
         Shard accounting; ``shards_resumed`` counts shards loaded from a
         checkpoint instead of executed.
     """
 
     repetitions: int
-    values: Mapping[str, tuple[float, ...]] | None
-    accumulators: AccumulatorSet
+    values: Mapping[str, tuple[float, ...]]
     shards_total: int
     shards_executed: int
     shards_resumed: int
@@ -86,8 +73,6 @@ def run_sharded(
     executor: Executor | None = None,
     jobs: int | None = None,
     shard_size: int | None = None,
-    collect_values: bool = True,
-    reservoir_capacity: int = DEFAULT_RESERVOIR_CAPACITY,
     checkpoint_dir: str | os.PathLike[str] | None = None,
     progress: ProgressCallback | None = None,
 ) -> EngineResult:
@@ -107,14 +92,7 @@ def run_sharded(
     shard_size:
         Trials per shard; defaults to an even cut into at most
         :data:`repro.engine.sharding.DEFAULT_MAX_SHARDS` shards.  Part of the
-        determinism fingerprint — change it and streamed statistics may differ
-        in the last ulp (raw values never do).
-    collect_values:
-        When True (default) shards return the raw per-trial metric values and
-        the merged result matches the sequential runner exactly; when False
-        shards ship only O(1) accumulator partials.
-    reservoir_capacity:
-        Per-metric reservoir bound used by the streaming aggregation.
+        checkpoint fingerprint; the trial values never depend on it.
     checkpoint_dir:
         Optional directory for crash/resume persistence; completed shards
         found there (for the *same* run fingerprint) are not re-executed.
@@ -131,21 +109,7 @@ def run_sharded(
     seeds = SeedPlan(seed, budget, len(shards))
     chosen = resolve_executor(executor, jobs)
     recs = telemetry.active()
-    task = ShardTask(
-        experiment=experiment,
-        collect_values=collect_values,
-        reservoir_capacity=reservoir_capacity,
-        # Snapshot of "is anyone recording" travels with the task so spawned
-        # workers (which inherit no globals) still record their shards.
-        telemetry=bool(recs),
-        # Same for the effective kernel backend: resolved once here so every
-        # worker — serial, forked or spawned — sweeps on the backend the
-        # parent process would use.
-        kernel_backend=kernels.default_backend(),
-        # And the ambient blocked-sweep tile size (--tile-size): tiles run
-        # within shards, so out-of-core streaming composes with --jobs.
-        tile_size=blocked_sweeps.default_tile_size(),
-    )
+    context = RunContext.snapshot()
 
     completed: dict[int, ShardResult] = {}
     store: CheckpointStore | None = None
@@ -159,8 +123,6 @@ def run_sharded(
                 budget=budget,
                 shard_size=shards[0].size,
                 num_shards=len(shards),
-                collect_values=collect_values,
-                reservoir_capacity=reservoir_capacity,
                 seed=seeds.fingerprint(),
             )
         )
@@ -172,11 +134,10 @@ def run_sharded(
     resumed = len(completed)
     pending = [
         ShardWork(
-            task=task,
+            experiment=experiment,
             shard=shard,
             master_entropy=seeds.entropy,
             master_spawn_key=seeds.spawn_key,
-            budget=budget,
         )
         for shard in shards
         if shard.index not in completed
@@ -191,7 +152,8 @@ def run_sharded(
             rec.counter("engine.shards_resumed", resumed)
 
     with Timer(experiment.name) as timer:
-        for result in chosen.map_shards(pending):
+        for unit in chosen.map(pending, context):
+            result = replace(unit.value, telemetry_state=unit.telemetry_state)
             completed[result.index] = result
             if store is not None:
                 save_start = time.perf_counter()
@@ -219,38 +181,17 @@ def run_sharded(
     for rec in recs:
         rec.observe_ms("engine.run_ms", timer.elapsed * 1e3)
 
-    # Merge in ascending shard index — never in completion order.
-    merge_rng = seeds.merge_rng()
-    accumulators = AccumulatorSet(reservoir_capacity)
-    values: dict[str, list[float]] | None = {} if collect_values else None
-    repetitions = 0
-    for shard in shards:
-        result = completed[shard.index]
-        accumulators.merge(AccumulatorSet.from_state(result.accumulator_state), merge_rng)
-        if result.telemetry_state is not None:
-            # Worker-side recorders fold into every recorder active *now*, in
-            # the same ascending order as the accumulators (counter and
-            # Welford merges are exact, so the order only matters for
-            # reproducible float summation).
-            for rec in recs:
-                rec.merge_state(result.telemetry_state)
-        repetitions += result.repetitions
-        if values is not None:
-            if result.values is None:
-                raise ValueError(
-                    f"shard {shard.index} carries no raw values; it was likely "
-                    "checkpointed with collect_values=False"
-                )
-            for name, column in result.values.items():
-                values.setdefault(name, []).extend(column)
+    # Merge in ascending shard index — never in completion order.  Resumed
+    # shards contribute the telemetry they recorded before the crash.
+    ordered = [completed[shard.index] for shard in shards]
+    merge_telemetry(result.telemetry_state for result in ordered)
+    values: dict[str, list[float]] = {}
+    for result in ordered:
+        for name, column in result.values.items():
+            values.setdefault(name, []).extend(column)
     return EngineResult(
-        repetitions=repetitions,
-        values=(
-            {name: tuple(column) for name, column in values.items()}
-            if values is not None
-            else None
-        ),
-        accumulators=accumulators,
+        repetitions=sum(result.repetitions for result in ordered),
+        values={name: tuple(column) for name, column in values.items()},
         shards_total=len(shards),
         shards_executed=len(shards) - resumed,
         shards_resumed=resumed,

@@ -1,19 +1,21 @@
-"""Executors: where the shards of a Monte-Carlo run actually execute.
+"""Executors: where the units of a run actually execute.
 
-The engine driver plans shards and merges partials; *how* the shards run is
-delegated to an :class:`Executor`:
+Two kinds of work run through an :class:`Executor`: the shards of a
+Monte-Carlo run (:class:`repro.engine.sharding.ShardWork`) and the points of
+a direct-mode scenario (:class:`repro.scenarios.pipeline.DirectPoint`).  Both
+are *units*: picklable objects with an ``index`` and a ``run()`` method.
 
-* :class:`SerialExecutor` — runs shards in-process, in index order.  This is
+* :class:`SerialExecutor` — runs units in-process, in index order.  This is
   the cross-validation reference: every other executor must reproduce its
   results bit for bit (see ``docs/parallel_engine.md``).
-* :class:`MultiprocessExecutor` — fans shards out over a
+* :class:`MultiprocessExecutor` — fans units out over a
   :class:`concurrent.futures.ProcessPoolExecutor`.  Results are yielded in
-  completion order; determinism is preserved because the driver merges by
-  shard index, not by arrival.
+  completion order; determinism is preserved because callers order them by
+  unit index, not by arrival.
 
-Workers receive a picklable :class:`ShardWork` (experiment + seed sequences)
-and return a :class:`ShardResult` whose payload is plain JSON-able data —
-the same representation the checkpoint store persists.
+Every executor runs every unit through the one worker entry
+:func:`run_unit`, which applies the run's :class:`RunContext` and ships the
+unit's telemetry home in its :class:`UnitResult`.
 """
 
 from __future__ import annotations
@@ -23,27 +25,19 @@ import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
-
-import time
-
-import numpy as np
+from typing import Any, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .. import telemetry
 from ..core import blocked_sweeps, kernels
 from ..exceptions import ConfigurationError
 from ..utils.validation import check_positive_int
-from .accumulators import DEFAULT_RESERVOIR_CAPACITY, AccumulatorSet
-from .sharding import Shard, spawned_child
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from ..montecarlo.experiment import Experiment
 
 __all__ = [
-    "ShardTask",
-    "ShardWork",
-    "ShardResult",
-    "execute_shard",
+    "RunContext",
+    "WorkUnit",
+    "UnitResult",
+    "run_unit",
+    "merge_telemetry",
     "Executor",
     "SerialExecutor",
     "MultiprocessExecutor",
@@ -52,225 +46,127 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ShardTask:
-    """Run-wide work description shared by every shard.
+class RunContext:
+    """The parent's ambient settings, shipped with every unit of a run.
 
-    ``experiment.trial`` must be picklable (a module-level function) for the
-    multiprocess executor; the synthetic closures used in unit tests only work
-    with the serial executor.
+    Spawn-start-method workers re-import the world from scratch and inherit
+    neither ``set_default_backend`` state, the ambient tile size, (scrubbed)
+    environment variables nor the active recorders, so the run snapshots
+    them once in the parent (:meth:`snapshot`) and :func:`run_unit` applies
+    them around every unit — in-process and in workers alike.
     """
 
-    experiment: "Experiment"
-    collect_values: bool = True
-    reservoir_capacity: int = DEFAULT_RESERVOIR_CAPACITY
-    #: Record per-shard telemetry in the worker and ship it home with the
-    #: result.  An explicit flag (set by the driver from the state of the
-    #: parent's recorders) rather than an inherited global, so it survives
-    #: spawn-start-method workers, which re-import the world from scratch.
+    #: Record each unit's telemetry in a private recorder and ship it home.
     telemetry: bool = False
-    #: Kernel backend the shard's sweeps should run on (the driver snapshots
-    #: the parent's effective default).  Shipped explicitly for the same
-    #: reason as ``telemetry``: spawn-start-method workers inherit neither
-    #: ``set_default_backend`` state nor (scrubbed) environment variables.
-    #: Applied non-strictly in the worker — a worker that cannot use the
-    #: named backend warns and falls back rather than killing the run.
+    #: Kernel backend the unit's sweeps run on.  Applied non-strictly: a
+    #: worker that cannot use the named backend warns and falls back rather
+    #: than killing the run.
     kernel_backend: str | None = None
-    #: Ambient blocked-sweep tile size (the driver snapshots the parent's
-    #: ``blocked_sweeps.default_tile_size()``), shipped explicitly for the
-    #: same spawn-start-method reason.  ``None`` means no ambient default —
-    #: metrics stay on their dense path unless asked for blocked mode.
+    #: Ambient blocked-sweep tile size (``--tile-size``); ``None`` keeps
+    #: metrics on their dense path unless asked for blocked mode.
     tile_size: int | None = None
 
+    @classmethod
+    def snapshot(cls) -> "RunContext":
+        """The calling process's telemetry state, backend and tile size."""
+        return cls(
+            telemetry=bool(telemetry.active()),
+            kernel_backend=kernels.default_backend(),
+            tile_size=blocked_sweeps.default_tile_size(),
+        )
+
+
+class WorkUnit(Protocol):
+    """One schedulable, picklable piece of a run."""
+
+    @property
+    def index(self) -> int:
+        """Position of the unit in its run; results are ordered by it."""
+
+    def run(self) -> Any:
+        """Do the work and return a picklable value."""
+
 
 @dataclass(frozen=True)
-class ShardWork:
-    """One schedulable unit: a shard plus the master-seed identity.
-
-    Workers reconstruct their per-trial streams from ``(master_entropy,
-    master_spawn_key)`` via :func:`repro.engine.sharding.spawned_child`, so
-    the payload shipped per shard is O(1) in both the shard size and the
-    total budget.
-    """
-
-    task: ShardTask
-    shard: Shard
-    master_entropy: object
-    master_spawn_key: tuple[int, ...]
-    budget: int
-
-
-@dataclass(frozen=True)
-class ShardResult:
-    """O(1)-sized partial result of one shard.
-
-    ``values`` holds the raw per-trial metric arrays only when the task asked
-    for them (``collect_values=True``); the streaming path ships just the
-    accumulator state.
-    """
+class UnitResult:
+    """What :func:`run_unit` returns for one unit."""
 
     index: int
-    start: int
-    stop: int
-    repetitions: int
-    values: Mapping[str, tuple[float, ...]] | None
-    accumulator_state: Mapping[str, Any]
-    #: The worker-side telemetry recorder's state (counters + timing moments),
-    #: or ``None`` when the run had telemetry off.  Merged by the driver in
-    #: ascending shard index, like the accumulator state.
+    value: Any
+    #: The unit's private recorder state (counters + timing moments), or
+    #: ``None`` when the run had telemetry off.
     telemetry_state: Mapping[str, Any] | None = None
 
-    def to_payload(self) -> dict[str, Any]:
-        """JSON-serialisable representation (the checkpoint on-disk format)."""
-        return {
-            "index": self.index,
-            "start": self.start,
-            "stop": self.stop,
-            "repetitions": self.repetitions,
-            "values": (
-                {name: list(column) for name, column in self.values.items()}
-                if self.values is not None
-                else None
-            ),
-            "accumulators": dict(self.accumulator_state),
-            "telemetry": (
-                dict(self.telemetry_state)
-                if self.telemetry_state is not None
-                else None
-            ),
-        }
 
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "ShardResult":
-        """Rebuild from a :meth:`to_payload` dictionary.
+def run_unit(unit: WorkUnit, context: RunContext) -> UnitResult:
+    """Run one unit under the run's context: the worker entry of every executor.
 
-        Checkpoints written before telemetry existed lack the ``telemetry``
-        key; they load as ``telemetry_state=None``.
-        """
-        raw_values = payload["values"]
-        return cls(
-            index=int(payload["index"]),
-            start=int(payload["start"]),
-            stop=int(payload["stop"]),
-            repetitions=int(payload["repetitions"]),
-            values=(
-                {
-                    name: tuple(float(x) for x in column)
-                    for name, column in raw_values.items()
-                }
-                if raw_values is not None
-                else None
-            ),
-            accumulator_state=payload["accumulators"],
-            telemetry_state=payload.get("telemetry"),
-        )
-
-
-def execute_shard(work: ShardWork) -> ShardResult:
-    """Run every trial of one shard and return its mergeable partial.
-
-    This is the worker entry point for every executor; it is a module-level
-    function so process pools can pickle it.
-
-    When the task has telemetry on, the shard runs under a fresh *isolated*
-    recorder — both in the serial executor and in every multiprocess worker —
-    whose state ships home in :attr:`ShardResult.telemetry_state`.  One code
-    path for both execution modes is what makes a ``jobs=N`` run's merged
-    counters bit-identical to a serial run's.
-
-    The task's ``kernel_backend`` is installed as the worker's process
-    default for the duration of the shard (non-strict: unusable → warn and
-    fall back), so every sweep inside the trials runs on the backend the
-    parent selected — again identically across execution modes.  The task's
-    ``tile_size`` is installed the same way, so a ``--tile-size`` run streams
-    its distance summaries through the blocked engine inside every worker —
-    tiles within shards, composing with ``--jobs``.
+    A module-level function, so process pools can pickle it.  The context's
+    kernel backend and tile size are installed as the process defaults for
+    the duration of the unit.  With telemetry on, the unit runs under a fresh
+    *isolated* recorder whose state ships home in the result; the caller
+    folds those states into its recorders in ascending unit index
+    (:func:`merge_telemetry`).  One code path for every executor is what
+    makes a ``jobs=N`` run's merged counters equal a serial run's.
     """
-    with kernels.backend_scope(work.task.kernel_backend, strict=False), \
-            blocked_sweeps.tile_size_scope(work.task.tile_size):
-        if not work.task.telemetry:
-            return _execute_shard_inner(work, None)
+    with kernels.backend_scope(context.kernel_backend, strict=False), \
+            blocked_sweeps.tile_size_scope(context.tile_size):
+        if not context.telemetry:
+            return UnitResult(unit.index, unit.run())
         recorder = telemetry.TelemetryRecorder()
         with telemetry.isolated(recorder):
-            return _execute_shard_inner(work, recorder)
+            value = unit.run()
+        return UnitResult(unit.index, value, recorder.to_state())
 
 
-def _execute_shard_inner(
-    work: ShardWork, recorder: "telemetry.TelemetryRecorder | None"
-) -> ShardResult:
-    task = work.task
-    experiment = task.experiment
-    shard_start = time.perf_counter() if recorder is not None else 0.0
-    reservoir_rng = np.random.default_rng(
-        spawned_child(
-            work.master_entropy, work.master_spawn_key, work.budget + work.shard.index
-        )
-    )
-    accumulators = AccumulatorSet(task.reservoir_capacity)
-    values: dict[str, list[float]] | None = {} if task.collect_values else None
-    repetitions = 0
-    for trial_index in range(work.shard.start, work.shard.stop):
-        trial_seed = spawned_child(
-            work.master_entropy, work.master_spawn_key, trial_index
-        )
-        metrics = experiment.run_single(np.random.default_rng(trial_seed))
-        accumulators.add_trial(metrics, reservoir_rng)
-        if values is not None:
-            for name, value in metrics.items():
-                values.setdefault(name, []).append(value)
-        repetitions += 1
-    telemetry_state: dict[str, Any] | None = None
-    if recorder is not None:
-        recorder.counter("engine.shards")
-        recorder.counter("engine.trials", repetitions)
-        recorder.observe_ms(
-            "engine.shard_ms", (time.perf_counter() - shard_start) * 1e3
-        )
-        telemetry_state = recorder.to_state()
-    return ShardResult(
-        index=work.shard.index,
-        start=work.shard.start,
-        stop=work.shard.stop,
-        repetitions=repetitions,
-        values=(
-            {name: tuple(column) for name, column in values.items()}
-            if values is not None
-            else None
-        ),
-        accumulator_state=accumulators.to_state(),
-        telemetry_state=telemetry_state,
-    )
+def merge_telemetry(states: Iterable[Mapping[str, Any] | None]) -> None:
+    """Fold unit telemetry states into every active recorder, in order.
+
+    Counter merges are exact integer sums; the ascending order keeps the
+    float summation of the timing moments reproducible.
+    """
+    recs = telemetry.active()
+    for state in states:
+        if state is not None:
+            for rec in recs:
+                rec.merge_state(state)
 
 
 class Executor(abc.ABC):
-    """Strategy for executing a batch of shards."""
+    """Strategy for executing the units of a run."""
 
     @property
     @abc.abstractmethod
     def jobs(self) -> int:
-        """Maximum number of shards in flight at once."""
+        """Maximum number of units in flight at once."""
 
     @abc.abstractmethod
-    def map_shards(self, works: Sequence[ShardWork]) -> Iterator[ShardResult]:
-        """Execute the shards, yielding results as they complete (any order)."""
+    def map(
+        self, units: Sequence[WorkUnit], context: RunContext
+    ) -> Iterator[UnitResult]:
+        """Run every unit through :func:`run_unit`, yielding results as they
+        complete (any order)."""
 
 
 class SerialExecutor(Executor):
-    """In-process execution in shard-index order — the reference executor."""
+    """In-process execution in unit order — the reference executor."""
 
     @property
     def jobs(self) -> int:
         return 1
 
-    def map_shards(self, works: Sequence[ShardWork]) -> Iterator[ShardResult]:
-        for work in works:
-            yield execute_shard(work)
+    def map(
+        self, units: Sequence[WorkUnit], context: RunContext
+    ) -> Iterator[UnitResult]:
+        for unit in units:
+            yield run_unit(unit, context)
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
 
 
 class MultiprocessExecutor(Executor):
-    """Shard fan-out over a process pool.
+    """Unit fan-out over a process pool.
 
     Parameters
     ----------
@@ -306,19 +202,21 @@ class MultiprocessExecutor(Executor):
         """The multiprocessing start method used for worker processes."""
         return self._start_method
 
-    def map_shards(self, works: Sequence[ShardWork]) -> Iterator[ShardResult]:
-        if not works:
+    def map(
+        self, units: Sequence[WorkUnit], context: RunContext
+    ) -> Iterator[UnitResult]:
+        if not units:
             return
-        if len(works) == 1 or self._jobs == 1:
+        if len(units) == 1 or self._jobs == 1:
             # No parallelism to exploit; skip the pool entirely.
-            for work in works:
-                yield execute_shard(work)
+            for unit in units:
+                yield run_unit(unit, context)
             return
-        context = multiprocessing.get_context(self._start_method)
-        workers = min(self._jobs, len(works))
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        mp_context = multiprocessing.get_context(self._start_method)
+        workers = min(self._jobs, len(units))
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=mp_context)
         try:
-            futures = [pool.submit(execute_shard, work) for work in works]
+            futures = [pool.submit(run_unit, unit, context) for unit in units]
             failure: BaseException | None = None
             for future in as_completed(futures):
                 if future.cancelled():
@@ -327,7 +225,7 @@ class MultiprocessExecutor(Executor):
                 if exc is not None:
                     if failure is None:
                         failure = exc
-                        # Stop scheduling queued shards; shards already running
+                        # Stop scheduling queued units; units already running
                         # finish and are still yielded below, so the driver can
                         # checkpoint their work before the failure propagates.
                         pool.shutdown(wait=False, cancel_futures=True)

@@ -1,4 +1,4 @@
-"""Deterministic shard planning for the parallel Monte-Carlo engine.
+"""Deterministic shards: the plan, the seed streams and the shard unit.
 
 The determinism contract of the engine rests on two facts that this module
 owns:
@@ -7,25 +7,42 @@ owns:
    number of worker processes never changes how the trial budget is cut, so
    ``jobs=1`` and ``jobs=64`` execute exactly the same shards.
 2. **Trial *i* always draws from child *i* of the master seed.**
-   :class:`SeedPlan` spawns one ``SeedSequence`` child per trial (the same
-   prefix ``spawn_rngs`` would produce for a sequential run), followed by one
-   reservoir stream per shard and one merge stream — so sharded execution is
-   bit-identical to the sequential runner, and streaming aggregation is
-   deterministic regardless of worker count or completion order.
+   :class:`SeedPlan` derives one ``SeedSequence`` child per trial (the same
+   prefix ``spawn_rngs`` would produce for a sequential run), so sharded
+   execution is bit-identical to the sequential runner regardless of worker
+   count or completion order.
+
+:class:`ShardWork` is the unit an executor runs for one shard;
+:class:`ShardResult` is what the driver keeps of it and the checkpoint store
+persists.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
+from .. import telemetry
 from ..utils.fingerprint import seed_fingerprint
 from ..utils.seeding import SeedLike, derive_seed_sequence
 from ..utils.validation import check_positive_int
 
-__all__ = ["DEFAULT_MAX_SHARDS", "Shard", "plan_shards", "spawned_child", "SeedPlan"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from ..montecarlo.experiment import Experiment
+
+__all__ = [
+    "DEFAULT_MAX_SHARDS",
+    "Shard",
+    "plan_shards",
+    "spawned_child",
+    "SeedPlan",
+    "ShardWork",
+    "ShardResult",
+]
 
 #: Default ceiling on the number of shards in a plan.  Small enough that the
 #: per-shard scheduling overhead is negligible, large enough that a pool of
@@ -90,14 +107,11 @@ def spawned_child(
 
 
 class SeedPlan:
-    """All RNG streams of one engine run, derived lazily from the master seed.
+    """The trial streams of one engine run, derived lazily from the master seed.
 
-    Children of the master :class:`numpy.random.SeedSequence`, by index:
-
-    * ``0 … budget-1`` — one stream per trial (identical to the prefix
-      ``spawn_rngs(seed, budget)`` yields, so results match sequential runs);
-    * ``budget … budget+num_shards-1`` — one reservoir stream per shard;
-    * ``budget+num_shards`` — the driver's merge stream.
+    Child ``i`` of the master :class:`numpy.random.SeedSequence` seeds trial
+    ``i`` for ``i`` in ``0 … budget-1`` — the prefix ``spawn_rngs(seed,
+    budget)`` yields, so results match sequential runs.
     """
 
     __slots__ = ("sequence", "budget", "num_shards")
@@ -125,10 +139,108 @@ class SeedPlan:
         """Per-trial seed sequences of one shard (trial ``i`` → child ``i``)."""
         return tuple(self.child(i) for i in range(shard.start, shard.stop))
 
-    def merge_rng(self) -> np.random.Generator:
-        """The driver-side stream used to merge shard partials in index order."""
-        return np.random.default_rng(self.child(self.budget + self.num_shards))
-
     def fingerprint(self) -> str:
         """Stable identifier of the master seed, used by checkpoint metadata."""
         return seed_fingerprint(self.sequence.entropy, self.spawn_key)
+
+
+@dataclass(frozen=True)
+class ShardWork:
+    """The unit an executor runs for one shard: its trials, in order.
+
+    Workers reconstruct the per-trial streams from ``(master_entropy,
+    master_spawn_key)`` via :func:`spawned_child`, so the payload shipped per
+    shard is O(1) in both the shard size and the total budget.
+    ``experiment.trial`` must be picklable (a module-level function) for the
+    multiprocess executor; closures only work with the serial executor.
+    """
+
+    experiment: "Experiment"
+    shard: Shard
+    master_entropy: object
+    master_spawn_key: tuple[int, ...]
+
+    @property
+    def index(self) -> int:
+        """The shard index."""
+        return self.shard.index
+
+    def run(self) -> "ShardResult":
+        """Run every trial of the shard, in trial order.
+
+        The result carries no telemetry state; :func:`run_unit` returns that
+        beside it, and the driver attaches it.
+        """
+        recs = telemetry.active()
+        start = time.perf_counter() if recs else 0.0
+        values: dict[str, list[float]] = {}
+        for trial_index in range(self.shard.start, self.shard.stop):
+            seed = spawned_child(self.master_entropy, self.master_spawn_key, trial_index)
+            metrics = self.experiment.run_single(np.random.default_rng(seed))
+            for name, value in metrics.items():
+                values.setdefault(name, []).append(value)
+        if recs:
+            shard_ms = (time.perf_counter() - start) * 1e3
+            for rec in recs:
+                rec.counter("engine.shards")
+                rec.counter("engine.trials", self.shard.size)
+                rec.observe_ms("engine.shard_ms", shard_ms)
+        return ShardResult(
+            index=self.shard.index,
+            start=self.shard.start,
+            stop=self.shard.stop,
+            repetitions=self.shard.size,
+            values={name: tuple(column) for name, column in values.items()},
+        )
+
+
+@dataclass(frozen=True)
+class ShardResult:
+    """One completed shard: what the driver merges and a checkpoint stores."""
+
+    index: int
+    start: int
+    stop: int
+    repetitions: int
+    #: Per-metric trial values, in trial order.
+    values: Mapping[str, tuple[float, ...]]
+    #: The shard's telemetry state (counters + timing moments), or ``None``
+    #: when the run had telemetry off.  Merged by the driver in ascending
+    #: shard index.
+    telemetry_state: Mapping[str, Any] | None = None
+
+    def to_payload(self) -> dict[str, Any]:
+        """JSON-serialisable representation (the checkpoint on-disk format)."""
+        return {
+            "index": self.index,
+            "start": self.start,
+            "stop": self.stop,
+            "repetitions": self.repetitions,
+            "values": {name: list(column) for name, column in self.values.items()},
+            "telemetry": (
+                dict(self.telemetry_state)
+                if self.telemetry_state is not None
+                else None
+            ),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Mapping[str, Any]) -> "ShardResult":
+        """Rebuild from a :meth:`to_payload` dictionary.
+
+        Older checkpoints load too: those written before telemetry existed
+        lack the ``telemetry`` key (``telemetry_state=None``), and the
+        ``accumulators`` entry of those written with streaming moments is
+        ignored.
+        """
+        return cls(
+            index=int(payload["index"]),
+            start=int(payload["start"]),
+            stop=int(payload["stop"]),
+            repetitions=int(payload["repetitions"]),
+            values={
+                name: tuple(float(x) for x in column)
+                for name, column in payload["values"].items()
+            },
+            telemetry_state=payload.get("telemetry"),
+        )

@@ -92,7 +92,7 @@ class ConfigurationError(ExperimentError, ValueError):
 
 
 class ConvergenceError(ExperimentError):
-    """Raised when a sequential stopping rule fails to converge."""
+    """Raised when an iterative estimate fails to converge."""
 
     def __init__(self, message: str, *, iterations: int | None = None) -> None:
         super().__init__(message)

@@ -32,7 +32,6 @@ runs a scenario under a telemetry session and prints the per-layer breakdown
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from contextlib import nullcontext
 from typing import Any, Callable, ContextManager, Sequence
@@ -168,8 +167,8 @@ def _tile_size_scope(args: argparse.Namespace) -> ContextManager[Any]:
     An installed tile size flips the ``distance_summary`` metric onto the
     blocked (out-of-core) path; results are bit-identical, only the memory
     profile changes.  Like the kernel backend, the value is also shipped to
-    engine workers through the shard task, so ``--jobs N`` runs stream
-    inside every worker.
+    engine workers in the run's context, so ``--jobs N`` runs stream inside
+    every worker.
     """
     size = getattr(args, "tile_size", None)
     if size is None:
@@ -183,21 +182,13 @@ def _kernel_backend_scope(args: argparse.Namespace) -> ContextManager[Any]:
     Strict: the CLI names the backend explicitly, so a missing or broken one
     raises :class:`~repro.exceptions.ConfigurationError` (exit code 2) rather
     than silently computing on another backend.  The default is also shipped
-    to engine workers through the shard task, so ``--jobs N`` runs sweep on
+    to engine workers in the run's context, so ``--jobs N`` runs sweep on
     the same backend.
     """
     name = getattr(args, "kernel_backend", None)
     if name is None:
         return nullcontext(None)
     return kernels.backend_scope(name, strict=True)
-
-
-def _accepts_jobs(run: Callable[..., ExperimentReport]) -> bool:
-    """Whether an experiment's run function takes the ``jobs`` keyword."""
-    try:
-        return "jobs" in inspect.signature(run).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtin/odd callables
-        return False
 
 
 def run_experiments(
@@ -214,14 +205,10 @@ def run_experiments(
     flag never changes any experiment's results, only its wall-clock.
     """
     selected = list(ids) if ids else sorted(EXPERIMENTS)
-    reports = []
-    for experiment_id in selected:
-        run = get_experiment(experiment_id)
-        if jobs is not None and _accepts_jobs(run):
-            reports.append(run(scale, seed=seed, jobs=jobs))
-        else:
-            reports.append(run(scale, seed=seed))
-    return reports
+    return [
+        get_experiment(experiment_id)(scale, seed=seed, jobs=jobs)
+        for experiment_id in selected
+    ]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -449,7 +436,7 @@ def _profile_main(argv: Sequence[str]) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (per-shard telemetry merges into the totals)",
+        help="worker processes (worker telemetry merges into the totals)",
     )
     parser.add_argument(
         "--jsonl", default=None, metavar="PATH",
@@ -534,21 +521,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point.  Returns a process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     enable_console_logging()
-    if argv and argv[0] == "serve":
+    commands = {"serve": _serve_main, "scenario": _scenario_main, "profile": _profile_main}
+    if argv and argv[0] in commands:
         try:
-            return _serve_main(argv[1:])
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if argv and argv[0] == "scenario":
-        try:
-            return _scenario_main(argv[1:])
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if argv and argv[0] == "profile":
-        try:
-            return _profile_main(argv[1:])
+            return commands[argv[0]](argv[1:])
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -5,15 +5,14 @@ probability, broadcast time, …) are expectations or probabilities over random
 label assignments; this subpackage provides the machinery to estimate them:
 
 * :class:`Experiment` — a named trial function plus its parameters;
-* :class:`MonteCarloRunner` — runs repeated independent trials with spawned
-  RNG streams and aggregates the metrics; fixed-budget runs execute on the
+* :class:`MonteCarloRunner` — runs a fixed budget of independent trials with
+  spawned RNG streams and aggregates the metrics; runs execute on the
   parallel engine (:mod:`repro.engine`), so ``jobs=N`` fans trials out over
   worker processes with bit-identical results;
 * :mod:`repro.montecarlo.statistics` — summary statistics and confidence
   intervals;
 * :class:`ParameterSweep` — cartesian grids over experiment parameters;
-* result containers with CSV/JSON export;
-* sequential stopping rules (:mod:`repro.montecarlo.convergence`).
+* result containers with CSV/JSON export.
 """
 
 from .experiment import Experiment, TrialFunction
@@ -26,7 +25,6 @@ from .statistics import (
 )
 from .sweep import ParameterSweep, sweep_grid
 from .results import SweepResult, TrialResult, results_to_records
-from .convergence import RelativeErrorStopping, StoppingRule, FixedBudgetStopping
 
 __all__ = [
     "Experiment",
@@ -42,7 +40,4 @@ __all__ = [
     "TrialResult",
     "SweepResult",
     "results_to_records",
-    "StoppingRule",
-    "FixedBudgetStopping",
-    "RelativeErrorStopping",
 ]

@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .statistics import SummaryStatistics, summarize
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from ..engine.accumulators import AccumulatorSet
 
 __all__ = ["TrialResult", "SweepResult", "results_to_records"]
 
@@ -24,31 +21,22 @@ class TrialResult:
     parameters:
         The parameter point at which the trials were run.
     metrics:
-        Per-trial metric values: ``metric name → list of values``.  Under the
-        runner's default ``aggregation="full"`` these are the raw values of
-        every repetition; under ``aggregation="streaming"`` they are the
-        engine's bounded reservoir sample (still the full stream whenever the
-        budget fits the reservoir).
+        Per-trial metric values: ``metric name → values of every repetition``.
     repetitions:
-        Number of trials actually executed.
-    accumulators:
-        Streaming accumulators, set only under ``aggregation="streaming"``.
-        When present, :meth:`summary` uses their exact streamed
-        count/mean/std/min/max instead of re-summarising :attr:`metrics`.
+        Number of trials executed.
     """
 
     experiment: str
     parameters: Mapping[str, Any]
     metrics: Mapping[str, Sequence[float]]
     repetitions: int
-    accumulators: "AccumulatorSet | None" = None
 
     def metric_names(self) -> list[str]:
         """Sorted list of metric names recorded by the trials."""
         return sorted(self.metrics)
 
     def values(self, metric: str) -> list[float]:
-        """Values of a metric across repetitions (see :attr:`metrics`)."""
+        """Values of a metric across repetitions."""
         if metric not in self.metrics:
             raise KeyError(
                 f"metric {metric!r} was not recorded; available: {self.metric_names()}"
@@ -57,8 +45,6 @@ class TrialResult:
 
     def summary(self, metric: str, *, confidence: float = 0.95) -> SummaryStatistics:
         """Summary statistics for one metric."""
-        if self.accumulators is not None and metric in self.accumulators:
-            return self.accumulators[metric].summary(confidence=confidence)
         return summarize(self.values(metric), confidence=confidence)
 
     def mean(self, metric: str) -> float:

@@ -1,17 +1,12 @@
 """The Monte-Carlo runner: repeated independent trials with seeded streams.
 
-Fixed-budget runs are delegated to the parallel execution engine
-(:mod:`repro.engine`): the trial budget is cut into deterministic shards,
+Every run is a fixed budget of trials, delegated to the parallel execution
+engine (:mod:`repro.engine`): the budget is cut into deterministic shards,
 executed by a pluggable :class:`repro.engine.executors.Executor` (in-process
 by default, a process pool with ``jobs > 1``) and merged in shard-index
 order.  For a fixed master seed the resulting :class:`TrialResult` is
 bit-identical across ``jobs`` counts and executors — see
 ``docs/parallel_engine.md`` for the contract.
-
-Adaptive stopping rules (e.g. :class:`RelativeErrorStopping`) are inherently
-sequential — whether to run trial ``k+1`` depends on trials ``1 … k`` — and
-keep using the in-process loop below; combining them with parallel options
-raises :class:`repro.exceptions.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -19,15 +14,11 @@ from __future__ import annotations
 import os
 from typing import Mapping, Sequence
 
-from ..engine.accumulators import DEFAULT_RESERVOIR_CAPACITY
 from ..engine.driver import ProgressCallback, run_sharded
-from ..engine.executors import Executor, SerialExecutor, resolve_executor
-from ..exceptions import ConfigurationError
+from ..engine.executors import Executor, resolve_executor
 from ..utils.logging import get_logger
 from ..utils.seeding import SeedLike, spawn_rngs
-from ..utils.timing import Timer
 from ..utils.validation import check_positive_int
-from .convergence import FixedBudgetStopping, StoppingRule
 from .experiment import Experiment
 from .results import SweepResult, TrialResult
 from .sweep import ParameterSweep
@@ -35,9 +26,6 @@ from .sweep import ParameterSweep
 __all__ = ["MonteCarloRunner", "run_trials"]
 
 _LOGGER = get_logger("montecarlo.runner")
-
-#: Valid values of the ``aggregation`` option.
-_AGGREGATION_MODES = ("full", "streaming")
 
 
 def run_trials(
@@ -50,25 +38,21 @@ def run_trials(
     shard_size: int | None = None,
     checkpoint_dir: str | os.PathLike[str] | None = None,
     progress: ProgressCallback | None = None,
-    aggregation: str = "full",
-    reservoir_capacity: int = DEFAULT_RESERVOIR_CAPACITY,
 ) -> TrialResult:
     """Run a fixed number of independent trials of an experiment.
 
-    Thin convenience wrapper over :class:`MonteCarloRunner` for the common
-    fixed-budget case.  ``jobs=4`` fans the trial budget out over four worker
-    processes; results are bit-identical to ``jobs=1`` for the same seed.
+    Thin convenience wrapper over :class:`MonteCarloRunner`.  ``jobs=4`` fans
+    the trial budget out over four worker processes; results are
+    bit-identical to ``jobs=1`` for the same seed.
     """
     runner = MonteCarloRunner(
-        stopping=FixedBudgetStopping(check_positive_int(repetitions, "repetitions")),
+        repetitions=repetitions,
         seed=seed,
         jobs=jobs,
         executor=executor,
         shard_size=shard_size,
         checkpoint_dir=checkpoint_dir,
         progress=progress,
-        aggregation=aggregation,
-        reservoir_capacity=reservoir_capacity,
     )
     return runner.run(experiment)
 
@@ -78,163 +62,74 @@ class MonteCarloRunner:
 
     Parameters
     ----------
-    stopping:
-        The stopping rule (fixed budget by default: 30 repetitions).
+    repetitions:
+        Trials per parameter point (default 30).
     seed:
         Master seed.  Each trial receives its own generator spawned from this
         seed, so results are reproducible and independent of execution order,
         shard layout and worker count.
     jobs / executor:
-        Execution strategy for fixed-budget runs: ``jobs=N`` with ``N > 1``
-        uses a process pool of ``N`` workers; an explicit
-        :class:`repro.engine.executors.Executor` instance overrides it.
-        Defaults to in-process serial execution.
+        Execution strategy: ``jobs=N`` with ``N > 1`` uses a process pool of
+        ``N`` workers; an explicit :class:`repro.engine.executors.Executor`
+        instance overrides it.  Defaults to in-process serial execution.
     shard_size:
         Trials per engine shard (default: an even cut into at most 16
         shards).  Affects scheduling granularity only; raw trial values are
         identical for any value.
     checkpoint_dir:
-        Directory for crash/resume persistence of completed shards
-        (fixed-budget runs only).  ``run_sweep`` appends one subdirectory per
-        sweep point.
+        Directory for crash/resume persistence of completed shards.
+        ``run_sweep`` appends one subdirectory per sweep point.
     progress:
         Optional hook ``(completed_shards, total_shards, repetitions_done)``
         invoked as shards finish.
-    aggregation:
-        ``"full"`` (default) keeps every raw trial value on the result;
-        ``"streaming"`` ships only O(1) accumulator partials per shard — the
-        result then exposes exact count/mean/std/min/max, a reservoir-backed
-        median, and bounded samples instead of full arrays.
-    reservoir_capacity:
-        Per-metric bound on the streaming reservoir (default 1024); raise it
-        when a streaming run's median/sample should stay exact for larger
-        budgets.
     """
 
     def __init__(
         self,
         *,
-        stopping: StoppingRule | None = None,
+        repetitions: int = 30,
         seed: SeedLike = None,
         jobs: int | None = None,
         executor: Executor | None = None,
         shard_size: int | None = None,
         checkpoint_dir: str | os.PathLike[str] | None = None,
         progress: ProgressCallback | None = None,
-        aggregation: str = "full",
-        reservoir_capacity: int = DEFAULT_RESERVOIR_CAPACITY,
     ) -> None:
-        self._stopping = stopping if stopping is not None else FixedBudgetStopping(30)
+        self._repetitions = check_positive_int(repetitions, "repetitions")
         self._seed = seed
-        if aggregation not in _AGGREGATION_MODES:
-            raise ConfigurationError(
-                f"aggregation must be one of {_AGGREGATION_MODES}, got {aggregation!r}"
-            )
         self._executor = resolve_executor(executor, jobs)
         self._shard_size = (
             None if shard_size is None else check_positive_int(shard_size, "shard_size")
         )
         self._checkpoint_dir = checkpoint_dir
         self._progress = progress
-        self._aggregation = aggregation
-        self._reservoir_capacity = check_positive_int(
-            reservoir_capacity, "reservoir_capacity"
-        )
-        if not isinstance(self._stopping, FixedBudgetStopping):
-            parallel_options = []
-            if not isinstance(self._executor, SerialExecutor):
-                parallel_options.append("jobs/executor")
-            if self._shard_size is not None:
-                parallel_options.append("shard_size")
-            if checkpoint_dir is not None:
-                parallel_options.append("checkpoint_dir")
-            if progress is not None:
-                parallel_options.append("progress")
-            if aggregation != "full":
-                parallel_options.append("aggregation='streaming'")
-            if parallel_options:
-                raise ConfigurationError(
-                    f"{', '.join(parallel_options)} require a fixed trial budget; "
-                    f"adaptive stopping rules ({type(self._stopping).__name__}) "
-                    "decide trial k+1 from trials 1..k and run sequentially"
-                )
 
     @property
-    def stopping(self) -> StoppingRule:
-        """The stopping rule in use."""
-        return self._stopping
+    def repetitions(self) -> int:
+        """Trials per parameter point."""
+        return self._repetitions
 
     @property
     def executor(self) -> Executor:
-        """The executor fixed-budget runs are dispatched to."""
+        """The executor runs are dispatched to."""
         return self._executor
 
     def run(self, experiment: Experiment) -> TrialResult:
         """Run one experiment at its current parameter point."""
-        if isinstance(self._stopping, FixedBudgetStopping):
-            return self._run_fixed_budget(experiment)
-        return self._run_adaptive(experiment)
-
-    def _run_fixed_budget(self, experiment: Experiment) -> TrialResult:
-        """Fixed budgets are embarrassingly parallel: delegate to the engine."""
-        collect_values = self._aggregation == "full"
         result = run_sharded(
             experiment,
-            budget=self._stopping.max_repetitions,
+            budget=self._repetitions,
             seed=self._seed,
             executor=self._executor,
             shard_size=self._shard_size,
-            collect_values=collect_values,
-            reservoir_capacity=self._reservoir_capacity,
             checkpoint_dir=self._checkpoint_dir,
             progress=self._progress,
         )
-        if collect_values:
-            assert result.values is not None
-            return TrialResult(
-                experiment=experiment.name,
-                parameters=dict(experiment.parameters),
-                metrics=result.values,
-                repetitions=result.repetitions,
-            )
         return TrialResult(
             experiment=experiment.name,
             parameters=dict(experiment.parameters),
-            metrics=result.accumulators.samples(),
+            metrics=result.values,
             repetitions=result.repetitions,
-            accumulators=result.accumulators,
-        )
-
-    def _run_adaptive(self, experiment: Experiment) -> TrialResult:
-        """Sequential loop for stopping rules that inspect the running sample."""
-        max_reps = self._stopping.max_repetitions
-        rngs = spawn_rngs(self._seed, max_reps)
-        metrics: dict[str, list[float]] = {}
-        repetitions = 0
-        with Timer(experiment.name) as timer:
-            for rng in rngs:
-                trial_metrics = experiment.run_single(rng)
-                for key, value in trial_metrics.items():
-                    metrics.setdefault(key, []).append(value)
-                repetitions += 1
-                if (
-                    repetitions >= self._stopping.min_repetitions
-                    and self._stopping.should_stop(metrics)
-                ):
-                    break
-            else:
-                self._stopping.on_budget_exhausted(repetitions)
-        _LOGGER.debug(
-            "experiment %s: %d repetitions in %s",
-            experiment.name,
-            repetitions,
-            timer,
-        )
-        return TrialResult(
-            experiment=experiment.name,
-            parameters=dict(experiment.parameters),
-            metrics={key: tuple(values) for key, values in metrics.items()},
-            repetitions=repetitions,
         )
 
     def run_sweep(
@@ -261,14 +156,12 @@ class MonteCarloRunner:
                     os.fspath(checkpoint_dir), f"point-{position:04d}"
                 )
             runner = MonteCarloRunner(
-                stopping=self._stopping,
+                repetitions=self._repetitions,
                 seed=point_seed,
                 executor=self._executor,
                 shard_size=self._shard_size,
                 checkpoint_dir=checkpoint_dir,
                 progress=self._progress,
-                aggregation=self._aggregation,
-                reservoir_capacity=self._reservoir_capacity,
             )
             result.add(runner.run(configured))
             _LOGGER.info(

@@ -16,7 +16,6 @@ __all__ = [
     "SummaryStatistics",
     "summarize",
     "normal_confidence_interval",
-    "normal_interval_from_moments",
     "bootstrap_confidence_interval",
 ]
 
@@ -77,25 +76,6 @@ class SummaryStatistics:
         }
 
 
-def normal_interval_from_moments(
-    mean: float, std: float, count: int, *, confidence: float = 0.95
-) -> tuple[float, float]:
-    """Normal-approximation CI for a mean given its sample moments.
-
-    The single home of the CI convention: both the array-based
-    :func:`normal_confidence_interval` and the engine's streaming summaries
-    (:meth:`repro.engine.accumulators.MetricAccumulator.summary`) delegate
-    here.  With fewer than two samples the interval degenerates to the mean.
-    """
-    confidence = check_probability(confidence, "confidence")
-    count = check_positive_int(count, "count")
-    if count == 1:
-        return (mean, mean)
-    sem = std / math.sqrt(count)
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
-    return (mean - z * sem, mean + z * sem)
-
-
 def normal_confidence_interval(
     values: Sequence[float], *, confidence: float = 0.95
 ) -> tuple[float, float]:
@@ -106,11 +86,13 @@ def normal_confidence_interval(
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot build a confidence interval from an empty sample")
+    confidence = check_probability(confidence, "confidence")
     mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return normal_interval_from_moments(
-        mean, std, int(arr.size), confidence=confidence
-    )
+    if arr.size == 1:
+        return (mean, mean)
+    sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
+    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    return (mean - z * sem, mean + z * sem)
 
 
 def bootstrap_confidence_interval(

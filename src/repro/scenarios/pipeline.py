@@ -5,15 +5,16 @@ entry points *and* every registry-only scenario:
 
 * **montecarlo mode** — each sweep block becomes a
   :class:`~repro.montecarlo.sweep.ParameterSweep` executed by a
-  :class:`~repro.montecarlo.runner.MonteCarloRunner`, which delegates fixed
-  budgets to the parallel engine.  All engine options pass straight through:
-  ``jobs``/``executor`` fan trials out over worker processes,
-  ``checkpoint_dir`` enables crash/resume, ``aggregation="streaming"`` ships
-  O(1) accumulators — with results bit-identical across all of them.
+  :class:`~repro.montecarlo.runner.MonteCarloRunner`, which delegates every
+  fixed budget to the parallel engine.  The engine options pass straight
+  through: ``jobs``/``executor`` fan trials out over worker processes and
+  ``checkpoint_dir`` enables crash/resume, with results bit-identical
+  across all of them.
 * **direct mode** — each sweep point is evaluated once by the scenario's
-  single direct metric with a fixed quota of pre-spawned generators; points
-  are independent, so ``jobs=N`` maps them over a process pool with results
-  identical to the serial order.
+  single direct metric with a fixed quota of pre-spawned generators.  Every
+  point is a :class:`DirectPoint` unit run on the engine's executor, so
+  ``jobs=N`` maps points over worker processes with results identical to
+  the serial order and per-point telemetry merged home like the shards'.
 
 The per-trial work is :class:`ScenarioTrial` — a picklable callable built
 from the scenario's declarative specs: build (or reuse) the graph, sample the
@@ -22,21 +23,17 @@ label model with the trial generator, evaluate the metric suite in order.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
 from .. import telemetry
-from ..engine.accumulators import DEFAULT_RESERVOIR_CAPACITY
 from ..engine.driver import ProgressCallback
-from ..engine.executors import Executor, MultiprocessExecutor, resolve_executor
+from ..engine.executors import Executor, RunContext, merge_telemetry, resolve_executor
 from ..exceptions import ConfigurationError
-from ..montecarlo.convergence import FixedBudgetStopping
 from ..montecarlo.experiment import Experiment
 from ..montecarlo.results import SweepResult, TrialResult
 from ..montecarlo.runner import MonteCarloRunner
@@ -48,7 +45,7 @@ from .labelmodels import sample_labels
 from .metrics import DIRECT_METRICS, METRICS, TrialContext
 from .specs import MetricSpec, Scenario
 
-__all__ = ["ScenarioTrial", "ScenarioRun", "run_scenario"]
+__all__ = ["ScenarioTrial", "ScenarioRun", "DirectPoint", "run_scenario"]
 
 _LOGGER = get_logger("scenarios.pipeline")
 
@@ -156,21 +153,30 @@ def _block_checkpoint_dir(
     return os.path.join(os.fspath(checkpoint_dir), f"block-{index:02d}")
 
 
-def _evaluate_direct_point(
-    args: tuple[MetricSpec, dict[str, Any], list[np.random.Generator]],
-) -> dict[str, Any]:
-    """Worker entry point for direct-mode points (module-level: picklable)."""
-    spec, point, rngs = args
-    with telemetry.span(f"scenario.metric.{spec.metric}"):
-        return DIRECT_METRICS[spec.metric](point, rngs, spec.options)
+@dataclass(frozen=True)
+class DirectPoint:
+    """One direct-mode sweep point: the engine unit that evaluates it.
+
+    The point owns a pre-spawned slice of generators, so running it in any
+    process and in any order cannot change its record.
+    """
+
+    index: int
+    spec: MetricSpec
+    point: dict[str, Any]
+    rngs: list[np.random.Generator]
+
+    def run(self) -> dict[str, Any]:
+        """Evaluate the direct metric at this point and return its record."""
+        # Looked up per call, so a registry entry wrapped after import (by a
+        # profiler, say) is the one that runs.
+        metric = DIRECT_METRICS[self.spec.metric]
+        with telemetry.span(f"scenario.metric.{self.spec.metric}"):
+            return metric(self.point, self.rngs, self.spec.options)
 
 
 def _run_direct(
-    scenario: Scenario,
-    scale: str,
-    seed: SeedLike,
-    jobs: int | None,
-    executor: Executor | None,
+    scenario: Scenario, scale: str, seed: SeedLike, executor: Executor
 ) -> ScenarioRun:
     scale_cfg = scenario.scale(scale)
     points: list[dict[str, Any]] = []
@@ -184,39 +190,18 @@ def _run_direct(
         )
     quota = scenario.rngs_per_point
     rngs = spawn_rngs(seed, quota * len(points))
-    work = [
-        (spec, point, rngs[index * quota : (index + 1) * quota])
+    units = [
+        DirectPoint(index, spec, point, rngs[index * quota : (index + 1) * quota])
         for index, point in enumerate(points)
     ]
-    chosen = resolve_executor(executor, jobs)
-    workers = chosen.jobs
+    context = RunContext.snapshot()
     with telemetry.span(
         "scenario.run", scenario=scenario.name, scale=scale, mode="direct"
     ):
-        if workers > 1 and len(work) > 1:
-            # Points own pre-spawned generator slices, so farming them out cannot
-            # change any stream; map() preserves point order.  An explicit
-            # MultiprocessExecutor's start-method choice is honoured (a caller who
-            # picked "spawn" because forking their parent is unsafe must get
-            # spawn); otherwise default to MultiprocessExecutor's own platform
-            # logic rather than re-deriving it here.
-            # Telemetry caveat: these pooled workers record into fork-inherited
-            # recorder copies (or none under spawn) that are never shipped
-            # back, so direct-mode points parallelised this way contribute no
-            # per-point telemetry — unlike the engine's shard transport.
-            if isinstance(chosen, MultiprocessExecutor):
-                start_method = chosen.start_method
-            else:
-                start_method = MultiprocessExecutor(workers).start_method
-            context = multiprocessing.get_context(start_method)
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(work)), mp_context=context
-            ) as pool:
-                records = list(pool.map(_evaluate_direct_point, work))
-        else:
-            records = [_evaluate_direct_point(item) for item in work]
-        for rec in telemetry.active():
-            rec.counter("scenario.direct_points", len(work))
+        results = sorted(executor.map(units, context), key=lambda r: r.index)
+        merge_telemetry(result.telemetry_state for result in results)
+        telemetry.counter("scenario.direct_points", len(units))
+    records = [result.value for result in results]
     return ScenarioRun(scenario=scenario, scale=scale, seed=seed, records=records)
 
 
@@ -230,17 +215,14 @@ def run_scenario(
     shard_size: int | None = None,
     checkpoint_dir: str | os.PathLike[str] | None = None,
     progress: ProgressCallback | None = None,
-    aggregation: str = "full",
-    reservoir_capacity: int = DEFAULT_RESERVOIR_CAPACITY,
 ) -> ScenarioRun:
     """Run a scenario at a scale preset through the generic pipeline.
 
     Parameters mirror :class:`~repro.montecarlo.runner.MonteCarloRunner`:
     ``jobs=N`` (or an explicit ``executor``) fans work out over worker
     processes with bit-identical results, ``checkpoint_dir`` persists
-    completed shards for crash/resume, ``aggregation="streaming"`` keeps O(1)
-    state per metric.  ``seed=None`` falls back to the scenario's
-    ``default_seed``.
+    completed shards for crash/resume.  ``seed=None`` falls back to the
+    scenario's ``default_seed``.
 
     Returns
     -------
@@ -249,6 +231,7 @@ def run_scenario(
     """
     if seed is None:
         seed = scenario.default_seed
+    shared_executor = resolve_executor(executor, jobs)
     if scenario.mode == "direct":
         montecarlo_only = []
         if shard_size is not None:
@@ -257,16 +240,12 @@ def run_scenario(
             montecarlo_only.append("checkpoint_dir")
         if progress is not None:
             montecarlo_only.append("progress")
-        if aggregation != "full":
-            montecarlo_only.append("aggregation")
-        if reservoir_capacity != DEFAULT_RESERVOIR_CAPACITY:
-            montecarlo_only.append("reservoir_capacity")
         if montecarlo_only:
             raise ConfigurationError(
                 f"{', '.join(montecarlo_only)} apply to montecarlo-mode "
                 f"scenarios; {scenario.name!r} runs in direct mode"
             )
-        return _run_direct(scenario, scale, seed, jobs, executor)
+        return _run_direct(scenario, scale, seed, shared_executor)
 
     scale_cfg = scenario.scale(scale)
     experiment = Experiment(
@@ -274,7 +253,6 @@ def run_scenario(
         trial=ScenarioTrial(scenario),
         description=scenario.description,
     )
-    shared_executor = resolve_executor(executor, jobs)
     run = ScenarioRun(scenario=scenario, scale=scale, seed=seed)
     total_blocks = len(scale_cfg.blocks)
     with telemetry.span(
@@ -282,7 +260,7 @@ def run_scenario(
     ):
         for index, block in enumerate(scale_cfg.blocks):
             runner = MonteCarloRunner(
-                stopping=FixedBudgetStopping(scale_cfg.repetitions),
+                repetitions=scale_cfg.repetitions,
                 seed=seed,
                 executor=shared_executor,
                 shard_size=shard_size,
@@ -290,8 +268,6 @@ def run_scenario(
                     checkpoint_dir, index, total_blocks
                 ),
                 progress=progress,
-                aggregation=aggregation,
-                reservoir_capacity=reservoir_capacity,
             )
             sweep = ParameterSweep(
                 {key: list(values) for key, values in block.axes.items()},

@@ -25,7 +25,7 @@ Surface
 close); :func:`span` / :func:`counter` / :func:`observe_ms` are the
 module-level emit helpers; :func:`active` is the hot-path enablement check;
 :func:`attach` composes a scoped probe with an outer session and
-:func:`isolated` captures a region into exactly one recorder (the shard
+:func:`isolated` captures a region into exactly one recorder (the engine
 workers' transport mode).  See ``docs/observability.md`` for the full tour,
 the naming scheme and the CLI flags (``--telemetry``, ``repro-experiments
 profile``).

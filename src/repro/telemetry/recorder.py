@@ -11,9 +11,9 @@ Three primitives cover the repository's observability needs:
   (``kernel.forward.sweeps``, ``analysis.cache_hit.arrival_matrix``).
 * **timing statistics** (:class:`TimingStats`) — count / total / mean /
   variance / min / max of millisecond observations, maintained with Welford's
-  online update and merged exactly with the Chan et al. parallel rule — the
-  same machinery the engine's streaming accumulators use, so worker-side
-  recorders fold into run totals deterministically and associatively.
+  online update and merged exactly with the Chan et al. parallel rule, so
+  worker-side recorders fold into run totals deterministically and
+  associatively.
 * **spans** (:class:`SpanNode`) — nested wall-clock regions.  Each closed
   span appends a node to the recorder's per-process span tree *and* feeds a
   timing statistic under the span's name, which is what survives cross-process
@@ -45,10 +45,10 @@ The stack (rather than a single slot) lets a scoped probe — e.g.
 :func:`repro.analysis_api.compute_events` — observe a region of code while an
 outer session keeps recording: events are delivered to *all* active
 recorders.  :func:`isolated` swaps the whole stack for exactly one recorder;
-the engine's shard workers use it so every shard's events are captured in a
-private recorder whose state is shipped back and merged in shard-index order
-regardless of executor (which is what makes telemetry totals bit-identical in
-counts across worker counts).
+the engine's worker entry uses it so every unit's events (a shard's, or a
+direct-mode point's) are captured in a private recorder whose state is
+shipped back and merged in unit-index order regardless of executor (which is
+what makes telemetry totals bit-identical in counts across worker counts).
 """
 
 from __future__ import annotations
@@ -337,10 +337,10 @@ def session(*sinks: Any) -> Iterator[TelemetryRecorder]:
 def isolated(recorder: TelemetryRecorder) -> Iterator[TelemetryRecorder]:
     """Make ``recorder`` the *only* active recorder for the ``with`` body.
 
-    Used by shard workers: the shard's events must be captured exactly once —
-    in the worker recorder whose state is shipped back and merged by the
-    driver — never directly into an ambient session recorder, or serial and
-    multiprocess runs would double-count.
+    Used by the engine's worker entry: a unit's events must be captured
+    exactly once — in the worker recorder whose state is shipped back and
+    merged by the caller — never directly into an ambient session recorder,
+    or serial and multiprocess runs would double-count.
     """
     global _STACK
     previous = _STACK

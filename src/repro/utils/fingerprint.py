@@ -112,8 +112,6 @@ def checkpoint_fingerprint(
     budget: int,
     shard_size: int,
     num_shards: int,
-    collect_values: bool,
-    reservoir_capacity: int,
     seed: str,
 ) -> dict[str, Any]:
     """The engine run identity the checkpoint store verifies on resume.
@@ -121,6 +119,9 @@ def checkpoint_fingerprint(
     Key order matters: ``meta.json`` is written with insertion order
     preserved, and existing checkpoint directories must keep verifying.
     ``seed`` is a pre-formatted :func:`seed_fingerprint` string.
+    ``collect_values`` and ``reservoir_capacity`` are constants: they named
+    options of a streaming mode that no longer exists, and keeping their
+    values keeps ``meta.json`` byte-identical.
     """
     return {
         "experiment": experiment,
@@ -128,8 +129,8 @@ def checkpoint_fingerprint(
         "budget": budget,
         "shard_size": shard_size,
         "num_shards": num_shards,
-        "collect_values": collect_values,
-        "reservoir_capacity": reservoir_capacity,
+        "collect_values": True,
+        "reservoir_capacity": 1024,
         "seed": seed,
     }
 

@@ -3,32 +3,32 @@
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 import pytest
 
-from repro.engine.accumulators import (
-    AccumulatorSet,
-    MetricAccumulator,
-    ReservoirSample,
-    StreamingMoments,
-)
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.driver import run_sharded
+from repro import telemetry
+from repro.core import blocked_sweeps, kernels
 from repro.engine.executors import (
     MultiprocessExecutor,
+    RunContext,
     SerialExecutor,
-    ShardResult,
-    ShardTask,
-    ShardWork,
-    execute_shard,
+    merge_telemetry,
     resolve_executor,
+    run_unit,
 )
-from repro.engine.sharding import DEFAULT_MAX_SHARDS, SeedPlan, Shard, plan_shards
+from repro.engine.sharding import (
+    DEFAULT_MAX_SHARDS,
+    SeedPlan,
+    Shard,
+    ShardResult,
+    ShardWork,
+    plan_shards,
+)
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.montecarlo.experiment import Experiment
-from repro.montecarlo.statistics import summarize
 from repro.utils.seeding import spawn_rngs
 
 
@@ -51,148 +51,6 @@ def _failing_trial(params, rng):
     if value < float(params["threshold"]):
         raise ValueError("unlucky trial")
     return {"x": value}
-
-
-class TestStreamingMoments:
-    def test_matches_numpy(self):
-        data = np.random.default_rng(0).exponential(size=257)
-        moments = StreamingMoments()
-        for x in data:
-            moments.add(x)
-        assert moments.count == data.size
-        assert moments.mean == pytest.approx(float(np.mean(data)), rel=1e-12)
-        assert moments.std == pytest.approx(float(np.std(data, ddof=1)), rel=1e-12)
-        assert moments.minimum == float(np.min(data))
-        assert moments.maximum == float(np.max(data))
-
-    def test_merge_equals_single_pass(self):
-        data = np.random.default_rng(1).normal(size=100)
-        whole = StreamingMoments()
-        for x in data:
-            whole.add(x)
-        left, right = StreamingMoments(), StreamingMoments()
-        for x in data[:37]:
-            left.add(x)
-        for x in data[37:]:
-            right.add(x)
-        left.merge(right)
-        assert left.count == whole.count
-        assert left.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert left.variance == pytest.approx(whole.variance, rel=1e-10)
-        assert left.minimum == whole.minimum and left.maximum == whole.maximum
-
-    def test_merge_with_empty_is_identity(self):
-        moments = StreamingMoments()
-        moments.add(3.0)
-        moments.merge(StreamingMoments())
-        assert moments.count == 1 and moments.mean == 3.0
-        empty = StreamingMoments()
-        empty.merge(moments)
-        assert empty.count == 1 and empty.mean == 3.0
-
-    def test_degenerate_variance(self):
-        moments = StreamingMoments()
-        moments.add(5.0)
-        assert moments.variance == 0.0 and moments.std == 0.0
-
-    def test_state_round_trip(self):
-        moments = StreamingMoments()
-        for x in (1.0, 2.0, 4.0):
-            moments.add(x)
-        restored = StreamingMoments.from_state(moments.to_state())
-        assert restored.to_state() == moments.to_state()
-
-
-class TestReservoirSample:
-    def test_exact_below_capacity(self):
-        reservoir = ReservoirSample(capacity=10)
-        rng = np.random.default_rng(0)
-        for x in (3.0, 1.0, 2.0):
-            reservoir.add(x, rng)
-        assert reservoir.is_exact
-        assert reservoir.items == [3.0, 1.0, 2.0]
-        assert reservoir.median() == 2.0
-
-    def test_bounded_beyond_capacity(self):
-        reservoir = ReservoirSample(capacity=8)
-        rng = np.random.default_rng(1)
-        for x in range(100):
-            reservoir.add(float(x), rng)
-        assert len(reservoir) == 8
-        assert reservoir.seen == 100
-        assert not reservoir.is_exact
-        assert all(0.0 <= x < 100.0 for x in reservoir.items)
-
-    def test_merge_preserves_uniform_sample_size(self):
-        rng = np.random.default_rng(2)
-        a, b = ReservoirSample(capacity=16), ReservoirSample(capacity=16)
-        for x in range(10):
-            a.add(float(x), rng)
-        for x in range(10, 14):
-            b.add(float(x), rng)
-        a.merge(b, rng)
-        assert a.seen == 14
-        assert sorted(a.items) == [float(x) for x in range(14)]  # still exact
-
-    def test_merge_capacity_mismatch_rejected(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValueError):
-            ReservoirSample(capacity=4).merge(ReservoirSample(capacity=8), rng)
-
-    def test_empty_median_rejected(self):
-        with pytest.raises(ValueError):
-            ReservoirSample(capacity=4).median()
-
-    def test_state_round_trip(self):
-        reservoir = ReservoirSample(capacity=4)
-        rng = np.random.default_rng(4)
-        for x in range(9):
-            reservoir.add(float(x), rng)
-        restored = ReservoirSample.from_state(reservoir.to_state())
-        assert restored.to_state() == reservoir.to_state()
-
-
-class TestMetricAccumulator:
-    def test_summary_matches_summarize_for_in_budget_stream(self):
-        data = list(np.random.default_rng(5).normal(loc=2.0, size=60))
-        accumulator = MetricAccumulator(capacity=1024)
-        rng = np.random.default_rng(6)
-        for x in data:
-            accumulator.add(x, rng)
-        streamed = accumulator.summary()
-        exact = summarize(data)
-        assert streamed.count == exact.count
-        assert streamed.mean == pytest.approx(exact.mean, rel=1e-12)
-        assert streamed.std == pytest.approx(exact.std, rel=1e-12)
-        assert streamed.minimum == exact.minimum
-        assert streamed.maximum == exact.maximum
-        assert streamed.median == pytest.approx(exact.median)
-        assert streamed.ci_low == pytest.approx(exact.ci_low, rel=1e-9)
-        assert streamed.ci_high == pytest.approx(exact.ci_high, rel=1e-9)
-
-    def test_empty_summary_rejected(self):
-        with pytest.raises(ValueError):
-            MetricAccumulator().summary()
-
-
-class TestAccumulatorSet:
-    def test_union_of_metric_names_on_merge(self):
-        rng = np.random.default_rng(7)
-        a, b = AccumulatorSet(capacity=8), AccumulatorSet(capacity=8)
-        a.add_trial({"x": 1.0}, rng)
-        b.add_trial({"y": 2.0}, rng)
-        a.merge(b, rng)
-        assert a.metric_names() == ["x", "y"]
-        assert a["y"].moments.count == 1
-
-    def test_samples_and_state_round_trip(self):
-        rng = np.random.default_rng(8)
-        accumulators = AccumulatorSet(capacity=8)
-        for i in range(5):
-            accumulators.add_trial({"x": float(i)}, rng)
-        assert accumulators.samples() == {"x": (0.0, 1.0, 2.0, 3.0, 4.0)}
-        restored = AccumulatorSet.from_state(accumulators.to_state())
-        assert restored.to_state() == accumulators.to_state()
 
 
 class TestShardPlanning:
@@ -250,14 +108,12 @@ class TestExecutors:
         experiment = Experiment(name="noise", trial=_noise_trial, parameters={"mu": mu})
         shards = plan_shards(budget, shard_size=shard_size)
         seeds = SeedPlan(seed, budget, len(shards))
-        task = ShardTask(experiment=experiment)
         return [
             ShardWork(
-                task=task,
+                experiment=experiment,
                 shard=shard,
                 master_entropy=seeds.entropy,
                 master_spawn_key=seeds.spawn_key,
-                budget=budget,
             )
             for shard in shards
         ]
@@ -300,21 +156,19 @@ class TestExecutors:
         }
         assert len(bad) == 1
         seeds = SeedPlan(0, 8, len(shards))
-        task = ShardTask(experiment=experiment)
         works = [
             ShardWork(
-                task=task,
+                experiment=experiment,
                 shard=shard,
                 master_entropy=seeds.entropy,
                 master_spawn_key=seeds.spawn_key,
-                budget=8,
             )
             for shard in shards
         ]
-        survivors: list[ShardResult] = []
+        survivors = []
         # one worker per shard: nothing is queued, so no shard gets cancelled
         with pytest.raises(ValueError, match="unlucky trial"):
-            for result in MultiprocessExecutor(len(shards)).map_shards(works):
+            for result in MultiprocessExecutor(len(shards)).map(works, RunContext()):
                 survivors.append(result)
         assert {result.index for result in survivors} == {
             shard.index for shard in shards
@@ -322,19 +176,74 @@ class TestExecutors:
 
     def test_serial_and_multiprocess_agree(self):
         works = self._works()
-        serial = sorted(SerialExecutor().map_shards(works), key=lambda r: r.index)
+        context = RunContext(telemetry=True)
+        serial = sorted(SerialExecutor().map(works, context), key=lambda r: r.index)
         parallel = sorted(
-            MultiprocessExecutor(3).map_shards(works), key=lambda r: r.index
+            MultiprocessExecutor(3).map(works, context), key=lambda r: r.index
         )
-        assert [r.to_payload() for r in serial] == [r.to_payload() for r in parallel]
+        assert [r.value for r in serial] == [r.value for r in parallel]
+        assert [r.telemetry_state["counters"] for r in serial] == [
+            r.telemetry_state["counters"] for r in parallel
+        ]
 
     def test_shard_result_payload_round_trip(self):
         works = self._works(budget=4, shard_size=4)
-        result = execute_shard(works[0])
+        result = works[0].run()
         clone = ShardResult.from_payload(
             json.loads(json.dumps(result.to_payload()))
         )
         assert clone == result
+
+
+class TestRunUnit:
+    """The one worker entry: context in, indexed value and telemetry out."""
+
+    def _work(self):
+        return TestExecutors()._works(budget=4, shard_size=4)[0]
+
+    def test_snapshot_reads_the_ambient_settings(self):
+        with kernels.backend_scope("python"), blocked_sweeps.tile_size_scope(8):
+            with telemetry.session():
+                assert RunContext.snapshot() == RunContext(
+                    telemetry=True, kernel_backend="python", tile_size=8
+                )
+        assert RunContext.snapshot().telemetry is False
+
+    def test_context_is_installed_for_the_unit_and_then_restored(self):
+        seen = []
+
+        class Probe:
+            index = 3
+
+            def run(self):
+                seen.append((kernels.default_backend(), blocked_sweeps.default_tile_size()))
+                return "done"
+
+        before = (kernels.default_backend(), blocked_sweeps.default_tile_size())
+        result = run_unit(Probe(), RunContext(kernel_backend="python", tile_size=8))
+        assert (result.index, result.value, result.telemetry_state) == (3, "done", None)
+        assert seen == [("python", 8)]
+        assert (kernels.default_backend(), blocked_sweeps.default_tile_size()) == before
+
+    def test_unit_telemetry_is_isolated_from_outer_recorders(self):
+        work = self._work()
+        with telemetry.session() as outer:
+            result = run_unit(work, RunContext(telemetry=True))
+        assert "engine.trials" not in outer.counters
+        assert result.telemetry_state["counters"]["engine.trials"] == 4
+        assert result.value == work.run()
+
+    def test_merge_telemetry_folds_states_in_order_and_skips_none(self):
+        state = run_unit(self._work(), RunContext(telemetry=True)).telemetry_state
+        with telemetry.session() as rec:
+            merge_telemetry([None, state, state])
+        assert rec.counters["engine.trials"] == 8
+        assert rec.counters["engine.shards"] == 2
+        assert rec.timings["engine.shard_ms"].count == 2
+
+    def test_executors_map_no_units_to_nothing(self):
+        assert list(SerialExecutor().map([], RunContext())) == []
+        assert list(MultiprocessExecutor(2).map([], RunContext())) == []
 
 
 class TestCheckpointStore:
@@ -355,7 +264,7 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path / "ckpt")
         assert store.initialize(self._fingerprint()) == {}
         works = TestExecutors()._works(budget=10, shard_size=3)
-        result = execute_shard(works[1])
+        result = works[1].run()
         store.save(result)
         reloaded = CheckpointStore(tmp_path / "ckpt").initialize(self._fingerprint())
         assert set(reloaded) == {1}
@@ -389,14 +298,6 @@ class TestRunSharded:
         assert result.repetitions == 10
         assert calls[-1] == (4, 4, 10)
         assert [done for done, _, _ in calls] == [1, 2, 3, 4]
-
-    def test_streaming_mode_drops_raw_values(self):
-        experiment = Experiment(name="noise", trial=_noise_trial)
-        result = run_sharded(experiment, budget=10, seed=0, collect_values=False)
-        assert result.values is None
-        summary = result.accumulators["noise"].summary()
-        assert summary.count == 10
-        assert math.isfinite(summary.mean)
 
     def test_values_are_in_trial_order(self):
         experiment = Experiment(name="noise", trial=_noise_trial)

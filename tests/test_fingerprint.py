@@ -136,8 +136,6 @@ class TestCheckpointParity:
             budget=1,
             shard_size=1,
             num_shards=1,
-            collect_values=True,
-            reservoir_capacity=256,
             seed="entropy=1;spawn_key=()",
         )
         assert list(payload) == [

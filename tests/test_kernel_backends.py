@@ -38,8 +38,8 @@ from repro.core import kernels
 from repro.core.kernels import numpy_backend
 from repro.core.journeys import earliest_arrival_matrix, earliest_arrival_times
 from repro.core.reverse_journeys import latest_departure_matrix, latest_departure_times
-from repro.engine.executors import ShardTask, ShardWork, execute_shard
-from repro.engine.sharding import SeedPlan, plan_shards
+from repro.engine.executors import RunContext, run_unit
+from repro.engine.sharding import SeedPlan, ShardWork, plan_shards
 from repro.exceptions import ConfigurationError
 from repro.analysis_api import NetworkAnalysis
 from repro import (
@@ -496,22 +496,17 @@ SWEEP_EXPERIMENT = Experiment(
 
 
 class TestEngineThreadThrough:
-    def test_shard_task_ships_the_selected_backend(self):
-        """execute_shard installs the task's backend; telemetry proves it ran."""
+    def test_run_context_ships_the_selected_backend(self):
+        """run_unit installs the context's backend; telemetry proves it ran."""
         shard = plan_shards(4)[0]
         seeds = SeedPlan(2014, 4, 1)
         work = ShardWork(
-            task=ShardTask(
-                experiment=SWEEP_EXPERIMENT,
-                telemetry=True,
-                kernel_backend="python",
-            ),
+            experiment=SWEEP_EXPERIMENT,
             shard=shard,
             master_entropy=seeds.entropy,
             master_spawn_key=seeds.spawn_key,
-            budget=4,
         )
-        result = execute_shard(work)
+        result = run_unit(work, RunContext(telemetry=True, kernel_backend="python"))
         assert result.telemetry_state is not None
         counters = result.telemetry_state["counters"]
         assert counters["kernel.forward.backend.python"] > 0
@@ -525,18 +520,15 @@ class TestEngineThreadThrough:
         shard = plan_shards(2)[0]
         seeds = SeedPlan(7, 2, 1)
         work = ShardWork(
-            task=ShardTask(
-                experiment=SWEEP_EXPERIMENT, kernel_backend="bogus-shipped-backend"
-            ),
+            experiment=SWEEP_EXPERIMENT,
             shard=shard,
             master_entropy=seeds.entropy,
             master_spawn_key=seeds.spawn_key,
-            budget=2,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            result = execute_shard(work)
-        assert result.repetitions == shard.stop - shard.start
+            result = run_unit(work, RunContext(kernel_backend="bogus-shipped-backend"))
+        assert result.value.repetitions == shard.stop - shard.start
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_jobs_invariant_and_workers_use_backend(self, jobs):

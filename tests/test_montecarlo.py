@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, ConvergenceError
-from repro.montecarlo.convergence import FixedBudgetStopping, RelativeErrorStopping
+from repro.exceptions import ConfigurationError
 from repro.montecarlo.experiment import Experiment
 from repro.montecarlo.results import SweepResult, TrialResult, results_to_records
 from repro.montecarlo.runner import MonteCarloRunner, run_trials
@@ -77,59 +76,19 @@ class TestRunner:
         result = run_trials(exp, repetitions=400, seed=3)
         assert result.mean("heads") == pytest.approx(0.8, abs=0.08)
 
-    def test_relative_error_stopping_stops_early(self):
-        stopping = RelativeErrorStopping(
-            "noise", relative_tolerance=0.5, min_repetitions=5, max_repetitions=500
-        )
-        runner = MonteCarloRunner(stopping=stopping, seed=0)
-        exp = Experiment(name="coin", trial=_coin_trial, parameters={"mu": 10.0})
-        result = runner.run(exp)
-        assert 5 <= result.repetitions < 500
-
-    def test_relative_error_strict_raises_when_budget_exhausted(self):
-        stopping = RelativeErrorStopping(
-            "noise",
-            relative_tolerance=1e-6,
-            min_repetitions=2,
-            max_repetitions=5,
-            strict=True,
-        )
-        runner = MonteCarloRunner(stopping=stopping, seed=0)
-        with pytest.raises(ConvergenceError):
-            runner.run(Experiment(name="coin", trial=_coin_trial))
+    def test_repetitions_validated(self):
+        assert MonteCarloRunner(repetitions=7).repetitions == 7
+        with pytest.raises(ValueError):
+            MonteCarloRunner(repetitions=0)
 
     def test_run_sweep_covers_all_points(self):
-        runner = MonteCarloRunner(stopping=FixedBudgetStopping(5), seed=0)
+        runner = MonteCarloRunner(repetitions=5, seed=0)
         sweep = ParameterSweep({"p": [0.1, 0.9]})
         result = runner.run_sweep(Experiment(name="coin", trial=_coin_trial), sweep)
         assert len(result) == 2
         assert result.column("p") == [0.1, 0.9]
         means = result.metric_means("heads")
         assert means[1] >= means[0]
-
-    def test_streaming_aggregation_summary_matches_full(self):
-        exp = Experiment(name="coin", trial=_coin_trial, parameters={"mu": 2.0})
-        full = run_trials(exp, repetitions=40, seed=9)
-        streaming = run_trials(exp, repetitions=40, seed=9, aggregation="streaming")
-        assert streaming.accumulators is not None
-        for metric in full.metric_names():
-            exact = full.summary(metric)
-            streamed = streaming.summary(metric)
-            assert streamed.count == exact.count
-            assert streamed.mean == pytest.approx(exact.mean, rel=1e-12)
-            assert streamed.std == pytest.approx(exact.std, rel=1e-12)
-            assert streamed.minimum == exact.minimum
-            assert streamed.maximum == exact.maximum
-        # in-budget streams keep the full sample in the reservoir
-        assert streaming.values("noise") == full.values("noise")
-
-    def test_streaming_reservoir_capacity_is_configurable(self):
-        exp = Experiment(name="coin", trial=_coin_trial)
-        small = run_trials(
-            exp, repetitions=40, seed=9, aggregation="streaming", reservoir_capacity=8
-        )
-        assert len(small.values("noise")) == 8
-        assert small.summary("noise").count == 40  # moments stay exact
 
     def test_progress_hook_reports_repetitions(self):
         seen: list[tuple[int, int, int]] = []
@@ -141,25 +100,6 @@ class TestRunner:
             progress=lambda done, total, reps: seen.append((done, total, reps)),
         )
         assert seen == [(1, 3, 4), (2, 3, 8), (3, 3, 12)]
-
-
-class TestStoppingRules:
-    def test_fixed_budget_properties(self):
-        rule = FixedBudgetStopping(7)
-        assert rule.max_repetitions == 7
-        assert rule.min_repetitions == 7
-        assert not rule.should_stop({})
-        assert rule.should_stop({"x": [1.0] * 7})
-
-    def test_relative_error_validation(self):
-        with pytest.raises(ConfigurationError):
-            RelativeErrorStopping("", relative_tolerance=0.1)
-        with pytest.raises(ConfigurationError):
-            RelativeErrorStopping("m", min_repetitions=10, max_repetitions=5)
-
-    def test_relative_error_needs_min_samples(self):
-        rule = RelativeErrorStopping("m", relative_tolerance=0.5, min_repetitions=5)
-        assert not rule.should_stop({"m": [1.0, 1.0]})
 
 
 class TestSweep:
@@ -236,7 +176,7 @@ class TestSweep:
             shard.restrict(a=[1])
 
     def test_shards_usable_with_run_sweep(self):
-        runner = MonteCarloRunner(stopping=FixedBudgetStopping(3), seed=0)
+        runner = MonteCarloRunner(repetitions=3, seed=0)
         experiment = Experiment(name="coin", trial=_coin_trial)
         full = ParameterSweep({"p": [0.1, 0.5, 0.9]})
         results = [runner.run_sweep(experiment, shard) for shard in full.shard(2)]

@@ -8,6 +8,7 @@ shard sizes, and crash/resume boundaries.
 
 from __future__ import annotations
 
+import json
 from typing import Iterator, Sequence
 
 import pytest
@@ -15,14 +16,14 @@ import pytest
 from repro.engine.driver import run_sharded
 from repro.engine.executors import (
     MultiprocessExecutor,
+    RunContext,
     SerialExecutor,
-    ShardResult,
-    ShardWork,
-    execute_shard,
+    UnitResult,
+    WorkUnit,
+    run_unit,
 )
-from repro.exceptions import CheckpointError, ConfigurationError
+from repro.exceptions import CheckpointError
 from repro.experiments.exp_er_connectivity import trial_er_connectivity
-from repro.montecarlo.convergence import FixedBudgetStopping, RelativeErrorStopping
 from repro.montecarlo.experiment import Experiment
 from repro.montecarlo.runner import MonteCarloRunner, run_trials
 from repro.montecarlo.sweep import ParameterSweep
@@ -37,16 +38,42 @@ ER_EXPERIMENT = Experiment(
 
 
 class _CrashingExecutor(SerialExecutor):
-    """Runs shards serially but dies after ``survive`` completions."""
+    """Runs units serially but dies after ``survive`` completions."""
 
     def __init__(self, survive: int) -> None:
         self._survive = survive
 
-    def map_shards(self, works: Sequence[ShardWork]) -> Iterator[ShardResult]:
-        for completed, work in enumerate(works):
+    def map(
+        self, units: Sequence[WorkUnit], context: RunContext
+    ) -> Iterator[UnitResult]:
+        for completed, unit in enumerate(units):
             if completed >= self._survive:
                 raise RuntimeError("simulated crash")
-            yield execute_shard(work)
+            yield run_unit(unit, context)
+
+
+def _legacy_accumulators(values):
+    """The ``accumulators`` entry of shard files written while the engine also
+    streamed Welford moments and a 1024-slot reservoir per metric."""
+    metrics = {}
+    for name, column in values.items():
+        count, mean, m2 = 0, 0.0, 0.0
+        for value in column:
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+        metrics[name] = {
+            "moments": {
+                "count": count,
+                "mean": mean,
+                "m2": m2,
+                "min": min(column),
+                "max": max(column),
+            },
+            "reservoir": {"capacity": 1024, "seen": count, "items": list(column)},
+        }
+    return {"capacity": 1024, "metrics": metrics}
 
 
 class TestJobsInvariance:
@@ -83,21 +110,10 @@ class TestJobsInvariance:
         for metric in engine.metric_names():
             assert engine.values(metric) == [t[metric] for t in sequential]
 
-    def test_streaming_aggregation_identical_across_jobs(self):
-        one = run_trials(
-            ER_EXPERIMENT, repetitions=20, seed=5, jobs=1, aggregation="streaming"
-        )
-        four = run_trials(
-            ER_EXPERIMENT, repetitions=20, seed=5, jobs=4, aggregation="streaming"
-        )
-        for metric in one.metric_names():
-            assert one.summary(metric) == four.summary(metric)
-        assert one.metrics == four.metrics  # reservoir samples, also deterministic
-
     def test_sweep_identical_across_jobs(self):
         sweep = ParameterSweep({"multiplier": [0.5, 1.0, 2.0]}, constants={"n": 32})
-        runner_serial = MonteCarloRunner(stopping=FixedBudgetStopping(8), seed=1)
-        runner_parallel = MonteCarloRunner(stopping=FixedBudgetStopping(8), seed=1, jobs=2)
+        runner_serial = MonteCarloRunner(repetitions=8, seed=1)
+        runner_parallel = MonteCarloRunner(repetitions=8, seed=1, jobs=2)
         serial = runner_serial.run_sweep(ER_EXPERIMENT, sweep)
         parallel = runner_parallel.run_sweep(ER_EXPERIMENT, sweep)
         assert [point.metrics for point in serial] == [point.metrics for point in parallel]
@@ -125,6 +141,32 @@ class TestCrashResume:
             ER_EXPERIMENT, repetitions=18, seed=42, shard_size=3, checkpoint_dir=checkpoint
         )
         assert resumed.metrics == uninterrupted.metrics
+        assert resumed.repetitions == uninterrupted.repetitions
+
+    def test_resume_from_shard_files_with_accumulators(self, tmp_path):
+        """Shard files of the streaming-moments era still resume bit for bit."""
+        uninterrupted = run_sharded(ER_EXPERIMENT, budget=18, seed=42, shard_size=3)
+        run_sharded(
+            ER_EXPERIMENT, budget=18, seed=42, shard_size=3, checkpoint_dir=tmp_path
+        )
+        for path in tmp_path.glob("shard-*.json"):
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            legacy = {
+                key: payload[key]
+                for key in ("index", "start", "stop", "repetitions", "values")
+            }
+            legacy["accumulators"] = _legacy_accumulators(payload["values"])
+            legacy["telemetry"] = payload["telemetry"]
+            path.write_text(json.dumps(legacy), encoding="utf-8")
+        # A crash before shards 1 and 4 finished.
+        for index in (1, 4):
+            (tmp_path / f"shard-{index:04d}.json").unlink()
+
+        resumed = run_sharded(
+            ER_EXPERIMENT, budget=18, seed=42, shard_size=3, checkpoint_dir=tmp_path
+        )
+        assert resumed.shards_resumed == 4 and resumed.shards_executed == 2
+        assert resumed.values == uninterrupted.values
         assert resumed.repetitions == uninterrupted.repetitions
 
     def test_resume_skips_completed_shards(self, tmp_path):
@@ -158,10 +200,8 @@ class TestCrashResume:
 
     def test_sweep_checkpoints_per_point(self, tmp_path):
         sweep = ParameterSweep({"multiplier": [0.5, 2.0]}, constants={"n": 32})
-        runner = MonteCarloRunner(
-            stopping=FixedBudgetStopping(6), seed=4, checkpoint_dir=tmp_path
-        )
-        plain = MonteCarloRunner(stopping=FixedBudgetStopping(6), seed=4)
+        runner = MonteCarloRunner(repetitions=6, seed=4, checkpoint_dir=tmp_path)
+        plain = MonteCarloRunner(repetitions=6, seed=4)
         checkpointed = runner.run_sweep(ER_EXPERIMENT, sweep)
         assert (tmp_path / "point-0000" / "meta.json").exists()
         assert (tmp_path / "point-0001" / "meta.json").exists()
@@ -170,26 +210,3 @@ class TestCrashResume:
         reference = plain.run_sweep(ER_EXPERIMENT, sweep)
         assert [p.metrics for p in resumed] == [p.metrics for p in checkpointed]
         assert [p.metrics for p in resumed] == [p.metrics for p in reference]
-
-
-class TestAdaptiveRulesStaySequential:
-    def test_parallel_options_rejected_with_adaptive_stopping(self):
-        adaptive = RelativeErrorStopping("connected", relative_tolerance=0.5)
-        with pytest.raises(ConfigurationError):
-            MonteCarloRunner(stopping=adaptive, jobs=4)
-        with pytest.raises(ConfigurationError):
-            MonteCarloRunner(stopping=adaptive, checkpoint_dir="/tmp/nope")
-        with pytest.raises(ConfigurationError):
-            MonteCarloRunner(stopping=adaptive, aggregation="streaming")
-
-    def test_adaptive_serial_still_works(self):
-        adaptive = RelativeErrorStopping(
-            "p", relative_tolerance=0.5, min_repetitions=5, max_repetitions=50
-        )
-        runner = MonteCarloRunner(stopping=adaptive, seed=0)
-        result = runner.run(ER_EXPERIMENT)
-        assert 5 <= result.repetitions <= 50
-
-    def test_bad_aggregation_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MonteCarloRunner(aggregation="bogus")

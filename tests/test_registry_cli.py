@@ -83,6 +83,16 @@ class TestCli:
         assert exit_code == 2
         assert "error" in captured.err
 
+    def test_serve_configuration_error_exits_2(self, tmp_path, capsys):
+        exit_code = main(
+            [
+                "serve", "--port", "0", "--data-dir", str(tmp_path / "data"),
+                "--kernel-backend", "no-such-backend",
+            ]
+        )
+        assert exit_code == 2
+        assert "error" in capsys.readouterr().err
+
     def test_help_mentions_experiments(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])

@@ -275,14 +275,31 @@ class TestRunScenario:
     def test_direct_mode_rejects_montecarlo_only_options(self):
         with pytest.raises(ConfigurationError):
             run_scenario(get_scenario("E6"), scale="quick", seed=1, shard_size=2)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="checkpoint_dir"):
             run_scenario(
-                get_scenario("E6"), scale="quick", seed=1, aggregation="streaming"
+                get_scenario("E6"), scale="quick", seed=1, checkpoint_dir="ckpt"
             )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="progress"):
             run_scenario(
-                get_scenario("E6"), scale="quick", seed=1, reservoir_capacity=64
+                get_scenario("E6"), scale="quick", seed=1, progress=print
             )
+
+    def test_direct_points_are_picklable_engine_units(self):
+        import pickle
+
+        from repro.engine.executors import RunContext, run_unit
+        from repro.scenarios.pipeline import DirectPoint
+        from repro.utils.seeding import spawn_rngs
+
+        scenario = get_scenario("E6")
+        point = scenario.scale("quick").blocks[0].points()[0]
+        quota = scenario.rngs_per_point
+        unit = DirectPoint(0, scenario.metrics.metrics[0], point, spawn_rngs(2, quota))
+        clone = pickle.loads(pickle.dumps(unit))
+        result = run_unit(clone, RunContext(telemetry=True))
+        reference = run_scenario(scenario, scale="quick", seed=2)
+        assert result.value == reference.records[0]
+        assert result.telemetry_state["counters"]["kernel.forward.sweeps"] > 0
 
     def test_direct_mode_honours_explicit_executor(self):
         from repro.engine.executors import MultiprocessExecutor
@@ -304,16 +321,6 @@ class TestRunScenario:
         _cached_build.cache_clear()
         b = build_graph(spec, {})
         assert a == b
-
-    def test_streaming_aggregation_supported(self):
-        result = run_scenario(
-            get_scenario("hypercube-urtn-diameter"),
-            scale="quick",
-            seed=5,
-            aggregation="streaming",
-        )
-        point = next(result.points())
-        assert point.accumulators is not None
 
     def test_single_sweep_accessor_guards_multi_block(self):
         result = run_scenario(get_scenario("E5"), scale="quick", seed=5)

@@ -16,11 +16,14 @@ import pytest
 
 from repro import complete_graph, normalized_urtn, telemetry
 from repro.analysis_api import NetworkAnalysis, compute_events
+from repro.core import kernels
 from repro.core.journeys import earliest_arrival_matrix
 from repro.engine.driver import run_sharded
-from repro.engine.executors import ShardResult
+from repro.engine.executors import MultiprocessExecutor
+from repro.engine.sharding import ShardResult
 from repro.experiments.registry import main
 from repro.montecarlo.experiment import Experiment
+from repro.scenarios import get_scenario, run_scenario
 from repro.scenarios.metrics import METRICS, TrialContext
 from repro.scenarios.specs import MetricSpec
 from repro.telemetry import (
@@ -301,6 +304,29 @@ class TestEngineTransport:
         assert serial_rec.counters["analysis.compute.arrival_matrix"] == 8
         assert serial_rec.counters["kernel.forward.sweeps"] == 8
 
+    @staticmethod
+    def _e6(**options):
+        with telemetry.session() as rec:
+            run = run_scenario(get_scenario("E6"), scale="quick", seed=1, **options)
+        return run, rec
+
+    def test_direct_points_jobs2_counters_identical_to_serial(self):
+        """E6's direct points ship their telemetry home like shards do."""
+        serial_run, serial_rec = self._e6()
+        parallel_run, parallel_rec = self._e6(jobs=2)
+        assert parallel_run.records == serial_run.records
+        assert parallel_rec.counters == serial_rec.counters
+        assert serial_rec.counters["kernel.forward.sweeps"] == 323
+        assert serial_rec.counters["scenario.direct_points"] == 3
+
+    def test_direct_points_sweep_on_the_backend_shipped_to_spawned_workers(self):
+        serial_run, _ = self._e6()
+        with kernels.backend_scope("python"):
+            run, rec = self._e6(executor=MultiprocessExecutor(2, start_method="spawn"))
+        assert run.records == serial_run.records
+        assert rec.counters["kernel.forward.sweeps"] == 323
+        assert rec.counters["kernel.forward.backend.python"] == 323
+
     def test_no_telemetry_state_when_disabled(self):
         experiment = Experiment(name="telemetry-off", trial=_coin_trial)
         assert telemetry.active() == ()
@@ -312,16 +338,15 @@ class TestEngineTransport:
         rec.counter("engine.trials", 3)
         rec.observe_ms("engine.shard_ms", 1.5)
         result = ShardResult(
-            index=0, start=0, stop=3, repetitions=3, values=None,
-            accumulator_state={}, telemetry_state=rec.to_state(),
+            index=0, start=0, stop=3, repetitions=3, values={},
+            telemetry_state=rec.to_state(),
         )
         clone = ShardResult.from_payload(result.to_payload())
         assert clone.telemetry_state == result.telemetry_state
 
     def test_pre_telemetry_checkpoints_still_load(self):
         result = ShardResult(
-            index=0, start=0, stop=1, repetitions=1, values=None,
-            accumulator_state={},
+            index=0, start=0, stop=1, repetitions=1, values={},
         )
         payload = result.to_payload()
         del payload["telemetry"]  # a checkpoint written before telemetry existed
