@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import pickle
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -51,6 +55,24 @@ def _failing_trial(params, rng):
     if value < float(params["threshold"]):
         raise ValueError("unlucky trial")
     return {"x": value}
+
+
+@dataclass(frozen=True)
+class _PidUnit:
+    """Module-level unit that reports which process ran it."""
+
+    index: int
+
+    def run(self):
+        return os.getpid()
+
+
+class _ReversedExecutor(SerialExecutor):
+    """Runs units serially but yields their results last-first, like a pool
+    whose final unit happens to finish before all the others."""
+
+    def map(self, units, context):
+        yield from reversed([run_unit(unit, context) for unit in units])
 
 
 class TestShardPlanning:
@@ -194,6 +216,72 @@ class TestExecutors:
         )
         assert clone == result
 
+    def test_spawned_workers_reproduce_the_serial_shards(self):
+        """Spawned workers rebuild every trial stream from the master identity."""
+        works = self._works()
+        context = RunContext(telemetry=True)
+        serial = sorted(SerialExecutor().map(works, context), key=lambda r: r.index)
+        spawned = sorted(
+            MultiprocessExecutor(2, start_method="spawn").map(works, context),
+            key=lambda r: r.index,
+        )
+        assert [r.value for r in spawned] == [r.value for r in serial]
+        assert [r.telemetry_state["counters"] for r in spawned] == [
+            r.telemetry_state["counters"] for r in serial
+        ]
+
+    @pytest.mark.parametrize("jobs, units", [(1, 3), (4, 1)])
+    def test_multiprocess_without_parallelism_runs_in_process(self, jobs, units):
+        results = list(
+            MultiprocessExecutor(jobs).map(
+                [_PidUnit(i) for i in range(units)], RunContext()
+            )
+        )
+        assert [result.index for result in results] == list(range(units))
+        assert {result.value for result in results} == {os.getpid()}
+
+    def test_multiprocess_runs_units_in_worker_processes(self):
+        results = list(
+            MultiprocessExecutor(2).map([_PidUnit(i) for i in range(4)], RunContext())
+        )
+        assert sorted(result.index for result in results) == [0, 1, 2, 3]
+        assert os.getpid() not in {result.value for result in results}
+
+
+class TestShardWork:
+    def test_run_returns_its_trials_in_order_and_no_telemetry_state(self):
+        works = TestExecutors()._works(budget=10, shard_size=3, seed=5, mu=0.0)
+        with telemetry.session() as rec:
+            result = works[2].run()
+        sequential = [_noise_trial({}, rng)["noise"] for rng in spawn_rngs(5, 10)]
+        assert (result.index, result.start, result.stop, result.repetitions) == (
+            2, 6, 9, 3
+        )
+        assert list(result.values["noise"]) == sequential[6:9]
+        # The unit's events go to the ambient recorders; run_unit, not the
+        # unit, decides whether they ship home as a state.
+        assert result.telemetry_state is None
+        assert rec.counters["engine.trials"] == 3
+
+    def test_pickled_unit_size_does_not_grow_with_the_shard_or_budget(self):
+        """Workers rebuild trial seeds from the master identity; none ship."""
+        experiment = Experiment(name="noise", trial=_noise_trial)
+        seeds = SeedPlan(0, 10**6, 10)
+        small = ShardWork(experiment, Shard(0, 0, 2), seeds.entropy, seeds.spawn_key)
+        large = ShardWork(
+            experiment, Shard(9, 900_000, 10**6), seeds.entropy, seeds.spawn_key
+        )
+        assert abs(len(pickle.dumps(large)) - len(pickle.dumps(small))) <= 8
+
+    def test_from_payload_drops_a_legacy_accumulators_entry(self):
+        result = TestExecutors()._works(budget=4, shard_size=4)[0].run()
+        legacy = dict(
+            result.to_payload(), accumulators={"capacity": 1024, "metrics": {}}
+        )
+        clone = ShardResult.from_payload(legacy)
+        assert clone == result
+        assert "accumulators" not in clone.to_payload()
+
 
 class TestRunUnit:
     """The one worker entry: context in, indexed value and telemetry out."""
@@ -244,6 +332,23 @@ class TestRunUnit:
     def test_executors_map_no_units_to_nothing(self):
         assert list(SerialExecutor().map([], RunContext())) == []
         assert list(MultiprocessExecutor(2).map([], RunContext())) == []
+
+    def test_context_and_recorders_are_restored_when_the_unit_raises(self):
+        class Failing:
+            index = 0
+
+            def run(self):
+                telemetry.counter("probe.before_failure")
+                raise RuntimeError("unit failed")
+
+        before = (kernels.default_backend(), blocked_sweeps.default_tile_size())
+        context = RunContext(telemetry=True, kernel_backend="python", tile_size=8)
+        with telemetry.session() as outer:
+            with pytest.raises(RuntimeError, match="unit failed"):
+                run_unit(Failing(), context)
+            assert telemetry.active() == (outer,)
+        assert "probe.before_failure" not in outer.counters
+        assert (kernels.default_backend(), blocked_sweeps.default_tile_size()) == before
 
 
 class TestCheckpointStore:
@@ -311,3 +416,56 @@ class TestRunSharded:
         experiment = Experiment(name="noise", trial=_noise_trial)
         with pytest.raises(ConfigurationError, match="explicit master seed"):
             run_sharded(experiment, budget=4, seed=None, checkpoint_dir=tmp_path)
+
+    def test_results_merge_in_shard_order_whatever_the_completion_order(self):
+        experiment = Experiment(name="noise", trial=_noise_trial)
+        with telemetry.session() as in_order:
+            reference = run_sharded(experiment, budget=10, seed=3, shard_size=3)
+        with telemetry.session() as last_first:
+            reversed_run = run_sharded(
+                experiment,
+                budget=10,
+                seed=3,
+                shard_size=3,
+                executor=_ReversedExecutor(),
+            )
+        assert reversed_run.values == reference.values
+        assert last_first.counters == in_order.counters
+
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_checkpointed_shards_carry_their_unit_telemetry(self, tmp_path, recording):
+        experiment = Experiment(name="noise", trial=_noise_trial)
+        with telemetry.session() if recording else nullcontext():
+            run_sharded(
+                experiment, budget=7, seed=1, shard_size=3, checkpoint_dir=tmp_path
+            )
+        payloads = [
+            json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted(tmp_path.glob("shard-*.json"))
+        ]
+        assert [payload["index"] for payload in payloads] == [0, 1, 2]
+        assert all("accumulators" not in payload for payload in payloads)
+        if recording:
+            assert [
+                payload["telemetry"]["counters"]["engine.trials"]
+                for payload in payloads
+            ] == [3, 3, 1]
+        else:
+            assert all(payload["telemetry"] is None for payload in payloads)
+
+    def test_resumed_shards_contribute_their_recorded_telemetry(self, tmp_path):
+        experiment = Experiment(name="noise", trial=_noise_trial)
+        with telemetry.session() as first:
+            run_sharded(
+                experiment, budget=7, seed=1, shard_size=3, checkpoint_dir=tmp_path
+            )
+        (tmp_path / "shard-0001.json").unlink()
+        with telemetry.session() as resumed:
+            result = run_sharded(
+                experiment, budget=7, seed=1, shard_size=3, checkpoint_dir=tmp_path
+            )
+        assert (result.shards_resumed, result.shards_executed) == (2, 1)
+        assert resumed.counters["engine.trials"] == first.counters["engine.trials"] == 7
+        assert resumed.counters["engine.shards"] == 3
+        assert resumed.counters["engine.shards_completed"] == 1
+        assert resumed.counters["engine.shards_resumed"] == 2

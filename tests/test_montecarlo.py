@@ -9,6 +9,7 @@ from repro.exceptions import ConfigurationError
 from repro.montecarlo.experiment import Experiment
 from repro.montecarlo.results import SweepResult, TrialResult, results_to_records
 from repro.montecarlo.runner import MonteCarloRunner, run_trials
+from repro.montecarlo.statistics import summarize
 from repro.montecarlo.sweep import ParameterSweep, sweep_grid
 
 
@@ -80,6 +81,16 @@ class TestRunner:
         assert MonteCarloRunner(repetitions=7).repetitions == 7
         with pytest.raises(ValueError):
             MonteCarloRunner(repetitions=0)
+
+    def test_summary_is_the_summary_of_every_trial_value(self):
+        exp = Experiment(name="coin", trial=_coin_trial, parameters={"mu": 2.0})
+        result = run_trials(exp, repetitions=40, seed=9)
+        for metric in result.metric_names():
+            assert len(result.values(metric)) == 40
+            assert result.summary(metric) == summarize(result.values(metric))
+            assert result.summary(metric, confidence=0.8) == summarize(
+                result.values(metric), confidence=0.8
+            )
 
     def test_run_sweep_covers_all_points(self):
         runner = MonteCarloRunner(repetitions=5, seed=0)

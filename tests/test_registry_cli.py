@@ -93,6 +93,39 @@ class TestCli:
         assert exit_code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["scenario", "run", "E7"], ["profile", "E6"]]
+    )
+    def test_subcommand_configuration_error_exits_2(self, command, capsys):
+        exit_code = main(
+            [*command, "--scale", "quick", "--kernel-backend", "no-such-backend"]
+        )
+        assert exit_code == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_profile_with_jobs_reports_the_workers_kernel_sweeps(self, capsys):
+        exit_code = main(["profile", "E6", "--scale", "quick", "--seed", "1", "--jobs", "2"])
+        assert exit_code == 0
+        assert "kernel.forward.sweeps" in capsys.readouterr().out
+
+    def test_run_experiments_passes_jobs_to_every_entry_point(self, monkeypatch):
+        from repro.experiments import registry
+
+        calls = []
+
+        def entry(experiment_id):
+            def run(scale, *, seed, jobs):
+                calls.append((experiment_id, scale, seed, jobs))
+                return experiment_id
+
+            return run
+
+        monkeypatch.setattr(
+            registry, "EXPERIMENTS", {key: entry(key) for key in ("E1", "E2")}
+        )
+        assert registry.run_experiments(scale="quick", seed=3, jobs=2) == ["E1", "E2"]
+        assert calls == [("E1", "quick", 3, 2), ("E2", "quick", 3, 2)]
+
     def test_help_mentions_experiments(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])

@@ -301,6 +301,38 @@ class TestRunScenario:
         assert result.value == reference.records[0]
         assert result.telemetry_state["counters"]["kernel.forward.sweeps"] > 0
 
+    def test_direct_points_look_the_metric_up_when_they_run(self, monkeypatch):
+        """A wrapper installed in the registry after import is what runs."""
+        scenario = get_scenario("E6")
+        name = scenario.metrics.metrics[0].metric
+        reference = run_scenario(scenario, scale="quick", seed=2)
+        original = DIRECT_METRICS[name]
+        calls = []
+
+        def traced(point, rngs, options):
+            calls.append(dict(point))
+            return original(point, rngs, options)
+
+        monkeypatch.setitem(DIRECT_METRICS, name, traced)
+        traced_run = run_scenario(scenario, scale="quick", seed=2)
+        assert traced_run.records == reference.records
+        assert len(calls) == len(reference.records)
+
+    def test_direct_records_follow_point_order_whatever_the_completion_order(self):
+        from repro.engine.executors import SerialExecutor, run_unit
+
+        class LastFirstExecutor(SerialExecutor):
+            def map(self, units, context):
+                yield from reversed([run_unit(unit, context) for unit in units])
+
+        scenario = get_scenario("E6")
+        serial = run_scenario(scenario, scale="quick", seed=2)
+        last_first = run_scenario(
+            scenario, scale="quick", seed=2, executor=LastFirstExecutor()
+        )
+        assert len({str(record) for record in serial.records}) > 1
+        assert last_first.records == serial.records
+
     def test_direct_mode_honours_explicit_executor(self):
         from repro.engine.executors import MultiprocessExecutor
 

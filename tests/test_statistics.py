@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from repro.montecarlo.statistics import (
     bootstrap_confidence_interval,
@@ -88,6 +89,25 @@ class TestNormalCI:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             normal_confidence_interval([])
+
+    def test_single_value_degenerates(self):
+        assert normal_confidence_interval([3.0]) == (3.0, 3.0)
+
+    @pytest.mark.parametrize("values", [[3.0], [1.0, 2.0, 4.0]])
+    def test_invalid_confidence_rejected(self, values):
+        with pytest.raises(ValueError):
+            normal_confidence_interval(values, confidence=1.5)
+
+    def test_interval_is_mean_plus_minus_z_standard_errors(self):
+        data = np.random.default_rng(6).normal(size=25)
+        low, high = normal_confidence_interval(data, confidence=0.9)
+        half = (
+            float(scipy_stats.norm.ppf(0.95))
+            * float(np.std(data, ddof=1))
+            / math.sqrt(data.size)
+        )
+        assert low == pytest.approx(float(np.mean(data)) - half, rel=1e-12)
+        assert high == pytest.approx(float(np.mean(data)) + half, rel=1e-12)
 
 
 class TestBootstrapCI:
