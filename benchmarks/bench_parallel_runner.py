@@ -26,15 +26,15 @@ from repro.montecarlo.experiment import Experiment
 from repro.montecarlo.runner import run_trials
 
 #: The E1 workload: one Θ(log n)-diameter clique instance per trial.  The
-#: gate runs GATE_REPETITIONS trials, so its serial leg takes about 1.3–1.9 s
-#: on a 2-core box.
+#: gate runs GATE_REPETITIONS trials, so its serial leg takes about 1.5–1.9 s
+#: on a 2-core box (about 10 ms per trial).
 WORKLOAD = Experiment(
     name="E1-temporal-diameter",
     trial=trial_temporal_diameter,
     parameters={"n": 256, "directed": True},
 )
 SEED = 314
-GATE_REPETITIONS = 48
+GATE_REPETITIONS = 160
 #: Shortest serial leg the gate asserts on.
 SERIAL_FLOOR_S = 1.0
 

@@ -24,7 +24,6 @@ from ._version import __version__
 from .exceptions import (
     CheckpointError,
     ConfigurationError,
-    ConvergenceError,
     ExperimentError,
     GraphError,
     InvalidEdgeError,
@@ -134,7 +133,6 @@ __all__ = [
     "UnreachableVertexError",
     "ExperimentError",
     "ConfigurationError",
-    "ConvergenceError",
     "SerializationError",
     "CheckpointError",
     # value types

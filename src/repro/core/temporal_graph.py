@@ -18,28 +18,34 @@ Internally the class keeps three synchronized representations:
   label-grouped CSR layout (arcs sorted by ``(label, head)`` with row offsets
   per label value) that backs every batched kernel, most importantly
   :func:`repro.core.journeys.earliest_arrival_matrix`.  The cache means the
-  ``O(A log A)`` sort is paid once per network, not once per sweep; it is
-  safe because the label data is immutable after construction.
+  sort is paid once per network, not once per sweep; it is safe because the
+  label data is immutable after construction.
 
 Random label models sample a dense ``(m, r)`` label matrix and go through
-:meth:`TemporalGraph.from_label_matrix`, which builds the time-arc arrays with
-vectorised numpy operations and defers the per-edge tuple view until an
-API-level query actually asks for it.  Both constructors produce identical
-networks — same time-arc arrays, same CSR layout, same label tuples — so every
-kernel and every Monte-Carlo result is bit-for-bit independent of which path
-built the instance (``tests/test_labeling.py`` pins this).
+:meth:`TemporalGraph.from_label_matrix`, which collapses duplicate draws by
+sorting each row, builds the time-arc arrays with vectorised numpy operations
+and defers the per-edge tuple view until an API-level query actually asks for
+it.  Both constructors produce identical networks — same time-arc arrays, same
+CSR layout, same label tuples — so every kernel and every Monte-Carlo result is
+bit-for-bit independent of which path built the instance
+(``tests/test_label_fastpath.py`` pins this).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+import time
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..exceptions import InvalidEdgeError, LabelingError, LifetimeError
 from ..graphs.static_graph import StaticGraph
+from ..telemetry import active as _telemetry_active
 from ..types import TimeEdge
 from ..utils.validation import check_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .timearc_csr import TimeArcCSR
 
 __all__ = ["TemporalGraph"]
 
@@ -166,16 +172,16 @@ class TemporalGraph:
         if max_label > lifetime:
             raise LifetimeError(max_label, lifetime)
 
-        # Collapse duplicate draws per edge.  Encoding (edge, label) pairs as
-        # edge·(a+1)+label keeps np.unique sorting them by edge then label —
-        # exactly the enumeration order of the mapping constructor's loops.
-        m, r = matrix.shape
-        keys = np.unique(
-            np.repeat(np.arange(m, dtype=np.int64), r) * np.int64(lifetime + 1)
-            + matrix.ravel()
-        )
-        el_edges = keys // np.int64(lifetime + 1)
-        el_labels = keys - el_edges * np.int64(lifetime + 1)
+        # Collapse duplicate draws per edge: sort each row and keep the
+        # entries that differ from their left neighbour.  Reading the kept
+        # entries row by row lists them by edge then label — exactly the
+        # enumeration order of the mapping constructor's loops.
+        rows = np.sort(matrix, axis=1)
+        keep = np.empty(rows.shape, dtype=bool)
+        keep[:, :1] = True
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=keep[:, 1:])
+        el_labels = rows[keep]
+        el_edges = np.repeat(np.arange(graph.m, dtype=np.int64), keep.sum(axis=1))
 
         pairs = graph.edge_pairs
         u = pairs[el_edges, 0] if el_edges.size else np.empty(0, np.int64)
@@ -363,14 +369,17 @@ class TemporalGraph:
         -------
         repro.core.timearc_csr.TimeArcCSR
             Immutable CSR structure shared by all batched kernels.  Building
-            it costs ``O(A log A)`` on first access and nothing afterwards;
-            the label data cannot change after construction, so the cache
-            never goes stale.
+            it costs two stable ``O(A)`` radix sorts (``O(A log A)`` once a
+            vertex id or label needs more than 16 bits) on first access and
+            nothing afterwards; the label data cannot change after
+            construction, so the cache never goes stale.  With telemetry
+            active the build records ``csr.builds.forward`` and
+            ``csr.build_ms.forward``.
         """
         if self._timearc_csr is None:
             from .timearc_csr import build_timearc_csr
 
-            self._timearc_csr = build_timearc_csr(self)
+            self._timearc_csr = self._timed_build("forward", build_timearc_csr)
         return self._timearc_csr
 
     @property
@@ -384,13 +393,31 @@ class TemporalGraph:
             mapped to ``lifetime + 1 − l``: the reverse (latest-departure)
             sweeps run the forward kernels over it.  The two layouts are
             independent caches: a forward-only workload never pays for this
-            sort, and vice versa.
+            sort, and vice versa.  With telemetry active the build records
+            ``csr.builds.reverse`` and ``csr.build_ms.reverse``.
         """
         if self._reverse_timearc_csr is None:
             from .reverse_timearc_csr import build_reverse_timearc_csr
 
-            self._reverse_timearc_csr = build_reverse_timearc_csr(self)
+            self._reverse_timearc_csr = self._timed_build(
+                "reverse", build_reverse_timearc_csr
+            )
         return self._reverse_timearc_csr
+
+    def _timed_build(
+        self, direction: str, build: Callable[[TemporalGraph], TimeArcCSR]
+    ) -> TimeArcCSR:
+        """Run a CSR ``build`` on this network, timing it on the active recorders."""
+        recs = _telemetry_active()
+        if not recs:
+            return build(self)
+        start = time.perf_counter()
+        csr = build(self)
+        duration_ms = (time.perf_counter() - start) * 1e3
+        for rec in recs:
+            rec.counter(f"csr.builds.{direction}")
+            rec.observe_ms(f"csr.build_ms.{direction}", duration_ms)
+        return csr
 
     # ------------------------------------------------------------------ #
     # label queries

@@ -19,8 +19,11 @@ Because a journey's labels must strictly increase, a sweep that processes the
 groups in order maintains the invariant "after group ``g``, every arrival time
 ``<= labels[g]`` is final" — see ``docs/performance.md`` for the full argument.
 The structure is immutable (all arrays are read-only) and is built lazily and
-cached by :attr:`TemporalGraph.timearc_csr`, so the ``O(A log A)`` sort cost is
-paid once per network instead of once per kernel call.
+cached by :attr:`TemporalGraph.timearc_csr`, so the sort is paid once per
+network instead of once per kernel call.  The sort is two stable argsorts, the
+head column first and then the label column, each cast to the narrowest
+unsigned type that holds it: numpy radix-sorts 8- and 16-bit keys in ``O(A)``
+and uses an ``O(A log A)`` timsort for wider ones.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ __all__ = ["TimeArcCSR", "build_timearc_csr", "build_timearc_csr_from_arrays"]
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _narrow(column: np.ndarray) -> np.ndarray:
+    """A non-negative column cast to the narrowest unsigned type holding its maximum."""
+    return column.astype(np.min_scalar_type(int(column.max())), copy=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,7 +150,8 @@ def build_timearc_csr(network: "TemporalGraph") -> TimeArcCSR:
     The arcs are sorted by ``(label, head)`` so that inside each label group
     arcs sharing a head are contiguous; the per-group distinct heads and their
     run starts are precomputed for the ``reduceat`` reduction used by the
-    batched kernels.  Cost is ``O(A log A)`` time and ``O(A)`` memory for
+    batched kernels.  Cost is ``O(A)`` time while vertex ids and labels fit
+    in 16 bits (``O(A log A)`` beyond) and ``O(A)`` memory for
     ``A = network.num_time_arcs``; call sites should go through the cached
     :attr:`TemporalGraph.timearc_csr` rather than rebuilding.
 
@@ -180,7 +189,8 @@ def build_timearc_csr_from_arrays(
     that already hold vectorised time-arc columns (e.g. the direct-to-CSR
     label-sampling fast path) and do not need a full
     :class:`~repro.core.temporal_graph.TemporalGraph` first.  The four input
-    columns must be parallel ``int64`` arrays of equal length.
+    columns must be parallel ``int64`` arrays of equal length, with
+    non-negative heads and labels.
     """
     num_arcs = int(raw_labels.size)
     if num_arcs == 0:
@@ -199,19 +209,23 @@ def build_timearc_csr_from_arrays(
             head_starts=empty,
         )
 
-    order = np.lexsort((raw_heads, raw_labels))
+    # Two stable sorts, the minor key first: the permutation equals
+    # np.lexsort((heads, labels)) at every key width.
+    order = np.argsort(_narrow(raw_heads), kind="stable")
+    order = order[np.argsort(_narrow(raw_labels)[order], kind="stable")]
     labels = raw_labels[order]
     tails = raw_tails[order]
     heads = raw_heads[order]
     edge_index = raw_edge_index[order]
 
-    unique_labels, group_starts = np.unique(labels, return_index=True)
-    arc_offsets = np.append(group_starts, num_arcs).astype(np.int64)
+    group_start = np.empty(num_arcs, dtype=bool)
+    group_start[0] = True
+    np.not_equal(labels[1:], labels[:-1], out=group_start[1:])
+    arc_offsets = np.append(np.flatnonzero(group_start), num_arcs).astype(np.int64)
 
     # A head run starts wherever the head changes or a new label group begins.
-    run_start = np.empty(num_arcs, dtype=bool)
-    run_start[0] = True
-    run_start[1:] = (heads[1:] != heads[:-1]) | (labels[1:] != labels[:-1])
+    run_start = group_start.copy()
+    run_start[1:] |= heads[1:] != heads[:-1]
     head_starts_abs = np.flatnonzero(run_start).astype(np.int64)
     head_values = heads[head_starts_abs]
     # Every group start is itself a run start, so searchsorted lands exactly.
@@ -222,7 +236,7 @@ def build_timearc_csr_from_arrays(
     return TimeArcCSR(
         n=n,
         lifetime=lifetime,
-        labels=_readonly(unique_labels.astype(np.int64)),
+        labels=_readonly(labels[arc_offsets[:-1]]),
         arc_offsets=_readonly(arc_offsets),
         tails=_readonly(tails),
         heads=_readonly(heads),

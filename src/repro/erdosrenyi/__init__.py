@@ -3,8 +3,8 @@
 The lower bounds of the paper (the Remark after Theorem 4 and Theorem 5)
 reduce to the classical fact that ``G(n, p)`` is disconnected whp when
 ``p < (1 − ε)·log n / n``.  This subpackage provides a fast sampler, a
-union-find based connectivity check and the helpers used by the E7 experiment
-to validate the threshold empirically.
+connectivity check on ``scipy.sparse.csgraph`` components, a union-find and
+the helpers used by the E7 experiment to validate the threshold empirically.
 """
 
 from .gnp import (

@@ -1,14 +1,18 @@
 """Sampling and connectivity of Erdős–Rényi random graphs ``G(n, p)``.
 
 The sampler returns raw edge arrays (not :class:`StaticGraph` instances)
-because the connectivity experiments only ever need a union-find pass over the
-edges; skipping the graph object keeps the per-trial cost at a few NumPy calls
-plus an ``O(m α(n))`` union-find sweep.
+because the connectivity experiments only ever need the components of the
+edge set; skipping the graph object keeps the per-trial cost at a few NumPy
+calls plus one ``scipy.sparse.csgraph.connected_components`` pass.
+:class:`UnionFind` is the incremental alternative for callers that add edges
+one at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from ..utils.seeding import SeedLike, normalize_rng
 from ..utils.validation import check_positive_int, check_probability
@@ -90,6 +94,16 @@ def sample_gnp_edges(
     return idx_u[keep].astype(np.int64), idx_v[keep].astype(np.int64)
 
 
+def _components(
+    n: int, edges_u: np.ndarray, edges_v: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """Number of connected components and each vertex's component label."""
+    adjacency = csr_array(
+        (np.ones(edges_u.size), (edges_u, edges_v)), shape=(n, n)
+    )
+    return connected_components(adjacency, directed=False)
+
+
 def is_gnp_connected(
     n: int, edges_u: np.ndarray, edges_v: np.ndarray
 ) -> bool:
@@ -99,12 +113,7 @@ def is_gnp_connected(
         return True
     if edges_u.size < n - 1:
         return False
-    forest = UnionFind(n)
-    for u, v in zip(edges_u.tolist(), edges_v.tolist()):
-        forest.union(u, v)
-        if forest.num_components == 1:
-            return True
-    return forest.num_components == 1
+    return _components(n, edges_u, edges_v)[0] == 1
 
 
 def giant_component_fraction(
@@ -112,10 +121,7 @@ def giant_component_fraction(
 ) -> float:
     """Fraction of vertices in the largest connected component."""
     n = check_positive_int(n, "n")
-    forest = UnionFind(n)
-    for u, v in zip(edges_u.tolist(), edges_v.tolist()):
-        forest.union(u, v)
-    return float(forest.component_sizes().max()) / n
+    return float(np.bincount(_components(n, edges_u, edges_v)[1]).max()) / n
 
 
 def connectivity_probability(

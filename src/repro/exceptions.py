@@ -18,7 +18,6 @@ __all__ = [
     "UnreachableVertexError",
     "ExperimentError",
     "ConfigurationError",
-    "ConvergenceError",
     "SerializationError",
     "CheckpointError",
 ]
@@ -89,14 +88,6 @@ class ExperimentError(ReproError):
 
 class ConfigurationError(ExperimentError, ValueError):
     """Raised for invalid experiment or sweep configuration values."""
-
-
-class ConvergenceError(ExperimentError):
-    """Raised when an iterative estimate fails to converge."""
-
-    def __init__(self, message: str, *, iterations: int | None = None) -> None:
-        super().__init__(message)
-        self.iterations = iterations
 
 
 class SerializationError(ReproError):

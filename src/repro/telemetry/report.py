@@ -1,9 +1,10 @@
 """Layered profile report: render a recorder as a per-layer breakdown.
 
 The instrumented layers use dotted-name prefixes as their namespace —
-``kernel.*`` (CSR sweeps), ``analysis.*`` (the memoized handle), ``engine.*``
-(shards / checkpoints), ``scenario.*`` (trials and metrics) — so a recorder
-groups naturally into the stack the ROADMAP describes.  ``repro-experiments
+``csr.*`` (layout builds), ``kernel.*`` (CSR sweeps), ``analysis.*`` (the
+memoized handle), ``engine.*`` (shards / checkpoints), ``scenario.*`` (trials
+and metrics) — so a recorder groups naturally into the stack the ROADMAP
+describes.  ``repro-experiments
 profile <scenario>`` prints this report.
 """
 
@@ -19,6 +20,7 @@ LAYERS = (
     ("engine", "Parallel engine"),
     ("analysis", "Analysis handle (artifact cache)"),
     ("kernel", "CSR sweep kernels"),
+    ("csr", "Label-grouped CSR layouts"),
 )
 
 

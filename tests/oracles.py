@@ -24,6 +24,9 @@ dominates any non-simple journey for both objectives.
 The scalar references :func:`earliest_arrival_times_reference` and
 :func:`latest_departure_times_reference` run the label-group sweep one arc at
 a time in plain Python; being polynomial, they also check larger instances.
+:func:`prefix_connectivity_time_reference` binary-searches the labels with a
+static connectivity check per probe, and :func:`build_timearc_csr_reference`
+orders the CSR layout's arcs with ``np.lexsort``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ import numpy as np
 
 from repro import NEVER, UNREACHABLE
 from repro.core.temporal_graph import TemporalGraph
+from repro.core.timearc_csr import TimeArcCSR
+from repro.graphs.properties import is_connected
+from repro.graphs.static_graph import StaticGraph
 
 
 def _out_arcs(network: TemporalGraph) -> dict[int, list[tuple[int, int]]]:
@@ -294,3 +300,86 @@ def latest_departure_times_reference(
             for tail in [t for t, h in group if depart[t] < label < depart[h]]:
                 depart[tail] = label
     return np.asarray(depart, dtype=np.int64)
+
+
+def prefix_connectivity_time_reference(network: TemporalGraph) -> int:
+    """Smallest ``k`` such that the edges with a label ``≤ k`` connect the graph.
+
+    The candidate values of ``k`` are only the distinct labels present in the
+    instance (connectivity can only change at a label value), and the search
+    is binary over them because prefix connectivity is monotone in ``k``.
+    """
+    n = network.n
+    if n <= 1:
+        return 0
+    labels = np.unique(network.time_arc_labels)
+    if labels.size == 0:
+        return UNREACHABLE
+
+    pairs = network.graph.edge_pairs
+
+    def connected_at(k: int) -> bool:
+        keep = [
+            i
+            for i, edge_labels in enumerate(
+                network.labels_of_edge_index(i) for i in range(network.m)
+            )
+            if edge_labels and edge_labels[0] <= k
+        ]
+        sub_edges = [tuple(pairs[i]) for i in keep]
+        prefix_graph = StaticGraph(n, sub_edges, directed=False)
+        return is_connected(prefix_graph)
+
+    if not connected_at(int(labels[-1])):
+        return UNREACHABLE
+    lo, hi = 0, labels.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if connected_at(int(labels[mid])):
+            hi = mid
+        else:
+            lo = mid + 1
+    return int(labels[lo])
+
+
+def build_timearc_csr_reference(
+    n: int,
+    lifetime: int,
+    raw_tails: np.ndarray,
+    raw_heads: np.ndarray,
+    raw_labels: np.ndarray,
+    raw_edge_index: np.ndarray,
+) -> TimeArcCSR:
+    """The label-grouped CSR layout, arcs ordered by ``np.lexsort`` (non-empty input)."""
+    num_arcs = int(raw_labels.size)
+    order = np.lexsort((raw_heads, raw_labels))
+    labels = raw_labels[order]
+    tails = raw_tails[order]
+    heads = raw_heads[order]
+    edge_index = raw_edge_index[order]
+
+    unique_labels, group_starts = np.unique(labels, return_index=True)
+    arc_offsets = np.append(group_starts, num_arcs).astype(np.int64)
+
+    run_start = np.empty(num_arcs, dtype=bool)
+    run_start[0] = True
+    run_start[1:] = (heads[1:] != heads[:-1]) | (labels[1:] != labels[:-1])
+    head_starts_abs = np.flatnonzero(run_start).astype(np.int64)
+    head_values = heads[head_starts_abs]
+    head_offsets = np.searchsorted(head_starts_abs, arc_offsets).astype(np.int64)
+    heads_per_group = np.diff(head_offsets)
+    head_starts = head_starts_abs - np.repeat(arc_offsets[:-1], heads_per_group)
+
+    return TimeArcCSR(
+        n=n,
+        lifetime=lifetime,
+        labels=unique_labels.astype(np.int64),
+        arc_offsets=arc_offsets,
+        tails=tails,
+        heads=heads,
+        arc_order=order.astype(np.int64),
+        edge_index=edge_index,
+        head_values=head_values,
+        head_offsets=head_offsets,
+        head_starts=head_starts,
+    )

@@ -41,11 +41,6 @@ def test_unreachable_vertex_error_reports_pair():
     assert "0" in str(error) and "3" in str(error)
 
 
-def test_convergence_error_iterations():
-    error = exc.ConvergenceError("did not converge", iterations=42)
-    assert error.iterations == 42
-
-
 def test_configuration_error_is_value_error():
     assert issubclass(exc.ConfigurationError, ValueError)
 

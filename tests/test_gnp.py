@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.erdosrenyi.gnp import (
     UnionFind,
@@ -53,6 +54,36 @@ class TestUnionFind:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             UnionFind(0)
+
+
+@st.composite
+def edge_arrays(draw):
+    """``(n, edges_u, edges_v)``: any pairs, self-loops and repeats included."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    edges_u = np.array([u for u, _ in pairs], dtype=np.int64)
+    edges_v = np.array([v for _, v in pairs], dtype=np.int64)
+    return n, edges_u, edges_v
+
+
+NO_EDGES = np.empty(0, dtype=np.int64)
+
+
+@given(case=edge_arrays())
+@example(case=(1, NO_EDGES, NO_EDGES))
+@example(case=(4, NO_EDGES, NO_EDGES))
+@example(case=(3, np.array([0, 1]), np.array([1, 2])))
+@settings(max_examples=200, deadline=None)
+def test_connectivity_matches_union_find(case):
+    n, edges_u, edges_v = case
+    forest = UnionFind(n)
+    for u, v in zip(edges_u.tolist(), edges_v.tolist()):
+        forest.union(u, v)
+    assert is_gnp_connected(n, edges_u, edges_v) is (forest.num_components == 1)
+    assert giant_component_fraction(n, edges_u, edges_v) == (
+        float(forest.component_sizes().max()) / n
+    )
 
 
 class TestSampling:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import build_timearc_csr_reference
 from repro.core.labeling import uniform_random_labels
 from repro.core.temporal_graph import TemporalGraph
 from repro.core.timearc_csr import build_timearc_csr_from_arrays
 from repro.exceptions import LabelingError, LifetimeError
 from repro.graphs.generators import complete_graph, path_graph, star_graph
+from repro.graphs.static_graph import StaticGraph
 
 CSR_FIELDS = (
     "labels",
@@ -113,6 +115,20 @@ class TestFromLabelMatrixValidation:
         assert network.labels_of_edge_index(0) == (2,)
         assert network.labels_of_edge_index(1) == (1, 3)
 
+    def test_lifetimes_near_int64_range(self):
+        # m·(a+1) > 2**63: an edge·(a+1)+label key would overflow int64.
+        graph = path_graph(4)
+        lifetime = 2**62
+        draws = np.array([[5, 5], [2**62, 1], [7, 2**62 - 1]])
+        fast = TemporalGraph.from_label_matrix(graph, draws, lifetime=lifetime)
+        legacy = _legacy(graph, draws, lifetime)
+        assert fast.time_arc_edge_index.tolist() == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+        assert np.array_equal(fast.time_arc_labels, legacy.time_arc_labels)
+        assert np.array_equal(fast.time_arc_tails, legacy.time_arc_tails)
+        assert np.array_equal(fast.time_arc_heads, legacy.time_arc_heads)
+        assert fast.labels_of_edge_index(1) == (1, 2**62)
+        assert fast == legacy
+
 
 class TestUniformRandomLabelsUsesFastPath:
     def test_same_network_as_explicit_draw_sequence(self):
@@ -152,3 +168,53 @@ class TestArrayLevelCsrBuilder:
         empty = np.empty(0, dtype=np.int64)
         csr = build_timearc_csr_from_arrays(4, 4, empty, empty, empty, empty)
         assert csr.num_arcs == 0 and csr.num_groups == 0
+
+
+def _wide_network(max_head: int, max_label: int, seed: int) -> TemporalGraph:
+    """A directed network whose largest vertex id and label hit the given maxima.
+
+    Vertices and labels come mostly from small pools around the 8-, 16- and
+    32-bit boundaries, so many arcs tie on label and head.
+    """
+    rng = np.random.default_rng(seed)
+    n = max_head + 1
+    vertex_pool = np.unique(np.clip([0, 1, 2, 254, 255, 256, 65534, 65535, 65536], 0, max_head))
+    label_pool = np.unique(np.clip([1, 2, 255, 256, 65535, 65536, 2**32, 2**32 + 1], 1, max_label))
+    tails = np.concatenate([rng.choice(vertex_pool, 300), rng.integers(0, n, 100), [0, max_head]])
+    heads = np.concatenate([rng.choice(vertex_pool, 300), rng.integers(0, n, 100), [max_head, 0]])
+    arcs = {(int(u), int(v)) for u, v in zip(tails, heads) if u != v}
+    graph = StaticGraph(n, sorted(arcs), directed=True)
+    draws = rng.choice(label_pool, size=(graph.m, 3))
+    draws[0, 0], draws[-1, -1] = 1, max_label
+    return TemporalGraph.from_label_matrix(graph, draws, lifetime=max_label)
+
+
+def _assert_same_layout(actual, expected):
+    for field in CSR_FIELDS:
+        assert np.array_equal(getattr(actual, field), getattr(expected, field)), field
+        assert getattr(actual, field).dtype == np.int64, field
+
+
+WIDTH_BOUNDARIES = (255, 256, 65_535, 65_536)
+
+
+class TestSortKeyWidths:
+    """The two narrowed stable sorts order arcs exactly as np.lexsort at every key width."""
+
+    @pytest.mark.parametrize("max_label", WIDTH_BOUNDARIES + (2**32 + 1,))
+    @pytest.mark.parametrize("max_head", WIDTH_BOUNDARIES)
+    def test_forward_and_reverse_layouts_match_lexsort(self, max_head, max_label):
+        network = _wide_network(max_head, max_label, seed=max_head ^ max_label)
+        tails, heads = network.time_arc_tails, network.time_arc_heads
+        labels, edges = network.time_arc_labels, network.time_arc_edge_index
+        a = network.lifetime
+        assert int(heads.max()) == int(tails.max()) == max_head
+        assert int(labels.max()) == max_label and int(labels.min()) == 1
+        _assert_same_layout(
+            network.timearc_csr,
+            build_timearc_csr_reference(network.n, a, tails, heads, labels, edges),
+        )
+        _assert_same_layout(
+            network.reverse_timearc_csr,
+            build_timearc_csr_reference(network.n, a, heads, tails, a + 1 - labels, edges),
+        )

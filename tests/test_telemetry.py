@@ -278,6 +278,28 @@ class TestAnalysisCachePins:
         assert rec.timings["analysis.compute_ms.arrival_matrix"].count == 1
 
 
+class TestCsrBuildTimers:
+    """Lazy CSR layout builds record one count and one timing per build."""
+
+    def test_e1_quick_records_one_forward_build_per_trial(self):
+        with telemetry.session() as rec:
+            run_scenario(get_scenario("E1"), scale="quick", seed=3)
+        trials = rec.counters["scenario.trials"]
+        assert trials > 0
+        assert rec.counters["csr.builds.forward"] == trials
+        assert rec.timings["csr.build_ms.forward"].count == trials
+        assert "csr.builds.reverse" not in rec.counters
+
+    def test_each_direction_is_built_and_recorded_once(self):
+        network = normalized_urtn(complete_graph(8, directed=True), seed=0)
+        with telemetry.session() as rec:
+            assert network.timearc_csr is network.timearc_csr
+            assert network.reverse_timearc_csr is network.reverse_timearc_csr
+        for direction in ("forward", "reverse"):
+            assert rec.counters[f"csr.builds.{direction}"] == 1
+            assert rec.timings[f"csr.build_ms.{direction}"].count == 1
+
+
 class TestEngineTransport:
     """Worker-side recorders ship home and merge identically across executors."""
 
@@ -363,11 +385,13 @@ class TestReport:
         rec.counter("engine.trials", 8)
         rec.counter("scenario.trials", 8)
         rec.counter("misc.other")
+        rec.counter("csr.builds.forward", 2)
         report = format_layer_report(rec, title="profile: test")
         assert "profile: test" in report
         assert "Scenario pipeline" in report
         assert "Parallel engine" in report
         assert "CSR sweep kernels" in report
+        assert "Label-grouped CSR layouts [csr.*]" in report
         assert "arrival_matrix" in report
         assert "misc.other" in report
 
