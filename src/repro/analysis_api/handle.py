@@ -22,11 +22,12 @@ True
 Shared artifacts
 ----------------
 ``arrival_matrix()``, the ``(n, n)`` earliest-arrival matrix, is computed at
-most once and feeds ``eccentricities()``, ``reachability()``, ``summary``,
-``preserves_reachability()`` and the centrality family;
-``departure_matrix()`` is its reverse-sweep twin.  Row queries
-(``distances_from``, ``departures_to``, …) slice a cached matrix or run
-memoized narrow sweeps, so a single-target question never pays for an
+most once and feeds ``eccentricities()``, ``summary`` and the centrality
+family; ``reachability()`` derives from it when it is cached and otherwise
+runs one reach-only sweep, so ``preserves_reachability()`` alone never
+writes arrival times.  ``departure_matrix()`` is its reverse-sweep twin.
+Row queries (``distances_from``, ``departures_to``, …) slice a cached matrix
+or run memoized narrow sweeps, so a single-target question never pays for an
 all-pairs forward pass.  ``expansion()`` and ``por_audit()`` are memoized per
 argument set.  ``docs/api.md`` tabulates every artifact and the core
 reduction behind it.  :meth:`NetworkAnalysis.restricted_to_max_label` derives
@@ -74,7 +75,7 @@ from ..core.price_of_randomness import (
     por_upper_bound_theorem8,
     price_of_randomness,
 )
-from ..core.reachability import static_reachability_matrix
+from ..core.reachability import reachability_matrix, static_reachability_matrix
 from ..core.reverse_journeys import latest_departure_matrix
 from ..core.temporal_graph import TemporalGraph
 from ..graphs.properties import diameter as static_diameter
@@ -334,12 +335,16 @@ class NetworkAnalysis:
         """Boolean mask ``R[s, v]`` = "a journey from ``s`` to ``v`` exists".
 
         The diagonal is ``True`` (the empty journey).  Read-only, cached.
+        Derived from the arrival matrix when it is cached, else one
+        reach-only sweep (:func:`~repro.core.reachability.reachability_matrix`).
         """
-        return _read_only(
-            self._memo(
-                "reachability", None, lambda: self.arrival_matrix() < UNREACHABLE
-            )
-        )
+
+        def compute() -> np.ndarray:
+            if ("arrival_matrix", None) in self._cache:
+                return self.arrival_matrix() < UNREACHABLE
+            return reachability_matrix(self._network, backend=self._kernel_backend)
+
+        return _read_only(self._memo("reachability", None, compute))
 
     @property
     def summary(self) -> DistanceSummary:

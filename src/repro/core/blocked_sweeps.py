@@ -9,12 +9,13 @@ them decomposes over row blocks.  This module exploits that: the sweep is
 tiled over blocks of ``tile_size`` sources (forward) or targets (reverse),
 each tile runs through the ordinary :mod:`repro.core.kernels` backend
 protocol — numpy, numba and any third-party backend all work unchanged —
-and the tile's contribution is folded into a mergeable
-:class:`BlockedSummaryAccumulator` before the tile's rows are dropped.  Peak
-memory is ``O(n · tile_size)`` instead of ``O(n²)``, while every reported
-number stays **exact** (not sampled, not approximate) and bit-identical to
-the dense path wherever the dense path can run at all — the ``n ≤ 512``
-pins are the cross-validation oracle for this engine
+and asks the kernel only for its packed ``reached`` bitset, the per-group
+settle counts and each column's last settling label.  Those are folded into
+a mergeable :class:`BlockedSummaryAccumulator` with no ``int64`` tile.
+Peak memory is ``O(n · tile_size)`` bits instead of ``O(n²)`` words, while
+every reported number stays **exact** (not sampled, not approximate) and
+bit-identical to the dense path wherever the dense path can run at all —
+the ``n ≤ 512`` pins are the cross-validation oracle for this engine
 (``tests/test_blocked_sweeps.py``).
 
 Exactness and order invariance
@@ -39,9 +40,11 @@ test): on a fully-unreachable instance the summary reports
 Spilling
 --------
 Callers that *do* need row access afterwards can pass ``spill_path``: each
-tile's distance rows are written into a ``.npy``-format ``numpy.memmap``
-before being dropped, so the full matrix lands on disk (reload it later with
+tile then also asks the kernel for its arrivals and writes those distance
+rows into a ``.npy``-format ``numpy.memmap`` before dropping them, so the
+full matrix lands on disk (reload it later with
 ``numpy.load(path, mmap_mode="r")``) while resident memory stays bounded.
+The summary comes from the same fold either way.
 
 Telemetry
 ---------
@@ -64,7 +67,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -73,7 +76,7 @@ from ..telemetry import active as _telemetry_active
 from ..types import UNREACHABLE
 from ..utils.validation import check_positive_int
 from .distances import DistanceSummary, summary_of_distance_matrix
-from .journeys import _sweep
+from .journeys import SweepOutputs, _sweep
 from .temporal_graph import TemporalGraph
 
 __all__ = [
@@ -91,10 +94,10 @@ __all__ = [
     "tile_size_scope",
 ]
 
-#: Tile width used when neither the call nor the process names one.  At
-#: ``n = 10⁶`` a tile is ~2 GB of transient state; at the CI gate's
-#: ``n = 20 000`` it is ~40 MB — both orders of magnitude below the dense
-#: ``O(n²)`` matrix.
+#: Tile width used when neither the call nor the process names one.  A
+#: tile's state is its packed ``reached`` bitset, ``n · ⌈width/64⌉ · 8``
+#: bytes: 320 KB at ``n = 10 000``, 32 MB at ``n = 10⁶`` — orders of
+#: magnitude below the dense ``O(n²)`` matrix.
 DEFAULT_TILE_SIZE = 256
 
 #: Directions a blocked sweep can run in.
@@ -171,6 +174,24 @@ def resolve_tile_size(tile_size: int | None, n: int) -> int:
     return max(1, min(tile_size, max(n, 1)))
 
 
+def _block_of_counts(
+    values: Sequence[int], counts: Sequence[int]
+) -> tuple[int, int, int, int | None, int | None]:
+    """``(count, Σδ, Σδ², min, max)`` of distinct distances ``values``, each
+    seen ``counts`` times.  Both hold Python ints, so every sum is exact at
+    any label scale."""
+    pairs = [(value, count) for value, count in zip(values, counts) if count]
+    if not pairs:
+        return 0, 0, 0, None, None
+    return (
+        sum(count for _, count in pairs),
+        sum(value * count for value, count in pairs),
+        sum(value * value * count for value, count in pairs),
+        min(value for value, _ in pairs),
+        max(value for value, _ in pairs),
+    )
+
+
 class ExactDistanceMoments:
     """Streaming distance moments in exact integer arithmetic.
 
@@ -211,22 +232,9 @@ class ExactDistanceMoments:
             self.maximum = maximum if self.maximum is None else max(self.maximum, maximum)
 
     def add_values(self, values: np.ndarray) -> None:
-        """Consume a 1-D integer array of distances.
-
-        Per-row partial sums stay within ``int64`` for any realistic label
-        scale (labels up to ~10⁶ at ``n`` up to 10⁶); the cross-row
-        accumulation is arbitrary-precision.
-        """
-        values = np.asarray(values, dtype=np.int64)
-        if values.size == 0:
-            return
-        self.add_block(
-            int(values.size),
-            int(values.sum(dtype=object)),
-            int((values * values).sum(dtype=object)),
-            int(values.min()),
-            int(values.max()),
-        )
+        """Consume a 1-D integer array of distances."""
+        values, counts = np.unique(np.asarray(values, dtype=np.int64), return_counts=True)
+        self.add_block(*_block_of_counts(values.tolist(), counts.tolist()))
 
     def merge(self, other: "ExactDistanceMoments") -> None:
         """Fold another partial into this one (exact, order-invariant)."""
@@ -327,7 +335,9 @@ class BlockedSummaryAccumulator:
         needed to exclude the diagonal entry from the pair statistics, exactly
         as the dense path does.  Returns the per-row eccentricities (the row
         maxima, unreachable entries included), which the caller may keep; the
-        tile itself can be dropped afterwards.
+        tile itself can be dropped afterwards.  :func:`blocked_sweep_summary`
+        folds its tiles from the sweep's settle counts instead, without an
+        ``int64`` tile; both folds are exact at any label scale.
         """
         row_indices = np.asarray(row_indices, dtype=np.int64)
         tile = np.asarray(tile, dtype=np.int64)
@@ -340,7 +350,28 @@ class BlockedSummaryAccumulator:
         if k == 0:
             return np.empty(0, dtype=np.int64)
         eccentricities = tile.max(axis=1)
-        self.rows += k
+        reachable = tile < UNREACHABLE
+        reachable[np.arange(k), row_indices] = False
+        values, counts = np.unique(tile[reachable], return_counts=True)
+        self._absorb(
+            eccentricities,
+            values.tolist(),
+            counts.tolist(),
+            np.count_nonzero(reachable, axis=0),
+        )
+        return eccentricities
+
+    def _absorb(
+        self,
+        eccentricities: np.ndarray,
+        values: Sequence[int],
+        counts: Sequence[int],
+        reach_counts: np.ndarray,
+    ) -> None:
+        """Fold one tile's reductions: its rows' eccentricities, the distinct
+        off-diagonal reachable distances with their counts, and its per-column
+        reach counts."""
+        self.rows += eccentricities.size
         if self.n > 1:
             tile_diameter = int(eccentricities.max())
             tile_radius = int(eccentricities.min())
@@ -350,25 +381,10 @@ class BlockedSummaryAccumulator:
             self.radius = (
                 tile_radius if self.radius is None else min(self.radius, tile_radius)
             )
-        reachable = tile < UNREACHABLE
-        reachable[np.arange(k), row_indices] = False
-        tile_pairs = int(np.count_nonzero(reachable))
-        self.reach_counts += np.count_nonzero(reachable, axis=0)
-        if tile_pairs:
-            self.reachable_pairs += tile_pairs
-            masked = np.where(reachable, tile, 0)
-            # Row-wise int64 partials, accumulated cross-row in Python ints so
-            # huge tiles cannot overflow the exact moment state.
-            row_sums = masked.sum(axis=1)
-            row_sq_sums = np.einsum("ij,ij->i", masked, masked)
-            self.moments.add_block(
-                tile_pairs,
-                sum(int(x) for x in row_sums.tolist()),
-                sum(int(x) for x in row_sq_sums.tolist()),
-                int(np.min(tile, where=reachable, initial=UNREACHABLE)),
-                int(masked.max()),
-            )
-        return eccentricities
+        block = _block_of_counts(values, counts)
+        self.reachable_pairs += block[0]
+        self.moments.add_block(*block)
+        self.reach_counts += reach_counts
 
     def merge(self, other: "BlockedSummaryAccumulator") -> None:
         """Fold another accumulator into this one (exact, order-invariant)."""
@@ -495,22 +511,36 @@ class BlockedSweepResult:
     spill: np.ndarray | None = None
 
 
-def _distance_tile(
+def _fold_tile(
+    accumulator: BlockedSummaryAccumulator,
     network: TemporalGraph,
     rows: np.ndarray,
-    direction: str,
-    backend: str | None,
+    swept: SweepOutputs,
+    reverse: bool,
 ) -> np.ndarray:
-    """One ``(len(rows), n)`` block of distance rows through the kernel backend.
+    """Fold one tile's sweep outputs into ``accumulator``, with no ``int64`` tile.
 
-    The block is a transpose view of the sweep's vertex-major state: no
-    row-major copy is made.  Reverse, the sweep runs from the targets over
-    the time-reversed layout, so its arrivals already are the distances
-    ``lifetime + 1 − departure``.
+    The entries group ``g`` settles are distances ``labels[g]``, so the
+    settle counts give the reachable pairs and the exact moments.  A row
+    whose column bit is set in every vertex has eccentricity ``last``, else
+    :data:`~repro.types.UNREACHABLE`; the per-vertex popcounts, minus the
+    tile's own start bits, are its reach counts.  Returns the tile's
+    eccentricities.
     """
-    # Start 0 is start_time 0 forward and the lifetime deadline (a − a) reverse.
-    reverse = direction == "reverse"
-    return _sweep(network, rows, 0, reverse=reverse, backend=backend).T
+    groups = np.flatnonzero(swept.settled)
+    values = []
+    if groups.size:
+        csr = network.reverse_timearc_csr if reverse else network.timearc_csr
+        values = csr.labels[groups].tolist()
+    complete = np.bitwise_and.reduce(swept.reached, axis=0).view(np.uint8)
+    complete = np.unpackbits(complete, count=rows.size).view(np.bool_)
+    eccentricities = np.where(complete, swept.last, UNREACHABLE)
+    reach_counts = np.bitwise_count(swept.reached).sum(axis=1, dtype=np.int64)
+    reach_counts[rows] -= 1
+    accumulator._absorb(
+        eccentricities, values, swept.settled[groups].tolist(), reach_counts
+    )
+    return eccentricities
 
 
 def blocked_sweep_summary(
@@ -565,16 +595,27 @@ def blocked_sweep_summary(
             spill_path, mode="w+", dtype=np.int64, shape=(n, n)
         )
     recs = _telemetry_active()
+    reverse = direction == "reverse"
     num_tiles = 0
     for start in range(0, n, width):
         tile_start = time.perf_counter() if recs else 0.0
         rows = np.arange(start, min(start + width, n), dtype=np.int64)
-        tile = _distance_tile(network, rows, direction, backend)
-        tile_ecc = accumulator.add_tile(rows, tile)
+        # Start 0 is start_time 0 forward and the lifetime deadline (a − a)
+        # reverse, whose arrivals already are the distances a + 1 − departure.
+        swept = _sweep(
+            network,
+            rows,
+            0,
+            reverse=reverse,
+            backend=backend,
+            arrivals=spill is not None,
+            settles=True,
+        )
+        tile_ecc = _fold_tile(accumulator, network, rows, swept, reverse)
         if n > 1:
             eccentricities[rows] = tile_ecc
         if spill is not None:
-            spill[rows[0] : rows[-1] + 1] = tile
+            spill[rows[0] : rows[-1] + 1] = swept.arrivals.T
         num_tiles += 1
         if recs:
             duration_ms = (time.perf_counter() - tile_start) * 1e3
@@ -583,7 +624,7 @@ def blocked_sweep_summary(
                 rec.counter("blocked.rows", rows.size)
                 rec.observe_ms("blocked.tile_ms", duration_ms)
                 if spill is not None:
-                    rec.counter("blocked.spill_bytes", int(tile.nbytes))
+                    rec.counter("blocked.spill_bytes", int(swept.arrivals.nbytes))
     if spill is not None:
         spill.flush()
     return BlockedSweepResult(

@@ -47,11 +47,11 @@ time-reversed layout.
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..exceptions import UnreachableVertexError
+from ..exceptions import ConfigurationError, UnreachableVertexError
 from ..telemetry import active as _telemetry_active
 from ..types import UNREACHABLE, Journey, TimeEdge, as_vertex_array
 from ..utils.validation import check_non_negative_int
@@ -107,7 +107,8 @@ def earliest_arrival_times(
     """
     source = _validate_source(network.n, source)
     start_time = check_non_negative_int(start_time, "start_time")
-    return _sweep(network, (source,), start_time, reverse=False, backend=backend)[:, 0]
+    swept = _sweep(network, (source,), start_time, reverse=False, backend=backend)
+    return swept.arrivals[:, 0]
 
 
 def earliest_arrival_matrix(
@@ -157,8 +158,34 @@ def earliest_arrival_matrix(
         ``start_time = 0``.
     """
     start_time = check_non_negative_int(start_time, "start_time")
-    state = _sweep(network, sources, start_time, reverse=False, backend=backend)
-    return np.ascontiguousarray(state.T)
+    swept = _sweep(network, sources, start_time, reverse=False, backend=backend)
+    return np.ascontiguousarray(swept.arrivals.T)
+
+
+class SweepOutputs(NamedTuple):
+    """What one :func:`_sweep` produced; the outputs not asked for are ``None``.
+
+    ``reached`` is the final packed bitset (see
+    :class:`~repro.core.kernels.SweepKernelBackend` for its layout);
+    ``arrivals`` the vertex-major ``(n, width)`` arrival state; ``settled``
+    the settle counts of the layout's label groups (empty when nothing was
+    swept) and ``last`` each column's last settling label (its start value
+    when nothing settled).
+    """
+
+    reached: np.ndarray
+    arrivals: np.ndarray | None
+    settled: np.ndarray | None
+    last: np.ndarray | None
+
+
+def _check_lifetime(network: TemporalGraph) -> None:
+    """Refuse lifetimes whose labels could collide with the sentinel."""
+    if network.lifetime >= UNREACHABLE:
+        raise ConfigurationError(
+            f"lifetime {network.lifetime} is not below the UNREACHABLE sentinel "
+            f"{UNREACHABLE}: sweeps could not tell a label from 'unreachable'"
+        )
 
 
 def _sweep(
@@ -168,21 +195,26 @@ def _sweep(
     *,
     reverse: bool,
     backend: str | None,
-) -> np.ndarray:
+    arrivals: bool = True,
+    settles: bool = False,
+) -> SweepOutputs:
     """The one label-group sweep behind both directions.
 
-    Returns the vertex-major ``(n, len(columns))`` earliest-arrival state of
-    journeys leaving each column vertex (every vertex when ``columns`` is
-    ``None``) at time ``start``.  Forward, the columns are sources and the
-    sweep runs over :attr:`TemporalGraph.timearc_csr` from ``start_time``.
-    Reverse, the columns are targets and the sweep runs over the
-    time-reversed :attr:`TemporalGraph.reverse_timearc_csr` from the
-    mirrored deadline ``a − deadline``, which is negative for a deadline
-    beyond the lifetime; the state then holds ``a + 1 − departure``, with
+    Sweeps journeys leaving each column vertex (every vertex when
+    ``columns`` is ``None``) at time ``start``, and returns the reached
+    bitset plus the outputs asked for: the ``arrivals`` state, and with
+    ``settles`` the ``settled`` counts and ``last`` labels.  Forward, the
+    columns are sources and the sweep runs over
+    :attr:`TemporalGraph.timearc_csr` from ``start_time``.  Reverse, the
+    columns are targets and the sweep runs over the time-reversed
+    :attr:`TemporalGraph.reverse_timearc_csr` from the mirrored deadline
+    ``a − deadline``, which is negative for a deadline beyond the lifetime;
+    the arrival state then holds ``a + 1 − departure``, with
     :data:`~repro.types.UNREACHABLE` where the departure is
-    :data:`~repro.types.NEVER`.  Either way the state is an arrival state,
-    so blocked sweeps reduce its transpose view directly.
+    :data:`~repro.types.NEVER`, and the labels are the distances a blocked
+    sweep folds.
     """
+    _check_lifetime(network)
     n = network.n
     if columns is None:
         column_arr = np.arange(n, dtype=np.int64)
@@ -192,11 +224,24 @@ def _sweep(
     kernel = _resolve_backend(backend)
     recs = _telemetry_active()
     sweep_start = time.perf_counter() if recs else 0.0
-    # Vertex-major state: row v holds the arrivals at v for every column, so
-    # the per-group gathers, segment reductions and scatters all touch
-    # contiguous rows (the arcs of a group are sorted by head).
-    state = np.full((n, width), UNREACHABLE, dtype=np.int64)
-    state[column_arr, np.arange(width)] = start
+    # Vertex-major: row v holds every column's bit (or arrival) at v, so the
+    # per-group gathers, segment reductions and scatters all touch
+    # contiguous rows (the arcs of a group are sorted by head).  Column s is
+    # bit 7 − s % 8 of byte s // 8, the np.packbits order.
+    reached = np.zeros((n, -(-width // 64)), dtype=np.uint64)
+    positions = np.arange(width)
+    np.bitwise_or.at(
+        reached.view(np.uint8),
+        (column_arr, positions >> 3),
+        (0x80 >> (positions & 7)).astype(np.uint8),
+    )
+    state = settled = last = None
+    if arrivals:
+        state = np.full((n, width), UNREACHABLE, dtype=np.int64)
+        state[column_arr, positions] = start
+    if settles:
+        settled = np.zeros(0, dtype=np.int64)
+        last = np.full(width, start, dtype=np.int64)
     groups_scanned = 0
     saturated = False
     if network.num_time_arcs != 0 and width != 0:
@@ -204,11 +249,15 @@ def _sweep(
             csr, sweep = network.reverse_timearc_csr, kernel.reverse_sweep
         else:
             csr, sweep = network.timearc_csr, kernel.forward_sweep
+        if settles:
+            settled = np.zeros(csr.labels.size, dtype=np.int64)
         # Arrivals start at ``start`` and only ever take values equal to some
         # label strictly greater than a tail's arrival, so groups labelled
         # <= start can never be used; skip straight past them.
         first_group = int(np.searchsorted(csr.labels, start, side="right"))
-        groups_scanned, saturated = sweep(csr, state, first_group)
+        groups_scanned, saturated = sweep(
+            csr, reached, first_group, arrivals=state, settled=settled, last=last
+        )
     if recs:
         _record_sweep(
             recs,
@@ -220,7 +269,7 @@ def _sweep(
             saturated=saturated,
             backend=kernel.name,
         )
-    return state
+    return SweepOutputs(reached, state, settled, last)
 
 
 def foremost_journey_tree(
@@ -238,6 +287,7 @@ def foremost_journey_tree(
     """
     source = _validate_source(network.n, source)
     start_time = check_non_negative_int(start_time, "start_time")
+    _check_lifetime(network)
     arrival = np.full(network.n, UNREACHABLE, dtype=np.int64)
     arrival[source] = start_time
     predecessor = np.full(network.n, -1, dtype=np.int64)

@@ -8,9 +8,10 @@ the per-label-group advance loop of
 loop over the time-reversed layout (arcs flipped, labels ``l → a + 1 − l``),
 so there is one loop to make fast.  This package makes it pluggable: a
 backend implements the :class:`SweepKernelBackend` protocol (advance a
-vertex-major ``(n, width)`` state matrix over the label groups of a CSR
-layout) and registers itself here; the sweep entry points resolve a backend
-per call and delegate the hot loop to it.
+packed ``(n, ⌈width/64⌉)`` ``reached`` bitset over the label groups of a CSR
+layout, emitting only the outputs the caller asks for) and registers itself
+here; the sweep entry points resolve a backend per call and delegate the hot
+loop to it.
 
 Registered backends
 -------------------
@@ -89,14 +90,31 @@ AUTO = "auto"
 class SweepKernelBackend(Protocol):
     """What a sweep kernel backend must provide.
 
-    A backend advances a **vertex-major** ``(n, width)`` ``int64`` state
-    matrix of earliest arrivals in place over the label groups of a
-    :class:`~repro.core.timearc_csr.TimeArcCSR`, ascending from
+    A backend advances the packed ``reached`` bitset over the label groups
+    of a :class:`~repro.core.timearc_csr.TimeArcCSR`, ascending from
     ``first_group``, and reports ``(groups_scanned, saturated)`` for the
-    telemetry record.  The state columns are the sources in flight;
-    ``width == 1`` is the single-source case.  Results must be
-    bit-identical to the ``numpy`` reference backend for every input
-    (pinned by the oracle cross-check and parity suites).
+    telemetry record.  ``reached`` is an ``(n, ⌈width/64⌉)`` ``uint64``
+    array, one row per vertex and one bit per column (the sources in
+    flight; ``width == 1`` is the single-source case).  Column ``s`` is bit
+    ``7 − s % 8`` of byte ``s // 8`` of the row's ``uint8`` view, the
+    ``np.packbits`` order.  The caller sets each column's start bit and
+    leaves the padding bits clear, so the columns are the bits set at the
+    start.  An entry *settles* at the label group where the sweep first
+    reaches it.  The optional outputs are computed only when passed:
+
+    ``arrivals``
+        ``(n, width)`` ``int64`` earliest arrivals, set to each settling
+        group's label (dense matrices, journeys, service queries, spills);
+    ``settled``
+        ``(G,)`` ``int64`` zeros; ``settled[g]`` counts the entries group
+        ``g`` settles (blocked summaries);
+    ``last``
+        ``(width,)`` ``int64``; ``last[s]`` becomes the label of the last
+        group that settled anything in column ``s`` (blocked summaries).
+
+    With none of them the final bitset is the answer (reachability).
+    Results must be bit-identical to the ``numpy`` reference backend for
+    every input (pinned by the oracle cross-check and parity suites).
 
     A reverse (latest-departure) sweep is the same advance over the
     time-reversed layout :attr:`TemporalGraph.reverse_timearc_csr`, whose
@@ -105,14 +123,14 @@ class SweepKernelBackend(Protocol):
     built-in backend binds it to the same function
     (``reverse_sweep = forward_sweep``).
 
-    Precondition: every state entry starts either below the first scanned
-    label or beyond every label — a column's start value (``start_time``
-    forward, the mirrored deadline ``a − deadline`` reverse, which is
-    negative for a deadline beyond the lifetime) or
-    :data:`~repro.types.UNREACHABLE`.  The four sweep entry points
-    (``earliest_arrival_times`` / ``_matrix``, ``latest_departure_times``
-    / ``_matrix``) guarantee it; the ``numpy`` backend relies on it to
-    detect saturation by counting settled entries.
+    Precondition: every column starts below the first scanned label — its
+    start value (``start_time`` forward, the mirrored deadline
+    ``a − deadline`` reverse, which is negative for a deadline beyond the
+    lifetime) — and every other entry starts unreached
+    (:data:`~repro.types.UNREACHABLE` in ``arrivals``).  The four sweep
+    entry points (``earliest_arrival_times`` / ``_matrix``,
+    ``latest_departure_times`` / ``_matrix``) guarantee it; the ``numpy``
+    backend relies on it to detect saturation by counting settled entries.
     """
 
     #: Unique registry key (also the value of the ``backend=`` kwarg,
@@ -129,12 +147,26 @@ class SweepKernelBackend(Protocol):
         """Perform any one-time (JIT) compilation; idempotent."""
 
     def forward_sweep(
-        self, csr, state: np.ndarray, first_group: int
+        self,
+        csr,
+        reached: np.ndarray,
+        first_group: int,
+        *,
+        arrivals: np.ndarray | None = None,
+        settled: np.ndarray | None = None,
+        last: np.ndarray | None = None,
     ) -> tuple[int, bool]:
-        """Advance ``state`` over groups ``first_group ...`` ascending."""
+        """Advance ``reached`` over groups ``first_group ...`` ascending."""
 
     def reverse_sweep(
-        self, csr, state: np.ndarray, first_group: int
+        self,
+        csr,
+        reached: np.ndarray,
+        first_group: int,
+        *,
+        arrivals: np.ndarray | None = None,
+        settled: np.ndarray | None = None,
+        last: np.ndarray | None = None,
     ) -> tuple[int, bool]:
         """:meth:`forward_sweep` over the time-reversed layout."""
 

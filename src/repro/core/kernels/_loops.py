@@ -1,10 +1,10 @@
 """Scalar sweep loop body shared by the compiled kernel backends.
 
-This function is the *entire* algorithmic content of the compiled backends:
-the ascending-label advance, written as plain Python loops over the flat CSR
-column arrays.  Reverse sweeps run it over the time-reversed layout.  It is
-deliberately free of any NumPy vectorisation, any Python-object state and
-any closure capture so that
+:func:`forward_sweep_loop` is the *entire* algorithmic content of the
+compiled backends: the ascending-label advance, written as plain Python
+loops over the flat CSR column arrays.  Reverse sweeps run it over the
+time-reversed layout.  It is deliberately free of any NumPy vectorisation,
+any Python-object state and any closure capture so that
 
 * :mod:`repro.core.kernels.numba_backend` can compile it unchanged with
   ``numba.njit(cache=True)``;
@@ -20,25 +20,44 @@ Semantics (identical to the NumPy reference backend):
   update writes exactly ``l``, which can neither enable (``l < l`` is
   false) nor disable (only entries ``> l`` are overwritten) another arc of
   the same group, so the result is independent of arc order;
+* an entry *settles* at that write, at most once per sweep, so the write
+  is also where the optional outputs are filled: ``settled[group]`` counts
+  it and ``last[column]`` takes the label;
 * **saturation early-exit** — checked only after a group that improved
   something, exactly like the NumPy backend: once no entry exceeds the
   current label, no later group can change anything.
 
-The function mutates ``state`` — the ``(n, width)`` vertex-major int64
-matrix — in place and returns ``(groups_scanned, saturated)`` for the
-telemetry record.
+:func:`run_sweep_loop` adapts the loop to the kernel protocol's packed
+``reached`` bitset for both backends; it is ordinary NumPy code and is not
+compiled.
 """
 
 from __future__ import annotations
 
-__all__ = ["forward_sweep_loop"]
+import numpy as np
+
+from ...types import UNREACHABLE
+
+__all__ = ["forward_sweep_loop", "run_sweep_loop"]
+
+#: Working-state value of an entry reached before the sweep: below every label.
+_STARTED = np.iinfo(np.int64).min
+#: Stands in for an output the caller did not ask for.
+_NOT_ASKED = np.zeros(0, dtype=np.int64)
 
 
-def forward_sweep_loop(labels, arc_offsets, tails, heads, state, first_group):
-    """Ascending-label advance of the earliest-arrival state, in place."""
+def forward_sweep_loop(
+    labels, arc_offsets, tails, heads, state, first_group, settled, last
+):
+    """Ascending-label advance of the earliest-arrival state, in place.
+
+    ``settled`` and ``last`` are filled when they are non-empty.
+    """
     num_groups = labels.shape[0]
     n = state.shape[0]
     width = state.shape[1]
+    count_settles = settled.shape[0] != 0
+    track_last = last.shape[0] != 0
     groups_scanned = 0
     saturated = False
     for group in range(first_group, num_groups):
@@ -52,6 +71,10 @@ def forward_sweep_loop(labels, arc_offsets, tails, heads, state, first_group):
                 if tail_row[column] < label and head_row[column] > label:
                     head_row[column] = label
                     improved = True
+                    if count_settles:
+                        settled[group] += 1
+                    if track_last:
+                        last[column] = label
         if improved:
             saturated = True
             for vertex in range(n):
@@ -66,3 +89,31 @@ def forward_sweep_loop(labels, arc_offsets, tails, heads, state, first_group):
                 break
     return groups_scanned, saturated
 
+
+def run_sweep_loop(loop, csr, reached, first_group, arrivals, settled, last):
+    """One kernel-protocol sweep on ``loop`` (jitted or interpreted).
+
+    The loop advances an ``int64`` state: ``arrivals`` when the caller asked
+    for them, else a working state unpacked from ``reached`` whose columns
+    are the bits set at the start.  Afterwards the reached entries are ORed
+    into ``reached``.
+    """
+    state = arrivals
+    if state is None:
+        width = int(np.bitwise_count(np.bitwise_or.reduce(reached, axis=0)).sum())
+        started = np.unpackbits(reached.view(np.uint8), axis=1, count=width)
+        state = np.where(started.view(np.bool_), _STARTED, UNREACHABLE)
+    groups, saturated = loop(
+        csr.labels,
+        csr.arc_offsets,
+        csr.tails,
+        csr.heads,
+        state,
+        first_group,
+        _NOT_ASKED if settled is None else settled,
+        _NOT_ASKED if last is None else last,
+    )
+    reached.view(np.uint8)[:, : -(-state.shape[1] // 8)] |= np.packbits(
+        state < UNREACHABLE, axis=1
+    )
+    return int(groups), bool(saturated)

@@ -2,7 +2,8 @@
 
 Compiles the shared scalar loop of :mod:`repro.core.kernels._loops` with
 ``numba.njit(cache=True, nogil=True)`` the first time the backend is warmed
-up; reverse sweeps run the same machine code over the time-reversed layout.  ``cache=True`` persists the machine code next to the source, so the
+up; reverse sweeps run the same machine code over the time-reversed layout.
+``cache=True`` persists the machine code next to the source, so the
 multi-second first-call compilation is paid once per machine, not once per
 process — spawned engine workers and fresh CLI runs load it from disk.
 
@@ -59,15 +60,25 @@ class NumbaBackend:
         labels, arc_offsets, tails, heads = _tiny_csr_arrays()
         state = np.full((2, 1), 3, dtype=np.int64)
         state[0, 0] = 0
-        forward(labels, arc_offsets, tails, heads, state, 0)
+        settled = np.zeros(2, dtype=np.int64)
+        last = np.zeros(1, dtype=np.int64)
+        forward(labels, arc_offsets, tails, heads, state, 0, settled, last)
         self._forward = forward
 
-    def forward_sweep(self, csr, state: np.ndarray, first_group: int) -> tuple[int, bool]:
+    def forward_sweep(
+        self,
+        csr,
+        reached: np.ndarray,
+        first_group: int,
+        *,
+        arrivals: np.ndarray | None = None,
+        settled: np.ndarray | None = None,
+        last: np.ndarray | None = None,
+    ) -> tuple[int, bool]:
         self.warm_up()
-        groups, saturated = self._forward(
-            csr.labels, csr.arc_offsets, csr.tails, csr.heads, state, first_group
+        return _loops.run_sweep_loop(
+            self._forward, csr, reached, first_group, arrivals, settled, last
         )
-        return int(groups), bool(saturated)
 
     # The time-reversed layout makes a reverse sweep a forward one.
     reverse_sweep = forward_sweep

@@ -1,30 +1,35 @@
 """The vectorised NumPy sweep backend — the always-available reference.
 
-For ``width > 1`` the sweep keeps a packed ``reached`` bitset beside the
-state: one zero-padded row of ``uint64`` words per vertex, one bit per
-column.  By the protocol's precondition every entry starts either below the
-first scanned label (a column's start value) or beyond every label
-(unreached), and an entry the sweep settles takes the current label, which
-every later group exceeds.  So at group ``g`` the bit of ``state[v, s]`` is
-set exactly when ``state[v, s] < labels[g]``, and the two per-group tests
-(a tail forwards where ``state < label``, a head improves where
-``state > label``) are reads of that one bit.  Per group the kernel gathers
-the tail words, ORs each head's run of arcs with ``np.bitwise_or.reduceat``,
-and sets the bits the heads lack (``new``).  Only then does it touch the
-``int64`` state: it unpacks ``new``, ``putmask``s the label into the
-gathered head rows and scatters them back.  A group with more than
-``_ROW_SUBSET_ENTRIES`` head entries first drops the heads that gained no
-bit, so the write-back touches only the rows that settle.
+The sweep advances a packed ``reached`` bitset: one zero-padded row of
+``uint64`` words per vertex, one bit per column, set when the column has
+reached the vertex.  The caller sets each column's start bit.  By the
+protocol's precondition every start lies below the first scanned label, and
+an entry the sweep settles takes the current label, which every later group
+exceeds.  So at group ``g`` a set bit means "arrived before ``labels[g]``",
+and the two per-group tests (a tail forwards where it has arrived, a head
+improves where it has not) are reads of that one bit.  Per group the kernel
+gathers the tail words, ORs each head's run of arcs with
+``np.bitwise_or.reduceat``, and sets the bits the heads lack (``new``): the
+entries this group settles.
 
-Saturation is detected by counting, not by rescanning the state.  The one
-``state < labels[first_group]`` mask the bits are packed from also counts
-the unreached entries; each group subtracts the bits it sets, and the sweep
-is saturated when the count reaches zero, which is the group at which
-``state.max() <= label`` would first hold.  ``tests/test_kernel_backends.py``
-pins these exit points against the scalar loop's own scan.
+``new`` then feeds only the outputs the caller asked for:
 
-A dedicated ``width == 1`` path keeps the single-source / single-target
-calls on the cheaper 1-D ``np.minimum.at`` code.  Reverse sweeps run the
+* ``arrivals`` — the ``int64`` write-back: unpack ``new``, ``putmask`` the
+  label into the gathered head rows and scatter them back.  A group with
+  more than ``_ROW_SUBSET_ENTRIES`` head entries first drops the heads that
+  gained no bit, so the write-back touches only the rows that settle;
+* ``settled`` — the group's popcount;
+* ``last`` — the group's label, for every column with a bit in ``new``.
+
+Saturation is detected by counting, not by rescanning: the sweep starts
+from the number of clear bits in the columns' words and subtracts each
+group's popcount; it is saturated when the count reaches zero, which is the
+group at which ``arrivals.max() <= label`` would first hold.
+``tests/test_kernel_backends.py`` pins these exit points against the scalar
+loop's own scan.
+
+A dedicated path keeps width-1 arrivals (single-source / single-target
+calls) on the cheaper 1-D ``np.minimum.at`` code.  Reverse sweeps run the
 same code over the time-reversed layout.  Every other backend is pinned
 bit-identical to this one.
 """
@@ -33,13 +38,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...types import UNREACHABLE
+
 __all__ = ["NumpyBackend"]
 
-#: Head entries (heads × width) above which a group writes back only the
-#: heads that gained a bit.  Finding them costs three more numpy calls: on
-#: wide tiles, where few heads settle anything, that saves most of the
-#: unpack, gather and scatter; on the few-arc groups of small instances the
-#: calls cost more than they save.
+#: Head entries (heads × width) above which a group writes arrivals back
+#: only for the heads that gained a bit.  Finding them costs three more numpy
+#: calls: on wide tiles, where few heads settle anything, that saves most of
+#: the unpack, gather and scatter; on the few-arc groups of small instances
+#: the calls cost more than they save.
 _ROW_SUBSET_ENTRIES = 8192
 
 
@@ -55,28 +62,40 @@ class NumpyBackend:
     def warm_up(self) -> None:
         return None
 
-    def forward_sweep(self, csr, state: np.ndarray, first_group: int) -> tuple[int, bool]:
-        if state.shape[1] == 1:
-            return self._forward_single(csr, state[:, 0], first_group)
+    def forward_sweep(
+        self,
+        csr,
+        reached: np.ndarray,
+        first_group: int,
+        *,
+        arrivals: np.ndarray | None = None,
+        settled: np.ndarray | None = None,
+        last: np.ndarray | None = None,
+    ) -> tuple[int, bool]:
+        if (
+            arrivals is not None
+            and arrivals.shape[1] == 1
+            and settled is None
+            and last is None
+        ):
+            return self._forward_single(csr, reached, arrivals[:, 0], first_group)
         labels = csr.labels.tolist()
         offsets = csr.arc_offsets.tolist()
         head_offsets = csr.head_offsets.tolist()
         tails = csr.tails
         head_values = csr.head_values
         head_starts = csr.head_starts
-        n, width = state.shape
+        n = reached.shape[0]
         groups_scanned = 0
         saturated = False
         if first_group >= len(labels):
             return groups_scanned, saturated
-        # Bit s of reached[v] is set while state[v, s] is below the label.
-        # The mask is dropped before the loop: it is the sweep's largest
-        # temporary, and blocked runs are sized by their peak memory.
-        below = state < labels[first_group]
-        unsettled = state.size - int(np.count_nonzero(below))
-        reached = np.zeros((n, -(-width // 64)), dtype=np.uint64)
-        reached.view(np.uint8)[:, : -(-width // 8)] = np.packbits(below, axis=1)
-        del below
+        # The columns are the bits set anywhere at the start (their start
+        # bits); every clear bit among them is an unsettled entry.
+        columns = np.bitwise_or.reduce(reached, axis=0)
+        unsettled = n * int(np.bitwise_count(columns).sum()) - int(
+            np.bitwise_count(reached).sum()
+        )
         for group in range(first_group, len(labels)):
             groups_scanned += 1
             lo, hi = offsets[group], offsets[group + 1]
@@ -97,25 +116,34 @@ class NumpyBackend:
                 continue
             current |= reachable
             reached[heads] = current
-            if (hhi - hlo) * width > _ROW_SUBSET_ENTRIES:
-                settling = np.flatnonzero(new.any(axis=1))
-                heads, new = heads[settling], new[settling]
-            improved = np.unpackbits(
-                new.view(np.uint8), axis=1, count=width
-            ).view(np.bool_)
-            rows = state[heads]
-            np.putmask(rows, improved, labels[group])
-            state[heads] = rows
+            gained = int(np.bitwise_count(new).sum())
+            if settled is not None:
+                settled[group] += gained
+            if last is not None:
+                touched = np.bitwise_or.reduce(new, axis=0).view(np.uint8)
+                touched = np.unpackbits(touched, count=last.size).view(np.bool_)
+                last[touched] = labels[group]
+            if arrivals is not None:
+                width = arrivals.shape[1]
+                if (hhi - hlo) * width > _ROW_SUBSET_ENTRIES:
+                    settling = np.flatnonzero(new.any(axis=1))
+                    heads, new = heads[settling], new[settling]
+                improved = np.unpackbits(
+                    new.view(np.uint8), axis=1, count=width
+                ).view(np.bool_)
+                rows = arrivals[heads]
+                np.putmask(rows, improved, labels[group])
+                arrivals[heads] = rows
             # Saturation early-exit: once every entry is settled, no later
             # (larger) label can improve anything.
-            unsettled -= int(np.count_nonzero(improved))
+            unsettled -= gained
             if unsettled == 0:
                 saturated = True
                 break
         return groups_scanned, saturated
 
     def _forward_single(
-        self, csr, state: np.ndarray, first_group: int
+        self, csr, reached: np.ndarray, state: np.ndarray, first_group: int
     ) -> tuple[int, bool]:
         labels = csr.labels
         offsets = csr.arc_offsets
@@ -134,6 +162,9 @@ class NumpyBackend:
             if int(state.max()) <= label:
                 saturated = True
                 break
+        reached.view(np.uint8)[:, :1] |= np.packbits(
+            state[:, None] < UNREACHABLE, axis=1
+        )
         return groups_scanned, saturated
 
     # A reverse sweep is this advance over the time-reversed layout.  The

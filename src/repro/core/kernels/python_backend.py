@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._loops import forward_sweep_loop
+from ._loops import forward_sweep_loop, run_sweep_loop
 
 __all__ = ["PythonLoopBackend"]
 
@@ -32,9 +32,18 @@ class PythonLoopBackend:
     def warm_up(self) -> None:
         return None
 
-    def forward_sweep(self, csr, state: np.ndarray, first_group: int) -> tuple[int, bool]:
-        return forward_sweep_loop(
-            csr.labels, csr.arc_offsets, csr.tails, csr.heads, state, first_group
+    def forward_sweep(
+        self,
+        csr,
+        reached: np.ndarray,
+        first_group: int,
+        *,
+        arrivals: np.ndarray | None = None,
+        settled: np.ndarray | None = None,
+        last: np.ndarray | None = None,
+    ) -> tuple[int, bool]:
+        return run_sweep_loop(
+            forward_sweep_loop, csr, reached, first_group, arrivals, settled, last
         )
 
     # The time-reversed layout makes a reverse sweep a forward one.

@@ -7,11 +7,12 @@ reachability* of the underlying graph: the property
 temporal reachability; the general form compares against static reachability
 so disconnected underlying graphs are handled correctly too.
 
-Every all-pairs predicate reduces one batched sweep
-(:func:`repro.core.journeys.earliest_arrival_matrix`) rather than ``n``
+Every all-pairs predicate reduces one batched sweep rather than ``n``
 single-source sweeps — :func:`preserves_reachability` sits in the inner loop
 of the exhaustive OPT search of :mod:`repro.core.price_of_randomness` — and
 the static side is one BLAS closure, :func:`static_reachability_matrix`.
+:func:`reachability_matrix` runs that sweep reach-only: its answer is the
+kernel's packed ``reached`` bitset, with no arrival times written.
 The analysis handle memoizes the same reductions; hold one when reading
 several quantities of an instance.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from ..graphs.static_graph import StaticGraph
 from ..types import UNREACHABLE
 from .distances import temporal_distance_summary
-from .journeys import earliest_arrival_matrix, earliest_arrival_times
+from .journeys import _sweep, earliest_arrival_times
 from .temporal_graph import TemporalGraph
 
 __all__ = [
@@ -58,12 +59,20 @@ def static_reachability_matrix(graph: StaticGraph) -> np.ndarray:
         frontier = new
 
 
-def reachability_matrix(network: TemporalGraph) -> np.ndarray:
+def reachability_matrix(
+    network: TemporalGraph, *, backend: str | None = None
+) -> np.ndarray:
     """Boolean matrix ``R[s, v]`` = "a journey from ``s`` to ``v`` exists".
 
-    The diagonal is ``True`` (the empty journey).
+    The diagonal is ``True`` (the empty journey).  One reach-only sweep on
+    the ``backend`` kernel (``None`` = ambient selection): the kernel
+    advances its packed ``reached`` bitset and writes no arrival times.
     """
-    return earliest_arrival_matrix(network) < UNREACHABLE
+    reached = _sweep(
+        network, None, 0, reverse=False, backend=backend, arrivals=False
+    ).reached
+    bits = np.unpackbits(reached.view(np.uint8), axis=1, count=network.n)
+    return np.ascontiguousarray(bits.view(np.bool_).T)
 
 
 def reachable_set(network: TemporalGraph, source: int) -> np.ndarray:

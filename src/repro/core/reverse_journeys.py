@@ -106,7 +106,7 @@ def latest_departure_times(
     deadline = _resolve_deadline(network, deadline)
     state = _sweep(
         network, (target,), network.lifetime - deadline, reverse=True, backend=backend
-    )
+    ).arrivals
     return _to_departures(state, network.lifetime)[:, 0]
 
 
@@ -153,7 +153,7 @@ def latest_departure_matrix(
     deadline = _resolve_deadline(network, deadline)
     state = _sweep(
         network, targets, network.lifetime - deadline, reverse=True, backend=backend
-    )
+    ).arrivals
     return np.ascontiguousarray(_to_departures(state, network.lifetime).T)
 
 

@@ -43,6 +43,7 @@ from repro.core.blocked_sweeps import (
     summary_of_distance_matrix,
     tile_size_scope,
 )
+from repro.core.journeys import foremost_journey_tree
 from repro.core.temporal_graph import TemporalGraph
 from repro.exceptions import ConfigurationError
 from repro.graphs.static_graph import StaticGraph
@@ -229,6 +230,81 @@ class TestDegenerateInstances:
             blocked_sweep_summary(network, tile_size=-3)
         with pytest.raises(ConfigurationError):
             blocked_sweep_summary(network, direction="sideways")
+
+
+# --------------------------------------------------------------------- #
+# label scales near the int64 range
+# --------------------------------------------------------------------- #
+class TestLargeLifetimes:
+    """Exact moments past ``int64`` sums, and lifetimes the sentinel bounds."""
+
+    @staticmethod
+    def _near_2_32():
+        """Path labels 2³²−2, 2³²−1, 2³²: the distances are those offsets
+        −2 (twice), −1 (three times) and 0 (four times) from 2³², whose
+        unbiased variance is 25/36."""
+        labels = {0: [2**32 - 2], 1: [2**32 - 1], 2: [2**32]}
+        return TemporalGraph(path_graph(4), labels, lifetime=2**32)
+
+    @staticmethod
+    def _near_10_18():
+        """Path labels 10¹⁸ − 12 + e: one row's distance sum passes 2⁶³."""
+        labels = {edge: [10**18 - 12 + edge] for edge in range(11)}
+        return TemporalGraph(path_graph(12), labels, lifetime=10**18)
+
+    @staticmethod
+    def _exact_mean(matrix):
+        values = [
+            int(value)
+            for i, row in enumerate(matrix.tolist())
+            for j, value in enumerate(row)
+            if i != j and value < UNREACHABLE
+        ]
+        return sum(values) / len(values)
+
+    def test_variance_of_squares_past_int64(self):
+        network = self._near_2_32()
+        result = blocked_sweep_summary(network, tile_size=4)
+        assert result.moments.variance == 25 / 36
+        accumulator = BlockedSummaryAccumulator(network.n)
+        accumulator.add_tile(np.arange(4), NetworkAnalysis(network).arrival_matrix())
+        assert accumulator.moments.variance == 25 / 36
+
+    def test_mean_of_sums_past_int64(self):
+        network = self._near_10_18()
+        matrix = NetworkAnalysis(network).arrival_matrix()
+        exact = self._exact_mean(matrix)
+        assert NetworkAnalysis(network).summary.average_distance == pytest.approx(exact)
+        for tile_size in (1, 5, 12):
+            summary = blocked_sweep_summary(network, tile_size=tile_size).summary
+            assert summary.average_distance == exact
+        accumulator = BlockedSummaryAccumulator(network.n)
+        accumulator.add_tile(np.arange(network.n), matrix)
+        assert accumulator.summary().average_distance == exact
+
+    @pytest.mark.parametrize("lifetime", [UNREACHABLE, 2**62])
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_lifetime_at_the_sentinel_is_refused(self, direction, lifetime):
+        network = TemporalGraph(path_graph(3), {0: [5], 1: [7]}, lifetime=lifetime)
+        with pytest.raises(ConfigurationError, match="UNREACHABLE"):
+            blocked_sweep_summary(network, direction=direction)
+        sweep = (
+            repro.earliest_arrival_matrix
+            if direction == "forward"
+            else repro.latest_departure_matrix
+        )
+        with pytest.raises(ConfigurationError, match="UNREACHABLE"):
+            sweep(network)
+        with pytest.raises(ConfigurationError, match="UNREACHABLE"):
+            foremost_journey_tree(network, 0)
+
+    def test_largest_lifetime_below_the_sentinel_sweeps(self):
+        network = TemporalGraph(
+            path_graph(3), {0: [5], 1: [7]}, lifetime=UNREACHABLE - 1
+        )
+        forward = blocked_sweep_summary(network).summary
+        reverse = blocked_sweep_summary(network, direction="reverse").summary
+        assert forward.reachable_fraction == reverse.reachable_fraction == 5 / 6
 
 
 # --------------------------------------------------------------------- #

@@ -1,6 +1,6 @@
 """The pluggable sweep-kernel backend subsystem (:mod:`repro.core.kernels`).
 
-Six concerns are pinned here:
+Seven concerns are pinned here:
 
 * **registry semantics** — names, registration, strict vs ambient
   resolution, the environment variable, process defaults, scopes, and the
@@ -19,6 +19,9 @@ Six concerns are pinned here:
 * **packed words** — the numpy backend's packed ``reached`` bitset at
   widths across 64-bit word boundaries, on both of its write-back branches,
   equals the scalar loops and the ``tests/oracles.py`` references.
+* **sweep outputs** — the ``settled`` counts, ``last`` labels and final
+  bitset of every backend equal what the same sweep's arrivals imply, and a
+  reach-only sweep stops at the same label group as an arrivals sweep.
 
 Backends that cannot run in this environment (numba not installed) are
 exercised wherever possible and skipped with the registry's own reason
@@ -36,7 +39,7 @@ import pytest
 from repro import telemetry
 from repro.core import kernels
 from repro.core.kernels import numpy_backend
-from repro.core.journeys import earliest_arrival_matrix, earliest_arrival_times
+from repro.core.journeys import _sweep, earliest_arrival_matrix, earliest_arrival_times
 from repro.core.reverse_journeys import latest_departure_matrix, latest_departure_times
 from repro.engine.executors import RunContext, run_unit
 from repro.engine.sharding import SeedPlan, ShardWork, plan_shards
@@ -54,6 +57,7 @@ from repro import (
 from repro.experiments.exp_temporal_diameter import trial_temporal_diameter
 from repro.montecarlo.experiment import Experiment
 from repro.montecarlo.runner import run_trials
+from repro.types import UNREACHABLE
 
 from oracles import earliest_arrival_times_reference, latest_departure_times_reference
 
@@ -426,6 +430,113 @@ class TestPackedKernelWidths:
             assert subsets == (write_backs if width > 65 else 0), width
 
 
+# --------------------------------------------------------------------- #
+# the optional outputs of one sweep
+# --------------------------------------------------------------------- #
+def _every_backend_params():
+    return ["numpy", "python", *_compiled_backend_params()]
+
+
+def _outputs(network, backend, direction, rows, time, **asked):
+    """One ``_sweep`` from ``rows`` at start time / deadline ``time``, with
+    its ``(groups_scanned, saturation_exits)``."""
+    reverse = direction == "reverse"
+    start = network.lifetime - time if reverse else time
+    with telemetry.session() as recorder:
+        swept = _sweep(network, rows, start, reverse=reverse, backend=backend, **asked)
+    counters = recorder.counters
+    return swept, (
+        counters[f"kernel.{direction}.groups_scanned"],
+        counters.get(f"kernel.{direction}.saturation_exits", 0),
+    )
+
+
+def _reached_bits(reached, width):
+    """The ``(n, width)`` boolean view of a packed bitset; padding must be clear."""
+    bits = np.unpackbits(reached.view(np.uint8), axis=1).view(np.bool_)
+    assert not bits[:, width:].any()
+    return bits[:, :width]
+
+
+def _implied_by(network, direction, rows, time, arrivals):
+    """The ``settled`` counts and ``last`` labels an arrival state implies."""
+    reverse = direction == "reverse"
+    csr = network.reverse_timearc_csr if reverse else network.timearc_csr
+    start = network.lifetime - time if reverse else time
+    reached = arrivals < UNREACHABLE
+    settled = reached.copy()
+    settled[rows, np.arange(rows.size)] = False
+    values = arrivals[settled]
+    counts = np.array([np.count_nonzero(values == label) for label in csr.labels])
+    last = np.where(reached, arrivals, start).max(axis=0)
+    return counts, last
+
+
+class TestSweepOutputs:
+    """``settled``, ``last`` and ``reached`` against the arrivals they summarise.
+
+    On the packed-width grid of :class:`TestPackedKernelWidths`, every
+    backend sweeps the same random columns four ways: arrivals only,
+    arrivals with the settle outputs, the settle outputs alone, and reach
+    only.  The settle outputs must equal what the arrivals imply, every
+    final bitset must equal ``arrivals < UNREACHABLE``, the arrivals must
+    not change when the settle outputs ride along, and all four sweeps must
+    scan the same groups and saturate alike.
+    """
+
+    WIDTHS = TestPackedKernelWidths.WIDTHS
+
+    @pytest.mark.parametrize("backend", _every_backend_params())
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_outputs_match_the_arrivals(self, direction, backend):
+        network = uniform_random_labels(grid_graph(12, 12), lifetime=4, seed=0)
+        rng = np.random.default_rng(zlib.crc32(f"outputs/{direction}".encode()))
+        for width in self.WIDTHS:
+            for time in range(network.lifetime + 3):
+                rows = np.sort(rng.choice(network.n, size=width, replace=False))
+
+                def sweep(**asked):
+                    return _outputs(network, backend, direction, rows, time, **asked)
+
+                plain, exits = sweep()
+                both, both_exits = sweep(settles=True)
+                settles, settles_exits = sweep(arrivals=False, settles=True)
+                reach, reach_exits = sweep(arrivals=False)
+                assert exits == both_exits == settles_exits == reach_exits, (width, time)
+                np.testing.assert_array_equal(both.arrivals, plain.arrivals)
+                counts, last = _implied_by(network, direction, rows, time, plain.arrivals)
+                for swept in (both, settles):
+                    np.testing.assert_array_equal(swept.settled, counts)
+                    np.testing.assert_array_equal(swept.last, last)
+                for swept in (plain, both, settles, reach):
+                    np.testing.assert_array_equal(
+                        _reached_bits(swept.reached, width),
+                        plain.arrivals < UNREACHABLE,
+                    )
+                assert settles.arrivals is None and reach.settled is None
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    @pytest.mark.parametrize("instance_id", sorted(_exit_point_instances()), ids=str)
+    def test_reach_only_exits_where_arrivals_do(self, instance_id, direction):
+        """On every backend that runs here (numba in its CI job)."""
+        network = _exit_point_instances()[instance_id]
+        rng = np.random.default_rng(zlib.crc32(f"reach/{instance_id}/{direction}".encode()))
+        for _ in range(TestSaturationExitPoints.DRAWS // 2):
+            width = int(rng.integers(2, network.n + 1))
+            rows = np.sort(rng.choice(network.n, size=width, replace=False))
+            time = int(rng.integers(0, network.lifetime + 3))
+            arrivals, exits = _outputs(network, "numpy", direction, rows, time)
+            expected = _reached_bits(arrivals.reached, width)
+            for backend in kernels.available_backends():
+                reach, reach_exits = _outputs(
+                    network, backend, direction, rows, time, arrivals=False
+                )
+                assert reach_exits == exits, (backend, rows.tolist(), time)
+                np.testing.assert_array_equal(
+                    _reached_bits(reach.reached, width), expected
+                )
+
+
 @pytest.fixture
 def clique64():
     return normalized_urtn(complete_graph(64, directed=True), seed=0)
@@ -481,6 +592,13 @@ class TestAnalysisHandleBackend:
         with telemetry.session() as recorder:
             child.latest_departure(0, 1)
         assert recorder.counters["kernel.reverse.backend.python"] == 1
+
+    def test_reach_only_sweep_uses_the_pinned_backend(self, clique64):
+        pinned = NetworkAnalysis(clique64, kernel_backend="python")
+        with telemetry.session() as recorder:
+            pinned.preserves_reachability()
+        assert recorder.counters["kernel.forward.backend.python"] == 1
+        assert "kernel.forward.backend.numpy" not in recorder.counters
 
 
 # --------------------------------------------------------------------- #

@@ -13,7 +13,9 @@ and a network whose edges carry no labels.
 ``TestEveryBackendAgainstOracle`` additionally pins **every registered
 kernel backend** (:mod:`repro.core.kernels`) bit-identical to the oracles on
 the same pool; a backend that cannot run here (numba not installed) skips
-cleanly with the registry's reason string.
+cleanly with the registry's reason string.  ``TestReachOnlyAgainstOracle``
+does the same for the reach-only sweep, whose answer is the kernel's packed
+``reached`` bitset.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    NEVER,
     UNREACHABLE,
     NetworkAnalysis,
     StaticGraph,
@@ -38,6 +41,7 @@ from repro import (
     uniform_random_labels,
 )
 from repro.core import centrality, distances, kernels, reachability
+from repro.core.journeys import _sweep
 from repro.core.reverse_journeys import latest_departure_matrix, latest_departure_times
 
 from oracles import (
@@ -204,6 +208,27 @@ class TestEveryBackendAgainstOracle:
             )
 
 
+class TestReachOnlyAgainstOracle:
+    """Reach-only sweeps on every backend: no arrivals, just the bitset."""
+
+    def test_both_directions(self, network, kernel_backend):
+        expected = oracle_arrival_matrix(network) < UNREACHABLE
+        np.testing.assert_array_equal(
+            reachability.reachability_matrix(network, backend=kernel_backend),
+            expected,
+        )
+        handle = NetworkAnalysis(network, kernel_backend=kernel_backend)
+        np.testing.assert_array_equal(handle.reachability(), expected)
+        # The reverse twin: bit s of row v is set when v reaches target s.
+        reached = _sweep(
+            network, None, 0, reverse=True, backend=kernel_backend, arrivals=False
+        ).reached
+        bits = np.unpackbits(reached.view(np.uint8), axis=1, count=network.n)
+        np.testing.assert_array_equal(
+            bits.view(np.bool_).T, oracle_departure_matrix(network) > NEVER
+        )
+
+
 class TestStreamedSummaryAgainstOracle:
     """The blocked (out-of-core) accumulator path against the oracle pool.
 
@@ -264,6 +289,29 @@ class TestStreamedSummaryAgainstOracle:
             result.summary.average_distance, expected["average_distance"]
         )
         assert result.summary.reachable_fraction == expected["reachable_fraction"]
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_spill_changes_nothing(self, network, direction, tmp_path):
+        """A spilling sweep folds the same tiles and spills the dense matrix."""
+        from repro.core.blocked_sweeps import blocked_sweep_summary
+
+        spilled = blocked_sweep_summary(
+            network, tile_size=3, direction=direction, spill_path=tmp_path / "rows.npy"
+        )
+        plain = blocked_sweep_summary(network, tile_size=3, direction=direction)
+        assert plain.spill is None
+        assert repr(plain.summary) == repr(spilled.summary)  # nan == nan
+        assert plain.moments == spilled.moments
+        np.testing.assert_array_equal(plain.eccentricities, spilled.eccentricities)
+        np.testing.assert_array_equal(plain.reach_counts, spilled.reach_counts)
+        if direction == "forward":
+            dense = oracle_arrival_matrix(network)
+        else:
+            departures = oracle_departure_matrix(network)
+            dense = np.where(
+                departures == NEVER, UNREACHABLE, network.lifetime + 1 - departures
+            )
+        np.testing.assert_array_equal(np.asarray(spilled.spill), dense)
 
 
 def _assert_same_float(actual: float, expected: float) -> None:
