@@ -1,7 +1,6 @@
 """Ablation benches for the design choices called out in DESIGN.md §5.
 
-* vectorised label-sweep journey kernel vs. the interpreted ``python``
-  kernel backend (the same sweep, one arc at a time),
+* the single-source label-sweep journey kernel,
 * batched all-pairs distance matrix (CSR engine) vs. the row-by-row variant,
 * the one-off cost of building the cached CSR time-arc layout,
 * binary-search threshold location vs. the linear sweep.
@@ -34,17 +33,6 @@ class TestSingleSourceKernelAblation:
     def test_bench_vectorised_single_source(self, benchmark, clique_instance):
         arrival = benchmark(lambda: earliest_arrival_times(clique_instance, 0))
         assert arrival[0] == 0
-
-    def test_bench_reference_single_source(self, benchmark, clique_instance):
-        arrival = benchmark(
-            lambda: earliest_arrival_times(clique_instance, 0, backend="python")
-        )
-        assert arrival[0] == 0
-
-    def test_kernels_agree(self, clique_instance):
-        fast = earliest_arrival_times(clique_instance, 0)
-        slow = earliest_arrival_times(clique_instance, 0, backend="python")
-        assert np.array_equal(fast, slow)
 
 
 class TestAllPairsKernelAblation:

@@ -35,8 +35,8 @@ SEED = 2014
 ROUNDS = 600
 #: Shortest telemetry-off leg the gate asserts on.
 SERIAL_FLOOR_S = 1.0
-#: Relative gate plus absolute slack: 2 % is well above one extra
-#: record_sweep call per sweep, and 1 ms absorbs timer jitter.
+#: Relative gate plus absolute slack: 2 % is well above the one telemetry
+#: record a sweep emits, and 1 ms absorbs timer jitter.
 RELATIVE_BOUND = 1.02
 ABSOLUTE_SLACK_SECONDS = 1e-3
 

@@ -203,7 +203,7 @@ __all__ = [
     "compute_events",
     # telemetry (spans, counters, sinks, the layered profile report)
     "telemetry",
-    # pluggable sweep kernel backends (numpy / numba / python)
+    # the sweep kernel
     "kernels",
     # monte carlo
     "Experiment",

@@ -64,7 +64,6 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..types import NEVER, UNREACHABLE, as_vertex_array
-from ..core import kernels
 from ..core.blocked_sweeps import blocked_sweep_summary
 from ..core.centrality import centrality_arrays
 from ..core.distances import DistanceSummary, distance_summary, eccentricities_of
@@ -198,27 +197,16 @@ class NetworkAnalysis:
     construction), so its caches cannot go stale; :meth:`invalidate` exists
     for callers who want to force recomputation anyway.  Arrays returned by
     the artifact accessors are read-only views of the shared caches.
-
-    ``kernel_backend`` pins every sweep the handle runs to one named
-    :mod:`repro.core.kernels` backend (strict: an unusable name raises at the
-    first sweep); the default ``None`` uses the registry's ambient selection.
     """
 
-    __slots__ = ("_network", "_kernel_backend", "_cache")
+    __slots__ = ("_network", "_cache")
 
-    def __init__(
-        self, network: TemporalGraph, *, kernel_backend: str | None = None
-    ) -> None:
+    def __init__(self, network: TemporalGraph) -> None:
         if not isinstance(network, TemporalGraph):
             raise ConfigurationError(
                 f"NetworkAnalysis wraps a TemporalGraph, got {type(network).__name__}"
             )
-        if kernel_backend is not None:
-            # Fail on typos at construction time; availability (warm-up) is
-            # still checked strictly at the first sweep.
-            kernels.get_backend(kernel_backend)
         self._network = network
-        self._kernel_backend = kernel_backend
         self.invalidate()
 
     # ------------------------------------------------------------------ #
@@ -255,10 +243,7 @@ class NetworkAnalysis:
 
     def _matrix(self, artifact: str, sweep: Callable[..., np.ndarray]) -> np.ndarray:
         """The memoized all-pairs ``sweep`` result (read-only)."""
-        backend = self._kernel_backend
-        return _read_only(
-            self._memo(artifact, None, lambda: sweep(self._network, backend=backend))
-        )
+        return _read_only(self._memo(artifact, None, lambda: sweep(self._network)))
 
     def _rows(
         self,
@@ -283,7 +268,7 @@ class NetworkAnalysis:
         missing = [v for v in wanted if (artifact, v) not in self._cache]
         if missing:
             start = time.perf_counter()
-            rows = sweep(self._network, missing, backend=self._kernel_backend)
+            rows = sweep(self._network, missing)
             for vertex, row in zip(missing, rows):
                 self._cache[(artifact, vertex)] = row
             self._computed(artifact, start)
@@ -342,7 +327,7 @@ class NetworkAnalysis:
         def compute() -> np.ndarray:
             if ("arrival_matrix", None) in self._cache:
                 return self.arrival_matrix() < UNREACHABLE
-            return reachability_matrix(self._network, backend=self._kernel_backend)
+            return reachability_matrix(self._network)
 
         return _read_only(self._memo("reachability", None, compute))
 
@@ -364,7 +349,7 @@ class NetworkAnalysis:
 
         Runs :func:`repro.core.blocked_sweeps.blocked_sweep_summary` over
         tiles of ``tile_size`` sources (``direction="forward"``) or targets
-        (``"reverse"``) on the handle's kernel backend; the dense matrix is
+        (``"reverse"``); the dense matrix is
         never materialized and the other artifacts are left untouched.
         Cached per ``(direction, tile_size)``; ``tile_size=None`` uses the
         ambient default (the CLI's ``--tile-size`` flag), else
@@ -375,10 +360,7 @@ class NetworkAnalysis:
             "streamed_summary",
             key,
             lambda: blocked_sweep_summary(
-                self._network,
-                tile_size=tile_size,
-                direction=direction,
-                backend=self._kernel_backend,
+                self._network, tile_size=tile_size, direction=direction
             ).summary,
         )
 
@@ -658,10 +640,7 @@ class NetworkAnalysis:
         time — hence ``δ_k(s, t) = δ(s, t)`` whenever ``δ(s, t) ≤ k``, and
         the pair is unreachable in the restriction otherwise.
         """
-        child = NetworkAnalysis(
-            self._network.restricted_to_max_label(max_label),
-            kernel_backend=self._kernel_backend,
-        )
+        child = NetworkAnalysis(self._network.restricted_to_max_label(max_label))
         matrix = self._cache.get(("arrival_matrix", None))
         if matrix is not None:
             child._cache[("arrival_matrix", None)] = np.where(

@@ -7,9 +7,9 @@ is 8 TB.  The paper's asymptotic quantities (temporal diameter, reachable
 fraction, distance moments) are *reductions* of that matrix, and every one of
 them decomposes over row blocks.  This module exploits that: the sweep is
 tiled over blocks of ``tile_size`` sources (forward) or targets (reverse),
-each tile runs through the ordinary :mod:`repro.core.kernels` backend
-protocol — numpy, numba and any third-party backend all work unchanged —
-and asks the kernel only for its packed ``reached`` bitset, the per-group
+each tile runs through the ordinary sweep kernel
+(:class:`repro.core.kernels.NumpyBackend`) and asks it only for its packed
+``reached`` bitset, the per-group
 settle counts and each column's last settling label.  Those are folded into
 a mergeable :class:`BlockedSummaryAccumulator` with no ``int64`` tile.
 Peak memory is ``O(n · tile_size)`` bits instead of ``O(n²)`` words, while
@@ -57,8 +57,7 @@ Composition with the engine: tiles run *within* a shard — the parallel
 engine's ``--jobs N`` fans trials out across worker processes as before, and
 each worker streams its own trials' tiles, so shard-level parallelism and
 tile-level memory bounding compose.  The ambient tile size (the CLI's
-``--tile-size`` flag) ships to spawned workers in the run's context, like
-the kernel backend.
+``--tile-size`` flag) ships to spawned workers in the run's context.
 """
 
 from __future__ import annotations
@@ -548,7 +547,6 @@ def blocked_sweep_summary(
     *,
     tile_size: int | None = None,
     direction: str = "forward",
-    backend: str | None = None,
     spill_path: Any | None = None,
 ) -> BlockedSweepResult:
     """Run one blocked all-pairs sweep and stream it into a summary.
@@ -566,9 +564,6 @@ def blocked_sweep_summary(
         ``"reverse"`` streams deadline-referenced distance rows per target
         (the :meth:`~repro.analysis_api.NetworkAnalysis.distances_to`
         convention), without ever running a forward sweep.
-    backend:
-        Kernel backend every tile's sweep runs on (``None`` = ambient
-        selection, exactly as the dense entry points).
     spill_path:
         Optional path; when given, the distance rows are additionally written
         tile by tile into a ``.npy``-format ``numpy.memmap`` at this path
@@ -579,7 +574,7 @@ def blocked_sweep_summary(
     BlockedSweepResult
         Summary, exact moments, per-row eccentricities, per-column reach
         counts and (optionally) the spill memmap.  ``result.summary`` is
-        bit-identical to the dense path for every tile size and backend.
+        bit-identical to the dense path for every tile size.
     """
     if direction not in _DIRECTIONS:
         raise ConfigurationError(
@@ -607,7 +602,6 @@ def blocked_sweep_summary(
             rows,
             0,
             reverse=reverse,
-            backend=backend,
             arrivals=spill is not None,
             settles=True,
         )
@@ -644,7 +638,6 @@ def streamed_distance_summary(
     *,
     tile_size: int | None = None,
     direction: str = "forward",
-    backend: str | None = None,
 ) -> DistanceSummary:
     """All-pairs distance statistics in ``O(n · tile_size)`` memory.
 
@@ -656,7 +649,7 @@ def streamed_distance_summary(
     holding a handle.
     """
     return blocked_sweep_summary(
-        network, tile_size=tile_size, direction=direction, backend=backend
+        network, tile_size=tile_size, direction=direction
     ).summary
 
 
@@ -665,7 +658,6 @@ def streamed_reachable_fraction(
     *,
     tile_size: int | None = None,
     direction: str = "forward",
-    backend: str | None = None,
 ) -> float:
     """Fraction of ordered pairs ``s != t`` with a journey, streamed.
 
@@ -673,6 +665,6 @@ def streamed_reachable_fraction(
     (bit-identical), in ``O(n · tile_size)`` memory.
     """
     return streamed_distance_summary(
-        network, tile_size=tile_size, direction=direction, backend=backend
+        network, tile_size=tile_size, direction=direction
     ).reachable_fraction
 

@@ -33,15 +33,11 @@ from ``a = n`` groups to about the temporal diameter ``Θ(log n)`` of them.
 The scalar references and brute-force journey oracles that cross-validate
 these kernels live with the tests (``tests/oracles.py``).
 
-The hot loop itself is pluggable: both entry points accept a ``backend=``
-keyword naming a registered :mod:`repro.core.kernels` backend (``numpy`` —
-the vectorised reference, ``numba`` — JIT-compiled scalar loops, …) and
-delegate the group advance to it; with no keyword the registry's ambient
-selection applies (process default, ``REPRO_KERNEL_BACKEND``, then the best
-available backend).  All backends are pinned bit-identical, so the choice
-only affects speed.  The reverse entry points of
-:mod:`repro.core.reverse_journeys` run the same private sweep over the
-time-reversed layout.
+Both entry points delegate the group advance to the one sweep kernel,
+:class:`repro.core.kernels.NumpyBackend`, through the private ``_sweep``,
+which also records each sweep's ``kernel.forward.*`` telemetry.  The reverse
+entry points of :mod:`repro.core.reverse_journeys` run the same ``_sweep``
+over the time-reversed layout and record ``kernel.reverse.*``.
 """
 
 from __future__ import annotations
@@ -55,8 +51,7 @@ from ..exceptions import ConfigurationError, UnreachableVertexError
 from ..telemetry import active as _telemetry_active
 from ..types import UNREACHABLE, Journey, TimeEdge, as_vertex_array
 from ..utils.validation import check_non_negative_int
-from ._kernel_telemetry import record_sweep as _record_sweep
-from .kernels import resolve_backend as _resolve_backend
+from .kernels import NumpyBackend
 from .temporal_graph import TemporalGraph
 
 __all__ = [
@@ -66,6 +61,10 @@ __all__ = [
     "foremost_journey_tree",
     "temporal_distance",
 ]
+
+#: The sweep kernel.  ``_sweep`` looks its methods up per call, so a
+#: profiler that wraps them on the class sees every sweep.
+_KERNEL = NumpyBackend()
 
 
 def _validate_source(graph_n: int, source: int) -> int:
@@ -80,7 +79,6 @@ def earliest_arrival_times(
     source: int,
     *,
     start_time: int = 0,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Earliest arrival time at every vertex for journeys departing ``source``.
 
@@ -94,9 +92,6 @@ def earliest_arrival_times(
         The message only becomes available at ``source`` at this time; only
         arcs with labels strictly greater than ``start_time`` can be used as
         the first hop.  The default 0 allows every label, matching the paper.
-    backend:
-        Name of the :mod:`repro.core.kernels` backend to run the sweep on;
-        ``None`` (the default) uses the ambient selection.
 
     Returns
     -------
@@ -107,7 +102,7 @@ def earliest_arrival_times(
     """
     source = _validate_source(network.n, source)
     start_time = check_non_negative_int(start_time, "start_time")
-    swept = _sweep(network, (source,), start_time, reverse=False, backend=backend)
+    swept = _sweep(network, (source,), start_time, reverse=False)
     return swept.arrivals[:, 0]
 
 
@@ -116,7 +111,6 @@ def earliest_arrival_matrix(
     sources: Sequence[int] | None = None,
     *,
     start_time: int = 0,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Batched earliest arrivals: one label-group sweep for many sources.
 
@@ -139,9 +133,6 @@ def earliest_arrival_matrix(
     start_time:
         The message becomes available at every source at this time; arcs
         labelled ``<= start_time`` cannot start a journey.  Default 0.
-    backend:
-        Name of the :mod:`repro.core.kernels` backend to run the sweep on;
-        ``None`` (the default) uses the ambient selection.
 
     Returns
     -------
@@ -158,7 +149,7 @@ def earliest_arrival_matrix(
         ``start_time = 0``.
     """
     start_time = check_non_negative_int(start_time, "start_time")
-    swept = _sweep(network, sources, start_time, reverse=False, backend=backend)
+    swept = _sweep(network, sources, start_time, reverse=False)
     return np.ascontiguousarray(swept.arrivals.T)
 
 
@@ -166,7 +157,7 @@ class SweepOutputs(NamedTuple):
     """What one :func:`_sweep` produced; the outputs not asked for are ``None``.
 
     ``reached`` is the final packed bitset (see
-    :class:`~repro.core.kernels.SweepKernelBackend` for its layout);
+    :meth:`~repro.core.kernels.NumpyBackend.forward_sweep` for its layout);
     ``arrivals`` the vertex-major ``(n, width)`` arrival state; ``settled``
     the settle counts of the layout's label groups (empty when nothing was
     swept) and ``last`` each column's last settling label (its start value
@@ -194,7 +185,6 @@ def _sweep(
     start: int,
     *,
     reverse: bool,
-    backend: str | None,
     arrivals: bool = True,
     settles: bool = False,
 ) -> SweepOutputs:
@@ -213,6 +203,13 @@ def _sweep(
     :data:`~repro.types.UNREACHABLE` where the departure is
     :data:`~repro.types.NEVER`, and the labels are the distances a blocked
     sweep folds.
+
+    With a telemetry recorder active it records ``<prefix>.sweeps``, the
+    batch width as ``<prefix>.sources`` (``.targets`` reverse), the label
+    groups visited as ``<prefix>.groups_scanned``,
+    ``<prefix>.saturation_exits`` when the sweep stopped early, and the
+    ``<prefix>.sweep_ms`` timing, where the prefix is ``kernel.forward`` or
+    ``kernel.reverse``.  With none active the cost is one check per sweep.
     """
     _check_lifetime(network)
     n = network.n
@@ -221,7 +218,6 @@ def _sweep(
     else:
         column_arr = as_vertex_array(columns, n)
     width = column_arr.size
-    kernel = _resolve_backend(backend)
     recs = _telemetry_active()
     sweep_start = time.perf_counter() if recs else 0.0
     # Vertex-major: row v holds every column's bit (or arrival) at v, so the
@@ -246,9 +242,9 @@ def _sweep(
     saturated = False
     if network.num_time_arcs != 0 and width != 0:
         if reverse:
-            csr, sweep = network.reverse_timearc_csr, kernel.reverse_sweep
+            csr, sweep = network.reverse_timearc_csr, _KERNEL.reverse_sweep
         else:
-            csr, sweep = network.timearc_csr, kernel.forward_sweep
+            csr, sweep = network.timearc_csr, _KERNEL.forward_sweep
         if settles:
             settled = np.zeros(csr.labels.size, dtype=np.int64)
         # Arrivals start at ``start`` and only ever take values equal to some
@@ -259,16 +255,16 @@ def _sweep(
             csr, reached, first_group, arrivals=state, settled=settled, last=last
         )
     if recs:
-        _record_sweep(
-            recs,
-            "kernel.reverse" if reverse else "kernel.forward",
-            start=sweep_start,
-            tile_name="targets" if reverse else "sources",
-            tile=width,
-            groups=groups_scanned,
-            saturated=saturated,
-            backend=kernel.name,
-        )
+        duration_ms = (time.perf_counter() - sweep_start) * 1e3
+        prefix = "kernel.reverse" if reverse else "kernel.forward"
+        tile_name = "targets" if reverse else "sources"
+        for rec in recs:
+            rec.counter(f"{prefix}.sweeps")
+            rec.counter(f"{prefix}.{tile_name}", width)
+            rec.counter(f"{prefix}.groups_scanned", groups_scanned)
+            if saturated:
+                rec.counter(f"{prefix}.saturation_exits")
+            rec.observe_ms(f"{prefix}.sweep_ms", duration_ms)
     return SweepOutputs(reached, state, settled, last)
 
 
@@ -358,14 +354,11 @@ def temporal_distance(
     target: int,
     *,
     start_time: int = 0,
-    backend: str | None = None,
 ) -> int:
     """Temporal distance δ(source, target): the foremost journey's arrival time.
 
     Returns :data:`~repro.types.UNREACHABLE` when no journey exists (rather
     than raising), which keeps Monte-Carlo loops branch-free.
     """
-    arrival = earliest_arrival_times(
-        network, source, start_time=start_time, backend=backend
-    )
+    arrival = earliest_arrival_times(network, source, start_time=start_time)
     return int(arrival[_validate_source(network.n, target)])

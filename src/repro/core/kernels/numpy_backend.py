@@ -1,9 +1,9 @@
-"""The vectorised NumPy sweep backend — the always-available reference.
+"""The vectorised NumPy sweep kernel.
 
 The sweep advances a packed ``reached`` bitset: one zero-padded row of
 ``uint64`` words per vertex, one bit per column, set when the column has
 reached the vertex.  The caller sets each column's start bit.  By the
-protocol's precondition every start lies below the first scanned label, and
+sweep's precondition every start lies below the first scanned label, and
 an entry the sweep settles takes the current label, which every later group
 exceeds.  So at group ``g`` a set bit means "arrived before ``labels[g]``",
 and the two per-group tests (a tail forwards where it has arrived, a head
@@ -25,13 +25,12 @@ Saturation is detected by counting, not by rescanning: the sweep starts
 from the number of clear bits in the columns' words and subtracts each
 group's popcount; it is saturated when the count reaches zero, which is the
 group at which ``arrivals.max() <= label`` would first hold.
-``tests/test_kernel_backends.py`` pins these exit points against the scalar
-loop's own scan.
+``tests/test_sweep_kernel.py`` pins these exit points against the ones the
+scalar references' arrivals imply.
 
 A dedicated path keeps width-1 arrivals (single-source / single-target
 calls) on the cheaper 1-D ``np.minimum.at`` code.  Reverse sweeps run the
-same code over the time-reversed layout.  Every other backend is pinned
-bit-identical to this one.
+same code over the time-reversed layout.
 """
 
 from __future__ import annotations
@@ -51,16 +50,7 @@ _ROW_SUBSET_ENTRIES = 8192
 
 
 class NumpyBackend:
-    """Vectorised reference implementation of the sweep."""
-
-    name = "numpy"
-    priority = 10
-
-    def availability(self) -> str | None:
-        return None
-
-    def warm_up(self) -> None:
-        return None
+    """The vectorised label-group sweep, in both directions."""
 
     def forward_sweep(
         self,
@@ -72,6 +62,42 @@ class NumpyBackend:
         settled: np.ndarray | None = None,
         last: np.ndarray | None = None,
     ) -> tuple[int, bool]:
+        """Advance ``reached`` over the label groups ``first_group ...``.
+
+        The sweep runs over the groups of a
+        :class:`~repro.core.timearc_csr.TimeArcCSR` in ascending label order
+        and returns ``(groups_scanned, saturated)`` for the telemetry record.
+        ``reached`` is an ``(n, ⌈width/64⌉)`` ``uint64`` array, one row per
+        vertex and one bit per column (the sources in flight; ``width == 1``
+        is the single-source case).  Column ``s`` is bit ``7 − s % 8`` of
+        byte ``s // 8`` of the row's ``uint8`` view, the ``np.packbits``
+        order.  The caller sets each column's start bit and leaves the
+        padding bits clear, so the columns are the bits set at the start.
+        An entry *settles* at the label group where the sweep first reaches
+        it.  The optional outputs are computed only when passed:
+
+        ``arrivals``
+            ``(n, width)`` ``int64`` earliest arrivals, set to each settling
+            group's label (dense matrices, journeys, service queries,
+            spills);
+        ``settled``
+            ``(G,)`` ``int64`` zeros; ``settled[g]`` counts the entries
+            group ``g`` settles (blocked summaries);
+        ``last``
+            ``(width,)`` ``int64``; ``last[s]`` becomes the label of the
+            last group that settled anything in column ``s`` (blocked
+            summaries).
+
+        With none of them the final bitset is the answer (reachability).
+
+        Precondition: every column starts below the first scanned label —
+        its start value (``start_time`` forward, the mirrored deadline
+        ``a − deadline`` reverse, which is negative for a deadline beyond
+        the lifetime) — and every other entry starts unreached
+        (:data:`~repro.types.UNREACHABLE` in ``arrivals``).
+        :func:`repro.core.journeys._sweep`, behind every sweep entry point,
+        guarantees it; saturation detection by counting relies on it.
+        """
         if (
             arrivals is not None
             and arrivals.shape[1] == 1

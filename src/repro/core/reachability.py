@@ -12,7 +12,8 @@ single-source sweeps — :func:`preserves_reachability` sits in the inner loop
 of the exhaustive OPT search of :mod:`repro.core.price_of_randomness` — and
 the static side is one BLAS closure, :func:`static_reachability_matrix`.
 :func:`reachability_matrix` runs that sweep reach-only: its answer is the
-kernel's packed ``reached`` bitset, with no arrival times written.
+kernel's packed ``reached`` bitset, with no arrival times written, and
+:func:`reachable_fraction` and :func:`is_temporally_connected` reduce it.
 The analysis handle memoizes the same reductions; hold one when reading
 several quantities of an instance.
 """
@@ -23,7 +24,6 @@ import numpy as np
 
 from ..graphs.static_graph import StaticGraph
 from ..types import UNREACHABLE
-from .distances import temporal_distance_summary
 from .journeys import _sweep, earliest_arrival_times
 from .temporal_graph import TemporalGraph
 
@@ -59,18 +59,14 @@ def static_reachability_matrix(graph: StaticGraph) -> np.ndarray:
         frontier = new
 
 
-def reachability_matrix(
-    network: TemporalGraph, *, backend: str | None = None
-) -> np.ndarray:
+def reachability_matrix(network: TemporalGraph) -> np.ndarray:
     """Boolean matrix ``R[s, v]`` = "a journey from ``s`` to ``v`` exists".
 
-    The diagonal is ``True`` (the empty journey).  One reach-only sweep on
-    the ``backend`` kernel (``None`` = ambient selection): the kernel
-    advances its packed ``reached`` bitset and writes no arrival times.
+    The diagonal is ``True`` (the empty journey).  One reach-only sweep: the
+    kernel advances its packed ``reached`` bitset and writes no arrival
+    times.
     """
-    reached = _sweep(
-        network, None, 0, reverse=False, backend=backend, arrivals=False
-    ).reached
+    reached = _sweep(network, None, 0, reverse=False, arrivals=False).reached
     bits = np.unpackbits(reached.view(np.uint8), axis=1, count=network.n)
     return np.ascontiguousarray(bits.view(np.bool_).T)
 
@@ -84,15 +80,20 @@ def reachable_set(network: TemporalGraph, source: int) -> np.ndarray:
 def reachable_fraction(network: TemporalGraph) -> float:
     """Fraction of ordered pairs ``s ≠ t`` connected by a journey.
 
-    Equals 1.0 exactly when the network is temporally connected; a useful
-    soft metric when sweeping the number of labels per edge.
+    Equals 1.0 exactly when the network is temporally connected (and for
+    ``n <= 1``); a useful soft metric when sweeping the number of labels per
+    edge.  A reduction of :func:`reachability_matrix`.
     """
-    return temporal_distance_summary(network).reachable_fraction
+    n = network.n
+    if n <= 1:
+        return 1.0
+    pairs = int(np.count_nonzero(reachability_matrix(network))) - n
+    return pairs / float(n * (n - 1))
 
 
 def is_temporally_connected(network: TemporalGraph) -> bool:
     """Whether every ordered pair of vertices is connected by a journey."""
-    return temporal_distance_summary(network).diameter < UNREACHABLE
+    return bool(reachability_matrix(network).all())
 
 
 def preserves_reachability(network: TemporalGraph) -> bool:

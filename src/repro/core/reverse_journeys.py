@@ -30,9 +30,8 @@ So there is no reverse kernel: every sweep here is the forward sweep of
 layout :attr:`TemporalGraph.reverse_timearc_csr`, started at ``a − D``.
 That start is negative for a deadline beyond the lifetime, which the kernel
 precondition allows (it lies below every label).  The resulting state is
-mapped back to departures in place.  Like the forward entry points, these
-accept a ``backend=`` keyword naming a registered :mod:`repro.core.kernels`
-backend, and record their sweeps under ``kernel.reverse.*``.  The scalar
+mapped back to departures in place.  These sweeps record their telemetry
+under ``kernel.reverse.*``.  The scalar
 reference that walks the labels downwards, used to cross-validate them,
 lives with the tests (``tests/oracles.py``).
 """
@@ -76,7 +75,6 @@ def latest_departure_times(
     target: int,
     *,
     deadline: int | None = None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Latest departure time at every vertex for journeys reaching ``target``.
 
@@ -90,9 +88,6 @@ def latest_departure_times(
         Journeys must arrive by this time; only arcs with labels at most
         ``deadline`` may be used.  Defaults to the network's lifetime (no
         restriction), the mirror of the forward kernels' ``start_time = 0``.
-    backend:
-        Name of the :mod:`repro.core.kernels` backend to run the sweep on;
-        ``None`` (the default) uses the ambient selection.
 
     Returns
     -------
@@ -105,7 +100,7 @@ def latest_departure_times(
     target = _validate_vertex(network.n, target, "target")
     deadline = _resolve_deadline(network, deadline)
     state = _sweep(
-        network, (target,), network.lifetime - deadline, reverse=True, backend=backend
+        network, (target,), network.lifetime - deadline, reverse=True
     ).arrivals
     return _to_departures(state, network.lifetime)[:, 0]
 
@@ -115,7 +110,6 @@ def latest_departure_matrix(
     targets: Sequence[int] | None = None,
     *,
     deadline: int | None = None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Batched latest departures: one label-group sweep for many targets.
 
@@ -134,9 +128,6 @@ def latest_departure_matrix(
         case).
     deadline:
         Arrive-by time shared by every target; defaults to the lifetime.
-    backend:
-        Name of the :mod:`repro.core.kernels` backend to run the sweep on;
-        ``None`` (the default) uses the ambient selection.
 
     Returns
     -------
@@ -151,9 +142,7 @@ def latest_departure_matrix(
     latest_departure_times : the single-target specialisation.
     """
     deadline = _resolve_deadline(network, deadline)
-    state = _sweep(
-        network, targets, network.lifetime - deadline, reverse=True, backend=backend
-    ).arrivals
+    state = _sweep(network, targets, network.lifetime - deadline, reverse=True).arrivals
     return np.ascontiguousarray(_to_departures(state, network.lifetime).T)
 
 
@@ -176,25 +165,22 @@ def latest_departure(
     target: int,
     *,
     deadline: int | None = None,
-    backend: str | None = None,
 ) -> int:
     """Latest departure time of a journey ``source → target``.
 
     Returns :data:`~repro.types.NEVER` when no journey exists (rather than
     raising), mirroring :func:`repro.core.journeys.temporal_distance`.
     """
-    depart = latest_departure_times(network, target, deadline=deadline, backend=backend)
+    depart = latest_departure_times(network, target, deadline=deadline)
     return int(depart[_validate_vertex(network.n, source, "source")])
 
 
-def reverse_reachable_set(
-    network: TemporalGraph, target: int, *, backend: str | None = None
-) -> np.ndarray:
+def reverse_reachable_set(network: TemporalGraph, target: int) -> np.ndarray:
     """Vertices with a journey *to* ``target`` (including the target itself).
 
     The reverse mirror of :func:`repro.core.reachability.reachable_set`, and
     the per-vertex "who can influence ``target``" query; costs one reverse
     sweep instead of an all-pairs forward pass.
     """
-    depart = latest_departure_times(network, target, backend=backend)
+    depart = latest_departure_times(network, target)
     return np.flatnonzero(depart > NEVER)

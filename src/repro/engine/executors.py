@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .. import telemetry
-from ..core import blocked_sweeps, kernels
+from ..core import blocked_sweeps
 from ..exceptions import ConfigurationError
 from ..utils.validation import check_positive_int
 
@@ -50,28 +50,23 @@ class RunContext:
     """The parent's ambient settings, shipped with every unit of a run.
 
     Spawn-start-method workers re-import the world from scratch and inherit
-    neither ``set_default_backend`` state, the ambient tile size, (scrubbed)
-    environment variables nor the active recorders, so the run snapshots
-    them once in the parent (:meth:`snapshot`) and :func:`run_unit` applies
-    them around every unit — in-process and in workers alike.
+    neither the ambient tile size nor the active recorders, so the run
+    snapshots them once in the parent (:meth:`snapshot`) and
+    :func:`run_unit` applies them around every unit — in-process and in
+    workers alike.
     """
 
     #: Record each unit's telemetry in a private recorder and ship it home.
     telemetry: bool = False
-    #: Kernel backend the unit's sweeps run on.  Applied non-strictly: a
-    #: worker that cannot use the named backend warns and falls back rather
-    #: than killing the run.
-    kernel_backend: str | None = None
     #: Ambient blocked-sweep tile size (``--tile-size``); ``None`` keeps
     #: metrics on their dense path unless asked for blocked mode.
     tile_size: int | None = None
 
     @classmethod
     def snapshot(cls) -> "RunContext":
-        """The calling process's telemetry state, backend and tile size."""
+        """The calling process's telemetry state and tile size."""
         return cls(
             telemetry=bool(telemetry.active()),
-            kernel_backend=kernels.default_backend(),
             tile_size=blocked_sweeps.default_tile_size(),
         )
 
@@ -102,15 +97,14 @@ def run_unit(unit: WorkUnit, context: RunContext) -> UnitResult:
     """Run one unit under the run's context: the worker entry of every executor.
 
     A module-level function, so process pools can pickle it.  The context's
-    kernel backend and tile size are installed as the process defaults for
-    the duration of the unit.  With telemetry on, the unit runs under a fresh
-    *isolated* recorder whose state ships home in the result; the caller
-    folds those states into its recorders in ascending unit index
+    tile size is installed as the process default for the duration of the
+    unit.  With telemetry on, the unit runs under a fresh *isolated*
+    recorder whose state ships home in the result; the caller folds those
+    states into its recorders in ascending unit index
     (:func:`merge_telemetry`).  One code path for every executor is what
     makes a ``jobs=N`` run's merged counters equal a serial run's.
     """
-    with kernels.backend_scope(context.kernel_backend, strict=False), \
-            blocked_sweeps.tile_size_scope(context.tile_size):
+    with blocked_sweeps.tile_size_scope(context.tile_size):
         if not context.telemetry:
             return UnitResult(unit.index, unit.run())
         recorder = telemetry.TelemetryRecorder()

@@ -131,20 +131,6 @@ def _add_telemetry_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_kernel_backend_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel-backend",
-        default=None,
-        metavar="NAME",
-        dest="kernel_backend",
-        help=(
-            "run every sweep on this kernel backend (see repro.core.kernels: "
-            "'numpy', 'numba', ...; default: automatic selection).  An "
-            "unusable explicit backend is an error, not a silent fallback"
-        ),
-    )
-
-
 def _add_tile_size_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tile-size",
@@ -166,29 +152,13 @@ def _tile_size_scope(args: argparse.Namespace) -> ContextManager[Any]:
 
     An installed tile size flips the ``distance_summary`` metric onto the
     blocked (out-of-core) path; results are bit-identical, only the memory
-    profile changes.  Like the kernel backend, the value is also shipped to
-    engine workers in the run's context, so ``--jobs N`` runs stream inside
-    every worker.
+    profile changes.  The value is also shipped to engine workers in the
+    run's context, so ``--jobs N`` runs stream inside every worker.
     """
     size = getattr(args, "tile_size", None)
     if size is None:
         return nullcontext(None)
     return blocked_sweeps.tile_size_scope(size)
-
-
-def _kernel_backend_scope(args: argparse.Namespace) -> ContextManager[Any]:
-    """Install the ``--kernel-backend`` choice as the process default.
-
-    Strict: the CLI names the backend explicitly, so a missing or broken one
-    raises :class:`~repro.exceptions.ConfigurationError` (exit code 2) rather
-    than silently computing on another backend.  The default is also shipped
-    to engine workers in the run's context, so ``--jobs N`` runs sweep on
-    the same backend.
-    """
-    name = getattr(args, "kernel_backend", None)
-    if name is None:
-        return nullcontext(None)
-    return kernels.backend_scope(name, strict=True)
 
 
 def run_experiments(
@@ -257,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress the per-experiment console output"
     )
     _add_telemetry_option(parser)
-    _add_kernel_backend_option(parser)
     _add_tile_size_option(parser)
     return parser
 
@@ -301,7 +270,6 @@ def _build_scenario_parser() -> argparse.ArgumentParser:
             "--quiet", action="store_true", help="suppress the results table"
         )
         _add_telemetry_option(p)
-        _add_kernel_backend_option(p)
         _add_tile_size_option(p)
 
     run_parser = sub.add_parser(
@@ -377,9 +345,7 @@ def _scenario_run(args: argparse.Namespace, overrides: dict[str, list[Any]]) -> 
     scenario = get_scenario(args.name)
     if overrides:
         scenario = scenario.with_axes(overrides, scale=args.scale)
-    with _kernel_backend_scope(args), _tile_size_scope(args), _telemetry_session(
-        getattr(args, "telemetry", None)
-    ):
+    with _tile_size_scope(args), _telemetry_session(getattr(args, "telemetry", None)):
         result = run_scenario(
             scenario, scale=args.scale, seed=args.seed, jobs=args.jobs
         )
@@ -442,13 +408,11 @@ def _profile_main(argv: Sequence[str]) -> int:
         "--jsonl", default=None, metavar="PATH",
         help="also append the raw telemetry records to this JSONL file",
     )
-    _add_kernel_backend_option(parser)
     _add_tile_size_option(parser)
     args = parser.parse_args(argv)
     scenario = get_scenario(args.name)
     sinks = [telemetry.JsonlSink(args.jsonl)] if args.jsonl else []
-    with _kernel_backend_scope(args), _tile_size_scope(args), \
-            telemetry.session(*sinks) as recorder:
+    with _tile_size_scope(args), telemetry.session(*sinks) as recorder:
         run_scenario(scenario, scale=args.scale, seed=args.seed, jobs=args.jobs)
     print(
         telemetry.format_layer_report(
@@ -495,21 +459,24 @@ def _serve_main(argv: Sequence[str]) -> int:
         "--jobs", type=int, default=None, metavar="N",
         help="engine worker processes per scenario run (default: serial)",
     )
-    _add_kernel_backend_option(parser)
+    parser.add_argument(
+        "--kernel-backend", default="numpy", metavar="NAME", dest="kernel",
+        help="the sweep kernel: 'numpy', the only one (default: numpy)",
+    )
     _add_tile_size_option(parser)
     args = parser.parse_args(argv)
+    kernels.set_default_backend(args.kernel)
     from ..service import serve as build_server
 
-    # The scopes hold for the server's whole lifetime, so the job worker and
-    # every query thread compute on the selected backend / tile size.
-    with _kernel_backend_scope(args), _tile_size_scope(args):
+    # The scope holds for the server's whole lifetime, so the job worker and
+    # every query thread compute with the selected tile size.
+    with _tile_size_scope(args):
         server = build_server(
             data_dir=args.data_dir,
             host=args.host,
             port=args.port,
             cache_capacity=args.cache_capacity,
             engine_jobs=args.jobs,
-            kernel_backend=args.kernel_backend,
             tile_size=args.tile_size,
         )
         print(f"serving on {server.url} (data: {args.data_dir})", flush=True)
@@ -531,8 +498,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        with _kernel_backend_scope(args), _tile_size_scope(args), \
-                _telemetry_session(args.telemetry):
+        with _tile_size_scope(args), _telemetry_session(args.telemetry):
             reports = run_experiments(
                 args.ids, scale=args.scale, seed=args.seed, jobs=args.jobs
             )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..exceptions import ConfigurationError
 
@@ -493,21 +493,45 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
+        """Inverse of :meth:`to_dict`.
+
+        A missing or ill-typed key raises
+        :class:`~repro.exceptions.ConfigurationError` naming the key.
+        """
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"a scenario document must be a mapping, got {type(data).__name__}"
+            )
+
+        def parse(key: str, convert: Callable[[Any], Any], *default: Any) -> Any:
+            if key not in data and not default:
+                raise ConfigurationError(f"scenario document is missing key {key!r}")
+            try:
+                return convert(data.get(key, *default))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"scenario key {key!r} is malformed: {exc!r}"
+                ) from exc
+
+        def scales(value: Any) -> dict[str, ScenarioScale]:
+            return {
+                str(key): ScenarioScale.from_dict(scale)
+                for key, scale in dict(value).items()
+            }
+
+        name = parse("name", str)
         return cls(
-            name=str(data["name"]),
-            title=str(data.get("title", data["name"])),
-            description=str(data.get("description", "")),
-            graph=GraphFamilySpec.from_dict(data["graph"]),
-            labels=LabelModelSpec.from_dict(data["labels"]),
-            metrics=MetricSuite.from_list(data["metrics"]),
-            scales={
-                str(key): ScenarioScale.from_dict(value)
-                for key, value in dict(data["scales"]).items()
-            },
-            mode=str(data.get("mode", "montecarlo")),
-            experiment_name=str(data.get("experiment_name", "")),
+            name=name,
+            title=parse("title", str, name),
+            description=parse("description", str, ""),
+            graph=parse("graph", GraphFamilySpec.from_dict),
+            labels=parse("labels", LabelModelSpec.from_dict),
+            metrics=parse("metrics", MetricSuite.from_list),
+            scales=parse("scales", scales),
+            mode=parse("mode", str, "montecarlo"),
+            experiment_name=parse("experiment_name", str, ""),
             default_seed=data.get("default_seed"),
-            rngs_per_point=int(data.get("rngs_per_point", 1)),
+            rngs_per_point=parse("rngs_per_point", int, 1),
         )
 
     def to_json(self, *, indent: int | None = 2) -> str:

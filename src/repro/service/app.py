@@ -22,6 +22,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from ..core import kernels
 from ..exceptions import ConfigurationError
 from ..scenarios import (
     GraphFamilySpec,
@@ -74,11 +75,34 @@ def _require(payload: Mapping[str, Any], key: str) -> Any:
     return value
 
 
-def _vertex(payload: Mapping[str, Any], key: str) -> int:
+def _vertex(payload: Mapping[str, Any], key: str, n: int) -> int:
     value = _require(payload, key)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ServiceError(400, f"field {key!r} must be an integer vertex id")
+    if not 0 <= value < n:
+        raise ServiceError(
+            400, f"field {key!r} must be a vertex id in [0, {n - 1}], got {value}"
+        )
     return value
+
+
+def _object(key: str, value: Any) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ServiceError(400, f"field {key!r} must be a JSON object")
+    return value
+
+
+def _spec(payload: Mapping[str, Any], key: str, spec_type: Any) -> Any:
+    """``spec_type.from_dict`` of the required JSON object ``payload[key]``."""
+    data = _object(key, _require(payload, key))
+    try:
+        return spec_type.from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ServiceError(400, f"field {key!r} is malformed: {exc!r}") from exc
+
+
+def _params(payload: Mapping[str, Any]) -> dict[str, Any]:
+    return dict(_object("params", payload.get("params", {})))
 
 
 class ServiceApp:
@@ -93,9 +117,9 @@ class ServiceApp:
         Bound on live :class:`~repro.analysis_api.NetworkAnalysis` handles.
     engine_jobs:
         Worker processes per scenario run (``None`` = serial engine).
-    kernel_backend / tile_size:
-        Recorded for ``/healthz``; the ``serve`` CLI applies them process-wide
-        through the same scopes every other subcommand uses, so they bind the
+    tile_size:
+        Recorded for ``/healthz``; the ``serve`` CLI applies it process-wide
+        through the same scope every other subcommand uses, so it binds the
         job worker and query threads alike.
     """
 
@@ -105,7 +129,6 @@ class ServiceApp:
         data_dir: str | Path,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         engine_jobs: int | None = None,
-        kernel_backend: str | None = None,
         tile_size: int | None = None,
     ) -> None:
         self.data_dir = Path(data_dir)
@@ -119,7 +142,6 @@ class ServiceApp:
             engine_jobs=engine_jobs,
             recorder=self.recorder,
         )
-        self.kernel_backend = kernel_backend
         self.tile_size = tile_size
         self.started_at = time.time()
 
@@ -198,8 +220,8 @@ class ServiceApp:
         as a cache alias of the instance fingerprint it produces: a repeat
         query resolves spec → handle without rebuilding the network.
         """
-        graph_spec = GraphFamilySpec.from_dict(_require(payload, "graph"))
-        labels_spec = LabelModelSpec.from_dict(_require(payload, "labels"))
+        graph_spec = _spec(payload, "graph", GraphFamilySpec)
+        labels_spec = _spec(payload, "labels", LabelModelSpec)
         seed = _require(payload, "seed")
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ServiceError(400, "field 'seed' must be an integer")
@@ -208,16 +230,16 @@ class ServiceApp:
                 "kind": "query-network-v1",
                 "graph": graph_spec.to_dict(),
                 "labels": labels_spec.to_dict(),
-                "params": dict(payload.get("params", {})),
+                "params": _params(payload),
                 "seed": seed,
             }
         )
 
     def _build_network(self, payload: Mapping[str, Any]):
-        graph_spec = GraphFamilySpec.from_dict(_require(payload, "graph"))
-        labels_spec = LabelModelSpec.from_dict(_require(payload, "labels"))
+        graph_spec = _spec(payload, "graph", GraphFamilySpec)
+        labels_spec = _spec(payload, "labels", LabelModelSpec)
         seed = _require(payload, "seed")
-        params = dict(payload.get("params", {}))
+        params = _params(payload)
         try:
             graph = build_graph(graph_spec, params)
             rng = np.random.default_rng(seed)
@@ -259,19 +281,20 @@ class ServiceApp:
                 )
                 self.cache.alias(spec_key, key)
             start = time.perf_counter()
+            n = handle.n
             if op == "distances_from":
-                result: Any = handle.distances_from([_vertex(payload, "source")])[
-                    0
-                ].tolist()
+                source = _vertex(payload, "source", n)
+                result: Any = handle.distances_from([source])[0].tolist()
             elif op == "distances_to":
-                result = handle.distances_to([_vertex(payload, "target")])[0].tolist()
+                target = _vertex(payload, "target", n)
+                result = handle.distances_to([target])[0].tolist()
             elif op == "latest_departure":
                 result = handle.latest_departure(
-                    _vertex(payload, "source"), _vertex(payload, "target")
+                    _vertex(payload, "source", n), _vertex(payload, "target", n)
                 )
             elif op == "reverse_reachable_set":
                 result = handle.reverse_reachable_set(
-                    _vertex(payload, "target")
+                    _vertex(payload, "target", n)
                 ).tolist()
             else:  # centrality
                 measure = str(payload.get("measure", "closeness"))
@@ -305,7 +328,7 @@ class ServiceApp:
     def _handle_factory(self, network):
         from ..analysis_api import NetworkAnalysis
 
-        return NetworkAnalysis(network, kernel_backend=self.kernel_backend)
+        return NetworkAnalysis(network)
 
     # ------------------------------------------------------------------ #
     # GET /healthz and GET /stats
@@ -317,7 +340,7 @@ class ServiceApp:
             "status": "ok",
             "schema_version": self.store.schema_version(),
             "uptime_s": time.time() - self.started_at,
-            "kernel_backend": self.kernel_backend,
+            "kernel_backend": kernels.default_backend(),
             "tile_size": self.tile_size,
             "engine_jobs": self.jobs.engine_jobs,
         }

@@ -195,7 +195,6 @@ def serve(
     port: int = 0,
     cache_capacity: int | None = None,
     engine_jobs: int | None = None,
-    kernel_backend: str | None = None,
     tile_size: int | None = None,
 ) -> ServiceHTTPServer:
     """Build a :class:`ServiceApp` and bind it to a socket (not yet serving).
@@ -212,7 +211,6 @@ def serve(
             cache_capacity if cache_capacity is not None else DEFAULT_CACHE_CAPACITY
         ),
         engine_jobs=engine_jobs,
-        kernel_backend=kernel_backend,
         tile_size=tile_size,
     )
     return ServiceHTTPServer(app, host=host, port=port)

@@ -14,7 +14,7 @@ import pytest
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.driver import run_sharded
 from repro import telemetry
-from repro.core import blocked_sweeps, kernels
+from repro.core import blocked_sweeps
 from repro.engine.executors import (
     MultiprocessExecutor,
     RunContext,
@@ -290,11 +290,9 @@ class TestRunUnit:
         return TestExecutors()._works(budget=4, shard_size=4)[0]
 
     def test_snapshot_reads_the_ambient_settings(self):
-        with kernels.backend_scope("python"), blocked_sweeps.tile_size_scope(8):
+        with blocked_sweeps.tile_size_scope(8):
             with telemetry.session():
-                assert RunContext.snapshot() == RunContext(
-                    telemetry=True, kernel_backend="python", tile_size=8
-                )
+                assert RunContext.snapshot() == RunContext(telemetry=True, tile_size=8)
         assert RunContext.snapshot().telemetry is False
 
     def test_context_is_installed_for_the_unit_and_then_restored(self):
@@ -304,14 +302,14 @@ class TestRunUnit:
             index = 3
 
             def run(self):
-                seen.append((kernels.default_backend(), blocked_sweeps.default_tile_size()))
+                seen.append(blocked_sweeps.default_tile_size())
                 return "done"
 
-        before = (kernels.default_backend(), blocked_sweeps.default_tile_size())
-        result = run_unit(Probe(), RunContext(kernel_backend="python", tile_size=8))
+        before = blocked_sweeps.default_tile_size()
+        result = run_unit(Probe(), RunContext(tile_size=8))
         assert (result.index, result.value, result.telemetry_state) == (3, "done", None)
-        assert seen == [("python", 8)]
-        assert (kernels.default_backend(), blocked_sweeps.default_tile_size()) == before
+        assert seen == [8]
+        assert blocked_sweeps.default_tile_size() == before
 
     def test_unit_telemetry_is_isolated_from_outer_recorders(self):
         work = self._work()
@@ -341,14 +339,14 @@ class TestRunUnit:
                 telemetry.counter("probe.before_failure")
                 raise RuntimeError("unit failed")
 
-        before = (kernels.default_backend(), blocked_sweeps.default_tile_size())
-        context = RunContext(telemetry=True, kernel_backend="python", tile_size=8)
+        before = blocked_sweeps.default_tile_size()
+        context = RunContext(telemetry=True, tile_size=8)
         with telemetry.session() as outer:
             with pytest.raises(RuntimeError, match="unit failed"):
                 run_unit(Failing(), context)
             assert telemetry.active() == (outer,)
         assert "probe.before_failure" not in outer.counters
-        assert (kernels.default_backend(), blocked_sweeps.default_tile_size()) == before
+        assert blocked_sweeps.default_tile_size() == before
 
 
 class TestCheckpointStore:

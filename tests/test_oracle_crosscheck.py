@@ -8,14 +8,9 @@ reference) and the centrality family must all agree with them exactly.
 
 ``TestFreeFunctionsAgainstOracle`` pins the core free functions (one sweep,
 one ``repro.core`` reduction, no handle) over the pool plus a single vertex
-and a network whose edges carry no labels.
-
-``TestEveryBackendAgainstOracle`` additionally pins **every registered
-kernel backend** (:mod:`repro.core.kernels`) bit-identical to the oracles on
-the same pool; a backend that cannot run here (numba not installed) skips
-cleanly with the registry's reason string.  ``TestReachOnlyAgainstOracle``
-does the same for the reach-only sweep, whose answer is the kernel's packed
-``reached`` bitset.
+and a network whose edges carry no labels.  ``TestReachOnlyAgainstOracle``
+pins the reach-only sweep, whose answer is the kernel's packed ``reached``
+bitset.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ from repro import (
     star_graph,
     uniform_random_labels,
 )
-from repro.core import centrality, distances, kernels, reachability
+from repro.core import centrality, distances, reachability
 from repro.core.journeys import _sweep
 from repro.core.reverse_journeys import latest_departure_matrix, latest_departure_times
 
@@ -81,7 +76,7 @@ def _instance_pool():
 
 _POOL = _instance_pool()
 
-#: Kept out of ``_POOL`` so the per-backend legs do not grow.
+#: Kept out of ``_POOL``: only the free functions take them.
 _DEGENERATE = {
     "single-vertex": TemporalGraph(StaticGraph(1, []), []),
     "unlabelled-path": TemporalGraph(path_graph(4), {}),
@@ -97,25 +92,6 @@ def network(request):
 @pytest.fixture(params=sorted(_FREE_POOL), ids=sorted(_FREE_POOL))
 def any_network(request):
     return _FREE_POOL[request.param]
-
-
-def backend_params():
-    """One pytest param per registered kernel backend; unusable ones skip."""
-    params = []
-    for name in kernels.backend_names():
-        reason = kernels.backend_unavailable_reason(name)
-        marks = (
-            [pytest.mark.skip(reason=f"backend {name!r}: {reason}")]
-            if reason is not None
-            else []
-        )
-        params.append(pytest.param(name, marks=marks, id=name))
-    return params
-
-
-@pytest.fixture(params=backend_params())
-def kernel_backend(request):
-    return request.param
 
 
 class TestForwardKernelAgainstOracle:
@@ -169,60 +145,18 @@ class TestReverseKernelAgainstOracle:
             )
 
 
-class TestEveryBackendAgainstOracle:
-    """Every registered backend must be bit-identical to the oracles.
-
-    These run the same instances as the reference-kernel classes above, but
-    force each sweep through one named backend — the cross-backend half of
-    the oracle harness.  (Large-n cross-backend parity lives in
-    ``tests/test_kernel_backends.py``; this pool is exhaustive per source and
-    target.)
-    """
-
-    def test_forward(self, network, kernel_backend):
-        np.testing.assert_array_equal(
-            earliest_arrival_matrix(network, backend=kernel_backend),
-            oracle_arrival_matrix(network),
-        )
-        start = max(1, network.lifetime // 3)
-        for source in range(network.n):
-            np.testing.assert_array_equal(
-                earliest_arrival_times(
-                    network, source, start_time=start, backend=kernel_backend
-                ),
-                oracle_earliest_arrival_times(network, source, start_time=start),
-            )
-
-    def test_reverse(self, network, kernel_backend):
-        np.testing.assert_array_equal(
-            latest_departure_matrix(network, backend=kernel_backend),
-            oracle_departure_matrix(network),
-        )
-        deadline = max(1, network.lifetime // 2)
-        for target in range(network.n):
-            np.testing.assert_array_equal(
-                latest_departure_times(
-                    network, target, deadline=deadline, backend=kernel_backend
-                ),
-                oracle_latest_departure_times(network, target, deadline=deadline),
-            )
-
-
 class TestReachOnlyAgainstOracle:
-    """Reach-only sweeps on every backend: no arrivals, just the bitset."""
+    """Reach-only sweeps: no arrivals, just the bitset."""
 
-    def test_both_directions(self, network, kernel_backend):
+    def test_both_directions(self, network):
         expected = oracle_arrival_matrix(network) < UNREACHABLE
         np.testing.assert_array_equal(
-            reachability.reachability_matrix(network, backend=kernel_backend),
-            expected,
+            reachability.reachability_matrix(network), expected
         )
-        handle = NetworkAnalysis(network, kernel_backend=kernel_backend)
+        handle = NetworkAnalysis(network)
         np.testing.assert_array_equal(handle.reachability(), expected)
         # The reverse twin: bit s of row v is set when v reaches target s.
-        reached = _sweep(
-            network, None, 0, reverse=True, backend=kernel_backend, arrivals=False
-        ).reached
+        reached = _sweep(network, None, 0, reverse=True, arrivals=False).reached
         bits = np.unpackbits(reached.view(np.uint8), axis=1, count=network.n)
         np.testing.assert_array_equal(
             bits.view(np.bool_).T, oracle_departure_matrix(network) > NEVER
@@ -236,11 +170,11 @@ class TestStreamedSummaryAgainstOracle:
     *reduction* — :func:`repro.core.blocked_sweeps.blocked_sweep_summary`
     streams tile partials into exact integer accumulators, and every field
     (including the correctly-rounded mean) must equal the oracle's pure-Python
-    reduction exactly.  Tile width 3 forces partial tiles on every pool
-    instance; ``n`` collapses to a single tile.
+    reduction exactly.  Tile widths 2 and 3 force partial tiles on every
+    pool instance; ``n`` collapses to a single tile.
     """
 
-    @pytest.mark.parametrize("tile_size", [3, None], ids=["tile3", "tileN"])
+    @pytest.mark.parametrize("tile_size", [2, 3, None], ids=["tile2", "tile3", "tileN"])
     def test_forward(self, network, tile_size):
         from repro.core.blocked_sweeps import blocked_sweep_summary
 
@@ -278,17 +212,6 @@ class TestStreamedSummaryAgainstOracle:
         np.testing.assert_array_equal(
             result.reach_counts, expected["reach_counts"]
         )
-
-    def test_every_backend(self, network, kernel_backend):
-        from repro.core.blocked_sweeps import blocked_sweep_summary
-
-        expected = oracle_distance_summary(network)
-        result = blocked_sweep_summary(network, tile_size=2, backend=kernel_backend)
-        assert result.summary.diameter == expected["diameter"]
-        _assert_same_float(
-            result.summary.average_distance, expected["average_distance"]
-        )
-        assert result.summary.reachable_fraction == expected["reachable_fraction"]
 
     @pytest.mark.parametrize("direction", ["forward", "reverse"])
     def test_spill_changes_nothing(self, network, direction, tmp_path):
@@ -356,6 +279,15 @@ class TestFreeFunctionsAgainstOracle:
         assert reachability.is_temporally_connected(any_network) == expected.all()
         assert reachability.preserves_reachability(any_network) == (
             NetworkAnalysis(any_network).preserves_reachability()
+        )
+
+    def test_reach_only_reductions(self, any_network):
+        """``reachable_fraction`` and ``is_temporally_connected`` reduce the
+        reach-only bitset; they must equal the dense summary's values."""
+        summary = distances.temporal_distance_summary(any_network)
+        assert reachability.reachable_fraction(any_network) == summary.reachable_fraction
+        assert reachability.is_temporally_connected(any_network) == (
+            summary.diameter < UNREACHABLE
         )
 
     def test_centrality(self, any_network):

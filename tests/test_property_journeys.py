@@ -10,9 +10,8 @@ generated temporal networks:
 * the vectorised kernel agrees with the scalar reference,
 * adding labels never increases temporal distances (monotonicity),
 * both sweep directions equal the brute-force oracles of ``tests/oracles.py``
-  on every available kernel backend, at any start time or deadline —
-  including deadlines beyond the lifetime, where the reverse sweep over the
-  time-reversed layout starts below zero.
+  at any start time or deadline — including deadlines beyond the lifetime,
+  where the reverse sweep over the time-reversed layout starts below zero.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from itertools import permutations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import kernels
 from repro.core.journeys import (
     earliest_arrival_matrix,
     earliest_arrival_times,
@@ -173,7 +171,7 @@ def test_arrival_times_bounded_by_lifetime_or_unreachable(network):
 
 @settings(max_examples=80, deadline=None)
 @given(temporal_networks(allow_directed=True), st.data())
-def test_both_directions_match_oracles_on_every_backend(network, data):
+def test_both_directions_match_oracles(network, data):
     """Forward from ``start_time = t`` and reverse to ``deadline = t``.
 
     ``t`` ranges up to ``lifetime + 2``: a deadline beyond the lifetime is
@@ -186,17 +184,16 @@ def test_both_directions_match_oracles_on_every_backend(network, data):
     departures = [
         oracle_latest_departure_times(network, v, deadline=time) for v in range(network.n)
     ]
-    for backend in kernels.available_backends():
-        arrival_rows = earliest_arrival_matrix(network, start_time=time, backend=backend)
-        departure_rows = latest_departure_matrix(network, deadline=time, backend=backend)
-        for vertex in range(network.n):
-            np.testing.assert_array_equal(arrival_rows[vertex], arrivals[vertex])
-            np.testing.assert_array_equal(
-                earliest_arrival_times(network, vertex, start_time=time, backend=backend),
-                arrivals[vertex],
-            )
-            np.testing.assert_array_equal(departure_rows[vertex], departures[vertex])
-            np.testing.assert_array_equal(
-                latest_departure_times(network, vertex, deadline=time, backend=backend),
-                departures[vertex],
-            )
+    arrival_rows = earliest_arrival_matrix(network, start_time=time)
+    departure_rows = latest_departure_matrix(network, deadline=time)
+    for vertex in range(network.n):
+        np.testing.assert_array_equal(arrival_rows[vertex], arrivals[vertex])
+        np.testing.assert_array_equal(
+            earliest_arrival_times(network, vertex, start_time=time),
+            arrivals[vertex],
+        )
+        np.testing.assert_array_equal(departure_rows[vertex], departures[vertex])
+        np.testing.assert_array_equal(
+            latest_departure_times(network, vertex, deadline=time),
+            departures[vertex],
+        )

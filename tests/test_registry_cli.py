@@ -87,7 +87,7 @@ class TestCli:
         exit_code = main(
             [
                 "serve", "--port", "0", "--data-dir", str(tmp_path / "data"),
-                "--kernel-backend", "no-such-backend",
+                "--tile-size", "0",
             ]
         )
         assert exit_code == 2
@@ -98,7 +98,7 @@ class TestCli:
     )
     def test_subcommand_configuration_error_exits_2(self, command, capsys):
         exit_code = main(
-            [*command, "--scale", "quick", "--kernel-backend", "no-such-backend"]
+            [*command, "--scale", "quick", "--tile-size", "0"]
         )
         assert exit_code == 2
         assert "error" in capsys.readouterr().err

@@ -203,6 +203,40 @@ class TestErrorSurface:
         status, payload = _call(server.url, "POST", "/query", body)
         assert status == 400 and "invalid" in payload["error"]
 
+    @pytest.mark.parametrize("vertex", [-1, 99])
+    @pytest.mark.parametrize(
+        "op, field",
+        [
+            ("distances_from", "source"),
+            ("distances_to", "target"),
+            ("latest_departure", "source"),
+            ("latest_departure", "target"),
+            ("reverse_reachable_set", "target"),
+        ],
+    )
+    def test_vertex_outside_the_network_is_400_not_500(self, server, op, field, vertex):
+        body = dict(QUERY, op=op, source=0, target=0)  # the n = 8 clique
+        body[field] = vertex
+        status, payload = _call(server.url, "POST", "/query", body)
+        assert status == 400 and f"field {field!r}" in payload["error"]
+        assert "[0, 7]" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("params", "abc"), ("graph", "clique"), ("labels", [1]), ("graph", {})],
+    )
+    def test_ill_typed_query_spec_is_400_not_500(self, server, field, value):
+        status, payload = _call(server.url, "POST", "/query", dict(QUERY, **{field: value}))
+        assert status == 400 and f"field {field!r}" in payload["error"]
+
+    @pytest.mark.parametrize("key", ["name", "graph"])
+    def test_malformed_scenario_document_is_400_not_500(self, server, key):
+        from repro.scenarios import get_scenario
+
+        document = {} if key == "name" else dict(get_scenario("E7").to_dict(), graph=3)
+        status, payload = _call(server.url, "POST", "/scenarios", {"scenario": document})
+        assert status == 400 and repr(key) in payload["error"]
+
 
 class TestServeCLI:
     def test_serve_subcommand_end_to_end(self, tmp_path):

@@ -16,7 +16,6 @@ import pytest
 
 from repro import complete_graph, normalized_urtn, telemetry
 from repro.analysis_api import NetworkAnalysis, compute_events
-from repro.core import kernels
 from repro.core.journeys import earliest_arrival_matrix
 from repro.engine.driver import run_sharded
 from repro.engine.executors import MultiprocessExecutor
@@ -341,13 +340,11 @@ class TestEngineTransport:
         assert serial_rec.counters["kernel.forward.sweeps"] == 323
         assert serial_rec.counters["scenario.direct_points"] == 3
 
-    def test_direct_points_sweep_on_the_backend_shipped_to_spawned_workers(self):
+    def test_direct_points_sweep_in_spawned_workers(self):
         serial_run, _ = self._e6()
-        with kernels.backend_scope("python"):
-            run, rec = self._e6(executor=MultiprocessExecutor(2, start_method="spawn"))
+        run, rec = self._e6(executor=MultiprocessExecutor(2, start_method="spawn"))
         assert run.records == serial_run.records
         assert rec.counters["kernel.forward.sweeps"] == 323
-        assert rec.counters["kernel.forward.backend.python"] == 323
 
     def test_no_telemetry_state_when_disabled(self):
         experiment = Experiment(name="telemetry-off", trial=_coin_trial)
