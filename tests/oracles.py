@@ -24,6 +24,8 @@ dominates any non-simple journey for both objectives.
 The scalar references :func:`earliest_arrival_times_reference` and
 :func:`latest_departure_times_reference` run the label-group sweep one arc at
 a time in plain Python; being polynomial, they also check larger instances.
+:func:`exit_point_reference` says, from a sweep's final rows alone, how many
+label groups it scans and whether it exits early.
 :func:`prefix_connectivity_time_reference` binary-searches the labels with a
 static connectivity check per probe, and :func:`build_timearc_csr_reference`
 orders the CSR layout's arcs with ``np.lexsort``.
@@ -300,6 +302,31 @@ def latest_departure_times_reference(
             for tail in [t for t, h in group if depart[t] < label < depart[h]]:
                 depart[tail] = label
     return np.asarray(depart, dtype=np.int64)
+
+
+def exit_point_reference(
+    network: TemporalGraph, time: int, final: np.ndarray, *, reverse: bool = False
+) -> tuple[int, int]:
+    """``(groups_scanned, saturation_exits)`` of a sweep over two or more
+    rows that ends in the rows ``final``.
+
+    ``time`` is the start time (forward) or the deadline (``reverse``).  The
+    sweep scans the label groups after its start in sweep order: labels
+    above ``time`` ascending, or labels at most ``time`` descending.  With an
+    entry left unreached it scans every one of them and never exits early.
+    Otherwise it exits once, at the group that settles its last entry: the
+    largest arrival, or the smallest departure.
+    """
+    labels = np.unique(network.time_arc_labels)
+    if reverse:
+        pending = labels[labels <= time]
+        if (final == NEVER).any():
+            return int(pending.size), 0
+        return int(np.count_nonzero(pending >= final.min())), 1
+    pending = labels[labels > time]
+    if (final == UNREACHABLE).any():
+        return int(pending.size), 0
+    return int(np.count_nonzero(pending <= final.max())), 1
 
 
 def prefix_connectivity_time_reference(network: TemporalGraph) -> int:

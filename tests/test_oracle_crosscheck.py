@@ -10,7 +10,9 @@ reference) and the centrality family must all agree with them exactly.
 one ``repro.core`` reduction, no handle) over the pool plus a single vertex
 and a network whose edges carry no labels.  ``TestReachOnlyAgainstOracle``
 pins the reach-only sweep, whose answer is the kernel's packed ``reached``
-bitset.
+bitset.  ``TestExitPointsAgainstOracle`` pins how many label groups each
+all-pairs sweep scans, and ``TestHandleQueriesAgainstOracle`` the handle's
+narrow row and point queries.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro import (
     NEVER,
     UNREACHABLE,
     NetworkAnalysis,
+    telemetry,
     StaticGraph,
     TemporalGraph,
     complete_graph,
@@ -36,10 +39,16 @@ from repro import (
     uniform_random_labels,
 )
 from repro.core import centrality, distances, reachability
+from repro.core.blocked_sweeps import streamed_distance_summary, streamed_reachable_fraction
 from repro.core.journeys import _sweep
-from repro.core.reverse_journeys import latest_departure_matrix, latest_departure_times
+from repro.core.reverse_journeys import (
+    latest_departure_matrix,
+    latest_departure_times,
+    reverse_reachable_set,
+)
 
 from oracles import (
+    exit_point_reference,
     latest_departure_times_reference,
     oracle_arrival_matrix,
     oracle_centrality,
@@ -94,6 +103,28 @@ def any_network(request):
     return _FREE_POOL[request.param]
 
 
+def _every_time(network):
+    """Start times and deadlines ``0 .. lifetime + 2``.  A deadline past the
+    lifetime starts the reverse sweep below zero."""
+    return range(network.lifetime + 3)
+
+
+def _oracle_rows(network, direction, time):
+    """Every source's arrivals from start time ``time`` (forward), or every
+    target's departures to deadline ``time`` (reverse)."""
+    if direction == "forward":
+        rows = [
+            oracle_earliest_arrival_times(network, v, start_time=time)
+            for v in range(network.n)
+        ]
+    else:
+        rows = [
+            oracle_latest_departure_times(network, v, deadline=time)
+            for v in range(network.n)
+        ]
+    return np.stack(rows)
+
+
 class TestForwardKernelAgainstOracle:
     def test_single_source(self, network):
         for source in range(network.n):
@@ -113,6 +144,14 @@ class TestForwardKernelAgainstOracle:
             np.testing.assert_array_equal(
                 earliest_arrival_times(network, source, start_time=start),
                 oracle_earliest_arrival_times(network, source, start_time=start),
+            )
+
+    def test_matrix_from_every_start_time(self, network):
+        for start in _every_time(network):
+            np.testing.assert_array_equal(
+                earliest_arrival_matrix(network, start_time=start),
+                _oracle_rows(network, "forward", start),
+                err_msg=f"start_time={start}",
             )
 
 
@@ -144,6 +183,44 @@ class TestReverseKernelAgainstOracle:
                 oracle_latest_departure_times(network, target, deadline=deadline),
             )
 
+    def test_matrix_to_every_deadline(self, network):
+        for deadline in _every_time(network):
+            np.testing.assert_array_equal(
+                latest_departure_matrix(network, deadline=deadline),
+                _oracle_rows(network, "reverse", deadline),
+                err_msg=f"deadline={deadline}",
+            )
+
+
+class TestExitPointsAgainstOracle:
+    """Where an all-pairs sweep stops, against the oracle's final rows.
+
+    From every start time or deadline, the full-width sweep's
+    ``groups_scanned`` and ``saturation_exits`` must equal what
+    :func:`oracles.exit_point_reference` reads off the brute-force rows.
+    """
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_every_time(self, network, direction):
+        for time in _every_time(network):
+            with telemetry.session() as recorder:
+                if direction == "forward":
+                    earliest_arrival_matrix(network, start_time=time)
+                else:
+                    latest_departure_matrix(network, deadline=time)
+            counters = recorder.counters
+            exits = (
+                counters[f"kernel.{direction}.groups_scanned"],
+                counters.get(f"kernel.{direction}.saturation_exits", 0),
+            )
+            expected = exit_point_reference(
+                network,
+                time,
+                _oracle_rows(network, direction, time),
+                reverse=direction == "reverse",
+            )
+            assert exits == expected, time
+
 
 class TestReachOnlyAgainstOracle:
     """Reach-only sweeps: no arrivals, just the bitset."""
@@ -161,6 +238,56 @@ class TestReachOnlyAgainstOracle:
         np.testing.assert_array_equal(
             bits.view(np.bool_).T, oracle_departure_matrix(network) > NEVER
         )
+
+    def test_reachable_sets(self, network):
+        arrivals = oracle_arrival_matrix(network)
+        departures = oracle_departure_matrix(network)
+        for vertex in range(network.n):
+            np.testing.assert_array_equal(
+                reachability.reachable_set(network, vertex),
+                np.flatnonzero(arrivals[vertex] < UNREACHABLE),
+            )
+            np.testing.assert_array_equal(
+                reverse_reachable_set(network, vertex),
+                np.flatnonzero(departures[vertex] > NEVER),
+            )
+
+
+class TestHandleQueriesAgainstOracle:
+    """Row and point queries on a fresh :class:`NetworkAnalysis`.
+
+    No matrix is cached yet, so each query runs and memoizes its own narrow
+    sweep; a target-side query must never run a forward sweep.
+    """
+
+    def test_source_side(self, network):
+        expected = oracle_arrival_matrix(network)
+        handle = NetworkAnalysis(network)
+        order = np.arange(network.n)[::-1]
+        np.testing.assert_array_equal(handle.distances_from(order), expected[order])
+        for source in range(network.n):
+            for target in range(network.n):
+                assert handle.distance(source, target) == expected[source, target]
+
+    def test_target_side(self, network):
+        departures = oracle_departure_matrix(network)
+        horizon = network.lifetime + 1
+        handle = NetworkAnalysis(network)
+        with telemetry.session() as recorder:
+            for target in range(network.n):
+                row = departures[target]
+                np.testing.assert_array_equal(handle.departures_to([target])[0], row)
+                np.testing.assert_array_equal(
+                    handle.distances_to([target])[0],
+                    np.where(row == NEVER, UNREACHABLE, horizon - row),
+                )
+                np.testing.assert_array_equal(
+                    handle.reverse_reachable_set(target), np.flatnonzero(row > NEVER)
+                )
+                for source in range(network.n):
+                    assert handle.latest_departure(source, target) == row[source]
+        assert "kernel.forward.sweeps" not in recorder.counters
+        assert recorder.counters["kernel.reverse.sweeps"] == network.n
 
 
 class TestStreamedSummaryAgainstOracle:
@@ -211,6 +338,29 @@ class TestStreamedSummaryAgainstOracle:
         assert result.summary.reachable_fraction == expected["reachable_fraction"]
         np.testing.assert_array_equal(
             result.reach_counts, expected["reach_counts"]
+        )
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_streamed_entry_points(self, network, direction):
+        """The free functions and the handle methods built on the blocked sweep."""
+        expected = (
+            oracle_distance_summary(network)
+            if direction == "forward"
+            else oracle_reverse_distance_summary(network)
+        )
+        handle = NetworkAnalysis(network)
+        for summary in (
+            streamed_distance_summary(network, tile_size=3, direction=direction),
+            handle.streamed_distance_summary(tile_size=3, direction=direction),
+        ):
+            assert summary.diameter == expected["diameter"]
+            assert summary.radius == expected["radius"]
+            _assert_same_float(summary.average_distance, expected["average_distance"])
+            assert summary.reachable_fraction == expected["reachable_fraction"]
+        assert (
+            streamed_reachable_fraction(network, tile_size=3, direction=direction)
+            == handle.streamed_reachable_fraction(tile_size=3, direction=direction)
+            == expected["reachable_fraction"]
         )
 
     @pytest.mark.parametrize("direction", ["forward", "reverse"])

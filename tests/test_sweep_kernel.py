@@ -1,7 +1,10 @@
 """The one sweep kernel (:class:`repro.core.kernels.NumpyBackend`).
 
-Four concerns are pinned here, all below the oracle cross-check:
+Five concerns are pinned here, all below the oracle cross-check:
 
+* **real sizes** — at ``n = 64``, beyond the oracle pool's ``n <= 8``, every
+  row of both all-pairs matrices equals the scalar references of
+  ``tests/oracles.py`` on structured families;
 * **saturation exit points** — the kernel's settled-entry counter stops
   every width > 1 sweep at the label group that settles its last entry, so
   ``groups_scanned`` / ``saturation_exits`` equal what the scalar
@@ -26,8 +29,8 @@ import pytest
 from repro import telemetry
 from repro.core import kernels
 from repro.core.kernels import numpy_backend
-from repro.core.journeys import _sweep, earliest_arrival_matrix
-from repro.core.reverse_journeys import latest_departure_matrix
+from repro.core.journeys import _sweep, earliest_arrival_matrix, earliest_arrival_times
+from repro.core.reverse_journeys import latest_departure_matrix, latest_departure_times
 from repro.exceptions import ConfigurationError
 from repro import (
     complete_graph,
@@ -38,9 +41,70 @@ from repro import (
     star_graph,
     uniform_random_labels,
 )
-from repro.types import NEVER, UNREACHABLE
+from repro.types import UNREACHABLE
 
-from oracles import earliest_arrival_times_reference, latest_departure_times_reference
+from oracles import (
+    earliest_arrival_times_reference,
+    exit_point_reference,
+    latest_departure_times_reference,
+)
+
+
+# --------------------------------------------------------------------- #
+# real sizes
+# --------------------------------------------------------------------- #
+def _parity_instances(n: int):
+    """Structured families × seeds at size ``n`` (hypercube needs 2^k)."""
+    dimension = int(np.log2(n))
+    assert 2**dimension == n
+    instances = {}
+    for seed in (0, 1):
+        instances[f"complete-{n}-{seed}"] = normalized_urtn(
+            complete_graph(n, directed=True), seed=seed
+        )
+        instances[f"er-{n}-{seed}"] = uniform_random_labels(
+            erdos_renyi_graph(n, min(1.0, 8.0 / n), directed=True, seed=seed),
+            lifetime=2 * n,
+            labels_per_edge=2,
+            seed=seed + 10,
+        )
+        instances[f"star-{n}-{seed}"] = normalized_urtn(star_graph(n - 1), seed=seed)
+        instances[f"hypercube-{n}-{seed}"] = uniform_random_labels(
+            hypercube_graph(dimension), lifetime=3 * dimension, seed=seed + 20
+        )
+    return instances
+
+
+class TestScalarReferenceParity:
+    """The kernel against the scalar references at ``n = 64``.
+
+    Both all-pairs matrices must equal the references row for row.  A few
+    probe vertices also run the single-row entry points, forward from
+    ``start_time = 0`` and reverse to a deadline halfway through the
+    lifetime.
+    """
+
+    @pytest.mark.parametrize("instance_id", sorted(_parity_instances(64)), ids=str)
+    def test_n64(self, instance_id):
+        network = _parity_instances(64)[instance_id]
+        arrivals = earliest_arrival_matrix(network)
+        departures = latest_departure_matrix(network)
+        for vertex in range(network.n):
+            np.testing.assert_array_equal(
+                arrivals[vertex], earliest_arrival_times_reference(network, vertex)
+            )
+            np.testing.assert_array_equal(
+                departures[vertex], latest_departure_times_reference(network, vertex)
+            )
+        deadline = max(1, network.lifetime // 2)
+        for vertex in range(0, network.n, network.n // 4):
+            np.testing.assert_array_equal(
+                earliest_arrival_times(network, vertex), arrivals[vertex]
+            )
+            np.testing.assert_array_equal(
+                latest_departure_times(network, vertex, deadline=deadline),
+                latest_departure_times_reference(network, vertex, deadline=deadline),
+            )
 
 
 # --------------------------------------------------------------------- #
@@ -104,33 +168,13 @@ def _reference(network, direction, rows, time):
     )
 
 
-def _expected_exit_point(network, direction, time, reference):
-    """``(groups_scanned, saturation_exits)`` of a width > 1 sweep whose
-    final rows are ``reference``.
-
-    The sweep scans from the first label group above its start.  It exits
-    once, at the group that settles its last entry: the one labelled with
-    the largest settled arrival in the sweep's labels (``a + 1 − departure``
-    reverse).  With an entry left unreached it scans every group and never
-    exits early.
-    """
-    reverse = direction == "reverse"
-    csr = network.reverse_timearc_csr if reverse else network.timearc_csr
-    start = network.lifetime - time if reverse else time
-    first = int(np.searchsorted(csr.labels, start, side="right"))
-    if (reference == (NEVER if reverse else UNREACHABLE)).any():
-        return csr.labels.size - first, 0
-    latest = network.lifetime + 1 - reference.min() if reverse else reference.max()
-    return int(np.searchsorted(csr.labels, latest)) - first + 1, 1
-
-
 class TestSaturationExitPoints:
     """The kernel counts settled entries instead of rescanning the state.
 
     It must stop at the label group where ``arrivals.max() <= label`` first
     holds, so on every width > 1 sweep its ``groups_scanned`` and
     ``saturation_exits`` must equal what the scalar references' final
-    arrivals imply (:func:`_expected_exit_point`).
+    arrivals imply (:func:`oracles.exit_point_reference`).
     """
 
     DRAWS = 20
@@ -145,8 +189,8 @@ class TestSaturationExitPoints:
             rows = np.sort(rng.choice(network.n, size=width, replace=False))
             time = int(rng.integers(0, network.lifetime + 3))
             reference = _reference(network, direction, rows, time)
-            assert _exit_point(network, direction, rows, time) == _expected_exit_point(
-                network, direction, time, reference
+            assert _exit_point(network, direction, rows, time) == exit_point_reference(
+                network, time, reference, reverse=direction == "reverse"
             ), (rows.tolist(), time)
 
     @pytest.mark.parametrize("direction", ["forward", "reverse"])
@@ -222,8 +266,8 @@ class TestPackedKernelWidths:
                 matrix, exits = _swept(network, direction, rows, time)
                 expected = _reference(network, direction, rows, time)
                 np.testing.assert_array_equal(matrix, expected)
-                assert exits == _expected_exit_point(
-                    network, direction, time, expected
+                assert exits == exit_point_reference(
+                    network, time, expected, reverse=direction == "reverse"
                 ), (width, time)
             write_backs = spy.write_backs - write_backs
             subsets = spy.subsets - subsets
