@@ -34,8 +34,9 @@ N = 128
 INSTANCES = 12
 SEED = 2014
 #: Instances the gate streams through, one at a time: enough for a
-#: recomputation leg of about 2 s on a 2-core box.
-GATE_INSTANCES = 320
+#: recomputation leg of about 1.5 s on a 2-core box in a fast phase of the
+#: host, 2.0–2.4 s in a slower one.
+GATE_INSTANCES = 900
 #: Shortest recomputation leg the gate asserts on.
 SERIAL_FLOOR_S = 1.0
 

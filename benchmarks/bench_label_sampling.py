@@ -35,8 +35,9 @@ from repro.graphs.generators import complete_graph
 N = 128
 LABELS_PER_EDGE = 1
 #: Rounds the gate alternates its legs over, one build per leg per round:
-#: enough for a dict leg of about 2.5 s on a 2-core box.
-ROUNDS = 24
+#: enough for a dict leg of about 1.5 s on a 2-core box in a fast phase of
+#: the host, 2.0–2.2 s in a slower one.
+ROUNDS = 44
 #: Shortest dict leg the gate asserts on.
 SERIAL_FLOOR_S = 1.0
 REQUIRED_SPEEDUP = 3.0

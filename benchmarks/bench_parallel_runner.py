@@ -26,15 +26,16 @@ from repro.montecarlo.experiment import Experiment
 from repro.montecarlo.runner import run_trials
 
 #: The E1 workload: one Θ(log n)-diameter clique instance per trial.  The
-#: gate runs GATE_REPETITIONS trials, so its serial leg takes about 1.5–1.9 s
-#: on a 2-core box (about 10 ms per trial).
+#: gate runs GATE_REPETITIONS trials, so its serial leg takes about 1.5 s on
+#: a 2-core box in a fast phase of the host, 3.0–3.3 s in a slower one
+#: (3.4–7.4 ms per trial).
 WORKLOAD = Experiment(
     name="E1-temporal-diameter",
     trial=trial_temporal_diameter,
     parameters={"n": 256, "directed": True},
 )
 SEED = 314
-GATE_REPETITIONS = 160
+GATE_REPETITIONS = 440
 #: Shortest serial leg the gate asserts on.
 SERIAL_FLOOR_S = 1.0
 

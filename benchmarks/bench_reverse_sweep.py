@@ -41,9 +41,9 @@ INSTANCES = 8
 TARGET = 0
 SEED = 2032
 #: Rounds the gate alternates its legs over, each leg querying every
-#: instance once per round: enough for a forward leg of about 2.5 s on a
-#: 2-core box.
-GATE_ROUNDS = 64
+#: instance once per round: enough for a forward leg of about 1.5 s on a
+#: 2-core box in a fast phase of the host, 1.8 s in a slower one.
+GATE_ROUNDS = 100
 #: Shortest forward leg the gate asserts on.
 SERIAL_FLOOR_S = 1.0
 

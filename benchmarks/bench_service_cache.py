@@ -31,9 +31,9 @@ from repro.service import ServiceApp
 N = 256
 SEED = 2014
 #: Rounds the gate alternates its legs over, one query per leg per round:
-#: enough for a cold leg of about 1.4–1.7 s on a 2-core box (about 15 ms per
-#: cold query).
-ROUNDS = 100
+#: enough for a cold leg of about 1.5 s on a 2-core box in a fast phase of
+#: the host, 2.6 s in a slower one (6–11 ms per cold query).
+ROUNDS = 240
 #: Shortest cold leg the gate asserts on.
 SERIAL_FLOOR_S = 1.0
 REQUIRED_SPEEDUP = 10.0

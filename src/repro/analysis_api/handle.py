@@ -542,7 +542,9 @@ class NetworkAnalysis:
         True when, for every ordered pair ``(u, v)``, a journey exists in
         ``(G, L)`` exactly when a path exists in the underlying graph ``G`` —
         i.e. the temporal reachability mask equals the static one
-        (:func:`~repro.core.reachability.static_reachability_matrix`).  (A
+        (:func:`~repro.core.reachability.static_reachability_matrix`, the
+        closure cached on the graph, so handles on networks over one graph
+        compute it once; the memo keeps the comparison).  (A
         journey can only use labelled edges of ``G``, so a journey without a
         path would mean label data inconsistent with the graph, which the
         constructor forbids; the comparison checks both directions anyway.)

@@ -8,9 +8,12 @@ an entry the sweep settles takes the current label, which every later group
 exceeds.  So at group ``g`` a set bit means "arrived before ``labels[g]``",
 and the two per-group tests (a tail forwards where it has arrived, a head
 improves where it has not) are reads of that one bit.  Per group the kernel
-gathers the tail words, ORs each head's run of arcs with
+gathers the tail words (``take``), ORs each head's run of arcs with
 ``np.bitwise_or.reduceat``, and sets the bits the heads lack (``new``): the
-entries this group settles.
+entries this group settles.  One popcount of ``new`` skips a group that
+settles nothing.  The loop calls ufuncs and ``take`` only, no ``.any()`` /
+``.sum()`` / ``.max()`` methods: on the few-arc groups of small instances
+the per-call overhead, not the data, is the cost.
 
 ``new`` then feeds only the outputs the caller asked for:
 
@@ -18,7 +21,7 @@ entries this group settles.
   label into the gathered head rows and scatter them back.  A group with
   more than ``_ROW_SUBSET_ENTRIES`` head entries first drops the heads that
   gained no bit, so the write-back touches only the rows that settle;
-* ``settled`` — the group's popcount;
+* ``settled`` — that popcount;
 * ``last`` — the group's label, for every column with a bit in ``new``.
 
 Saturation is detected by counting, not by rescanning: the sweep starts
@@ -126,9 +129,7 @@ class NumpyBackend:
             groups_scanned += 1
             lo, hi = offsets[group], offsets[group + 1]
             # Which columns can forward over each arc of this label group.
-            reachable = reached[tails[lo:hi]]
-            if not reachable.any():
-                continue
+            reachable = reached.take(tails[lo:hi], axis=0)
             hlo, hhi = head_offsets[group], head_offsets[group + 1]
             if hhi - hlo != hi - lo:
                 # Some heads have several arcs: OR each head's run of words.
@@ -136,13 +137,15 @@ class NumpyBackend:
                     reachable, head_starts[hlo:hhi], axis=0
                 )
             heads = head_values[hlo:hhi]
-            current = reached[heads]
+            current = reached.take(heads, axis=0)
             new = reachable & ~current
-            if not new.any():
+            # The one popcount: it skips a group that settles nothing and
+            # feeds ``settled`` and the saturation count.
+            gained = int(np.add.reduce(np.bitwise_count(new), axis=None))
+            if not gained:
                 continue
             current |= reachable
             reached[heads] = current
-            gained = int(np.bitwise_count(new).sum())
             if settled is not None:
                 settled[group] += gained
             if last is not None:
@@ -152,7 +155,7 @@ class NumpyBackend:
             if arrivals is not None:
                 width = arrivals.shape[1]
                 if (hhi - hlo) * width > _ROW_SUBSET_ENTRIES:
-                    settling = np.flatnonzero(new.any(axis=1))
+                    settling = np.flatnonzero(np.bitwise_or.reduce(new, axis=1))
                     heads, new = heads[settling], new[settling]
                 improved = np.unpackbits(
                     new.view(np.uint8), axis=1, count=width
@@ -181,11 +184,11 @@ class NumpyBackend:
             groups_scanned += 1
             label = int(labels[group])
             lo, hi = int(offsets[group]), int(offsets[group + 1])
-            usable = state[tails[lo:hi]] < label
-            if not usable.any():
+            usable = state.take(tails[lo:hi]) < label
+            if not np.count_nonzero(usable):
                 continue
             np.minimum.at(state, heads[lo:hi][usable], label)
-            if int(state.max()) <= label:
+            if int(np.maximum.reduce(state)) <= label:
                 saturated = True
                 break
         reached.view(np.uint8)[:, :1] |= np.packbits(

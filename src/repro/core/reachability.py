@@ -10,7 +10,8 @@ so disconnected underlying graphs are handled correctly too.
 Every all-pairs predicate reduces one batched sweep rather than ``n``
 single-source sweeps — :func:`preserves_reachability` sits in the inner loop
 of the exhaustive OPT search of :mod:`repro.core.price_of_randomness` — and
-the static side is one BLAS closure, :func:`static_reachability_matrix`.
+the static side is the graph's cached closure,
+:func:`static_reachability_matrix`.
 :func:`reachability_matrix` runs that sweep reach-only: its answer is the
 kernel's packed ``reached`` bitset, with no arrival times written, and
 :func:`reachable_fraction` and :func:`is_temporally_connected` reduce it.
@@ -40,23 +41,12 @@ __all__ = [
 def static_reachability_matrix(graph: StaticGraph) -> np.ndarray:
     """Boolean closure ``R[s, v]`` = "a static path from ``s`` to ``v``".
 
-    All sources are advanced together: one dense adjacency matrix and one
-    matmul per BFS level (float32, so the product runs on BLAS instead of
-    NumPy's scalar integer loops), instead of ``n`` per-source Python-level
-    BFS runs.  Levels are bounded by the static diameter, so the clique
-    substrates of the Monte-Carlo workloads finish in one step.
+    The graph's :attr:`~repro.graphs.StaticGraph.reachability_closure`: a
+    read-only array computed once per graph object (one BLAS matmul per BFS
+    level) and kept on it, so every trial of a sweep point, whose networks
+    share the point's graph, reuses it.
     """
-    n = graph.n
-    adjacency = np.zeros((n, n), dtype=np.float32)
-    adjacency[graph.arc_tails, graph.arc_heads] = 1.0
-    reach = np.eye(n, dtype=bool)
-    frontier = reach
-    while True:
-        new = (frontier.astype(np.float32) @ adjacency > 0.0) & ~reach
-        if not new.any():
-            return reach
-        reach |= new
-        frontier = new
+    return graph.reachability_closure
 
 
 def reachability_matrix(network: TemporalGraph) -> np.ndarray:

@@ -82,19 +82,21 @@ def eccentricities(graph: StaticGraph) -> np.ndarray:
     dist = all_pairs_shortest_paths(graph)
     if np.any(dist == _UNREACHABLE):
         raise GraphError("eccentricities are undefined on a disconnected graph")
-    return dist.max(axis=1)
+    # Every row holds its own 0, so ``initial=0`` changes no maximum; it
+    # lets the 0-vertex graph reduce to an empty array.
+    return dist.max(axis=1, initial=0)
 
 
 def diameter(graph: StaticGraph) -> int:
     """Static diameter ``d(G)``: the maximum hop distance over all pairs."""
-    if graph.n == 1:
+    if graph.n <= 1:
         return 0
     return int(eccentricities(graph).max())
 
 
 def radius(graph: StaticGraph) -> int:
     """Static radius: the minimum eccentricity over all vertices."""
-    if graph.n == 1:
+    if graph.n <= 1:
         return 0
     return int(eccentricities(graph).min())
 

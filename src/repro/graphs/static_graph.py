@@ -53,6 +53,7 @@ class StaticGraph:
         "_out_start",
         "_out_neighbors",
         "_out_arc_index",
+        "_closure",
     )
 
     def __init__(
@@ -79,6 +80,7 @@ class StaticGraph:
         self._tails = arcs[:, 0].copy() if arcs.size else np.empty(0, np.int64)
         self._heads = arcs[:, 1].copy() if arcs.size else np.empty(0, np.int64)
         self._build_adjacency()
+        self._closure = None
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -154,6 +156,21 @@ class StaticGraph:
         view = self._heads.view()
         view.flags.writeable = False
         return view
+
+    @property
+    def reachability_closure(self) -> np.ndarray:
+        """Boolean ``(n, n)`` closure ``R[s, v]`` = "a path from ``s`` to ``v``".
+
+        Computed on first access and kept, read-only: the graph cannot change
+        after construction, so the closure never goes stale, and every
+        network over this graph object shares it.  Two threads racing to
+        fill it compute the same array, so the race needs no lock.
+        """
+        if self._closure is None:
+            closure = _reachability_closure(self._n, self._tails, self._heads)
+            closure.flags.writeable = False
+            self._closure = closure
+        return self._closure
 
     @property
     def edge_pairs(self) -> np.ndarray:
@@ -287,3 +304,26 @@ class StaticGraph:
 
     def __hash__(self) -> int:
         return hash((self._n, self._directed, self.edge_pairs.tobytes()))
+
+
+def _reachability_closure(
+    n: int, tails: np.ndarray, heads: np.ndarray
+) -> np.ndarray:
+    """The reachability closure of the arcs ``tails[i] → heads[i]`` on ``n`` vertices.
+
+    All sources are advanced together: one dense adjacency matrix and one
+    matmul per BFS level (float32, so the product runs on BLAS instead of
+    NumPy's scalar integer loops), instead of ``n`` per-source Python-level
+    BFS runs.  Levels are bounded by the diameter, so a clique finishes in
+    one step.
+    """
+    adjacency = np.zeros((n, n), dtype=np.float32)
+    adjacency[tails, heads] = 1.0
+    reach = np.eye(n, dtype=bool)
+    frontier = reach
+    while True:
+        new = (frontier.astype(np.float32) @ adjacency > 0.0) & ~reach
+        if not new.any():
+            return reach
+        reach |= new
+        frontier = new

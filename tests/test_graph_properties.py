@@ -62,6 +62,15 @@ class TestDiameterAndRadius:
         assert diameter(StaticGraph(1)) == 0
         assert radius(StaticGraph(1)) == 0
 
+    def test_zero_vertices(self):
+        assert diameter(StaticGraph(0)) == 0
+        assert radius(StaticGraph(0)) == 0
+
+    def test_zero_vertex_eccentricities(self):
+        ecc = eccentricities(StaticGraph(0))
+        assert ecc.dtype == np.int64
+        assert ecc.shape == (0,)
+
     def test_disconnected_raises(self):
         with pytest.raises(GraphError):
             diameter(StaticGraph(4, [(0, 1)]))

@@ -126,6 +126,12 @@ class TestBoxAssignment:
         with pytest.raises(GraphError):
             box_assignment(graph)
 
+    def test_zero_vertex_graph(self):
+        # The empty graph is connected with diameter 0: one box, no edges.
+        network = box_assignment(StaticGraph(0))
+        assert (network.n, network.total_labels, network.lifetime) == (0, 0, 1)
+        assert preserves_reachability(network)
+
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             box_assignment(path_graph(4), mode="banana")

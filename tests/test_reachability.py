@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from repro.analysis_api import NetworkAnalysis
 from repro.core.labeling import assign_deterministic_labels, normalized_urtn, uniform_random_labels
 from repro.core.reachability import (
     is_temporally_connected,
@@ -12,9 +16,12 @@ from repro.core.reachability import (
     reachability_matrix,
     reachable_fraction,
     reachable_set,
+    static_reachability_matrix,
 )
 from repro.core.temporal_graph import TemporalGraph
+from repro.graphs import static_graph
 from repro.graphs.generators import complete_graph, path_graph, star_graph
+from repro.graphs.properties import all_pairs_shortest_paths
 from repro.graphs.static_graph import StaticGraph
 
 
@@ -34,6 +41,71 @@ class TestReachabilityMatrix:
     def test_reachable_set(self, small_path):
         assert reachable_set(small_path, 0).tolist() == [0, 1, 2, 3]
         assert reachable_set(small_path, 3).tolist() == [2, 3]
+
+
+#: Graphs whose closure needs several BFS levels, one-way arcs, components
+#: that never meet, and the degenerate sizes.
+_CLOSURE_GRAPHS = {
+    "directed": lambda: StaticGraph(
+        5, [(0, 1), (1, 2), (2, 3), (3, 1), (4, 3)], directed=True
+    ),
+    "undirected": lambda: path_graph(6),
+    "disconnected": lambda: StaticGraph(6, [(0, 1), (1, 2), (3, 4)]),
+    "one-vertex": lambda: StaticGraph(1),
+    "zero-vertex": lambda: StaticGraph(0),
+}
+
+
+class TestStaticClosure:
+    def test_two_calls_return_the_same_array(self):
+        graph = star_graph(6)
+        assert static_reachability_matrix(graph) is static_reachability_matrix(graph)
+
+    def test_read_only(self):
+        closure = static_reachability_matrix(path_graph(4))
+        with pytest.raises(ValueError):
+            closure[0, 3] = False
+
+    @pytest.mark.parametrize("name", sorted(_CLOSURE_GRAPHS))
+    def test_equals_the_bfs_distances(self, name):
+        graph = _CLOSURE_GRAPHS[name]()
+        closure = static_reachability_matrix(graph)
+        assert closure.dtype == np.bool_
+        np.testing.assert_array_equal(closure, all_pairs_shortest_paths(graph) >= 0)
+
+    def test_handles_over_one_graph_compute_it_once(self, monkeypatch):
+        calls = []
+        compute = static_graph._reachability_closure
+
+        def counted(*args):
+            calls.append(args[0])
+            return compute(*args)
+
+        monkeypatch.setattr(static_graph, "_reachability_closure", counted)
+        graph = complete_graph(8, directed=True)
+        for seed in (0, 1):
+            handle = NetworkAnalysis(normalized_urtn(graph, seed=seed))
+            assert handle.preserves_reachability()
+        assert calls == [8]
+
+    def test_racing_threads_get_the_finished_closure(self):
+        # The slot is filled without a lock: a thread that loses the race
+        # computes an equal array, and none may see a half-built one.
+        graphs = [path_graph(40) for _ in range(16)]
+        expected = all_pairs_shortest_paths(graphs[0]) >= 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                racing = [graph for graph in graphs for _ in range(4)]
+                closures = list(pool.map(static_reachability_matrix, racing, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for closure in closures:
+            assert not closure.flags.writeable
+            np.testing.assert_array_equal(closure, expected)
+        for graph in graphs:
+            assert static_reachability_matrix(graph) is static_reachability_matrix(graph)
 
 
 class TestReachableFraction:
