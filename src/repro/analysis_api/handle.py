@@ -24,7 +24,9 @@ Shared artifacts
 ``arrival_matrix()``, the ``(n, n)`` earliest-arrival matrix, is computed at
 most once and feeds ``eccentricities()``, ``summary`` and the centrality
 family; ``reachability()`` derives from it when it is cached and otherwise
-runs one reach-only sweep, so ``preserves_reachability()`` alone never
+runs one reach-only sweep.  ``preserves_reachability()`` compares a cached
+mask; with neither cached it runs the free function's yes/no sweep, which
+stops at its first certain failure and caches no mask, so alone it never
 writes arrival times.  ``departure_matrix()`` is its reverse-sweep twin.
 Row queries (``distances_from``, ``departures_to``, …) slice a cached matrix
 or run memoized narrow sweeps, so a single-target question never pays for an
@@ -74,7 +76,11 @@ from ..core.price_of_randomness import (
     por_upper_bound_theorem8,
     price_of_randomness,
 )
-from ..core.reachability import reachability_matrix, static_reachability_matrix
+from ..core.reachability import (
+    preserves_reachability as reachability_preserved,
+    reachability_matrix,
+    static_reachability_matrix,
+)
 from ..core.reverse_journeys import latest_departure_matrix
 from ..core.temporal_graph import TemporalGraph
 from ..graphs.properties import diameter as static_diameter
@@ -548,17 +554,26 @@ class NetworkAnalysis:
         journey can only use labelled edges of ``G``, so a journey without a
         path would mean label data inconsistent with the graph, which the
         constructor forbids; the comparison checks both directions anyway.)
+
+        With ``reachability()`` or ``arrival_matrix()`` cached, the cached
+        mask is compared.  Otherwise the free
+        :func:`~repro.core.reachability.preserves_reachability` decides: its
+        sweep stops at the first vertex whose final row misses a source, and
+        its partial bitset is never cached as ``reachability``.
         """
-        return self._memo(
-            "static_reachability",
-            None,
-            lambda: bool(
-                np.array_equal(
-                    self.reachability(),
-                    static_reachability_matrix(self._network.graph),
+
+        def compute() -> bool:
+            cached = self._cache
+            if ("reachability", None) in cached or ("arrival_matrix", None) in cached:
+                return bool(
+                    np.array_equal(
+                        self.reachability(),
+                        static_reachability_matrix(self._network.graph),
+                    )
                 )
-            ),
-        )
+            return reachability_preserved(self._network)
+
+        return self._memo("static_reachability", None, compute)
 
     # ------------------------------------------------------------------ #
     # expansion process (Algorithm 1) and PoR audits (Theorems 7–8)

@@ -187,6 +187,7 @@ def _sweep(
     reverse: bool,
     arrivals: bool = True,
     settles: bool = False,
+    required: np.ndarray | None = None,
 ) -> SweepOutputs:
     """The one label-group sweep behind both directions.
 
@@ -204,12 +205,21 @@ def _sweep(
     :data:`~repro.types.NEVER`, and the labels are the distances a blocked
     sweep folds.
 
+    ``required`` turns the sweep into a yes/no test: the packed rows (in the
+    ``reached`` layout) a complete answer must reach.  The kernel then stops
+    at the first row that is final and lacks one of them, leaving a partial
+    bitset that differs from ``required`` in that row (see
+    :meth:`~repro.core.kernels.NumpyBackend.forward_sweep`); the caller
+    compares the two.
+
     With a telemetry recorder active it records ``<prefix>.sweeps``, the
     batch width as ``<prefix>.sources`` (``.targets`` reverse), the label
     groups visited as ``<prefix>.groups_scanned``,
-    ``<prefix>.saturation_exits`` when the sweep stopped early, and the
-    ``<prefix>.sweep_ms`` timing, where the prefix is ``kernel.forward`` or
-    ``kernel.reverse``.  With none active the cost is one check per sweep.
+    ``<prefix>.saturation_exits`` when the sweep stopped because every
+    entry settled, ``<prefix>.deficient_exits`` when it stopped at a final
+    row short of ``required``, and the ``<prefix>.sweep_ms`` timing, where
+    the prefix is ``kernel.forward`` or ``kernel.reverse``.  With none
+    active the cost is one check per sweep.
     """
     _check_lifetime(network)
     n = network.n
@@ -239,7 +249,7 @@ def _sweep(
         settled = np.zeros(0, dtype=np.int64)
         last = np.full(width, start, dtype=np.int64)
     groups_scanned = 0
-    saturated = False
+    stop = None
     if network.num_time_arcs != 0 and width != 0:
         if reverse:
             csr, sweep = network.reverse_timearc_csr, _KERNEL.reverse_sweep
@@ -251,8 +261,14 @@ def _sweep(
         # label strictly greater than a tail's arrival, so groups labelled
         # <= start can never be used; skip straight past them.
         first_group = int(np.searchsorted(csr.labels, start, side="right"))
-        groups_scanned, saturated = sweep(
-            csr, reached, first_group, arrivals=state, settled=settled, last=last
+        groups_scanned, stop = sweep(
+            csr,
+            reached,
+            first_group,
+            arrivals=state,
+            settled=settled,
+            last=last,
+            required=required,
         )
     if recs:
         duration_ms = (time.perf_counter() - sweep_start) * 1e3
@@ -262,8 +278,8 @@ def _sweep(
             rec.counter(f"{prefix}.sweeps")
             rec.counter(f"{prefix}.{tile_name}", width)
             rec.counter(f"{prefix}.groups_scanned", groups_scanned)
-            if saturated:
-                rec.counter(f"{prefix}.saturation_exits")
+            if stop:
+                rec.counter(f"{prefix}.{stop}_exits")
             rec.observe_ms(f"{prefix}.sweep_ms", duration_ms)
     return SweepOutputs(reached, state, settled, last)
 

@@ -11,9 +11,9 @@ improves where it has not) are reads of that one bit.  Per group the kernel
 gathers the tail words (``take``), ORs each head's run of arcs with
 ``np.bitwise_or.reduceat``, and sets the bits the heads lack (``new``): the
 entries this group settles.  One popcount of ``new`` skips a group that
-settles nothing.  The loop calls ufuncs and ``take`` only, no ``.any()`` /
-``.sum()`` / ``.max()`` methods: on the few-arc groups of small instances
-the per-call overhead, not the data, is the cost.
+settles nothing.  The loop calls ufuncs, ``take`` and ``count_nonzero``
+only, no ``.any()`` / ``.sum()`` / ``.max()`` methods: on the few-arc
+groups of small instances the per-call overhead, not the data, is the cost.
 
 ``new`` then feeds only the outputs the caller asked for:
 
@@ -30,6 +30,15 @@ group's popcount; it is saturated when the count reaches zero, which is the
 group at which ``arrivals.max() <= label`` would first hold.
 ``tests/test_sweep_kernel.py`` pins these exit points against the ones the
 scalar references' arrivals imply.
+
+A yes/no test passes ``required``, the rows a complete answer must reach,
+and the sweep stops at the first row that provably falls short.  A
+vertex's row can change only at a group with an arc into it, so after its
+last in-arc group the row is final; a final row that lacks a required bit
+decides the test, whatever the later groups do.  The rows are checked only
+at the groups where some vertex takes its last in-arc, from the head rows
+the group gathered anyway.  ``tests/test_oracle_crosscheck.py`` pins that
+exit point against the brute-force rows.
 
 A dedicated path keeps width-1 arrivals (single-source / single-target
 calls) on the cheaper 1-D ``np.minimum.at`` code.  Reverse sweeps run the
@@ -64,12 +73,15 @@ class NumpyBackend:
         arrivals: np.ndarray | None = None,
         settled: np.ndarray | None = None,
         last: np.ndarray | None = None,
-    ) -> tuple[int, bool]:
+        required: np.ndarray | None = None,
+    ) -> tuple[int, str | None]:
         """Advance ``reached`` over the label groups ``first_group ...``.
 
         The sweep runs over the groups of a
         :class:`~repro.core.timearc_csr.TimeArcCSR` in ascending label order
-        and returns ``(groups_scanned, saturated)`` for the telemetry record.
+        and returns ``(groups_scanned, stop)`` for the telemetry record:
+        ``stop`` is ``"saturation"`` or ``"deficient"`` when the sweep exited
+        early for that reason, else ``None``.
         ``reached`` is an ``(n, ⌈width/64⌉)`` ``uint64`` array, one row per
         vertex and one bit per column (the sources in flight; ``width == 1``
         is the single-source case).  Column ``s`` is bit ``7 − s % 8`` of
@@ -93,6 +105,15 @@ class NumpyBackend:
 
         With none of them the final bitset is the answer (reachability).
 
+        ``required``
+            ``reached``-shaped rows a complete answer must reach (a static
+            closure, or every column).  The sweep stops, with ``stop ==
+            "deficient"``, at the first group after which some vertex's row
+            can no longer change and still lacks a required bit: its last
+            in-arc group, or before the first group when no scanned group
+            has an arc into it.  ``reached`` is then partial, and differs
+            from ``required`` in that row.
+
         Precondition: every column starts below the first scanned label —
         its start value (``start_time`` forward, the mirrored deadline
         ``a − deadline`` reverse, which is negative for a deadline beyond
@@ -106,6 +127,7 @@ class NumpyBackend:
             and arrivals.shape[1] == 1
             and settled is None
             and last is None
+            and required is None
         ):
             return self._forward_single(csr, reached, arrivals[:, 0], first_group)
         labels = csr.labels.tolist()
@@ -116,9 +138,13 @@ class NumpyBackend:
         head_starts = csr.head_starts
         n = reached.shape[0]
         groups_scanned = 0
-        saturated = False
+        if required is not None:
+            owed, checks, stale = _final_rows(csr, required, first_group)
+            # Rows no scanned group can change are final before the sweep.
+            if np.count_nonzero(required[stale] & ~reached[stale]):
+                return groups_scanned, "deficient"
         if first_group >= len(labels):
-            return groups_scanned, saturated
+            return groups_scanned, None
         # The columns are the bits set anywhere at the start (their start
         # bits); every clear bit among them is an unsettled entry.
         columns = np.bitwise_or.reduce(reached, axis=0)
@@ -142,38 +168,42 @@ class NumpyBackend:
             # The one popcount: it skips a group that settles nothing and
             # feeds ``settled`` and the saturation count.
             gained = int(np.add.reduce(np.bitwise_count(new), axis=None))
-            if not gained:
-                continue
-            current |= reachable
-            reached[heads] = current
-            if settled is not None:
-                settled[group] += gained
-            if last is not None:
-                touched = np.bitwise_or.reduce(new, axis=0).view(np.uint8)
-                touched = np.unpackbits(touched, count=last.size).view(np.bool_)
-                last[touched] = labels[group]
-            if arrivals is not None:
-                width = arrivals.shape[1]
-                if (hhi - hlo) * width > _ROW_SUBSET_ENTRIES:
-                    settling = np.flatnonzero(np.bitwise_or.reduce(new, axis=1))
-                    heads, new = heads[settling], new[settling]
-                improved = np.unpackbits(
-                    new.view(np.uint8), axis=1, count=width
-                ).view(np.bool_)
-                rows = arrivals[heads]
-                np.putmask(rows, improved, labels[group])
-                arrivals[heads] = rows
-            # Saturation early-exit: once every entry is settled, no later
-            # (larger) label can improve anything.
-            unsettled -= gained
-            if unsettled == 0:
-                saturated = True
-                break
-        return groups_scanned, saturated
+            if gained:
+                current |= reachable
+                reached[heads] = current
+                if settled is not None:
+                    settled[group] += gained
+                if last is not None:
+                    touched = np.bitwise_or.reduce(new, axis=0).view(np.uint8)
+                    touched = np.unpackbits(touched, count=last.size).view(np.bool_)
+                    last[touched] = labels[group]
+                if arrivals is not None:
+                    width = arrivals.shape[1]
+                    if (hhi - hlo) * width > _ROW_SUBSET_ENTRIES:
+                        settling = np.flatnonzero(np.bitwise_or.reduce(new, axis=1))
+                        heads, new = heads[settling], new[settling]
+                    improved = np.unpackbits(
+                        new.view(np.uint8), axis=1, count=width
+                    ).view(np.bool_)
+                    rows = arrivals[heads]
+                    np.putmask(rows, improved, labels[group])
+                    arrivals[heads] = rows
+                # Saturation early-exit: once every entry is settled, no later
+                # (larger) label can improve anything.
+                unsettled -= gained
+                if unsettled == 0:
+                    return groups_scanned, "saturation"
+            # Deficient early-exit: a head that takes its last in-arc here
+            # has its final row in ``current``; one that lacks a required
+            # bit decides the test, whatever the later groups do.
+            if required is not None and checks[group]:
+                if np.count_nonzero(owed[hlo:hhi] & ~current):
+                    return groups_scanned, "deficient"
+        return groups_scanned, None
 
     def _forward_single(
         self, csr, reached: np.ndarray, state: np.ndarray, first_group: int
-    ) -> tuple[int, bool]:
+    ) -> tuple[int, str | None]:
         labels = csr.labels
         offsets = csr.arc_offsets
         tails = csr.tails
@@ -194,7 +224,7 @@ class NumpyBackend:
         reached.view(np.uint8)[:, :1] |= np.packbits(
             state[:, None] < UNREACHABLE, axis=1
         )
-        return groups_scanned, saturated
+        return groups_scanned, "saturation" if saturated else None
 
     # A reverse sweep is this advance over the time-reversed layout.  The
     # alias keeps one function under both names, so a profiler that wraps
@@ -203,3 +233,29 @@ class NumpyBackend:
 
     def __repr__(self) -> str:
         return "NumpyBackend()"
+
+
+def _final_rows(
+    csr, required: np.ndarray, first_group: int
+) -> tuple[np.ndarray, list[bool], np.ndarray]:
+    """Where each vertex's row becomes final, for the ``required`` check.
+
+    Returns ``(owed, checks, stale)``.  ``owed`` has one row per entry of
+    ``csr.head_values``: a vertex's required row at the entry of its last
+    in-arc group, zeros elsewhere, so ``owed[hlo:hhi] & ~current`` flags
+    exactly the final rows of group ``g`` that lack a bit.  ``checks[g]``
+    says whether some vertex takes its last in-arc at group ``g``.
+    ``stale`` marks the vertices with no in-arc at or after ``first_group``,
+    whose rows are final before the sweep.
+    """
+    head_values = csr.head_values
+    last_entry = np.full(required.shape[0], -1, dtype=np.int64)
+    np.maximum.at(last_entry, head_values, np.arange(head_values.size))
+    # A vertex without an in-arc keeps entry -1, which lands before group 0.
+    last_group = np.searchsorted(csr.head_offsets, last_entry, side="right") - 1
+    has_arc = last_entry >= 0
+    owed = np.zeros((head_values.size, required.shape[1]), dtype=np.uint64)
+    owed[last_entry[has_arc]] = required[has_arc]
+    checks = np.zeros(csr.labels.size, dtype=np.bool_)
+    checks[last_group[has_arc]] = True
+    return owed, checks.tolist(), last_group < first_group

@@ -14,9 +14,12 @@ the static side is the graph's cached closure,
 :func:`static_reachability_matrix`.
 :func:`reachability_matrix` runs that sweep reach-only: its answer is the
 kernel's packed ``reached`` bitset, with no arrival times written, and
-:func:`reachable_fraction` and :func:`is_temporally_connected` reduce it.
-The analysis handle memoizes the same reductions; hold one when reading
-several quantities of an instance.
+:func:`reachable_fraction` reduces it.  The two yes/no predicates,
+:func:`preserves_reachability` and :func:`is_temporally_connected`, hand
+the kernel the packed rows a "yes" needs, so the sweep stops at the first
+vertex whose row is final and falls short of them, and compare bitsets
+without unpacking.  The analysis handle memoizes the same reductions; hold
+one when reading several quantities of an instance.
 """
 
 from __future__ import annotations
@@ -81,9 +84,28 @@ def reachable_fraction(network: TemporalGraph) -> float:
     return pairs / float(n * (n - 1))
 
 
+def _reaches_all(network: TemporalGraph, required: np.ndarray) -> bool:
+    """Whether the all-pairs reached bitset equals the packed rows ``required``.
+
+    The sweep stops at the first vertex whose row is final and lacks a bit
+    of ``required``.
+    """
+    reached = _sweep(
+        network, None, 0, reverse=False, arrivals=False, required=required
+    ).reached
+    return bool(np.array_equal(reached, required))
+
+
 def is_temporally_connected(network: TemporalGraph) -> bool:
-    """Whether every ordered pair of vertices is connected by a journey."""
-    return bool(reachability_matrix(network).all())
+    """Whether every ordered pair of vertices is connected by a journey.
+
+    A decision, not a reduction: the sweep stops at the first vertex whose
+    row can no longer gain the sources it misses.
+    """
+    n = network.n
+    everyone = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    everyone.view(np.uint8)[:, : -(-n // 8)] = np.packbits(np.ones(n, dtype=np.bool_))
+    return _reaches_all(network, everyone)
 
 
 def preserves_reachability(network: TemporalGraph) -> bool:
@@ -91,9 +113,9 @@ def preserves_reachability(network: TemporalGraph) -> bool:
 
     True when, for every ordered pair ``(u, v)``, a journey exists in
     ``(G, L)`` exactly when a path exists in the underlying graph ``G``.
+    The sweep runs against the graph's packed closure
+    (:attr:`~repro.graphs.StaticGraph.packed_reachability_closure`) and
+    stops at the first vertex whose row is final and misses a source that
+    has a path to it.
     """
-    return bool(
-        np.array_equal(
-            reachability_matrix(network), static_reachability_matrix(network.graph)
-        )
-    )
+    return _reaches_all(network, network.graph.packed_reachability_closure)

@@ -54,6 +54,7 @@ class StaticGraph:
         "_out_neighbors",
         "_out_arc_index",
         "_closure",
+        "_packed_closure",
     )
 
     def __init__(
@@ -81,6 +82,7 @@ class StaticGraph:
         self._heads = arcs[:, 1].copy() if arcs.size else np.empty(0, np.int64)
         self._build_adjacency()
         self._closure = None
+        self._packed_closure = None
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -171,6 +173,30 @@ class StaticGraph:
             closure.flags.writeable = False
             self._closure = closure
         return self._closure
+
+    @property
+    def packed_reachability_closure(self) -> np.ndarray:
+        """The closure transposed and packed in the sweep kernels' bitset layout.
+
+        An ``(n, ⌈n/64⌉)`` ``uint64`` array: row ``v`` holds bit ``s`` when a
+        path from ``s`` to ``v`` exists (column ``v`` of
+        :attr:`reachability_closure`), bit ``7 − s % 8`` of byte ``s // 8``
+        of the row's ``uint8`` view (the ``np.packbits`` order), with the
+        padding bits clear.  That is the layout of an all-pairs sweep's
+        ``reached`` bitset, so a reachability test compares with it, and
+        stops early against it, without unpacking.  Cached and read-only
+        like :attr:`reachability_closure`, and filled the same way without
+        a lock.
+        """
+        if self._packed_closure is None:
+            n = self._n
+            packed = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+            packed.view(np.uint8)[:, : -(-n // 8)] = np.packbits(
+                self.reachability_closure.T, axis=1
+            )
+            packed.flags.writeable = False
+            self._packed_closure = packed
+        return self._packed_closure
 
     @property
     def edge_pairs(self) -> np.ndarray:

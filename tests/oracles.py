@@ -25,7 +25,9 @@ The scalar references :func:`earliest_arrival_times_reference` and
 :func:`latest_departure_times_reference` run the label-group sweep one arc at
 a time in plain Python; being polynomial, they also check larger instances.
 :func:`exit_point_reference` says, from a sweep's final rows alone, how many
-label groups it scans and whether it exits early.
+label groups it scans and whether it exits early, and
+:func:`deficient_exit_reference` where a yes/no sweep stops at a row that
+falls short.
 :func:`prefix_connectivity_time_reference` binary-searches the labels with a
 static connectivity check per probe, and :func:`build_timearc_csr_reference`
 orders the CSR layout's arcs with ``np.lexsort``.
@@ -327,6 +329,35 @@ def exit_point_reference(
     if (final == UNREACHABLE).any():
         return int(pending.size), 0
     return int(np.count_nonzero(pending <= final.max())), 1
+
+
+def deficient_exit_reference(
+    network: TemporalGraph, reach: np.ndarray, required: np.ndarray
+) -> int | None:
+    """Label groups a yes/no sweep from time 0 scans before it stops at a
+    row that falls short, or ``None`` when no row does.
+
+    ``reach[s, v]`` says a journey from ``s`` to ``v`` exists (from the
+    brute-force rows) and ``required[s, v]`` that a "yes" needs one.  Vertex
+    ``v`` is *deficient* when column ``v`` of the two differs.  Its row is
+    final once the sweep has passed the largest label on an arc into ``v``,
+    so the sweep scans that label's rank among the distinct labels, plus
+    one, and stops at the first deficient vertex it finalises; a deficient
+    vertex without an in-arc stops it before the first group.  With no
+    deficient vertex :func:`exit_point_reference` says where it stops.
+    """
+    labels = np.unique(network.time_arc_labels)
+    largest_in: dict[int, int] = {}
+    for head, label in zip(
+        network.time_arc_heads.tolist(), network.time_arc_labels.tolist()
+    ):
+        largest_in[head] = max(label, largest_in.get(head, label))
+    deficient = np.flatnonzero((reach != required).any(axis=0)).tolist()
+    if not deficient:
+        return None
+    if any(v not in largest_in for v in deficient):
+        return 0
+    return min(int(np.searchsorted(labels, largest_in[v])) + 1 for v in deficient)
 
 
 def prefix_connectivity_time_reference(network: TemporalGraph) -> int:

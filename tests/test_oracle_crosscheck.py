@@ -11,8 +11,10 @@ one ``repro.core`` reduction, no handle) over the pool plus a single vertex
 and a network whose edges carry no labels.  ``TestReachOnlyAgainstOracle``
 pins the reach-only sweep, whose answer is the kernel's packed ``reached``
 bitset.  ``TestExitPointsAgainstOracle`` pins how many label groups each
-all-pairs sweep scans, and ``TestHandleQueriesAgainstOracle`` the handle's
-narrow row and point queries.
+all-pairs sweep scans, ``TestDecisionsAgainstOracle`` the yes/no
+reachability predicates and where their sweeps stop, and
+``TestHandleQueriesAgainstOracle`` the handle's narrow row and point
+queries.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro import (
     telemetry,
     StaticGraph,
     TemporalGraph,
+    compute_events,
     complete_graph,
     earliest_arrival_matrix,
     earliest_arrival_times,
@@ -48,6 +51,7 @@ from repro.core.reverse_journeys import (
 )
 
 from oracles import (
+    deficient_exit_reference,
     exit_point_reference,
     latest_departure_times_reference,
     oracle_arrival_matrix,
@@ -220,6 +224,85 @@ class TestExitPointsAgainstOracle:
                 reverse=direction == "reverse",
             )
             assert exits == expected, time
+
+
+#: The yes/no predicates as run in :class:`TestDecisionsAgainstOracle`: the
+#: free functions, and ``preserves_reachability`` on a fresh handle.
+_DECISIONS = {
+    "preserves": reachability.preserves_reachability,
+    "preserves-handle": lambda net: NetworkAnalysis(net).preserves_reachability(),
+    "connected": reachability.is_temporally_connected,
+}
+
+
+def _required(network, decision):
+    """The mask a "yes" of ``decision`` needs: the static closure, or every pair."""
+    if decision == "connected":
+        return np.ones((network.n, network.n), dtype=bool)
+    return reachability.static_reachability_matrix(network.graph)
+
+
+class TestDecisionsAgainstOracle:
+    """The yes/no reachability predicates, and where their sweeps stop.
+
+    Each answer must equal the brute-force mask's.  The sweep stops at the
+    first vertex whose row is final and short of the required one, so its
+    ``groups_scanned`` and exit kind must equal
+    :func:`oracles.deficient_exit_reference`; with no such vertex they are
+    the reach-only sweep's (:func:`oracles.exit_point_reference`).
+    """
+
+    @pytest.mark.parametrize("decision", sorted(_DECISIONS))
+    def test_answer_and_exit_point(self, network, decision):
+        rows = oracle_arrival_matrix(network)
+        reach = rows < UNREACHABLE
+        required = _required(network, decision)
+        with telemetry.session() as recorder:
+            answer = _DECISIONS[decision](network)
+        assert answer == bool(np.array_equal(reach, required))
+        counters = recorder.counters
+        assert counters["kernel.forward.sweeps"] == 1
+        exits = (
+            counters["kernel.forward.groups_scanned"],
+            counters.get("kernel.forward.saturation_exits", 0),
+            counters.get("kernel.forward.deficient_exits", 0),
+        )
+        stop = deficient_exit_reference(network, reach, required)
+        if stop is None:
+            expected = (*exit_point_reference(network, 0, rows), 0)
+        else:
+            expected = (stop, 0, 1)
+        assert exits == expected
+
+    def test_pool_exercises_every_exit(self):
+        """Both answers occur, and some "no" stops before its last group."""
+        answers, early = set(), 0
+        for network in _POOL.values():
+            reach = oracle_arrival_matrix(network) < UNREACHABLE
+            required = _required(network, "preserves")
+            answers.add(bool(np.array_equal(reach, required)))
+            stop = deficient_exit_reference(network, reach, required)
+            early += stop is not None and stop < np.unique(network.time_arc_labels).size
+        assert answers == {True, False}
+        assert early > 0
+
+    def test_handle_caches_no_partial_bitset(self, network):
+        handle = NetworkAnalysis(network)
+        with compute_events() as events:
+            answer = handle.preserves_reachability()
+        assert events.counts == {"static_reachability": 1}
+        expected = oracle_arrival_matrix(network) < UNREACHABLE
+        np.testing.assert_array_equal(handle.reachability(), expected)
+        assert answer == bool(np.array_equal(expected, _required(network, "preserves")))
+
+    @pytest.mark.parametrize("artifact", ["reachability", "arrival_matrix"])
+    def test_handle_compares_a_cached_mask(self, network, artifact):
+        handle = NetworkAnalysis(network)
+        getattr(handle, artifact)()
+        with telemetry.session() as recorder:
+            answer = handle.preserves_reachability()
+        assert "kernel.forward.sweeps" not in recorder.counters
+        assert answer == reachability.preserves_reachability(network)
 
 
 class TestReachOnlyAgainstOracle:
@@ -427,9 +510,9 @@ class TestFreeFunctionsAgainstOracle:
         actual = reachability.reachability_matrix(any_network)
         np.testing.assert_array_equal(actual, expected)
         assert reachability.is_temporally_connected(any_network) == expected.all()
-        assert reachability.preserves_reachability(any_network) == (
-            NetworkAnalysis(any_network).preserves_reachability()
-        )
+        preserved = np.array_equal(expected, _required(any_network, "preserves"))
+        assert reachability.preserves_reachability(any_network) == preserved
+        assert NetworkAnalysis(any_network).preserves_reachability() == preserved
 
     def test_reach_only_reductions(self, any_network):
         """``reachable_fraction`` and ``is_temporally_connected`` reduce the

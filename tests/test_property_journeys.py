@@ -11,7 +11,9 @@ generated temporal networks:
 * adding labels never increases temporal distances (monotonicity),
 * both sweep directions equal the brute-force oracles of ``tests/oracles.py``
   at any start time or deadline — including deadlines beyond the lifetime,
-  where the reverse sweep over the time-reversed layout starts below zero.
+  where the reverse sweep over the time-reversed layout starts below zero,
+* the yes/no reachability predicates equal the brute-force mask's answer,
+  and their sweeps stop where ``tests/oracles.py`` says they do.
 """
 
 from __future__ import annotations
@@ -21,10 +23,16 @@ from itertools import permutations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro import telemetry
 from repro.core.journeys import (
     earliest_arrival_matrix,
     earliest_arrival_times,
     foremost_journey,
+)
+from repro.core.reachability import (
+    is_temporally_connected,
+    preserves_reachability,
+    static_reachability_matrix,
 )
 from repro.core.reverse_journeys import latest_departure_matrix, latest_departure_times
 from repro.core.temporal_graph import TemporalGraph
@@ -32,7 +40,10 @@ from repro.graphs.static_graph import StaticGraph
 from repro.types import UNREACHABLE
 
 from oracles import (
+    deficient_exit_reference,
     earliest_arrival_times_reference,
+    exit_point_reference,
+    oracle_arrival_matrix,
     oracle_earliest_arrival_times,
     oracle_latest_departure_times,
 )
@@ -196,4 +207,33 @@ def test_both_directions_match_oracles(network, data):
         np.testing.assert_array_equal(
             latest_departure_times(network, vertex, deadline=time),
             departures[vertex],
+        )
+
+
+@settings(max_examples=80, deadline=None)
+@given(temporal_networks(allow_directed=True))
+def test_decisions_match_oracles(network):
+    """``preserves_reachability`` and ``is_temporally_connected`` answer as
+    the brute-force mask does, and stop at the reference's exit point."""
+    rows = oracle_arrival_matrix(network)
+    reach = rows < UNREACHABLE
+    closure = static_reachability_matrix(network.graph)
+    for decide, required in (
+        (preserves_reachability, closure),
+        (is_temporally_connected, np.ones_like(reach)),
+    ):
+        with telemetry.session() as recorder:
+            assert decide(network) == bool(np.array_equal(reach, required))
+        if network.num_time_arcs == 0:
+            continue
+        counters = recorder.counters
+        stop = deficient_exit_reference(network, reach, required)
+        if stop is None:
+            expected = (*exit_point_reference(network, 0, rows), 0)
+        else:
+            expected = (stop, 0, 1)
+        assert expected == (
+            counters["kernel.forward.groups_scanned"],
+            counters.get("kernel.forward.saturation_exits", 0),
+            counters.get("kernel.forward.deficient_exits", 0),
         )

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis_api import NetworkAnalysis
+from repro.core.journeys import _sweep
 from repro.core.labeling import assign_deterministic_labels, normalized_urtn, uniform_random_labels
 from repro.core.reachability import (
     is_temporally_connected,
@@ -108,6 +109,62 @@ class TestStaticClosure:
             assert static_reachability_matrix(graph) is static_reachability_matrix(graph)
 
 
+def _packed(graph):
+    return graph.packed_reachability_closure
+
+
+class TestPackedClosure:
+    """The closure in the sweep's bitset layout, cached beside the bool one."""
+
+    def test_two_calls_return_the_same_array(self):
+        graph = star_graph(6)
+        assert _packed(graph) is _packed(graph)
+
+    def test_read_only(self):
+        packed = _packed(path_graph(4))
+        with pytest.raises(ValueError):
+            packed[0, 0] = 0
+
+    @pytest.mark.parametrize("name", sorted(_CLOSURE_GRAPHS))
+    def test_packs_the_transposed_closure(self, name):
+        graph = _CLOSURE_GRAPHS[name]()
+        n = graph.n
+        packed = _packed(graph)
+        assert packed.dtype == np.uint64
+        assert packed.shape == (n, -(-n // 64))
+        expected = np.packbits(static_reachability_matrix(graph).T, axis=1)
+        as_bytes = packed.view(np.uint8)
+        np.testing.assert_array_equal(as_bytes[:, : expected.shape[1]], expected)
+        # Padding bits, in the last byte and in the bytes past it, are clear.
+        bits = np.unpackbits(as_bytes, axis=1)
+        assert not bits[:, n:].any()
+
+    def test_equals_a_full_sweeps_bitset(self):
+        """A temporally connected clique reaches its closure exactly."""
+        network = normalized_urtn(complete_graph(70, directed=True), seed=0)
+        reached = _sweep(network, None, 0, reverse=False, arrivals=False).reached
+        np.testing.assert_array_equal(reached, _packed(network.graph))
+
+    def test_racing_threads_get_the_finished_closure(self):
+        # Filled without a lock, like the bool closure: a thread that loses
+        # the race packs an equal array, and none may see a half-built one.
+        graphs = [path_graph(70) for _ in range(16)]
+        expected = _packed(path_graph(70))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                racing = [graph for graph in graphs for _ in range(4)]
+                packed = list(pool.map(_packed, racing, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for rows in packed:
+            assert not rows.flags.writeable
+            np.testing.assert_array_equal(rows, expected)
+        for graph in graphs:
+            assert _packed(graph) is _packed(graph)
+
+
 class TestReachableFraction:
     def test_full_reachability_gives_one(self, random_clique_instance):
         assert reachable_fraction(random_clique_instance) == 1.0
@@ -161,3 +218,10 @@ class TestTreachPredicate:
         network = TemporalGraph(StaticGraph(1), [])
         assert preserves_reachability(network)
         assert is_temporally_connected(network)
+
+    def test_zero_vertices(self):
+        network = TemporalGraph(StaticGraph(0), [])
+        assert is_temporally_connected(network) == reachability_matrix(network).all()
+        assert is_temporally_connected(network)
+        assert preserves_reachability(network)
+        assert NetworkAnalysis(network).preserves_reachability()

@@ -277,6 +277,26 @@ class TestAnalysisCachePins:
         assert rec.timings["analysis.compute_ms.arrival_matrix"].count == 1
 
 
+class TestDecisionExitPins:
+    """E5 asks Theorem 6's yes/no question once per trial.
+
+    Every sweep stops early: the star either saturates or reaches a final
+    row short of its closure.  The counts are exact at a fixed seed.
+    Without the deficient exit the failing sweeps ran to their last group,
+    and the same trials scanned 18 675 groups.
+    """
+
+    def test_e5_quick_counts(self):
+        with telemetry.session() as rec:
+            run_scenario(get_scenario("E5"), scale="quick", seed=4)
+        counters = rec.counters
+        assert counters["kernel.forward.sweeps"] == 460
+        assert counters["kernel.forward.groups_scanned"] == 11465
+        assert counters["kernel.forward.saturation_exits"] == 231
+        assert counters["kernel.forward.deficient_exits"] == 229
+        assert "analysis.compute.reachability" not in counters
+
+
 class TestCsrBuildTimers:
     """Lazy CSR layout builds record one count and one timing per build."""
 
