@@ -24,10 +24,11 @@ Shared artifacts
 ``arrival_matrix()``, the ``(n, n)`` earliest-arrival matrix, is computed at
 most once and feeds ``eccentricities()``, ``summary`` and the centrality
 family; ``reachability()`` derives from it when it is cached and otherwise
-runs one reach-only sweep.  ``preserves_reachability()`` compares a cached
-mask; with neither cached it runs the free function's yes/no sweep, which
-stops at its first certain failure and caches no mask, so alone it never
-writes arrival times.  ``departure_matrix()`` is its reverse-sweep twin.
+runs one reach-only sweep.  ``preserves_reachability()`` and
+``is_temporally_connected`` answer from a cached mask; with neither cached
+they run the free functions' yes/no sweeps, which stop at their first
+certain failure and cache no mask, so alone they never write arrival times.
+``departure_matrix()`` is its reverse-sweep twin.
 Row queries (``distances_from``, ``departures_to``, …) slice a cached matrix
 or run memoized narrow sweeps, so a single-target question never pays for an
 all-pairs forward pass.  ``expansion()`` and ``por_audit()`` are memoized per
@@ -77,6 +78,7 @@ from ..core.price_of_randomness import (
     price_of_randomness,
 )
 from ..core.reachability import (
+    is_temporally_connected as temporally_connected,
     preserves_reachability as reachability_preserved,
     reachability_matrix,
     static_reachability_matrix,
@@ -409,8 +411,24 @@ class NetworkAnalysis:
 
     @property
     def is_temporally_connected(self) -> bool:
-        """Whether every ordered pair of vertices is connected by a journey."""
-        return self.summary.diameter < UNREACHABLE
+        """Whether every ordered pair of vertices is connected by a journey.
+
+        With ``reachability()`` cached (as it is whenever ``summary`` is) or
+        ``arrival_matrix()`` cached, the cached mask or matrix answers and
+        nothing new is computed.  Otherwise the free
+        :func:`~repro.core.reachability.is_temporally_connected` decides,
+        memoized as ``temporally_connected``: its sweep stops at the first
+        vertex whose final row misses a source, and its partial bitset is
+        never cached.
+        """
+        cached = self._cache
+        if ("reachability", None) in cached:
+            return bool(self.reachability().all())
+        if ("arrival_matrix", None) in cached:
+            return bool((self.arrival_matrix() < UNREACHABLE).all())
+        return self._memo(
+            "temporally_connected", None, lambda: temporally_connected(self._network)
+        )
 
     # ------------------------------------------------------------------ #
     # row queries

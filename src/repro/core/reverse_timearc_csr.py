@@ -28,5 +28,4 @@ def build_reverse_timearc_csr(network: "TemporalGraph") -> TimeArcCSR:
         network.time_arc_heads,
         network.time_arc_tails,
         network.lifetime + 1 - network.time_arc_labels,
-        network.time_arc_edge_index,
     )

@@ -181,11 +181,11 @@ class TemporalGraph:
         keep[:, :1] = True
         np.not_equal(rows[:, 1:], rows[:, :-1], out=keep[:, 1:])
         el_labels = rows[keep]
-        el_edges = np.repeat(np.arange(graph.m, dtype=np.int64), keep.sum(axis=1))
-
-        pairs = graph.edge_pairs
-        u = pairs[el_edges, 0] if el_edges.size else np.empty(0, np.int64)
-        v = pairs[el_edges, 1] if el_edges.size else np.empty(0, np.int64)
+        el_edges = np.repeat(
+            np.arange(graph.m, dtype=np.int64), np.count_nonzero(keep, axis=1)
+        )
+        u = graph.pair_tails.take(el_edges)
+        v = graph.pair_heads.take(el_edges)
 
         self = cls.__new__(cls)
         self._graph = graph

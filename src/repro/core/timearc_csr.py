@@ -71,9 +71,8 @@ class TimeArcCSR:
     arc_order:
         Permutation mapping CSR arc position back to the index in the
         network's original time-arc arrays (``time_arc_tails`` etc.), for
-        journey reconstruction; shape ``(A,)``.
-    edge_index:
-        Canonical edge index of every arc, in CSR order; shape ``(A,)``.
+        journey reconstruction; shape ``(A,)``.  The canonical edge index of
+        every arc in CSR order is ``network.time_arc_edge_index[arc_order]``.
     head_values:
         Distinct head vertices of every group, concatenated; the heads of
         group ``g`` are ``head_values[head_offsets[g]:head_offsets[g + 1]]``.
@@ -93,7 +92,6 @@ class TimeArcCSR:
     tails: np.ndarray
     heads: np.ndarray
     arc_order: np.ndarray
-    edge_index: np.ndarray
     head_values: np.ndarray
     head_offsets: np.ndarray
     head_starts: np.ndarray
@@ -120,7 +118,6 @@ class TimeArcCSR:
                     self.tails,
                     self.heads,
                     self.arc_order,
-                    self.edge_index,
                     self.head_values,
                     self.head_offsets,
                     self.head_starts,
@@ -171,7 +168,6 @@ def build_timearc_csr(network: "TemporalGraph") -> TimeArcCSR:
         network.time_arc_tails,
         network.time_arc_heads,
         network.time_arc_labels,
-        network.time_arc_edge_index,
     )
 
 
@@ -181,15 +177,14 @@ def build_timearc_csr_from_arrays(
     raw_tails: np.ndarray,
     raw_heads: np.ndarray,
     raw_labels: np.ndarray,
-    raw_edge_index: np.ndarray,
 ) -> TimeArcCSR:
     """Build the label-grouped CSR layout from flat time-arc arrays.
 
     Array-level entry point shared by :func:`build_timearc_csr` and callers
-    that already hold vectorised time-arc columns (e.g. the direct-to-CSR
-    label-sampling fast path) and do not need a full
-    :class:`~repro.core.temporal_graph.TemporalGraph` first.  The four input
-    columns must be parallel ``int64`` arrays of equal length, with
+    that already hold vectorised time-arc columns (e.g. the time-reversed
+    layout of :mod:`repro.core.reverse_timearc_csr`) and do not need a full
+    :class:`~repro.core.temporal_graph.TemporalGraph` first.  The three
+    input columns must be parallel ``int64`` arrays of equal length, with
     non-negative heads and labels.
     """
     num_arcs = int(raw_labels.size)
@@ -203,46 +198,46 @@ def build_timearc_csr_from_arrays(
             tails=empty,
             heads=empty,
             arc_order=empty,
-            edge_index=empty,
             head_values=empty,
             head_offsets=_readonly(np.zeros(1, dtype=np.int64)),
             head_starts=empty,
         )
 
     # Two stable sorts, the minor key first: the permutation equals
-    # np.lexsort((heads, labels)) at every key width.
+    # np.lexsort((heads, labels)) at every key width.  The label keys stay
+    # narrow: sorted, they mark the group starts, and each group's label is
+    # read at its start.
     order = np.argsort(_narrow(raw_heads), kind="stable")
-    order = order[np.argsort(_narrow(raw_labels)[order], kind="stable")]
-    labels = raw_labels[order]
-    tails = raw_tails[order]
-    heads = raw_heads[order]
-    edge_index = raw_edge_index[order]
+    keys = _narrow(raw_labels).take(order)
+    by_label = np.argsort(keys, kind="stable")
+    order = order.take(by_label)
+    keys = keys.take(by_label)
+    tails = raw_tails.take(order)
+    heads = raw_heads.take(order)
 
-    group_start = np.empty(num_arcs, dtype=bool)
-    group_start[0] = True
-    np.not_equal(labels[1:], labels[:-1], out=group_start[1:])
-    arc_offsets = np.append(np.flatnonzero(group_start), num_arcs).astype(np.int64)
+    run_start = np.empty(num_arcs, dtype=bool)
+    run_start[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    group_starts = np.flatnonzero(run_start)
+    arc_offsets = np.append(group_starts, num_arcs)
 
     # A head run starts wherever the head changes or a new label group begins.
-    run_start = group_start.copy()
     run_start[1:] |= heads[1:] != heads[:-1]
-    head_starts_abs = np.flatnonzero(run_start).astype(np.int64)
-    head_values = heads[head_starts_abs]
+    head_starts_abs = np.flatnonzero(run_start)
     # Every group start is itself a run start, so searchsorted lands exactly.
-    head_offsets = np.searchsorted(head_starts_abs, arc_offsets).astype(np.int64)
+    head_offsets = np.searchsorted(head_starts_abs, arc_offsets)
     heads_per_group = np.diff(head_offsets)
-    head_starts = head_starts_abs - np.repeat(arc_offsets[:-1], heads_per_group)
+    head_starts = head_starts_abs - np.repeat(group_starts, heads_per_group)
 
     return TimeArcCSR(
         n=n,
         lifetime=lifetime,
-        labels=_readonly(labels[arc_offsets[:-1]]),
+        labels=_readonly(raw_labels.take(order.take(group_starts))),
         arc_offsets=_readonly(arc_offsets),
         tails=_readonly(tails),
         heads=_readonly(heads),
-        arc_order=_readonly(order.astype(np.int64)),
-        edge_index=_readonly(edge_index),
-        head_values=_readonly(head_values),
+        arc_order=_readonly(order),
+        head_values=_readonly(heads.take(head_starts_abs)),
         head_offsets=_readonly(head_offsets),
         head_starts=_readonly(head_starts),
     )

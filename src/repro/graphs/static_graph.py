@@ -203,6 +203,20 @@ class StaticGraph:
         """Canonical ``(m, 2)`` edge array (one row per undirected edge / arc)."""
         return np.stack([self._pair_tails, self._pair_heads], axis=1)
 
+    @property
+    def pair_tails(self) -> np.ndarray:
+        """Column 0 of :attr:`edge_pairs`, stored once per graph (read-only view)."""
+        view = self._pair_tails.view()
+        view.flags.writeable = False
+        return view
+
+    @property
+    def pair_heads(self) -> np.ndarray:
+        """Column 1 of :attr:`edge_pairs`, stored once per graph (read-only view)."""
+        view = self._pair_heads.view()
+        view.flags.writeable = False
+        return view
+
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #

@@ -22,8 +22,13 @@ query against it.  The alias map short-circuits that: the service registers
 the canonical fingerprint of the **request spec** (graph family, label
 model, params, seed) as an alias of the instance fingerprint it produced, so
 a repeat query resolves spec → handle with two dictionary lookups and never
-rebuilds the network.  Aliases are a bounded LRU of strings; an alias whose
-handle was evicted simply misses, and the rebuild path re-registers it.
+rebuilds the network.  Aliases are a bounded LRU of strings.  An alias
+whose handle was evicted misses; the service rebuilds the network and
+:meth:`AnalysisCache.get_or_create` files it under the key the alias
+already names, without hashing it again: a seeded spec fixes its instance.
+Only a spec the cache has never seen pays :func:`graph_fingerprint`, so that
+two spellings of one instance still meet on one handle; ``fingerprints``
+counts those calls.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ class AnalysisCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.fingerprints = 0
 
     @property
     def capacity(self) -> int:
@@ -148,29 +154,44 @@ class AnalysisCache:
         self,
         network: "TemporalGraph",
         *,
+        alias: str | None = None,
         factory: Callable[["TemporalGraph"], "NetworkAnalysis"] | None = None,
     ) -> tuple[str, "NetworkAnalysis", bool]:
-        """Fingerprint ``network`` and return ``(key, handle, hit)``.
+        """Key ``network`` and return ``(key, handle, hit)``.
+
+        The key is the instance key that ``alias`` already names, if any, and
+        otherwise :func:`graph_fingerprint` of ``network`` (counted in
+        :attr:`fingerprints`).  The fingerprint-then-lookup is what lets a
+        *rebuilt* instance of the same network — same graph spec, same label
+        model, same seed — hit the handle, and therefore the memoized
+        artifacts, of an earlier request.  ``alias`` must name the spec that
+        ``network`` was built from, so that the key it names is ``network``'s
+        own; it is registered for the key in the same call.
 
         On a miss a fresh handle is built (``factory`` defaults to the plain
         :class:`~repro.analysis_api.NetworkAnalysis` constructor) and cached.
-        The fingerprint-then-lookup is what lets a *rebuilt* instance of the
-        same network — same graph spec, same label model, same seed — hit the
-        handle, and therefore the memoized artifacts, of an earlier request.
         """
-        key = graph_fingerprint(network)
         with self._lock:
-            cached = self.get(key)
-            if cached is not None:
-                return key, cached, True
-            if factory is None:
-                from ..analysis_api import NetworkAnalysis
+            key = None if alias is None else self._aliases.get(alias)
+        if key is None:
+            key = graph_fingerprint(network)
+            with self._lock:
+                self.fingerprints += 1
+                _counter("service.cache.fingerprint")
+        with self._lock:
+            handle = self.get(key)
+            hit = handle is not None
+            if not hit:
+                if factory is None:
+                    from ..analysis_api import NetworkAnalysis
 
-                handle = NetworkAnalysis(network)
-            else:
-                handle = factory(network)
-            self.put(key, handle)
-            return key, handle, False
+                    handle = NetworkAnalysis(network)
+                else:
+                    handle = factory(network)
+                self.put(key, handle)
+            if alias is not None:
+                self.alias(alias, key)
+            return key, handle, hit
 
     # ------------------------------------------------------------------ #
     # maintenance
@@ -182,7 +203,7 @@ class AnalysisCache:
             self._aliases.clear()
 
     def stats(self) -> dict[str, Any]:
-        """Hit/miss/eviction counts plus the derived hit rate (the /stats payload)."""
+        """Hit/miss/eviction/fingerprint counts and the hit rate (the /stats payload)."""
         with self._lock:
             lookups = self.hits + self.misses
             return {
@@ -191,6 +212,7 @@ class AnalysisCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
+                "fingerprints": self.fingerprints,
                 "hit_rate": (self.hits / lookups) if lookups else 0.0,
             }
 

@@ -408,13 +408,17 @@ def build_timearc_csr_reference(
     raw_labels: np.ndarray,
     raw_edge_index: np.ndarray,
 ) -> TimeArcCSR:
-    """The label-grouped CSR layout, arcs ordered by ``np.lexsort`` (non-empty input)."""
+    """The label-grouped CSR layout, arcs ordered by ``np.lexsort`` (non-empty input).
+
+    ``raw_edge_index`` comes with the other time-arc columns, but the layout
+    keeps no edge column: the edge of CSR arc ``i`` is
+    ``raw_edge_index[arc_order[i]]``.
+    """
     num_arcs = int(raw_labels.size)
     order = np.lexsort((raw_heads, raw_labels))
     labels = raw_labels[order]
     tails = raw_tails[order]
     heads = raw_heads[order]
-    edge_index = raw_edge_index[order]
 
     unique_labels, group_starts = np.unique(labels, return_index=True)
     arc_offsets = np.append(group_starts, num_arcs).astype(np.int64)
@@ -436,7 +440,6 @@ def build_timearc_csr_reference(
         tails=tails,
         heads=heads,
         arc_order=order.astype(np.int64),
-        edge_index=edge_index,
         head_values=head_values,
         head_offsets=head_offsets,
         head_starts=head_starts,

@@ -147,9 +147,6 @@ class TestCSRStructure:
         assert np.array_equal(np.sort(csr.arc_order), np.arange(csr.num_arcs))
         assert np.array_equal(network.time_arc_tails[csr.arc_order], csr.tails)
         assert np.array_equal(network.time_arc_heads[csr.arc_order], csr.heads)
-        assert np.array_equal(
-            network.time_arc_edge_index[csr.arc_order], csr.edge_index
-        )
 
     @LAYOUTS
     def test_arrays_are_read_only(self, random_clique_instance, layout):

@@ -19,7 +19,6 @@ CSR_FIELDS = (
     "tails",
     "heads",
     "arc_order",
-    "edge_index",
     "head_values",
     "head_offsets",
     "head_starts",
@@ -158,7 +157,6 @@ class TestArrayLevelCsrBuilder:
             network.time_arc_tails,
             network.time_arc_heads,
             network.time_arc_labels,
-            network.time_arc_edge_index,
         )
         cached = network.timearc_csr
         for field in CSR_FIELDS:
@@ -166,7 +164,7 @@ class TestArrayLevelCsrBuilder:
 
     def test_empty_arrays(self):
         empty = np.empty(0, dtype=np.int64)
-        csr = build_timearc_csr_from_arrays(4, 4, empty, empty, empty, empty)
+        csr = build_timearc_csr_from_arrays(4, 4, empty, empty, empty)
         assert csr.num_arcs == 0 and csr.num_groups == 0
 
 

@@ -227,17 +227,18 @@ class TestExitPointsAgainstOracle:
 
 
 #: The yes/no predicates as run in :class:`TestDecisionsAgainstOracle`: the
-#: free functions, and ``preserves_reachability`` on a fresh handle.
+#: free functions, and each on a fresh handle.
 _DECISIONS = {
     "preserves": reachability.preserves_reachability,
     "preserves-handle": lambda net: NetworkAnalysis(net).preserves_reachability(),
     "connected": reachability.is_temporally_connected,
+    "connected-handle": lambda net: NetworkAnalysis(net).is_temporally_connected,
 }
 
 
 def _required(network, decision):
     """The mask a "yes" of ``decision`` needs: the static closure, or every pair."""
-    if decision == "connected":
+    if decision.startswith("connected"):
         return np.ones((network.n, network.n), dtype=bool)
     return reachability.static_reachability_matrix(network.graph)
 
@@ -303,6 +304,29 @@ class TestDecisionsAgainstOracle:
             answer = handle.preserves_reachability()
         assert "kernel.forward.sweeps" not in recorder.counters
         assert answer == reachability.preserves_reachability(network)
+
+    def test_handle_decides_connectivity_without_a_matrix(self, network):
+        handle = NetworkAnalysis(network)
+        with compute_events() as events:
+            answer = handle.is_temporally_connected
+            again = handle.is_temporally_connected
+        assert events.counts == {"temporally_connected": 1}
+        assert events.hits == {"temporally_connected": 1}
+        expected = oracle_arrival_matrix(network) < UNREACHABLE
+        assert answer == again == bool(expected.all())
+
+    @pytest.mark.parametrize("artifact", ["reachability", "arrival_matrix", "summary"])
+    def test_handle_reads_connectivity_from_a_cached_artifact(self, network, artifact):
+        handle = NetworkAnalysis(network)
+        member = getattr(handle, artifact)
+        if callable(member):
+            member()
+        with telemetry.session() as recorder:
+            with compute_events() as events:
+                answer = handle.is_temporally_connected
+        assert "kernel.forward.sweeps" not in recorder.counters
+        assert events.counts == {}
+        assert answer == reachability.is_temporally_connected(network)
 
 
 class TestReachOnlyAgainstOracle:

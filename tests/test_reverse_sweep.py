@@ -188,7 +188,6 @@ class TestReverseCsrLayout:
             network.time_arc_heads,
             network.time_arc_tails,
             lifetime + 1 - network.time_arc_labels,
-            network.time_arc_edge_index,
         )
         csr = network.reverse_timearc_csr
         assert isinstance(csr, TimeArcCSR)
@@ -215,9 +214,6 @@ class TestReverseCsrLayout:
             )
             np.testing.assert_array_equal(
                 csr.heads[arc_slice], network.time_arc_tails[original]
-            )
-            np.testing.assert_array_equal(
-                csr.edge_index[arc_slice], network.time_arc_edge_index[original]
             )
 
     def test_layout_is_cached_and_immutable(self, network):

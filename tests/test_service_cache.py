@@ -10,6 +10,8 @@ import pytest
 from repro.analysis_api import NetworkAnalysis, compute_events
 from repro.core.temporal_graph import TemporalGraph
 from repro.graphs.generators import complete_graph, star_graph
+from repro.service import ServiceApp
+from repro.service import cache as cache_module
 from repro.service.cache import AnalysisCache
 from repro.telemetry import TelemetryRecorder, attach
 from repro.utils.fingerprint import graph_fingerprint
@@ -128,6 +130,77 @@ class TestAliasLayer:
         cache.clear()
         cache.get_or_create(_network(4))  # same fingerprint, fresh handle
         assert cache.get_by_alias("spec-abc") is None
+
+
+class TestKnownInstanceKey:
+    """A spec whose handle was evicted is filed again under its known key."""
+
+    @pytest.fixture()
+    def fingerprinted(self, monkeypatch):
+        """The networks ``AnalysisCache`` hands to ``graph_fingerprint``."""
+        calls = []
+
+        def counted(network):
+            calls.append(network)
+            return graph_fingerprint(network)
+
+        monkeypatch.setattr(cache_module, "graph_fingerprint", counted)
+        return calls
+
+    def test_known_alias_keys_the_rebuild_without_hashing(self, fingerprinted):
+        cache = AnalysisCache(capacity=1)
+        key, _, _ = cache.get_or_create(_network(4), alias="spec-4")
+        cache.get_or_create(_network(5), alias="spec-5")  # evicts the n=4 handle
+        assert cache.get_by_alias("spec-4") is None
+        rebuilt = _network(4)
+        fingerprinted.clear()
+        rekey, handle, hit = cache.get_or_create(rebuilt, alias="spec-4")
+        assert fingerprinted == []
+        assert not hit and handle.network is rebuilt
+        assert rekey == key == graph_fingerprint(rebuilt)
+        assert cache.get_by_alias("spec-4") == (key, handle)
+        assert cache.stats()["fingerprints"] == 2
+
+    def test_unknown_alias_is_fingerprinted_once(self, fingerprinted):
+        cache = AnalysisCache(capacity=2)
+        network = _network(4)
+        recorder = TelemetryRecorder()
+        with attach(recorder):
+            key, _, hit = cache.get_or_create(network, alias="spec-4")
+        assert fingerprinted == [network]
+        assert not hit and key == graph_fingerprint(network)
+        assert cache.get_by_alias("spec-4")[0] == key
+        assert cache.stats()["fingerprints"] == 1
+        assert recorder.counters["service.cache.fingerprint"] == 1
+        assert recorder.counters["service.cache.miss"] == 1
+
+    def test_evicted_query_answers_with_the_fresh_fingerprint(self, tmp_path):
+        """Queries A, B, A through one slot: all cold, A keyed as a fresh app keys it."""
+
+        def query(seed):
+            return {
+                "op": "distances_from",
+                "source": 0,
+                "graph": {"family": "clique", "params": {"n": 6, "directed": True}},
+                "labels": {"model": "uniform", "lifetime": 6},
+                "seed": seed,
+            }
+
+        app = ServiceApp(data_dir=tmp_path / "one-slot", cache_capacity=1)
+        fresh = ServiceApp(data_dir=tmp_path / "fresh")
+        try:
+            first, other, third = [app.query(query(seed)) for seed in (1, 2, 1)]
+            expected = fresh.query(query(1))
+            stats = app.stats()["cache"]
+        finally:
+            app.close()
+            fresh.close()
+        assert not (first["cache_hit"] or other["cache_hit"] or third["cache_hit"])
+        assert third["graph_fingerprint"] == first["graph_fingerprint"]
+        assert first["graph_fingerprint"] == expected["graph_fingerprint"]
+        assert other["graph_fingerprint"] != first["graph_fingerprint"]
+        assert third["result"] == first["result"] == expected["result"]
+        assert (stats["misses"], stats["fingerprints"]) == (3, 2)
 
 
 class TestHandleReuseSavesComputes:
