@@ -67,7 +67,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..types import NEVER, UNREACHABLE, as_vertex_array
-from ..core.blocked_sweeps import blocked_sweep_summary
+from ..core.blocked_sweeps import blocked_sweep_summary, resolve_tile_size
 from ..core.centrality import centrality_arrays
 from ..core.distances import DistanceSummary, distance_summary, eccentricities_of
 from ..core.expansion import ExpansionParameters, ExpansionResult, expansion_process
@@ -357,18 +357,18 @@ class NetworkAnalysis:
 
         Runs :func:`repro.core.blocked_sweeps.blocked_sweep_summary` over
         tiles of ``tile_size`` sources (``direction="forward"``) or targets
-        (``"reverse"``); the dense matrix is
-        never materialized and the other artifacts are left untouched.
-        Cached per ``(direction, tile_size)``; ``tile_size=None`` uses the
-        ambient default (the CLI's ``--tile-size`` flag), else
-        :data:`~repro.core.blocked_sweeps.DEFAULT_TILE_SIZE`.
+        (``"reverse"``); the dense matrix is never materialized and the
+        other artifacts are left untouched.  ``tile_size=None`` uses
+        :data:`~repro.core.blocked_sweeps.DEFAULT_TILE_SIZE`.  Cached per
+        ``(direction, resolved width)``, so ``None`` and the default width,
+        or two widths past ``n``, share one sweep.
         """
-        key = (str(direction), None if tile_size is None else int(tile_size))
+        width = resolve_tile_size(tile_size, self.n)
         return self._memo(
             "streamed_summary",
-            key,
+            (str(direction), width),
             lambda: blocked_sweep_summary(
-                self._network, tile_size=tile_size, direction=direction
+                self._network, tile_size=width, direction=direction
             ).summary,
         )
 

@@ -74,13 +74,10 @@ from .blocked_sweeps import (
     BlockedSweepResult,
     ExactDistanceMoments,
     blocked_sweep_summary,
-    default_tile_size,
     resolve_tile_size,
-    set_default_tile_size,
     streamed_distance_summary,
     streamed_reachable_fraction,
     summary_of_distance_matrix,
-    tile_size_scope,
 )
 from .reachability import (
     is_temporally_connected,
@@ -150,13 +147,10 @@ __all__ = [
     "BlockedSweepResult",
     "ExactDistanceMoments",
     "blocked_sweep_summary",
-    "default_tile_size",
     "resolve_tile_size",
-    "set_default_tile_size",
     "streamed_distance_summary",
     "streamed_reachable_fraction",
     "summary_of_distance_matrix",
-    "tile_size_scope",
     "reachability_matrix",
     "reachable_set",
     "reachable_fraction",

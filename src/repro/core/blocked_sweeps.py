@@ -11,7 +11,7 @@ each tile runs through the ordinary sweep kernel
 (:class:`repro.core.kernels.NumpyBackend`) and asks it only for its packed
 ``reached`` bitset, the per-group
 settle counts and each column's last settling label.  Those are folded into
-a mergeable :class:`BlockedSummaryAccumulator` with no ``int64`` tile.
+a :class:`BlockedSummaryAccumulator` with no ``int64`` tile.
 Peak memory is ``O(n · tile_size)`` bits instead of ``O(n²)`` words, while
 every reported number stays **exact** (not sampled, not approximate) and
 bit-identical to the dense path wherever the dense path can run at all —
@@ -22,9 +22,9 @@ Exactness and order invariance
 ------------------------------
 Temporal distances are integers, so the accumulator keeps its moment state in
 **exact integer arithmetic** (:class:`ExactDistanceMoments`: count, Σδ, Σδ²
-as Python ints, plus min/max).  Merging tile partials is therefore associative
-and commutative *exactly* — any permutation or partition of the tiles merges
-to the same state, which the hypothesis suite pins
+as Python ints, plus min/max).  Folding tiles is therefore associative and
+commutative *exactly* — any permutation or partition of the tiles folds to
+the same state, which the hypothesis suite pins
 (``tests/test_property_blocked_sweeps.py``).  The derived ``mean`` is the
 correctly-rounded float of the exact rational, which reproduces the dense
 path's ``numpy.mean`` bit for bit whenever the distance sum is below
@@ -56,17 +56,17 @@ counters, so ``--jobs N`` shard runs report the same totals as serial runs.
 Composition with the engine: tiles run *within* a shard — the parallel
 engine's ``--jobs N`` fans trials out across worker processes as before, and
 each worker streams its own trials' tiles, so shard-level parallelism and
-tile-level memory bounding compose.  The ambient tile size (the CLI's
-``--tile-size`` flag) ships to spawned workers in the run's context.
+tile-level memory bounding compose.  A scenario asks for blocked summaries
+through its ``distance_summary`` metric options (the CLI's ``--tile-size``
+flag writes them), which reach the workers inside the pickled scenario.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -84,92 +84,36 @@ __all__ = [
     "BlockedSummaryAccumulator",
     "ExactDistanceMoments",
     "blocked_sweep_summary",
-    "default_tile_size",
     "resolve_tile_size",
-    "set_default_tile_size",
     "streamed_distance_summary",
     "streamed_reachable_fraction",
     "summary_of_distance_matrix",
-    "tile_size_scope",
 ]
 
-#: Tile width used when neither the call nor the process names one.  A
-#: tile's state is its packed ``reached`` bitset, ``n · ⌈width/64⌉ · 8``
-#: bytes: 320 KB at ``n = 10 000``, 32 MB at ``n = 10⁶`` — orders of
-#: magnitude below the dense ``O(n²)`` matrix.
+#: Tile width used when the call names none.  A tile's state is its packed
+#: ``reached`` bitset, ``n · ⌈width/64⌉ · 8`` bytes: 320 KB at
+#: ``n = 10 000``, 32 MB at ``n = 10⁶`` — orders of magnitude below the dense
+#: ``O(n²)`` matrix.
 DEFAULT_TILE_SIZE = 256
 
 #: Directions a blocked sweep can run in.
 _DIRECTIONS = ("forward", "reverse")
 
-#: The process-wide tile-size default installed by :func:`set_default_tile_size`
-#: (the ``--tile-size`` CLI flag sets this); ``None`` = unset.
-_default_tile_size: int | None = None
-
-
-def _check_tile_size(size: int) -> int:
-    """Validate a tile size, raising the CLI-friendly ConfigurationError."""
-    try:
-        return check_positive_int(size, "tile_size")
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(str(exc)) from None
-
-
-def default_tile_size() -> int | None:
-    """The process-wide tile-size default (``None`` when unset)."""
-    return _default_tile_size
-
-
-def set_default_tile_size(size: int | None) -> int | None:
-    """Install ``size`` as the process-wide tile size; returns the previous one.
-
-    ``None`` clears the default.  Besides fixing what ``tile_size=None``
-    resolves to, an installed default switches the ``distance_summary``
-    scenario metric onto the blocked path (see
-    :mod:`repro.scenarios.metrics`), which is how the ``--tile-size`` CLI
-    flag turns a whole run out-of-core.
-    """
-    global _default_tile_size
-    if size is not None:
-        size = _check_tile_size(size)
-    previous = _default_tile_size
-    _default_tile_size = size
-    return previous
-
-
-@contextmanager
-def tile_size_scope(size: int | None) -> Iterator[None]:
-    """Temporarily install ``size`` as the process-wide tile size.
-
-    ``None`` is a no-op scope (keeps the current default), so engine workers
-    can apply a run's snapshot unconditionally.
-    """
-    if size is None:
-        yield
-        return
-    previous = set_default_tile_size(size)
-    try:
-        yield
-    finally:
-        set_default_tile_size(previous)
-
 
 def resolve_tile_size(tile_size: int | None, n: int) -> int:
     """The tile width a blocked sweep should actually use.
 
-    Resolution order: the explicit ``tile_size`` argument, then the process
-    default installed by :func:`set_default_tile_size`, then
-    :data:`DEFAULT_TILE_SIZE`.  The result is clamped to ``[1, max(n, 1)]`` —
-    a tile wider than the instance is simply one tile, so ``tile_size >= n``
-    degrades gracefully to a single dense-width sweep.
+    ``tile_size``, or :data:`DEFAULT_TILE_SIZE` when it is ``None``, clamped
+    to ``[1, max(n, 1)]`` — a tile wider than the instance is simply one
+    tile, so ``tile_size >= n`` degrades gracefully to a single dense-width
+    sweep.  A width below 1 raises :class:`~repro.exceptions.ConfigurationError`.
     """
     if tile_size is None:
-        tile_size = _default_tile_size
-    if tile_size is None:
         tile_size = DEFAULT_TILE_SIZE
-    tile_size = _check_tile_size(tile_size)
+    try:
+        tile_size = check_positive_int(tile_size, "tile_size")
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(str(exc)) from None
     return max(1, min(tile_size, max(n, 1)))
 
 
@@ -191,25 +135,24 @@ def _block_of_counts(
     )
 
 
+@dataclass(slots=True)
 class ExactDistanceMoments:
     """Streaming distance moments in exact integer arithmetic.
 
     The integer state (count, Σδ, Σδ² as arbitrary-precision Python ints,
-    running min/max) makes accumulation and :meth:`merge` exactly associative
-    and commutative: any partition of the distance stream into tiles, merged
-    in any order, yields the same state bit for bit — the property a
-    floating-point Chan merge cannot offer.  The float views (:attr:`mean`,
-    :attr:`variance`) are correctly rounded from the exact rationals.
+    running min/max) makes accumulation exactly associative and commutative:
+    any partition of the distance stream into blocks, folded in any order,
+    yields the same state bit for bit (and equal states compare equal) — the
+    property a floating-point Chan merge cannot offer.  The float views
+    (:attr:`mean`, :attr:`variance`) are correctly rounded from the exact
+    rationals.
     """
 
-    __slots__ = ("count", "total", "total_sq", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0
-        self.total_sq = 0
-        self.minimum: int | None = None
-        self.maximum: int | None = None
+    count: int = 0
+    total: int = 0
+    total_sq: int = 0
+    minimum: int | None = None
+    maximum: int | None = None
 
     def add_block(
         self,
@@ -230,17 +173,6 @@ class ExactDistanceMoments:
         if maximum is not None:
             self.maximum = maximum if self.maximum is None else max(self.maximum, maximum)
 
-    def add_values(self, values: np.ndarray) -> None:
-        """Consume a 1-D integer array of distances."""
-        values, counts = np.unique(np.asarray(values, dtype=np.int64), return_counts=True)
-        self.add_block(*_block_of_counts(values.tolist(), counts.tolist()))
-
-    def merge(self, other: "ExactDistanceMoments") -> None:
-        """Fold another partial into this one (exact, order-invariant)."""
-        self.add_block(
-            other.count, other.total, other.total_sq, other.minimum, other.maximum
-        )
-
     @property
     def mean(self) -> float:
         """Correctly-rounded mean distance (``nan`` while empty)."""
@@ -256,49 +188,18 @@ class ExactDistanceMoments:
         exact = Fraction(self.total_sq) - Fraction(self.total * self.total, self.count)
         return float(max(exact / (self.count - 1), Fraction(0)))
 
-    def to_state(self) -> dict[str, Any]:
-        """JSON-serialisable snapshot (Python ints are arbitrary precision)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "total_sq": self.total_sq,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "ExactDistanceMoments":
-        """Rebuild from a :meth:`to_state` snapshot."""
-        moments = cls()
-        moments.count = int(state["count"])
-        moments.total = int(state["total"])
-        moments.total_sq = int(state["total_sq"])
-        moments.minimum = None if state["min"] is None else int(state["min"])
-        moments.maximum = None if state["max"] is None else int(state["max"])
-        return moments
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactDistanceMoments):
-            return NotImplemented
-        return self.to_state() == other.to_state()
-
-    def __repr__(self) -> str:
-        return (
-            f"ExactDistanceMoments(count={self.count}, mean={self.mean:.6g}, "
-            f"min={self.minimum}, max={self.maximum})"
-        )
-
 
 class BlockedSummaryAccumulator:
-    """Mergeable reduction state of a blocked all-pairs distance sweep.
+    """Reduction state of a blocked all-pairs distance sweep.
 
-    One accumulator absorbs tiles of distance rows (:meth:`add_tile`) and/or
-    other accumulators (:meth:`merge`); at the end :meth:`summary` yields the
-    same :class:`~repro.core.distances.DistanceSummary` the dense path
-    computes from the full matrix.  All scalar state is exact-integer, and
-    the one vector (:attr:`reach_counts`, the per-column in-reach partial
-    feeding the centrality family's ``reach_counts``) merges by addition, so
-    the whole object is order- and partition-invariant.
+    One accumulator absorbs tiles — from the sweep's settle counts
+    (:func:`blocked_sweep_summary`) or as distance rows (:meth:`add_tile`);
+    at the end :meth:`summary` yields the same
+    :class:`~repro.core.distances.DistanceSummary` the dense path computes
+    from the full matrix.  All scalar state is exact-integer, and the one
+    vector (:attr:`reach_counts`, the per-column in-reach partial feeding the
+    centrality family's ``reach_counts``) adds up, so the state is order- and
+    partition-invariant.
     """
 
     __slots__ = (
@@ -385,24 +286,6 @@ class BlockedSummaryAccumulator:
         self.moments.add_block(*block)
         self.reach_counts += reach_counts
 
-    def merge(self, other: "BlockedSummaryAccumulator") -> None:
-        """Fold another accumulator into this one (exact, order-invariant)."""
-        if other.n != self.n:
-            raise ConfigurationError(
-                f"cannot merge accumulators over n={self.n} and n={other.n}"
-            )
-        self.rows += other.rows
-        self.reachable_pairs += other.reachable_pairs
-        self.moments.merge(other.moments)
-        for mine, theirs, pick in (
-            ("diameter", other.diameter, max),
-            ("radius", other.radius, min),
-        ):
-            current = getattr(self, mine)
-            if theirs is not None:
-                setattr(self, mine, theirs if current is None else pick(current, theirs))
-        self.reach_counts += other.reach_counts
-
     def summary(self) -> DistanceSummary:
         """The dense-convention :class:`DistanceSummary` of the absorbed rows.
 
@@ -419,51 +302,13 @@ class BlockedSummaryAccumulator:
             )
         if self.rows != n:
             raise ConfigurationError(
-                f"summary needs all {n} rows absorbed, have {self.rows} "
-                "(merge the remaining tile partials first)"
+                f"summary needs all {n} rows absorbed, have {self.rows}"
             )
         return DistanceSummary(
             diameter=int(self.diameter),
             radius=int(self.radius),
             average_distance=self.moments.mean,
             reachable_fraction=self.reachable_pairs / float(n * (n - 1)),
-        )
-
-    def to_state(self) -> dict[str, Any]:
-        """JSON-serialisable snapshot (the shard-transport representation)."""
-        return {
-            "n": self.n,
-            "rows": self.rows,
-            "reachable_pairs": self.reachable_pairs,
-            "moments": self.moments.to_state(),
-            "diameter": self.diameter,
-            "radius": self.radius,
-            "reach_counts": self.reach_counts.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "BlockedSummaryAccumulator":
-        """Rebuild from a :meth:`to_state` snapshot."""
-        accumulator = cls(int(state["n"]))
-        accumulator.rows = int(state["rows"])
-        accumulator.reachable_pairs = int(state["reachable_pairs"])
-        accumulator.moments = ExactDistanceMoments.from_state(state["moments"])
-        accumulator.diameter = None if state["diameter"] is None else int(state["diameter"])
-        accumulator.radius = None if state["radius"] is None else int(state["radius"])
-        accumulator.reach_counts = np.asarray(state["reach_counts"], dtype=np.int64)
-        return accumulator
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BlockedSummaryAccumulator):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.rows == other.rows
-            and self.reachable_pairs == other.reachable_pairs
-            and self.moments == other.moments
-            and self.diameter == other.diameter
-            and self.radius == other.radius
-            and bool(np.array_equal(self.reach_counts, other.reach_counts))
         )
 
     def __repr__(self) -> str:
@@ -556,9 +401,8 @@ def blocked_sweep_summary(
     network:
         The temporal network.
     tile_size:
-        Rows per tile; ``None`` uses the process default installed by
-        :func:`set_default_tile_size` (the ``--tile-size`` CLI flag), else
-        :data:`DEFAULT_TILE_SIZE`.  Values above ``n`` clamp to one tile.
+        Rows per tile; ``None`` uses :data:`DEFAULT_TILE_SIZE`.  Values above
+        ``n`` clamp to one tile.
     direction:
         ``"forward"`` streams earliest-arrival rows per source;
         ``"reverse"`` streams deadline-referenced distance rows per target

@@ -14,8 +14,8 @@ are *units*: picklable objects with an ``index`` and a ``run()`` method.
   unit index, not by arrival.
 
 Every executor runs every unit through the one worker entry
-:func:`run_unit`, which applies the run's :class:`RunContext` and ships the
-unit's telemetry home in its :class:`UnitResult`.
+:func:`run_unit`, which records the unit's telemetry when the run's
+:class:`RunContext` asks for it and ships it home in its :class:`UnitResult`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .. import telemetry
-from ..core import blocked_sweeps
 from ..exceptions import ConfigurationError
 from ..utils.validation import check_positive_int
 
@@ -50,25 +49,18 @@ class RunContext:
     """The parent's ambient settings, shipped with every unit of a run.
 
     Spawn-start-method workers re-import the world from scratch and inherit
-    neither the ambient tile size nor the active recorders, so the run
-    snapshots them once in the parent (:meth:`snapshot`) and
-    :func:`run_unit` applies them around every unit — in-process and in
-    workers alike.
+    no active recorders, so the run snapshots "is anyone recording" once in
+    the parent (:meth:`snapshot`) and :func:`run_unit` acts on it around
+    every unit — in-process and in workers alike.
     """
 
     #: Record each unit's telemetry in a private recorder and ship it home.
     telemetry: bool = False
-    #: Ambient blocked-sweep tile size (``--tile-size``); ``None`` keeps
-    #: metrics on their dense path unless asked for blocked mode.
-    tile_size: int | None = None
 
     @classmethod
     def snapshot(cls) -> "RunContext":
-        """The calling process's telemetry state and tile size."""
-        return cls(
-            telemetry=bool(telemetry.active()),
-            tile_size=blocked_sweeps.default_tile_size(),
-        )
+        """The calling thread's telemetry state."""
+        return cls(telemetry=bool(telemetry.active()))
 
 
 class WorkUnit(Protocol):
@@ -96,21 +88,19 @@ class UnitResult:
 def run_unit(unit: WorkUnit, context: RunContext) -> UnitResult:
     """Run one unit under the run's context: the worker entry of every executor.
 
-    A module-level function, so process pools can pickle it.  The context's
-    tile size is installed as the process default for the duration of the
-    unit.  With telemetry on, the unit runs under a fresh *isolated*
-    recorder whose state ships home in the result; the caller folds those
-    states into its recorders in ascending unit index
+    A module-level function, so process pools can pickle it.  With
+    telemetry on, the unit runs under a fresh recorder *isolated* on the
+    calling thread, whose state ships home in the result; the caller folds
+    those states into its recorders in ascending unit index
     (:func:`merge_telemetry`).  One code path for every executor is what
     makes a ``jobs=N`` run's merged counters equal a serial run's.
     """
-    with blocked_sweeps.tile_size_scope(context.tile_size):
-        if not context.telemetry:
-            return UnitResult(unit.index, unit.run())
-        recorder = telemetry.TelemetryRecorder()
-        with telemetry.isolated(recorder):
-            value = unit.run()
-        return UnitResult(unit.index, value, recorder.to_state())
+    if not context.telemetry:
+        return UnitResult(unit.index, unit.run())
+    recorder = telemetry.TelemetryRecorder()
+    with telemetry.isolated(recorder):
+        value = unit.run()
+    return UnitResult(unit.index, value, recorder.to_state())
 
 
 def merge_telemetry(states: Iterable[Mapping[str, Any] | None]) -> None:

@@ -34,13 +34,20 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from typing import Any, Callable, ContextManager, Sequence
 
 from .. import telemetry
-from ..core import blocked_sweeps, kernels
+from ..core import kernels
 from ..exceptions import ConfigurationError
 from ..io.tables import format_table
-from ..scenarios import get_scenario, iter_scenarios, run_scenario
+from ..scenarios import (
+    MetricSuite,
+    Scenario,
+    get_scenario,
+    iter_scenarios,
+    run_scenario,
+)
 from ..scenarios.registry import experiment_scenarios
 from ..utils.logging import enable_console_logging
 from ..utils.seeding import SeedLike
@@ -147,18 +154,28 @@ def _add_tile_size_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _tile_size_scope(args: argparse.Namespace) -> ContextManager[Any]:
-    """Install the ``--tile-size`` choice as the process-wide tile size.
+def _with_tile_size(scenario: Scenario, tile_size: int | None) -> Scenario:
+    """Apply ``--tile-size`` to the scenario's ``distance_summary`` metrics.
 
-    An installed tile size flips the ``distance_summary`` metric onto the
-    blocked (out-of-core) path; results are bit-identical, only the memory
-    profile changes.  The value is also shipped to engine workers in the
-    run's context, so ``--jobs N`` runs stream inside every worker.
+    The width becomes a default ``tile_size`` option of each such metric,
+    which puts it on the blocked (out-of-core) path; results are
+    bit-identical, only the memory profile changes.  The option travels to
+    ``--jobs`` workers inside the pickled scenario.  A metric's own
+    ``tile_size`` or ``"mode": "dense"`` wins.
     """
-    size = getattr(args, "tile_size", None)
-    if size is None:
-        return nullcontext(None)
-    return blocked_sweeps.tile_size_scope(size)
+    if tile_size is None:
+        return scenario
+    if tile_size < 1:
+        raise ConfigurationError(f"--tile-size must be >= 1, got {tile_size}")
+    metrics = MetricSuite(
+        tuple(
+            replace(spec, options={"tile_size": tile_size, **spec.options})
+            if spec.metric == "distance_summary"
+            else spec
+            for spec in scenario.metrics
+        )
+    )
+    return replace(scenario, metrics=metrics)
 
 
 def run_experiments(
@@ -227,7 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress the per-experiment console output"
     )
     _add_telemetry_option(parser)
-    _add_tile_size_option(parser)
     return parser
 
 
@@ -345,7 +361,8 @@ def _scenario_run(args: argparse.Namespace, overrides: dict[str, list[Any]]) -> 
     scenario = get_scenario(args.name)
     if overrides:
         scenario = scenario.with_axes(overrides, scale=args.scale)
-    with _tile_size_scope(args), _telemetry_session(getattr(args, "telemetry", None)):
+    scenario = _with_tile_size(scenario, args.tile_size)
+    with _telemetry_session(args.telemetry):
         result = run_scenario(
             scenario, scale=args.scale, seed=args.seed, jobs=args.jobs
         )
@@ -410,9 +427,9 @@ def _profile_main(argv: Sequence[str]) -> int:
     )
     _add_tile_size_option(parser)
     args = parser.parse_args(argv)
-    scenario = get_scenario(args.name)
+    scenario = _with_tile_size(get_scenario(args.name), args.tile_size)
     sinks = [telemetry.JsonlSink(args.jsonl)] if args.jsonl else []
-    with _tile_size_scope(args), telemetry.session(*sinks) as recorder:
+    with telemetry.session(*sinks) as recorder:
         run_scenario(scenario, scale=args.scale, seed=args.seed, jobs=args.jobs)
     print(
         telemetry.format_layer_report(
@@ -463,24 +480,19 @@ def _serve_main(argv: Sequence[str]) -> int:
         "--kernel-backend", default="numpy", metavar="NAME", dest="kernel",
         help="the sweep kernel: 'numpy', the only one (default: numpy)",
     )
-    _add_tile_size_option(parser)
     args = parser.parse_args(argv)
     kernels.set_default_backend(args.kernel)
     from ..service import serve as build_server
 
-    # The scope holds for the server's whole lifetime, so the job worker and
-    # every query thread compute with the selected tile size.
-    with _tile_size_scope(args):
-        server = build_server(
-            data_dir=args.data_dir,
-            host=args.host,
-            port=args.port,
-            cache_capacity=args.cache_capacity,
-            engine_jobs=args.jobs,
-            tile_size=args.tile_size,
-        )
-        print(f"serving on {server.url} (data: {args.data_dir})", flush=True)
-        server.serve_forever()
+    server = build_server(
+        data_dir=args.data_dir,
+        host=args.host,
+        port=args.port,
+        cache_capacity=args.cache_capacity,
+        engine_jobs=args.jobs,
+    )
+    print(f"serving on {server.url} (data: {args.data_dir})", flush=True)
+    server.serve_forever()
     return 0
 
 
@@ -498,7 +510,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        with _tile_size_scope(args), _telemetry_session(args.telemetry):
+        with _telemetry_session(args.telemetry):
             reports = run_experiments(
                 args.ids, scale=args.scale, seed=args.seed, jobs=args.jobs
             )

@@ -144,13 +144,11 @@ def _metric_distance_summary(
     ``options["mode"]`` picks the compute path: ``"dense"`` (the memoized
     full-matrix sweep), ``"blocked"`` (the out-of-core tiled engine of
     :mod:`repro.core.blocked_sweeps`, ``O(n · tile_size)`` memory), or the
-    default ``"auto"`` — dense unless an ambient tile size is installed (the
-    CLI's ``--tile-size`` flag), in which case blocked.  The two paths are
+    default ``"auto"`` — blocked when the options name a ``tile_size`` (the
+    CLI's ``--tile-size`` flag writes one), else dense.  The two paths are
     bit-identical, so the mode only changes the memory profile.
-    ``options["tile_size"]`` overrides the tile width in blocked mode.
+    ``options["tile_size"]`` sets the tile width in blocked mode.
     """
-    from ..core import blocked_sweeps
-
     mode = options.get("mode", "auto")
     if mode not in ("auto", "dense", "blocked"):
         raise ConfigurationError(
@@ -158,10 +156,7 @@ def _metric_distance_summary(
             f"got {mode!r}"
         )
     tile_size = options.get("tile_size")
-    if mode == "blocked" or (
-        mode == "auto"
-        and (tile_size is not None or blocked_sweeps.default_tile_size() is not None)
-    ):
+    if mode == "blocked" or (mode == "auto" and tile_size is not None):
         summary = ctx.require_analysis("distance_summary").streamed_distance_summary(
             tile_size=None if tile_size is None else int(tile_size)
         )

@@ -117,10 +117,6 @@ class ServiceApp:
         Bound on live :class:`~repro.analysis_api.NetworkAnalysis` handles.
     engine_jobs:
         Worker processes per scenario run (``None`` = serial engine).
-    tile_size:
-        Recorded for ``/healthz``; the ``serve`` CLI applies it process-wide
-        through the same scope every other subcommand uses, so it binds the
-        job worker and query threads alike.
     """
 
     def __init__(
@@ -129,7 +125,6 @@ class ServiceApp:
         data_dir: str | Path,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         engine_jobs: int | None = None,
-        tile_size: int | None = None,
     ) -> None:
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
@@ -142,7 +137,6 @@ class ServiceApp:
             engine_jobs=engine_jobs,
             recorder=self.recorder,
         )
-        self.tile_size = tile_size
         self.started_at = time.time()
 
     def close(self) -> None:
@@ -344,7 +338,6 @@ class ServiceApp:
             "schema_version": self.store.schema_version(),
             "uptime_s": time.time() - self.started_at,
             "kernel_backend": kernels.default_backend(),
-            "tile_size": self.tile_size,
             "engine_jobs": self.jobs.engine_jobs,
         }
 

@@ -195,7 +195,6 @@ def serve(
     port: int = 0,
     cache_capacity: int | None = None,
     engine_jobs: int | None = None,
-    tile_size: int | None = None,
 ) -> ServiceHTTPServer:
     """Build a :class:`ServiceApp` and bind it to a socket (not yet serving).
 
@@ -211,6 +210,5 @@ def serve(
             cache_capacity if cache_capacity is not None else DEFAULT_CACHE_CAPACITY
         ),
         engine_jobs=engine_jobs,
-        tile_size=tile_size,
     )
     return ServiceHTTPServer(app, host=host, port=port)

@@ -3,8 +3,8 @@
 The subsystem answers the questions the stack could not before: how many CSR
 sweeps did a scenario run, what fraction of analysis-artifact requests were
 cache hits, where did the wall-clock go per shard.  It is **off by default**:
-with no recorder active, every instrumentation site reduces to one module
-attribute read and a truthiness check (gated by
+with no recorder active, every instrumentation site reduces to one
+:func:`active` call and a truthiness check (gated by
 ``benchmarks/bench_telemetry.py``), so the kernels pay nothing for being
 observable.
 
@@ -25,8 +25,8 @@ Surface
 close); :func:`span` / :func:`counter` / :func:`observe_ms` are the
 module-level emit helpers; :func:`active` is the hot-path enablement check;
 :func:`attach` composes a scoped probe with an outer session and
-:func:`isolated` captures a region into exactly one recorder (the engine
-workers' transport mode).  See ``docs/observability.md`` for the full tour,
+:func:`isolated` captures a region of the calling thread into exactly one
+recorder (the engine workers' transport mode).  See ``docs/observability.md`` for the full tour,
 the naming scheme and the CLI flags (``--telemetry``, ``repro-experiments
 profile``).
 """

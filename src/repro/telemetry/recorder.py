@@ -1,9 +1,9 @@
 """The telemetry recorder: spans, counters and timing statistics in memory.
 
 Everything in this module is plain Python over plain data — no third-party
-dependencies, no threads, no I/O — so the instrumentation layer can sit
-*below* every other subsystem (the CSR kernels import it) without creating
-import cycles or runtime baggage.
+dependencies, no threads of its own, no I/O — so the instrumentation layer
+can sit *below* every other subsystem (the CSR kernels import it) without
+creating import cycles or runtime baggage.
 
 Three primitives cover the repository's observability needs:
 
@@ -21,10 +21,10 @@ Three primitives cover the repository's observability needs:
 
 Activation model
 ----------------
-A module-level stack of recorders (usually empty, occasionally one deep)
-decides whether instrumentation is live.  The disabled path — the default —
-costs one module attribute read and one truthiness check at each
-instrumentation site, which is why the instrumented kernels benchmark
+A stack of recorders (usually empty, occasionally one deep) decides whether
+instrumentation is live.  The disabled path — the default — costs one
+:func:`active` call and one truthiness check at each instrumentation site,
+which is why the instrumented kernels benchmark
 indistinguishably from the uninstrumented ones
 (``benchmarks/bench_telemetry.py`` gates this).  Instrumented code uses one
 of two idioms:
@@ -44,16 +44,20 @@ of two idioms:
 The stack (rather than a single slot) lets a scoped probe — e.g.
 :func:`repro.analysis_api.compute_events` — observe a region of code while an
 outer session keeps recording: events are delivered to *all* active
-recorders.  :func:`isolated` swaps the whole stack for exactly one recorder;
-the engine's worker entry uses it so every unit's events (a shard's, or a
-direct-mode point's) are captured in a private recorder whose state is
-shipped back and merged in unit-index order regardless of executor (which is
-what makes telemetry totals bit-identical in counts across worker counts).
+recorders.  Every thread shares one stack, so a session opened on one
+thread records what the others do (the service daemon's query and job
+threads).  :func:`isolated` gives the *calling thread* a stack of exactly
+one recorder; the engine's worker entry uses it so every unit's events (a
+shard's, or a direct-mode point's) are captured in a private recorder whose
+state is shipped back and merged in unit-index order regardless of executor
+(which is what makes telemetry totals bit-identical in counts across worker
+counts), while other threads keep recording into the shared stack.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -190,49 +194,47 @@ class TelemetryRecorder:
     timing statistics are *mergeable* (:meth:`merge_state`); the span tree is
     a per-process artifact and is not merged (each closed span also feeds the
     timing statistic of its name, which is what crosses process boundaries).
+    Counter and timing updates are serialised by a lock, because a session's
+    recorder takes events from every thread.
     """
 
-    __slots__ = ("counters", "timings", "spans", "_open")
+    __slots__ = ("counters", "timings", "spans", "_open", "_lock")
 
     def __init__(self) -> None:
         self.counters: dict[str, int] = {}
         self.timings: dict[str, TimingStats] = {}
         self.spans: list[SpanNode] = []
         self._open: list[SpanNode] = []
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # recording
     # ------------------------------------------------------------------ #
     def counter(self, name: str, value: int = 1) -> None:
         """Add ``value`` to the counter ``name`` (creating it at 0)."""
-        self.counters[name] = self.counters.get(name, 0) + int(value)
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + int(value)
 
     def observe_ms(self, name: str, value_ms: float) -> None:
         """Feed one millisecond observation into the timing statistic ``name``."""
-        stats = self.timings.get(name)
-        if stats is None:
-            stats = self.timings[name] = TimingStats()
-        stats.add(value_ms)
+        with self._lock:
+            stats = self.timings.get(name)
+            if stats is None:
+                stats = self.timings[name] = TimingStats()
+            stats.add(value_ms)
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[SpanNode]:
         """Time a region as a child of the recorder's innermost open span."""
-        node = SpanNode(name=name, attrs=dict(attrs))
-        self._open.append(node)
+        node = self._enter_span(name, dict(attrs))
         start = time.perf_counter()
         try:
             yield node
         finally:
-            node.duration_ms = (time.perf_counter() - start) * 1e3
-            self._open.pop()
-            if self._open:
-                self._open[-1].children.append(node)
-            else:
-                self.spans.append(node)
-            self.observe_ms(name, node.duration_ms)
+            self._exit_span(node, (time.perf_counter() - start) * 1e3)
 
-    # internal hooks used by the module-level span() fan-out, which times the
-    # region once and reports the same duration to every active recorder
+    # the two span hooks: span() above and the module-level span() fan-out,
+    # which times a region once for every active recorder, both call them
     def _enter_span(self, name: str, attrs: dict[str, Any]) -> SpanNode:
         node = SpanNode(name=name, attrs=attrs)
         self._open.append(node)
@@ -266,12 +268,13 @@ class TelemetryRecorder:
         for name, value in state.get("counters", {}).items():
             self.counter(name, int(value))
         for name, timing_state in state.get("timings", {}).items():
-            stats = self.timings.get(name)
             incoming = TimingStats.from_state(timing_state)
-            if stats is None:
-                self.timings[name] = incoming
-            else:
-                stats.merge(incoming)
+            with self._lock:
+                stats = self.timings.get(name)
+                if stats is None:
+                    self.timings[name] = incoming
+                else:
+                    stats.merge(incoming)
 
     def merge(self, other: "TelemetryRecorder") -> None:
         """Fold another recorder's counters and timings into this one."""
@@ -285,18 +288,31 @@ class TelemetryRecorder:
 
 
 # --------------------------------------------------------------------- #
-# the active-recorder stack
+# the active-recorder stacks
 # --------------------------------------------------------------------- #
+#: The stack every thread shares; :func:`session` and :func:`attach` push here.
 _STACK: tuple[TelemetryRecorder, ...] = ()
+#: Serialises pushes and pops, which read and rewrite the stack.
+_STACK_LOCK = threading.Lock()
+
+
+class _ThreadStack(threading.local):
+    #: The calling thread's own stack while it runs inside :func:`isolated`;
+    #: ``None`` means the thread uses the shared :data:`_STACK`.
+    stack: tuple[TelemetryRecorder, ...] | None = None
+
+
+_LOCAL = _ThreadStack()
 
 
 def active() -> tuple[TelemetryRecorder, ...]:
-    """The currently active recorders (empty tuple = telemetry disabled).
+    """The calling thread's active recorders (empty tuple = telemetry disabled).
 
     Hot code fetches this once per call and skips all instrumentation when it
     is empty — that single check is the entire disabled-path overhead.
     """
-    return _STACK
+    local = _LOCAL.stack
+    return _STACK if local is None else local
 
 
 @contextmanager
@@ -304,14 +320,25 @@ def attach(recorder: TelemetryRecorder) -> Iterator[TelemetryRecorder]:
     """Push an existing recorder onto the active stack for the ``with`` body.
 
     Events inside the body are delivered to ``recorder`` *and* to any outer
-    recorders — the scoped-probe composition rule.
+    recorders — the scoped-probe composition rule.  The push lands on the
+    shared stack, which every thread sees, unless the calling thread is
+    inside :func:`isolated`; then it stays on that thread's stack.
     """
     global _STACK
-    _STACK = _STACK + (recorder,)
+    isolating = _LOCAL.stack is not None
+    with _STACK_LOCK:
+        if isolating:
+            _LOCAL.stack += (recorder,)
+        else:
+            _STACK += (recorder,)
     try:
         yield recorder
     finally:
-        _STACK = tuple(r for r in _STACK if r is not recorder)
+        with _STACK_LOCK:
+            if isolating:
+                _LOCAL.stack = tuple(r for r in _LOCAL.stack if r is not recorder)
+            else:
+                _STACK = tuple(r for r in _STACK if r is not recorder)
 
 
 @contextmanager
@@ -335,31 +362,32 @@ def session(*sinks: Any) -> Iterator[TelemetryRecorder]:
 
 @contextmanager
 def isolated(recorder: TelemetryRecorder) -> Iterator[TelemetryRecorder]:
-    """Make ``recorder`` the *only* active recorder for the ``with`` body.
+    """Make ``recorder`` the calling thread's *only* active recorder for the
+    ``with`` body.
 
     Used by the engine's worker entry: a unit's events must be captured
     exactly once — in the worker recorder whose state is shipped back and
     merged by the caller — never directly into an ambient session recorder,
-    or serial and multiprocess runs would double-count.
+    or serial and multiprocess runs would double-count.  Other threads keep
+    the shared stack, so nothing they record lands in ``recorder``.
     """
-    global _STACK
-    previous = _STACK
-    _STACK = (recorder,)
+    previous = _LOCAL.stack
+    _LOCAL.stack = (recorder,)
     try:
         yield recorder
     finally:
-        _STACK = previous
+        _LOCAL.stack = previous
 
 
 def counter(name: str, value: int = 1) -> None:
     """Add to a counter on every active recorder (no-op when disabled)."""
-    for recorder in _STACK:
+    for recorder in active():
         recorder.counter(name, value)
 
 
 def observe_ms(name: str, value_ms: float) -> None:
     """Feed a timing observation to every active recorder (no-op when disabled)."""
-    for recorder in _STACK:
+    for recorder in active():
         recorder.observe_ms(name, value_ms)
 
 
@@ -370,7 +398,7 @@ def span(name: str, **attrs: Any) -> Iterator[None]:
     The region is timed once; every active recorder receives a span node (in
     its own tree position) and a timing observation with the same duration.
     """
-    recs = _STACK
+    recs = active()
     if not recs:
         yield None
         return

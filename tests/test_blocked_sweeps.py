@@ -12,6 +12,7 @@ NaN/sentinel regression pin), ``n ∈ {0, 1}``, a single source, and
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,21 +32,17 @@ from repro import (
 from repro.core.blocked_sweeps import (
     DEFAULT_TILE_SIZE,
     BlockedSummaryAccumulator,
-    ExactDistanceMoments,
     blocked_sweep_summary,
-    default_tile_size,
     resolve_tile_size,
-    set_default_tile_size,
     streamed_distance_summary,
     streamed_reachable_fraction,
     summary_of_distance_matrix,
-    tile_size_scope,
 )
 from repro.core.journeys import foremost_journey_tree
 from repro.core.temporal_graph import TemporalGraph
 from repro.exceptions import ConfigurationError
 from repro.graphs.static_graph import StaticGraph
-from repro.scenarios import get_scenario, run_scenario
+from repro.scenarios import MetricSuite, get_scenario, run_scenario
 from repro.types import UNREACHABLE
 
 
@@ -72,6 +69,10 @@ _POOL = _pool()
 
 #: The fully-unreachable instance: vertices but not a single time arc.
 _EMPTY = TemporalGraph(StaticGraph(6, []), [], lifetime=8)
+
+#: An instance wider than one default tile: 300 vertices, so the default
+#: width is 256 and two tiles cover it.
+_WIDE = uniform_random_labels(path_graph(DEFAULT_TILE_SIZE + 44), lifetime=40, seed=4)
 
 
 @pytest.fixture(params=sorted(_POOL), ids=sorted(_POOL))
@@ -288,33 +289,18 @@ class TestLargeLifetimes:
 # --------------------------------------------------------------------- #
 class TestTileSizeConfiguration:
     def test_resolution_order(self):
-        assert default_tile_size() is None
         assert resolve_tile_size(None, 10_000) == DEFAULT_TILE_SIZE
         assert resolve_tile_size(17, 10_000) == 17
-        with tile_size_scope(33):
-            assert default_tile_size() == 33
-            assert resolve_tile_size(None, 10_000) == 33
-            # explicit argument still wins over the ambient default
-            assert resolve_tile_size(5, 10_000) == 5
-        assert default_tile_size() is None
 
     def test_clamped_to_instance(self):
         assert resolve_tile_size(1000, 12) == 12
         assert resolve_tile_size(None, 0) == 1
         assert resolve_tile_size(None, 1) == 1
 
-    def test_scope_restores_on_error(self):
-        set_default_tile_size(None)
-        with pytest.raises(RuntimeError):
-            with tile_size_scope(9):
-                raise RuntimeError("boom")
-        assert default_tile_size() is None
-
-    def test_none_scope_is_noop(self):
-        with tile_size_scope(7):
-            with tile_size_scope(None):
-                assert default_tile_size() == 7
-            assert default_tile_size() == 7
+    @pytest.mark.parametrize("width", [0, -3, 2.5, True, "8"])
+    def test_invalid_widths_raise_configuration_error(self, width):
+        with pytest.raises(ConfigurationError, match="tile_size"):
+            resolve_tile_size(width, 100)
 
 
 # --------------------------------------------------------------------- #
@@ -418,11 +404,33 @@ class TestHandleSurface:
             _dense_reverse(network),
         )
 
-    def test_ambient_tile_size_applies(self):
-        network = _POOL["path-r2"]
-        with tile_size_scope(3):
-            result = blocked_sweep_summary(network)
-        assert result.tile_size == 3
+    def test_default_tile_size_applies(self):
+        result = blocked_sweep_summary(_WIDE)
+        assert (result.tile_size, result.num_tiles) == (DEFAULT_TILE_SIZE, 2)
+        assert_summary_identical(result.summary, _dense_forward(_WIDE))
+
+    def test_streamed_memo_shares_none_and_the_default_width(self):
+        handle = NetworkAnalysis(_WIDE)
+        with repro.compute_events() as events:
+            first = handle.streamed_distance_summary()
+            second = handle.streamed_distance_summary(tile_size=DEFAULT_TILE_SIZE)
+        assert second is first
+        assert events.counts["streamed_summary"] == 1
+        assert events.hits["streamed_summary"] == 1
+
+    def test_streamed_memo_shares_widths_past_n(self):
+        network = _POOL["star"]
+        handle = NetworkAnalysis(network)
+        with repro.compute_events() as events:
+            first = handle.streamed_distance_summary(tile_size=network.n)
+            second = handle.streamed_distance_summary(tile_size=10 * network.n)
+            reverse = handle.streamed_distance_summary(
+                tile_size=network.n, direction="reverse"
+            )
+        assert second is first
+        assert_summary_identical(reverse, _dense_reverse(network))
+        assert events.counts["streamed_summary"] == 2
+        assert events.hits["streamed_summary"] == 1
 
     def test_top_level_exports(self):
         assert repro.blocked_sweep_summary is blocked_sweep_summary
@@ -436,10 +444,14 @@ class TestHandleSurface:
 class TestEngineComposition:
     def _records(self, *, jobs=None, tile_size=None):
         scenario = get_scenario("hypercube-urtn-diameter")
-        with tile_size_scope(tile_size):
-            return run_scenario(
-                scenario, scale="quick", seed=11, jobs=jobs
-            ).to_records()
+        if tile_size is not None:
+            (spec,) = scenario.metrics
+            options = {**spec.options, "tile_size": tile_size}
+            scenario = dataclasses.replace(
+                scenario,
+                metrics=MetricSuite.of(dataclasses.replace(spec, options=options)),
+            )
+        return run_scenario(scenario, scale="quick", seed=11, jobs=jobs).to_records()
 
     def test_blocked_mode_bit_identical_through_pipeline(self):
         assert self._records() == self._records(tile_size=3)

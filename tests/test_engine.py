@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -14,7 +15,6 @@ import pytest
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.driver import run_sharded
 from repro import telemetry
-from repro.core import blocked_sweeps
 from repro.engine.executors import (
     MultiprocessExecutor,
     RunContext,
@@ -290,26 +290,49 @@ class TestRunUnit:
         return TestExecutors()._works(budget=4, shard_size=4)[0]
 
     def test_snapshot_reads_the_ambient_settings(self):
-        with blocked_sweeps.tile_size_scope(8):
-            with telemetry.session():
-                assert RunContext.snapshot() == RunContext(telemetry=True, tile_size=8)
+        with telemetry.session():
+            assert RunContext.snapshot() == RunContext(telemetry=True)
         assert RunContext.snapshot().telemetry is False
 
-    def test_context_is_installed_for_the_unit_and_then_restored(self):
-        seen = []
-
+    def test_unit_without_telemetry_ships_no_state(self):
         class Probe:
             index = 3
 
             def run(self):
-                seen.append(blocked_sweeps.default_tile_size())
                 return "done"
 
-        before = blocked_sweeps.default_tile_size()
-        result = run_unit(Probe(), RunContext(tile_size=8))
+        result = run_unit(Probe(), RunContext())
         assert (result.index, result.value, result.telemetry_state) == (3, "done", None)
-        assert seen == [8]
-        assert blocked_sweeps.default_tile_size() == before
+
+    def test_unit_on_another_thread_leaves_this_threads_events_alone(self):
+        """A unit isolated on a job thread captures its own events only; what
+        this thread records meanwhile reaches the session."""
+        inside, recorded = threading.Event(), threading.Event()
+
+        class Probe:
+            index = 0
+
+            def run(self):
+                telemetry.counter("probe.unit")
+                inside.set()
+                recorded.wait(timeout=30)
+                return "done"
+
+        results = []
+        context = RunContext(telemetry=True)
+        with telemetry.session() as outer:
+            thread = threading.Thread(
+                target=lambda: results.append(run_unit(Probe(), context))
+            )
+            thread.start()
+            assert inside.wait(timeout=30)
+            for _ in range(100):
+                telemetry.counter("probe.main")
+            recorded.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert outer.counters == {"probe.main": 100}
+        assert results[0].telemetry_state["counters"] == {"probe.unit": 1}
 
     def test_unit_telemetry_is_isolated_from_outer_recorders(self):
         work = self._work()
@@ -339,14 +362,11 @@ class TestRunUnit:
                 telemetry.counter("probe.before_failure")
                 raise RuntimeError("unit failed")
 
-        before = blocked_sweeps.default_tile_size()
-        context = RunContext(telemetry=True, tile_size=8)
         with telemetry.session() as outer:
             with pytest.raises(RuntimeError, match="unit failed"):
-                run_unit(Failing(), context)
+                run_unit(Failing(), RunContext(telemetry=True))
             assert telemetry.active() == (outer,)
         assert "probe.before_failure" not in outer.counters
-        assert blocked_sweeps.default_tile_size() == before
 
 
 class TestCheckpointStore:

@@ -3,10 +3,10 @@
 The blocked engine's correctness rests on one algebraic property: folding
 distance rows into :class:`repro.core.blocked_sweeps.BlockedSummaryAccumulator`
 is **exactly** associative and commutative — any partition of the rows into
-tiles, absorbed and merged in any order, must yield the same accumulator
-state bit for bit (integer moments, reachability counts, diameter/radius).
-These tests drive that property over random distance matrices, random
-partitions and random merge orders.
+tiles, absorbed in any order, must yield the same accumulator state bit for
+bit (integer moments, reachability counts, diameter/radius).  These tests
+drive that property over random distance matrices, random partitions and
+random tile orders.
 """
 
 from __future__ import annotations
@@ -71,6 +71,14 @@ def _absorb(matrix: np.ndarray, tiles) -> BlockedSummaryAccumulator:
     return accumulator
 
 
+def assert_same_state(a: BlockedSummaryAccumulator, b: BlockedSummaryAccumulator):
+    """Every piece of reduction state agrees exactly."""
+    assert (a.n, a.rows, a.reachable_pairs) == (b.n, b.rows, b.reachable_pairs)
+    assert a.moments == b.moments
+    assert (a.diameter, a.radius) == (b.diameter, b.radius)
+    np.testing.assert_array_equal(a.reach_counts, b.reach_counts)
+
+
 @st.composite
 def matrix_and_two_partitions(draw):
     matrix = draw(distance_matrices())
@@ -81,26 +89,12 @@ def matrix_and_two_partitions(draw):
 @given(matrix_and_two_partitions())
 @settings(max_examples=120, deadline=None)
 def test_any_partition_any_order_same_state(case):
-    """Two arbitrary partitions/orders of the same rows agree exactly."""
+    """Two arbitrary partitions/orders of the same rows agree exactly, and
+    both equal absorbing every row as one tile."""
     matrix, tiles_a, tiles_b = case
     a = _absorb(matrix, tiles_a)
-    b = _absorb(matrix, tiles_b)
-    assert a == b
-    assert a.to_state() == b.to_state()
-    np.testing.assert_array_equal(a.reach_counts, b.reach_counts)
-
-
-@given(matrix_and_two_partitions())
-@settings(max_examples=100, deadline=None)
-def test_merge_of_partials_equals_single_accumulator(case):
-    """Per-tile accumulators merged in any order equal one-shot absorption."""
-    matrix, tiles, merge_order = case
-    whole = _absorb(matrix, [np.arange(matrix.shape[0], dtype=np.int64)])
-    partials = [_absorb(matrix, [rows]) for rows in tiles]
-    merged = BlockedSummaryAccumulator(matrix.shape[0])
-    for partial in partials:
-        merged.merge(partial)
-    assert merged == whole
+    assert_same_state(a, _absorb(matrix, tiles_b))
+    assert_same_state(a, _absorb(matrix, [np.arange(matrix.shape[0], dtype=np.int64)]))
 
 
 @given(matrix_and_two_partitions())
@@ -119,6 +113,14 @@ def test_summary_matches_dense_reduction(case):
         assert streamed.average_distance == dense.average_distance
 
 
+def _block(values):
+    """``add_block``'s ``(count, Σδ, Σδ², min, max)`` of a list of ints."""
+    if not values:
+        return 0, 0, 0, None, None
+    squares = sum(value * value for value in values)
+    return len(values), sum(values), squares, min(values), max(values)
+
+
 @given(
     st.lists(st.integers(min_value=0, max_value=10**6), max_size=40),
     st.randoms(use_true_random=False),
@@ -126,20 +128,18 @@ def test_summary_matches_dense_reduction(case):
 @settings(max_examples=100, deadline=None)
 def test_exact_moments_order_invariant(values, rng):
     """ExactDistanceMoments is insensitive to observation order and chunking,
-    and its state JSON round-trips."""
+    and equal states compare equal."""
     ordered = ExactDistanceMoments()
-    ordered.add_values(np.array(values, dtype=np.int64))
+    ordered.add_block(*_block(values))
     shuffled_values = list(values)
     rng.shuffle(shuffled_values)
     shuffled = ExactDistanceMoments()
     index = 0
     while index < len(shuffled_values):
         step = rng.randint(1, 7)
-        chunk = shuffled_values[index : index + step]
-        shuffled.add_values(np.array(chunk, dtype=np.int64))
+        shuffled.add_block(*_block(shuffled_values[index : index + step]))
         index += step
     assert ordered == shuffled
-    assert ExactDistanceMoments.from_state(ordered.to_state()) == shuffled
     if values:
         assert ordered.mean == sum(values) / len(values)
         assert ordered.minimum == min(values)

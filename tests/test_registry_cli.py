@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
+from repro import telemetry
 from repro.experiments.registry import main
 
 
@@ -87,7 +89,7 @@ class TestCli:
         exit_code = main(
             [
                 "serve", "--port", "0", "--data-dir", str(tmp_path / "data"),
-                "--tile-size", "0",
+                "--kernel-backend", "bogus",
             ]
         )
         assert exit_code == 2
@@ -131,6 +133,96 @@ class TestCli:
             main(["--help"])
         assert excinfo.value.code == 0
         assert "E1" in capsys.readouterr().out
+
+
+class TestTileSizeFlag:
+    """``--tile-size N`` rewrites the scenario's ``distance_summary`` options.
+
+    ``hypercube-urtn-diameter`` at quick scale runs 4 trials at n = 8 and 4
+    at n = 16, so a width ``w`` streams ``4 · (⌈8/w⌉ + ⌈16/w⌉)`` tiles.
+    """
+
+    NAME = "hypercube-urtn-diameter"
+
+    @staticmethod
+    def _tiles(width):
+        return 4 * (-(-8 // width) + -(-16 // width))
+
+    def _run(self, monkeypatch, options, *flags):
+        """Run the scenario with its metric options replaced; return the
+        telemetry counters of the run."""
+        from repro.experiments import registry
+        from repro.scenarios import MetricSpec, MetricSuite
+
+        base = registry.get_scenario(self.NAME)
+        if options is not None:
+            (spec,) = base.metrics
+            metric = MetricSpec("distance_summary", {**spec.options, **options})
+            base = dataclasses.replace(base, metrics=MetricSuite.of(metric))
+        monkeypatch.setattr(registry, "get_scenario", lambda name: base)
+        argv = ["scenario", "run", self.NAME, "--scale", "quick", "--seed", "5"]
+        with telemetry.session() as rec:
+            assert main([*argv, "--quiet", *flags]) == 0
+        return rec.counters
+
+    def test_flag_streams_the_summaries_in_its_width(self, monkeypatch):
+        counters = self._run(monkeypatch, None, "--tile-size", "3")
+        assert counters["blocked.tiles"] == self._tiles(3)
+        assert "analysis.compute.arrival_matrix" not in counters
+
+    def test_without_the_flag_summaries_stay_dense(self, monkeypatch):
+        counters = self._run(monkeypatch, None)
+        assert "blocked.tiles" not in counters
+        assert counters["analysis.compute.arrival_matrix"] == 8
+
+    def test_flag_reaches_jobs_workers(self, monkeypatch):
+        counters = self._run(monkeypatch, None, "--tile-size", "3", "--jobs", "2")
+        assert counters["blocked.tiles"] == self._tiles(3)
+
+    def test_a_specs_dense_mode_wins(self, monkeypatch):
+        counters = self._run(monkeypatch, {"mode": "dense"}, "--tile-size", "3")
+        assert "blocked.tiles" not in counters
+        assert counters["analysis.compute.arrival_matrix"] == 8
+
+    @pytest.mark.parametrize("mode", ["auto", "blocked"])
+    def test_a_specs_own_tile_size_wins(self, monkeypatch, mode):
+        counters = self._run(
+            monkeypatch, {"mode": mode, "tile_size": 5}, "--tile-size", "3"
+        )
+        assert counters["blocked.tiles"] == self._tiles(5)
+
+    def test_a_specs_blocked_mode_takes_the_flags_width(self, monkeypatch):
+        counters = self._run(monkeypatch, {"mode": "blocked"}, "--tile-size", "3")
+        assert counters["blocked.tiles"] == self._tiles(3)
+
+    def test_records_equal_with_and_without_the_flag(self, tmp_path, capsys):
+        argv = ["scenario", "run", self.NAME, "--scale", "quick", "--seed", "5"]
+        dense, tiled = tmp_path / "dense.json", tmp_path / "tiled.json"
+        assert main([*argv, "--quiet", "--records", str(dense)]) == 0
+        flags = ["--tile-size", "3", "--jobs", "2"]
+        assert main([*argv, "--quiet", "--records", str(tiled), *flags]) == 0
+        capsys.readouterr()
+        assert tiled.read_bytes() == dense.read_bytes()
+
+    def test_sweep_and_profile_take_the_flag(self, capsys):
+        sweep = ["scenario", "sweep", self.NAME, "--scale", "quick", "--quiet"]
+        with telemetry.session() as rec:
+            assert main([*sweep, "--set", "dimension=3", "--tile-size", "3"]) == 0
+        assert rec.counters["blocked.tiles"] == 4 * 3  # 4 trials at n = 8
+        assert main(["profile", self.NAME, "--scale", "quick", "--tile-size", "3"]) == 0
+        assert "blocked.tiles" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--ids", "E7", "--scale", "quick", "--tile-size", "8"],
+         ["serve", "--port", "0", "--tile-size", "8"]],
+        ids=["report", "serve"],
+    )
+    def test_report_run_and_serve_have_no_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--tile-size" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

@@ -67,6 +67,13 @@ class TestEndToEnd:
         assert payload["status"] == "ok"
         assert payload["schema_version"] == 2
 
+    def test_healthz_reports_the_daemons_configuration(self, server):
+        _, payload = _call(server.url, "GET", "/healthz")
+        assert set(payload) == {
+            "status", "schema_version", "uptime_s", "kernel_backend", "engine_jobs"
+        }
+        assert (payload["kernel_backend"], payload["engine_jobs"]) == ("numpy", None)
+
     def test_submit_poll_result_and_store_hit(self, server):
         """The CI smoke loop: run once, fetch results, resubmit = store hit."""
         base = server.url

@@ -10,6 +10,8 @@ the CLI surface (``--telemetry``, ``repro-experiments profile``).
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -138,6 +140,159 @@ class TestRecorder:
                 raise RuntimeError("boom")
         records = read_jsonl(path)
         assert {"kind": "counter", "name": "partial", "value": 1} in records
+
+
+class TestThreads:
+    """``isolated()`` binds the calling thread; sessions reach every thread."""
+
+    PROBE_EVENTS = 5_000
+
+    def test_isolated_units_leave_other_threads_to_their_session(self):
+        """The two-thread probe: one thread runs back-to-back isolated units
+        while another records into a session.  Every session event lands in
+        the session and every unit captures exactly its own event."""
+        stop = threading.Event()
+        units: list[TelemetryRecorder] = []
+
+        def run_units():
+            while not stop.is_set():
+                unit = TelemetryRecorder()
+                with telemetry.isolated(unit):
+                    telemetry.counter("probe.unit")
+                    stop.wait(0.0001)
+                    telemetry.counter("probe.unit")
+                units.append(unit)
+
+        with telemetry.session() as session:
+            worker = threading.Thread(target=run_units)
+            worker.start()
+            try:
+                for index in range(self.PROBE_EVENTS):
+                    telemetry.counter("probe.session")
+                    if index % 50 == 0:
+                        stop.wait(0.0001)
+            finally:
+                stop.set()
+                worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert session.counters == {"probe.session": self.PROBE_EVENTS}
+        assert units
+        assert all(unit.counters == {"probe.unit": 2} for unit in units)
+
+    def test_isolated_region_is_the_calling_threads_alone(self):
+        inside, done = threading.Event(), threading.Event()
+        unit = TelemetryRecorder()
+        seen = {}
+
+        def isolated_thread():
+            with telemetry.isolated(unit):
+                seen["worker"] = telemetry.active()
+                inside.set()
+                done.wait(timeout=30)
+
+        with telemetry.session() as session:
+            worker = threading.Thread(target=isolated_thread)
+            worker.start()
+            assert inside.wait(timeout=30)
+            seen["main"] = telemetry.active()
+            with telemetry.span("main.region"):
+                telemetry.observe_ms("main.timing", 1.0)
+            done.set()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert seen == {"worker": (unit,), "main": (session,)}
+        assert set(session.timings) == {"main.region", "main.timing"}
+        assert not unit.timings and not unit.spans
+
+    def test_session_on_one_thread_records_other_threads(self):
+        """The service daemon's case: a session opened on the main thread
+        sees what the HTTP and job threads record."""
+        with telemetry.session() as session:
+            workers = [
+                threading.Thread(target=telemetry.counter, args=("probe.thread",))
+                for _ in range(4)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in workers)
+        assert session.counters == {"probe.thread": 4}
+
+    def test_concurrent_updates_to_one_recorder_are_not_lost(self):
+        """Threads recording into one session race on its counters and
+        timings; with a short switch interval an unlocked read-modify-write
+        loses most of them."""
+        threads, events = 8, 20_000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with telemetry.session() as session:
+                def record():
+                    for _ in range(events):
+                        telemetry.counter("probe.count")
+                        telemetry.observe_ms("probe.ms", 1.0)
+                    session.merge_state({"counters": {"probe.merged": 1}})
+
+                workers = [threading.Thread(target=record) for _ in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert session.counters == {
+            "probe.count": threads * events, "probe.merged": threads
+        }
+        assert session.timings["probe.ms"].count == threads * events
+
+    def test_concurrent_attaches_keep_the_shared_stack(self):
+        """Threads attaching and detaching probes at once rewrite the shared
+        stack; a lost update would drop the session or strand a probe."""
+        threads, rounds = 8, 5_000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with telemetry.session() as session:
+                def probe():
+                    for _ in range(rounds):
+                        with telemetry.attach(TelemetryRecorder()):
+                            pass
+
+                workers = [threading.Thread(target=probe) for _ in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                assert telemetry.active() == (session,)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert telemetry.active() == ()
+
+    def test_attach_inside_isolated_stays_on_the_thread(self):
+        unit, probe = TelemetryRecorder(), TelemetryRecorder()
+        with telemetry.session() as session:
+            with telemetry.isolated(unit):
+                with telemetry.attach(probe):
+                    assert telemetry.active() == (unit, probe)
+                    telemetry.counter("inside")
+                assert telemetry.active() == (unit,)
+            assert telemetry.active() == (session,)
+            telemetry.counter("outside")
+        assert unit.counters == probe.counters == {"inside": 1}
+        assert session.counters == {"outside": 1}
+
+    def test_nested_isolated_restores_the_outer_region(self):
+        outer, inner = TelemetryRecorder(), TelemetryRecorder()
+        with telemetry.isolated(outer):
+            with telemetry.isolated(inner):
+                telemetry.counter("inner")
+            telemetry.counter("outer")
+        assert telemetry.active() == ()
+        assert inner.counters == {"inner": 1}
+        assert outer.counters == {"outer": 1}
 
 
 class TestMerge:
