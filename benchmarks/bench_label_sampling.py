@@ -2,10 +2,13 @@
 
 Random label models are the per-trial hot loop of every Monte-Carlo scenario:
 each trial samples a fresh ``(m, r)`` label matrix and needs the CSR time-arc
-layout the batched kernels consume.  The historical path routed every trial
-through the per-edge Python loops of the ``TemporalGraph`` mapping
-constructor; :meth:`TemporalGraph.from_label_matrix` replaces them with
-vectorised array operations.
+layout the batched kernels consume.  Both ``TemporalGraph`` constructors store
+the labels as the same edge-major ``(edge, label)`` arrays and derive the
+time arcs from them with array operations.  What the dict-build leg pays on
+top is Python work on per-edge input: a ``tuple(sorted(set(row)))`` per draw
+row, then the mapping constructor's validation and flattening of those tuples
+into the arrays.  :meth:`TemporalGraph.from_label_matrix` collapses the draws
+by sorting the matrix rows instead.
 
 Two layers:
 
@@ -36,8 +39,8 @@ N = 128
 LABELS_PER_EDGE = 1
 #: Rounds the gate alternates its legs over, one build per leg per round:
 #: enough for a dict leg of about 1.5 s on a 2-core box in a fast phase of
-#: the host, 2.0–2.2 s in a slower one.
-ROUNDS = 44
+#: the host (the leg lost its per-edge arc loop, which was a third of it).
+ROUNDS = 66
 #: Shortest dict leg the gate asserts on.
 SERIAL_FLOOR_S = 1.0
 REQUIRED_SPEEDUP = 3.0
@@ -49,7 +52,7 @@ def _draws(graph, r, seed=314):
 
 
 def _dict_build(graph, matrix, lifetime):
-    """The historical path: per-edge tuples through the mapping constructor."""
+    """Per-edge tuples through the mapping constructor's Python normalisation."""
     labels = [tuple(sorted(set(row))) for row in matrix.tolist()]
     network = TemporalGraph(graph, labels, lifetime=lifetime)
     network.timearc_csr

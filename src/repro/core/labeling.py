@@ -93,10 +93,11 @@ def uniform_random_labels(
     if m == 0:
         return TemporalGraph(graph, [], lifetime=a)
     draws = distribution.sample((m, r), seed=rng)
-    # Direct-to-CSR fast path: the dense draw matrix becomes flat time-arc
-    # arrays through vectorised numpy operations, bypassing the per-edge
-    # Python loops of the mapping constructor (benchmarks/bench_label_sampling.py
-    # gates the speedup).  The resulting network is bit-identical.
+    # Direct-to-CSR fast path: sorting each row of the draw matrix yields the
+    # network's stored edge-major (edge, label) arrays without the per-edge
+    # Python normalisation of the mapping constructor
+    # (benchmarks/bench_label_sampling.py gates the speedup).  The resulting
+    # network is bit-identical.
     return TemporalGraph.from_label_matrix(graph, draws, lifetime=a)
 
 

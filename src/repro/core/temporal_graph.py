@@ -5,40 +5,44 @@ a pair ``(G, L)`` where ``L = {L_e ⊆ ℕ : e ∈ E}`` assigns a set of discret
 time labels to every edge.  When every ``L_e ⊆ {1, …, a}`` the network is
 *ephemeral* with lifetime ``a``.
 
-Internally the class keeps three synchronized representations:
+The class stores ``L`` once, as two parallel edge-major ``int64`` arrays: one
+entry per ``(edge, label)`` pair, sorted by canonical edge index and then by
+label.  Everything else is derived from them:
 
-* a per-edge mapping ``edge index → sorted tuple of labels`` for API-level
-  queries (``labels_of``, ``total_labels``, …);
 * flat *time-arc arrays* ``(tails, heads, labels)`` — one entry per
   availability of each arc — used by the single-source journey kernels.  For
   an undirected underlying graph a label on edge ``{u, v}`` produces the two
-  time arcs ``(u, v, l)`` and ``(v, u, l)``, matching the paper's convention
-  that an undirected edge can be crossed in either direction at its label;
-* a lazily built, cached :class:`~repro.core.timearc_csr.TimeArcCSR` — the
-  label-grouped CSR layout (arcs sorted by ``(label, head)`` with row offsets
+  time arcs ``(u, v, l)`` and ``(v, u, l)``, interleaved per label, matching
+  the paper's convention that an undirected edge can be crossed in either
+  direction at its label;
+* lazily built, cached :class:`~repro.core.timearc_csr.TimeArcCSR` layouts —
+  the label-grouped CSR (arcs sorted by ``(label, head)`` with row offsets
   per label value) that backs every batched kernel, most importantly
-  :func:`repro.core.journeys.earliest_arrival_matrix`.  The cache means the
-  sort is paid once per network, not once per sweep; it is safe because the
-  label data is immutable after construction.
+  :func:`repro.core.journeys.earliest_arrival_matrix`, and its time-reversed
+  twin.  The caches mean the sort is paid once per network, not once per
+  sweep; they are safe because the label data is immutable;
+* a lazy per-edge tuple view for the label queries (``labels_of``,
+  ``edge_label_items``, …), built only when one of them asks.
 
-Random label models sample a dense ``(m, r)`` label matrix and go through
-:meth:`TemporalGraph.from_label_matrix`, which collapses duplicate draws by
-sorting each row, builds the time-arc arrays with vectorised numpy operations
-and defers the per-edge tuple view until an API-level query actually asks for
-it.  Both constructors produce identical networks — same time-arc arrays, same
-CSR layout, same label tuples — so every kernel and every Monte-Carlo result is
-bit-for-bit independent of which path built the instance
-(``tests/test_label_fastpath.py`` pins this).
+Both constructors fill the same arrays through one initializer: the mapping
+constructor validates and flattens its per-edge input, and
+:meth:`TemporalGraph.from_label_matrix` — the path of the random label
+models — collapses duplicate draws by sorting each row of a dense ``(m, r)``
+matrix.  Derived networks, ``==`` and ``hash`` work on the arrays too, so
+every kernel and every Monte-Carlo result is bit-for-bit independent of which
+path built the instance (``tests/test_label_fastpath.py`` and
+``tests/test_label_storage.py`` pin this).
 """
 
 from __future__ import annotations
 
 import time
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..exceptions import InvalidEdgeError, LabelingError, LifetimeError
+from ..exceptions import LabelingError, LifetimeError
 from ..graphs.static_graph import StaticGraph
 from ..telemetry import active as _telemetry_active
 from ..types import TimeEdge
@@ -78,9 +82,9 @@ class TemporalGraph:
     __slots__ = (
         "_graph",
         "_lifetime",
-        "_edge_labels",
         "_el_edge_index",
         "_el_labels",
+        "_edge_labels",
         "_ta_tails",
         "_ta_heads",
         "_ta_labels",
@@ -96,24 +100,7 @@ class TemporalGraph:
         *,
         lifetime: int | None = None,
     ) -> None:
-        self._graph = graph
-        self._edge_labels = self._normalise_labels(graph, labels)
-        self._el_edge_index = None
-        self._el_labels = None
-
-        max_label = 0
-        for edge_labels in self._edge_labels:
-            if edge_labels:
-                max_label = max(max_label, edge_labels[-1])
-        if lifetime is None:
-            lifetime = max_label if max_label > 0 else max(graph.n, 1)
-        self._lifetime = check_positive_int(lifetime, "lifetime")
-        if max_label > self._lifetime:
-            raise LifetimeError(max_label, self._lifetime)
-
-        self._build_time_arcs()
-        self._timearc_csr = None
-        self._reverse_timearc_csr = None
+        self._init(graph, *self._flatten_labels(graph, labels), lifetime)
 
     @classmethod
     def from_label_matrix(
@@ -125,15 +112,14 @@ class TemporalGraph:
     ) -> "TemporalGraph":
         """Build a temporal network from a dense ``(m, r)`` label draw matrix.
 
-        This is the vectorised fast path used by the random label models:
-        row ``i`` of ``label_matrix`` holds the ``r`` (possibly duplicate)
-        labels drawn for canonical edge ``i``.  Duplicates are collapsed —
-        only the label *set* matters for journeys — and the flat time-arc
-        arrays are produced with array operations instead of the per-edge
-        Python loop of the mapping constructor.  The per-edge tuple view
-        (:meth:`labels_of` and friends) is materialised lazily on first use.
+        This is the vectorised path used by the random label models: row
+        ``i`` of ``label_matrix`` holds the ``r`` (possibly duplicate) labels
+        drawn for canonical edge ``i``.  Duplicates are collapsed — only the
+        label *set* matters for journeys — by sorting each row, which lists
+        the kept labels by edge and then label: the stored form itself, with
+        no per-edge Python work.
 
-        The resulting network is indistinguishable from
+        The resulting network equals
         ``TemporalGraph(graph, [tuple(sorted(set(row))) for row in matrix])``:
         identical time-arc arrays (same order), identical CSR layout,
         identical label tuples, so kernels and Monte-Carlo pipelines are
@@ -158,85 +144,88 @@ class TemporalGraph:
                 f"expected a label matrix with one row per edge ({graph.m} "
                 f"edges), got shape {matrix.shape!r}"
             )
+        # Keep the entries of each sorted row that differ from their left
+        # neighbour; read row by row, they list edge then label.
+        rows = np.sort(matrix, axis=1)
+        keep = np.empty(rows.shape, dtype=bool)
+        keep[:, :1] = True
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=keep[:, 1:])
+        edges = np.repeat(
+            np.arange(graph.m, dtype=np.int64), np.count_nonzero(keep, axis=1)
+        )
+        return cls._from_arrays(graph, edges, rows[keep], lifetime)
+
+    # ------------------------------------------------------------------ #
+    # construction helpers
+    # ------------------------------------------------------------------ #
+    def _init(
+        self,
+        graph: StaticGraph,
+        edges: np.ndarray,
+        labels: np.ndarray,
+        lifetime: int | None,
+    ) -> None:
+        """The one initializer: ``(edge, label)`` arrays sorted by edge, then label.
+
+        Checks the labels against the lifetime (defaulting it to the largest
+        label, or ``graph.n`` without labels) and derives the time arcs, which
+        list the entries in the same order.
+        """
         max_label = 0
-        if matrix.size:
-            min_label = int(matrix.min())
+        if labels.size:
+            min_label = int(labels.min())
             if min_label < 1:
+                edge = int(edges[np.argmax(labels < 1)])
                 raise LabelingError(
-                    f"labels must be positive integers, got {min_label}"
+                    f"labels must be positive integers, got {min_label} on edge {edge}"
                 )
-            max_label = int(matrix.max())
+            max_label = int(labels.max())
         if lifetime is None:
             lifetime = max_label if max_label > 0 else max(graph.n, 1)
         lifetime = check_positive_int(lifetime, "lifetime")
         if max_label > lifetime:
             raise LifetimeError(max_label, lifetime)
 
-        # Collapse duplicate draws per edge: sort each row and keep the
-        # entries that differ from their left neighbour.  Reading the kept
-        # entries row by row lists them by edge then label — exactly the
-        # enumeration order of the mapping constructor's loops.
-        rows = np.sort(matrix, axis=1)
-        keep = np.empty(rows.shape, dtype=bool)
-        keep[:, :1] = True
-        np.not_equal(rows[:, 1:], rows[:, :-1], out=keep[:, 1:])
-        el_labels = rows[keep]
-        el_edges = np.repeat(
-            np.arange(graph.m, dtype=np.int64), np.count_nonzero(keep, axis=1)
-        )
-        u = graph.pair_tails.take(el_edges)
-        v = graph.pair_heads.take(el_edges)
-
-        self = cls.__new__(cls)
         self._graph = graph
         self._lifetime = lifetime
+        self._el_edge_index = edges
+        self._el_labels = labels
         self._edge_labels = None
-        self._el_edge_index = el_edges
-        self._el_labels = el_labels
+        u = graph.pair_tails.take(edges)
+        v = graph.pair_heads.take(edges)
         if graph.directed:
-            self._ta_tails = u
-            self._ta_heads = v
-            self._ta_labels = el_labels
-            self._ta_edge_index = el_edges
+            self._ta_tails, self._ta_heads = u, v
+            self._ta_labels, self._ta_edge_index = labels, edges
         else:
-            # Interleave the two arc directions of every undirected edge so
-            # the arrays match the mapping constructor entry for entry.
+            # Both directions of an undirected edge, interleaved per label.
             self._ta_tails = np.stack([u, v], axis=1).ravel()
             self._ta_heads = np.stack([v, u], axis=1).ravel()
-            self._ta_labels = np.repeat(el_labels, 2)
-            self._ta_edge_index = np.repeat(el_edges, 2)
+            self._ta_labels = np.repeat(labels, 2)
+            self._ta_edge_index = np.repeat(edges, 2)
         self._timearc_csr = None
         self._reverse_timearc_csr = None
-        return self
 
-    def _edge_label_tuples(self) -> list[tuple[int, ...]]:
-        """Per-edge sorted label tuples, materialised on demand.
+    @classmethod
+    def _from_arrays(
+        cls,
+        graph: StaticGraph,
+        edges: np.ndarray,
+        labels: np.ndarray,
+        lifetime: int | None,
+    ) -> "TemporalGraph":
+        """A network built from ``(edge, label)`` arrays already in stored order."""
+        network = cls.__new__(cls)
+        network._init(graph, edges, labels, lifetime)
+        return network
 
-        The mapping constructor builds this list eagerly; the
-        :meth:`from_label_matrix` fast path defers it until an API-level
-        query needs per-edge tuples, keeping the Monte-Carlo hot loop (which
-        only touches the flat arrays and the CSR) free of per-edge Python
-        work.
-        """
-        if self._edge_labels is None:
-            if self.m == 0:
-                self._edge_labels = []
-            else:
-                counts = np.bincount(self._el_edge_index, minlength=self.m)
-                chunks = np.split(self._el_labels, np.cumsum(counts)[:-1])
-                self._edge_labels = [tuple(chunk.tolist()) for chunk in chunks]
-        return self._edge_labels
-
-    # ------------------------------------------------------------------ #
-    # construction helpers
-    # ------------------------------------------------------------------ #
     @staticmethod
-    def _normalise_labels(
+    def _flatten_labels(
         graph: StaticGraph,
         labels: Mapping[int, Iterable[int]] | Sequence[Iterable[int]],
-    ) -> list[tuple[int, ...]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(edge, label)`` arrays of per-edge label input (sets, sorted)."""
         m = graph.m
-        per_edge: list[tuple[int, ...]] = [() for _ in range(m)]
+        per_edge: list[Sequence[int]] = [()] * m
         if isinstance(labels, Mapping):
             items = labels.items()
         else:
@@ -253,40 +242,20 @@ class TemporalGraph:
                 raise LabelingError(
                     f"edge index {edge_index} out of range for a graph with {m} edges"
                 )
-            values = sorted({int(label) for label in edge_labels})
-            for value in values:
-                if value < 1:
-                    raise LabelingError(
-                        f"labels must be positive integers, got {value} on edge "
-                        f"{edge_index}"
-                    )
-            per_edge[edge_index] = tuple(values)
-        return per_edge
+            per_edge[edge_index] = sorted({int(label) for label in edge_labels})
+        edges = np.repeat(np.arange(m, dtype=np.int64), [len(v) for v in per_edge])
+        flat = chain.from_iterable(per_edge)
+        return edges, np.fromiter(flat, dtype=np.int64, count=edges.size)
 
-    def _build_time_arcs(self) -> None:
-        pairs = self._graph.edge_pairs
-        tails: list[int] = []
-        heads: list[int] = []
-        labels: list[int] = []
-        edge_idx: list[int] = []
-        for index, edge_labels in enumerate(self._edge_labels):
-            if not edge_labels:
-                continue
-            u, v = int(pairs[index, 0]), int(pairs[index, 1])
-            for label in edge_labels:
-                tails.append(u)
-                heads.append(v)
-                labels.append(label)
-                edge_idx.append(index)
-                if not self._graph.directed:
-                    tails.append(v)
-                    heads.append(u)
-                    labels.append(label)
-                    edge_idx.append(index)
-        self._ta_tails = np.asarray(tails, dtype=np.int64)
-        self._ta_heads = np.asarray(heads, dtype=np.int64)
-        self._ta_labels = np.asarray(labels, dtype=np.int64)
-        self._ta_edge_index = np.asarray(edge_idx, dtype=np.int64)
+    def _edge_label_tuples(self) -> list[tuple[int, ...]]:
+        """Per-edge sorted label tuples, built on the first label query."""
+        if self._edge_labels is None:
+            labels = self._el_labels.tolist()
+            ends = np.cumsum(self.label_count_per_edge()).tolist()
+            self._edge_labels = [
+                tuple(labels[start:end]) for start, end in zip([0] + ends, ends)
+            ]
+        return self._edge_labels
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -324,9 +293,7 @@ class TemporalGraph:
     @property
     def total_labels(self) -> int:
         """Total number of labels over all edges: ``Σ_e |L_e|`` (the paper's cost)."""
-        if self._edge_labels is None:
-            return int(self._el_labels.size)
-        return int(sum(len(labels) for labels in self._edge_labels))
+        return int(self._el_labels.size)
 
     @property
     def is_normalized(self) -> bool:
@@ -432,17 +399,11 @@ class TemporalGraph:
 
     def labels_of(self, u: int, v: int) -> tuple[int, ...]:
         """Labels of the edge ``{u, v}`` (or arc ``(u, v)`` for digraphs)."""
-        try:
-            index = self._graph.edge_index(u, v)
-        except InvalidEdgeError:
-            raise
-        return self._edge_label_tuples()[index]
+        return self._edge_label_tuples()[self._graph.edge_index(u, v)]
 
     def label_count_per_edge(self) -> np.ndarray:
         """Number of labels on each canonical edge, as an ``int64`` array."""
-        if self._edge_labels is None:
-            return np.bincount(self._el_edge_index, minlength=self.m).astype(np.int64)
-        return np.asarray([len(labels) for labels in self._edge_labels], dtype=np.int64)
+        return np.bincount(self._el_edge_index, minlength=self.m).astype(np.int64)
 
     def edge_label_items(self) -> Iterator[tuple[tuple[int, int], tuple[int, ...]]]:
         """Iterate over ``((u, v), labels)`` pairs for every canonical edge."""
@@ -472,11 +433,9 @@ class TemporalGraph:
         ("consider only the arcs with labels up to k").
         """
         max_label = check_positive_int(max_label, "max_label")
-        new_labels = [
-            tuple(label for label in labels if label <= max_label)
-            for labels in self._edge_label_tuples()
-        ]
-        return TemporalGraph(self._graph, new_labels, lifetime=self._lifetime)
+        keep = self._el_labels <= max_label
+        edges, labels = self._el_edge_index[keep], self._el_labels[keep]
+        return self._from_arrays(self._graph, edges, labels, self._lifetime)
 
     def time_reversed(self) -> "TemporalGraph":
         """Return the time-reversed network: arcs flipped, labels mirrored.
@@ -491,38 +450,33 @@ class TemporalGraph:
         Applying :meth:`time_reversed` twice returns an equal network.
         """
         a = self._lifetime
-        mapped = [
-            tuple(a + 1 - label for label in reversed(labels))
-            for labels in self._edge_label_tuples()
-        ]
-        if not self.directed:
-            return TemporalGraph(self._graph, mapped, lifetime=a)
-        reversed_graph = self._graph.reverse()
-        # Map each original edge (u, v) to the canonical index its flipped
-        # twin (v, u) received in the reversed graph (whose edge list is
-        # sorted by (tail, head), so an encoded-key searchsorted lands it).
-        pairs = self._graph.edge_pairs
-        reversed_pairs = reversed_graph.edge_pairs
-        keys = reversed_pairs[:, 0] * np.int64(self.n) + reversed_pairs[:, 1]
-        flipped = pairs[:, 1] * np.int64(self.n) + pairs[:, 0]
-        position = np.searchsorted(keys, flipped)
-        reversed_labels: list[tuple[int, ...]] = [()] * self.m
-        for index, pos in enumerate(position.tolist()):
-            reversed_labels[pos] = mapped[index]
-        return TemporalGraph(reversed_graph, reversed_labels, lifetime=a)
+        # Read backwards, every edge's mirrored labels ascend; a stable sort
+        # by edge then restores the edge-major order.
+        edges = self._el_edge_index[::-1]
+        labels = a - self._el_labels[::-1]
+        labels += 1
+        graph = self._graph
+        if self.directed:
+            graph = graph.reverse()
+            # The canonical index each arc (u, v)'s flipped twin (v, u) has
+            # in the reversed graph, whose edge list is sorted by (tail, head).
+            keys = graph.pair_tails * np.int64(self.n) + graph.pair_heads
+            flipped = self._graph.pair_heads * np.int64(self.n) + self._graph.pair_tails
+            edges = np.searchsorted(keys, flipped).take(edges)
+        order = np.argsort(edges, kind="stable")
+        return self._from_arrays(graph, edges.take(order), labels.take(order), a)
 
     def with_lifetime(self, lifetime: int) -> "TemporalGraph":
         """Return a copy with a different declared lifetime (labels unchanged)."""
-        return TemporalGraph(self._graph, list(self._edge_label_tuples()), lifetime=lifetime)
+        edges, labels = self._el_edge_index, self._el_labels
+        return self._from_arrays(self._graph, edges, labels, lifetime)
 
     def underlying_edges_with_labels(self) -> StaticGraph:
         """Static graph keeping only the edges that received at least one label."""
-        pairs = self._graph.edge_pairs
-        keep = [i for i, labels in enumerate(self._edge_label_tuples()) if labels]
-        edges = [tuple(pairs[i]) for i in keep]
+        labelled = np.unique(self._el_edge_index)
         return StaticGraph(
             self.n,
-            edges,
+            self._graph.edge_pairs[labelled],
             directed=self.directed,
             name=f"{self._graph.name}+labels" if self._graph.name else "",
         )
@@ -542,8 +496,16 @@ class TemporalGraph:
         return (
             self._graph == other._graph
             and self._lifetime == other._lifetime
-            and self._edge_label_tuples() == other._edge_label_tuples()
+            and np.array_equal(self._el_edge_index, other._el_edge_index)
+            and np.array_equal(self._el_labels, other._el_labels)
         )
 
     def __hash__(self) -> int:
-        return hash((self._graph, self._lifetime, tuple(self._edge_label_tuples())))
+        return hash(
+            (
+                self._graph,
+                self._lifetime,
+                self._el_edge_index.tobytes(),
+                self._el_labels.tobytes(),
+            )
+        )

@@ -184,8 +184,10 @@ def build_timearc_csr_from_arrays(
     that already hold vectorised time-arc columns (e.g. the time-reversed
     layout of :mod:`repro.core.reverse_timearc_csr`) and do not need a full
     :class:`~repro.core.temporal_graph.TemporalGraph` first.  The three
-    input columns must be parallel ``int64`` arrays of equal length, with
-    non-negative heads and labels.
+    input columns must be parallel arrays of equal length: ``int64`` tails
+    and heads, with non-negative heads, and non-negative labels of any
+    integer type (an already narrow column is sorted without a copy).  Every
+    field of the layout is ``int64`` whatever the label column's type.
     """
     num_arcs = int(raw_labels.size)
     if num_arcs == 0:
@@ -205,8 +207,7 @@ def build_timearc_csr_from_arrays(
 
     # Two stable sorts, the minor key first: the permutation equals
     # np.lexsort((heads, labels)) at every key width.  The label keys stay
-    # narrow: sorted, they mark the group starts, and each group's label is
-    # read at its start.
+    # narrow: sorted, they mark the group starts and hold each group's label.
     order = np.argsort(_narrow(raw_heads), kind="stable")
     keys = _narrow(raw_labels).take(order)
     by_label = np.argsort(keys, kind="stable")
@@ -232,7 +233,7 @@ def build_timearc_csr_from_arrays(
     return TimeArcCSR(
         n=n,
         lifetime=lifetime,
-        labels=_readonly(raw_labels.take(order.take(group_starts))),
+        labels=_readonly(keys.take(group_starts).astype(np.int64)),
         arc_offsets=_readonly(arc_offsets),
         tails=_readonly(tails),
         heads=_readonly(heads),

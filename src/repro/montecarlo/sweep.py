@@ -6,7 +6,6 @@ from itertools import product
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..exceptions import ConfigurationError
-from ..utils.validation import check_positive_int
 
 __all__ = ["ParameterSweep", "sweep_grid"]
 
@@ -51,9 +50,6 @@ class ParameterSweep:
             raise ConfigurationError(
                 f"parameters {sorted(overlap)} appear both in the grid and in constants"
             )
-        # Set by shard(): an explicit point list that overrides the cartesian
-        # enumeration, so sub-sweeps need not be cartesian themselves.
-        self._explicit_points: list[dict[str, Any]] | None = None
 
     @property
     def parameter_names(self) -> list[str]:
@@ -66,8 +62,6 @@ class ParameterSweep:
         return dict(self._constants)
 
     def __len__(self) -> int:
-        if self._explicit_points is not None:
-            return len(self._explicit_points)
         total = 1
         for values in self._grid.values():
             total *= len(values)
@@ -75,10 +69,6 @@ class ParameterSweep:
 
     def points(self) -> Iterator[dict[str, Any]]:
         """Iterate over all parameter points (grid values merged with constants)."""
-        if self._explicit_points is not None:
-            for point in self._explicit_points:
-                yield dict(point)
-            return
         names = list(self._grid)
         for combination in product(*(self._grid[name] for name in names)):
             point = dict(self._constants)
@@ -90,11 +80,6 @@ class ParameterSweep:
 
     def restrict(self, **subset: Sequence[Any]) -> "ParameterSweep":
         """Return a new sweep with some parameters restricted to the given values."""
-        if self._explicit_points is not None:
-            raise ConfigurationError(
-                "a sweep shard cannot be restricted; restrict the full sweep "
-                "before sharding it"
-            )
         new_grid: dict[str, Sequence[Any]] = dict(self._grid)
         for key, values in subset.items():
             if key not in new_grid:
@@ -102,42 +87,7 @@ class ParameterSweep:
             new_grid[key] = list(values)
         return ParameterSweep(new_grid, constants=self._constants)
 
-    def shard(self, k: int) -> list["ParameterSweep"]:
-        """Split the sweep into ``k`` balanced sub-sweeps.
-
-        Points are dealt to the shards in contiguous blocks of the grid's
-        enumeration order, with sizes differing by at most one, so that the
-        concatenation of all shards' points reproduces the full sweep exactly
-        (the round-trip property the tests pin).  Sub-sweeps keep the parent's
-        parameter names and constants but enumerate an explicit point list —
-        a slice of a cartesian grid is generally not cartesian — which makes
-        them directly usable with ``MonteCarloRunner.run_sweep`` on separate
-        machines or processes.
-        """
-        total = len(self)
-        try:
-            k = check_positive_int(k, "shard count")
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(str(exc)) from exc
-        if k > total:
-            raise ConfigurationError(
-                f"cannot split a sweep of {total} point(s) into {k} non-empty shards"
-            )
-        points = list(self.points())
-        base, extra = divmod(total, k)
-        shards: list[ParameterSweep] = []
-        start = 0
-        for i in range(k):
-            size = base + (1 if i < extra else 0)
-            piece = ParameterSweep(self._grid, constants=self._constants)
-            piece._explicit_points = points[start : start + size]
-            shards.append(piece)
-            start += size
-        return shards
-
     def __repr__(self) -> str:
-        if self._explicit_points is not None:
-            return f"ParameterSweep(shard, points={len(self)})"
         sizes = ", ".join(f"{k}×{len(v)}" for k, v in self._grid.items())
         return f"ParameterSweep({sizes}, points={len(self)})"
 

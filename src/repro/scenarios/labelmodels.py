@@ -9,9 +9,10 @@ metrics may want (e.g. E8 reports the distribution's mean label).
 
 The ``"uniform"`` model routes through
 :func:`repro.core.labeling.uniform_random_labels`, which uses the vectorised
-direct-to-CSR sampling fast path; the RNG consumption is exactly one
-``(m, labels_per_edge)`` draw, identical to the historical per-experiment
-trial functions.
+direct-to-CSR sampling fast path: the draw matrix becomes the network's
+stored edge-major ``(edge, label)`` arrays by a row sort, with no per-edge
+Python work.  The RNG consumption is exactly one ``(m, labels_per_edge)``
+draw, identical to the historical per-experiment trial functions.
 """
 
 from __future__ import annotations

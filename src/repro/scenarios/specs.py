@@ -152,7 +152,8 @@ class LabelModelSpec:
     * ``"uniform"`` — the paper's random model: ``labels_per_edge``
       independent draws per edge, uniform over ``{1, …, lifetime}`` unless a
       ``distribution`` is given (F-CASE).  Uses the vectorised direct-to-CSR
-      sampling fast path automatically.
+      sampling fast path automatically: a row sort of the draw matrix gives
+      the network's stored edge-major ``(edge, label)`` arrays.
     * ``"box"`` / ``"tree_broadcast"`` — the deterministic Section 5
       constructions.
     * ``"none"`` — no labelling stage.

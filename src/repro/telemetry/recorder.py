@@ -17,7 +17,9 @@ Three primitives cover the repository's observability needs:
 * **spans** (:class:`SpanNode`) — nested wall-clock regions.  Each closed
   span appends a node to the recorder's per-process span tree *and* feeds a
   timing statistic under the span's name, which is what survives cross-process
-  merging (trees are per-process artifacts; statistics are mergeable).
+  merging (trees are per-process artifacts; statistics are mergeable).  Spans
+  nest per thread: a closed span lands under the innermost span its own
+  thread holds open, or becomes a root.
 
 Activation model
 ----------------
@@ -186,6 +188,13 @@ class SpanNode:
         }
 
 
+class _OpenSpans(threading.local):
+    """A recorder's open spans on the calling thread, innermost last."""
+
+    def __init__(self) -> None:
+        self.stack: list[SpanNode] = []
+
+
 class TelemetryRecorder:
     """In-memory telemetry destination: counters, timings and a span tree.
 
@@ -194,8 +203,9 @@ class TelemetryRecorder:
     timing statistics are *mergeable* (:meth:`merge_state`); the span tree is
     a per-process artifact and is not merged (each closed span also feeds the
     timing statistic of its name, which is what crosses process boundaries).
-    Counter and timing updates are serialised by a lock, because a session's
-    recorder takes events from every thread.
+    Counter, timing and root-span updates are serialised by a lock, because
+    a session's recorder takes events from every thread; each thread keeps
+    its own stack of open spans, so spans nest within their thread.
     """
 
     __slots__ = ("counters", "timings", "spans", "_open", "_lock")
@@ -204,7 +214,7 @@ class TelemetryRecorder:
         self.counters: dict[str, int] = {}
         self.timings: dict[str, TimingStats] = {}
         self.spans: list[SpanNode] = []
-        self._open: list[SpanNode] = []
+        self._open = _OpenSpans()
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -225,7 +235,7 @@ class TelemetryRecorder:
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[SpanNode]:
-        """Time a region as a child of the recorder's innermost open span."""
+        """Time a region as a child of the calling thread's innermost open span."""
         node = self._enter_span(name, dict(attrs))
         start = time.perf_counter()
         try:
@@ -237,16 +247,18 @@ class TelemetryRecorder:
     # which times a region once for every active recorder, both call them
     def _enter_span(self, name: str, attrs: dict[str, Any]) -> SpanNode:
         node = SpanNode(name=name, attrs=attrs)
-        self._open.append(node)
+        self._open.stack.append(node)
         return node
 
     def _exit_span(self, node: SpanNode, duration_ms: float) -> None:
         node.duration_ms = duration_ms
-        self._open.pop()
-        if self._open:
-            self._open[-1].children.append(node)
+        stack = self._open.stack
+        stack.pop()
+        if stack:
+            stack[-1].children.append(node)
         else:
-            self.spans.append(node)
+            with self._lock:
+                self.spans.append(node)
         self.observe_ms(node.name, duration_ms)
 
     # ------------------------------------------------------------------ #

@@ -31,6 +31,9 @@ falls short.
 :func:`prefix_connectivity_time_reference` binary-searches the labels with a
 static connectivity check per probe, and :func:`build_timearc_csr_reference`
 orders the CSR layout's arcs with ``np.lexsort``.
+:func:`time_arcs_reference` lists a network's time arcs from per-edge label
+sets with the per-edge loop of Definition 1, independent of the edge-major
+arrays :class:`TemporalGraph` stores.
 """
 
 from __future__ import annotations
@@ -444,3 +447,24 @@ def build_timearc_csr_reference(
         head_offsets=head_offsets,
         head_starts=head_starts,
     )
+
+
+def time_arcs_reference(
+    graph: StaticGraph, per_edge_labels
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The time-arc columns ``(tails, heads, labels, edge_index)`` of a labelling.
+
+    ``per_edge_labels[i]`` is the label iterable of canonical edge ``i``
+    (duplicates allowed).  The arcs are listed edge by edge, each edge's
+    distinct labels ascending; an undirected edge ``{u, v}`` gives ``(u, v, l)``
+    and then ``(v, u, l)`` for every label ``l``.
+    """
+    columns: tuple[list[int], ...] = ([], [], [], [])
+    for index, (u, v) in enumerate(graph.edge_pairs.tolist()):
+        directions = [(u, v)] if graph.directed else [(u, v), (v, u)]
+        for label in sorted({int(label) for label in per_edge_labels[index]}):
+            for tail, head in directions:
+                for column, value in zip(columns, (tail, head, label, index)):
+                    column.append(value)
+    tails, heads, labels, edges = (np.asarray(c, dtype=np.int64) for c in columns)
+    return tails, heads, labels, edges

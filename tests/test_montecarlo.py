@@ -147,53 +147,21 @@ class TestSweep:
     def test_sweep_grid_helper(self):
         assert len(sweep_grid(n=[4, 8], r=[1, 2, 3])) == 6
 
-    def test_shard_round_trip_union_equals_full_grid(self):
-        sweep = ParameterSweep({"a": [1, 2, 3], "b": [10, 20]}, constants={"c": 7})
-        for k in (1, 2, 3, 5, 6):
-            shards = sweep.shard(k)
-            assert len(shards) == k
-            rebuilt = [point for shard in shards for point in shard.points()]
-            assert rebuilt == list(sweep.points())
-
-    def test_shard_sizes_balanced(self):
-        sweep = ParameterSweep({"a": list(range(7))})
-        sizes = [len(shard) for shard in sweep.shard(3)]
-        assert sorted(sizes) == [2, 2, 3]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_shard_keeps_names_and_constants(self):
-        sweep = ParameterSweep({"a": [1, 2]}, constants={"c": 7})
-        shard = sweep.shard(2)[0]
-        assert shard.parameter_names == ["a"]
-        assert shard.constants == {"c": 7}
-        assert all(point["c"] == 7 for point in shard)
-
-    def test_shard_validation(self):
-        sweep = ParameterSweep({"a": [1, 2, 3]})
-        with pytest.raises(ConfigurationError):
-            sweep.shard(0)
-        with pytest.raises(ConfigurationError):
-            sweep.shard(4)  # more shards than points
-        with pytest.raises(ConfigurationError):
-            sweep.shard("two")
-        with pytest.raises(ConfigurationError):
-            sweep.shard(2.5)  # no silent truncation
-        with pytest.raises(ConfigurationError):
-            sweep.shard(True)
-
-    def test_shard_cannot_be_restricted(self):
-        shard = ParameterSweep({"a": [1, 2]}).shard(2)[0]
-        with pytest.raises(ConfigurationError):
-            shard.restrict(a=[1])
-
-    def test_shards_usable_with_run_sweep(self):
+    def test_run_sweep_runs_plain_point_lists(self):
         runner = MonteCarloRunner(repetitions=3, seed=0)
         experiment = Experiment(name="coin", trial=_coin_trial)
-        full = ParameterSweep({"p": [0.1, 0.5, 0.9]})
-        results = [runner.run_sweep(experiment, shard) for shard in full.shard(2)]
+        full = ParameterSweep({"p": [0.1, 0.5, 0.9]}, constants={"mu": 1.0})
+        points = list(full.points())
+        results = [runner.run_sweep(experiment, part) for part in (points[:2], points[2:])]
         assert [len(r) for r in results] == [2, 1]
         assert results[0].column("p") == [0.1, 0.5]
         assert results[1].column("p") == [0.9]
+        assert results[1].column("mu") == [1.0]
+        # A list of the sweep's points runs exactly like the sweep itself.
+        assert (
+            runner.run_sweep(experiment, points).as_records()
+            == runner.run_sweep(experiment, full).as_records()
+        )
 
 
 class TestResults:

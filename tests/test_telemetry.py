@@ -284,6 +284,75 @@ class TestThreads:
         assert unit.counters == probe.counters == {"inside": 1}
         assert session.counters == {"outside": 1}
 
+    SPAN_PAIRS = 200
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    @pytest.mark.parametrize("entry", ["module", "recorder"])
+    def test_span_trees_stay_per_thread(self, entry, threads):
+        """The span probe: threads each close nested ``outer``/``inner``
+        pairs into one session at the same time.  Every node keeps its place:
+        each ``outer`` is a root holding exactly its own thread's ``inner``."""
+        start = threading.Barrier(threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with telemetry.session() as session:
+                if entry == "module":
+                    region = telemetry.span
+                else:
+                    region = session.span
+
+                def nest():
+                    thread = threading.get_ident()
+                    start.wait(timeout=30)
+                    for index in range(self.SPAN_PAIRS):
+                        with region("outer", thread=thread, index=index):
+                            with region("inner", thread=thread, index=index):
+                                pass
+
+                workers = [threading.Thread(target=nest) for _ in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        total = threads * self.SPAN_PAIRS
+        assert session.timings["outer"].count == session.timings["inner"].count == total
+        assert len(session.spans) == total
+        for root in session.spans:
+            assert root.name == "outer"
+            [child] = root.children
+            assert (child.name, child.attrs, child.children) == ("inner", root.attrs, [])
+        per_thread = {}
+        for root in session.spans:
+            per_thread.setdefault(root.attrs["thread"], []).append(root.attrs["index"])
+        assert sorted(per_thread.values()) == [list(range(self.SPAN_PAIRS))] * threads
+
+    def test_span_on_another_thread_is_a_root_not_a_child(self):
+        """A span closed on a thread with nothing open is a root, even while
+        another thread holds a span open in the same recorder."""
+        inside, done = threading.Event(), threading.Event()
+        with telemetry.session() as session:
+            def hold_open():
+                with telemetry.span("held"):
+                    inside.set()
+                    done.wait(timeout=30)
+
+            worker = threading.Thread(target=hold_open)
+            worker.start()
+            assert inside.wait(timeout=30)
+            with telemetry.span("main"):
+                with telemetry.span("main.child"):
+                    pass
+            done.set()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert [root.name for root in session.spans] == ["main", "held"]
+        assert [child.name for child in session.spans[0].children] == ["main.child"]
+        assert session.spans[1].children == []
+
     def test_nested_isolated_restores_the_outer_region(self):
         outer, inner = TelemetryRecorder(), TelemetryRecorder()
         with telemetry.isolated(outer):
