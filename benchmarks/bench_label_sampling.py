@@ -2,13 +2,16 @@
 
 Random label models are the per-trial hot loop of every Monte-Carlo scenario:
 each trial samples a fresh ``(m, r)`` label matrix and needs the CSR time-arc
-layout the batched kernels consume.  Both ``TemporalGraph`` constructors store
-the labels as the same edge-major ``(edge, label)`` arrays and derive the
-time arcs from them with array operations.  What the dict-build leg pays on
-top is Python work on per-edge input: a ``tuple(sorted(set(row)))`` per draw
-row, then the mapping constructor's validation and flattening of those tuples
-into the arrays.  :meth:`TemporalGraph.from_label_matrix` collapses the draws
-by sorting the matrix rows instead.
+layout the batched kernels consume.  On this workload, one label per arc,
+both legs end in the same stored form: the network keeps only its labels and
+takes its edge and time-arc columns from the graph (``StaticGraph.edge_arcs``),
+and its forward layout build starts from the head order the graph keeps, so
+both legs pay the same layout build.  What the dict-build leg pays on top is
+Python work on per-edge input: a ``tuple(sorted(set(row)))`` per draw row,
+then the mapping constructor's validation and flattening of those tuples into
+the arrays, and one comparison of the flattened edge column with the graph's.
+The fast leg, :meth:`TemporalGraph.from_label_matrix`, only copies the one
+draw column: with one label per edge there is nothing to sort or collapse.
 
 Two layers:
 

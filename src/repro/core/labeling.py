@@ -96,8 +96,10 @@ def uniform_random_labels(
     # Direct-to-CSR fast path: sorting each row of the draw matrix yields the
     # network's stored edge-major (edge, label) arrays without the per-edge
     # Python normalisation of the mapping constructor
-    # (benchmarks/bench_label_sampling.py gates the speedup).  The resulting
-    # network is bit-identical.
+    # (benchmarks/bench_label_sampling.py gates the speedup).  With r = 1
+    # there is nothing to sort: the network stores its one column of labels
+    # and shares its edge and arc columns with the graph.  The resulting
+    # network is bit-identical either way.
     return TemporalGraph.from_label_matrix(graph, draws, lifetime=a)
 
 
@@ -207,7 +209,7 @@ def tree_broadcast_assignment(
     """
     if graph.n == 0:
         raise GraphError("cannot label an empty graph")
-    if not is_connected(graph if not graph.directed else graph):
+    if not is_connected(graph):
         raise GraphError("tree_broadcast_assignment requires a connected graph")
     depth = bfs_distances(graph, root)
     height = int(depth.max()) if graph.n > 1 else 0

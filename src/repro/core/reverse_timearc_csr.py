@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .timearc_csr import TimeArcCSR, build_timearc_csr_from_arrays
+from .timearc_csr import TimeArcCSR, _build_layout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .temporal_graph import TemporalGraph
@@ -28,12 +28,19 @@ def build_reverse_timearc_csr(network: "TemporalGraph") -> TimeArcCSR:
     Labels and their mirrors both lie in ``[1, a]``, so the mirrored column
     is written straight into the narrowest unsigned type that holds ``a``
     instead of a fresh ``int64`` column; the layout builder narrows it
-    further only when no arc carries label 1.
+    further only when no arc carries label 1.  A network with one label per
+    edge starts from the tail order its graph keeps.
     """
     a = network.lifetime
     keys = network.time_arc_labels.astype(np.min_scalar_type(a))
     np.subtract(keys.dtype.type(a), keys, out=keys)
     keys += 1
-    return build_timearc_csr_from_arrays(
-        network.n, a, network.time_arc_heads, network.time_arc_tails, keys
+    arcs = network._shared_arcs
+    return _build_layout(
+        network.n,
+        a,
+        network.time_arc_heads,
+        network.time_arc_tails,
+        keys,
+        None if arcs is None else arcs.tail_order,
     )

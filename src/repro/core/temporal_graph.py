@@ -32,6 +32,15 @@ matrix.  Derived networks, ``==`` and ``hash`` work on the arrays too, so
 every kernel and every Monte-Carlo result is bit-for-bit independent of which
 path built the instance (``tests/test_label_fastpath.py`` and
 ``tests/test_label_storage.py`` pin this).
+
+A network with exactly one label on every edge — Definition 4's normalized
+U-RTN, drawn by most experiments and every service query — stores only its
+labels, whichever constructor built it.  Its edge column is ``0 … m−1`` and
+its time arcs list the graph's edges in order, so it takes both from the
+graph's :attr:`~repro.graphs.static_graph.StaticGraph.edge_arcs`: read-only
+arrays that every such network over the same graph object shares, beside the
+head and tail orders its layout builds start from
+(``tests/test_shared_arcs.py`` pins this form).
 """
 
 from __future__ import annotations
@@ -89,6 +98,7 @@ class TemporalGraph:
         "_ta_heads",
         "_ta_labels",
         "_ta_edge_index",
+        "_shared_arcs",
         "_timearc_csr",
         "_reverse_timearc_csr",
     )
@@ -117,7 +127,10 @@ class TemporalGraph:
         drawn for canonical edge ``i``.  Duplicates are collapsed — only the
         label *set* matters for journeys — by sorting each row, which lists
         the kept labels by edge and then label: the stored form itself, with
-        no per-edge Python work.
+        no per-edge Python work.  A one-column matrix has nothing to collapse:
+        the network stores a copy of the column and shares its edge and arc
+        columns with the graph, as does a matrix whose every row holds one
+        distinct label.
 
         The resulting network equals
         ``TemporalGraph(graph, [tuple(sorted(set(row))) for row in matrix])``:
@@ -144,6 +157,11 @@ class TemporalGraph:
                 f"expected a label matrix with one row per edge ({graph.m} "
                 f"edges), got shape {matrix.shape!r}"
             )
+        if matrix.shape[1] == 1:
+            # One label per edge: nothing to collapse, and the copy keeps the
+            # caller's matrix out of the network.
+            edges = graph.edge_arcs.edge_index
+            return cls._from_arrays(graph, edges, matrix[:, 0].copy(), lifetime)
         # Keep the entries of each sorted row that differ from their left
         # neighbour; read row by row, they list edge then label.
         rows = np.sort(matrix, axis=1)
@@ -169,7 +187,10 @@ class TemporalGraph:
 
         Checks the labels against the lifetime (defaulting it to the largest
         label, or ``graph.n`` without labels) and derives the time arcs, which
-        list the entries in the same order.
+        list the entries in the same order.  When every edge has exactly one
+        label, the edge and arc columns are the graph's
+        :attr:`~repro.graphs.static_graph.StaticGraph.edge_arcs`, shared by
+        every such network over the graph, and only ``labels`` is stored.
         """
         max_label = 0
         if labels.size:
@@ -188,20 +209,30 @@ class TemporalGraph:
 
         self._graph = graph
         self._lifetime = lifetime
+        self._edge_labels = None
+        arcs = graph.edge_arcs if edges.size == graph.m else None
+        if arcs is not None and (
+            edges is arcs.edge_index or np.array_equal(edges, arcs.edge_index)
+        ):
+            # One label per edge: the columns depend on the graph alone.
+            edges = arcs.edge_index
+            self._ta_tails, self._ta_heads = arcs.tails, arcs.heads
+            self._ta_edge_index = arcs.arc_edge_index
+        else:
+            arcs = None
+            u = graph.pair_tails.take(edges)
+            v = graph.pair_heads.take(edges)
+            if graph.directed:
+                self._ta_tails, self._ta_heads, self._ta_edge_index = u, v, edges
+            else:
+                # Both directions of an undirected edge, interleaved per label.
+                self._ta_tails = np.stack([u, v], axis=1).ravel()
+                self._ta_heads = np.stack([v, u], axis=1).ravel()
+                self._ta_edge_index = np.repeat(edges, 2)
+        self._shared_arcs = arcs
         self._el_edge_index = edges
         self._el_labels = labels
-        self._edge_labels = None
-        u = graph.pair_tails.take(edges)
-        v = graph.pair_heads.take(edges)
-        if graph.directed:
-            self._ta_tails, self._ta_heads = u, v
-            self._ta_labels, self._ta_edge_index = labels, edges
-        else:
-            # Both directions of an undirected edge, interleaved per label.
-            self._ta_tails = np.stack([u, v], axis=1).ravel()
-            self._ta_heads = np.stack([v, u], axis=1).ravel()
-            self._ta_labels = np.repeat(labels, 2)
-            self._ta_edge_index = np.repeat(edges, 2)
+        self._ta_labels = labels if graph.directed else np.repeat(labels, 2)
         self._timearc_csr = None
         self._reverse_timearc_csr = None
 

@@ -162,12 +162,16 @@ def build_timearc_csr(network: "TemporalGraph") -> TimeArcCSR:
     TimeArcCSR
         The immutable CSR structure (all arrays read-only).
     """
-    return build_timearc_csr_from_arrays(
+    # A network with one label per edge has its graph's arcs, whose head
+    # order the graph keeps for every such network.
+    arcs = network._shared_arcs
+    return _build_layout(
         network.n,
         network.lifetime,
         network.time_arc_tails,
         network.time_arc_heads,
         network.time_arc_labels,
+        None if arcs is None else arcs.head_order,
     )
 
 
@@ -189,6 +193,22 @@ def build_timearc_csr_from_arrays(
     integer type (an already narrow column is sorted without a copy).  Every
     field of the layout is ``int64`` whatever the label column's type.
     """
+    return _build_layout(n, lifetime, raw_tails, raw_heads, raw_labels, None)
+
+
+def _build_layout(
+    n: int,
+    lifetime: int,
+    raw_tails: np.ndarray,
+    raw_heads: np.ndarray,
+    raw_labels: np.ndarray,
+    head_order: np.ndarray | None,
+) -> TimeArcCSR:
+    """:func:`build_timearc_csr_from_arrays` from a known ``head_order``.
+
+    ``head_order`` is ``np.argsort(raw_heads, kind="stable")``, or ``None``
+    to sort the heads here.
+    """
     num_arcs = int(raw_labels.size)
     if num_arcs == 0:
         empty = _readonly(np.empty(0, dtype=np.int64))
@@ -208,7 +228,9 @@ def build_timearc_csr_from_arrays(
     # Two stable sorts, the minor key first: the permutation equals
     # np.lexsort((heads, labels)) at every key width.  The label keys stay
     # narrow: sorted, they mark the group starts and hold each group's label.
-    order = np.argsort(_narrow(raw_heads), kind="stable")
+    order = head_order
+    if order is None:
+        order = np.argsort(_narrow(raw_heads), kind="stable")
     keys = _narrow(raw_labels).take(order)
     by_label = np.argsort(keys, kind="stable")
     order = order.take(by_label)

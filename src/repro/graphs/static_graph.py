@@ -22,7 +22,7 @@ import numpy as np
 from ..exceptions import GraphError, InvalidEdgeError, InvalidVertexError
 from ..utils.validation import check_non_negative_int
 
-__all__ = ["StaticGraph"]
+__all__ = ["EdgeArcs", "StaticGraph"]
 
 
 class StaticGraph:
@@ -55,6 +55,7 @@ class StaticGraph:
         "_out_arc_index",
         "_closure",
         "_packed_closure",
+        "_edge_arcs",
     )
 
     def __init__(
@@ -67,26 +68,54 @@ class StaticGraph:
     ) -> None:
         self._n = check_non_negative_int(n, "n")
         self._directed = bool(directed)
-        self._name = str(name)
-
         pairs = self._normalise_edges(edges)
-        self._pair_tails = pairs[:, 0].copy() if pairs.size else np.empty(0, np.int64)
-        self._pair_heads = pairs[:, 1].copy() if pairs.size else np.empty(0, np.int64)
-
-        if self._directed:
-            arcs = pairs
-        else:
-            # Store both orientations so journey kernels need no special case.
-            arcs = np.concatenate([pairs, pairs[:, ::-1]], axis=0) if pairs.size else pairs
-        self._tails = arcs[:, 0].copy() if arcs.size else np.empty(0, np.int64)
-        self._heads = arcs[:, 1].copy() if arcs.size else np.empty(0, np.int64)
-        self._build_adjacency()
-        self._closure = None
-        self._packed_closure = None
+        self._init(pairs[:, 0].copy(), pairs[:, 1].copy(), name)
 
     # ------------------------------------------------------------------ #
     # construction helpers
     # ------------------------------------------------------------------ #
+    @classmethod
+    def _from_arcs(
+        cls,
+        n: int,
+        tails: np.ndarray,
+        heads: np.ndarray,
+        *,
+        directed: bool,
+        name: str,
+    ) -> "StaticGraph":
+        """The graph of the distinct, loop-free arcs ``tails[i] → heads[i]``.
+
+        The array path of the derived graphs, whose arcs come from a valid
+        graph: it skips ``__init__``'s checks and deduplication and only puts
+        the arcs in its canonical order (an undirected edge as ``(min, max)``,
+        sorted by tail and then head).
+        """
+        if not directed:
+            tails, heads = np.minimum(tails, heads), np.maximum(tails, heads)
+        order = np.lexsort((heads, tails))
+        graph = cls.__new__(cls)
+        graph._n = n
+        graph._directed = directed
+        graph._init(tails.take(order), heads.take(order), name)
+        return graph
+
+    def _init(self, pair_tails: np.ndarray, pair_heads: np.ndarray, name: str) -> None:
+        """Store the canonical edge columns and derive the arcs and adjacency."""
+        self._name = str(name)
+        self._pair_tails = pair_tails
+        self._pair_heads = pair_heads
+        if self._directed:
+            self._tails, self._heads = pair_tails, pair_heads
+        else:
+            # Store both orientations so journey kernels need no special case.
+            self._tails = np.concatenate([pair_tails, pair_heads])
+            self._heads = np.concatenate([pair_heads, pair_tails])
+        self._build_adjacency()
+        self._closure = None
+        self._packed_closure = None
+        self._edge_arcs = None
+
     def _normalise_edges(self, edges: Iterable[tuple[int, int]]) -> np.ndarray:
         edge_list = list(edges)
         if not edge_list:
@@ -217,6 +246,21 @@ class StaticGraph:
         view.flags.writeable = False
         return view
 
+    @property
+    def edge_arcs(self) -> "EdgeArcs":
+        """The arcs listed edge by edge: the time arcs of one label per edge.
+
+        Built on first access and kept, read-only, like
+        :attr:`reachability_closure`, and filled the same way without a
+        lock: every network over this graph object that gives each edge
+        exactly one label shares these arrays and stores only its labels.
+        """
+        if self._edge_arcs is None:
+            self._edge_arcs = EdgeArcs(
+                self._n, self.pair_tails, self.pair_heads, self._directed
+            )
+        return self._edge_arcs
+
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -295,15 +339,17 @@ class StaticGraph:
         """Return the directed version (each undirected edge becomes two arcs)."""
         if self._directed:
             return self
-        arcs = list(zip(self._tails.tolist(), self._heads.tolist()))
-        return StaticGraph(self._n, arcs, directed=True, name=self._name)
+        return StaticGraph._from_arcs(
+            self._n, self._tails, self._heads, directed=True, name=self._name
+        )
 
     def reverse(self) -> "StaticGraph":
         """Return the graph with every arc reversed (no-op for undirected)."""
         if not self._directed:
             return self
-        arcs = list(zip(self._heads.tolist(), self._tails.tolist()))
-        return StaticGraph(self._n, arcs, directed=True, name=self._name)
+        return StaticGraph._from_arcs(
+            self._n, self._heads, self._tails, directed=True, name=self._name
+        )
 
     def subgraph(self, vertices: Sequence[int]) -> "StaticGraph":
         """Return the induced subgraph on ``vertices`` (re-indexed from 0)."""
@@ -315,12 +361,10 @@ class StaticGraph:
         remap = -np.ones(self._n, dtype=np.int64)
         remap[vert_arr] = np.arange(vert_arr.size)
         mask = keep[self._pair_tails] & keep[self._pair_heads]
-        new_edges = np.stack(
-            [remap[self._pair_tails[mask]], remap[self._pair_heads[mask]]], axis=1
-        )
-        return StaticGraph(
+        return StaticGraph._from_arcs(
             int(vert_arr.size),
-            [tuple(e) for e in new_edges.tolist()],
+            remap[self._pair_tails[mask]],
+            remap[self._pair_heads[mask]],
             directed=self._directed,
             name=self._name,
         )
@@ -344,6 +388,76 @@ class StaticGraph:
 
     def __hash__(self) -> int:
         return hash((self._n, self._directed, self.edge_pairs.tobytes()))
+
+
+class EdgeArcs:
+    """A graph's arcs listed edge by edge, and their stable sort orders.
+
+    Edge ``i`` of a digraph is arc ``i``.  Edge ``i`` of an undirected graph,
+    ``{u, v}`` with ``u < v``, gives arc ``2i`` (``u → v``) and arc ``2i + 1``
+    (``v → u``).  :class:`~repro.core.temporal_graph.TemporalGraph` lists the
+    time arcs of each label the same way, so these are the time arcs of a
+    network with exactly one label per edge, without the labels.  Every
+    array is read-only.
+
+    Attributes
+    ----------
+    edge_index:
+        ``0 … m−1``, the edge of each label of such a network.
+    tails, heads:
+        Tail and head of every arc; a digraph's are its own
+        :attr:`StaticGraph.pair_tails` and :attr:`StaticGraph.pair_heads`.
+    arc_edge_index:
+        The edge of every arc; ``edge_index`` itself for a digraph.
+    """
+
+    __slots__ = (
+        "edge_index",
+        "tails",
+        "heads",
+        "arc_edge_index",
+        "_vertex_type",
+        "_head_order",
+        "_tail_order",
+    )
+
+    def __init__(
+        self, n: int, pair_tails: np.ndarray, pair_heads: np.ndarray, directed: bool
+    ) -> None:
+        self.edge_index = _readonly(np.arange(pair_tails.size, dtype=np.int64))
+        if directed:
+            self.tails, self.heads = pair_tails, pair_heads
+            self.arc_edge_index = self.edge_index
+        else:
+            self.tails = _readonly(np.stack([pair_tails, pair_heads], axis=1).ravel())
+            self.heads = _readonly(np.stack([pair_heads, pair_tails], axis=1).ravel())
+            self.arc_edge_index = _readonly(np.repeat(self.edge_index, 2))
+        # Every vertex id fits this type; numpy radix-sorts 8- and 16-bit keys.
+        self._vertex_type = np.min_scalar_type(max(n - 1, 0))
+        self._head_order: np.ndarray | None = None
+        self._tail_order: np.ndarray | None = None
+
+    @property
+    def head_order(self) -> np.ndarray:
+        """``np.argsort(heads, kind="stable")``, a forward layout's first sort, kept."""
+        if self._head_order is None:
+            self._head_order = self._stable_order(self.heads)
+        return self._head_order
+
+    @property
+    def tail_order(self) -> np.ndarray:
+        """``np.argsort(tails, kind="stable")``, a reverse layout's first sort, kept."""
+        if self._tail_order is None:
+            self._tail_order = self._stable_order(self.tails)
+        return self._tail_order
+
+    def _stable_order(self, vertices: np.ndarray) -> np.ndarray:
+        return _readonly(np.argsort(vertices.astype(self._vertex_type), kind="stable"))
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _reachability_closure(

@@ -142,6 +142,74 @@ class TestDerivedGraphs:
             graph.subgraph([0, 9])
 
 
+def _random_graph(n: int, density: float, directed: bool, seed: int) -> StaticGraph:
+    rng = np.random.default_rng(seed)
+    pairs = [
+        (u, v)
+        for u in range(n)
+        for v in range(n)
+        if u != v and (directed or u < v) and rng.random() < density
+    ]
+    return StaticGraph(n, pairs, directed=directed, name=f"random-{seed}")
+
+
+RANDOM_GRAPHS = [
+    (n, density, directed, seed)
+    for directed in (False, True)
+    for seed, (n, density) in enumerate(
+        [(0, 0.5), (1, 0.5), (4, 0.0), (2, 1.0), (6, 0.4), (13, 0.3), (30, 0.15)]
+    )
+]
+
+
+def _assert_same_graph(actual: StaticGraph, expected: StaticGraph) -> None:
+    assert actual == expected and hash(actual) == hash(expected)
+    assert (actual.n, actual.directed, actual.name) == (
+        expected.n,
+        expected.directed,
+        expected.name,
+    )
+    for got, want in (
+        (actual.edge_pairs, expected.edge_pairs),
+        (actual.arc_tails, expected.arc_tails),
+        (actual.arc_heads, expected.arc_heads),
+    ):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    for vertex in range(expected.n):
+        assert np.array_equal(actual.out_neighbors(vertex), expected.out_neighbors(vertex))
+        assert np.array_equal(actual.out_arcs(vertex), expected.out_arcs(vertex))
+
+
+@pytest.mark.parametrize("n, density, directed, seed", RANDOM_GRAPHS)
+class TestDerivedGraphsMatchTheTuplePath:
+    """Derived graphs built from the stored columns equal the edge-list constructor's."""
+
+    def test_reverse(self, n, density, directed, seed):
+        graph = _random_graph(n, density, directed, seed)
+        flipped = [(v, u) for u, v in graph.arcs()] if directed else list(graph.edges())
+        expected = StaticGraph(n, flipped, directed=directed, name=graph.name)
+        _assert_same_graph(graph.reverse(), expected)
+        _assert_same_graph(graph.reverse().reverse(), graph)
+
+    def test_to_directed(self, n, density, directed, seed):
+        graph = _random_graph(n, density, directed, seed)
+        expected = StaticGraph(n, list(graph.arcs()), directed=True, name=graph.name)
+        _assert_same_graph(graph.to_directed(), expected)
+
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    def test_subgraph(self, n, density, directed, seed, order):
+        graph = _random_graph(n, density, directed, seed)
+        rng = np.random.default_rng(seed + 100)
+        vertices = sorted(rng.choice(n, size=(2 * n) // 3, replace=False).tolist())
+        if order == "shuffled":
+            rng.shuffle(vertices)
+        index = {vertex: position for position, vertex in enumerate(vertices)}
+        edges = [(index[u], index[v]) for u, v in graph.edges() if u in index and v in index]
+        expected = StaticGraph(len(vertices), edges, directed=directed, name=graph.name)
+        _assert_same_graph(graph.subgraph(vertices), expected)
+
+
 class TestEquality:
     def test_equal_graphs(self):
         a = StaticGraph(3, [(0, 1), (1, 2)])
