@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exceptions import ExperimentError, GraphError
+from ..exceptions import ExperimentError, GraphError, InvalidVertexError
 from ..types import Journey, TimeEdge
 from .temporal_graph import TemporalGraph
 
@@ -143,17 +143,59 @@ class ExpansionResult:
     time_bound: float = 0.0
 
 
-def _label_lookup(network: TemporalGraph) -> dict[tuple[int, int], int]:
-    """Map (tail, head) → smallest label of that arc (single-label cliques have one)."""
-    lookup: dict[tuple[int, int], int] = {}
-    tails = network.time_arc_tails.tolist()
-    heads = network.time_arc_heads.tolist()
-    labels = network.time_arc_labels.tolist()
-    for u, v, label in zip(tails, heads, labels):
-        key = (u, v)
-        if key not in lookup or label < lookup[key]:
-            lookup[key] = label
-    return lookup
+def _label_matrix(network: TemporalGraph) -> np.ndarray:
+    """``(n, n)`` matrix of the smallest label of every arc, 0 where there is none.
+
+    Every interval of Algorithm 1 is open at a low end ``>= 0``, so no
+    interval holds an empty cell.
+    """
+    empty = np.iinfo(np.int64).max
+    matrix = np.full((network.n, network.n), empty, dtype=np.int64)
+    arcs = (network.time_arc_tails, network.time_arc_heads)
+    np.minimum.at(matrix, arcs, network.time_arc_labels)
+    matrix[matrix == empty] = 0
+    return matrix
+
+
+def _expand(
+    labels: np.ndarray, start: int, end: int, intervals: list[tuple[float, float]]
+) -> tuple[list[list[int]], dict[int, tuple[int, int]]]:
+    """Grow layers out of ``start``; layer ``i`` crosses arcs labelled in ``intervals[i]``.
+
+    ``labels[u, v]`` is the label of the arc a layer crosses from ``u`` in
+    the previous layer to ``v``: the label matrix for the forward pass out
+    of ``s``, its transpose for the backward pass into ``t``.  A layer holds
+    the vertices that such an arc reaches, except ``start``, ``end`` and the
+    earlier layers' vertices.  Each comes with its witness ``(u, label)``,
+    where ``u`` is the first such vertex in the previous layer's set
+    iteration order.  Returns the sorted layers, padded with empty ones to
+    ``len(intervals)``, and every layer vertex's witness.
+    """
+    blocked = np.zeros(labels.shape[0], dtype=bool)
+    blocked[[start, end]] = True
+    layers: list[list[int]] = []
+    witnesses: dict[int, tuple[int, int]] = {}
+    frontier: set[int] = {start}
+    for low, high in intervals:
+        tails = list(frontier)
+        rows = labels[tails]
+        hits = (rows > low) & (rows <= high) & ~blocked
+        reached = np.flatnonzero(hits.any(axis=0))
+        first = hits[:, reached].argmax(axis=0)
+        # The witnesses in the order a scan of the frontier finds them.
+        order = np.argsort(first, kind="stable")
+        vertices = reached[order].tolist()
+        via = first[order]
+        witness_tails = [tails[i] for i in via.tolist()]
+        layer = dict(zip(vertices, zip(witness_tails, rows[via, vertices].tolist())))
+        witnesses.update(layer)
+        frontier = set(layer)
+        blocked[vertices] = True
+        layers.append(sorted(frontier))
+        if not frontier:
+            break
+    layers.extend([] for _ in range(len(intervals) - len(layers)))
+    return layers, witnesses
 
 
 def expansion_process(
@@ -186,6 +228,8 @@ def expansion_process(
         If the underlying graph is not a clique.
     ExperimentError
         If ``source == target``.
+    InvalidVertexError
+        If ``source`` or ``target`` is not a vertex.
     """
     n = network.n
     if source == target:
@@ -196,87 +240,22 @@ def expansion_process(
             "the expansion process is defined on the complete graph; got "
             f"m={network.m}, expected {expected_m}"
         )
+    for vertex in (source, target):
+        if not network.graph.has_vertex(vertex):
+            raise InvalidVertexError(vertex, n)
     if parameters is None:
         parameters = ExpansionParameters.suggest(n)
 
-    labels = _label_lookup(network)
+    labels = _label_matrix(network)
     d = parameters.d
-
-    def arcs_in_interval(tail_set: set[int], interval: tuple[float, float]) -> dict[int, tuple[int, int]]:
-        """Heads reachable from ``tail_set`` by arcs labelled inside ``interval``.
-
-        Returns ``head → (tail, label)`` choosing an arbitrary witness arc.
-        """
-        low, high = interval
-        found: dict[int, tuple[int, int]] = {}
-        for tail in tail_set:
-            for head in range(n):
-                if head == tail:
-                    continue
-                label = labels.get((tail, head))
-                if label is None:
-                    continue
-                if low < label <= high and head not in found:
-                    found[head] = (tail, label)
-        return found
-
-    def arcs_into_interval(head_set: set[int], interval: tuple[float, float]) -> dict[int, tuple[int, int]]:
-        """Tails that can reach ``head_set`` by arcs labelled inside ``interval``.
-
-        Returns ``tail → (head, label)``.
-        """
-        low, high = interval
-        found: dict[int, tuple[int, int]] = {}
-        for head in head_set:
-            for tail in range(n):
-                if tail == head:
-                    continue
-                label = labels.get((tail, head))
-                if label is None:
-                    continue
-                if low < label <= high and tail not in found:
-                    found[tail] = (head, label)
-        return found
-
-    # ------------------------------------------------------------------ #
-    # forward expansion out of s (lines 2-4)
-    # ------------------------------------------------------------------ #
-    forward_layers: list[list[int]] = []
-    forward_parent: dict[int, tuple[int, int]] = {}
-    seen_forward: set[int] = {source}
-    frontier: set[int] = {source}
-    for i in range(1, d + 2):
-        interval = parameters.forward_interval(n, i)
-        candidates = arcs_in_interval(frontier, interval)
-        layer = {v: w for v, w in candidates.items() if v not in seen_forward and v != target}
-        forward_parent.update(layer)
-        frontier = set(layer)
-        seen_forward |= frontier
-        forward_layers.append(sorted(frontier))
-        if not frontier:
-            break
-    while len(forward_layers) < d + 1:
-        forward_layers.append([])
-
-    # ------------------------------------------------------------------ #
-    # backward expansion into t (lines 5-7)
-    # ------------------------------------------------------------------ #
-    backward_layers: list[list[int]] = []
-    backward_next: dict[int, tuple[int, int]] = {}
-    seen_backward: set[int] = {target}
-    frontier = {target}
-    for i in range(1, d + 2):
-        interval = parameters.backward_interval(n, i)
-        candidates = arcs_into_interval(frontier, interval)
-        layer = {v: w for v, w in candidates.items() if v not in seen_backward and v != source}
-        backward_next.update(layer)
-        frontier = set(layer)
-        seen_backward |= frontier
-        backward_layers.append(sorted(frontier))
-        if not frontier:
-            break
-    while len(backward_layers) < d + 1:
-        backward_layers.append([])
+    layer_indices = range(1, d + 2)
+    # Forward expansion out of s (lines 2-4), backward into t (lines 5-7).
+    forward_layers, forward_parent = _expand(
+        labels, source, target, [parameters.forward_interval(n, i) for i in layer_indices]
+    )
+    backward_layers, backward_next = _expand(
+        labels.T, target, source, [parameters.backward_interval(n, i) for i in layer_indices]
+    )
 
     result_common = dict(
         forward_layer_sizes=[len(layer) for layer in forward_layers],
@@ -288,25 +267,13 @@ def expansion_process(
     )
 
     # ------------------------------------------------------------------ #
-    # matching step (line 8)
+    # matching step (line 8): the first arc in (u, v) order
     # ------------------------------------------------------------------ #
-    matching_interval = parameters.matching_interval(n)
-    low, high = matching_interval
-    last_forward = forward_layers[d] if len(forward_layers) > d else []
-    last_backward = backward_layers[d] if len(backward_layers) > d else []
-    match: tuple[int, int, int] | None = None
-    for u in last_forward:
-        for v in last_backward:
-            if u == v:
-                continue
-            label = labels.get((u, v))
-            if label is not None and low < label <= high:
-                match = (u, v, label)
-                break
-        if match is not None:
-            break
-
-    if match is None:
+    low, high = parameters.matching_interval(n)
+    last_forward, last_backward = forward_layers[d], backward_layers[d]
+    block = labels[np.ix_(last_forward, last_backward)]
+    hits = np.argwhere((block > low) & (block <= high))
+    if hits.size == 0:
         return ExpansionResult(
             success=False, journey=None, arrival_time=None, **result_common
         )
@@ -314,7 +281,8 @@ def expansion_process(
     # ------------------------------------------------------------------ #
     # journey reconstruction (line 9)
     # ------------------------------------------------------------------ #
-    u, v, matching_label = match
+    i, j = hits[0].tolist()
+    u, v, matching_label = last_forward[i], last_backward[j], int(block[i, j])
     forward_hops: list[TimeEdge] = []
     current = u
     while current != source:

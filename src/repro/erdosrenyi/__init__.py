@@ -3,12 +3,11 @@
 The lower bounds of the paper (the Remark after Theorem 4 and Theorem 5)
 reduce to the classical fact that ``G(n, p)`` is disconnected whp when
 ``p < (1 − ε)·log n / n``.  This subpackage provides a fast sampler, a
-connectivity check on ``scipy.sparse.csgraph`` components, a union-find and
-the helpers used by the E7 experiment to validate the threshold empirically.
+connectivity check on ``scipy.sparse.csgraph`` components and the helpers
+used by the E7 experiment to validate the threshold empirically.
 """
 
 from .gnp import (
-    UnionFind,
     connectivity_probability,
     giant_component_fraction,
     is_gnp_connected,
@@ -17,7 +16,6 @@ from .gnp import (
 from .thresholds import connectivity_threshold_curve, critical_probability
 
 __all__ = [
-    "UnionFind",
     "sample_gnp_edges",
     "is_gnp_connected",
     "giant_component_fraction",

@@ -4,75 +4,23 @@ The sampler returns raw edge arrays (not :class:`StaticGraph` instances)
 because the connectivity experiments only ever need the components of the
 edge set; skipping the graph object keeps the per-trial cost at a few NumPy
 calls plus one ``scipy.sparse.csgraph.connected_components`` pass.
-:class:`UnionFind` is the incremental alternative for callers that add edges
-one at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
+from ..graphs.properties import _adjacency
 from ..utils.seeding import SeedLike, normalize_rng
 from ..utils.validation import check_positive_int, check_probability
 
 __all__ = [
-    "UnionFind",
     "sample_gnp_edges",
     "is_gnp_connected",
     "giant_component_fraction",
     "connectivity_probability",
 ]
-
-
-class UnionFind:
-    """Disjoint-set forest with union by size and path compression."""
-
-    __slots__ = ("_parent", "_size", "_components")
-
-    def __init__(self, n: int) -> None:
-        n = check_positive_int(n, "n")
-        self._parent = np.arange(n, dtype=np.int64)
-        self._size = np.ones(n, dtype=np.int64)
-        self._components = n
-
-    @property
-    def num_components(self) -> int:
-        """Current number of disjoint sets."""
-        return self._components
-
-    def find(self, x: int) -> int:
-        """Return the representative of ``x``'s component (with path compression)."""
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return int(root)
-
-    def union(self, x: int, y: int) -> bool:
-        """Merge the components of ``x`` and ``y``; return True if they were distinct."""
-        root_x, root_y = self.find(x), self.find(y)
-        if root_x == root_y:
-            return False
-        if self._size[root_x] < self._size[root_y]:
-            root_x, root_y = root_y, root_x
-        self._parent[root_y] = root_x
-        self._size[root_x] += self._size[root_y]
-        self._components -= 1
-        return True
-
-    def connected(self, x: int, y: int) -> bool:
-        """Whether ``x`` and ``y`` are currently in the same component."""
-        return self.find(x) == self.find(y)
-
-    def component_sizes(self) -> np.ndarray:
-        """Sizes of all components, in no particular order."""
-        roots = np.asarray([self.find(i) for i in range(self._parent.size)])
-        _, counts = np.unique(roots, return_counts=True)
-        return counts
 
 
 def sample_gnp_edges(
@@ -98,10 +46,7 @@ def _components(
     n: int, edges_u: np.ndarray, edges_v: np.ndarray
 ) -> tuple[int, np.ndarray]:
     """Number of connected components and each vertex's component label."""
-    adjacency = csr_array(
-        (np.ones(edges_u.size), (edges_u, edges_v)), shape=(n, n)
-    )
-    return connected_components(adjacency, directed=False)
+    return connected_components(_adjacency(n, edges_u, edges_v), directed=False)
 
 
 def is_gnp_connected(

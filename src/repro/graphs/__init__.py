@@ -4,8 +4,8 @@ The paper's temporal networks are built on top of an *underlying (di)graph*
 ``G = (V, E)``.  This subpackage provides a compact array-based representation
 (:class:`StaticGraph`), the graph families used throughout the paper
 (clique, star, path, cycle, grid, hypercube, Erdős–Rényi, …) and classic
-static-graph properties (BFS distances, diameter, connectivity) needed by the
-Price-of-Randomness machinery.
+static-graph properties (hop distances, diameter, connectivity, all answered
+by :mod:`scipy.sparse.csgraph`) needed by the Price-of-Randomness machinery.
 """
 
 from .static_graph import StaticGraph
@@ -34,7 +34,6 @@ from .properties import (
     eccentricities,
     is_connected,
 )
-from .conversion import from_networkx, to_networkx
 
 __all__ = [
     "StaticGraph",
@@ -59,6 +58,4 @@ __all__ = [
     "is_connected",
     "connected_components",
     "degree_sequence",
-    "from_networkx",
-    "to_networkx",
 ]

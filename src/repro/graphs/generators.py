@@ -38,6 +38,13 @@ __all__ = [
 ]
 
 
+def _all_pairs(n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every arc ``u → v`` with ``u ≠ v`` (every edge ``u < v`` if undirected), sorted."""
+    if directed:
+        return np.nonzero(~np.eye(n, dtype=bool))
+    return np.triu_indices(n, k=1)
+
+
 def complete_graph(n: int, *, directed: bool = False) -> StaticGraph:
     """Return the complete graph ``K_n`` (the paper's hostile clique).
 
@@ -45,11 +52,8 @@ def complete_graph(n: int, *, directed: bool = False) -> StaticGraph:
     matching the directed clique of Section 3.
     """
     n = check_positive_int(n, "n")
-    if directed:
-        edges = [(u, v) for u in range(n) for v in range(n) if u != v]
-    else:
-        edges = list(combinations(range(n), 2))
-    return StaticGraph(n, edges, directed=directed, name=f"K_{n}")
+    tails, heads = _all_pairs(n, directed)
+    return StaticGraph._from_arcs(n, tails, heads, directed=directed, name=f"K_{n}")
 
 
 def star_graph(n: int) -> StaticGraph:
@@ -187,18 +191,11 @@ def erdos_renyi_graph(
     n = check_positive_int(n, "n")
     p = check_probability(p, "p")
     rng = normalize_rng(seed)
-    if n == 1:
-        return StaticGraph(1, [], directed=directed, name=f"gnp_{n}_{p:g}")
-    if directed:
-        tails, heads = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        mask = tails != heads
-        pairs = np.stack([tails[mask], heads[mask]], axis=1)
-    else:
-        idx_u, idx_v = np.triu_indices(n, k=1)
-        pairs = np.stack([idx_u, idx_v], axis=1)
-    keep = rng.random(pairs.shape[0]) < p
-    edges = [tuple(e) for e in pairs[keep].tolist()]
-    return StaticGraph(n, edges, directed=directed, name=f"gnp_{n}_{p:g}")
+    tails, heads = _all_pairs(n, directed)
+    keep = rng.random(tails.size) < p
+    return StaticGraph._from_arcs(
+        n, tails[keep], heads[keep], directed=directed, name=f"gnp_{n}_{p:g}"
+    )
 
 
 def supercritical_erdos_renyi(

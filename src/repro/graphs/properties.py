@@ -1,14 +1,17 @@
-"""Static-graph properties: BFS distances, diameter, connectivity, degrees.
+"""Static-graph properties: hop distances, diameter, connectivity, degrees.
 
 The Price-of-Randomness results (Theorems 7–8) are phrased in terms of the
 *static* diameter ``d(G)`` and the edge count ``m``; the Theorem 5 lower bound
-needs connectivity of edge-induced subgraphs.  Everything here is exact and
-works on the array representation of :class:`~repro.graphs.StaticGraph`.
+needs connectivity of edge-induced subgraphs.  Everything here is exact: each
+question is one :mod:`scipy.sparse.csgraph` call on the graph's arcs.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components as _csgraph_components
+from scipy.sparse.csgraph import shortest_path
 
 from ..exceptions import GraphError, InvalidVertexError
 from .static_graph import StaticGraph
@@ -25,49 +28,36 @@ __all__ = [
     "density",
 ]
 
-#: Sentinel distance for unreachable vertices in BFS outputs.
+#: Sentinel distance for unreachable vertices in hop-distance outputs.
 _UNREACHABLE = -1
 
 
-def bfs_distances(graph: StaticGraph, source: int) -> np.ndarray:
-    """Hop distances from ``source`` to every vertex (−1 when unreachable).
+def _adjacency(n: int, tails: np.ndarray, heads: np.ndarray) -> csr_array:
+    """The ``(n, n)`` adjacency of the arcs ``tails[i] → heads[i]`` for csgraph."""
+    return csr_array((np.ones(tails.size), (tails, heads)), shape=(n, n))
 
-    Implemented as a frontier-at-a-time sweep using boolean masks over the arc
-    arrays, so the cost per level is ``O(num_arcs)`` vectorised work rather
-    than a Python loop over neighbours.
-    """
+
+def _arc_adjacency(graph: StaticGraph) -> csr_array:
+    # An undirected graph stores both directions of every edge.
+    return _adjacency(graph.n, graph.arc_tails, graph.arc_heads)
+
+
+def _hops(distances: np.ndarray) -> np.ndarray:
+    """csgraph's float distances as ``int64`` hops, −1 where unreachable."""
+    distances[np.isinf(distances)] = _UNREACHABLE
+    return distances.astype(np.int64)
+
+
+def bfs_distances(graph: StaticGraph, source: int) -> np.ndarray:
+    """Hop distances from ``source`` to every vertex (−1 when unreachable)."""
     if not graph.has_vertex(source):
         raise InvalidVertexError(source, graph.n)
-    n = graph.n
-    dist = np.full(n, _UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[source] = True
-    tails = graph.arc_tails
-    heads = graph.arc_heads
-    level = 0
-    while frontier.any():
-        level += 1
-        # Arcs leaving the current frontier that reach unvisited vertices.
-        active = frontier[tails]
-        candidates = heads[active]
-        new_frontier = np.zeros(n, dtype=bool)
-        new_frontier[candidates] = True
-        new_frontier &= dist == _UNREACHABLE
-        if not new_frontier.any():
-            break
-        dist[new_frontier] = level
-        frontier = new_frontier
-    return dist
+    return _hops(shortest_path(_arc_adjacency(graph), unweighted=True, indices=source))
 
 
 def all_pairs_shortest_paths(graph: StaticGraph) -> np.ndarray:
     """All-pairs hop distances as an ``(n, n)`` array (−1 when unreachable)."""
-    n = graph.n
-    result = np.empty((n, n), dtype=np.int64)
-    for source in range(n):
-        result[source] = bfs_distances(graph, source)
-    return result
+    return _hops(shortest_path(_arc_adjacency(graph), unweighted=True))
 
 
 def eccentricities(graph: StaticGraph) -> np.ndarray:
@@ -103,15 +93,8 @@ def radius(graph: StaticGraph) -> int:
 
 def is_connected(graph: StaticGraph) -> bool:
     """Whether the graph is connected (strongly connected for digraphs)."""
-    if graph.n == 0:
-        return True
-    dist = bfs_distances(graph, 0)
-    if np.any(dist == _UNREACHABLE):
-        return False
-    if not graph.directed:
-        return True
-    reverse_dist = bfs_distances(graph.reverse(), 0)
-    return not np.any(reverse_dist == _UNREACHABLE)
+    count, _ = _csgraph_components(_arc_adjacency(graph), connection="strong")
+    return count <= 1
 
 
 def connected_components(graph: StaticGraph) -> list[list[int]]:
@@ -120,25 +103,13 @@ def connected_components(graph: StaticGraph) -> list[list[int]]:
     Components are returned sorted by their smallest vertex, and vertices are
     sorted inside each component, so the output is deterministic.
     """
-    n = graph.n
-    if n == 0:
+    if graph.n == 0:
         return []
-    undirected = graph if not graph.directed else StaticGraph(
-        n, list(graph.arcs()), directed=False
-    )
-    labels = np.full(n, -1, dtype=np.int64)
-    current = 0
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        dist = bfs_distances(undirected, start)
-        members = dist != _UNREACHABLE
-        labels[members & (labels == -1)] = current
-        current += 1
-    components: list[list[int]] = [[] for _ in range(current)]
-    for v, c in enumerate(labels.tolist()):
-        components[c].append(v)
-    return components
+    _, labels = _csgraph_components(_arc_adjacency(graph), connection="weak")
+    members = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[members])) + 1
+    components = [part.tolist() for part in np.split(members, starts)]
+    return sorted(components, key=lambda component: component[0])
 
 
 def degree_sequence(graph: StaticGraph) -> np.ndarray:

@@ -87,9 +87,10 @@ class StaticGraph:
         """The graph of the distinct, loop-free arcs ``tails[i] → heads[i]``.
 
         The array path of the derived graphs, whose arcs come from a valid
-        graph: it skips ``__init__``'s checks and deduplication and only puts
-        the arcs in its canonical order (an undirected edge as ``(min, max)``,
-        sorted by tail and then head).
+        graph, and of the generators that build their arcs as arrays: it
+        skips ``__init__``'s checks and deduplication and only puts the arcs
+        in its canonical order (an undirected edge as ``(min, max)``, sorted
+        by tail and then head).
         """
         if not directed:
             tails, heads = np.minimum(tails, heads), np.maximum(tails, heads)
@@ -319,6 +320,9 @@ class StaticGraph:
     def edge_index(self, u: int, v: int) -> int:
         """Return the canonical edge index of ``{u, v}`` (or arc ``(u, v)``).
 
+        The edges are sorted by tail and then head, so two binary searches
+        find it: the tail's run of edges, then the head inside the run.
+
         Raises
         ------
         InvalidEdgeError
@@ -326,11 +330,12 @@ class StaticGraph:
         """
         if not self._directed and u > v:
             u, v = v, u
-        mask = (self._pair_tails == u) & (self._pair_heads == v)
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            raise InvalidEdgeError((u, v))
-        return int(idx[0])
+        if self.has_vertex(u) and self.has_vertex(v):
+            lo, hi = np.searchsorted(self._pair_tails, (u, u + 1))
+            index = lo + np.searchsorted(self._pair_heads[lo:hi], v)
+            if index < hi and self._pair_heads[index] == v:
+                return int(index)
+        raise InvalidEdgeError((u, v))
 
     # ------------------------------------------------------------------ #
     # derived graphs
@@ -388,6 +393,9 @@ class StaticGraph:
 
     def __hash__(self) -> int:
         return hash((self._n, self._directed, self.edge_pairs.tobytes()))
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        _restore_readonly(self, state)
 
 
 class EdgeArcs:
@@ -454,10 +462,25 @@ class EdgeArcs:
     def _stable_order(self, vertices: np.ndarray) -> np.ndarray:
         return _readonly(np.argsort(vertices.astype(self._vertex_type), kind="stable"))
 
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        _restore_readonly(self, state)
+
 
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _restore_readonly(obj: object, state: tuple[None, dict[str, object]]) -> None:
+    """Unpickle a slotted graph object, its arrays read-only again.
+
+    Pickle brings every array back writable, but the closures and arc
+    columns are caches that every network over the graph shares.
+    """
+    for name, value in state[1].items():
+        if isinstance(value, np.ndarray):
+            _readonly(value)
+        setattr(obj, name, value)
 
 
 def _reachability_closure(

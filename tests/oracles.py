@@ -34,6 +34,17 @@ orders the CSR layout's arcs with ``np.lexsort``.
 :func:`time_arcs_reference` lists a network's time arcs from per-edge label
 sets with the per-edge loop of Definition 1, independent of the edge-major
 arrays :class:`TemporalGraph` stores.
+
+The static-graph references answer by breadth-first search over the arc
+arrays, where the package asks ``scipy.sparse.csgraph``:
+:func:`bfs_distances_reference`, :func:`all_pairs_shortest_paths_reference`
+(one BFS per source), :func:`is_connected_reference` (a second BFS over the
+reverse digraph) and :func:`connected_components_reference` (one BFS per new
+component); :class:`UnionFind` is the incremental reference for the
+``G(n, p)`` connectivity checks, and :func:`to_networkx` hands a graph to the
+tests that use networkx as their oracle.  :func:`expansion_process_reference`
+runs Algorithm 1 with a ``(tail, head) → label`` dict and a Python scan of
+every frontier vertex and head, where the package reads a label matrix.
 """
 
 from __future__ import annotations
@@ -43,10 +54,13 @@ from itertools import groupby
 import numpy as np
 
 from repro import NEVER, UNREACHABLE
+from repro.core.expansion import ExpansionParameters, ExpansionResult
 from repro.core.temporal_graph import TemporalGraph
 from repro.core.timearc_csr import TimeArcCSR
-from repro.graphs.properties import is_connected
+from repro.exceptions import InvalidVertexError
 from repro.graphs.static_graph import StaticGraph
+from repro.types import Journey, TimeEdge
+from repro.utils.validation import check_positive_int
 
 
 def _out_arcs(network: TemporalGraph) -> dict[int, list[tuple[int, int]]]:
@@ -389,7 +403,7 @@ def prefix_connectivity_time_reference(network: TemporalGraph) -> int:
         ]
         sub_edges = [tuple(pairs[i]) for i in keep]
         prefix_graph = StaticGraph(n, sub_edges, directed=False)
-        return is_connected(prefix_graph)
+        return is_connected_reference(prefix_graph)
 
     if not connected_at(int(labels[-1])):
         return UNREACHABLE
@@ -468,3 +482,223 @@ def time_arcs_reference(
                     column.append(value)
     tails, heads, labels, edges = (np.asarray(c, dtype=np.int64) for c in columns)
     return tails, heads, labels, edges
+
+
+# ---------------------------------------------------------------------- #
+# static-graph references: the traversals the package replaced with csgraph
+# ---------------------------------------------------------------------- #
+def to_networkx(graph: StaticGraph):
+    """The networkx graph of ``graph``, for tests that use networkx as an oracle."""
+    import networkx as nx
+
+    nx_graph = nx.DiGraph() if graph.directed else nx.Graph()
+    nx_graph.add_nodes_from(range(graph.n))
+    nx_graph.add_edges_from(graph.edges())
+    if graph.name:
+        nx_graph.graph["name"] = graph.name
+    return nx_graph
+
+
+class UnionFind:
+    """Disjoint-set forest with union by size and path compression."""
+
+    __slots__ = ("_parent", "_size", "_components")
+
+    def __init__(self, n: int) -> None:
+        n = check_positive_int(n, "n")
+        self._parent = np.arange(n, dtype=np.int64)
+        self._size = np.ones(n, dtype=np.int64)
+        self._components = n
+
+    @property
+    def num_components(self) -> int:
+        """Current number of disjoint sets."""
+        return self._components
+
+    def find(self, x: int) -> int:
+        """Return the representative of ``x``'s component (with path compression)."""
+        parent = self._parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return int(root)
+
+    def union(self, x: int, y: int) -> bool:
+        """Merge the components of ``x`` and ``y``; return True if they were distinct."""
+        root_x, root_y = self.find(x), self.find(y)
+        if root_x == root_y:
+            return False
+        if self._size[root_x] < self._size[root_y]:
+            root_x, root_y = root_y, root_x
+        self._parent[root_y] = root_x
+        self._size[root_x] += self._size[root_y]
+        self._components -= 1
+        return True
+
+    def connected(self, x: int, y: int) -> bool:
+        """Whether ``x`` and ``y`` are currently in the same component."""
+        return self.find(x) == self.find(y)
+
+    def component_sizes(self) -> np.ndarray:
+        """Sizes of all components, in no particular order."""
+        roots = np.asarray([self.find(i) for i in range(self._parent.size)])
+        _, counts = np.unique(roots, return_counts=True)
+        return counts
+
+
+def bfs_distances_reference(graph: StaticGraph, source: int) -> np.ndarray:
+    """Hop distances from ``source`` (−1 when unreachable), one frontier at a time."""
+    if not graph.has_vertex(source):
+        raise InvalidVertexError(source, graph.n)
+    n = graph.n
+    dist = np.full(n, -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = np.zeros(n, dtype=bool)
+    frontier[source] = True
+    tails = graph.arc_tails
+    heads = graph.arc_heads
+    level = 0
+    while frontier.any():
+        level += 1
+        new_frontier = np.zeros(n, dtype=bool)
+        new_frontier[heads[frontier[tails]]] = True
+        new_frontier &= dist == -1
+        dist[new_frontier] = level
+        frontier = new_frontier
+    return dist
+
+
+def all_pairs_shortest_paths_reference(graph: StaticGraph) -> np.ndarray:
+    """All-pairs hop distances, one BFS per source."""
+    result = np.empty((graph.n, graph.n), dtype=np.int64)
+    for source in range(graph.n):
+        result[source] = bfs_distances_reference(graph, source)
+    return result
+
+
+def is_connected_reference(graph: StaticGraph) -> bool:
+    """Connectivity (strong for digraphs): a BFS from 0, and one over the reverse."""
+    if graph.n == 0:
+        return True
+    if np.any(bfs_distances_reference(graph, 0) == -1):
+        return False
+    if not graph.directed:
+        return True
+    return not np.any(bfs_distances_reference(graph.reverse(), 0) == -1)
+
+
+def connected_components_reference(graph: StaticGraph) -> list[list[int]]:
+    """(Weak) components by smallest vertex, members sorted: a BFS per new vertex."""
+    n = graph.n
+    undirected = StaticGraph(n, list(graph.arcs()), directed=False)
+    labels = np.full(n, -1, dtype=np.int64)
+    current = 0
+    for start in range(n):
+        if labels[start] != -1:
+            continue
+        members = bfs_distances_reference(undirected, start) != -1
+        labels[members & (labels == -1)] = current
+        current += 1
+    components: list[list[int]] = [[] for _ in range(current)]
+    for v, c in enumerate(labels.tolist()):
+        components[c].append(v)
+    return components
+
+
+# ---------------------------------------------------------------------- #
+# Algorithm 1: dictionary lookups and nested loops over the frontier sets
+# ---------------------------------------------------------------------- #
+def expansion_process_reference(
+    network: TemporalGraph,
+    source: int,
+    target: int,
+    parameters: ExpansionParameters | None = None,
+) -> ExpansionResult:
+    """Algorithm 1 with a ``(tail, head) → smallest label`` dict and scalar loops.
+
+    A forward layer scans the previous layer's set in its iteration order
+    and every head in ascending order; the first arc found into a head is
+    its witness.  The backward layers mirror it into ``t``, and the matching
+    arc is the first in ``(u, v)`` order over the two sorted last layers.
+    """
+    n = network.n
+    if parameters is None:
+        parameters = ExpansionParameters.suggest(n)
+    lookup: dict[tuple[int, int], int] = {}
+    for u, v, label in zip(
+        network.time_arc_tails.tolist(),
+        network.time_arc_heads.tolist(),
+        network.time_arc_labels.tolist(),
+    ):
+        if (u, v) not in lookup or label < lookup[(u, v)]:
+            lookup[(u, v)] = label
+    d = parameters.d
+
+    def expand(start, end, interval_of, arc):
+        layers: list[list[int]] = []
+        witnesses: dict[int, tuple[int, int]] = {}
+        seen = {start}
+        frontier = {start}
+        for i in range(1, d + 2):
+            low, high = interval_of(n, i)
+            found: dict[int, tuple[int, int]] = {}
+            for w in frontier:
+                for x in range(n):
+                    label = lookup.get(arc(w, x))
+                    if x != w and label is not None and low < label <= high and x not in found:
+                        found[x] = (w, label)
+            layer = {x: found[x] for x in found if x not in seen and x != end}
+            witnesses.update(layer)
+            frontier = set(layer)
+            seen |= frontier
+            layers.append(sorted(frontier))
+            if not frontier:
+                break
+        while len(layers) < d + 1:
+            layers.append([])
+        return layers, witnesses
+
+    forward_layers, forward_parent = expand(
+        source, target, parameters.forward_interval, lambda w, x: (w, x)
+    )
+    backward_layers, backward_next = expand(
+        target, source, parameters.backward_interval, lambda w, x: (x, w)
+    )
+    common = dict(
+        forward_layer_sizes=[len(layer) for layer in forward_layers],
+        backward_layer_sizes=[len(layer) for layer in backward_layers],
+        forward_layers=forward_layers,
+        backward_layers=backward_layers,
+        parameters=parameters,
+        time_bound=parameters.time_bound(n),
+    )
+    low, high = parameters.matching_interval(n)
+    match = next(
+        (
+            (u, v, lookup[(u, v)])
+            for u in forward_layers[d]
+            for v in backward_layers[d]
+            if u != v and (u, v) in lookup and low < lookup[(u, v)] <= high
+        ),
+        None,
+    )
+    if match is None:
+        return ExpansionResult(success=False, journey=None, arrival_time=None, **common)
+    u, v, matching_label = match
+    hops = [TimeEdge(u, v, matching_label)]
+    current = u
+    while current != source:
+        parent, label = forward_parent[current]
+        hops.insert(0, TimeEdge(parent, current, label))
+        current = parent
+    current = v
+    while current != target:
+        nxt, label = backward_next[current]
+        hops.append(TimeEdge(current, nxt, label))
+        current = nxt
+    journey = Journey(source, target, tuple(hops))
+    return ExpansionResult(
+        success=True, journey=journey, arrival_time=journey.arrival_time, **common
+    )

@@ -7,6 +7,7 @@ import pytest
 
 from repro.graphs import generators as gen
 from repro.graphs.properties import degree_sequence, diameter, is_connected
+from repro.graphs.static_graph import StaticGraph
 
 
 class TestCompleteGraph:
@@ -159,3 +160,37 @@ class TestWheelBarbellLollipop:
     def test_degree_sequence_sorted(self):
         graph = gen.star_graph(5)
         assert degree_sequence(graph).tolist() == [4, 1, 1, 1, 1]
+
+
+def _ordered_pairs(n: int, directed: bool) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+
+
+def _assert_equals_the_tuple_path(graph, edges, directed, name):
+    expected = StaticGraph(graph.n, edges, directed=directed, name=name)
+    assert graph == expected and hash(graph) == hash(expected)
+    assert (graph.directed, graph.name) == (directed, name)
+    for column in ("edge_pairs", "arc_tails", "arc_heads"):
+        got, want = getattr(graph, column), getattr(expected, column)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), column
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("directed", [False, True])
+class TestArrayBuiltGeneratorsMatchTheTuplePath:
+    """The clique and G(n, p) build arrays; the edge-list constructor agrees."""
+
+    def test_complete_graph(self, n, directed):
+        graph = gen.complete_graph(n, directed=directed)
+        _assert_equals_the_tuple_path(graph, _ordered_pairs(n, directed), directed, f"K_{n}")
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_erdos_renyi_graph(self, n, directed, p, seed):
+        graph = gen.erdos_renyi_graph(n, p, directed=directed, seed=seed)
+        pairs = _ordered_pairs(n, directed)
+        # One uniform draw per candidate pair, in pair order.
+        keep = np.random.default_rng(seed).random(len(pairs)) < p
+        edges = [pair for pair, kept in zip(pairs, keep) if kept]
+        _assert_equals_the_tuple_path(graph, edges, directed, f"gnp_{n}_{p:g}")

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import UnionFind
 from repro.erdosrenyi.gnp import (
-    UnionFind,
     connectivity_probability,
     giant_component_fraction,
     is_gnp_connected,

@@ -6,9 +6,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from oracles import to_networkx
 from repro.exceptions import GraphError, InvalidVertexError
 from repro.graphs import generators as gen
-from repro.graphs.conversion import to_networkx
 from repro.graphs.properties import (
     all_pairs_shortest_paths,
     bfs_distances,

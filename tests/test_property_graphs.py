@@ -6,8 +6,8 @@ import networkx as nx
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.erdosrenyi.gnp import UnionFind, is_gnp_connected
-from repro.graphs.conversion import to_networkx
+from oracles import UnionFind, to_networkx
+from repro.erdosrenyi.gnp import is_gnp_connected
 from repro.graphs.properties import (
     all_pairs_shortest_paths,
     bfs_distances,

@@ -260,7 +260,18 @@ class TestPickling:
         network = TemporalGraph.from_label_matrix(graph, _one_label_each(graph, 5))
         if built:
             network.timearc_csr, network.reverse_timearc_csr
+            graph.reachability_closure, graph.packed_reachability_closure
         clone = pickle.loads(pickle.dumps(network))
+        # Pickle brings arrays back writable; every cache stays read-only.
+        arcs = clone.graph.edge_arcs
+        cached = [arcs.edge_index, arcs.tails, arcs.heads, arcs.arc_edge_index]
+        cached += [arcs.head_order, arcs.tail_order]
+        cached += [clone.graph.reachability_closure, clone.graph.packed_reachability_closure]
+        for layout in (clone.timearc_csr, clone.reverse_timearc_csr):
+            cached += [getattr(layout, name) for name in LAYOUT_FIELDS]
+        for array in cached:
+            if isinstance(array, np.ndarray):
+                assert not array.flags.writeable
         _assert_same_network(clone, network)
         for column, graph_column in zip(_shared_columns(clone), _graph_columns(clone.graph)):
             assert np.array_equal(column, graph_column)

@@ -210,6 +210,22 @@ class TestDerivedGraphsMatchTheTuplePath:
         _assert_same_graph(graph.subgraph(vertices), expected)
 
 
+@pytest.mark.parametrize("n, density, directed, seed", RANDOM_GRAPHS)
+def test_edge_index_matches_a_linear_scan(n, density, directed, seed):
+    graph = _random_graph(n, density, directed, seed)
+    pairs = graph.edge_pairs.tolist()
+    # Every ordered pair, both orientations of an undirected edge and the
+    # out-of-range vertices -1 and n included.
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            key = [u, v] if directed else sorted([u, v])
+            if key in pairs:
+                assert graph.edge_index(u, v) == pairs.index(key)
+            else:
+                with pytest.raises(InvalidEdgeError):
+                    graph.edge_index(u, v)
+
+
 class TestEquality:
     def test_equal_graphs(self):
         a = StaticGraph(3, [(0, 1), (1, 2)])
