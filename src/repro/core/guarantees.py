@@ -23,7 +23,7 @@ from ..randomness.distributions import LabelDistribution
 from ..utils.seeding import SeedLike, spawn_rngs
 from ..utils.validation import check_positive_int, check_probability
 from .labeling import uniform_random_labels
-from .reachability import preserves_reachability
+from .reachability import preserves_reachability_stacked
 
 __all__ = [
     "reachability_probability",
@@ -59,21 +59,25 @@ def reachability_probability(
         Optional non-uniform label distribution (F-CASE).
     seed:
         RNG seed.
+
+    The trials are decided :data:`~repro.core.reachability.STACK_HEIGHT` at
+    a time, one sweep per stack
+    (:func:`~repro.core.reachability.preserves_reachability_stacked`).
     """
     trials = check_positive_int(trials, "trials")
-    rngs = spawn_rngs(seed, trials)
-    successes = 0
-    for rng in rngs:
-        network = uniform_random_labels(
+    # Trial i draws from child i of the seed; the generator hands the
+    # stacked decision one stack of networks at a time.
+    networks = (
+        uniform_random_labels(
             graph,
             labels_per_edge=labels_per_edge,
             lifetime=lifetime,
             distribution=distribution,
             seed=rng,
         )
-        if preserves_reachability(network):
-            successes += 1
-    return successes / trials
+        for rng in spawn_rngs(seed, trials)
+    )
+    return sum(preserves_reachability_stacked(networks)) / trials
 
 
 def minimal_labels_for_reachability(

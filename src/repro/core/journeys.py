@@ -188,6 +188,7 @@ def _sweep(
     arrivals: bool = True,
     settles: bool = False,
     required: np.ndarray | None = None,
+    copies: int = 1,
 ) -> SweepOutputs:
     """The one label-group sweep behind both directions.
 
@@ -212,6 +213,13 @@ def _sweep(
     :meth:`~repro.core.kernels.NumpyBackend.forward_sweep`); the caller
     compares the two.
 
+    ``copies`` sweeps a stack (:meth:`TemporalGraph.stacked`): the network
+    lies on ``copies`` disjoint copies of an ``n``-vertex graph, and the
+    columns are vertices of one copy.  Every copy shares the columns, so
+    row ``t·n + s`` starts with column ``s``'s bit (and ``start`` in the
+    arrival state); the rows of copy ``t`` end up holding copy ``t``'s
+    answer, in the single-copy layout.
+
     With a telemetry recorder active it records ``<prefix>.sweeps``, the
     batch width as ``<prefix>.sources`` (``.targets`` reverse), the label
     groups visited as ``<prefix>.groups_scanned``,
@@ -222,7 +230,7 @@ def _sweep(
     active the cost is one check per sweep.
     """
     _check_lifetime(network)
-    n = network.n
+    n = network.n // copies
     if columns is None:
         column_arr = np.arange(n, dtype=np.int64)
     else:
@@ -233,18 +241,23 @@ def _sweep(
     # Vertex-major: row v holds every column's bit (or arrival) at v, so the
     # per-group gathers, segment reductions and scatters all touch
     # contiguous rows (the arcs of a group are sorted by head).  Column s is
-    # bit 7 − s % 8 of byte s // 8, the np.packbits order.
-    reached = np.zeros((n, -(-width // 64)), dtype=np.uint64)
+    # bit 7 − s % 8 of byte s // 8, the np.packbits order.  Copy t's rows
+    # are block t, each block starting as the first.
+    words = -(-width // 64)
+    reached = np.zeros((copies, n, words), dtype=np.uint64)
     positions = np.arange(width)
     np.bitwise_or.at(
-        reached.view(np.uint8),
+        reached[0].view(np.uint8),
         (column_arr, positions >> 3),
         (0x80 >> (positions & 7)).astype(np.uint8),
     )
+    reached[1:] = reached[0]
+    reached = reached.reshape(copies * n, words)
     state = settled = last = None
     if arrivals:
-        state = np.full((n, width), UNREACHABLE, dtype=np.int64)
-        state[column_arr, positions] = start
+        state = np.full((copies, n, width), UNREACHABLE, dtype=np.int64)
+        state[:, column_arr, positions] = start
+        state = state.reshape(copies * n, width)
     if settles:
         settled = np.zeros(0, dtype=np.int64)
         last = np.full(width, start, dtype=np.int64)

@@ -20,9 +20,20 @@ the kernel the packed rows a "yes" needs, so the sweep stops at the first
 vertex whose row is final and falls short of them, and compare bitsets
 without unpacking.  The analysis handle memoizes the same reductions; hold
 one when reading several quantities of an instance.
+
+Monte-Carlo estimates of ``P[T_reach]`` ask :func:`preserves_reachability`
+thousands of times over one graph, and each small sweep costs about a dozen
+numpy calls per label group whatever its arcs.
+:func:`preserves_reachability_stacked` decides such trials
+:data:`STACK_HEIGHT` at a time: one sweep over a network on disjoint copies
+of the graph (:meth:`TemporalGraph.stacked`) loops once over the label
+groups for the whole stack.
 """
 
 from __future__ import annotations
+
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -38,7 +49,15 @@ __all__ = [
     "reachable_fraction",
     "is_temporally_connected",
     "preserves_reachability",
+    "preserves_reachability_stacked",
+    "STACK_HEIGHT",
 ]
+
+#: Trials one stacked sweep decides at most.  It bounds a stack's memory at
+#: that many networks.  Dense cliques, whose sweeps saturate after a few
+#: large groups, break even against one sweep per trial at this height and
+#: lose beyond it.
+STACK_HEIGHT = 8
 
 
 def static_reachability_matrix(graph: StaticGraph) -> np.ndarray:
@@ -119,3 +138,37 @@ def preserves_reachability(network: TemporalGraph) -> bool:
     has a path to it.
     """
     return _reaches_all(network, network.graph.packed_reachability_closure)
+
+
+def preserves_reachability_stacked(networks: Iterable[TemporalGraph]) -> list[bool]:
+    """:func:`preserves_reachability` of every network, a stack per sweep.
+
+    The networks must lie on one graph object.  They are taken
+    :data:`STACK_HEIGHT` at a time, so at most that many are held at once,
+    and each stack is decided by one reach-only sweep over
+    :meth:`TemporalGraph.stacked`.  The copies share one column space: row
+    ``t·n + v`` holds network ``t``'s bits of the ``n`` sources, so the
+    bitset is as large as ``T`` separate sweeps' but the sweep loops over the
+    label groups once.  Network ``t``'s answer compares its block of rows
+    with the graph's packed closure.  A stack gives up the deficient-row
+    exit, since such a row decides only its own network; a stack of one is
+    the network itself and keeps it.
+    """
+    networks = iter(networks)
+    answers: list[bool] = []
+    while stack := list(islice(networks, STACK_HEIGHT)):
+        closure = stack[0].graph.packed_reachability_closure
+        if len(stack) == 1:
+            answers.append(_reaches_all(stack[0], closure))
+            continue
+        reached = _sweep(
+            TemporalGraph.stacked(stack),
+            None,
+            0,
+            reverse=False,
+            arrivals=False,
+            copies=len(stack),
+        ).reached
+        blocks = reached.reshape(len(stack), *closure.shape)
+        answers.extend((blocks == closure).all(axis=(1, 2)).tolist())
+    return answers

@@ -10,7 +10,8 @@ entry per ``(edge, label)`` pair, sorted by canonical edge index and then by
 label.  Everything else is derived from them:
 
 * flat *time-arc arrays* ``(tails, heads, labels)`` — one entry per
-  availability of each arc — used by the single-source journey kernels.  For
+  availability of each arc, built on first use — from which the layouts
+  below are built and the single-source journey kernels read.  For
   an undirected underlying graph a label on edge ``{u, v}`` produces the two
   time arcs ``(u, v, l)`` and ``(v, u, l)``, interleaved per label, matching
   the paper's convention that an undirected edge can be crossed in either
@@ -51,7 +52,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 import numpy as np
 
-from ..exceptions import LabelingError, LifetimeError
+from ..exceptions import GraphError, LabelingError, LifetimeError
 from ..graphs.static_graph import StaticGraph
 from ..telemetry import active as _telemetry_active
 from ..types import TimeEdge
@@ -94,10 +95,7 @@ class TemporalGraph:
         "_el_edge_index",
         "_el_labels",
         "_edge_labels",
-        "_ta_tails",
-        "_ta_heads",
-        "_ta_labels",
-        "_ta_edge_index",
+        "_time_arcs",
         "_shared_arcs",
         "_timearc_csr",
         "_reverse_timearc_csr",
@@ -173,6 +171,38 @@ class TemporalGraph:
         )
         return cls._from_arrays(graph, edges, rows[keep], lifetime)
 
+    @classmethod
+    def stacked(cls, networks: Sequence["TemporalGraph"]) -> "TemporalGraph":
+        """One network holding ``T`` networks on disjoint copies of their graph.
+
+        Network ``t``'s labels go on copy ``t`` of
+        :meth:`StaticGraph.disjoint_copies
+        <repro.graphs.static_graph.StaticGraph.disjoint_copies>`, where edge
+        ``e`` of copy ``t`` is edge ``t·m + e``.  So the stored
+        ``(edge, label)`` arrays are the networks' own, concatenated with
+        their edges offset by ``t·m``, and need no sort; one-label networks
+        give a one-label stack, which shares the union's edge arcs.  A
+        journey of the stack stays inside one copy, so vertex ``t·n + v``
+        reaches what vertex ``v`` reaches in network ``t``.  The lifetime is
+        the largest of theirs.
+
+        Raises
+        ------
+        GraphError
+            If the networks are not all over one graph object.
+        """
+        graph = networks[0]._graph
+        if any(network._graph is not graph for network in networks):
+            raise GraphError("stacked networks must lie on one graph object")
+        m = graph.m
+        edges = np.concatenate(
+            [network._el_edge_index + t * m for t, network in enumerate(networks)]
+        )
+        labels = np.concatenate([network._el_labels for network in networks])
+        lifetime = max(network._lifetime for network in networks)
+        union = graph.disjoint_copies(len(networks))
+        return cls._from_arrays(union, edges, labels, lifetime)
+
     # ------------------------------------------------------------------ #
     # construction helpers
     # ------------------------------------------------------------------ #
@@ -186,11 +216,11 @@ class TemporalGraph:
         """The one initializer: ``(edge, label)`` arrays sorted by edge, then label.
 
         Checks the labels against the lifetime (defaulting it to the largest
-        label, or ``graph.n`` without labels) and derives the time arcs, which
-        list the entries in the same order.  When every edge has exactly one
-        label, the edge and arc columns are the graph's
-        :attr:`~repro.graphs.static_graph.StaticGraph.edge_arcs`, shared by
-        every such network over the graph, and only ``labels`` is stored.
+        label, or ``graph.n`` without labels).  When every edge has exactly
+        one label, the edge column is the graph's
+        :attr:`~repro.graphs.static_graph.StaticGraph.edge_arcs` one, shared
+        by every such network over the graph, and only ``labels`` is stored.
+        The time arcs are derived on first use (:meth:`_arcs`).
         """
         max_label = 0
         if labels.size:
@@ -216,25 +246,43 @@ class TemporalGraph:
         ):
             # One label per edge: the columns depend on the graph alone.
             edges = arcs.edge_index
-            self._ta_tails, self._ta_heads = arcs.tails, arcs.heads
-            self._ta_edge_index = arcs.arc_edge_index
         else:
             arcs = None
-            u = graph.pair_tails.take(edges)
-            v = graph.pair_heads.take(edges)
-            if graph.directed:
-                self._ta_tails, self._ta_heads, self._ta_edge_index = u, v, edges
-            else:
-                # Both directions of an undirected edge, interleaved per label.
-                self._ta_tails = np.stack([u, v], axis=1).ravel()
-                self._ta_heads = np.stack([v, u], axis=1).ravel()
-                self._ta_edge_index = np.repeat(edges, 2)
         self._shared_arcs = arcs
         self._el_edge_index = edges
         self._el_labels = labels
-        self._ta_labels = labels if graph.directed else np.repeat(labels, 2)
+        self._time_arcs = None
         self._timearc_csr = None
         self._reverse_timearc_csr = None
+
+    def _arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(tails, heads, labels, edge index)`` of the time arcs, built on first use.
+
+        They list the stored entries in order, an undirected edge's two
+        directions interleaved per label; a one-label network takes all but
+        the labels from its graph's edge arcs.  A network decided only
+        inside a stack never builds them.  Two threads racing to fill them
+        compute equal arrays, so the race needs no lock.
+        """
+        if self._time_arcs is None:
+            graph, edges, labels = self._graph, self._el_edge_index, self._el_labels
+            arcs = self._shared_arcs
+            if arcs is not None:
+                tails, heads, arc_edges = arcs.tails, arcs.heads, arcs.arc_edge_index
+            else:
+                u = graph.pair_tails.take(edges)
+                v = graph.pair_heads.take(edges)
+                if graph.directed:
+                    tails, heads, arc_edges = u, v, edges
+                else:
+                    # Both directions of an undirected edge, interleaved per label.
+                    tails = np.stack([u, v], axis=1).ravel()
+                    heads = np.stack([v, u], axis=1).ravel()
+                    arc_edges = np.repeat(edges, 2)
+            if not graph.directed:
+                labels = np.repeat(labels, 2)
+            self._time_arcs = (tails, heads, labels, arc_edges)
+        return self._time_arcs
 
     @classmethod
     def _from_arrays(
@@ -319,7 +367,7 @@ class TemporalGraph:
     @property
     def num_time_arcs(self) -> int:
         """Number of directed time arcs (availability events × directions)."""
-        return int(self._ta_labels.size)
+        return int(self._el_labels.size) * (1 if self.directed else 2)
 
     @property
     def total_labels(self) -> int:
@@ -334,28 +382,28 @@ class TemporalGraph:
     @property
     def time_arc_tails(self) -> np.ndarray:
         """Tail of every time arc (read-only)."""
-        view = self._ta_tails.view()
+        view = self._arcs()[0].view()
         view.flags.writeable = False
         return view
 
     @property
     def time_arc_heads(self) -> np.ndarray:
         """Head of every time arc (read-only)."""
-        view = self._ta_heads.view()
+        view = self._arcs()[1].view()
         view.flags.writeable = False
         return view
 
     @property
     def time_arc_labels(self) -> np.ndarray:
         """Label of every time arc (read-only)."""
-        view = self._ta_labels.view()
+        view = self._arcs()[2].view()
         view.flags.writeable = False
         return view
 
     @property
     def time_arc_edge_index(self) -> np.ndarray:
         """Canonical edge index of every time arc (read-only)."""
-        view = self._ta_edge_index.view()
+        view = self._arcs()[3].view()
         view.flags.writeable = False
         return view
 
@@ -444,14 +492,14 @@ class TemporalGraph:
 
     def time_edges(self) -> Iterator[TimeEdge]:
         """Iterate over all directed time arcs as :class:`TimeEdge` objects."""
-        for u, v, label in zip(
-            self._ta_tails.tolist(), self._ta_heads.tolist(), self._ta_labels.tolist()
-        ):
+        tails, heads, labels, _ = self._arcs()
+        for u, v, label in zip(tails.tolist(), heads.tolist(), labels.tolist()):
             yield TimeEdge(u, v, label)
 
     def has_time_edge(self, u: int, v: int, label: int) -> bool:
         """Whether the arc ``(u, v)`` is available exactly at ``label``."""
-        mask = (self._ta_tails == u) & (self._ta_heads == v) & (self._ta_labels == label)
+        tails, heads, labels, _ = self._arcs()
+        mask = (tails == u) & (heads == v) & (labels == label)
         return bool(mask.any())
 
     # ------------------------------------------------------------------ #
@@ -540,3 +588,17 @@ class TemporalGraph:
                 self._el_labels.tobytes(),
             )
         )
+
+    def __getstate__(self) -> tuple[StaticGraph, int, np.ndarray | None, np.ndarray]:
+        # Only what defines the network: a one-label network's edge column is
+        # its graph's, and the arcs and layouts are rebuilt on first use.
+        edges = None if self._shared_arcs is not None else self._el_edge_index
+        return (self._graph, self._lifetime, edges, self._el_labels)
+
+    def __setstate__(
+        self, state: tuple[StaticGraph, int, np.ndarray | None, np.ndarray]
+    ) -> None:
+        graph, lifetime, edges, labels = state
+        if edges is None:
+            edges = graph.edge_arcs.edge_index
+        self._init(graph, edges, labels, lifetime)

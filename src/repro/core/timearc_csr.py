@@ -28,7 +28,7 @@ and uses an ``O(A log A)`` timsort for wider ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -95,13 +95,6 @@ class TimeArcCSR:
     head_values: np.ndarray
     head_offsets: np.ndarray
     head_starts: np.ndarray
-
-    def __setstate__(self, state: list[object]) -> None:
-        # Pickle brings the arrays back writable; the layout's are read-only.
-        for field, value in zip(fields(self), state):
-            if isinstance(value, np.ndarray):
-                _readonly(value)
-            object.__setattr__(self, field.name, value)
 
     @property
     def num_arcs(self) -> int:

@@ -35,6 +35,7 @@ from .executors import (
 )
 from .sharding import (
     DEFAULT_MAX_SHARDS,
+    DEFAULT_MIN_SHARD_SIZE,
     SeedPlan,
     Shard,
     ShardResult,
@@ -57,6 +58,7 @@ __all__ = [
     "run_unit",
     "merge_telemetry",
     "DEFAULT_MAX_SHARDS",
+    "DEFAULT_MIN_SHARD_SIZE",
     "Shard",
     "SeedPlan",
     "ShardWork",

@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 __all__ = [
     "DEFAULT_MAX_SHARDS",
+    "DEFAULT_MIN_SHARD_SIZE",
     "Shard",
     "plan_shards",
     "spawned_child",
@@ -48,6 +49,12 @@ __all__ = [
 #: per-shard scheduling overhead is negligible, large enough that a pool of
 #: up to ~8 workers keeps busy with good load balance.
 DEFAULT_MAX_SHARDS = 16
+
+#: Default floor on the trials of a shard.  A shard hands its trials to the
+#: experiment as one batch, and the scenario pipeline decides reachability
+#: trials in stacks of eight with one sweep each, so a shard of fewer trials
+#: would cut a stack short.
+DEFAULT_MIN_SHARD_SIZE = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,12 +82,14 @@ def plan_shards(budget: int, *, shard_size: int | None = None) -> list[Shard]:
     """Partition ``budget`` trials into contiguous shards.
 
     The plan depends only on ``budget`` and ``shard_size`` — never on the
-    number of workers.  With the default ``shard_size`` the plan has at most
-    :data:`DEFAULT_MAX_SHARDS` shards, sized within one trial of each other.
+    number of workers.  The default ``shard_size`` is
+    ``max(DEFAULT_MIN_SHARD_SIZE, ⌈budget / DEFAULT_MAX_SHARDS⌉)``: at most
+    :data:`DEFAULT_MAX_SHARDS` shards, none but the last shorter than
+    :data:`DEFAULT_MIN_SHARD_SIZE` trials.
     """
     budget = check_positive_int(budget, "budget")
     if shard_size is None:
-        shard_size = max(1, math.ceil(budget / DEFAULT_MAX_SHARDS))
+        shard_size = max(DEFAULT_MIN_SHARD_SIZE, math.ceil(budget / DEFAULT_MAX_SHARDS))
     else:
         shard_size = check_positive_int(shard_size, "shard_size")
     shards: list[Shard] = []
@@ -166,17 +175,24 @@ class ShardWork:
         return self.shard.index
 
     def run(self) -> "ShardResult":
-        """Run every trial of the shard, in trial order.
+        """Run every trial of the shard, in trial order, as one batch.
 
-        The result carries no telemetry state; :func:`run_unit` returns that
-        beside it, and the driver attaches it.
+        :meth:`Experiment.run_batch
+        <repro.montecarlo.experiment.Experiment.run_batch>` gets the
+        shard's generators, trial ``i``'s from child ``i``, built as it
+        reads them.  The result carries no telemetry state;
+        :func:`run_unit` returns that beside it, and the driver attaches it.
         """
         recs = telemetry.active()
         start = time.perf_counter() if recs else 0.0
         values: dict[str, list[float]] = {}
-        for trial_index in range(self.shard.start, self.shard.stop):
-            seed = spawned_child(self.master_entropy, self.master_spawn_key, trial_index)
-            metrics = self.experiment.run_single(np.random.default_rng(seed))
+        rngs = (
+            np.random.default_rng(
+                spawned_child(self.master_entropy, self.master_spawn_key, trial_index)
+            )
+            for trial_index in range(self.shard.start, self.shard.stop)
+        )
+        for metrics in self.experiment.run_batch(rngs):
             for name, value in metrics.items():
                 values.setdefault(name, []).append(value)
         if recs:

@@ -97,6 +97,11 @@ def is_connected(graph: StaticGraph) -> bool:
     return count <= 1
 
 
+def _component_labels(graph: StaticGraph) -> np.ndarray:
+    """The weak component of every vertex, as csgraph numbers them."""
+    return _csgraph_components(_arc_adjacency(graph), connection="weak")[1]
+
+
 def connected_components(graph: StaticGraph) -> list[list[int]]:
     """Connected components (weak components for digraphs), as vertex lists.
 
@@ -105,7 +110,7 @@ def connected_components(graph: StaticGraph) -> list[list[int]]:
     """
     if graph.n == 0:
         return []
-    _, labels = _csgraph_components(_arc_adjacency(graph), connection="weak")
+    labels = _component_labels(graph)
     members = np.argsort(labels, kind="stable")
     starts = np.flatnonzero(np.diff(labels[members])) + 1
     components = [part.tolist() for part in np.split(members, starts)]

@@ -1,7 +1,9 @@
 """Array-based static (di)graph representation.
 
 :class:`StaticGraph` stores the edge list as two parallel ``int64`` arrays
-(``tails``/``heads``) plus a CSR-style index for fast out-neighbour lookups.
+(``tails``/``heads``); a CSR-style index for out-neighbour lookups, the
+reachability closures and the other derived structures are built on first
+use and kept.
 This keeps the hot Monte-Carlo kernels (label assignment, journey sweeps)
 fully vectorised: they operate directly on the edge arrays without Python
 per-edge loops, following the "vectorise the inner loop" idiom of the
@@ -20,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..exceptions import GraphError, InvalidEdgeError, InvalidVertexError
-from ..utils.validation import check_non_negative_int
+from ..utils.validation import check_non_negative_int, check_positive_int
 
 __all__ = ["EdgeArcs", "StaticGraph"]
 
@@ -50,12 +52,11 @@ class StaticGraph:
         "_heads",
         "_pair_tails",
         "_pair_heads",
-        "_out_start",
-        "_out_neighbors",
-        "_out_arc_index",
+        "_adjacency",
         "_closure",
         "_packed_closure",
         "_edge_arcs",
+        "_copies",
     )
 
     def __init__(
@@ -102,7 +103,11 @@ class StaticGraph:
         return graph
 
     def _init(self, pair_tails: np.ndarray, pair_heads: np.ndarray, name: str) -> None:
-        """Store the canonical edge columns and derive the arcs and adjacency."""
+        """Store the canonical edge columns and derive the arcs.
+
+        Everything else a graph keeps (the out-adjacency, the closures, the
+        edge arcs, the disjoint copies) is a cache, built on first use.
+        """
         self._name = str(name)
         self._pair_tails = pair_tails
         self._pair_heads = pair_heads
@@ -112,10 +117,11 @@ class StaticGraph:
             # Store both orientations so journey kernels need no special case.
             self._tails = np.concatenate([pair_tails, pair_heads])
             self._heads = np.concatenate([pair_heads, pair_tails])
-        self._build_adjacency()
+        self._adjacency = None
         self._closure = None
         self._packed_closure = None
         self._edge_arcs = None
+        self._copies = {}
 
     def _normalise_edges(self, edges: Iterable[tuple[int, int]]) -> np.ndarray:
         edge_list = list(edges)
@@ -138,14 +144,19 @@ class StaticGraph:
         arr = np.unique(arr, axis=0)
         return arr
 
-    def _build_adjacency(self) -> None:
-        order = np.argsort(self._tails, kind="stable")
-        sorted_tails = self._tails[order]
-        self._out_neighbors = self._heads[order]
-        self._out_arc_index = order
-        counts = np.bincount(sorted_tails, minlength=self._n)
-        self._out_start = np.zeros(self._n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._out_start[1:])
+    def _out_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(out_start, out_neighbors, out_arc_index)``: the arcs grouped by tail.
+
+        Built on first use and kept, read-only, like the other caches.
+        """
+        if self._adjacency is None:
+            order = _readonly(np.argsort(self._tails, kind="stable"))
+            out_start = np.zeros(self._n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self._tails, minlength=self._n), out=out_start[1:])
+            self._adjacency = (
+                _readonly(out_start), _readonly(self._heads[order]), order
+            )
+        return self._adjacency
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -196,12 +207,20 @@ class StaticGraph:
         Computed on first access and kept, read-only: the graph cannot change
         after construction, so the closure never goes stale, and every
         network over this graph object shares it.  Two threads racing to
-        fill it compute the same array, so the race needs no lock.
+        fill it compute the same array, so the race needs no lock.  An
+        undirected graph's closure is "same connected component", read off
+        one :mod:`scipy.sparse.csgraph` labelling; a digraph's takes one
+        BLAS matmul per BFS level.
         """
         if self._closure is None:
-            closure = _reachability_closure(self._n, self._tails, self._heads)
-            closure.flags.writeable = False
-            self._closure = closure
+            if self._directed:
+                closure = _reachability_closure(self._n, self._tails, self._heads)
+            else:
+                from .properties import _component_labels
+
+                labels = _component_labels(self)
+                closure = labels[:, np.newaxis] == labels[np.newaxis, :]
+            self._closure = _readonly(closure)
         return self._closure
 
     @property
@@ -262,6 +281,35 @@ class StaticGraph:
             )
         return self._edge_arcs
 
+    def disjoint_copies(self, copies: int) -> "StaticGraph":
+        """The disjoint union of ``copies`` copies of this graph, cached per count.
+
+        Copy ``t`` holds vertices ``t·n … t·n + n − 1``, and its edges are
+        block ``t`` of the canonical edge list, in this graph's order: edge
+        ``e`` of copy ``t`` is edge ``t·m + e``.  A stack of trials lays its
+        networks out on it (:meth:`TemporalGraph.stacked
+        <repro.core.temporal_graph.TemporalGraph.stacked>`).  Kept on this
+        graph object, like :attr:`edge_arcs`, so every stack of that height
+        over the graph shares one union and its edge arcs; one copy is the
+        graph itself.  Nothing should ask the union for its closure, a dense
+        ``(copies·n)²`` matrix: its block ``t`` is this graph's.
+        """
+        copies = check_positive_int(copies, "copies")
+        if copies == 1:
+            return self
+        union = self._copies.get(copies)
+        if union is None:
+            offsets = np.arange(copies, dtype=np.int64)[:, np.newaxis] * self._n
+            union = StaticGraph._from_arcs(
+                copies * self._n,
+                (self._pair_tails + offsets).ravel(),
+                (self._pair_heads + offsets).ravel(),
+                directed=self._directed,
+                name=self._name,
+            )
+            self._copies[copies] = union
+        return union
+
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -293,29 +341,26 @@ class StaticGraph:
         """Out-neighbours of ``u`` as a read-only array."""
         if not self.has_vertex(u):
             raise InvalidVertexError(u, self._n)
-        lo, hi = self._out_start[u], self._out_start[u + 1]
-        view = self._out_neighbors[lo:hi].view()
-        view.flags.writeable = False
-        return view
+        out_start, out_neighbors, _ = self._out_adjacency()
+        return out_neighbors[out_start[u] : out_start[u + 1]]
 
     def out_arcs(self, u: int) -> np.ndarray:
         """Indices (into the arc arrays) of arcs leaving ``u``."""
         if not self.has_vertex(u):
             raise InvalidVertexError(u, self._n)
-        lo, hi = self._out_start[u], self._out_start[u + 1]
-        view = self._out_arc_index[lo:hi].view()
-        view.flags.writeable = False
-        return view
+        out_start, _, out_arc_index = self._out_adjacency()
+        return out_arc_index[out_start[u] : out_start[u + 1]]
 
     def degree(self, u: int) -> int:
         """Out-degree of ``u`` (equals the undirected degree for undirected graphs)."""
         if not self.has_vertex(u):
             raise InvalidVertexError(u, self._n)
-        return int(self._out_start[u + 1] - self._out_start[u])
+        out_start = self._out_adjacency()[0]
+        return int(out_start[u + 1] - out_start[u])
 
     def degrees(self) -> np.ndarray:
         """Out-degree of every vertex."""
-        return np.diff(self._out_start)
+        return np.diff(self._out_adjacency()[0])
 
     def edge_index(self, u: int, v: int) -> int:
         """Return the canonical edge index of ``{u, v}`` (or arc ``(u, v)``).
@@ -394,8 +439,13 @@ class StaticGraph:
     def __hash__(self) -> int:
         return hash((self._n, self._directed, self.edge_pairs.tobytes()))
 
-    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
-        _restore_readonly(self, state)
+    def __getstate__(self) -> tuple[int, bool, str, np.ndarray, np.ndarray]:
+        # Only what defines the graph: every cache is rebuilt on first use.
+        return (self._n, self._directed, self._name, self._pair_tails, self._pair_heads)
+
+    def __setstate__(self, state: tuple[int, bool, str, np.ndarray, np.ndarray]) -> None:
+        self._n, self._directed, name, pair_tails, pair_heads = state
+        self._init(_readonly(pair_tails), _readonly(pair_heads), name)
 
 
 class EdgeArcs:
@@ -462,25 +512,10 @@ class EdgeArcs:
     def _stable_order(self, vertices: np.ndarray) -> np.ndarray:
         return _readonly(np.argsort(vertices.astype(self._vertex_type), kind="stable"))
 
-    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
-        _restore_readonly(self, state)
-
 
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-def _restore_readonly(obj: object, state: tuple[None, dict[str, object]]) -> None:
-    """Unpickle a slotted graph object, its arrays read-only again.
-
-    Pickle brings every array back writable, but the closures and arc
-    columns are caches that every network over the graph shares.
-    """
-    for name, value in state[1].items():
-        if isinstance(value, np.ndarray):
-            _readonly(value)
-        setattr(obj, name, value)
 
 
 def _reachability_closure(

@@ -10,7 +10,7 @@ generator per trial from the experiment seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -62,7 +62,23 @@ class Experiment:
 
     def run_single(self, rng: np.random.Generator) -> Mapping[str, float]:
         """Run one trial with the given generator and validate its output."""
-        metrics = self.trial(self.parameters, rng)
+        return self._validated(self.trial(self.parameters, rng))
+
+    def run_batch(self, rngs: Iterable[np.random.Generator]) -> list[Mapping[str, float]]:
+        """Run one trial per generator, in order, and validate their outputs.
+
+        A trial function with a ``batch(parameters, rngs)`` method, which
+        returns one mapping per generator in order, gets them all at once
+        (:meth:`ScenarioTrial.batch
+        <repro.scenarios.pipeline.ScenarioTrial.batch>` decides reachability
+        trials in stacks); any other runs once per generator.
+        """
+        batch = getattr(self.trial, "batch", None)
+        if batch is None:
+            return [self.run_single(rng) for rng in rngs]
+        return [self._validated(metrics) for metrics in batch(self.parameters, rngs)]
+
+    def _validated(self, metrics: Mapping[str, float]) -> dict[str, float]:
         if not isinstance(metrics, Mapping) or not metrics:
             raise ConfigurationError(
                 f"trial of experiment {self.name!r} must return a non-empty "

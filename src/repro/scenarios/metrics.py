@@ -46,7 +46,7 @@ from ..core.price_of_randomness import (
     price_of_randomness,
     r_sufficient_theorem7,
 )
-from ..core.reachability import preserves_reachability
+from ..core.reachability import preserves_reachability, preserves_reachability_stacked
 from ..core.temporal_graph import TemporalGraph
 from ..erdosrenyi.gnp import (
     giant_component_fraction,
@@ -63,6 +63,7 @@ from .families import build_sized_family
 __all__ = [
     "TrialContext",
     "METRICS",
+    "BATCH_METRICS",
     "DIRECT_METRICS",
     "register_metric",
     "register_direct_metric",
@@ -112,6 +113,9 @@ class TrialContext:
 
 
 MetricFunction = Callable[[TrialContext, Mapping[str, Any]], Mapping[str, float]]
+BatchMetricFunction = Callable[
+    [Sequence[TrialContext], Mapping[str, Any]], list[Mapping[str, float]]
+]
 DirectMetricFunction = Callable[
     [Mapping[str, Any], Sequence[np.random.Generator], Mapping[str, Any]],
     dict[str, Any],
@@ -406,6 +410,28 @@ METRICS: dict[str, MetricFunction] = {
     "mean_label": _metric_mean_label,
     "total_labels": _metric_total_labels,
     "er_connectivity": _metric_er_connectivity,
+}
+
+
+def _batch_strong_reachability(
+    contexts: Sequence[TrialContext], options: Mapping[str, Any]
+) -> list[Mapping[str, float]]:
+    """:func:`_metric_strong_reachability` of every trial, one sweep per stack."""
+    del options
+    networks = [ctx.require_network("strong_reachability") for ctx in contexts]
+    return [
+        {"reachable": 1.0 if preserved else 0.0}
+        for preserved in preserves_reachability_stacked(networks)
+    ]
+
+
+#: Trial metrics with a batch form: ``(contexts, options)`` to one mapping
+#: per context, equal to the trial metric's on each.  A suite made up wholly
+#: of them runs a shard's trials together
+#: (:meth:`~repro.scenarios.pipeline.ScenarioTrial.batch`); metrics added by
+#: :func:`register_metric` run per trial.
+BATCH_METRICS: dict[str, BatchMetricFunction] = {
+    "strong_reachability": _batch_strong_reachability,
 }
 
 

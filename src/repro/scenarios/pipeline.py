@@ -19,6 +19,10 @@ entry points *and* every registry-only scenario:
 The per-trial work is :class:`ScenarioTrial` — a picklable callable built
 from the scenario's declarative specs: build (or reuse) the graph, sample the
 label model with the trial generator, evaluate the metric suite in order.
+The engine hands it a shard's trials together (:meth:`ScenarioTrial.batch`);
+a suite of metrics with a batch form, such as ``strong_reachability``,
+decides them in stacks of :data:`~repro.core.reachability.STACK_HEIGHT`
+with one sweep per stack.
 """
 
 from __future__ import annotations
@@ -26,11 +30,13 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from itertools import islice
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .. import telemetry
+from ..core.reachability import STACK_HEIGHT
 from ..engine.driver import ProgressCallback
 from ..engine.executors import Executor, RunContext, merge_telemetry, resolve_executor
 from ..exceptions import ConfigurationError
@@ -42,7 +48,7 @@ from ..utils.logging import get_logger
 from ..utils.seeding import SeedLike, spawn_rngs
 from .families import build_graph
 from .labelmodels import sample_labels
-from .metrics import DIRECT_METRICS, METRICS, TrialContext
+from .metrics import BATCH_METRICS, DIRECT_METRICS, METRICS, TrialContext
 from .specs import MetricSpec, Scenario
 
 __all__ = ["ScenarioTrial", "ScenarioRun", "DirectPoint", "run_scenario"]
@@ -68,23 +74,7 @@ class ScenarioTrial:
         self, params: Mapping[str, Any], rng: np.random.Generator
     ) -> dict[str, float]:
         with telemetry.span("scenario.trial", scenario=self.scenario.name):
-            recs = telemetry.active()
-            stamp = time.perf_counter() if recs else 0.0
-            graph = build_graph(self.scenario.graph, params)
-            if recs:
-                now = time.perf_counter()
-                for rec in recs:
-                    rec.counter("scenario.trials")
-                    rec.observe_ms("scenario.graph_build_ms", (now - stamp) * 1e3)
-                stamp = now
-            network, extras = sample_labels(self.scenario.labels, graph, params, rng)
-            if recs:
-                now = time.perf_counter()
-                for rec in recs:
-                    rec.observe_ms("scenario.label_sampling_ms", (now - stamp) * 1e3)
-            ctx = TrialContext(
-                graph=graph, network=network, params=params, rng=rng, extras=extras
-            )
+            [ctx] = self._contexts(params, [rng])
             for spec in self.scenario.metrics:
                 fn = METRICS.get(spec.metric)
                 if fn is None:
@@ -95,6 +85,66 @@ class ScenarioTrial:
                 with telemetry.span(f"scenario.metric.{spec.metric}"):
                     ctx.metrics.update(fn(ctx, spec.options))
             return dict(ctx.metrics)
+
+    def batch(
+        self, params: Mapping[str, Any], rngs: Iterable[np.random.Generator]
+    ) -> list[dict[str, float]]:
+        """Run one trial per generator, in order: a shard's trials at once.
+
+        A suite made up wholly of metrics with a batch form
+        (:data:`~repro.scenarios.metrics.BATCH_METRICS`) samples
+        :data:`~repro.core.reachability.STACK_HEIGHT` trials' networks over
+        the point's graph and hands them to each metric's batch form
+        together, so ``strong_reachability`` decides them with one sweep.
+        Any other suite runs the trials one by one.  Either way each trial
+        draws from its own generator alone, so every value equals the
+        per-trial call's, and counts as one ``scenario.trials``.
+        """
+        forms = [BATCH_METRICS.get(spec.metric) for spec in self.scenario.metrics]
+        if not forms or None in forms:
+            return [self(params, rng) for rng in rngs]
+        rngs = iter(rngs)
+        results: list[dict[str, float]] = []
+        while stack := list(islice(rngs, STACK_HEIGHT)):
+            with telemetry.span("scenario.stack", scenario=self.scenario.name):
+                contexts = self._contexts(params, stack)
+                for spec, form in zip(self.scenario.metrics, forms):
+                    with telemetry.span(f"scenario.metric.{spec.metric}"):
+                        for ctx, values in zip(contexts, form(contexts, spec.options)):
+                            ctx.metrics.update(values)
+            results.extend(dict(ctx.metrics) for ctx in contexts)
+        return results
+
+    def _contexts(
+        self, params: Mapping[str, Any], rngs: list[np.random.Generator]
+    ) -> list[TrialContext]:
+        """Build (or reuse) the point's graph and sample one network per generator.
+
+        Counts each generator as one ``scenario.trials`` and times the graph
+        build and the label sampling.
+        """
+        recs = telemetry.active()
+        stamp = time.perf_counter() if recs else 0.0
+        graph = build_graph(self.scenario.graph, params)
+        if recs:
+            now = time.perf_counter()
+            for rec in recs:
+                rec.counter("scenario.trials", len(rngs))
+                rec.observe_ms("scenario.graph_build_ms", (now - stamp) * 1e3)
+            stamp = now
+        contexts = []
+        for rng in rngs:
+            network, extras = sample_labels(self.scenario.labels, graph, params, rng)
+            contexts.append(
+                TrialContext(
+                    graph=graph, network=network, params=params, rng=rng, extras=extras
+                )
+            )
+        if recs:
+            now = time.perf_counter()
+            for rec in recs:
+                rec.observe_ms("scenario.label_sampling_ms", (now - stamp) * 1e3)
+        return contexts
 
     def __getstate__(self) -> Scenario:
         return self.scenario

@@ -5,7 +5,9 @@
 over the reverse for strong connectivity and one BFS per new component.
 Every static question must answer exactly as they do, on graphs and
 digraphs, including the empty graph, one vertex, no edges, disconnected
-graphs and digraphs whose arcs run one way.
+graphs and digraphs whose arcs run one way.  So must the reachability
+closure, which an undirected graph reads off its components and a digraph
+computes by matmuls.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.graphs.properties import (
     is_connected,
     radius,
 )
+from repro.graphs import static_graph
 from repro.graphs.static_graph import StaticGraph
 
 
@@ -126,3 +129,30 @@ def graphs(draw, max_n: int = 10):
 @given(graphs())
 def test_matches_the_references_on_random_graphs(graph):
     _assert_pinned(graph)
+
+
+def _assert_closure(graph: StaticGraph) -> None:
+    closure = graph.reachability_closure
+    assert closure.dtype == np.bool_ and closure.shape == (graph.n, graph.n)
+    assert not closure.flags.writeable
+    assert np.array_equal(closure, all_pairs_shortest_paths_reference(graph) >= 0)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_closure_matches_the_bfs_reference(name):
+    _assert_closure(GRAPHS[name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=14))
+def test_closure_matches_the_bfs_reference_on_random_graphs(graph):
+    _assert_closure(graph)
+
+
+def test_an_undirected_closure_takes_no_matmul(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an undirected closure ran the BLAS matmul")
+
+    monkeypatch.setattr(static_graph, "_reachability_closure", refuse)
+    for graph in (StaticGraph(0), StaticGraph(3), StaticGraph(6, [(0, 1), (2, 3), (3, 4)])):
+        _assert_closure(graph)

@@ -279,6 +279,52 @@ class TestPickling:
                 assert np.shares_memory(column, graph_column)
 
 
+class TestPickledState:
+    """A pickle carries only what defines a graph or a network.
+
+    The pair columns define a graph; its adjacency, closures, edge arcs and
+    disjoint copies are rebuilt on first use.  The labels (and, with more
+    or fewer than one label per edge, the edge column) define a network; a
+    one-label clone takes its columns from the clone graph's edge arcs.
+    """
+
+    def test_directed_k256_pickles_its_defining_arrays(self):
+        graph = complete_graph(256, directed=True)
+        network = TemporalGraph.from_label_matrix(graph, _one_label_each(graph, 3))
+        network.timearc_csr, network.reverse_timearc_csr
+        graph.reachability_closure, graph.packed_reachability_closure
+        graph.degrees(), graph.disjoint_copies(2)
+        # Pair columns 2 · 65 280 · 8 bytes, labels 65 280 · 8 bytes.
+        assert len(pickle.dumps(graph)) <= 1_100_000
+        assert len(pickle.dumps(network)) <= 1_700_000
+        clone = pickle.loads(pickle.dumps(network))
+        arcs = clone.graph.edge_arcs
+        assert np.shares_memory(arcs.tails, clone.graph.pair_tails)
+        assert np.shares_memory(arcs.heads, clone.graph.pair_heads)
+        for column, graph_column in zip(_shared_columns(clone), _graph_columns(clone.graph)):
+            assert np.shares_memory(column, graph_column)
+        _assert_same_network(clone, network)
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_rebuilt_caches_equal_the_originals(self, name):
+        graph = GRAPHS[name]()
+        rng = np.random.default_rng(8)
+        # Two labels on some edges, none on others: the edge column is stored.
+        labels = {edge: rng.integers(1, 6, size=edge % 3).tolist() for edge in range(graph.m)}
+        network = TemporalGraph(graph, labels, lifetime=5)
+        clone = pickle.loads(pickle.dumps(network))
+        _assert_same_network(clone, network)
+        for attribute in ("reachability_closure", "packed_reachability_closure"):
+            rebuilt = getattr(clone.graph, attribute)
+            assert not rebuilt.flags.writeable
+            assert np.array_equal(rebuilt, getattr(graph, attribute))
+        assert np.array_equal(clone.graph.degrees(), graph.degrees())
+        for u in range(graph.n):
+            assert np.array_equal(clone.graph.out_neighbors(u), graph.out_neighbors(u))
+            assert np.array_equal(clone.graph.out_arcs(u), graph.out_arcs(u))
+        assert clone.graph.disjoint_copies(3) == graph.disjoint_copies(3)
+
+
 class TestThreads:
     def test_racing_threads_fill_equal_caches(self):
         # The graph's columns and orders are filled without a lock: a thread

@@ -502,22 +502,26 @@ class TestAnalysisCachePins:
 
 
 class TestDecisionExitPins:
-    """E5 asks Theorem 6's yes/no question once per trial.
+    """E5 asks Theorem 6's yes/no question once per trial, a stack per sweep.
 
-    Every sweep stops early: the star either saturates or reaches a final
-    row short of its closure.  The counts are exact at a fixed seed.
-    Without the deficient exit the failing sweeps ran to their last group,
-    and the same trials scanned 18 675 groups.
+    Each point's 20 trials run as shards of 8, 8 and 4 trials, and each
+    shard is one stack decided by one sweep: 69 sweeps for 460 trials.  A
+    stack stops early only when every trial in it has saturated; it gives
+    up the deficient-row exit, since such a row decides only its own trial.
+    The counts are exact at a fixed seed.  One sweep per trial took 460
+    sweeps and scanned 11 465 groups, with 231 saturation and 229 deficient
+    exits.
     """
 
     def test_e5_quick_counts(self):
         with telemetry.session() as rec:
             run_scenario(get_scenario("E5"), scale="quick", seed=4)
         counters = rec.counters
-        assert counters["kernel.forward.sweeps"] == 460
-        assert counters["kernel.forward.groups_scanned"] == 11465
-        assert counters["kernel.forward.saturation_exits"] == 231
-        assert counters["kernel.forward.deficient_exits"] == 229
+        assert counters["scenario.trials"] == counters["engine.trials"] == 460
+        assert counters["kernel.forward.sweeps"] == 69
+        assert counters["kernel.forward.groups_scanned"] == 3196
+        assert counters["kernel.forward.saturation_exits"] == 22
+        assert "kernel.forward.deficient_exits" not in counters
         assert "analysis.compute.reachability" not in counters
 
 
@@ -581,14 +585,16 @@ class TestEngineTransport:
         parallel_run, parallel_rec = self._e6(jobs=2)
         assert parallel_run.records == serial_run.records
         assert parallel_rec.counters == serial_rec.counters
-        assert serial_rec.counters["kernel.forward.sweeps"] == 323
+        # 32 probes of 10 trials, each decided in stacks of 8 and 2, and
+        # one box assignment per family (one sweep per trial took 323).
+        assert serial_rec.counters["kernel.forward.sweeps"] == 67
         assert serial_rec.counters["scenario.direct_points"] == 3
 
     def test_direct_points_sweep_in_spawned_workers(self):
         serial_run, _ = self._e6()
         run, rec = self._e6(executor=MultiprocessExecutor(2, start_method="spawn"))
         assert run.records == serial_run.records
-        assert rec.counters["kernel.forward.sweeps"] == 323
+        assert rec.counters["kernel.forward.sweeps"] == 67
 
     def test_no_telemetry_state_when_disabled(self):
         experiment = Experiment(name="telemetry-off", trial=_coin_trial)
