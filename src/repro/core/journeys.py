@@ -216,9 +216,11 @@ def _sweep(
     ``copies`` sweeps a stack (:meth:`TemporalGraph.stacked`): the network
     lies on ``copies`` disjoint copies of an ``n``-vertex graph, and the
     columns are vertices of one copy.  Every copy shares the columns, so
-    row ``t·n + s`` starts with column ``s``'s bit (and ``start`` in the
-    arrival state); the rows of copy ``t`` end up holding copy ``t``'s
-    answer, in the single-copy layout.
+    row ``t·n + s`` starts with column ``s``'s bit; the rows of copy ``t``
+    end up holding copy ``t``'s reached bitset, in the single-copy layout.
+    A stack sweeps reach-only: the arrival state, the settle counts and
+    ``required`` are single-copy outputs, so asking for any of them with
+    ``copies > 1`` raises ``ValueError``.
 
     With a telemetry recorder active it records ``<prefix>.sweeps``, the
     batch width as ``<prefix>.sources`` (``.targets`` reverse), the label
@@ -229,6 +231,8 @@ def _sweep(
     the prefix is ``kernel.forward`` or ``kernel.reverse``.  With none
     active the cost is one check per sweep.
     """
+    if copies > 1 and (arrivals or settles or required is not None):
+        raise ValueError("a stacked sweep is reach-only")
     _check_lifetime(network)
     n = network.n // copies
     if columns is None:
@@ -255,9 +259,8 @@ def _sweep(
     reached = reached.reshape(copies * n, words)
     state = settled = last = None
     if arrivals:
-        state = np.full((copies, n, width), UNREACHABLE, dtype=np.int64)
-        state[:, column_arr, positions] = start
-        state = state.reshape(copies * n, width)
+        state = np.full((n, width), UNREACHABLE, dtype=np.int64)
+        state[column_arr, positions] = start
     if settles:
         settled = np.zeros(0, dtype=np.int64)
         last = np.full(width, start, dtype=np.int64)

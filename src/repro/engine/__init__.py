@@ -35,7 +35,6 @@ from .executors import (
 )
 from .sharding import (
     DEFAULT_MAX_SHARDS,
-    DEFAULT_MIN_SHARD_SIZE,
     SeedPlan,
     Shard,
     ShardResult,
@@ -58,7 +57,6 @@ __all__ = [
     "run_unit",
     "merge_telemetry",
     "DEFAULT_MAX_SHARDS",
-    "DEFAULT_MIN_SHARD_SIZE",
     "Shard",
     "SeedPlan",
     "ShardWork",

@@ -90,12 +90,9 @@ def run_sharded(
     executor / jobs:
         Execution strategy (see :func:`repro.engine.executors.resolve_executor`).
     shard_size:
-        Trials per shard; defaults to the plan of
-        :func:`repro.engine.sharding.plan_shards` (at most
-        :data:`~repro.engine.sharding.DEFAULT_MAX_SHARDS` shards of at least
-        :data:`~repro.engine.sharding.DEFAULT_MIN_SHARD_SIZE` trials but the
-        last).  Part of the checkpoint fingerprint; the trial values never
-        depend on it.
+        Trials per shard; defaults to an even cut into at most
+        :data:`repro.engine.sharding.DEFAULT_MAX_SHARDS` shards.  Part of the
+        checkpoint fingerprint; the trial values never depend on it.
     checkpoint_dir:
         Optional directory for crash/resume persistence; completed shards
         found there (for the *same* run fingerprint) are not re-executed.

@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 __all__ = [
     "DEFAULT_MAX_SHARDS",
-    "DEFAULT_MIN_SHARD_SIZE",
     "Shard",
     "plan_shards",
     "spawned_child",
@@ -49,12 +48,6 @@ __all__ = [
 #: per-shard scheduling overhead is negligible, large enough that a pool of
 #: up to ~8 workers keeps busy with good load balance.
 DEFAULT_MAX_SHARDS = 16
-
-#: Default floor on the trials of a shard.  A shard hands its trials to the
-#: experiment as one batch, and the scenario pipeline decides reachability
-#: trials in stacks of eight with one sweep each, so a shard of fewer trials
-#: would cut a stack short.
-DEFAULT_MIN_SHARD_SIZE = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,14 +75,12 @@ def plan_shards(budget: int, *, shard_size: int | None = None) -> list[Shard]:
     """Partition ``budget`` trials into contiguous shards.
 
     The plan depends only on ``budget`` and ``shard_size`` — never on the
-    number of workers.  The default ``shard_size`` is
-    ``max(DEFAULT_MIN_SHARD_SIZE, ⌈budget / DEFAULT_MAX_SHARDS⌉)``: at most
-    :data:`DEFAULT_MAX_SHARDS` shards, none but the last shorter than
-    :data:`DEFAULT_MIN_SHARD_SIZE` trials.
+    number of workers.  With the default ``shard_size`` the plan has at most
+    :data:`DEFAULT_MAX_SHARDS` shards, sized within one trial of each other.
     """
     budget = check_positive_int(budget, "budget")
     if shard_size is None:
-        shard_size = max(DEFAULT_MIN_SHARD_SIZE, math.ceil(budget / DEFAULT_MAX_SHARDS))
+        shard_size = max(1, math.ceil(budget / DEFAULT_MAX_SHARDS))
     else:
         shard_size = check_positive_int(shard_size, "shard_size")
     shards: list[Shard] = []

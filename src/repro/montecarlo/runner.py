@@ -73,9 +73,9 @@ class MonteCarloRunner:
         ``N`` workers; an explicit :class:`repro.engine.executors.Executor`
         instance overrides it.  Defaults to in-process serial execution.
     shard_size:
-        Trials per engine shard (default: ``max(8, ⌈repetitions/16⌉)``,
-        at most 16 shards).  Affects scheduling granularity only; raw trial
-        values are identical for any value.
+        Trials per engine shard (default: an even cut into at most 16
+        shards).  Affects scheduling granularity only; raw trial values are
+        identical for any value.
     checkpoint_dir:
         Directory for crash/resume persistence of completed shards.
         ``run_sweep`` appends one subdirectory per sweep point.

@@ -22,11 +22,13 @@ label model with the trial generator, evaluate the metric suite in order.
 The engine hands it a shard's trials together (:meth:`ScenarioTrial.batch`);
 a suite of metrics with a batch form, such as ``strong_reachability``,
 decides them in stacks of :data:`~repro.core.reachability.STACK_HEIGHT`
-with one sweep per stack.
+with one sweep per stack, and :func:`run_scenario` cuts such a suite's
+shards no shorter than a stack.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -39,6 +41,7 @@ from .. import telemetry
 from ..core.reachability import STACK_HEIGHT
 from ..engine.driver import ProgressCallback
 from ..engine.executors import Executor, RunContext, merge_telemetry, resolve_executor
+from ..engine.sharding import DEFAULT_MAX_SHARDS
 from ..exceptions import ConfigurationError
 from ..montecarlo.experiment import Experiment
 from ..montecarlo.results import SweepResult, TrialResult
@@ -48,12 +51,26 @@ from ..utils.logging import get_logger
 from ..utils.seeding import SeedLike, spawn_rngs
 from .families import build_graph
 from .labelmodels import sample_labels
-from .metrics import BATCH_METRICS, DIRECT_METRICS, METRICS, TrialContext
+from .metrics import (
+    BATCH_METRICS,
+    DIRECT_METRICS,
+    METRICS,
+    BatchMetricFunction,
+    TrialContext,
+)
 from .specs import MetricSpec, Scenario
 
 __all__ = ["ScenarioTrial", "ScenarioRun", "DirectPoint", "run_scenario"]
 
 _LOGGER = get_logger("scenarios.pipeline")
+
+
+def _batch_forms(scenario: Scenario) -> list[BatchMetricFunction] | None:
+    """The suite's batch forms in order, or ``None`` unless every metric has one."""
+    forms = [BATCH_METRICS.get(spec.metric) for spec in scenario.metrics]
+    if not forms or None in forms:
+        return None
+    return forms
 
 
 class ScenarioTrial:
@@ -100,8 +117,8 @@ class ScenarioTrial:
         draws from its own generator alone, so every value equals the
         per-trial call's, and counts as one ``scenario.trials``.
         """
-        forms = [BATCH_METRICS.get(spec.metric) for spec in self.scenario.metrics]
-        if not forms or None in forms:
+        forms = _batch_forms(self.scenario)
+        if forms is None:
             return [self(params, rng) for rng in rngs]
         rngs = iter(rngs)
         results: list[dict[str, float]] = []
@@ -272,7 +289,11 @@ def run_scenario(
     ``jobs=N`` (or an explicit ``executor``) fans work out over worker
     processes with bit-identical results, ``checkpoint_dir`` persists
     completed shards for crash/resume.  ``seed=None`` falls back to the
-    scenario's ``default_seed``.
+    scenario's ``default_seed``.  With no ``shard_size``, a suite decided in
+    stacks (:meth:`ScenarioTrial.batch`) gets shards of
+    ``max(STACK_HEIGHT, ⌈repetitions / DEFAULT_MAX_SHARDS⌉)`` trials, so no
+    shard but a point's last cuts a stack short; any other suite gets the
+    engine's default plan.
 
     Returns
     -------
@@ -298,6 +319,10 @@ def run_scenario(
         return _run_direct(scenario, scale, seed, shared_executor)
 
     scale_cfg = scenario.scale(scale)
+    if shard_size is None and _batch_forms(scenario) is not None:
+        shard_size = max(
+            STACK_HEIGHT, math.ceil(scale_cfg.repetitions / DEFAULT_MAX_SHARDS)
+        )
     experiment = Experiment(
         name=scenario.experiment_name or scenario.name,
         trial=ScenarioTrial(scenario),

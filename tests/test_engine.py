@@ -25,7 +25,6 @@ from repro.engine.executors import (
 )
 from repro.engine.sharding import (
     DEFAULT_MAX_SHARDS,
-    DEFAULT_MIN_SHARD_SIZE,
     SeedPlan,
     Shard,
     ShardResult,
@@ -86,14 +85,7 @@ class TestShardPlanning:
 
     def test_default_plan_bounded(self):
         assert len(plan_shards(1000)) <= DEFAULT_MAX_SHARDS
-        assert len(plan_shards(3)) == 1  # tiny budgets fit one shard
-
-    def test_default_plan_has_a_floor_of_eight_trials(self):
-        assert DEFAULT_MIN_SHARD_SIZE == 8
-        assert [shard.size for shard in plan_shards(20)] == [8, 8, 4]
-        assert [shard.size for shard in plan_shards(40)] == [8] * 5
-        # Above 16 · 8 trials the shard count caps the plan, as before.
-        assert [shard.size for shard in plan_shards(200)] == [13] * 15 + [5]
+        assert len(plan_shards(3)) == 3  # tiny budgets get one trial per shard
 
     def test_plan_is_independent_of_nothing_else(self):
         assert plan_shards(30) == plan_shards(30)
@@ -478,14 +470,6 @@ class TestRunSharded:
             ] == [3, 3, 1]
         else:
             assert all(payload["telemetry"] is None for payload in payloads)
-
-    def test_a_checkpoint_of_the_old_default_plan_is_refused(self, tmp_path):
-        # Before the floor of DEFAULT_MIN_SHARD_SIZE trials, the default plan
-        # cut 20 trials into ten shards of two; the plan is in the fingerprint.
-        experiment = Experiment(name="noise", trial=_noise_trial)
-        run_sharded(experiment, budget=20, seed=2, shard_size=2, checkpoint_dir=tmp_path)
-        with pytest.raises(CheckpointError, match="different run"):
-            run_sharded(experiment, budget=20, seed=2, checkpoint_dir=tmp_path)
 
     def test_resumed_shards_contribute_their_recorded_telemetry(self, tmp_path):
         experiment = Experiment(name="noise", trial=_noise_trial)

@@ -20,6 +20,7 @@ import pytest
 from oracles import all_pairs_shortest_paths_reference, oracle_arrival_matrix
 from repro import telemetry
 from repro.core.guarantees import reachability_probability
+from repro.core.journeys import _sweep
 from repro.core.labeling import uniform_random_labels
 from repro.core.reachability import (
     STACK_HEIGHT,
@@ -27,6 +28,7 @@ from repro.core.reachability import (
     preserves_reachability_stacked,
 )
 from repro.core.temporal_graph import TemporalGraph
+from repro.engine.sharding import plan_shards
 from repro.exceptions import CheckpointError, GraphError
 from repro.graphs.generators import (
     complete_graph,
@@ -171,6 +173,21 @@ class TestStackedNetwork:
         assert np.shares_memory(stack.time_arc_tails, arcs.tails)
         assert np.shares_memory(stack.time_arc_heads, arcs.heads)
 
+    @pytest.mark.parametrize(
+        "outputs",
+        [{}, {"arrivals": True}, {"arrivals": False, "settles": True}],
+    )
+    def test_a_stacked_sweep_is_reach_only(self, outputs):
+        networks = _draws(path_graph(4), 2, 1, 4, seed=0)
+        stack = TemporalGraph.stacked(networks)
+        with pytest.raises(ValueError, match="reach-only"):
+            _sweep(stack, None, 0, reverse=False, copies=2, **outputs)
+        required = networks[0].graph.packed_reachability_closure
+        with pytest.raises(ValueError, match="reach-only"):
+            _sweep(
+                stack, None, 0, reverse=False, arrivals=False, required=required, copies=2
+            )
+
 
 class TestDisjointCopies:
     def test_cached_per_count_on_the_graph(self):
@@ -254,11 +271,35 @@ class TestScenarioStacks:
     def test_e5_records_equal_one_trial_shards(self):
         scenario = get_scenario("E5")
         stacked = run_scenario(scenario, scale="quick", seed=9)
-        single = run_scenario(scenario, scale="quick", seed=9, shard_size=1)
+        with telemetry.session() as rec:
+            single = run_scenario(scenario, scale="quick", seed=9, shard_size=1)
         assert stacked.to_records() == single.to_records()
+        # An explicit shard_size overrides the stack floor.
+        assert rec.counters["engine.shards"] == rec.counters["engine.trials"]
+
+    def test_stacked_suites_get_shards_of_a_stack_or_more(self):
+        # E5's 20 quick trials per point run as shards of 8, 8 and 4, where
+        # the engine's default plan would cut ten shards of 2.
+        with telemetry.session() as rec:
+            run = run_scenario(get_scenario("E5"), scale="quick", seed=9)
+        points = list(run.points())
+        assert {point.repetitions for point in points} == {20}
+        assert len(plan_shards(20)) == 10
+        assert rec.counters["engine.shards"] == 3 * len(points)
+
+    def test_other_suites_keep_the_engine_plan(self):
+        # E1's 5 quick trials per point run one per shard, so --jobs N keeps
+        # N workers busy within a point.
+        with telemetry.session() as rec:
+            run = run_scenario(get_scenario("E1"), scale="quick", seed=9)
+        assert rec.counters["engine.shards"] == sum(
+            len(plan_shards(point.repetitions)) for point in run.points()
+        )
+        assert rec.counters["engine.shards"] == rec.counters["engine.trials"]
 
     def test_e5_checkpoint_of_the_old_default_plan_is_refused(self, tmp_path):
-        # The old default cut E5's 20 quick trials per point into shards of 2.
+        # The engine's default plan, which E5 ran under before stacks, cut its
+        # 20 quick trials per point into shards of 2.
         scenario = get_scenario("E5")
         run_scenario(scenario, scale="quick", seed=9, shard_size=2, checkpoint_dir=tmp_path)
         with pytest.raises(CheckpointError):
