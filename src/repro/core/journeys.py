@@ -326,7 +326,7 @@ def foremost_journey_tree(
     labels = csr.labels
     offsets = csr.arc_offsets
     tails = csr.tails
-    heads = csr.heads
+    heads = csr.narrow_heads
     arc_order = csr.arc_order
     first_group = int(np.searchsorted(labels, start_time, side="right"))
     for group in range(first_group, labels.size):

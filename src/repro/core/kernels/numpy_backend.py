@@ -207,7 +207,7 @@ class NumpyBackend:
         labels = csr.labels
         offsets = csr.arc_offsets
         tails = csr.tails
-        heads = csr.heads
+        heads = csr.narrow_heads
         groups_scanned = 0
         saturated = False
         for group in range(first_group, labels.size):

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .timearc_csr import TimeArcCSR, _build_layout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -25,22 +23,18 @@ __all__ = ["build_reverse_timearc_csr"]
 def build_reverse_timearc_csr(network: "TemporalGraph") -> TimeArcCSR:
     """The forward layout of ``network``'s arcs flipped, labels ``l → a + 1 − l``.
 
-    Labels and their mirrors both lie in ``[1, a]``, so the mirrored column
-    is written straight into the narrowest unsigned type that holds ``a``
-    instead of a fresh ``int64`` column; the layout builder narrows it
-    further only when no arc carries label 1.  A network with one label per
-    edge starts from the tail order its graph keeps.
+    No mirrored label column is built: the builder sorts the keys
+    ``max − l``, which order the mirrored labels as they do, in the
+    narrowest unsigned type that holds the label span.  A network with one
+    label per edge starts from the tail order its graph keeps.
     """
-    a = network.lifetime
-    keys = network.time_arc_labels.astype(np.min_scalar_type(a))
-    np.subtract(keys.dtype.type(a), keys, out=keys)
-    keys += 1
     arcs = network._shared_arcs
     return _build_layout(
         network.n,
-        a,
+        network.lifetime,
         network.time_arc_heads,
         network.time_arc_tails,
-        keys,
+        network.time_arc_labels,
         None if arcs is None else arcs.tail_order,
+        mirrored=True,
     )

@@ -5,8 +5,8 @@ The journey kernels all share one access pattern: visit the time arcs one
 reduce the arcs that share a head vertex.  The :class:`TimeArcCSR` structure
 precomputes exactly that view once per :class:`~repro.core.temporal_graph.TemporalGraph`:
 
-* arcs are sorted by ``(label, head)`` and stored as flat ``tails``/``heads``
-  column arrays (the CSR "columns");
+* arcs are sorted by ``(label, head)`` and stored as a flat ``tails`` column
+  array (the CSR "columns") beside a narrow per-arc head column;
 * ``arc_offsets`` is the CSR row-offset array over *label groups*: the arcs
   carrying the ``g``-th smallest label occupy
   ``tails[arc_offsets[g]:arc_offsets[g + 1]]``;
@@ -22,14 +22,21 @@ The structure is immutable (all arrays are read-only) and is built lazily and
 cached by :attr:`TemporalGraph.timearc_csr`, so the sort is paid once per
 network instead of once per kernel call.  The sort is two stable argsorts, the
 head column first and then the label column, each cast to the narrowest
-unsigned type that holds it: numpy radix-sorts 8- and 16-bit keys in ``O(A)``
-and uses an ``O(A log A)`` timsort for wider ones.
+unsigned type that holds it (labels shifted by the smallest one): numpy
+radix-sorts 8- and 16-bit keys in ``O(A)`` and uses an ``O(A log A)`` timsort
+for wider ones.
+
+The layout stores only what the sweeps read.  The ``int64`` per-arc heads and
+the permutation back to the network's arc order (:attr:`TimeArcCSR.heads`,
+:attr:`TimeArcCSR.arc_order`) are derived on first use: journey
+reconstruction and the tests read them, no label-group sweep does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -44,12 +51,7 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _narrow(column: np.ndarray) -> np.ndarray:
-    """A non-negative column cast to the narrowest unsigned type holding its maximum."""
-    return column.astype(np.min_scalar_type(int(column.max())), copy=False)
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TimeArcCSR:
     """Immutable label-grouped CSR view of a temporal network's time arcs.
 
@@ -65,14 +67,12 @@ class TimeArcCSR:
     arc_offsets:
         Row-offset array of shape ``(G + 1,)``; group ``g`` spans arc
         positions ``arc_offsets[g]`` to ``arc_offsets[g + 1]``.
-    tails, heads:
-        Tail/head vertex of every arc, sorted by ``(label, head)``; shape
-        ``(A,)``.
-    arc_order:
-        Permutation mapping CSR arc position back to the index in the
-        network's original time-arc arrays (``time_arc_tails`` etc.), for
-        journey reconstruction; shape ``(A,)``.  The canonical edge index of
-        every arc in CSR order is ``network.time_arc_edge_index[arc_order]``.
+    tails:
+        Tail vertex of every arc, sorted by ``(label, head)``; shape ``(A,)``.
+    narrow_heads:
+        Head vertex of every arc in the same order, in the narrowest unsigned
+        type that holds ``n − 1``; shape ``(A,)``.  The width-1 sweep and
+        journey reconstruction index with it.
     head_values:
         Distinct head vertices of every group, concatenated; the heads of
         group ``g`` are ``head_values[head_offsets[g]:head_offsets[g + 1]]``.
@@ -83,6 +83,8 @@ class TimeArcCSR:
         For each entry of ``head_values``, the start of that head's run of
         arcs *relative to its group's first arc* — the ``reduceat`` index
         array for the group, shape matching ``head_values``.
+
+    Every column but ``narrow_heads`` is ``int64``.
     """
 
     n: int
@@ -90,11 +92,15 @@ class TimeArcCSR:
     labels: np.ndarray
     arc_offsets: np.ndarray
     tails: np.ndarray
-    heads: np.ndarray
-    arc_order: np.ndarray
+    narrow_heads: np.ndarray
     head_values: np.ndarray
     head_offsets: np.ndarray
     head_starts: np.ndarray
+    #: Runs the build's sort again on the columns it came from; only
+    #: :attr:`arc_order` calls it.
+    _resort: Callable[[], tuple[np.ndarray, np.ndarray]] = field(
+        repr=False, compare=False
+    )
 
     @property
     def num_arcs(self) -> int:
@@ -108,7 +114,10 @@ class TimeArcCSR:
 
     @property
     def nbytes(self) -> int:
-        """Total bytes of the column arrays (diagnostics / capacity planning)."""
+        """Total bytes of the stored column arrays (diagnostics / capacity planning).
+
+        The derived :attr:`heads` and :attr:`arc_order` are not counted.
+        """
         return int(
             sum(
                 arr.nbytes
@@ -116,14 +125,31 @@ class TimeArcCSR:
                     self.labels,
                     self.arc_offsets,
                     self.tails,
-                    self.heads,
-                    self.arc_order,
+                    self.narrow_heads,
                     self.head_values,
                     self.head_offsets,
                     self.head_starts,
                 )
             )
         )
+
+    @cached_property
+    def heads(self) -> np.ndarray:
+        """``int64`` head of every arc, in layout order; derived on first use."""
+        return _readonly(self.narrow_heads.astype(np.int64))
+
+    @cached_property
+    def arc_order(self) -> np.ndarray:
+        """Permutation from layout position to time-arc index; derived on first use.
+
+        ``arc_order[i]`` is the index, in the arrays the layout was built
+        from (the network's ``time_arc_tails`` etc.), of the arc at layout
+        position ``i``: journey reconstruction reports arcs by it.  The
+        canonical edge index of every arc in layout order is
+        ``network.time_arc_edge_index[arc_order]``.  It repeats the build's
+        sort, so the first read costs about as much as a build.
+        """
+        return _readonly(self._resort()[0])
 
     def group_slice(self, group: int) -> slice:
         """The ``slice`` into the arc arrays covered by label group ``group``."""
@@ -147,8 +173,8 @@ def build_timearc_csr(network: "TemporalGraph") -> TimeArcCSR:
     The arcs are sorted by ``(label, head)`` so that inside each label group
     arcs sharing a head are contiguous; the per-group distinct heads and their
     run starts are precomputed for the ``reduceat`` reduction used by the
-    batched kernels.  Cost is ``O(A)`` time while vertex ids and labels fit
-    in 16 bits (``O(A log A)`` beyond) and ``O(A)`` memory for
+    batched kernels.  Cost is ``O(A)`` time while vertex ids and the label
+    span fit in 16 bits (``O(A log A)`` beyond) and ``O(A)`` memory for
     ``A = network.num_time_arcs``; call sites should go through the cached
     :attr:`TemporalGraph.timearc_csr` rather than rebuilding.
 
@@ -185,15 +211,49 @@ def build_timearc_csr_from_arrays(
     """Build the label-grouped CSR layout from flat time-arc arrays.
 
     Array-level entry point shared by :func:`build_timearc_csr` and callers
-    that already hold vectorised time-arc columns (e.g. the time-reversed
-    layout of :mod:`repro.core.reverse_timearc_csr`) and do not need a full
+    that already hold vectorised time-arc columns and do not need a full
     :class:`~repro.core.temporal_graph.TemporalGraph` first.  The three
     input columns must be parallel arrays of equal length: ``int64`` tails
-    and heads, with non-negative heads, and non-negative labels of any
-    integer type (an already narrow column is sorted without a copy).  Every
-    field of the layout is ``int64`` whatever the label column's type.
+    and heads, with heads in ``[0, n)``, and non-negative labels of any
+    integer type.  The ``int64`` columns of the layout are the same whatever
+    the label column's type.  The layout keeps references to ``raw_heads``
+    and ``raw_labels`` to derive :attr:`TimeArcCSR.arc_order`.
     """
     return _build_layout(n, lifetime, raw_tails, raw_heads, raw_labels, None)
+
+
+def _sorted_arcs(
+    heads: np.ndarray,
+    raw_labels: np.ndarray,
+    head_order: np.ndarray | None,
+    mirrored: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The layout's arc order and its label keys in that order.
+
+    Two stable sorts, the minor key first: the permutation equals
+    ``np.lexsort((heads, labels))`` at every key width, and with
+    ``mirrored`` it sorts the labels ``a + 1 − l`` instead.  The label keys
+    are the labels shifted to start at 0 (``l − min``, or ``max − l``
+    mirrored), in the narrowest unsigned type that holds their span: one
+    8-bit radix pass whenever the labels span at most 256 values.
+    ``head_order`` is ``np.argsort(heads, kind="stable")``, or ``None`` to
+    sort the heads here.
+    """
+    if raw_labels.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    low, high = int(raw_labels.min()), int(raw_labels.max())
+    keys = np.empty(raw_labels.size, dtype=np.min_scalar_type(high - low))
+    if mirrored:
+        np.subtract(high, raw_labels, out=keys, casting="unsafe")
+    else:
+        np.subtract(raw_labels, low, out=keys, casting="unsafe")
+    order = head_order
+    if order is None:
+        order = np.argsort(heads, kind="stable")
+    keys = keys.take(order)
+    by_label = np.argsort(keys, kind="stable")
+    return order.take(by_label), keys.take(by_label)
 
 
 def _build_layout(
@@ -203,46 +263,50 @@ def _build_layout(
     raw_heads: np.ndarray,
     raw_labels: np.ndarray,
     head_order: np.ndarray | None,
+    *,
+    mirrored: bool = False,
 ) -> TimeArcCSR:
     """:func:`build_timearc_csr_from_arrays` from a known ``head_order``.
 
     ``head_order`` is ``np.argsort(raw_heads, kind="stable")``, or ``None``
-    to sort the heads here.
+    to sort the heads here.  With ``mirrored`` the layout's labels are
+    ``lifetime + 1 − raw_labels`` (the time-reversed layout).
     """
+    head_keys = raw_heads.astype(np.min_scalar_type(max(n - 1, 0)))
+    # arc_order sorts again from the source columns, which the network keeps
+    # anyway; a stable sort of the int64 heads gives the same order.
+    resort = partial(_sorted_arcs, raw_heads, raw_labels, head_order, mirrored)
     num_arcs = int(raw_labels.size)
     if num_arcs == 0:
         empty = _readonly(np.empty(0, dtype=np.int64))
+        offsets = _readonly(np.zeros(1, dtype=np.int64))
         return TimeArcCSR(
             n=n,
             lifetime=lifetime,
             labels=empty,
-            arc_offsets=_readonly(np.zeros(1, dtype=np.int64)),
+            arc_offsets=offsets,
             tails=empty,
-            heads=empty,
-            arc_order=empty,
+            narrow_heads=_readonly(head_keys),
             head_values=empty,
-            head_offsets=_readonly(np.zeros(1, dtype=np.int64)),
+            head_offsets=offsets,
             head_starts=empty,
+            _resort=resort,
         )
 
-    # Two stable sorts, the minor key first: the permutation equals
-    # np.lexsort((heads, labels)) at every key width.  The label keys stay
-    # narrow: sorted, they mark the group starts and hold each group's label.
-    order = head_order
-    if order is None:
-        order = np.argsort(_narrow(raw_heads), kind="stable")
-    keys = _narrow(raw_labels).take(order)
-    by_label = np.argsort(keys, kind="stable")
-    order = order.take(by_label)
-    keys = keys.take(by_label)
+    order, keys = _sorted_arcs(head_keys, raw_labels, head_order, mirrored)
     tails = raw_tails.take(order)
-    heads = raw_heads.take(order)
+    heads = head_keys.take(order)
 
     run_start = np.empty(num_arcs, dtype=bool)
     run_start[0] = True
     np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
     group_starts = np.flatnonzero(run_start)
     arc_offsets = np.append(group_starts, num_arcs)
+    # Each group's label is the label of its first arc.
+    labels = raw_labels.take(order.take(group_starts)).astype(np.int64)
+    if mirrored:
+        np.subtract(lifetime + 1, labels, out=labels)
+    del order, keys
 
     # A head run starts wherever the head changes or a new label group begins.
     run_start[1:] |= heads[1:] != heads[:-1]
@@ -255,12 +319,12 @@ def _build_layout(
     return TimeArcCSR(
         n=n,
         lifetime=lifetime,
-        labels=_readonly(keys.take(group_starts).astype(np.int64)),
+        labels=_readonly(labels),
         arc_offsets=_readonly(arc_offsets),
         tails=_readonly(tails),
-        heads=_readonly(heads),
-        arc_order=_readonly(order),
-        head_values=_readonly(heads.take(head_starts_abs)),
+        narrow_heads=_readonly(heads),
+        head_values=_readonly(heads.take(head_starts_abs).astype(np.int64)),
         head_offsets=_readonly(head_offsets),
         head_starts=_readonly(head_starts),
+        _resort=resort,
     )

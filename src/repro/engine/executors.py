@@ -13,6 +13,13 @@ are *units*: picklable objects with an ``index`` and a ``run()`` method.
   completion order; determinism is preserved because callers order them by
   unit index, not by arrival.
 
+An executor is also a context manager: inside ``with executor:`` every
+:meth:`~Executor.map` call shares one set of workers, started by the first
+call that needs them and stopped when the outermost block exits.  A run of
+many points (:func:`repro.scenarios.run_scenario`,
+:meth:`repro.montecarlo.MonteCarloRunner.run_sweep`) holds its executor for
+the whole run, so it starts one pool, not one per point.
+
 Every executor runs every unit through the one worker entry
 :func:`run_unit`, which records the unit's telemetry when the run's
 :class:`RunContext` asks for it and ships it home in its :class:`UnitResult`.
@@ -23,7 +30,8 @@ from __future__ import annotations
 import abc
 import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import threading
+from concurrent.futures import ProcessPoolExecutor, as_completed, wait
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Protocol, Sequence
 
@@ -117,7 +125,18 @@ def merge_telemetry(states: Iterable[Mapping[str, Any] | None]) -> None:
 
 
 class Executor(abc.ABC):
-    """Strategy for executing the units of a run."""
+    """Strategy for executing the units of a run.
+
+    ``with executor:`` holds the executor's workers across the
+    :meth:`map` calls inside the block; blocks nest, and the outermost one
+    releases the workers on exit.  Executors without workers ignore it.
+    """
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
 
     @property
     @abc.abstractmethod
@@ -176,10 +195,40 @@ class MultiprocessExecutor(Executor):
             else:
                 start_method = multiprocessing.get_start_method()
         self._start_method = start_method
+        # The pool and the count of open blocks; threads sharing the
+        # executor update both under the lock.
+        self._lock = threading.Lock()
+        self._pool: ProcessPoolExecutor | None = None
+        self._holds = 0
 
     @property
     def jobs(self) -> int:
         return self._jobs
+
+    def __enter__(self) -> "MultiprocessExecutor":
+        with self._lock:
+            self._holds += 1
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._lock:
+            self._holds -= 1
+            pool = self._pool if self._holds == 0 else None
+            if pool is not None:
+                self._pool = None
+        if pool is not None:
+            # Joins every worker: none outlives the outermost block.
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def _held_pool(self) -> ProcessPoolExecutor:
+        """The pool of the open block, started on first use."""
+        with self._lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self._jobs,
+                    mp_context=multiprocessing.get_context(self._start_method),
+                )
+            return self._pool
 
     @property
     def start_method(self) -> str:
@@ -196,29 +245,34 @@ class MultiprocessExecutor(Executor):
             for unit in units:
                 yield run_unit(unit, context)
             return
-        mp_context = multiprocessing.get_context(self._start_method)
-        workers = min(self._jobs, len(units))
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=mp_context)
-        try:
+        with self:
+            pool = self._held_pool()
             futures = [pool.submit(run_unit, unit, context) for unit in units]
-            failure: BaseException | None = None
-            for future in as_completed(futures):
-                if future.cancelled():
-                    continue
-                exc = future.exception()
-                if exc is not None:
-                    if failure is None:
-                        failure = exc
-                        # Stop scheduling queued units; units already running
-                        # finish and are still yielded below, so the driver can
-                        # checkpoint their work before the failure propagates.
-                        pool.shutdown(wait=False, cancel_futures=True)
-                    continue
-                yield future.result()
-            if failure is not None:
-                raise failure
-        finally:
-            pool.shutdown(wait=True)
+            try:
+                failure: BaseException | None = None
+                for future in as_completed(futures):
+                    if future.cancelled():
+                        continue
+                    exc = future.exception()
+                    if exc is not None:
+                        if failure is None:
+                            failure = exc
+                            # Stop scheduling queued units; units already
+                            # running finish and are still yielded below, so
+                            # the driver can checkpoint their work before the
+                            # failure propagates.
+                            for queued in futures:
+                                queued.cancel()
+                        continue
+                    yield future.result()
+                if failure is not None:
+                    raise failure
+            finally:
+                # A consumer that stops early leaves no unit of this call
+                # queued or running.
+                for queued in futures:
+                    queued.cancel()
+                wait(futures)
 
     def __repr__(self) -> str:
         return (

@@ -10,6 +10,7 @@ used by the E7 experiment to validate the threshold empirically.
 from .gnp import (
     connectivity_probability,
     giant_component_fraction,
+    gnp_connectivity,
     is_gnp_connected,
     sample_gnp_edges,
 )
@@ -19,6 +20,7 @@ __all__ = [
     "sample_gnp_edges",
     "is_gnp_connected",
     "giant_component_fraction",
+    "gnp_connectivity",
     "connectivity_probability",
     "connectivity_threshold_curve",
     "critical_probability",

@@ -8,6 +8,8 @@ calls plus one ``scipy.sparse.csgraph.connected_components`` pass.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
@@ -19,8 +21,21 @@ __all__ = [
     "sample_gnp_edges",
     "is_gnp_connected",
     "giant_component_fraction",
+    "gnp_connectivity",
     "connectivity_probability",
 ]
+
+
+@lru_cache(maxsize=8)
+def _pair_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unordered pairs ``u < v`` of ``n`` vertices, as read-only columns.
+
+    Kept per ``n``: every draw at one ``n`` filters the same columns.
+    """
+    columns = np.triu_indices(n, k=1)
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def sample_gnp_edges(
@@ -37,9 +52,9 @@ def sample_gnp_edges(
     if n == 1:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     rng = normalize_rng(seed)
-    idx_u, idx_v = np.triu_indices(n, k=1)
+    idx_u, idx_v = _pair_columns(n)
     keep = rng.random(idx_u.size) < p
-    return idx_u[keep].astype(np.int64), idx_v[keep].astype(np.int64)
+    return idx_u[keep], idx_v[keep]
 
 
 def _components(
@@ -65,8 +80,17 @@ def giant_component_fraction(
     n: int, edges_u: np.ndarray, edges_v: np.ndarray
 ) -> float:
     """Fraction of vertices in the largest connected component."""
+    return gnp_connectivity(n, edges_u, edges_v)[1]
+
+
+def gnp_connectivity(
+    n: int, edges_u: np.ndarray, edges_v: np.ndarray
+) -> tuple[bool, float]:
+    """:func:`is_gnp_connected` and :func:`giant_component_fraction` from one
+    components pass over the edge arrays."""
     n = check_positive_int(n, "n")
-    return float(np.bincount(_components(n, edges_u, edges_v)[1]).max()) / n
+    count, labels = _components(n, edges_u, edges_v)
+    return count == 1, float(np.bincount(labels).max()) / n
 
 
 def connectivity_probability(

@@ -25,8 +25,8 @@ trace records appended to PATH), and ::
     repro-experiments profile <scenario> [--scale quick]
 
 runs a scenario under a telemetry session and prints the per-layer breakdown
-(scenario pipeline / parallel engine / artifact cache / CSR kernels) — see
-``docs/observability.md``.
+(scenario pipeline / parallel engine / artifact cache / CSR kernels) and the
+run's minor page faults — see ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -429,14 +429,34 @@ def _profile_main(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
     scenario = _with_tile_size(get_scenario(args.name), args.tile_size)
     sinks = [telemetry.JsonlSink(args.jsonl)] if args.jsonl else []
+    before = _minor_faults()
     with telemetry.session(*sinks) as recorder:
         run_scenario(scenario, scale=args.scale, seed=args.seed, jobs=args.jobs)
+    own, workers = (now - then for now, then in zip(_minor_faults(), before))
     print(
         telemetry.format_layer_report(
             recorder, title=f"profile: {scenario.name} [scale={args.scale}]"
         )
     )
+    line = f"minor page faults: {own} in this process"
+    if args.jobs is not None and args.jobs > 1:
+        line += f", {workers} in its workers"
+    print(line)
     return 0
+
+
+def _minor_faults() -> tuple[int, int]:
+    """Minor page faults so far: this process's, and its finished workers'.
+
+    ``RUSAGE_CHILDREN`` counts only children that have exited and been
+    waited for; a run joins its pool's workers before it returns.
+    """
+    import resource  # POSIX only; imported by the one command that reads it
+
+    return (
+        resource.getrusage(resource.RUSAGE_SELF).ru_minflt,
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt,
+    )
 
 
 # --------------------------------------------------------------------- #

@@ -142,29 +142,32 @@ class MonteCarloRunner:
         Each point gets its own independent master seed derived from the
         runner seed so that adding or removing points does not perturb the
         other points' results.  The executor (and therefore ``jobs``) is
-        shared across points; with a ``checkpoint_dir`` every point persists
-        its shards under a ``point-NNNN`` subdirectory.
+        shared across points and held for the whole sweep, so a process pool
+        starts once, not once per point, and stops before this returns; with
+        a ``checkpoint_dir`` every point persists its shards under a
+        ``point-NNNN`` subdirectory.
         """
         points = list(sweep.points()) if isinstance(sweep, ParameterSweep) else list(sweep)
         result = SweepResult(experiment=experiment.name)
         point_seeds = spawn_rngs(self._seed, len(points))
-        for position, (point, point_seed) in enumerate(zip(points, point_seeds)):
-            configured = experiment.with_parameters(**dict(point))
-            checkpoint_dir = self._checkpoint_dir
-            if checkpoint_dir is not None:
-                checkpoint_dir = os.path.join(
-                    os.fspath(checkpoint_dir), f"point-{position:04d}"
+        with self._executor:
+            for position, (point, point_seed) in enumerate(zip(points, point_seeds)):
+                configured = experiment.with_parameters(**dict(point))
+                checkpoint_dir = self._checkpoint_dir
+                if checkpoint_dir is not None:
+                    checkpoint_dir = os.path.join(
+                        os.fspath(checkpoint_dir), f"point-{position:04d}"
+                    )
+                runner = MonteCarloRunner(
+                    repetitions=self._repetitions,
+                    seed=point_seed,
+                    executor=self._executor,
+                    shard_size=self._shard_size,
+                    checkpoint_dir=checkpoint_dir,
+                    progress=self._progress,
                 )
-            runner = MonteCarloRunner(
-                repetitions=self._repetitions,
-                seed=point_seed,
-                executor=self._executor,
-                shard_size=self._shard_size,
-                checkpoint_dir=checkpoint_dir,
-                progress=self._progress,
-            )
-            result.add(runner.run(configured))
-            _LOGGER.info(
-                "experiment %s: finished point %s", experiment.name, dict(point)
-            )
+                result.add(runner.run(configured))
+                _LOGGER.info(
+                    "experiment %s: finished point %s", experiment.name, dict(point)
+                )
         return result

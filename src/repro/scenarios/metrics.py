@@ -48,11 +48,7 @@ from ..core.price_of_randomness import (
 )
 from ..core.reachability import preserves_reachability, preserves_reachability_stacked
 from ..core.temporal_graph import TemporalGraph
-from ..erdosrenyi.gnp import (
-    giant_component_fraction,
-    is_gnp_connected,
-    sample_gnp_edges,
-)
+from ..erdosrenyi.gnp import gnp_connectivity, sample_gnp_edges
 from ..erdosrenyi.thresholds import critical_probability
 from ..exceptions import ConfigurationError
 from ..graphs.properties import diameter
@@ -388,9 +384,10 @@ def _metric_er_connectivity(
     multiplier = float(ctx.params["multiplier"])
     p = min(1.0, multiplier * critical_probability(n))
     edges_u, edges_v = sample_gnp_edges(n, p, seed=ctx.rng)
+    connected, giant_fraction = gnp_connectivity(n, edges_u, edges_v)
     return {
-        "connected": 1.0 if is_gnp_connected(n, edges_u, edges_v) else 0.0,
-        "giant_fraction": giant_component_fraction(n, edges_u, edges_v),
+        "connected": 1.0 if connected else 0.0,
+        "giant_fraction": giant_fraction,
         "p": p,
     }
 

@@ -330,7 +330,8 @@ def run_scenario(
     )
     run = ScenarioRun(scenario=scenario, scale=scale, seed=seed)
     total_blocks = len(scale_cfg.blocks)
-    with telemetry.span(
+    # One set of workers for every block and point, released on return.
+    with shared_executor, telemetry.span(
         "scenario.run", scenario=scenario.name, scale=scale, mode="montecarlo"
     ):
         for index, block in enumerate(scale_cfg.blocks):

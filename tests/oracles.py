@@ -29,8 +29,9 @@ label groups it scans and whether it exits early, and
 :func:`deficient_exit_reference` where a yes/no sweep stops at a row that
 falls short.
 :func:`prefix_connectivity_time_reference` binary-searches the labels with a
-static connectivity check per probe, and :func:`build_timearc_csr_reference`
-orders the CSR layout's arcs with ``np.lexsort``.
+static connectivity check per probe, and :func:`timearc_csr_reference`
+gathers the CSR layout with every per-arc column ``int64``
+(:func:`assert_layout_matches` compares a layout with it).
 :func:`time_arcs_reference` lists a network's time arcs from per-edge label
 sets with the per-edge loop of Definition 1, independent of the edge-major
 arrays :class:`TemporalGraph` stores.
@@ -50,6 +51,7 @@ every frontier vertex and head, where the package reads a label matrix.
 from __future__ import annotations
 
 from itertools import groupby
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -417,50 +419,96 @@ def prefix_connectivity_time_reference(network: TemporalGraph) -> int:
     return int(labels[lo])
 
 
-def build_timearc_csr_reference(
+#: The columns of :func:`timearc_csr_reference`, every one ``int64``: the
+#: layout's stored ``int64`` columns plus the per-arc ``heads`` and
+#: ``arc_order`` it derives on first use.
+LAYOUT_COLUMNS = (
+    "labels",
+    "arc_offsets",
+    "tails",
+    "heads",
+    "arc_order",
+    "head_values",
+    "head_offsets",
+    "head_starts",
+)
+
+
+def timearc_csr_reference(
     n: int,
     lifetime: int,
     raw_tails: np.ndarray,
     raw_heads: np.ndarray,
     raw_labels: np.ndarray,
-    raw_edge_index: np.ndarray,
-) -> TimeArcCSR:
-    """The label-grouped CSR layout, arcs ordered by ``np.lexsort`` (non-empty input).
+) -> SimpleNamespace:
+    """The label-grouped CSR layout with every per-arc column gathered as ``int64``.
 
-    ``raw_edge_index`` comes with the other time-arc columns, but the layout
-    keeps no edge column: the edge of CSR arc ``i`` is
-    ``raw_edge_index[arc_order[i]]``.
+    Two stable argsorts on keys cast to the narrowest unsigned type holding
+    their maximum, heads first and then labels, order the arcs; every
+    column of :data:`LAYOUT_COLUMNS` is then gathered in that order,
+    ``heads`` and the permutation ``arc_order`` included.  The label keys
+    are the labels themselves, not shifted, and the head runs are found on
+    the ``int64`` heads.  The returned namespace also carries ``n`` and
+    ``lifetime``.
     """
+    columns = dict.fromkeys(LAYOUT_COLUMNS, np.empty(0, dtype=np.int64))
+    columns["arc_offsets"] = columns["head_offsets"] = np.zeros(1, dtype=np.int64)
     num_arcs = int(raw_labels.size)
-    order = np.lexsort((raw_heads, raw_labels))
-    labels = raw_labels[order]
-    tails = raw_tails[order]
-    heads = raw_heads[order]
+    if num_arcs == 0:
+        return SimpleNamespace(n=n, lifetime=lifetime, **columns)
 
-    unique_labels, group_starts = np.unique(labels, return_index=True)
-    arc_offsets = np.append(group_starts, num_arcs).astype(np.int64)
+    def narrow(column: np.ndarray) -> np.ndarray:
+        return column.astype(np.min_scalar_type(int(column.max())), copy=False)
+
+    order = np.argsort(narrow(raw_heads), kind="stable")
+    keys = narrow(raw_labels).take(order)
+    by_label = np.argsort(keys, kind="stable")
+    order = order.take(by_label)
+    keys = keys.take(by_label)
+    heads = raw_heads.take(order)
 
     run_start = np.empty(num_arcs, dtype=bool)
     run_start[0] = True
-    run_start[1:] = (heads[1:] != heads[:-1]) | (labels[1:] != labels[:-1])
-    head_starts_abs = np.flatnonzero(run_start).astype(np.int64)
-    head_values = heads[head_starts_abs]
-    head_offsets = np.searchsorted(head_starts_abs, arc_offsets).astype(np.int64)
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    group_starts = np.flatnonzero(run_start)
+    arc_offsets = np.append(group_starts, num_arcs)
+    run_start[1:] |= heads[1:] != heads[:-1]
+    head_starts_abs = np.flatnonzero(run_start)
+    head_offsets = np.searchsorted(head_starts_abs, arc_offsets)
     heads_per_group = np.diff(head_offsets)
-    head_starts = head_starts_abs - np.repeat(arc_offsets[:-1], heads_per_group)
-
-    return TimeArcCSR(
+    return SimpleNamespace(
         n=n,
         lifetime=lifetime,
-        labels=unique_labels.astype(np.int64),
+        labels=keys.take(group_starts).astype(np.int64),
         arc_offsets=arc_offsets,
-        tails=tails,
+        tails=raw_tails.take(order),
         heads=heads,
-        arc_order=order.astype(np.int64),
-        head_values=head_values,
+        arc_order=order,
+        head_values=heads.take(head_starts_abs),
         head_offsets=head_offsets,
-        head_starts=head_starts,
+        head_starts=head_starts_abs - np.repeat(group_starts, heads_per_group),
     )
+
+
+def assert_layout_matches(
+    layout: TimeArcCSR, expected: SimpleNamespace | TimeArcCSR
+) -> None:
+    """``layout`` equals ``expected``'s columns, bit for bit.
+
+    ``expected`` is a :func:`timearc_csr_reference` namespace or another
+    layout.  Every column of :data:`LAYOUT_COLUMNS`, stored or derived, is
+    ``int64``, read-only and equal; the stored narrow head column holds
+    ``heads`` in the narrowest unsigned type that holds ``n − 1``.
+    """
+    assert (layout.n, layout.lifetime) == (expected.n, expected.lifetime)
+    for name in LAYOUT_COLUMNS:
+        value = getattr(layout, name)
+        assert value.dtype == np.int64, name
+        assert np.array_equal(value, getattr(expected, name)), name
+        assert not value.flags.writeable, name
+    assert layout.narrow_heads.dtype == np.min_scalar_type(max(layout.n - 1, 0))
+    assert np.array_equal(layout.narrow_heads, expected.heads)
+    assert not layout.narrow_heads.flags.writeable
 
 
 def time_arcs_reference(

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
+import sys
 import threading
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from repro.engine import executors
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.driver import run_sharded
 from repro import telemetry
@@ -65,6 +69,17 @@ class _PidUnit:
 
     def run(self):
         return os.getpid()
+
+
+@dataclass(frozen=True)
+class _SlowUnit:
+    """Module-level unit that takes a while, so later units stay queued."""
+
+    index: int
+
+    def run(self):
+        time.sleep(0.05)
+        return self.index
 
 
 class _ReversedExecutor(SerialExecutor):
@@ -246,6 +261,126 @@ class TestExecutors:
         )
         assert sorted(result.index for result in results) == [0, 1, 2, 3]
         assert os.getpid() not in {result.value for result in results}
+
+
+class TestHeldPool:
+    """Inside ``with executor:`` every map shares one pool; none outlives it."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        started = []
+
+        class CountingPool(executors.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", CountingPool)
+        before = set(multiprocessing.active_children())
+        yield started
+        assert set(multiprocessing.active_children()) == before
+
+    def test_maps_inside_a_block_share_one_pool(self, pools):
+        executor = MultiprocessExecutor(2)
+        units = [_PidUnit(i) for i in range(4)]
+        with executor:
+            first = {r.value for r in executor.map(units, RunContext())}
+            second = {r.value for r in executor.map(units, RunContext())}
+        # Both calls ran on the same two workers.
+        assert len(first | second) <= 2 and os.getpid() not in first | second
+        assert pools == [2]
+        assert not multiprocessing.active_children()
+
+    def test_blocks_nest_and_the_outermost_releases(self, pools):
+        executor = MultiprocessExecutor(2)
+        with executor:
+            with executor:
+                list(executor.map([_PidUnit(i) for i in range(3)], RunContext()))
+            assert multiprocessing.active_children()
+            list(executor.map([_PidUnit(i) for i in range(3)], RunContext()))
+        assert pools == [2]
+        assert not multiprocessing.active_children()
+
+    def test_a_map_outside_a_block_holds_its_own_pool(self, pools):
+        executor = MultiprocessExecutor(2)
+        for _ in range(2):
+            results = list(executor.map([_PidUnit(i) for i in range(3)], RunContext()))
+            assert sorted(r.index for r in results) == [0, 1, 2]
+            assert not multiprocessing.active_children()
+        assert pools == [2, 2]
+
+    def test_a_failure_in_a_held_pool_propagates_and_keeps_the_pool(self, pools):
+        experiment = Experiment(
+            name="maybe", trial=_failing_trial, parameters={"threshold": 2.0}
+        )
+        shards = plan_shards(16, shard_size=1)
+        seeds = SeedPlan(0, 16, len(shards))
+        works = [
+            ShardWork(experiment, shard, seeds.entropy, seeds.spawn_key)
+            for shard in shards
+        ]
+        executor = MultiprocessExecutor(2)
+        with executor:
+            with pytest.raises(ValueError, match="unlucky trial"):
+                list(executor.map(works, RunContext()))
+            # The pool serves the rest of the block after the failed call.
+            done = list(executor.map([_PidUnit(0), _PidUnit(1)], RunContext()))
+            assert sorted(r.index for r in done) == [0, 1]
+        assert pools == [2]
+
+    def test_an_abandoned_map_leaves_nothing_queued(self, pools):
+        executor = MultiprocessExecutor(2)
+        with executor:
+            results = executor.map([_SlowUnit(i) for i in range(12)], RunContext())
+            next(results)
+            results.close()
+            done = list(executor.map([_PidUnit(0), _PidUnit(1)], RunContext()))
+            assert sorted(r.index for r in done) == [0, 1]
+        assert pools == [2]
+
+    def test_threads_sharing_an_executor(self, pools):
+        # Spawned workers: forking while other threads run could deadlock.
+        executor = MultiprocessExecutor(2, start_method="spawn")
+        seen, errors = [], []
+
+        def work(offset):
+            try:
+                with executor:
+                    for _ in range(3):
+                        units = [_PidUnit(offset + i) for i in range(3)]
+                        done = executor.map(units, RunContext())
+                        seen.append(sorted(r.index for r in done))
+            except Exception as exc:  # reported below, in the test's thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(10 * k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(seen) == sorted(
+            [10 * k, 10 * k + 1, 10 * k + 2] for k in range(4) for _ in range(3)
+        )
+        # Blocks that overlap share a pool; each pool is shut down.
+        assert 1 <= len(pools) <= 4
+        assert not multiprocessing.active_children()
+
+    def test_e5_quick_run_starts_one_pool(self, pools):
+        from repro.scenarios import get_scenario, run_scenario
+
+        scenario = get_scenario("E5")
+        serial = run_scenario(scenario, scale="quick", seed=5)
+        parallel = run_scenario(scenario, scale="quick", seed=5, jobs=2)
+        assert len(pools) == 1
+        assert not multiprocessing.active_children()
+        assert parallel.to_records() == serial.to_records()
 
 
 class TestShardWork:

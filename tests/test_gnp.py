@@ -12,6 +12,7 @@ from oracles import UnionFind
 from repro.erdosrenyi.gnp import (
     connectivity_probability,
     giant_component_fraction,
+    gnp_connectivity,
     is_gnp_connected,
     sample_gnp_edges,
 )
@@ -84,6 +85,10 @@ def test_connectivity_matches_union_find(case):
     assert giant_component_fraction(n, edges_u, edges_v) == (
         float(forest.component_sizes().max()) / n
     )
+    assert gnp_connectivity(n, edges_u, edges_v) == (
+        is_gnp_connected(n, edges_u, edges_v),
+        giant_component_fraction(n, edges_u, edges_v),
+    )
 
 
 class TestSampling:
@@ -114,6 +119,23 @@ class TestSampling:
     def test_single_vertex(self):
         u, v = sample_gnp_edges(1, 0.5, seed=0)
         assert u.size == 0
+
+    @pytest.mark.parametrize("n, p", [(2, 0.5), (40, 0.1), (256, 0.03)])
+    def test_draw_filters_the_upper_triangle(self, n, p):
+        # The kept pairs are the upper-triangle pairs whose uniform draw
+        # falls under p, in row-major order, as int64 columns.
+        u, v = sample_gnp_edges(n, p, seed=n)
+        rows, cols = np.triu_indices(n, k=1)
+        keep = np.random.default_rng(n).random(rows.size) < p
+        for got, want in ((u, rows[keep]), (v, cols[keep])):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert got.flags.writeable
+
+    def test_draws_do_not_share_the_pair_columns(self):
+        first, _ = sample_gnp_edges(30, 1.0, seed=0)
+        first[:] = -1
+        again, _ = sample_gnp_edges(30, 1.0, seed=0)
+        assert np.array_equal(again, np.triu_indices(30, k=1)[0])
 
 
 class TestConnectivity:

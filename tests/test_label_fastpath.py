@@ -5,24 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import build_timearc_csr_reference
+from oracles import assert_layout_matches, timearc_csr_reference
 from repro.core.labeling import uniform_random_labels
 from repro.core.temporal_graph import TemporalGraph
 from repro.core.timearc_csr import build_timearc_csr_from_arrays
 from repro.exceptions import LabelingError, LifetimeError
 from repro.graphs.generators import complete_graph, path_graph, star_graph
 from repro.graphs.static_graph import StaticGraph
-
-CSR_FIELDS = (
-    "labels",
-    "arc_offsets",
-    "tails",
-    "heads",
-    "arc_order",
-    "head_values",
-    "head_offsets",
-    "head_starts",
-)
 
 
 def _legacy(graph, matrix, lifetime):
@@ -51,10 +40,7 @@ class TestFromLabelMatrixEquivalence:
         assert np.array_equal(legacy.time_arc_heads, fast.time_arc_heads)
         assert np.array_equal(legacy.time_arc_labels, fast.time_arc_labels)
         assert np.array_equal(legacy.time_arc_edge_index, fast.time_arc_edge_index)
-        for field in CSR_FIELDS:
-            assert np.array_equal(
-                getattr(legacy.timearc_csr, field), getattr(fast.timearc_csr, field)
-            ), field
+        assert_layout_matches(legacy.timearc_csr, fast.timearc_csr)
         assert legacy == fast
         assert hash(legacy) == hash(fast)
 
@@ -158,9 +144,7 @@ class TestArrayLevelCsrBuilder:
             network.time_arc_heads,
             network.time_arc_labels,
         )
-        cached = network.timearc_csr
-        for field in CSR_FIELDS:
-            assert np.array_equal(getattr(direct, field), getattr(cached, field)), field
+        assert_layout_matches(direct, network.timearc_csr)
 
     def test_empty_arrays(self):
         empty = np.empty(0, dtype=np.int64)
@@ -187,12 +171,6 @@ def _wide_network(max_head: int, max_label: int, seed: int) -> TemporalGraph:
     return TemporalGraph.from_label_matrix(graph, draws, lifetime=max_label)
 
 
-def _assert_same_layout(actual, expected):
-    for field in CSR_FIELDS:
-        assert np.array_equal(getattr(actual, field), getattr(expected, field)), field
-        assert getattr(actual, field).dtype == np.int64, field
-
-
 WIDTH_BOUNDARIES = (255, 256, 65_535, 65_536)
 
 
@@ -204,15 +182,13 @@ class TestSortKeyWidths:
     def test_forward_and_reverse_layouts_match_lexsort(self, max_head, max_label):
         network = _wide_network(max_head, max_label, seed=max_head ^ max_label)
         tails, heads = network.time_arc_tails, network.time_arc_heads
-        labels, edges = network.time_arc_labels, network.time_arc_edge_index
+        labels = network.time_arc_labels
         a = network.lifetime
         assert int(heads.max()) == int(tails.max()) == max_head
         assert int(labels.max()) == max_label and int(labels.min()) == 1
-        _assert_same_layout(
-            network.timearc_csr,
-            build_timearc_csr_reference(network.n, a, tails, heads, labels, edges),
-        )
-        _assert_same_layout(
-            network.reverse_timearc_csr,
-            build_timearc_csr_reference(network.n, a, heads, tails, a + 1 - labels, edges),
-        )
+        forward = timearc_csr_reference(network.n, a, tails, heads, labels)
+        reverse = timearc_csr_reference(network.n, a, heads, tails, a + 1 - labels)
+        assert np.array_equal(forward.arc_order, np.lexsort((heads, labels)))
+        assert np.array_equal(reverse.arc_order, np.lexsort((tails, a + 1 - labels)))
+        assert_layout_matches(network.timearc_csr, forward)
+        assert_layout_matches(network.reverse_timearc_csr, reverse)

@@ -4,9 +4,9 @@ Both constructors and every derived network fill the same arrays through one
 initializer, so neither constructor is an independent reference for the
 other.  :func:`oracles.time_arcs_reference` is: it lists the time arcs of
 per-edge label sets with the per-edge loop of Definition 1.  The reverse
-layout, which mirrors the labels straight into a narrow key column, is pinned
-against the ``np.lexsort`` layout of the mirrored arcs at the lifetimes where
-that column's width changes.
+layout, which sorts narrow mirrored label keys, is pinned against the
+``np.lexsort`` order and the ``int64`` reference layout of the mirrored arcs
+at the lifetimes where the key column's width changes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import build_timearc_csr_reference, time_arcs_reference
+from oracles import assert_layout_matches, time_arcs_reference, timearc_csr_reference
 from repro import UNREACHABLE
 from repro.core.reverse_timearc_csr import build_reverse_timearc_csr
 from repro.core.temporal_graph import TemporalGraph
@@ -22,17 +22,6 @@ from repro.core.timearc_csr import build_timearc_csr_from_arrays
 from repro.exceptions import LabelingError, LifetimeError
 from repro.graphs.generators import complete_graph, path_graph, star_graph
 from repro.graphs.static_graph import StaticGraph
-
-CSR_FIELDS = (
-    "labels",
-    "arc_offsets",
-    "tails",
-    "heads",
-    "arc_order",
-    "head_values",
-    "head_offsets",
-    "head_starts",
-)
 
 GRAPHS = {
     "directed-clique": complete_graph(6, directed=True),
@@ -265,20 +254,14 @@ class TestReverseLayoutKeyWidths:
     def test_reverse_layout_matches_lexsort_of_mirrored_arcs(self, lifetime, with_label_one):
         network = _boundary_network(lifetime, with_label_one=with_label_one)
         a = network.lifetime
-        expected = build_timearc_csr_reference(
-            network.n,
-            a,
-            network.time_arc_heads,
-            network.time_arc_tails,
-            a + 1 - network.time_arc_labels,
-            network.time_arc_edge_index,
+        mirrored = a + 1 - network.time_arc_labels
+        expected = timearc_csr_reference(
+            network.n, a, network.time_arc_heads, network.time_arc_tails, mirrored
         )
+        lexsorted = np.lexsort((network.time_arc_tails, mirrored))
+        assert np.array_equal(expected.arc_order, lexsorted)
         for layout in (network.reverse_timearc_csr, build_reverse_timearc_csr(network)):
-            assert layout.lifetime == a
-            for field in CSR_FIELDS:
-                value = getattr(layout, field)
-                assert value.dtype == np.int64, field
-                assert np.array_equal(value, getattr(expected, field)), field
+            assert_layout_matches(layout, expected)
         assert int(network.reverse_timearc_csr.labels[-1]) == a + 1 - int(
             network.time_arc_labels.min()
         )
@@ -289,9 +272,7 @@ class TestReverseLayoutKeyWidths:
         args = (network.n, network.lifetime, network.time_arc_tails, network.time_arc_heads)
         wide = build_timearc_csr_from_arrays(*args, network.time_arc_labels)
         narrow = build_timearc_csr_from_arrays(*args, network.time_arc_labels.astype(dtype))
-        for field in CSR_FIELDS:
-            assert getattr(narrow, field).dtype == np.int64, field
-            assert np.array_equal(getattr(narrow, field), getattr(wide, field)), field
+        assert_layout_matches(narrow, wide)
 
     def test_empty_reverse_layout(self):
         network = TemporalGraph(path_graph(3), [[], []], lifetime=300)

@@ -51,6 +51,7 @@ from repro.core.reverse_journeys import (
 )
 
 from oracles import (
+    assert_layout_matches,
     deficient_exit_reference,
     exit_point_reference,
     latest_departure_times_reference,
@@ -61,6 +62,7 @@ from oracles import (
     oracle_earliest_arrival_times,
     oracle_latest_departure_times,
     oracle_reverse_distance_summary,
+    timearc_csr_reference,
 )
 
 
@@ -563,3 +565,35 @@ class TestFreeFunctionsAgainstOracle:
         empty = distances.temporal_distance_summary(_DEGENERATE["unlabelled-path"])
         assert (empty.diameter, empty.radius) == (UNREACHABLE, UNREACHABLE)
         assert np.isnan(empty.average_distance) and empty.reachable_fraction == 0.0
+
+
+class TestLayoutsAgainstReference:
+    """Both layouts hold the ``int64`` reference layout, stored or derived.
+
+    Each layout stores its sweep columns and a narrow head column; the
+    ``int64`` heads and the arc order back to the network are derived on
+    first use and must equal the reference's gathered columns.
+    """
+
+    def test_forward_layout(self, any_network):
+        network = any_network
+        expected = timearc_csr_reference(
+            network.n,
+            network.lifetime,
+            network.time_arc_tails,
+            network.time_arc_heads,
+            network.time_arc_labels,
+        )
+        assert_layout_matches(network.timearc_csr, expected)
+
+    def test_reverse_layout(self, any_network):
+        network = any_network
+        a = network.lifetime
+        expected = timearc_csr_reference(
+            network.n,
+            a,
+            network.time_arc_heads,
+            network.time_arc_tails,
+            a + 1 - network.time_arc_labels,
+        )
+        assert_layout_matches(network.reverse_timearc_csr, expected)

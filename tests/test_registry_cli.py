@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import subprocess
 import sys
 
@@ -109,6 +110,33 @@ class TestCli:
         exit_code = main(["profile", "E6", "--scale", "quick", "--seed", "1", "--jobs", "2"])
         assert exit_code == 0
         assert "kernel.forward.sweeps" in capsys.readouterr().out
+
+    def test_profile_prints_the_runs_minor_page_faults(self, capsys):
+        assert main(["profile", "E5", "--scale", "quick", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        match = re.search(r"^minor page faults: (\d+) in this process$", out, re.M)
+        assert match is not None, out
+        assert int(match.group(1)) > 0
+
+    def test_profile_with_jobs_counts_the_workers_page_faults(self, capsys):
+        argv = ["profile", "E5", "--scale", "quick", "--seed", "1", "--jobs", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        pattern = r"^minor page faults: (\d+) in this process, (\d+) in its workers$"
+        match = re.search(pattern, out, re.M)
+        assert match is not None, out
+        # The run joined its workers, so their faults are counted.
+        assert int(match.group(2)) > 0
+
+    def test_profile_reports_the_fault_deltas(self, monkeypatch, capsys):
+        from repro.experiments import registry
+
+        readings = iter([(1_000, 70), (1_600, 500)])
+        monkeypatch.setattr(registry, "_minor_faults", lambda: next(readings))
+        argv = ["profile", "E7", "--scale", "quick", "--seed", "1", "--jobs", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "minor page faults: 600 in this process, 430 in its workers" in out
 
     def test_run_experiments_passes_jobs_to_every_entry_point(self, monkeypatch):
         from repro.experiments import registry

@@ -191,12 +191,17 @@ class TestReverseCsrLayout:
         )
         csr = network.reverse_timearc_csr
         assert isinstance(csr, TimeArcCSR)
-        for field in dataclasses.fields(TimeArcCSR):
-            actual, wanted = getattr(csr, field.name), getattr(expected, field.name)
+        # Every stored field (the sort callback excepted), then the derived
+        # int64 heads and arc order.
+        stored = [field.name for field in dataclasses.fields(TimeArcCSR) if field.compare]
+        assert "narrow_heads" in stored and "heads" not in stored
+        for name in [*stored, "heads", "arc_order"]:
+            actual, wanted = getattr(csr, name), getattr(expected, name)
             if isinstance(wanted, np.ndarray):
-                np.testing.assert_array_equal(actual, wanted, err_msg=field.name)
+                assert actual.dtype == wanted.dtype, name
+                np.testing.assert_array_equal(actual, wanted, err_msg=name)
             else:
-                assert actual == wanted, field.name
+                assert actual == wanted, name
 
     def test_groups_hold_flipped_arcs_with_mirrored_labels(self, network):
         csr = network.reverse_timearc_csr

@@ -12,7 +12,6 @@ must agree with each other and with the per-edge references of
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,9 +19,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import build_timearc_csr_reference, time_arcs_reference
+from oracles import (
+    LAYOUT_COLUMNS,
+    assert_layout_matches,
+    time_arcs_reference,
+    timearc_csr_reference,
+)
 from repro.core.temporal_graph import TemporalGraph
-from repro.core.timearc_csr import TimeArcCSR
 from repro.graphs.generators import complete_graph, grid_graph, star_graph
 from repro.graphs.static_graph import StaticGraph
 from repro.utils.fingerprint import graph_fingerprint
@@ -39,8 +42,6 @@ GRAPHS = {
     "no-edges-undirected": lambda: StaticGraph(3, []),
     "no-vertices": lambda: StaticGraph(0, [], directed=True),
 }
-
-LAYOUT_FIELDS = tuple(field.name for field in dataclasses.fields(TimeArcCSR))
 
 
 def _one_label_each(graph: StaticGraph, seed: int) -> np.ndarray:
@@ -75,16 +76,6 @@ def _time_arc_columns(network: TemporalGraph) -> tuple[np.ndarray, ...]:
     )
 
 
-def _assert_same_layout(actual: TimeArcCSR, expected: TimeArcCSR) -> None:
-    for name in LAYOUT_FIELDS:
-        got, want = getattr(actual, name), getattr(expected, name)
-        if isinstance(want, np.ndarray):
-            assert got.dtype == np.int64, name
-            assert np.array_equal(got, want), name
-        else:
-            assert got == want, name
-
-
 def _assert_same_network(actual: TemporalGraph, expected: TemporalGraph) -> None:
     assert actual == expected and hash(actual) == hash(expected)
     for got, want in zip(_time_arc_columns(actual), _time_arc_columns(expected)):
@@ -93,8 +84,8 @@ def _assert_same_network(actual: TemporalGraph, expected: TemporalGraph) -> None
     counts = actual.label_count_per_edge()
     assert np.array_equal(counts, expected.label_count_per_edge())
     assert graph_fingerprint(actual) == graph_fingerprint(expected)
-    _assert_same_layout(actual.timearc_csr, expected.timearc_csr)
-    _assert_same_layout(actual.reverse_timearc_csr, expected.reverse_timearc_csr)
+    assert_layout_matches(actual.timearc_csr, expected.timearc_csr)
+    assert_layout_matches(actual.reverse_timearc_csr, expected.reverse_timearc_csr)
 
 
 def _shared_columns(network: TemporalGraph) -> list[np.ndarray]:
@@ -130,9 +121,9 @@ class TestBitIdentity:
         ones = np.ones(graph.m, np.int64)
         assert np.array_equal(network.label_count_per_edge(), ones)
         if graph.m:
-            _assert_same_layout(
+            assert_layout_matches(
                 network.timearc_csr,
-                build_timearc_csr_reference(network.n, network.lifetime, *expected),
+                timearc_csr_reference(network.n, network.lifetime, *expected[:3]),
             )
 
     def test_derived_networks_take_the_form_too(self, name):
@@ -268,7 +259,7 @@ class TestPickling:
         cached += [arcs.head_order, arcs.tail_order]
         cached += [clone.graph.reachability_closure, clone.graph.packed_reachability_closure]
         for layout in (clone.timearc_csr, clone.reverse_timearc_csr):
-            cached += [getattr(layout, name) for name in LAYOUT_FIELDS]
+            cached += [getattr(layout, name) for name in (*LAYOUT_COLUMNS, "narrow_heads")]
         for array in cached:
             if isinstance(array, np.ndarray):
                 assert not array.flags.writeable
@@ -352,8 +343,8 @@ class TestThreads:
                 [[label] for label in label_sets[id(graph)].tolist()],
             )
             _assert_same_network(network, expected)
-            _assert_same_layout(forward, expected.timearc_csr)
-            _assert_same_layout(reverse, expected.reverse_timearc_csr)
+            assert_layout_matches(forward, expected.timearc_csr)
+            assert_layout_matches(reverse, expected.reverse_timearc_csr)
         for graph in graphs:
             arcs = graph.edge_arcs
             assert arcs is graph.edge_arcs
