@@ -198,13 +198,16 @@ def _sweep(
     ``settles`` the ``settled`` counts and ``last`` labels.  Forward, the
     columns are sources and the sweep runs over
     :attr:`TemporalGraph.timearc_csr` from ``start_time``.  Reverse, the
-    columns are targets and the sweep runs over the time-reversed
-    :attr:`TemporalGraph.reverse_timearc_csr` from the mirrored deadline
-    ``a − deadline``, which is negative for a deadline beyond the lifetime;
-    the arrival state then holds ``a + 1 − departure``, with
-    :data:`~repro.types.UNREACHABLE` where the departure is
-    :data:`~repro.types.NEVER`, and the labels are the distances a blocked
-    sweep folds.
+    columns are targets and the sweep runs over the time-reversed network
+    from the mirrored deadline ``a − deadline``, which is negative for a
+    deadline beyond the lifetime; the arrival state then holds
+    ``a + 1 − departure``, with :data:`~repro.types.UNREACHABLE` where the
+    departure is :data:`~repro.types.NEVER`, and the labels are the
+    distances a blocked sweep folds.  A wide reverse sweep reads
+    :attr:`TemporalGraph.reverse_timearc_csr`; one column asking for
+    arrivals alone reads the forward layout from its last group down
+    (:meth:`~repro.core.kernels.NumpyBackend.reverse_sweep`), so a
+    single-target query never builds the reverse layout.
 
     ``required`` turns the sweep into a yes/no test: the packed rows (in the
     ``reached`` layout) a complete answer must reach.  The kernel then stops
@@ -267,16 +270,22 @@ def _sweep(
     groups_scanned = 0
     stop = None
     if network.num_time_arcs != 0 and width != 0:
-        if reverse:
-            csr, sweep = network.reverse_timearc_csr, _KERNEL.reverse_sweep
-        else:
-            csr, sweep = network.timearc_csr, _KERNEL.forward_sweep
-        if settles:
-            settled = np.zeros(csr.labels.size, dtype=np.int64)
         # Arrivals start at ``start`` and only ever take values equal to some
         # label strictly greater than a tail's arrival, so groups labelled
         # <= start can never be used; skip straight past them.
-        first_group = int(np.searchsorted(csr.labels, start, side="right"))
+        sweep = _KERNEL.reverse_sweep if reverse else _KERNEL.forward_sweep
+        if reverse and arrivals and width == 1 and not settles and required is None:
+            # The kernel's single-column loop walks the forward layout down:
+            # the mirrored labels <= start are the labels > a − start.
+            csr = network.timearc_csr
+            first_group = csr.labels.size - int(
+                np.searchsorted(csr.labels, network.lifetime - start, side="right")
+            )
+        else:
+            csr = network.reverse_timearc_csr if reverse else network.timearc_csr
+            first_group = int(np.searchsorted(csr.labels, start, side="right"))
+        if settles:
+            settled = np.zeros(csr.labels.size, dtype=np.int64)
         groups_scanned, stop = sweep(
             csr,
             reached,

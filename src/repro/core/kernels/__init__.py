@@ -6,8 +6,10 @@ the per-label-group advance loop of
 :func:`repro.core.journeys.earliest_arrival_matrix`.  Its reverse twin
 :func:`repro.core.reverse_journeys.latest_departure_matrix` runs the same
 loop over the time-reversed layout (arcs flipped, labels ``l → a + 1 − l``),
-so there is one loop, :meth:`NumpyBackend.forward_sweep`, whose docstring
-states its contract.
+so there is one packed loop, whose contract
+:meth:`NumpyBackend.forward_sweep` states, beside one single-column loop
+that serves both directions over the forward layout
+(:meth:`NumpyBackend.reverse_sweep`).
 
 :func:`set_default_backend` and :func:`default_backend` remain for callers
 that pin or report the kernel by name (``serve --kernel-backend`` and its

@@ -26,14 +26,17 @@ bit for bit).  The target itself reports ``D + 1``, the mirror of the
 source's ``start_time`` arrival.
 
 So there is no reverse kernel: every sweep here is the forward sweep of
-:mod:`repro.core.journeys` from the targets, over the cached time-reversed
-layout :attr:`TemporalGraph.reverse_timearc_csr`, started at ``a − D``.
-That start is negative for a deadline beyond the lifetime, which the kernel
-precondition allows (it lies below every label).  The resulting state is
-mapped back to departures in place.  These sweeps record their telemetry
-under ``kernel.reverse.*``.  The scalar
-reference that walks the labels downwards, used to cross-validate them,
-lives with the tests (``tests/oracles.py``).
+:mod:`repro.core.journeys` from the targets over the time-reversed network,
+started at ``a − D``.  A wide sweep reads the cached time-reversed layout
+:attr:`TemporalGraph.reverse_timearc_csr`; a single-target sweep reads the
+forward layout from its last label group down, mirroring each label, so
+single-target queries never build the reverse layout.  The start is
+negative for a deadline beyond the lifetime, which the kernel precondition
+allows (it lies below every label).  The resulting state is mapped back to
+departures in place.  These sweeps record their telemetry under
+``kernel.reverse.*``.  The scalar reference that walks the labels
+downwards, used to cross-validate them, lives with the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations

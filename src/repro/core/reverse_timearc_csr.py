@@ -2,10 +2,12 @@
 
 Labels are drawn from ``{1, …, a}``, and a latest-departure sweep towards a
 target is an earliest-arrival sweep from it over the time-reversed network:
-every arc flipped, every label ``l`` mirrored to ``a + 1 − l``.  The reverse
-kernels therefore run the forward kernels over an ordinary
+every arc flipped, every label ``l`` mirrored to ``a + 1 − l``.  The wide
+reverse sweeps therefore run the forward kernel over an ordinary
 :class:`~repro.core.timearc_csr.TimeArcCSR` of the mirrored arcs, cached as
-:attr:`TemporalGraph.reverse_timearc_csr` next to the forward layout.
+:attr:`TemporalGraph.reverse_timearc_csr` next to the forward layout.  A
+single-target sweep walks the forward layout from its last group down
+instead, so a network builds this layout only for a wide reverse sweep.
 """
 
 from __future__ import annotations

@@ -436,11 +436,15 @@ class TemporalGraph:
         -------
         repro.core.timearc_csr.TimeArcCSR
             The forward layout of the arcs flipped, with every label ``l``
-            mapped to ``lifetime + 1 − l``: the reverse (latest-departure)
-            sweeps run the forward kernels over it.  The two layouts are
-            independent caches: a forward-only workload never pays for this
-            sort, and vice versa.  With telemetry active the build records
-            ``csr.builds.reverse`` and ``csr.build_ms.reverse``.
+            mapped to ``lifetime + 1 − l``: the wide reverse
+            (latest-departure) sweeps — departure matrices, batches of
+            targets, blocked reverse tiles — run the packed kernel over it.
+            A single-target reverse sweep reads :attr:`timearc_csr` from
+            its last group down instead, so a handle builds this layout
+            only for a wide reverse sweep.  The two layouts are independent
+            caches: a forward-only workload never pays for this sort.  With
+            telemetry active the build records ``csr.builds.reverse`` and
+            ``csr.build_ms.reverse``.
         """
         if self._reverse_timearc_csr is None:
             from .reverse_timearc_csr import build_reverse_timearc_csr

@@ -51,9 +51,12 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeArcCSR:
     """Immutable label-grouped CSR view of a temporal network's time arcs.
+
+    Layouts compare and hash by identity: their fields are arrays, and no
+    caller compares two layouts (the tests compare their columns).
 
     Attributes
     ----------

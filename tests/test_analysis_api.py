@@ -25,6 +25,7 @@ from repro import (
     preserves_reachability,
     price_of_randomness,
     star_graph,
+    telemetry,
     temporal_diameter,
     temporal_distance,
     temporal_distance_matrix,
@@ -416,6 +417,29 @@ class TestReverseArtifacts:
         analysis.reverse_reachable_set(3)
         analysis.latest_departure(0, 3)
         assert counting_hook == {"target_columns": 1}
+
+    def test_single_target_queries_never_build_the_reverse_layout(
+        self, clique_network
+    ):
+        network = normalized_urtn(complete_graph(24, directed=True), seed=7)
+        analysis = NetworkAnalysis(network)
+        with telemetry.session() as recorder:
+            analysis.distances_to([3])
+            analysis.latest_departure(0, 5)
+            analysis.reverse_reachable_set(7)
+        assert network._reverse_timearc_csr is None
+        assert "csr.builds.reverse" not in recorder.counters
+        assert recorder.counters["kernel.reverse.sweeps"] == 3
+        expected = NetworkAnalysis(clique_network).departure_matrix()
+        np.testing.assert_array_equal(
+            analysis.departures_to([3, 5, 7]), expected[[3, 5, 7]]
+        )
+        with telemetry.session() as recorder:
+            analysis.departure_matrix()
+            analysis.departure_matrix()
+            analysis.distances_to()
+        assert network._reverse_timearc_csr is not None
+        assert recorder.counters["csr.builds.reverse"] == 1
 
     def test_departures_to_served_from_cached_matrix(
         self, clique_network, counting_hook

@@ -143,6 +143,22 @@ class TestFootprint:
         _assert_both_layouts(network)
 
 
+class TestIdentity:
+    """Layouts compare and hash by identity, not by their array fields."""
+
+    def test_equal_layouts_built_apart_stay_distinct(self):
+        def build():
+            network = uniform_random_labels(complete_graph(5, directed=True), seed=1)
+            return network.timearc_csr
+
+        first, second = build(), build()
+        np.testing.assert_array_equal(first.tails, second.tails)
+        assert first == first and not first != first
+        assert first != second and not first == second
+        assert hash(first) == hash(first)
+        assert len({first, second, first}) == 2
+
+
 class TestDerivedColumns:
     def test_no_sweep_reads_the_derived_columns(self):
         network = uniform_random_labels(complete_graph(40, directed=True), seed=6)

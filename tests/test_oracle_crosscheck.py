@@ -19,6 +19,7 @@ queries.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import astuple
 
 import numpy as np
@@ -226,6 +227,67 @@ class TestExitPointsAgainstOracle:
                 reverse=direction == "reverse",
             )
             assert exits == expected, time
+
+
+#: Networks for the single-target sweeps beyond :data:`_FREE_POOL`: no edges,
+#: no vertices, and three labels per edge on a directed clique.
+_SINGLE_TARGET_POOL = {
+    **_FREE_POOL,
+    "no-edges": TemporalGraph(StaticGraph(3, []), []),
+    "no-vertices": TemporalGraph(StaticGraph(0, []), []),
+    "clique-r3": uniform_random_labels(
+        complete_graph(5, directed=True), lifetime=7, labels_per_edge=3, seed=3
+    ),
+}
+
+
+class TestSingleTargetSweepsAgainstOracle:
+    """A one-target reverse sweep walks the forward layout from its last group
+    down, mirroring each label and reading each arc head → tail.
+
+    On a fresh copy of every network, for every target and every deadline in
+    ``[0, a + 2]``, the departures and the reverse reachable set must equal
+    the brute-force oracle's.  With two or more vertices the sweep must scan
+    the groups and exit where :func:`oracles.exit_point_reference` reads off
+    the oracle's row, as the time-reversed layout's sweep would.  None of
+    this may build the reverse layout.
+    """
+
+    @pytest.mark.parametrize(
+        "network_id", sorted(_SINGLE_TARGET_POOL), ids=sorted(_SINGLE_TARGET_POOL)
+    )
+    def test_every_target_and_deadline(self, network_id):
+        network = pickle.loads(pickle.dumps(_SINGLE_TARGET_POOL[network_id]))
+        for deadline in _every_time(network):
+            for target in range(network.n):
+                expected = oracle_latest_departure_times(
+                    network, target, deadline=deadline
+                )
+                with telemetry.session() as recorder:
+                    depart = latest_departure_times(network, target, deadline=deadline)
+                np.testing.assert_array_equal(
+                    depart, expected, err_msg=f"target={target} deadline={deadline}"
+                )
+                counters = recorder.counters
+                assert counters["kernel.reverse.targets"] == 1
+                if network.n > 1:
+                    exits = (
+                        counters.get("kernel.reverse.groups_scanned", 0),
+                        counters.get("kernel.reverse.saturation_exits", 0),
+                    )
+                    assert exits == exit_point_reference(
+                        network, deadline, expected[None], reverse=True
+                    ), (target, deadline)
+        for target in range(network.n):
+            np.testing.assert_array_equal(
+                reverse_reachable_set(network, target),
+                np.flatnonzero(oracle_latest_departure_times(network, target) > NEVER),
+            )
+        assert network._reverse_timearc_csr is None
+        # A wide reverse sweep still reads (and builds) the reverse layout.
+        assert latest_departure_matrix(network).shape == (network.n, network.n)
+        built = network._reverse_timearc_csr is not None
+        assert built == (network.num_time_arcs > 0)
 
 
 #: The yes/no predicates as run in :class:`TestDecisionsAgainstOracle`: the

@@ -10,8 +10,8 @@ Five concerns are pinned here, all below the oracle cross-check:
   ``groups_scanned`` / ``saturation_exits`` equal what the scalar
   references' final arrivals imply;
 * **packed words** — the packed ``reached`` bitset at widths across 64-bit
-  word boundaries, on both of the kernel's write-back branches, equals the
-  ``tests/oracles.py`` references;
+  word boundaries, with the arrivals staged in ``uint8`` and in ``uint16``,
+  equals the ``tests/oracles.py`` references;
 * **sweep outputs** — the ``settled`` counts, ``last`` labels and final
   bitset equal what the same sweep's arrivals imply, and a reach-only sweep
   stops at the same label group as an arrivals sweep;
@@ -214,23 +214,49 @@ class TestSaturationExitPoints:
 # the packed kernel across word boundaries
 # --------------------------------------------------------------------- #
 class _WriteBackSpy:
-    """Stands in for ``np`` in the kernel's module.  It counts the groups that
-    write back (one ``np.unpackbits`` each) and those whose write-back keeps
-    only the heads that gained a bit (one ``np.flatnonzero`` each)."""
+    """Stands in for ``np`` in the kernel's module.  It records the dtype of
+    every stage the kernel allocates (its one ``np.zeros`` call without
+    ``required``) and counts the groups that stage arrivals (one
+    ``np.unpackbits`` each)."""
 
     def __init__(self):
-        self.write_backs = self.subsets = 0
+        self.write_backs = 0
+        self.stages = []
 
     def __getattr__(self, name):
         return getattr(np, name)
+
+    def zeros(self, shape, dtype=float):
+        self.stages.append(np.dtype(dtype))
+        return np.zeros(shape, dtype=dtype)
 
     def unpackbits(self, *args, **kwargs):
         self.write_backs += 1
         return np.unpackbits(*args, **kwargs)
 
-    def flatnonzero(self, array):
-        self.subsets += 1
-        return np.flatnonzero(array)
+
+def _check_packed_widths(network, direction, times, widths, monkeypatch):
+    """Sweep random columns at every width and time; return the stage dtypes.
+
+    Every sweep must equal the scalar references (matrix, and the
+    ``groups_scanned`` and ``saturation_exits`` they imply), and every width
+    must stage some arrivals.
+    """
+    spy = _WriteBackSpy()
+    monkeypatch.setattr(numpy_backend, "np", spy)
+    rng = np.random.default_rng(zlib.crc32(f"packed/{direction}".encode()))
+    for width in widths:
+        write_backs = spy.write_backs
+        for time in times:
+            rows = np.sort(rng.choice(network.n, size=width, replace=False))
+            matrix, exits = _swept(network, direction, rows, time)
+            expected = _reference(network, direction, rows, time)
+            np.testing.assert_array_equal(matrix, expected)
+            assert exits == exit_point_reference(
+                network, time, expected, reverse=direction == "reverse"
+            ), (width, time)
+        assert spy.write_backs > write_backs, width
+    return set(spy.stages)
 
 
 class TestPackedKernelWidths:
@@ -238,12 +264,10 @@ class TestPackedKernelWidths:
 
     Those pins sweep at most 64 columns, one ``uint64`` word per vertex.
     Here widths across the word boundaries run forward and reverse on a
-    12 × 12 grid with 4 labels, whose label groups have 86 to 109 heads:
-    above the row-subset cutoff at width 129, below it at width ≤ 65.  Each
-    width sweeps random columns from every start time (forward) or deadline
-    (reverse) in ``[0, lifetime + 2]``.  Every sweep must equal the scalar
-    references (matrix, and the ``groups_scanned`` and ``saturation_exits``
-    they imply), and both write-back branches must run.
+    12 × 12 grid with 4 labels.  Each width sweeps random columns from every
+    start time (forward) or deadline (reverse) in ``[0, lifetime + 2]``.
+    A second grid carries more than 255 distinct labels, so its arrivals are
+    staged in ``uint16`` instead of ``uint8``.
     """
 
     WIDTHS = (7, 8, 9, 63, 64, 65, 129)
@@ -251,28 +275,24 @@ class TestPackedKernelWidths:
     @pytest.mark.parametrize("direction", ["forward", "reverse"])
     def test_matches_the_scalar_references(self, direction, monkeypatch):
         network = uniform_random_labels(grid_graph(12, 12), lifetime=4, seed=0)
-        forward = direction == "forward"
-        csr = network.timearc_csr if forward else network.reverse_timearc_csr
-        heads = np.diff(csr.head_offsets)
-        cutoff = numpy_backend._ROW_SUBSET_ENTRIES
-        assert heads.max() * 65 <= cutoff < heads.min() * 129
-        spy = _WriteBackSpy()
-        monkeypatch.setattr(numpy_backend, "np", spy)
-        rng = np.random.default_rng(zlib.crc32(f"packed/{direction}".encode()))
-        for width in self.WIDTHS:
-            write_backs, subsets = spy.write_backs, spy.subsets
-            for time in range(network.lifetime + 3):
-                rows = np.sort(rng.choice(network.n, size=width, replace=False))
-                matrix, exits = _swept(network, direction, rows, time)
-                expected = _reference(network, direction, rows, time)
-                np.testing.assert_array_equal(matrix, expected)
-                assert exits == exit_point_reference(
-                    network, time, expected, reverse=direction == "reverse"
-                ), (width, time)
-            write_backs = spy.write_backs - write_backs
-            subsets = spy.subsets - subsets
-            assert write_backs > 0, width
-            assert subsets == (write_backs if width > 65 else 0), width
+        times = range(network.lifetime + 3)
+        stages = _check_packed_widths(
+            network, direction, times, self.WIDTHS, monkeypatch
+        )
+        assert stages == {np.dtype(np.uint8)}
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_more_than_255_groups_stage_in_uint16(self, direction, monkeypatch):
+        network = uniform_random_labels(
+            grid_graph(12, 12), lifetime=300, labels_per_edge=3, seed=0
+        )
+        assert np.unique(network.time_arc_labels).size > 255
+        lifetime = network.lifetime
+        times = (0, 1, 150, lifetime - 1, lifetime, lifetime + 2)
+        stages = _check_packed_widths(
+            network, direction, times, self.WIDTHS, monkeypatch
+        )
+        assert stages == {np.dtype(np.uint16)}
 
 
 # --------------------------------------------------------------------- #
