@@ -6,13 +6,13 @@ import pytest
 
 from repro.core.dissemination import flood_broadcast, push_phone_call_broadcast
 from repro.core.labeling import normalized_urtn
-from repro.experiments import exp_dissemination
+from repro.experiments.registry import run_experiment
 from repro.graphs.generators import complete_graph
 
 
 def test_bench_experiment_e4(benchmark, attach_report):
     report = benchmark.pedantic(
-        lambda: exp_dissemination.run("quick", seed=104), rounds=1, iterations=1
+        lambda: run_experiment("E4", "quick", seed=104), rounds=1, iterations=1
     )
     attach_report(benchmark, report)
     assert report.consistent

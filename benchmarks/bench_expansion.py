@@ -6,13 +6,13 @@ import pytest
 
 from repro.core.expansion import ExpansionParameters, expansion_process
 from repro.core.labeling import normalized_urtn
-from repro.experiments import exp_expansion
+from repro.experiments.registry import run_experiment
 from repro.graphs.generators import complete_graph
 
 
 def test_bench_experiment_e3(benchmark, attach_report):
     report = benchmark.pedantic(
-        lambda: exp_expansion.run("quick", seed=103), rounds=1, iterations=1
+        lambda: run_experiment("E3", "quick", seed=103), rounds=1, iterations=1
     )
     attach_report(benchmark, report)
     assert report.consistent

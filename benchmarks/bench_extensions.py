@@ -6,14 +6,14 @@ import pytest
 
 from repro.core.distances import temporal_diameter
 from repro.core.labeling import uniform_random_labels
-from repro.experiments import exp_fcase, exp_multilabel
+from repro.experiments.registry import run_experiment
 from repro.graphs.generators import complete_graph
 from repro.randomness.distributions import GeometricLabelDistribution
 
 
 def test_bench_experiment_e8(benchmark, attach_report):
     report = benchmark.pedantic(
-        lambda: exp_fcase.run("quick", seed=108), rounds=1, iterations=1
+        lambda: run_experiment("E8", "quick", seed=108), rounds=1, iterations=1
     )
     attach_report(benchmark, report)
     assert report.consistent
@@ -21,7 +21,7 @@ def test_bench_experiment_e8(benchmark, attach_report):
 
 def test_bench_experiment_e9(benchmark, attach_report):
     report = benchmark.pedantic(
-        lambda: exp_multilabel.run("quick", seed=109), rounds=1, iterations=1
+        lambda: run_experiment("E9", "quick", seed=109), rounds=1, iterations=1
     )
     attach_report(benchmark, report)
     assert report.consistent

@@ -6,13 +6,13 @@ import pytest
 
 from repro.core.labeling import box_assignment
 from repro.core.reachability import preserves_reachability
-from repro.experiments import exp_general_por
+from repro.experiments.registry import run_experiment
 from repro.graphs.generators import grid_graph, path_graph
 
 
 def test_bench_experiment_e6(benchmark, attach_report):
     report = benchmark.pedantic(
-        lambda: exp_general_por.run("quick", seed=106), rounds=1, iterations=1
+        lambda: run_experiment("E6", "quick", seed=106), rounds=1, iterations=1
     )
     attach_report(benchmark, report)
     assert report.consistent

@@ -1,9 +1,9 @@
-"""Ablation benches for the design choices called out in DESIGN.md §5.
+"""Ablation benches for the kernel and search design choices.
 
 * the single-source label-sweep journey kernel,
 * batched all-pairs distance matrix (CSR engine) vs. the row-by-row variant,
 * the one-off cost of building the cached CSR time-arc layout,
-* binary-search threshold location vs. the linear sweep.
+* the doubling and binary search that locates the threshold ``r(n)``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.distances import temporal_distance_matrix
-from repro.core.guarantees import minimal_labels_for_reachability, minimal_labels_linear_sweep
+from repro.core.guarantees import minimal_labels_for_reachability
 from repro.core.journeys import earliest_arrival_matrix, earliest_arrival_times
 from repro.core.labeling import normalized_urtn
 from repro.core.timearc_csr import build_timearc_csr
@@ -72,17 +72,6 @@ class TestThresholdSearchAblation:
         value = benchmark.pedantic(
             lambda: minimal_labels_for_reachability(
                 star, target_probability=0.8, trials=15, seed=22
-            ),
-            rounds=1,
-            iterations=1,
-        )
-        assert value >= 2
-
-    def test_bench_linear_sweep_threshold(self, benchmark):
-        star = star_graph(48)
-        value = benchmark.pedantic(
-            lambda: minimal_labels_linear_sweep(
-                star, target_probability=0.8, trials=15, r_max=32, seed=23
             ),
             rounds=1,
             iterations=1,

@@ -7,13 +7,13 @@ import pytest
 from repro.core.distances import temporal_diameter
 from repro.core.labeling import uniform_random_labels
 from repro.core.lifetime import prefix_connectivity_time
-from repro.experiments import exp_lifetime
+from repro.experiments.registry import run_experiment
 from repro.graphs.generators import complete_graph
 
 
 def test_bench_experiment_e2(benchmark, attach_report):
     report = benchmark.pedantic(
-        lambda: exp_lifetime.run("quick", seed=102), rounds=1, iterations=1
+        lambda: run_experiment("E2", "quick", seed=102), rounds=1, iterations=1
     )
     attach_report(benchmark, report)
     assert report.consistent

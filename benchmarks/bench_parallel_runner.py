@@ -21,9 +21,9 @@ import time
 
 import pytest
 
-from repro.experiments.exp_temporal_diameter import trial_temporal_diameter
 from repro.montecarlo.experiment import Experiment
 from repro.montecarlo.runner import run_trials
+from repro.scenarios import ScenarioTrial, get_scenario
 
 #: The E1 workload: one Θ(log n)-diameter clique instance per trial.  The
 #: gate runs GATE_REPETITIONS trials, so its serial leg takes about 1.5 s on
@@ -31,7 +31,7 @@ from repro.montecarlo.runner import run_trials
 #: (3.4–7.4 ms per trial).
 WORKLOAD = Experiment(
     name="E1-temporal-diameter",
-    trial=trial_temporal_diameter,
+    trial=ScenarioTrial(get_scenario("E1")),
     parameters={"n": 256, "directed": True},
 )
 SEED = 314

@@ -7,13 +7,13 @@ import math
 import pytest
 
 from repro.core.guarantees import reachability_probability, two_split_journey_probability
-from repro.experiments import exp_star_por
+from repro.experiments.registry import run_experiment
 from repro.graphs.generators import star_graph
 
 
 def test_bench_experiment_e5(benchmark, attach_report):
     report = benchmark.pedantic(
-        lambda: exp_star_por.run("quick", seed=105), rounds=1, iterations=1
+        lambda: run_experiment("E5", "quick", seed=105), rounds=1, iterations=1
     )
     attach_report(benchmark, report)
     assert report.consistent

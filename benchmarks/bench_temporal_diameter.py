@@ -26,7 +26,7 @@ import pytest
 from repro.core.distances import temporal_diameter, temporal_distance_matrix
 from repro.core.journeys import earliest_arrival_matrix, earliest_arrival_times
 from repro.core.labeling import normalized_urtn
-from repro.experiments import exp_temporal_diameter
+from repro.experiments.registry import run_experiment
 from repro.graphs.generators import complete_graph
 
 #: Instances the gate alternates its legs over: enough for a looped leg of
@@ -48,7 +48,7 @@ def _timed(path, network):
 
 def test_bench_experiment_e1(benchmark, attach_report):
     report = benchmark.pedantic(
-        lambda: exp_temporal_diameter.run("quick", seed=101), rounds=1, iterations=1
+        lambda: run_experiment("E1", "quick", seed=101), rounds=1, iterations=1
     )
     attach_report(benchmark, report)
     assert report.consistent

@@ -1,9 +1,10 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark module regenerates one experiment of DESIGN.md §4 (E1–E7 /
-F1–F3) at its ``quick`` preset — the measured rows are attached to the
-pytest-benchmark ``extra_info`` so they appear in ``--benchmark-json`` output —
-plus micro-benchmarks of the kernels that dominate that experiment's runtime.
+Every experiment benchmark module regenerates one experiment of
+``docs/paper_mapping.md`` (E1 … E9) at its ``quick`` preset — the measured
+rows are attached to the pytest-benchmark ``extra_info`` so they appear in
+``--benchmark-json`` output — plus micro-benchmarks of the kernels that
+dominate that experiment's runtime.
 
 Machine-readable results
 ------------------------

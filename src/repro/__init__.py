@@ -52,16 +52,13 @@ from .core import (
     BroadcastResult,
     ExpansionParameters,
     ExpansionResult,
-    FastestJourneyResult,
     TemporalGraph,
     box_assignment,
     earliest_arrival_matrix,
     earliest_arrival_times,
     expansion_process,
-    fastest_journey,
     flood_broadcast,
     foremost_journey,
-    shortest_journey,
     is_temporally_connected,
     latest_departure,
     latest_departure_matrix,
@@ -161,9 +158,6 @@ __all__ = [
     "earliest_arrival_matrix",
     "earliest_arrival_times",
     "foremost_journey",
-    "shortest_journey",
-    "fastest_journey",
-    "FastestJourneyResult",
     "temporal_distance",
     "temporal_distance_matrix",
     "temporal_distance_summary",

@@ -1,8 +1,10 @@
 """Analysis layer: theoretical bounds, curve fitting and comparison tables.
 
 The experiments report measured quantities next to the paper's predictions.
-This subpackage holds the prediction functions (:mod:`repro.analysis.bounds`),
-the fitting code that extracts the leading constant of ``c·log n`` /
+This subpackage holds the reference curves the reports print
+(:mod:`repro.analysis.bounds`; the Theorem 5, 7 and 8 formulas live in
+:mod:`repro.core.lifetime` and :mod:`repro.core.price_of_randomness`), the
+fitting code that extracts the leading constant of ``c·log n`` /
 ``c·(a/n)·log n`` laws from measurements (:mod:`repro.analysis.fitting`),
 threshold estimators (:mod:`repro.analysis.thresholds`) and the
 paper-vs-measured comparison helpers used to build EXPERIMENTS.md
@@ -12,10 +14,6 @@ paper-vs-measured comparison helpers used to build EXPERIMENTS.md
 from .bounds import (
     expected_direct_wait,
     phone_call_rounds_prediction,
-    por_bound_general,
-    r_lower_bound_star,
-    r_sufficient_general,
-    temporal_diameter_lower_bound,
     temporal_diameter_prediction,
 )
 from .fitting import FitResult, fit_log_model, fit_power_model, fit_scaled_log_model
@@ -24,11 +22,7 @@ from .comparison import ComparisonRow, build_comparison_table
 
 __all__ = [
     "temporal_diameter_prediction",
-    "temporal_diameter_lower_bound",
     "expected_direct_wait",
-    "r_lower_bound_star",
-    "r_sufficient_general",
-    "por_bound_general",
     "phone_call_rounds_prediction",
     "FitResult",
     "fit_log_model",

@@ -13,11 +13,7 @@ from ..utils.validation import check_positive_int
 
 __all__ = [
     "temporal_diameter_prediction",
-    "temporal_diameter_lower_bound",
     "expected_direct_wait",
-    "r_lower_bound_star",
-    "r_sufficient_general",
-    "por_bound_general",
     "phone_call_rounds_prediction",
 ]
 
@@ -33,19 +29,6 @@ def temporal_diameter_prediction(n: int, *, gamma: float = 1.0) -> float:
     return gamma * math.log(n)
 
 
-def temporal_diameter_lower_bound(n: int, lifetime: int | None = None) -> float:
-    """The Ω-side predictions.
-
-    * Remark after Theorem 4 (normalized case, ``a = n``): the temporal
-      diameter cannot be ``o(log n)``.
-    * Theorem 5 (``a`` asymptotically larger than ``n``): it must be
-      ``Ω((a/n)·log n)``.
-    """
-    n = check_positive_int(n, "n")
-    a = check_positive_int(lifetime, "lifetime") if lifetime is not None else n
-    return max(a / n, 1.0) * math.log(n)
-
-
 def expected_direct_wait(n: int) -> float:
     """Expected arrival time of the trivial 1-hop strategy on the clique: ``≈ n/2``.
 
@@ -55,32 +38,6 @@ def expected_direct_wait(n: int) -> float:
     """
     n = check_positive_int(n, "n")
     return (n + 1) / 2.0
-
-
-def r_lower_bound_star(n: int) -> float:
-    """Theorem 6(b): on the star, ``r(n) = o(log n)`` labels per edge fail whp.
-
-    Returned as the bare ``log n`` reference curve (natural logarithm).
-    """
-    n = check_positive_int(n, "n")
-    return math.log(n)
-
-
-def r_sufficient_general(n: int, diam: int) -> float:
-    """Theorem 7: ``r > 2·d(G)·log n`` labels per edge suffice for any connected G."""
-    n = check_positive_int(n, "n")
-    diam = check_positive_int(diam, "diam")
-    return 2.0 * diam * math.log(n)
-
-
-def por_bound_general(n: int, m: int, diam: int, *, epsilon: float = 0.0) -> float:
-    """Theorem 8: ``PoR(G) ≤ (2·d(G)·log n + ε)·m/(n−1)``."""
-    n = check_positive_int(n, "n")
-    m = check_positive_int(m, "m")
-    diam = check_positive_int(diam, "diam")
-    if n < 2:
-        raise ValueError("the PoR bound needs at least two vertices")
-    return (2.0 * diam * math.log(n) + epsilon) * m / (n - 1)
 
 
 def phone_call_rounds_prediction(n: int) -> float:

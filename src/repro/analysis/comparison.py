@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = ["ComparisonRow", "build_comparison_table"]
 
@@ -21,8 +21,9 @@ class ComparisonRow:
     measured:
         The measured value, as a display string.
     matches:
-        Whether the measurement is consistent with the paper's claim (the
-        *shape* criterion described in DESIGN.md, not absolute equality).
+        Whether the measurement is consistent with the paper's claim (its
+        *shape* — growth rates, thresholds, orderings — not absolute
+        equality).
     note:
         Optional free-text commentary.
     """

@@ -58,7 +58,6 @@ from .centrality import (
     temporal_influence_counts,
     temporal_reach_counts,
 )
-from .journey_variants import FastestJourneyResult, fastest_journey, shortest_journey
 from .distances import (
     DistanceSummary,
     average_temporal_distance,
@@ -132,9 +131,6 @@ __all__ = [
     "temporal_harmonic_closeness",
     "temporal_influence_counts",
     "temporal_reach_counts",
-    "shortest_journey",
-    "fastest_journey",
-    "FastestJourneyResult",
     "DistanceSummary",
     "temporal_distance_matrix",
     "temporal_distance_summary",

@@ -23,7 +23,7 @@ reconstructs the explicit journey on success.
 The paper's constants (``c₁ ≥ 33``, ``c₁·c₂ ≥ 1024``) are what the
 probability-1−O(n⁻³) guarantee needs asymptotically; at laptop-scale ``n``
 those intervals would exceed the lifetime, so :meth:`ExpansionParameters.suggest`
-picks practical constants (documented in DESIGN.md §5) while keeping the
+picks practical constants (``c₁ = 3``, ``c₂ = 8`` by default) while keeping the
 interval structure exactly as in the paper.
 """
 

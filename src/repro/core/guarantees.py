@@ -10,7 +10,7 @@ locate the empirical ``r(n)`` for a (configurable, less extreme) target
 probability.  Because the reachability probability is monotone non-decreasing
 in ``r`` (adding labels can only create journeys), a doubling search followed
 by a binary search finds the threshold with ``O(log r)`` probability
-estimates; the linear sweep is kept for the ablation benchmark.
+estimates.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .reachability import preserves_reachability_stacked
 __all__ = [
     "reachability_probability",
     "minimal_labels_for_reachability",
-    "minimal_labels_linear_sweep",
     "two_split_journey_probability",
     "two_split_journey_probability_analytic",
 ]
@@ -136,36 +135,6 @@ def minimal_labels_for_reachability(
         else:
             low = mid
     return high
-
-
-def minimal_labels_linear_sweep(
-    graph: StaticGraph,
-    *,
-    target_probability: float = 0.9,
-    lifetime: int | None = None,
-    trials: int = 30,
-    r_max: int = 64,
-    seed: SeedLike = None,
-) -> int:
-    """Linear-scan variant of :func:`minimal_labels_for_reachability`.
-
-    Kept as the ablation baseline for the threshold-search strategy (see
-    DESIGN.md §5); results should agree with the binary search up to
-    Monte-Carlo noise.
-    """
-    target_probability = check_probability(target_probability, "target_probability")
-    r_max = check_positive_int(r_max, "r_max")
-    rngs = spawn_rngs(seed, r_max)
-    for r in range(1, r_max + 1):
-        probability = reachability_probability(
-            graph, r, lifetime=lifetime, trials=trials, seed=rngs[r - 1]
-        )
-        if probability >= target_probability:
-            return r
-    raise ConfigurationError(
-        f"no r <= {r_max} reached the target reachability probability "
-        f"{target_probability}"
-    )
 
 
 def two_split_journey_probability(

@@ -30,7 +30,6 @@ from .temporal_graph import TemporalGraph
 __all__ = [
     "prefix_connectivity_time",
     "temporal_diameter_lower_bound_theorem5",
-    "erdos_renyi_equivalent_p",
 ]
 
 
@@ -78,16 +77,3 @@ def temporal_diameter_lower_bound_theorem5(n: int, lifetime: int) -> float:
     lifetime = check_positive_int(lifetime, "lifetime")
     scale = max(lifetime / n, 1.0)
     return scale * math.log(n)
-
-
-def erdos_renyi_equivalent_p(k: int, lifetime: int) -> float:
-    """The edge probability of the labels-≤-k prefix graph: ``p = k / a``.
-
-    Used by the E2 experiment to annotate measured prefix-connectivity times
-    with the equivalent Erdős–Rényi density the Theorem 5 proof reasons about.
-    """
-    k = check_positive_int(k, "k")
-    lifetime = check_positive_int(lifetime, "lifetime")
-    if k > lifetime:
-        raise ValueError(f"k={k} cannot exceed the lifetime {lifetime}")
-    return k / lifetime

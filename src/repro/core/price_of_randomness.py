@@ -12,7 +12,6 @@ module provides what the paper actually uses plus certified bounds:
 * the spanning-tree lower bound ``OPT ≥ n − 1``,
 * the constructive upper bound ``OPT ≤ 2·(n − 1)`` via the gather/scatter
   spanning-tree assignment (:func:`repro.core.labeling.tree_broadcast_assignment`),
-* exhaustive search for tiny graphs (used by the tests to certify the bounds),
 * the Theorem 7 sufficient value ``r > 2·d(G)·log n`` and the resulting
   Theorem 8 upper bound on ``PoR``.
 """
@@ -20,20 +19,16 @@ module provides what the paper actually uses plus certified bounds:
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
 
-from ..exceptions import ConfigurationError, GraphError
-from ..graphs.properties import diameter, is_connected
+from ..exceptions import GraphError
+from ..graphs.properties import is_connected
 from ..graphs.static_graph import StaticGraph
 from ..utils.validation import check_positive_int
-from .reachability import preserves_reachability
-from .temporal_graph import TemporalGraph
 
 __all__ = [
     "opt_labels_star",
     "opt_labels_lower_bound",
     "opt_labels_upper_bound",
-    "opt_labels_exhaustive",
     "price_of_randomness",
     "r_sufficient_theorem7",
     "por_upper_bound_theorem8",
@@ -84,71 +79,6 @@ def opt_labels_upper_bound(graph: StaticGraph) -> int:
         # The clique reaches every pair directly through the single edge label.
         bound = min(bound, graph.m)
     return bound
-
-
-def opt_labels_exhaustive(
-    graph: StaticGraph, *, lifetime: int | None = None, max_total_labels: int | None = None
-) -> int:
-    """Exact ``OPT`` by exhaustive search — only feasible for tiny graphs.
-
-    Enumerates assignments by increasing total label count, distributing
-    ``k`` labels over the ``m`` edges and trying all label values from
-    ``{1, …, lifetime}`` per edge.  Each candidate is checked with the batched
-    all-pairs reachability predicate (one
-    :func:`repro.core.journeys.earliest_arrival_matrix` sweep per assignment,
-    via :func:`repro.core.reachability.preserves_reachability`).  Intended for
-    graphs with at most ~5 edges and small lifetimes; the test suite uses it
-    to certify the analytic bounds on the star and the triangle.
-
-    Raises
-    ------
-    ConfigurationError
-        If the search space is too large (a safety valve, not a soft limit).
-    """
-    if not is_connected(graph):
-        raise GraphError("OPT is defined for connected graphs")
-    n = graph.n
-    if n <= 1:
-        return 0
-    m = graph.m
-    a = check_positive_int(lifetime if lifetime is not None else n, "lifetime")
-    if max_total_labels is None:
-        max_total_labels = 2 * m
-    if m > 6 or a > 8:
-        raise ConfigurationError(
-            "exhaustive OPT search is only supported for graphs with at most 6 "
-            f"edges and lifetime at most 8 (got m={m}, lifetime={a})"
-        )
-
-    label_values = list(range(1, a + 1))
-    for total in range(m, max_total_labels + 1):
-        # Distribute `total` labels over m edges, each edge getting >= 1 label
-        # (an edge with no label can be removed; if removing it disconnects the
-        # graph the assignment cannot preserve reachability, and if it does not,
-        # a smaller graph would have been found at a smaller `total`).
-        for counts in _compositions(total, m):
-            per_edge_choices = [
-                list(combinations(label_values, count)) for count in counts
-            ]
-            for assignment in product(*per_edge_choices):
-                network = TemporalGraph(graph, list(assignment), lifetime=a)
-                if preserves_reachability(network):
-                    return total
-    raise ConfigurationError(
-        f"no assignment with at most {max_total_labels} labels preserves "
-        "reachability; increase max_total_labels"
-    )
-
-
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """All ways to write ``total`` as an ordered sum of ``parts`` positive integers."""
-    if parts == 1:
-        return [(total,)] if total >= 1 else []
-    result = []
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            result.append((first,) + rest)
-    return result
 
 
 def price_of_randomness(graph: StaticGraph, r: int, *, opt: int | None = None) -> float:

@@ -8,9 +8,7 @@ temporal reachability; the general form compares against static reachability
 so disconnected underlying graphs are handled correctly too.
 
 Every all-pairs predicate reduces one batched sweep rather than ``n``
-single-source sweeps — :func:`preserves_reachability` sits in the inner loop
-of the exhaustive OPT search of :mod:`repro.core.price_of_randomness` — and
-the static side is the graph's cached closure,
+single-source sweeps, and the static side is the graph's cached closure,
 :func:`static_reachability_matrix`.
 :func:`reachability_matrix` runs that sweep reach-only: its answer is the
 kernel's packed ``reached`` bitset, with no arrival times written, and

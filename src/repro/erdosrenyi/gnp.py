@@ -17,13 +17,7 @@ from ..graphs.properties import _adjacency
 from ..utils.seeding import SeedLike, normalize_rng
 from ..utils.validation import check_positive_int, check_probability
 
-__all__ = [
-    "sample_gnp_edges",
-    "is_gnp_connected",
-    "giant_component_fraction",
-    "gnp_connectivity",
-    "connectivity_probability",
-]
+__all__ = ["sample_gnp_edges", "gnp_connectivity"]
 
 
 @lru_cache(maxsize=8)
@@ -57,51 +51,13 @@ def sample_gnp_edges(
     return idx_u[keep], idx_v[keep]
 
 
-def _components(
-    n: int, edges_u: np.ndarray, edges_v: np.ndarray
-) -> tuple[int, np.ndarray]:
-    """Number of connected components and each vertex's component label."""
-    return connected_components(_adjacency(n, edges_u, edges_v), directed=False)
-
-
-def is_gnp_connected(
-    n: int, edges_u: np.ndarray, edges_v: np.ndarray
-) -> bool:
-    """Whether the graph given by the edge arrays is connected on ``n`` vertices."""
-    n = check_positive_int(n, "n")
-    if n == 1:
-        return True
-    if edges_u.size < n - 1:
-        return False
-    return _components(n, edges_u, edges_v)[0] == 1
-
-
-def giant_component_fraction(
-    n: int, edges_u: np.ndarray, edges_v: np.ndarray
-) -> float:
-    """Fraction of vertices in the largest connected component."""
-    return gnp_connectivity(n, edges_u, edges_v)[1]
-
-
 def gnp_connectivity(
     n: int, edges_u: np.ndarray, edges_v: np.ndarray
 ) -> tuple[bool, float]:
-    """:func:`is_gnp_connected` and :func:`giant_component_fraction` from one
-    components pass over the edge arrays."""
+    """Whether the edge arrays connect all ``n`` vertices, and the fraction of
+    vertices in the largest component, from one components pass."""
     n = check_positive_int(n, "n")
-    count, labels = _components(n, edges_u, edges_v)
+    count, labels = connected_components(
+        _adjacency(n, edges_u, edges_v), directed=False
+    )
     return count == 1, float(np.bincount(labels).max()) / n
-
-
-def connectivity_probability(
-    n: int, p: float, *, trials: int = 50, seed: SeedLike = None
-) -> float:
-    """Monte-Carlo estimate of ``P[G(n, p) is connected]``."""
-    trials = check_positive_int(trials, "trials")
-    rng = normalize_rng(seed)
-    successes = 0
-    for _ in range(trials):
-        edges_u, edges_v = sample_gnp_edges(n, p, seed=rng)
-        if is_gnp_connected(n, edges_u, edges_v):
-            successes += 1
-    return successes / trials

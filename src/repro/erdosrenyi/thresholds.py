@@ -1,7 +1,7 @@
-"""Connectivity-threshold helpers for ``G(n, p)``.
+"""The connectivity threshold of ``G(n, p)``.
 
 The classical threshold sits at ``p* = log n / n``: below it the graph is
-disconnected whp, above it connected whp.  The E7 experiment sweeps ``p``
+disconnected whp, above it connected whp.  The E7 scenario sweeps ``p``
 around ``p*`` and reports the measured connectivity probability; the Theorem 5
 proof uses exactly the sub-threshold regime.
 """
@@ -9,15 +9,10 @@ proof uses exactly the sub-threshold regime.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
-import numpy as np
-
-from ..utils.seeding import SeedLike, spawn_rngs
 from ..utils.validation import check_positive_int
-from .gnp import connectivity_probability
 
-__all__ = ["critical_probability", "connectivity_threshold_curve"]
+__all__ = ["critical_probability"]
 
 
 def critical_probability(n: int) -> float:
@@ -26,29 +21,3 @@ def critical_probability(n: int) -> float:
     if n == 1:
         return 0.0
     return math.log(n) / n
-
-
-def connectivity_threshold_curve(
-    n: int,
-    *,
-    multipliers: Sequence[float] = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0),
-    trials: int = 50,
-    seed: SeedLike = None,
-) -> list[dict[str, float]]:
-    """Estimate ``P[connected]`` for ``p = multiplier · log n / n``.
-
-    Returns one record per multiplier with keys ``multiplier``, ``p`` and
-    ``probability``; the experiment layer renders these as the E7 table.
-    """
-    n = check_positive_int(n, "n")
-    trials = check_positive_int(trials, "trials")
-    p_star = critical_probability(n)
-    rngs = spawn_rngs(seed, len(multipliers))
-    curve = []
-    for multiplier, rng in zip(multipliers, rngs):
-        p = min(1.0, float(multiplier) * p_star)
-        probability = connectivity_probability(n, p, trials=trials, seed=rng)
-        curve.append(
-            {"multiplier": float(multiplier), "p": p, "probability": probability}
-        )
-    return curve

@@ -1,9 +1,11 @@
 """Reproduction experiments — one module per claim of the paper.
 
-Every experiment module exposes a ``run(scale=..., seed=...)`` function that
-returns an :class:`~repro.experiments.reporting.ExperimentReport`; the
-registry maps experiment identifiers (E1 … E7, matching DESIGN.md §4) to those
-functions and provides the ``repro-experiments`` command-line entry point.
+Every experiment module exposes a ``build_report(run)`` function that turns a
+run of its scenario into an
+:class:`~repro.experiments.reporting.ExperimentReport`.  The registry maps
+the experiment identifiers (E1 … E9, listed in ``docs/paper_mapping.md``) to
+those functions, runs them with ``run_experiment(id, scale, seed=...)`` and
+provides the ``repro-experiments`` command-line entry point.
 """
 
 from .reporting import ExperimentReport, write_experiments_markdown
@@ -13,6 +15,7 @@ __all__ = [
     "write_experiments_markdown",
     "EXPERIMENTS",
     "get_experiment",
+    "run_experiment",
     "run_experiments",
     "main",
 ]
@@ -21,7 +24,7 @@ __all__ = [
 #: registry is not imported eagerly: ``python -m repro.experiments.registry``
 #: would otherwise find its own module already imported, and runpy warns.
 _REGISTRY_NAMES = frozenset(
-    {"EXPERIMENTS", "get_experiment", "main", "run_experiments"}
+    {"EXPERIMENTS", "get_experiment", "main", "run_experiment", "run_experiments"}
 )
 
 

@@ -7,9 +7,9 @@ push protocol, which also takes ``Θ(log n)`` rounds but relies on *protocol*
 randomness, whereas here randomness lives entirely in the input labels.
 
 The workload is the declarative scenario ``"E4"`` (clique × normalized U-RTN
-× flood-vs-phone-call metric); this module runs it through the generic
-pipeline and reports the flooding broadcast time next to ``log n``, the
-direct-wait baseline ``n/2`` and the phone-call push rounds.
+× flood-vs-phone-call metric); this module's report puts the flooding
+broadcast time next to ``log n``, the direct-wait baseline ``n/2`` and the
+phone-call push rounds.
 """
 
 from __future__ import annotations
@@ -20,28 +20,11 @@ from typing import Any
 from ..analysis.bounds import expected_direct_wait, phone_call_rounds_prediction
 from ..analysis.comparison import ComparisonRow
 from ..analysis.fitting import fit_log_model
-from ..scenarios import ScenarioRun, ScenarioTrial, get_scenario, run_scenario
+from ..scenarios import ScenarioRun
 from ..scenarios.library import E4_SCALES as SCALES
-from ..utils.seeding import SeedLike
 from .reporting import ExperimentReport
 
-__all__ = ["trial_dissemination", "run", "build_report", "SCALES"]
-
-#: The scenario's trial function (picklable; usable with Experiment directly).
-trial_dissemination = ScenarioTrial(get_scenario("E4"))
-
-
-def run(
-    scale: str = "default", *, seed: SeedLike = 2017, jobs: int | None = None
-) -> ExperimentReport:
-    """Run E4 through the scenario pipeline and build its report.
-
-    ``jobs=N`` fans the trials of each sweep point out over ``N`` worker
-    processes; the report is bit-identical to a serial run for the same seed.
-    """
-    return build_report(
-        run_scenario(get_scenario("E4"), scale=scale, seed=seed, jobs=jobs)
-    )
+__all__ = ["build_report", "SCALES"]
 
 
 def build_report(result: ScenarioRun) -> ExperimentReport:

@@ -4,10 +4,10 @@ Both lower bounds of the paper (the Remark after Theorem 4 and Theorem 5)
 rest on the classical fact that ``G(n, p)`` is disconnected whp when
 ``p`` is below ``log n / n`` and connected whp above it.  The workload is the
 declarative scenario ``"E7"`` (no graph family, no label model — the
-``er_connectivity`` metric samples raw ``G(n, p)`` edge arrays itself); this
-module runs it through the generic pipeline, sweeping ``p`` as a multiple of
-the critical value and measuring the connectivity probability and the
-giant-component fraction.
+``er_connectivity`` metric samples raw ``G(n, p)`` edge arrays itself).  It
+sweeps ``p`` as a multiple of the critical value and measures the
+connectivity probability and the giant-component fraction; this module
+builds the report from that run.
 """
 
 from __future__ import annotations
@@ -16,29 +16,11 @@ from typing import Any
 
 from ..analysis.comparison import ComparisonRow
 from ..analysis.thresholds import estimate_probability_threshold
-from ..scenarios import ScenarioRun, ScenarioTrial, get_scenario, run_scenario
+from ..scenarios import ScenarioRun
 from ..scenarios.library import E7_SCALES as SCALES
-from ..utils.seeding import SeedLike
 from .reporting import ExperimentReport
 
-__all__ = ["trial_er_connectivity", "run", "build_report", "SCALES"]
-
-#: The scenario's trial function (picklable; usable with Experiment directly).
-trial_er_connectivity = ScenarioTrial(get_scenario("E7"))
-
-
-def run(
-    scale: str = "default", *, seed: SeedLike = 2020, jobs: int | None = None
-) -> ExperimentReport:
-    """Run E7 through the scenario pipeline and build its report.
-
-    ``jobs=N`` executes the trials of each sweep point on ``N`` worker
-    processes via the parallel engine; the report is bit-identical to a
-    serial run for the same seed.
-    """
-    return build_report(
-        run_scenario(get_scenario("E7"), scale=scale, seed=seed, jobs=jobs)
-    )
+__all__ = ["build_report", "SCALES"]
 
 
 def build_report(result: ScenarioRun) -> ExperimentReport:

@@ -6,8 +6,7 @@ edge, giving an explicit journey of arrival time ``≤ 3c₁·log n + 2d·c₂``
 Theorem 3 says the construction succeeds with probability ``1 − O(n⁻³)``.
 
 The workload is the declarative scenario ``"E3"`` (clique × normalized U-RTN
-× expansion-process metric); this module runs it through the generic
-pipeline and reports, per ``n``:
+× expansion-process metric); this module's report gives, per ``n``:
 
 * the success probability of the construction,
 * the arrival time of the constructed journey versus the analytic time bound
@@ -27,15 +26,12 @@ from ..analysis.comparison import ComparisonRow
 from ..core.expansion import ExpansionParameters, expansion_process
 from ..core.labeling import normalized_urtn
 from ..graphs.generators import complete_graph
-from ..scenarios import ScenarioRun, ScenarioTrial, get_scenario, run_scenario
+from ..scenarios import ScenarioRun
 from ..scenarios.library import E3_SCALES as SCALES
 from ..utils.seeding import SeedLike
 from .reporting import ExperimentReport
 
-__all__ = ["trial_expansion", "run", "build_report", "SCALES"]
-
-#: The scenario's trial function (picklable; usable with Experiment directly).
-trial_expansion = ScenarioTrial(get_scenario("E3"))
+__all__ = ["build_report", "SCALES"]
 
 
 def _layer_trace(n: int, c1: float, c2: float, seed: SeedLike) -> list[dict[str, Any]]:
@@ -51,19 +47,6 @@ def _layer_trace(n: int, c1: float, c2: float, seed: SeedLike) -> list[dict[str,
     ):
         trace.append({"layer": i, "forward_size": forward, "backward_size": backward})
     return trace
-
-
-def run(
-    scale: str = "default", *, seed: SeedLike = 2016, jobs: int | None = None
-) -> ExperimentReport:
-    """Run E3 (and the F1 layer trace) through the scenario pipeline.
-
-    ``jobs=N`` fans the trials of each sweep point out over ``N`` worker
-    processes; the report is bit-identical to a serial run for the same seed.
-    """
-    return build_report(
-        run_scenario(get_scenario("E3"), scale=scale, seed=seed, jobs=jobs)
-    )
 
 
 def build_report(result: ScenarioRun) -> ExperimentReport:

@@ -5,9 +5,8 @@ arbitrary distribution ``F`` over ``{1, …, a}`` — as prospective study, and
 the conclusions list "designing the availability of a net" as ongoing work.
 The workload is the declarative scenario ``"E8"`` (clique × single-label
 model whose distribution is *selected by a sweep parameter* × diameter and
-flooding metrics); this module runs it through the generic pipeline,
-comparing the paper's UNI-CASE against a front-loaded geometric distribution
-and a Zipf-like distribution.
+flooding metrics); this module's report compares the paper's UNI-CASE
+against a front-loaded geometric distribution and a Zipf-like distribution.
 
 Expected shape: front-loaded distributions compress the label range actually
 used, so *reachability is still guaranteed* (the clique always has the direct
@@ -21,28 +20,11 @@ import math
 from typing import Any
 
 from ..analysis.comparison import ComparisonRow
-from ..scenarios import ScenarioRun, ScenarioTrial, get_scenario, run_scenario
+from ..scenarios import ScenarioRun
 from ..scenarios.library import E8_SCALES as SCALES, FCASE_DISTRIBUTIONS as DISTRIBUTIONS
-from ..utils.seeding import SeedLike
 from .reporting import ExperimentReport
 
-__all__ = ["trial_fcase", "run", "build_report", "SCALES", "DISTRIBUTIONS"]
-
-#: The scenario's trial function (picklable; usable with Experiment directly).
-trial_fcase = ScenarioTrial(get_scenario("E8"))
-
-
-def run(
-    scale: str = "default", *, seed: SeedLike = 2021, jobs: int | None = None
-) -> ExperimentReport:
-    """Run E8 through the scenario pipeline and build its report.
-
-    ``jobs=N`` fans the trials of each sweep point out over ``N`` worker
-    processes; the report is bit-identical to a serial run for the same seed.
-    """
-    return build_report(
-        run_scenario(get_scenario("E8"), scale=scale, seed=seed, jobs=jobs)
-    )
+__all__ = ["build_report", "SCALES", "DISTRIBUTIONS"]
 
 
 def build_report(result: ScenarioRun) -> ExperimentReport:

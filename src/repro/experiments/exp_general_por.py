@@ -25,22 +25,12 @@ pre-spawned slice of RNG streams, so results are identical to the serial run.
 from __future__ import annotations
 
 from ..analysis.comparison import ComparisonRow
-from ..scenarios import ScenarioRun, get_scenario, run_scenario
+from ..scenarios import ScenarioRun
 from ..scenarios.families import SIZED_FAMILIES as GRAPH_FAMILIES
 from ..scenarios.library import E6_SCALES as SCALES
-from ..utils.seeding import SeedLike
 from .reporting import ExperimentReport
 
-__all__ = ["GRAPH_FAMILIES", "run", "build_report", "SCALES"]
-
-
-def run(
-    scale: str = "default", *, seed: SeedLike = 2019, jobs: int | None = None
-) -> ExperimentReport:
-    """Run E6 (and the F3 box-assignment check) through the scenario pipeline."""
-    return build_report(
-        run_scenario(get_scenario("E6"), scale=scale, seed=seed, jobs=jobs)
-    )
+__all__ = ["GRAPH_FAMILIES", "build_report", "SCALES"]
 
 
 def build_report(result: ScenarioRun) -> ExperimentReport:

@@ -8,8 +8,8 @@ instance can have all pairs communicate before ``k ≈ (a/n)·log n``.
 
 The workload is the declarative scenario ``"E2"`` (clique × single uniform
 label with lifetime ``multiplier·n`` × diameter/bound/certificate suite);
-this module runs it through the generic pipeline and checks that the measured
-diameters scale linearly in ``(a/n)·log n``.
+this module's report checks that the measured diameters scale linearly in
+``(a/n)·log n``.
 """
 
 from __future__ import annotations
@@ -19,28 +19,11 @@ from typing import Any
 from ..analysis.comparison import ComparisonRow
 from ..analysis.fitting import fit_scaled_log_model
 from ..core.lifetime import temporal_diameter_lower_bound_theorem5
-from ..scenarios import ScenarioRun, ScenarioTrial, get_scenario, run_scenario
+from ..scenarios import ScenarioRun
 from ..scenarios.library import E2_SCALES as SCALES
-from ..utils.seeding import SeedLike
 from .reporting import ExperimentReport
 
-__all__ = ["trial_lifetime", "run", "build_report", "SCALES"]
-
-#: The scenario's trial function (picklable; usable with Experiment directly).
-trial_lifetime = ScenarioTrial(get_scenario("E2"))
-
-
-def run(
-    scale: str = "default", *, seed: SeedLike = 2015, jobs: int | None = None
-) -> ExperimentReport:
-    """Run E2 through the scenario pipeline and build its report.
-
-    ``jobs=N`` fans the trials of each sweep point out over ``N`` worker
-    processes; the report is bit-identical to a serial run for the same seed.
-    """
-    return build_report(
-        run_scenario(get_scenario("E2"), scale=scale, seed=seed, jobs=jobs)
-    )
+__all__ = ["build_report", "SCALES"]
 
 
 def build_report(result: ScenarioRun) -> ExperimentReport:

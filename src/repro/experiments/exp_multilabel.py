@@ -4,11 +4,10 @@ Section 4 of the paper studies how many random labels per edge are needed for
 reachability on *sparse* graphs; on the clique a single label already
 suffices, so extra labels buy *speed* instead.  The workload is the
 declarative scenario ``"E9"`` (clique × ``r`` uniform labels per edge ×
-distance-summary and label-cost metrics); this module runs it through the
-generic pipeline and measures how the temporal diameter of the normalized
-random clique shrinks as ``r`` grows, quantifying the diminishing returns of
-additional availability (the conclusions' "combining random availabilities"
-direction).
+distance-summary and label-cost metrics); this module's report measures
+how the temporal diameter of the normalized random clique shrinks as ``r``
+grows, quantifying the diminishing returns of additional availability (the
+conclusions' "combining random availabilities" direction).
 
 Expected shape: the temporal diameter decreases monotonically in ``r`` and is
 already within a small constant factor of its floor for ``r`` around
@@ -21,28 +20,11 @@ import math
 from typing import Any
 
 from ..analysis.comparison import ComparisonRow
-from ..scenarios import ScenarioRun, ScenarioTrial, get_scenario, run_scenario
+from ..scenarios import ScenarioRun
 from ..scenarios.library import E9_SCALES as SCALES
-from ..utils.seeding import SeedLike
 from .reporting import ExperimentReport
 
-__all__ = ["trial_multilabel", "run", "build_report", "SCALES"]
-
-#: The scenario's trial function (picklable; usable with Experiment directly).
-trial_multilabel = ScenarioTrial(get_scenario("E9"))
-
-
-def run(
-    scale: str = "default", *, seed: SeedLike = 2022, jobs: int | None = None
-) -> ExperimentReport:
-    """Run E9 through the scenario pipeline and build its report.
-
-    ``jobs=N`` fans the trials of each sweep point out over ``N`` worker
-    processes; the report is bit-identical to a serial run for the same seed.
-    """
-    return build_report(
-        run_scenario(get_scenario("E9"), scale=scale, seed=seed, jobs=jobs)
-    )
+__all__ = ["build_report", "SCALES"]
 
 
 def build_report(result: ScenarioRun) -> ExperimentReport:

@@ -10,10 +10,9 @@ Theorem 6 shows, for the star ``K_{1,n−1}`` (diameter 2):
 
 The workload is the declarative scenario ``"E5"`` (star × ``r`` uniform labels
 per edge × strong-reachability metric, one sweep block per ``n`` because the
-probed label grid depends on ``n``); this module runs it through the generic
-pipeline, locates the empirical threshold ``r̂(n)`` at the 90% level, and
-reports ``r̂ / log n`` (should be roughly constant) together with the
-resulting PoR.  The 2-split journey probability (the measured Figure 2
+probed label grid depends on ``n``); this module's report locates the
+empirical threshold ``r̂(n)`` at the 90% level and gives ``r̂ / log n``
+(should be roughly constant) together with the resulting PoR.  The 2-split journey probability (the measured Figure 2
 quantity) is reported alongside its exact analytic value.
 """
 
@@ -30,31 +29,14 @@ from ..core.guarantees import (
 )
 from ..core.price_of_randomness import opt_labels_star, price_of_randomness
 from ..graphs.generators import star_graph
-from ..scenarios import ScenarioRun, ScenarioTrial, get_scenario, run_scenario
+from ..scenarios import ScenarioRun
 from ..scenarios.library import E5_SCALES as SCALES
-from ..utils.seeding import SeedLike
 from .reporting import ExperimentReport
 
-__all__ = ["trial_star_reachability", "run", "build_report", "SCALES", "TARGET_PROBABILITY"]
-
-#: The scenario's trial function (picklable; usable with Experiment directly).
-trial_star_reachability = ScenarioTrial(get_scenario("E5"))
+__all__ = ["build_report", "SCALES", "TARGET_PROBABILITY"]
 
 #: Target probability defining the empirical threshold r̂(n).
 TARGET_PROBABILITY = 0.9
-
-
-def run(
-    scale: str = "default", *, seed: SeedLike = 2018, jobs: int | None = None
-) -> ExperimentReport:
-    """Run E5 (and the F2 two-split probability check) through the pipeline.
-
-    ``jobs=N`` fans the trials of each sweep point out over ``N`` worker
-    processes; the report is bit-identical to a serial run for the same seed.
-    """
-    return build_report(
-        run_scenario(get_scenario("E5"), scale=scale, seed=seed, jobs=jobs)
-    )
 
 
 def build_report(result: ScenarioRun) -> ExperimentReport:

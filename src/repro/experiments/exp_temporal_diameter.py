@@ -7,7 +7,8 @@ than the ``≈ n/2`` a single direct hop would need in expectation.
 
 The workload itself is the declarative scenario ``"E1"`` (clique × normalized
 U-RTN × distance-summary suite, defined in :mod:`repro.scenarios.library`);
-this module is the thin report layer: :func:`run` executes the scenario
+this module is the thin report layer:
+:func:`repro.experiments.registry.run_experiment` executes the scenario
 through the generic pipeline and :func:`build_report` turns the sweep into
 the paper-vs-measured record —
 
@@ -26,30 +27,11 @@ from typing import Any
 from ..analysis.bounds import expected_direct_wait, temporal_diameter_prediction
 from ..analysis.comparison import ComparisonRow
 from ..analysis.fitting import fit_log_model, fit_power_model
-from ..scenarios import ScenarioRun, ScenarioTrial, get_scenario, run_scenario
+from ..scenarios import ScenarioRun
 from ..scenarios.library import E1_SCALES as SCALES
-from ..utils.seeding import SeedLike
 from .reporting import ExperimentReport
 
-__all__ = ["trial_temporal_diameter", "run", "build_report", "SCALES"]
-
-#: The scenario's trial function (kept for direct Experiment construction,
-#: e.g. by the parallel-engine benchmarks; picklable for process pools).
-trial_temporal_diameter = ScenarioTrial(get_scenario("E1"))
-
-
-def run(
-    scale: str = "default", *, seed: SeedLike = 2014, jobs: int | None = None
-) -> ExperimentReport:
-    """Run E1 through the scenario pipeline and build its report.
-
-    ``jobs=N`` executes the trials of each sweep point on ``N`` worker
-    processes via the parallel engine; the report is bit-identical to a
-    serial run for the same seed.
-    """
-    return build_report(
-        run_scenario(get_scenario("E1"), scale=scale, seed=seed, jobs=jobs)
-    )
+__all__ = ["build_report", "SCALES"]
 
 
 def build_report(result: ScenarioRun) -> ExperimentReport:

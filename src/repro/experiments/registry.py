@@ -1,8 +1,10 @@
 """Experiment registry and the ``repro-experiments`` command-line interface.
 
-The registry maps the DESIGN.md experiment identifiers (E1 … E9) to the
-corresponding ``run(scale, seed)`` functions; the CLI runs any subset at a
-chosen scale and writes the combined EXPERIMENTS.md report.
+The registry maps the experiment identifiers (E1 … E9, listed in
+``docs/paper_mapping.md``) to the ``build_report`` function of each
+experiment module; :func:`run_experiment` runs an experiment's scenario
+through the generic pipeline and builds its report.  The CLI runs any subset
+at a chosen scale and writes the combined EXPERIMENTS.md report.
 
 A second command family drives the declarative scenario layer directly::
 
@@ -39,11 +41,13 @@ from typing import Any, Callable, ContextManager, Sequence
 
 from .. import telemetry
 from ..core import kernels
+from ..engine.executors import Executor, resolve_executor
 from ..exceptions import ConfigurationError
 from ..io.tables import format_table
 from ..scenarios import (
     MetricSuite,
     Scenario,
+    ScenarioRun,
     get_scenario,
     iter_scenarios,
     run_scenario,
@@ -64,19 +68,27 @@ from . import (
 )
 from .reporting import ExperimentReport, write_experiments_markdown
 
-__all__ = ["EXPERIMENTS", "DESCRIPTIONS", "get_experiment", "run_experiments", "main"]
+__all__ = [
+    "EXPERIMENTS",
+    "DESCRIPTIONS",
+    "get_experiment",
+    "run_experiment",
+    "run_experiments",
+    "main",
+]
 
-#: Registry: experiment id → run callable (``run(scale=..., seed=...)``).
-EXPERIMENTS: dict[str, Callable[..., ExperimentReport]] = {
-    "E1": exp_temporal_diameter.run,
-    "E2": exp_lifetime.run,
-    "E3": exp_expansion.run,
-    "E4": exp_dissemination.run,
-    "E5": exp_star_por.run,
-    "E6": exp_general_por.run,
-    "E7": exp_er_connectivity.run,
-    "E8": exp_fcase.run,
-    "E9": exp_multilabel.run,
+#: Registry: experiment id → the report builder of its module; the
+#: experiment's workload is the scenario registered under the same id.
+EXPERIMENTS: dict[str, Callable[[ScenarioRun], ExperimentReport]] = {
+    "E1": exp_temporal_diameter.build_report,
+    "E2": exp_lifetime.build_report,
+    "E3": exp_expansion.build_report,
+    "E4": exp_dissemination.build_report,
+    "E5": exp_star_por.build_report,
+    "E6": exp_general_por.build_report,
+    "E7": exp_er_connectivity.build_report,
+    "E8": exp_fcase.build_report,
+    "E9": exp_multilabel.build_report,
 }
 
 #: Human-readable one-line description per experiment id.
@@ -93,14 +105,38 @@ DESCRIPTIONS: dict[str, str] = {
 }
 
 
-def get_experiment(experiment_id: str) -> Callable[..., ExperimentReport]:
-    """Look up an experiment's run function by its identifier (case-insensitive)."""
+def get_experiment(experiment_id: str) -> Callable[[ScenarioRun], ExperimentReport]:
+    """Look up an experiment's report builder by its identifier (case-insensitive)."""
     key = experiment_id.strip().upper()
     if key not in EXPERIMENTS:
         raise ConfigurationError(
             f"unknown experiment {experiment_id!r}; available: {sorted(EXPERIMENTS)}"
         )
     return EXPERIMENTS[key]
+
+
+def run_experiment(
+    experiment_id: str,
+    scale: str = "default",
+    *,
+    seed: SeedLike = None,
+    jobs: int | None = None,
+    executor: Executor | None = None,
+) -> ExperimentReport:
+    """Run one experiment's scenario and build its paper-vs-measured report.
+
+    ``seed=None`` runs at the scenario's ``default_seed``.  ``jobs=N`` (or an
+    explicit ``executor``, as :func:`repro.scenarios.run_scenario` takes it)
+    fans the trials out over worker processes; the report is bit-identical
+    to a serial run for the same seed.
+    """
+    key = experiment_id.strip().upper()
+    build_report = get_experiment(key)
+    return build_report(
+        run_scenario(
+            get_scenario(key), scale=scale, seed=seed, jobs=jobs, executor=executor
+        )
+    )
 
 
 def _telemetry_session(spec: str | None) -> ContextManager[Any]:
@@ -187,15 +223,17 @@ def run_experiments(
 ) -> list[ExperimentReport]:
     """Run the requested experiments (all of them by default) and return the reports.
 
-    ``jobs=N`` fans each experiment's work out over ``N`` worker processes
-    through the parallel engine — every registry entry accepts it, and the
-    flag never changes any experiment's results, only its wall-clock.
+    ``jobs=N`` fans the experiments' work out over ``N`` worker processes
+    through the parallel engine, one pool for the whole call; the flag never
+    changes any experiment's results, only its wall-clock.
     """
     selected = list(ids) if ids else sorted(EXPERIMENTS)
-    return [
-        get_experiment(experiment_id)(scale, seed=seed, jobs=jobs)
-        for experiment_id in selected
-    ]
+    executor = resolve_executor(None, jobs)
+    with executor:
+        return [
+            run_experiment(experiment_id, scale, seed=seed, executor=executor)
+            for experiment_id in selected
+        ]
 
 
 def _build_parser() -> argparse.ArgumentParser:

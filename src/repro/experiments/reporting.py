@@ -19,7 +19,8 @@ class ExperimentReport:
     Attributes
     ----------
     experiment_id:
-        The DESIGN.md identifier (``"E1"`` … ``"E7"``).
+        The experiment identifier (``"E1"`` … ``"E9"``; see
+        ``docs/paper_mapping.md``).
     title:
         One-line description.
     claim:

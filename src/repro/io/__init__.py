@@ -1,11 +1,9 @@
-"""Input/output helpers: table rendering and result persistence."""
+"""Input/output helpers: table rendering and JSON persistence of records and scenarios."""
 
 from .tables import format_table, format_markdown_table
 from .serialization import (
-    read_records_csv,
     read_records_json,
     read_scenario_json,
-    write_records_csv,
     write_records_json,
     write_scenario_json,
 )
@@ -13,8 +11,6 @@ from .serialization import (
 __all__ = [
     "format_table",
     "format_markdown_table",
-    "write_records_csv",
-    "read_records_csv",
     "write_records_json",
     "read_records_json",
     "write_scenario_json",

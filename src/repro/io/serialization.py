@@ -1,10 +1,9 @@
-"""Persist experiment records — and scenario definitions — as CSV or JSON.
+"""Persist experiment records — and scenario definitions — as JSON.
 
 Records are flat mappings (the output of
 :func:`repro.montecarlo.results_to_records` or
-:meth:`repro.scenarios.ScenarioRun.to_records`); round-tripping through these
-helpers is lossless up to the usual CSV string/number ambiguity, which the
-reader resolves by attempting numeric conversion.
+:meth:`repro.scenarios.ScenarioRun.to_records`); ``scenario run --records``
+writes them with :func:`write_records_json`.
 
 Scenario definitions (:class:`repro.scenarios.Scenario`) are pure data and
 round-trip losslessly: :func:`write_scenario_json` /
@@ -14,7 +13,6 @@ instead of Python code.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -25,64 +23,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..scenarios.specs import Scenario
 
 __all__ = [
-    "write_records_csv",
-    "read_records_csv",
     "write_records_json",
     "read_records_json",
     "write_scenario_json",
     "read_scenario_json",
 ]
-
-
-def _union_columns(records: Sequence[Mapping[str, Any]]) -> list[str]:
-    columns: dict[str, None] = {}
-    for record in records:
-        for key in record:
-            columns.setdefault(str(key), None)
-    return list(columns)
-
-
-def write_records_csv(records: Sequence[Mapping[str, Any]], path: str | Path) -> Path:
-    """Write records to a CSV file and return the path."""
-    path = Path(path)
-    if not records:
-        raise SerializationError("refusing to write an empty record list")
-    columns = _union_columns(records)
-    try:
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=columns)
-            writer.writeheader()
-            for record in records:
-                writer.writerow({key: record.get(key, "") for key in columns})
-    except OSError as exc:
-        raise SerializationError(f"could not write CSV to {path}: {exc}") from exc
-    return path
-
-
-def _coerce(value: str) -> Any:
-    if value == "":
-        return None
-    for converter in (int, float):
-        try:
-            return converter(value)
-        except ValueError:
-            continue
-    if value.lower() in {"true", "false"}:
-        return value.lower() == "true"
-    return value
-
-
-def read_records_csv(path: str | Path) -> list[dict[str, Any]]:
-    """Read records from a CSV file, converting numeric-looking strings back."""
-    path = Path(path)
-    try:
-        with path.open("r", newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            return [
-                {key: _coerce(value) for key, value in row.items()} for row in reader
-            ]
-    except OSError as exc:
-        raise SerializationError(f"could not read CSV from {path}: {exc}") from exc
 
 
 def write_records_json(records: Sequence[Mapping[str, Any]], path: str | Path) -> Path:

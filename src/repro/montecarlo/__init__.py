@@ -12,14 +12,13 @@ label assignments; this subpackage provides the machinery to estimate them:
 * :mod:`repro.montecarlo.statistics` — summary statistics and confidence
   intervals;
 * :class:`ParameterSweep` — cartesian grids over experiment parameters;
-* result containers with CSV/JSON export.
+* result containers that flatten a sweep into records.
 """
 
 from .experiment import Experiment, TrialFunction
 from .runner import MonteCarloRunner, run_trials
 from .statistics import (
     SummaryStatistics,
-    bootstrap_confidence_interval,
     normal_confidence_interval,
     summarize,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "SummaryStatistics",
     "summarize",
     "normal_confidence_interval",
-    "bootstrap_confidence_interval",
     "ParameterSweep",
     "sweep_grid",
     "TrialResult",

@@ -9,14 +9,12 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from ..utils.seeding import SeedLike, normalize_rng
-from ..utils.validation import check_positive_int, check_probability
+from ..utils.validation import check_probability
 
 __all__ = [
     "SummaryStatistics",
     "summarize",
     "normal_confidence_interval",
-    "bootstrap_confidence_interval",
 ]
 
 
@@ -63,7 +61,7 @@ class SummaryStatistics:
         return self.half_width / abs(self.mean)
 
     def as_dict(self) -> dict[str, float]:
-        """Flat dictionary representation (used by the CSV/JSON writers)."""
+        """Flat dictionary representation."""
         return {
             "count": float(self.count),
             "mean": self.mean,
@@ -94,48 +92,6 @@ def normal_confidence_interval(
     # The standard normal quantile: scipy.stats.norm.ppf is this same call.
     z = float(ndtri(0.5 + confidence / 2.0))
     return (mean - z * sem, mean + z * sem)
-
-
-def bootstrap_confidence_interval(
-    values: Sequence[float],
-    *,
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: SeedLike = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Percentile bootstrap confidence interval for the mean of ``values``.
-
-    More robust than the normal approximation for the heavily skewed metrics
-    (e.g. broadcast times conditioned on success) that show up in the
-    experiments.
-
-    ``rng`` accepts an explicit (typically spawned) generator so that
-    parallel shards can bootstrap from their own independent streams without
-    sharing one generator; it is mutually exclusive with ``seed``.
-    """
-    confidence = check_probability(confidence, "confidence")
-    resamples = check_positive_int(resamples, "resamples")
-    if rng is not None:
-        if seed is not None:
-            raise ValueError("pass either seed= or rng=, not both")
-        if not isinstance(rng, np.random.Generator):
-            raise TypeError(
-                f"rng must be a numpy.random.Generator, got {type(rng).__name__}"
-            )
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot bootstrap an empty sample")
-    if arr.size == 1:
-        value = float(arr[0])
-        return (value, value)
-    if rng is None:
-        rng = normalize_rng(seed)
-    indices = rng.integers(0, arr.size, size=(resamples, arr.size))
-    means = arr[indices].mean(axis=1)
-    alpha = (1.0 - confidence) / 2.0
-    low, high = np.quantile(means, [alpha, 1.0 - alpha])
-    return (float(low), float(high))
 
 
 def summarize(

@@ -1,11 +1,9 @@
-"""Probability substrate: label distributions and tail-bound calculators.
+"""Probability substrate: label distributions.
 
 The paper's UNI-CASE draws each label uniformly from ``{1, …, a}``; the
 F-CASE generalisation allows an arbitrary distribution ``F`` over the same
 support.  :class:`LabelDistribution` and its concrete subclasses implement
-both, and :mod:`repro.randomness.chernoff` provides the Chernoff/union-bound
-calculators that appear in the paper's proofs (used by the analysis layer to
-compute the theoretical failure probabilities next to the measured ones).
+both.
 """
 
 from .distributions import (
@@ -15,12 +13,6 @@ from .distributions import (
     UniformLabelDistribution,
     distribution_from_name,
 )
-from .chernoff import (
-    binomial_chernoff_lower_tail,
-    binomial_chernoff_two_sided,
-    binomial_chernoff_upper_tail,
-    union_bound,
-)
 from ..utils.seeding import SeedLike, normalize_rng, spawn_rngs
 
 __all__ = [
@@ -29,10 +21,6 @@ __all__ = [
     "GeometricLabelDistribution",
     "TruncatedZipfLabelDistribution",
     "distribution_from_name",
-    "binomial_chernoff_lower_tail",
-    "binomial_chernoff_upper_tail",
-    "binomial_chernoff_two_sided",
-    "union_bound",
     "SeedLike",
     "normalize_rng",
     "spawn_rngs",

@@ -3,10 +3,10 @@
 Every workload the repository ships is declared here as data and registered
 at import time:
 
-* ``E1`` … ``E9`` — the scenarios behind the nine experiment entry points.
-  The experiment modules (:mod:`repro.experiments`) are thin shims over these
-  definitions: they run the scenario through the generic pipeline and build
-  their paper-comparison reports from the result.  The scale presets
+* ``E1`` … ``E9`` — the scenarios behind the nine experiments.
+  :func:`repro.experiments.registry.run_experiment` runs one through the
+  generic pipeline, and its experiment module's ``build_report`` turns the
+  result into the paper-comparison report.  The scale presets
   (``*_SCALES``) live here too and are re-exported by the experiment modules
   for backwards compatibility.
 * Registry-only scenarios (``hypercube-urtn-diameter``,

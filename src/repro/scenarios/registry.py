@@ -24,7 +24,7 @@ __all__ = [
 
 _REGISTRY: dict[str, Scenario] = {}
 
-#: Names of the scenarios that back a DESIGN.md experiment id.
+#: Names of the scenarios that back an experiment id (E1 … E9).
 _EXPERIMENT_ID = re.compile(r"^E\d+$")
 
 

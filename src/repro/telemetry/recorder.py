@@ -178,15 +178,6 @@ class SpanNode:
     duration_ms: float = 0.0
     children: list["SpanNode"] = field(default_factory=list)
 
-    def to_record(self) -> dict[str, Any]:
-        """JSON-able representation (children nested)."""
-        return {
-            "name": self.name,
-            "attrs": dict(self.attrs),
-            "duration_ms": self.duration_ms,
-            "children": [child.to_record() for child in self.children],
-        }
-
 
 class _OpenSpans(threading.local):
     """A recorder's open spans on the calling thread, innermost last."""
@@ -287,10 +278,6 @@ class TelemetryRecorder:
                     self.timings[name] = incoming
                 else:
                     stats.merge(incoming)
-
-    def merge(self, other: "TelemetryRecorder") -> None:
-        """Fold another recorder's counters and timings into this one."""
-        self.merge_state(other.to_state())
 
     def __repr__(self) -> str:
         return (

@@ -46,23 +46,33 @@ component); :class:`UnionFind` is the incremental reference for the
 tests that use networkx as their oracle.  :func:`expansion_process_reference`
 runs Algorithm 1 with a ``(tail, head) → label`` dict and a Python scan of
 every frontier vertex and head, where the package reads a label matrix.
+
+:func:`opt_labels_exhaustive` finds the Price of Randomness's ``OPT`` by
+trying every label assignment of a tiny graph, and certifies the analytic
+bounds of :mod:`repro.core.price_of_randomness`;
+:func:`minimal_labels_linear_sweep` estimates ``r(n)`` one ``r`` at a time,
+the linear twin of the package's doubling and binary search.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import combinations, groupby, product
 from types import SimpleNamespace
 
 import numpy as np
 
 from repro import NEVER, UNREACHABLE
 from repro.core.expansion import ExpansionParameters, ExpansionResult
+from repro.core.guarantees import reachability_probability
+from repro.core.reachability import preserves_reachability
 from repro.core.temporal_graph import TemporalGraph
 from repro.core.timearc_csr import TimeArcCSR
-from repro.exceptions import InvalidVertexError
+from repro.exceptions import ConfigurationError, GraphError, InvalidVertexError
+from repro.graphs.properties import is_connected
 from repro.graphs.static_graph import StaticGraph
 from repro.types import Journey, TimeEdge
-from repro.utils.validation import check_positive_int
+from repro.utils.seeding import spawn_rngs
+from repro.utils.validation import check_positive_int, check_probability
 
 
 def _out_arcs(network: TemporalGraph) -> dict[int, list[tuple[int, int]]]:
@@ -749,4 +759,96 @@ def expansion_process_reference(
     journey = Journey(source, target, tuple(hops))
     return ExpansionResult(
         success=True, journey=journey, arrival_time=journey.arrival_time, **common
+    )
+
+
+# ---------------------------------------------------------------------- #
+# Price of Randomness references: exhaustive OPT and a linear r(n) search
+# ---------------------------------------------------------------------- #
+def opt_labels_exhaustive(
+    graph: StaticGraph, *, lifetime: int | None = None, max_total_labels: int | None = None
+) -> int:
+    """Exact ``OPT`` by exhaustive search — only feasible for tiny graphs.
+
+    Enumerates assignments by increasing total label count, distributing
+    ``k`` labels over the ``m`` edges and trying all label values from
+    ``{1, …, lifetime}`` per edge; each candidate is checked with
+    :func:`repro.core.reachability.preserves_reachability`.  Graphs with at
+    most 6 edges and lifetimes of at most 8 only; larger ones raise
+    :class:`ConfigurationError` (a safety valve, not a soft limit).
+    """
+    if not is_connected(graph):
+        raise GraphError("OPT is defined for connected graphs")
+    n = graph.n
+    if n <= 1:
+        return 0
+    m = graph.m
+    a = check_positive_int(lifetime if lifetime is not None else n, "lifetime")
+    if max_total_labels is None:
+        max_total_labels = 2 * m
+    if m > 6 or a > 8:
+        raise ConfigurationError(
+            "exhaustive OPT search is only supported for graphs with at most 6 "
+            f"edges and lifetime at most 8 (got m={m}, lifetime={a})"
+        )
+
+    label_values = list(range(1, a + 1))
+    for total in range(m, max_total_labels + 1):
+        # Distribute `total` labels over m edges, each edge getting >= 1 label
+        # (an edge with no label can be removed; if removing it disconnects the
+        # graph the assignment cannot preserve reachability, and if it does not,
+        # a smaller graph would have been found at a smaller `total`).
+        for counts in _compositions(total, m):
+            per_edge_choices = [
+                list(combinations(label_values, count)) for count in counts
+            ]
+            for assignment in product(*per_edge_choices):
+                network = TemporalGraph(graph, list(assignment), lifetime=a)
+                if preserves_reachability(network):
+                    return total
+    raise ConfigurationError(
+        f"no assignment with at most {max_total_labels} labels preserves "
+        "reachability; increase max_total_labels"
+    )
+
+
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """All ways to write ``total`` as an ordered sum of ``parts`` positive integers."""
+    if parts == 1:
+        return [(total,)] if total >= 1 else []
+    result = []
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            result.append((first,) + rest)
+    return result
+
+
+def minimal_labels_linear_sweep(
+    graph: StaticGraph,
+    *,
+    target_probability: float = 0.9,
+    lifetime: int | None = None,
+    trials: int = 30,
+    r_max: int = 64,
+    seed=None,
+) -> int:
+    """The smallest ``r ≤ r_max`` whose estimated ``P[T_reach]`` meets the
+    target, tried one ``r`` at a time.
+
+    The linear twin of
+    :func:`repro.core.guarantees.minimal_labels_for_reachability`'s doubling
+    and binary search; the two agree up to Monte-Carlo noise.
+    """
+    target_probability = check_probability(target_probability, "target_probability")
+    r_max = check_positive_int(r_max, "r_max")
+    rngs = spawn_rngs(seed, r_max)
+    for r in range(1, r_max + 1):
+        probability = reachability_probability(
+            graph, r, lifetime=lifetime, trials=trials, seed=rngs[r - 1]
+        )
+        if probability >= target_probability:
+            return r
+    raise ConfigurationError(
+        f"no r <= {r_max} reached the target reachability probability "
+        f"{target_probability}"
     )

@@ -10,10 +10,6 @@ import pytest
 from repro.analysis.bounds import (
     expected_direct_wait,
     phone_call_rounds_prediction,
-    por_bound_general,
-    r_lower_bound_star,
-    r_sufficient_general,
-    temporal_diameter_lower_bound,
     temporal_diameter_prediction,
 )
 from repro.analysis.comparison import ComparisonRow, build_comparison_table
@@ -26,25 +22,8 @@ class TestBounds:
         assert temporal_diameter_prediction(100) == pytest.approx(math.log(100))
         assert temporal_diameter_prediction(100, gamma=3.0) == pytest.approx(3 * math.log(100))
 
-    def test_lower_bound_scales_with_lifetime(self):
-        assert temporal_diameter_lower_bound(64, 128) == pytest.approx(2 * math.log(64))
-        assert temporal_diameter_lower_bound(64) == pytest.approx(math.log(64))
-
     def test_direct_wait(self):
         assert expected_direct_wait(99) == pytest.approx(50.0)
-
-    def test_star_lower_bound(self):
-        assert r_lower_bound_star(50) == pytest.approx(math.log(50))
-
-    def test_general_sufficient_r(self):
-        assert r_sufficient_general(100, 5) == pytest.approx(10 * math.log(100))
-
-    def test_por_bound_matches_core_formula(self):
-        from repro.core.price_of_randomness import por_upper_bound_theorem8
-
-        assert por_bound_general(60, 100, 3) == pytest.approx(
-            por_upper_bound_theorem8(60, 100, 3)
-        )
 
     def test_phone_call_prediction(self):
         assert phone_call_rounds_prediction(1) == 0.0

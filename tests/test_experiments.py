@@ -6,21 +6,11 @@ import math
 
 import pytest
 
-from repro.experiments import (
-    exp_dissemination,
-    exp_er_connectivity,
-    exp_expansion,
-    exp_fcase,
-    exp_general_por,
-    exp_lifetime,
-    exp_multilabel,
-    exp_star_por,
-    exp_temporal_diameter,
-)
 from repro.experiments.registry import (
     DESCRIPTIONS,
     EXPERIMENTS,
     get_experiment,
+    run_experiment,
     run_experiments,
 )
 from repro.experiments.reporting import ExperimentReport, write_experiments_markdown
@@ -42,23 +32,10 @@ class TestRegistry:
             get_experiment("E99")
 
 
-@pytest.mark.parametrize(
-    "module, experiment_id",
-    [
-        (exp_temporal_diameter, "E1"),
-        (exp_lifetime, "E2"),
-        (exp_expansion, "E3"),
-        (exp_dissemination, "E4"),
-        (exp_star_por, "E5"),
-        (exp_general_por, "E6"),
-        (exp_er_connectivity, "E7"),
-        (exp_fcase, "E8"),
-        (exp_multilabel, "E9"),
-    ],
-)
+@pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
 class TestExperimentRuns:
-    def test_quick_run_produces_consistent_report(self, module, experiment_id):
-        report = module.run("quick", seed=1)
+    def test_quick_run_produces_consistent_report(self, experiment_id):
+        report = run_experiment(experiment_id, "quick", seed=1)
         assert isinstance(report, ExperimentReport)
         assert report.experiment_id == experiment_id
         assert report.records, "every experiment must produce a measurement table"
@@ -72,8 +49,8 @@ class TestExperimentRuns:
             )
         )
 
-    def test_markdown_rendering(self, module, experiment_id):
-        report = module.run("quick", seed=2)
+    def test_markdown_rendering(self, experiment_id):
+        report = run_experiment(experiment_id, "quick", seed=2)
         markdown = report.to_markdown()
         assert markdown.startswith(f"## {experiment_id}")
         assert "Paper claim" in markdown
@@ -85,7 +62,7 @@ class TestSpecificClaims:
     """Spot checks that the quick-scale measurements show the paper's shapes."""
 
     def test_e1_temporal_diameter_is_logarithmic(self):
-        report = exp_temporal_diameter.run("quick", seed=11)
+        report = run_experiment("E1", "quick", seed=11)
         for record in report.records:
             n = record["n"]
             assert record["mean_temporal_diameter"] >= math.log(n) - 1
@@ -96,28 +73,28 @@ class TestSpecificClaims:
                 assert record["mean_temporal_diameter"] <= n / 2
 
     def test_e2_diameter_increases_with_lifetime(self):
-        report = exp_lifetime.run("quick", seed=12)
+        report = run_experiment("E2", "quick", seed=12)
         diameters = [record["mean_temporal_diameter"] for record in report.records]
         assert diameters[-1] > diameters[0]
 
     def test_e5_single_label_fails_on_star(self):
-        report = exp_star_por.run("quick", seed=13)
+        report = run_experiment("E5", "quick", seed=13)
         for record in report.records:
             assert record["prob_r=1"] <= 0.1
             assert record["prob_r=max"] >= 0.8
 
     def test_e7_threshold_ordering(self):
-        report = exp_er_connectivity.run("quick", seed=14)
+        report = run_experiment("E7", "quick", seed=14)
         records = sorted(report.records, key=lambda r: r["p_over_critical"])
         assert records[0]["P[connected]"] <= records[-1]["P[connected]"]
 
     def test_e9_extra_labels_speed_up_dissemination(self):
-        report = exp_multilabel.run("quick", seed=15)
+        report = run_experiment("E9", "quick", seed=15)
         records = sorted(report.records, key=lambda r: r["labels_per_edge_r"])
         assert records[-1]["mean_temporal_diameter"] <= records[0]["mean_temporal_diameter"]
 
     def test_e8_covers_all_distributions(self):
-        report = exp_fcase.run("quick", seed=16)
+        report = run_experiment("E8", "quick", seed=16)
         assert {record["distribution"] for record in report.records} == {
             "uniform",
             "geometric",

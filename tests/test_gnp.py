@@ -9,14 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import UnionFind
-from repro.erdosrenyi.gnp import (
-    connectivity_probability,
-    giant_component_fraction,
-    gnp_connectivity,
-    is_gnp_connected,
-    sample_gnp_edges,
-)
-from repro.erdosrenyi.thresholds import connectivity_threshold_curve, critical_probability
+from repro.erdosrenyi.gnp import gnp_connectivity, sample_gnp_edges
+from repro.erdosrenyi.thresholds import critical_probability
 
 
 class TestUnionFind:
@@ -81,14 +75,9 @@ def test_connectivity_matches_union_find(case):
     forest = UnionFind(n)
     for u, v in zip(edges_u.tolist(), edges_v.tolist()):
         forest.union(u, v)
-    assert is_gnp_connected(n, edges_u, edges_v) is (forest.num_components == 1)
-    assert giant_component_fraction(n, edges_u, edges_v) == (
-        float(forest.component_sizes().max()) / n
-    )
-    assert gnp_connectivity(n, edges_u, edges_v) == (
-        is_gnp_connected(n, edges_u, edges_v),
-        giant_component_fraction(n, edges_u, edges_v),
-    )
+    connected, giant_fraction = gnp_connectivity(n, edges_u, edges_v)
+    assert connected is (forest.num_components == 1)
+    assert giant_fraction == float(forest.component_sizes().max()) / n
 
 
 class TestSampling:
@@ -141,59 +130,27 @@ class TestSampling:
 class TestConnectivity:
     def test_complete_graph_connected(self):
         u, v = sample_gnp_edges(12, 1.0, seed=0)
-        assert is_gnp_connected(12, u, v)
+        assert gnp_connectivity(12, u, v) == (True, 1.0)
 
     def test_empty_graph_disconnected(self):
         u, v = sample_gnp_edges(12, 0.0, seed=0)
-        assert not is_gnp_connected(12, u, v)
+        assert gnp_connectivity(12, u, v) == (False, 1 / 12)
 
     def test_single_vertex_connected(self):
-        assert is_gnp_connected(1, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        assert gnp_connectivity(1, NO_EDGES, NO_EDGES) == (True, 1.0)
 
-    def test_too_few_edges_short_circuit(self):
+    def test_too_few_edges_disconnected(self):
         u = np.asarray([0], dtype=np.int64)
         v = np.asarray([1], dtype=np.int64)
-        assert not is_gnp_connected(5, u, v)
+        assert gnp_connectivity(5, u, v) == (False, 2 / 5)
 
     def test_giant_component_fraction_bounds(self):
         u, v = sample_gnp_edges(50, 0.05, seed=3)
-        fraction = giant_component_fraction(50, u, v)
+        _, fraction = gnp_connectivity(50, u, v)
         assert 1 / 50 <= fraction <= 1.0
-
-    def test_giant_fraction_of_complete_graph_is_one(self):
-        u, v = sample_gnp_edges(20, 1.0, seed=0)
-        assert giant_component_fraction(20, u, v) == 1.0
 
 
 class TestThreshold:
     def test_critical_probability_formula(self):
         assert critical_probability(100) == pytest.approx(math.log(100) / 100)
         assert critical_probability(1) == 0.0
-
-    def test_connectivity_probability_monotone_in_p(self):
-        n = 80
-        low = connectivity_probability(n, 0.3 * critical_probability(n), trials=30, seed=0)
-        high = connectivity_probability(n, 3.0 * critical_probability(n), trials=30, seed=1)
-        assert high > low
-
-    def test_subcritical_mostly_disconnected(self):
-        n = 128
-        probability = connectivity_probability(
-            n, 0.3 * critical_probability(n), trials=30, seed=2
-        )
-        assert probability <= 0.2
-
-    def test_supercritical_mostly_connected(self):
-        n = 128
-        probability = connectivity_probability(
-            n, 3.0 * critical_probability(n), trials=30, seed=3
-        )
-        assert probability >= 0.8
-
-    def test_threshold_curve_structure(self):
-        curve = connectivity_threshold_curve(
-            64, multipliers=(0.5, 1.0, 2.0), trials=10, seed=4
-        )
-        assert [row["multiplier"] for row in curve] == [0.5, 1.0, 2.0]
-        assert all(0.0 <= row["probability"] <= 1.0 for row in curve)
-        assert all(row["p"] <= 1.0 for row in curve)

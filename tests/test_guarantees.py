@@ -6,9 +6,9 @@ import math
 
 import pytest
 
+from oracles import minimal_labels_linear_sweep
 from repro.core.guarantees import (
     minimal_labels_for_reachability,
-    minimal_labels_linear_sweep,
     reachability_probability,
     two_split_journey_probability,
     two_split_journey_probability_analytic,

@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import SerializationError
-from repro.io.serialization import (
-    read_records_csv,
-    read_records_json,
-    write_records_csv,
-    write_records_json,
-)
+from repro.io.serialization import read_records_json, write_records_json
 from repro.io.tables import format_markdown_table, format_table
 
 RECORDS = [
@@ -59,27 +54,6 @@ class TestTables:
 
 
 class TestSerialization:
-    def test_csv_roundtrip(self, tmp_path):
-        path = write_records_csv(RECORDS, tmp_path / "out.csv")
-        loaded = read_records_csv(path)
-        assert loaded[0]["n"] == 16
-        assert loaded[0]["mean"] == pytest.approx(3.25)
-        assert loaded[1]["ok"] is False
-
-    def test_csv_handles_missing_keys(self, tmp_path):
-        records = [{"a": 1}, {"a": 2, "b": "x"}]
-        loaded = read_records_csv(write_records_csv(records, tmp_path / "m.csv"))
-        assert loaded[0]["b"] is None
-        assert loaded[1]["b"] == "x"
-
-    def test_csv_empty_rejected(self, tmp_path):
-        with pytest.raises(SerializationError):
-            write_records_csv([], tmp_path / "empty.csv")
-
-    def test_csv_read_missing_file(self, tmp_path):
-        with pytest.raises(SerializationError):
-            read_records_csv(tmp_path / "nope.csv")
-
     def test_json_roundtrip(self, tmp_path):
         path = write_records_json(RECORDS, tmp_path / "out.json")
         loaded = read_records_json(path)

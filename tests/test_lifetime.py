@@ -11,7 +11,6 @@ from oracles import prefix_connectivity_time_reference
 from repro.core.distances import temporal_diameter
 from repro.core.labeling import assign_deterministic_labels, uniform_random_labels
 from repro.core.lifetime import (
-    erdos_renyi_equivalent_p,
     prefix_connectivity_time,
     temporal_diameter_lower_bound_theorem5,
 )
@@ -150,12 +149,3 @@ class TestTheorem5Bound:
                 temporal_diameter(uniform_random_labels(graph, lifetime=8 * n, seed=seed))
             )
         assert sum(long_diameters) > 2 * sum(short_diameters)
-
-
-class TestEquivalentP:
-    def test_formula(self):
-        assert erdos_renyi_equivalent_p(10, 100) == pytest.approx(0.1)
-
-    def test_k_above_lifetime_rejected(self):
-        with pytest.raises(ValueError):
-            erdos_renyi_equivalent_p(11, 10)

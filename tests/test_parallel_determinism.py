@@ -23,16 +23,16 @@ from repro.engine.executors import (
     run_unit,
 )
 from repro.exceptions import CheckpointError
-from repro.experiments.exp_er_connectivity import trial_er_connectivity
 from repro.montecarlo.experiment import Experiment
 from repro.montecarlo.runner import MonteCarloRunner, run_trials
 from repro.montecarlo.sweep import ParameterSweep
+from repro.scenarios import ScenarioTrial, get_scenario
 
 #: A real (module-level, hence picklable) paper workload: G(n, p)
 #: connectivity trials at modest size.
 ER_EXPERIMENT = Experiment(
     name="E7-er-connectivity",
-    trial=trial_er_connectivity,
+    trial=ScenarioTrial(get_scenario("E7")),
     parameters={"n": 48, "multiplier": 1.0},
 )
 

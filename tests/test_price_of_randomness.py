@@ -6,8 +6,8 @@ import math
 
 import pytest
 
+from oracles import opt_labels_exhaustive
 from repro.core.price_of_randomness import (
-    opt_labels_exhaustive,
     opt_labels_lower_bound,
     opt_labels_star,
     opt_labels_upper_bound,
@@ -85,10 +85,40 @@ class TestExhaustiveOpt:
         with pytest.raises(ConfigurationError):
             opt_labels_exhaustive(grid_graph(3, 3))
 
-    def test_exhaustive_within_analytic_bounds(self):
-        graph = path_graph(3)
-        value = opt_labels_exhaustive(graph, lifetime=4)
+    @pytest.mark.parametrize(
+        "graph, lifetime",
+        [
+            (path_graph(3), 4),
+            (path_graph(3), 8),
+            (path_graph(4), 4),
+            (cycle_graph(4), 4),
+            (cycle_graph(5), 3),
+        ],
+        ids=["path3-a4", "path3-a8", "path4-a4", "cycle4-a4", "cycle5-a3"],
+    )
+    def test_exhaustive_within_analytic_bounds(self, graph, lifetime):
+        value = opt_labels_exhaustive(graph, lifetime=lifetime)
         assert opt_labels_lower_bound(graph) <= value <= opt_labels_upper_bound(graph)
+
+
+class TestExhaustiveCertifiesStarOpt:
+    """The exhaustive search certifies ``opt_labels_star`` on stars small
+    enough for it (at most 6 edges)."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_star_at_lifetime_two_needs_opt_labels_star(self, n):
+        assert opt_labels_exhaustive(star_graph(n), lifetime=2) == opt_labels_star(n)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_star_from_lifetime_three_needs_one_label_fewer(self, n):
+        # One leaf edge may carry a single label strictly between the two
+        # labels of every other leaf edge, so 2m − 1 labels suffice once the
+        # lifetime leaves room for it: opt_labels_star(n) is exact at
+        # lifetime 2 and an upper bound from lifetime 3 on.
+        graph = star_graph(n)
+        value = opt_labels_exhaustive(graph, lifetime=3)
+        assert value == opt_labels_star(n) - 1
+        assert opt_labels_lower_bound(graph) <= value
 
 
 class TestPriceOfRandomness:

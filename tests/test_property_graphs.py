@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from oracles import UnionFind, to_networkx
-from repro.erdosrenyi.gnp import is_gnp_connected
+from repro.erdosrenyi.gnp import gnp_connectivity
 from repro.graphs.properties import (
     all_pairs_shortest_paths,
     bfs_distances,
@@ -77,7 +77,7 @@ def test_union_find_agrees_with_bfs_connectivity(graph):
     edges = graph.edge_pairs
     tails = edges[:, 0] if edges.size else np.empty(0, dtype=np.int64)
     heads = edges[:, 1] if edges.size else np.empty(0, dtype=np.int64)
-    assert is_gnp_connected(graph.n, tails, heads) == is_connected(graph)
+    assert gnp_connectivity(graph.n, tails, heads)[0] == is_connected(graph)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,6 +15,9 @@ from repro.experiments.registry import main
 
 class TestCli:
     def test_quick_run_writes_report(self, tmp_path, capsys):
+        from repro.experiments.registry import run_experiment
+        from repro.experiments.reporting import write_experiments_markdown
+
         output = tmp_path / "report.md"
         exit_code = main(
             ["--ids", "E7", "--scale", "quick", "--seed", "5", "--output", str(output), "--quiet"]
@@ -24,6 +27,11 @@ class TestCli:
         assert output.exists()
         assert "wrote" in captured.out
         assert "## E7" in output.read_text(encoding="utf-8")
+        # The flags reached the report: it is the quick-scale run at seed 5.
+        expected = write_experiments_markdown(
+            [run_experiment("E7", "quick", seed=5)], tmp_path / "expected.md"
+        )
+        assert output.read_bytes() == expected.read_bytes()
 
     def test_jobs_flag_gives_identical_report(self, tmp_path, capsys):
         serial_output = tmp_path / "serial.md"
@@ -138,23 +146,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "minor page faults: 600 in this process, 430 in its workers" in out
 
-    def test_run_experiments_passes_jobs_to_every_entry_point(self, monkeypatch):
+    def test_run_experiments_shares_one_pool(self, monkeypatch):
+        from repro.engine import executors
         from repro.experiments import registry
 
-        calls = []
+        pools = []
 
-        def entry(experiment_id):
-            def run(scale, *, seed, jobs):
-                calls.append((experiment_id, scale, seed, jobs))
-                return experiment_id
+        class CountingPool(executors.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
 
-            return run
-
-        monkeypatch.setattr(
-            registry, "EXPERIMENTS", {key: entry(key) for key in ("E1", "E2")}
-        )
-        assert registry.run_experiments(scale="quick", seed=3, jobs=2) == ["E1", "E2"]
-        assert calls == [("E1", "quick", 3, 2), ("E2", "quick", 3, 2)]
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", CountingPool)
+        ids = ["E1", "E2", "E7"]
+        parallel = registry.run_experiments(ids, scale="quick", seed=3, jobs=2)
+        assert len(pools) == 1
+        serial = registry.run_experiments(ids, scale="quick", seed=3)
+        assert len(pools) == 1
+        markdown = [report.to_markdown() for report in serial]
+        assert [report.to_markdown() for report in parallel] == markdown
+        # Every experiment ran at the requested scale and seed, and the seed
+        # mattered: each scenario's default seed gives a different report.
+        assert markdown == [
+            registry.run_experiment(key, "quick", seed=3).to_markdown() for key in ids
+        ]
+        defaults = [registry.run_experiment(key, "quick").to_markdown() for key in ids]
+        assert all(ours != default for ours, default in zip(markdown, defaults))
 
     def test_help_mentions_experiments(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

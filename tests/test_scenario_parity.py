@@ -1,11 +1,12 @@
-"""Scenario ↔ legacy parity: the shims are bit-identical to the pipeline.
+"""Experiment ↔ scenario parity: a report is its scenario's run, reported.
 
-Every experiment entry point ``run(scale, seed)`` must produce exactly the
-same report as running its registered scenario through the generic
-:func:`repro.scenarios.run_scenario` pipeline and handing the result to the
-module's ``build_report`` — and both must be bit-identical under ``jobs=2``.
+:func:`repro.experiments.registry.run_experiment` must produce exactly the
+same report as running the scenario registered under the experiment's id
+through the generic :func:`repro.scenarios.run_scenario` pipeline and handing
+the result to the experiment module's ``build_report`` — bit-identical under
+``jobs=2`` too, and at the scenario's ``default_seed`` when no seed is given.
 This pins the contract that let the nine bespoke experiment modules become
-thin scenario definitions without changing a single published number.
+thin report builders without changing a single published number.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.experiments import (
     exp_star_por,
     exp_temporal_diameter,
 )
-from repro.experiments.registry import DESCRIPTIONS, EXPERIMENTS
+from repro.experiments.registry import DESCRIPTIONS, EXPERIMENTS, run_experiment
 from repro.scenarios import experiment_scenarios, get_scenario, run_scenario
 
 MODULES = {
@@ -60,7 +61,7 @@ class TestRegistryDrift:
     """A new experiment cannot land without a description and a scenario."""
 
     def test_experiments_descriptions_and_scenarios_share_one_key_set(self):
-        assert set(EXPERIMENTS) == set(DESCRIPTIONS), (
+        assert set(EXPERIMENTS) == set(DESCRIPTIONS) == set(MODULES), (
             "EXPERIMENTS and DESCRIPTIONS drifted apart"
         )
         assert set(EXPERIMENTS) == set(experiment_scenarios()), (
@@ -68,35 +69,24 @@ class TestRegistryDrift:
             "every E<N> needs a registered scenario and vice versa"
         )
 
-    def test_scenario_default_seeds_match_run_defaults(self):
-        import inspect
-
-        for eid, module in MODULES.items():
-            default_seed = inspect.signature(module.run).parameters["seed"].default
-            assert get_scenario(eid).default_seed == default_seed, eid
-
-    def test_every_run_entry_point_accepts_jobs(self):
-        import inspect
-
-        for eid, module in MODULES.items():
-            assert "jobs" in inspect.signature(module.run).parameters, (
-                f"{eid}.run must accept jobs= (parallel engine wiring)"
-            )
-
 
 @pytest.mark.parametrize("experiment_id", sorted(MODULES))
-class TestScenarioLegacyParity:
-    def test_legacy_run_matches_scenario_pipeline_bit_for_bit(self, experiment_id):
-        module = MODULES[experiment_id]
-        legacy = module.run("quick", seed=SEED)
+class TestScenarioParity:
+    def test_run_experiment_matches_scenario_pipeline_bit_for_bit(self, experiment_id):
+        report = run_experiment(experiment_id, "quick", seed=SEED)
         scenario_result = run_scenario(
             get_scenario(experiment_id), scale="quick", seed=SEED
         )
-        rebuilt = module.build_report(scenario_result)
-        assert _fingerprint(legacy) == _fingerprint(rebuilt)
+        rebuilt = MODULES[experiment_id].build_report(scenario_result)
+        assert _fingerprint(report) == _fingerprint(rebuilt)
 
     def test_jobs2_is_bit_identical_to_serial(self, experiment_id):
-        module = MODULES[experiment_id]
-        serial = module.run("quick", seed=SEED)
-        parallel = module.run("quick", seed=SEED, jobs=2)
+        serial = run_experiment(experiment_id, "quick", seed=SEED)
+        parallel = run_experiment(experiment_id, "quick", seed=SEED, jobs=2)
         assert _fingerprint(serial) == _fingerprint(parallel)
+
+    def test_no_seed_runs_at_the_scenarios_default_seed(self, experiment_id):
+        default_seed = get_scenario(experiment_id).default_seed
+        assert _fingerprint(run_experiment(experiment_id, "quick")) == _fingerprint(
+            run_experiment(experiment_id, "quick", seed=default_seed)
+        )

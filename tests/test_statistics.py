@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.montecarlo.statistics import (
-    bootstrap_confidence_interval,
-    normal_confidence_interval,
-    summarize,
-)
+from repro.montecarlo.statistics import normal_confidence_interval, summarize
 
 
 class TestSummarize:
@@ -108,47 +104,3 @@ class TestNormalCI:
         )
         assert low == pytest.approx(float(np.mean(data)) - half, rel=1e-12)
         assert high == pytest.approx(float(np.mean(data)) + half, rel=1e-12)
-
-
-class TestBootstrapCI:
-    def test_interval_contains_sample_mean(self):
-        data = np.random.default_rng(4).exponential(size=80)
-        low, high = bootstrap_confidence_interval(data, seed=0)
-        assert low <= float(np.mean(data)) <= high
-
-    def test_single_value_degenerates(self):
-        assert bootstrap_confidence_interval([3.0], seed=0) == (3.0, 3.0)
-
-    def test_reproducible_with_seed(self):
-        data = [1.0, 5.0, 2.0, 8.0, 3.0]
-        assert bootstrap_confidence_interval(data, seed=7) == bootstrap_confidence_interval(
-            data, seed=7
-        )
-
-    def test_roughly_agrees_with_normal_ci(self):
-        data = np.random.default_rng(5).normal(loc=10, size=200)
-        normal_low, normal_high = normal_confidence_interval(data)
-        boot_low, boot_high = bootstrap_confidence_interval(data, seed=1)
-        assert abs(normal_low - boot_low) < 0.25
-        assert abs(normal_high - boot_high) < 0.25
-
-    def test_explicit_rng_path(self):
-        # spawned generators give shards independent, reproducible bootstraps
-        data = [1.0, 5.0, 2.0, 8.0, 3.0]
-        from repro.utils.seeding import spawn_rngs
-
-        first = bootstrap_confidence_interval(data, rng=spawn_rngs(7, 2)[0])
-        again = bootstrap_confidence_interval(data, rng=spawn_rngs(7, 2)[0])
-        other = bootstrap_confidence_interval(data, rng=spawn_rngs(7, 2)[1])
-        assert first == again
-        assert first != other
-
-    def test_rng_and_seed_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            bootstrap_confidence_interval(
-                [1.0, 2.0], seed=1, rng=np.random.default_rng(2)
-            )
-
-    def test_rng_must_be_generator(self):
-        with pytest.raises(TypeError):
-            bootstrap_confidence_interval([1.0, 2.0], rng=123)
