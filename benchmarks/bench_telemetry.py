@@ -31,8 +31,9 @@ from repro.core.journeys import earliest_arrival_matrix
 N = 256
 SEED = 2014
 #: Rounds the gate alternates its legs over, one sweep per leg per round:
-#: enough for a telemetry-off leg of about 3 s on a 2-core box.
-ROUNDS = 600
+#: enough for a telemetry-off leg of about 2 s on a 2-core box, twice the
+#: floor (600 rounds read 0.90–1.23 s there once sweeps got faster).
+ROUNDS = 1200
 #: Shortest telemetry-off leg the gate asserts on.
 SERIAL_FLOOR_S = 1.0
 #: Relative gate plus absolute slack: 2 % is well above the one telemetry

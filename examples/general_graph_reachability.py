@@ -55,7 +55,9 @@ def main(trials: int = 15, seed: int = 11) -> None:
                 "2·d·log n (Thm 7)": r_sufficient_theorem7(graph.n, d),
                 "P[reach] at sufficient r": prob,
                 "empirical r̂ (90%)": r_hat,
-                "measured PoR": price_of_randomness(graph, r_hat, opt=opt_labels_upper_bound(graph)),
+                "measured PoR": price_of_randomness(
+                    graph, r_hat, opt=opt_labels_upper_bound(graph, lifetime=graph.n)
+                ),
                 "Thm 8 PoR bound": por_upper_bound_theorem8(graph.n, graph.m, d),
                 "box assignment ok": box_ok,
             }

@@ -626,14 +626,17 @@ class NetworkAnalysis:
             the instance's maximum per-edge label count.
         opt:
             The ``OPT`` denominator; defaults to the constructive upper bound
-            :func:`repro.core.price_of_randomness.opt_labels_upper_bound`,
-            which makes ``measured_por`` a conservative lower bound on the
-            true PoR.
+            :func:`repro.core.price_of_randomness.opt_labels_upper_bound` at
+            the instance's lifetime, which makes ``measured_por`` a
+            conservative lower bound on the true PoR.
 
         Raises
         ------
         repro.exceptions.GraphError
             If the underlying graph is disconnected (OPT is undefined).
+        repro.exceptions.ConfigurationError
+            If no ``opt`` is given and the lifetime is too short for the
+            constructive bound.
         """
 
         def audit() -> PorAudit:
@@ -649,7 +652,11 @@ class NetworkAnalysis:
                     "this instance has none and no explicit r was given"
                 )
             graph = network.graph
-            opt_value = int(opt) if opt is not None else opt_labels_upper_bound(graph)
+            opt_value = (
+                int(opt)
+                if opt is not None
+                else opt_labels_upper_bound(graph, network.lifetime)
+            )
             d = static_diameter(graph)
             return PorAudit(
                 r=resolved_r,

@@ -59,9 +59,9 @@ def reachability_probability(
     seed:
         RNG seed.
 
-    The trials are decided :data:`~repro.core.reachability.STACK_HEIGHT` at
-    a time, one sweep per stack
-    (:func:`~repro.core.reachability.preserves_reachability_stacked`).
+    The trials are decided in stacks of up to
+    :data:`~repro.core.reachability.STACK_ARCS` time arcs, one sweep per
+    stack (:func:`~repro.core.reachability.preserves_reachability_stacked`).
     """
     trials = check_positive_int(trials, "trials")
     # Trial i draws from child i of the seed; the generator hands the

@@ -16,8 +16,9 @@ Deterministic assignments (baselines / OPT constructions)
   label per box; Claim 1 shows this preserves reachability.
 * :func:`tree_broadcast_assignment` — a 2-labels-per-tree-edge construction
   (gather towards a root, then scatter) that preserves reachability with
-  ``2·(n−1)`` total labels on any connected graph; it realises the paper's
-  ``OPT = 2m`` assignment on the star (where the tree is the whole graph).
+  ``2·(n−1)`` total labels on any (strongly) connected graph; on the star
+  (where the tree is the whole graph) it is the paper's ``2m`` assignment,
+  optimal at lifetime 2.
 * :func:`assign_deterministic_labels` — assign explicit user-provided labels.
 """
 
@@ -188,53 +189,62 @@ def tree_broadcast_assignment(
 ) -> TemporalGraph:
     """A deterministic assignment with ``2·(n−1)`` labels preserving reachability.
 
-    A BFS spanning tree rooted at ``root`` is labelled in two phases:
+    Two BFS arborescences rooted at ``root`` are labelled in two phases:
 
-    * *gather phase* — every tree edge at depth ``k`` (the deeper endpoint has
-      BFS depth ``k``) gets the label ``H − k + 1`` where ``H`` is the tree
-      height, so labels strictly increase along every leaf-to-root path;
-    * *scatter phase* — the same edge also gets the label ``H + k``, so labels
-      strictly increase along every root-to-leaf path, and every scatter label
-      exceeds every gather label.
+    * *gather phase* — every vertex ``v`` at distance ``k`` to the root
+      labels the arc to its parent in the in-arborescence (a neighbour one
+      step closer to the root) with ``H_in − k + 1``, where ``H_in`` is the
+      in-arborescence's height, so labels strictly increase along every
+      path to the root;
+    * *scatter phase* — every vertex ``v`` at distance ``k`` from the root
+      labels the arc from its parent in the out-arborescence with
+      ``H_in + k``, so labels strictly increase along every path from the
+      root, and every scatter label exceeds every gather label.
 
     Any ordered pair ``(u, v)`` is then connected by the journey
     ``u → root → v``, so the assignment preserves reachability with total
-    label count ``2·(n−1)``; non-tree edges receive no labels.  On the star
-    this is exactly the paper's optimal assignment with ``OPT = 2m``.
+    label count ``2·(n−1)`` and lifetime ``H_in + H_out``; arcs of neither
+    arborescence receive no labels.  On an undirected graph both are one
+    BFS tree whose edges each carry two labels.  On the star this is the
+    paper's assignment with ``2m`` labels, which is ``OPT`` at lifetime 2;
+    from lifetime 3 on ``OPT`` is ``2m − 1``
+    (:func:`~repro.core.price_of_randomness.opt_labels_star`).
 
     Raises
     ------
     GraphError
-        If the graph is not connected (no spanning tree exists).
+        If the graph is not (strongly) connected (no spanning arborescence
+        exists).
+    LabelingError
+        If ``lifetime`` is below ``H_in + H_out``.
     """
     if graph.n == 0:
         raise GraphError("cannot label an empty graph")
     if not is_connected(graph):
         raise GraphError("tree_broadcast_assignment requires a connected graph")
-    depth = bfs_distances(graph, root)
-    height = int(depth.max()) if graph.n > 1 else 0
+    to_root = bfs_distances(graph.reverse(), root)
+    from_root = to_root if not graph.directed else bfs_distances(graph, root)
+    height_in = int(to_root.max())
+    tails, heads = graph.arc_tails, graph.arc_heads
+    # In-parent of v: the least w with an arc v → w one step closer to the
+    # root; out-parent of v: the least w with an arc w → v one step further.
+    in_parent = _least_parent(graph.n, tails, heads, to_root)
+    out_parent = _least_parent(graph.n, heads, tails, from_root)
 
-    # Reconstruct BFS tree parents: for each non-root vertex pick a neighbour
-    # one level closer to the root.
-    labels: dict[int, set[int]] = {}
-    for v in range(graph.n):
-        if v == root:
-            continue
-        parent_candidates = [
-            int(u) for u in graph.out_neighbors(v) if depth[u] == depth[v] - 1
+    others = np.flatnonzero(np.arange(graph.n) != root)
+    edges = np.concatenate(
+        [
+            _edge_indices(graph, others, in_parent[others]),
+            _edge_indices(graph, out_parent[others], others),
         ]
-        if not parent_candidates:
-            raise GraphError(
-                "BFS tree reconstruction failed; is the graph connected?"
-            )
-        parent = min(parent_candidates)
-        edge_index = graph.edge_index(parent, v)
-        k = int(depth[v])
-        gather = height - k + 1
-        scatter = height + k
-        labels.setdefault(edge_index, set()).update({gather, scatter})
+    )
+    # No arc gets one label twice: a gather label is at most H_in, a
+    # scatter label more.
+    values = np.concatenate(
+        [height_in - to_root[others] + 1, height_in + from_root[others]]
+    )
 
-    needed = 2 * height if height > 0 else 1
+    needed = height_in + int(from_root.max()) if graph.n > 1 else 1
     a = check_positive_int(
         lifetime if lifetime is not None else max(graph.n, needed), "lifetime"
     )
@@ -243,8 +253,35 @@ def tree_broadcast_assignment(
             f"lifetime {a} is too small for the tree broadcast assignment, "
             f"which needs labels up to {needed}"
         )
-    label_list = [tuple(sorted(labels.get(i, ()))) for i in range(graph.m)]
-    return TemporalGraph(graph, label_list, lifetime=a)
+    order = np.lexsort((values, edges))
+    return TemporalGraph._from_arrays(graph, edges[order], values[order], a)
+
+
+def _least_parent(
+    n: int, tails: np.ndarray, heads: np.ndarray, depth: np.ndarray
+) -> np.ndarray:
+    """For every vertex ``v``, the least ``heads[i]`` with ``tails[i] = v`` one level up.
+
+    One level up is ``depth[heads[i]] = depth[v] − 1``; the root, with no
+    such arc, gets ``n``.
+    """
+    up = depth[heads] == depth[tails] - 1
+    parent = np.full(n, n, dtype=np.int64)
+    np.minimum.at(parent, tails[up], heads[up])
+    return parent
+
+
+def _edge_indices(graph: StaticGraph, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """The canonical edge index of every existing arc ``tails[i] → heads[i]``.
+
+    The edges are sorted by tail and then head, so their ``tail·n + head``
+    keys are sorted and one binary search finds them all.
+    """
+    if not graph.directed:
+        tails, heads = np.minimum(tails, heads), np.maximum(tails, heads)
+    n = graph.n
+    keys = graph.pair_tails * n + graph.pair_heads
+    return np.searchsorted(keys, tails * n + heads)
 
 
 def assign_deterministic_labels(

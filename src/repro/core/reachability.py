@@ -22,16 +22,16 @@ one when reading several quantities of an instance.
 Monte-Carlo estimates of ``P[T_reach]`` ask :func:`preserves_reachability`
 thousands of times over one graph, and each small sweep costs about a dozen
 numpy calls per label group whatever its arcs.
-:func:`preserves_reachability_stacked` decides such trials
-:data:`STACK_HEIGHT` at a time: one sweep over a network on disjoint copies
-of the graph (:meth:`TemporalGraph.stacked`) loops once over the label
-groups for the whole stack.
+:func:`preserves_reachability_stacked` decides such trials in stacks of up
+to :data:`STACK_ARCS` time arcs (:func:`arc_stacks`): one sweep over a
+network on disjoint copies of the graph (:meth:`TemporalGraph.stacked`)
+loops once over the label groups for the whole stack.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterable
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -48,14 +48,18 @@ __all__ = [
     "is_temporally_connected",
     "preserves_reachability",
     "preserves_reachability_stacked",
-    "STACK_HEIGHT",
+    "arc_stacks",
+    "STACK_ARCS",
 ]
 
-#: Trials one stacked sweep decides at most.  It bounds a stack's memory at
-#: that many networks.  Dense cliques, whose sweeps saturate after a few
-#: large groups, break even against one sweep per trial at this height and
-#: lose beyond it.
-STACK_HEIGHT = 8
+#: Time arcs one stacked sweep holds at most: the summed
+#: :attr:`~repro.core.temporal_graph.TemporalGraph.num_time_arcs` of its
+#: networks.  The one owner of stack size; a stack's layout, bitset and
+#: networks grow with it.  A star's stack at ``n = 256`` and ``r = 17``
+#: holds about eight networks of 8.4 k arcs.
+STACK_ARCS = 1 << 16
+
+_Item = TypeVar("_Item")
 
 
 def static_reachability_matrix(graph: StaticGraph) -> np.ndarray:
@@ -138,35 +142,60 @@ def preserves_reachability(network: TemporalGraph) -> bool:
     return _reaches_all(network, network.graph.packed_reachability_closure)
 
 
+def arc_stacks(
+    items: Iterable[_Item], time_arcs: Callable[[_Item], int]
+) -> Iterator[list[_Item]]:
+    """Cut a stream into stacks whose summed ``time_arcs`` stay within :data:`STACK_ARCS`.
+
+    Greedy and in order: a stack takes items until the next one would carry
+    it past the budget, and that item starts the next stack.  So the stream
+    is drawn one stack ahead by one item only, and an item over the budget
+    on its own is a stack of one: a stack exceeds :data:`STACK_ARCS` only
+    when it holds a single item.
+    """
+    stack: list[_Item] = []
+    total = 0
+    for item in items:
+        size = time_arcs(item)
+        if stack and total + size > STACK_ARCS:
+            yield stack
+            stack, total = [], 0
+        stack.append(item)
+        total += size
+    if stack:
+        yield stack
+
+
 def preserves_reachability_stacked(networks: Iterable[TemporalGraph]) -> list[bool]:
     """:func:`preserves_reachability` of every network, a stack per sweep.
 
-    The networks must lie on one graph object.  They are taken
-    :data:`STACK_HEIGHT` at a time, so at most that many are held at once,
-    and each stack is decided by one reach-only sweep over
-    :meth:`TemporalGraph.stacked`.  The copies share one column space: row
-    ``t·n + v`` holds network ``t``'s bits of the ``n`` sources, so the
+    The networks must lie on one graph object.  :func:`arc_stacks` cuts them
+    into stacks of at most :data:`STACK_ARCS` time arcs, drawing an iterator
+    one stack at a time, and each stack is decided by one reach-only sweep
+    over :meth:`TemporalGraph.stacked`.  The copies share one column space:
+    row ``t·n + v`` holds network ``t``'s bits of the ``n`` sources, so the
     bitset is as large as ``T`` separate sweeps' but the sweep loops over the
     label groups once.  Network ``t``'s answer compares its block of rows
     with the graph's packed closure.  A stack gives up the deficient-row
-    exit, since such a row decides only its own network; a stack of one is
-    the network itself and keeps it.
+    exit, since such a row decides only its own network; a stack of one,
+    such as a network over the budget, is the network itself and keeps it.
     """
-    networks = iter(networks)
     answers: list[bool] = []
-    while stack := list(islice(networks, STACK_HEIGHT)):
+    for stack in arc_stacks(networks, attrgetter("num_time_arcs")):
         closure = stack[0].graph.packed_reachability_closure
         if len(stack) == 1:
             answers.append(_reaches_all(stack[0], closure))
-            continue
-        reached = _sweep(
-            TemporalGraph.stacked(stack),
-            None,
-            0,
-            reverse=False,
-            arrivals=False,
-            copies=len(stack),
-        ).reached
-        blocks = reached.reshape(len(stack), *closure.shape)
-        answers.extend((blocks == closure).all(axis=(1, 2)).tolist())
+        else:
+            reached = _sweep(
+                TemporalGraph.stacked(stack),
+                None,
+                0,
+                reverse=False,
+                arrivals=False,
+                copies=len(stack),
+            ).reached
+            blocks = reached.reshape(len(stack), *closure.shape)
+            answers.extend((blocks == closure).all(axis=(1, 2)).tolist())
+        # Release this stack's networks before the next one is drawn.
+        del stack
     return answers

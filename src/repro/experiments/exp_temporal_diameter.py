@@ -67,7 +67,9 @@ def build_report(result: ScenarioRun) -> ExperimentReport:
     ratios = [record["ratio_TD_over_log_n"] for record in records]
     ratio_spread = max(ratios) - min(ratios)
     largest_n = int(sizes[-1])
-    largest_td = diameters[-1]
+    # A mean over pairs, like the direct edge's expected wait; the diameter
+    # is a maximum over the n(n − 1) pairs.
+    largest_mean = sweep_result.points[-1].mean("mean_temporal_distance")
 
     comparison = [
         ComparisonRow(
@@ -92,11 +94,14 @@ def build_report(result: ScenarioRun) -> ExperimentReport:
             quantity=f"multi-hop journeys beat the direct edge (n={largest_n})",
             paper="direct wait ≈ n/2, journeys O(log n)",
             measured=(
-                f"TD ≈ {largest_td:.1f} vs direct-wait baseline "
-                f"{expected_direct_wait(largest_n):.1f}"
+                f"mean temporal distance ≈ {largest_mean:.1f} vs direct-wait "
+                f"baseline {expected_direct_wait(largest_n):.1f}"
             ),
-            matches=largest_td < expected_direct_wait(largest_n) / 2,
-            note="the 'hostile clique is not secure' headline result",
+            matches=largest_mean < expected_direct_wait(largest_n) / 2,
+            note=(
+                "the 'hostile clique is not secure' headline result: the mean "
+                "foremost arrival is under half the direct edge's expected wait"
+            ),
         ),
     ]
     return ExperimentReport(

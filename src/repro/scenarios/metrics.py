@@ -479,7 +479,7 @@ def _direct_theorem7_por_audit(
         r_max=4 * r_sufficient,
         seed=next(rng_iter),
     )
-    opt_bound = opt_labels_upper_bound(graph)
+    opt_bound = opt_labels_upper_bound(graph, lifetime)
     measured_por = price_of_randomness(graph, r_hat, opt=opt_bound)
     theorem8_bound = por_upper_bound_theorem8(n, m, d)
 

@@ -21,27 +21,24 @@ from the scenario's declarative specs: build (or reuse) the graph, sample the
 label model with the trial generator, evaluate the metric suite in order.
 The engine hands it a shard's trials together (:meth:`ScenarioTrial.batch`);
 a suite of metrics with a batch form, such as ``strong_reachability``,
-decides them in stacks of :data:`~repro.core.reachability.STACK_HEIGHT`
-with one sweep per stack, and :func:`run_scenario` cuts such a suite's
-shards no shorter than a stack.
+decides them in stacks of up to :data:`~repro.core.reachability.STACK_ARCS`
+time arcs with one sweep per stack, and :func:`run_scenario` runs each
+point of such a suite as one shard.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .. import telemetry
-from ..core.reachability import STACK_HEIGHT
+from ..core.reachability import arc_stacks
 from ..engine.driver import ProgressCallback
 from ..engine.executors import Executor, RunContext, merge_telemetry, resolve_executor
-from ..engine.sharding import DEFAULT_MAX_SHARDS
 from ..exceptions import ConfigurationError
 from ..montecarlo.experiment import Experiment
 from ..montecarlo.results import SweepResult, TrialResult
@@ -71,6 +68,10 @@ def _batch_forms(scenario: Scenario) -> list[BatchMetricFunction] | None:
     if not forms or None in forms:
         return None
     return forms
+
+
+def _context_arcs(ctx: TrialContext) -> int:
+    return 0 if ctx.network is None else ctx.network.num_time_arcs
 
 
 class ScenarioTrial:
@@ -109,36 +110,45 @@ class ScenarioTrial:
         """Run one trial per generator, in order: a shard's trials at once.
 
         A suite made up wholly of metrics with a batch form
-        (:data:`~repro.scenarios.metrics.BATCH_METRICS`) samples
-        :data:`~repro.core.reachability.STACK_HEIGHT` trials' networks over
-        the point's graph and hands them to each metric's batch form
-        together, so ``strong_reachability`` decides them with one sweep.
-        Any other suite runs the trials one by one.  Either way each trial
-        draws from its own generator alone, so every value equals the
-        per-trial call's, and counts as one ``scenario.trials``.
+        (:data:`~repro.scenarios.metrics.BATCH_METRICS`) samples the trials'
+        networks over the point's graph one by one and hands them to each
+        metric's batch form a stack at a time, cut by
+        :func:`~repro.core.reachability.arc_stacks`, so
+        ``strong_reachability`` decides a stack with one sweep and at most
+        one stack's networks are alive.  Any other suite runs the trials one
+        by one.  Either way each trial draws from its own generator alone,
+        so every value equals the per-trial call's, and counts as one
+        ``scenario.trials``.
         """
         forms = _batch_forms(self.scenario)
         if forms is None:
             return [self(params, rng) for rng in rngs]
-        rngs = iter(rngs)
         results: list[dict[str, float]] = []
-        while stack := list(islice(rngs, STACK_HEIGHT)):
-            with telemetry.span("scenario.stack", scenario=self.scenario.name):
-                contexts = self._contexts(params, stack)
-                for spec, form in zip(self.scenario.metrics, forms):
-                    with telemetry.span(f"scenario.metric.{spec.metric}"):
-                        for ctx, values in zip(contexts, form(contexts, spec.options)):
-                            ctx.metrics.update(values)
-            results.extend(dict(ctx.metrics) for ctx in contexts)
+        for stack in arc_stacks(self._contexts(params, rngs), _context_arcs):
+            results.extend(self._run_stack(stack, forms))
+            # Release this stack's networks before the next one is drawn.
+            del stack
         return results
 
-    def _contexts(
-        self, params: Mapping[str, Any], rngs: list[np.random.Generator]
-    ) -> list[TrialContext]:
-        """Build (or reuse) the point's graph and sample one network per generator.
+    def _run_stack(
+        self, stack: list[TrialContext], forms: list[BatchMetricFunction]
+    ) -> list[dict[str, float]]:
+        """Evaluate the suite's batch forms on one stack of trials."""
+        with telemetry.span("scenario.stack", scenario=self.scenario.name):
+            for spec, form in zip(self.scenario.metrics, forms):
+                with telemetry.span(f"scenario.metric.{spec.metric}"):
+                    for ctx, values in zip(stack, form(stack, spec.options)):
+                        ctx.metrics.update(values)
+        return [dict(ctx.metrics) for ctx in stack]
 
-        Counts each generator as one ``scenario.trials`` and times the graph
-        build and the label sampling.
+    def _contexts(
+        self, params: Mapping[str, Any], rngs: Iterable[np.random.Generator]
+    ) -> Iterator[TrialContext]:
+        """Build (or reuse) the point's graph, then sample one network per generator.
+
+        The networks are drawn as the caller asks for them.  Counts each
+        generator as one ``scenario.trials`` and times the graph build and
+        each label draw.
         """
         recs = telemetry.active()
         stamp = time.perf_counter() if recs else 0.0
@@ -146,22 +156,18 @@ class ScenarioTrial:
         if recs:
             now = time.perf_counter()
             for rec in recs:
-                rec.counter("scenario.trials", len(rngs))
                 rec.observe_ms("scenario.graph_build_ms", (now - stamp) * 1e3)
-            stamp = now
-        contexts = []
         for rng in rngs:
+            stamp = time.perf_counter() if recs else 0.0
             network, extras = sample_labels(self.scenario.labels, graph, params, rng)
-            contexts.append(
-                TrialContext(
-                    graph=graph, network=network, params=params, rng=rng, extras=extras
-                )
+            if recs:
+                now = time.perf_counter()
+                for rec in recs:
+                    rec.counter("scenario.trials")
+                    rec.observe_ms("scenario.label_sampling_ms", (now - stamp) * 1e3)
+            yield TrialContext(
+                graph=graph, network=network, params=params, rng=rng, extras=extras
             )
-        if recs:
-            now = time.perf_counter()
-            for rec in recs:
-                rec.observe_ms("scenario.label_sampling_ms", (now - stamp) * 1e3)
-        return contexts
 
     def __getstate__(self) -> Scenario:
         return self.scenario
@@ -290,10 +296,9 @@ def run_scenario(
     processes with bit-identical results, ``checkpoint_dir`` persists
     completed shards for crash/resume.  ``seed=None`` falls back to the
     scenario's ``default_seed``.  With no ``shard_size``, a suite decided in
-    stacks (:meth:`ScenarioTrial.batch`) gets shards of
-    ``max(STACK_HEIGHT, ⌈repetitions / DEFAULT_MAX_SHARDS⌉)`` trials, so no
-    shard but a point's last cuts a stack short; any other suite gets the
-    engine's default plan.
+    stacks (:meth:`ScenarioTrial.batch`) runs each point as one shard, so no
+    shard boundary cuts a stack short; any other suite gets the engine's
+    default plan.
 
     Returns
     -------
@@ -320,9 +325,7 @@ def run_scenario(
 
     scale_cfg = scenario.scale(scale)
     if shard_size is None and _batch_forms(scenario) is not None:
-        shard_size = max(
-            STACK_HEIGHT, math.ceil(scale_cfg.repetitions / DEFAULT_MAX_SHARDS)
-        )
+        shard_size = scale_cfg.repetitions
     experiment = Experiment(
         name=scenario.experiment_name or scenario.name,
         trial=ScenarioTrial(scenario),

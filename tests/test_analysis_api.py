@@ -242,6 +242,19 @@ class TestMemoization:
         with pytest.raises(ConfigurationError, match="r >= 1"):
             NetworkAnalysis(empty).por_audit()
 
+    def test_por_audit_bounds_opt_at_the_instance_lifetime(self):
+        from repro import cycle_graph
+        from repro.core.price_of_randomness import opt_labels_upper_bound
+
+        graph = cycle_graph(5)
+        short = uniform_random_labels(graph, labels_per_edge=2, lifetime=3, seed=1)
+        # 2(n − 1) bounds OPT only from lifetime 2·radius = 4 on.
+        with pytest.raises(ConfigurationError, match="lifetime 3"):
+            NetworkAnalysis(short).por_audit()
+        assert NetworkAnalysis(short).por_audit(opt=10).opt == 10
+        normal = uniform_random_labels(graph, labels_per_edge=2, lifetime=5, seed=1)
+        assert NetworkAnalysis(normal).por_audit().opt == opt_labels_upper_bound(graph, 5)
+
 
 class TestRowQueries:
     def test_distances_from_slices_cached_matrix(self, clique_network, counting_hook):

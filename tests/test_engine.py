@@ -372,14 +372,27 @@ class TestHeldPool:
         assert 1 <= len(pools) <= 4
         assert not multiprocessing.active_children()
 
-    def test_e5_quick_run_starts_one_pool(self, pools):
+    def test_e1_quick_run_starts_one_pool(self, pools):
+        # E1's points run several shards each, so every point maps over the
+        # pool, and the run's points share the one pool.
+        from repro.scenarios import get_scenario, run_scenario
+
+        scenario = get_scenario("E1")
+        serial = run_scenario(scenario, scale="quick", seed=5)
+        parallel = run_scenario(scenario, scale="quick", seed=5, jobs=2)
+        assert len(pools) == 1
+        assert not multiprocessing.active_children()
+        assert parallel.to_records() == serial.to_records()
+
+    def test_e5_quick_run_needs_no_pool(self, pools):
+        # A stacked suite runs each point as one shard, and a map of one
+        # unit runs in process.
         from repro.scenarios import get_scenario, run_scenario
 
         scenario = get_scenario("E5")
         serial = run_scenario(scenario, scale="quick", seed=5)
         parallel = run_scenario(scenario, scale="quick", seed=5, jobs=2)
-        assert len(pools) == 1
-        assert not multiprocessing.active_children()
+        assert pools == []
         assert parallel.to_records() == serial.to_records()
 
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import oracle_arrival_matrix
 from repro.core.labeling import (
     assign_deterministic_labels,
     box_assignment,
@@ -19,13 +20,15 @@ from repro.exceptions import GraphError, LabelingError
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
+    erdos_renyi_graph,
     grid_graph,
     path_graph,
     star_graph,
 )
-from repro.graphs.properties import diameter
+from repro.graphs.properties import bfs_distances, diameter, is_connected
 from repro.graphs.static_graph import StaticGraph
 from repro.randomness.distributions import GeometricLabelDistribution
+from repro.types import UNREACHABLE
 
 
 class TestUniformRandomLabels:
@@ -171,7 +174,8 @@ class TestTreeBroadcastAssignment:
     def test_star_realises_the_paper_opt(self):
         graph = star_graph(12)
         network = tree_broadcast_assignment(graph)
-        # OPT = 2m for the star (Theorem 6): two labels on each of the m edges.
+        # The paper's 2m assignment (Theorem 6; OPT at lifetime 2): two
+        # labels on each of the m edges.
         assert network.total_labels == 2 * graph.m
 
     def test_custom_root(self):
@@ -187,6 +191,58 @@ class TestTreeBroadcastAssignment:
         graph = path_graph(10)
         with pytest.raises(LabelingError):
             tree_broadcast_assignment(graph, lifetime=2)
+
+
+def _check_digraph_broadcast(graph: StaticGraph, root: int) -> None:
+    """The assignment on a strongly connected digraph, against the oracle."""
+    network = tree_broadcast_assignment(graph, root=root)
+    # The brute-force journeys reach every ordered pair.
+    assert (oracle_arrival_matrix(network) < UNREACHABLE).all()
+    assert preserves_reachability(network)
+    # One gather arc and one scatter arc per non-root vertex.
+    assert network.total_labels == 2 * (graph.n - 1)
+    height_in = int(bfs_distances(graph.reverse(), root).max())
+    height_out = int(bfs_distances(graph, root).max())
+    assert network.lifetime == max(graph.n, height_in + height_out)
+    assert int(network.time_arc_labels.max()) <= height_in + height_out
+    with pytest.raises(LabelingError):
+        tree_broadcast_assignment(
+            graph, root=root, lifetime=height_in + height_out - 1
+        )
+
+
+class TestTreeBroadcastOnDigraphs:
+    """Gather on an in-arborescence, scatter on an out-arborescence."""
+
+    def test_strongly_connected_gnp(self):
+        # Labelling both arcs of each BFS tree edge failed here: the digraph
+        # lacks reverse arcs its BFS tree uses.
+        graph = erdos_renyi_graph(8, 0.6, directed=True, seed=0)
+        assert is_connected(graph)
+        for root in range(graph.n):
+            _check_digraph_broadcast(graph, root)
+
+    def test_random_strongly_connected_digraphs(self):
+        rng = np.random.default_rng(8)
+        checked = 0
+        while checked < 20:
+            n = int(rng.integers(2, 10))
+            graph = erdos_renyi_graph(
+                n, float(rng.choice([0.3, 0.5, 0.8])), directed=True,
+                seed=int(rng.integers(1 << 30)),
+            )
+            if not is_connected(graph):
+                continue
+            _check_digraph_broadcast(graph, int(rng.integers(n)))
+            checked += 1
+
+    def test_one_way_cycle(self):
+        graph = StaticGraph(5, [(v, (v + 1) % 5) for v in range(5)], directed=True)
+        _check_digraph_broadcast(graph, 2)
+
+    def test_not_strongly_connected_rejected(self):
+        with pytest.raises(GraphError):
+            tree_broadcast_assignment(StaticGraph(3, [(0, 1), (1, 2)], directed=True))
 
 
 class TestDeterministicAssignment:

@@ -143,7 +143,7 @@ def test_exceptions_reachable_from_top_level():
 def test_star_por_helpers_consistent():
     n = 40
     star = repro.star_graph(n)
-    por = repro.price_of_randomness(star, 8, opt=repro.opt_labels_star(n))
+    por = repro.price_of_randomness(star, 8, opt=repro.opt_labels_star(n, lifetime=2))
     assert por == pytest.approx(4.0)
     assert repro.por_upper_bound_theorem8(n, star.m, 2) > por
 

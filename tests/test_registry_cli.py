@@ -127,7 +127,9 @@ class TestCli:
         assert int(match.group(1)) > 0
 
     def test_profile_with_jobs_counts_the_workers_page_faults(self, capsys):
-        argv = ["profile", "E5", "--scale", "quick", "--seed", "1", "--jobs", "2"]
+        # E1's points run several shards each, so --jobs 2 starts workers
+        # (E5 runs one shard per point, in process).
+        argv = ["profile", "E1", "--scale", "quick", "--seed", "1", "--jobs", "2"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         pattern = r"^minor page faults: (\d+) in this process, (\d+) in its workers$"

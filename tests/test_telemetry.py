@@ -504,13 +504,14 @@ class TestAnalysisCachePins:
 class TestDecisionExitPins:
     """E5 asks Theorem 6's yes/no question once per trial, a stack per sweep.
 
-    Each point's 20 trials run as shards of 8, 8 and 4 trials, and each
-    shard is one stack decided by one sweep: 69 sweeps for 460 trials.  A
-    stack stops early only when every trial in it has saturated; it gives
-    up the deficient-row exit, since such a row decides only its own trial.
-    The counts are exact at a fixed seed.  One sweep per trial took 460
-    sweeps and scanned 11 465 groups, with 231 saturation and 229 deficient
-    exits.
+    Each point's 20 trials run as one shard, and at quick scale every
+    point's networks fit one stack of ``STACK_ARCS`` time arcs, decided by
+    one sweep: 23 sweeps for 460 trials.  A stack stops early only when
+    every trial in it has saturated; it gives up the deficient-row exit,
+    since such a row decides only its own trial.  The counts are exact at a
+    fixed seed.  Stacks of eight took 69 sweeps and scanned 3 196 groups;
+    one sweep per trial took 460 sweeps and scanned 11 465 groups, with 231
+    saturation and 229 deficient exits.
     """
 
     def test_e5_quick_counts(self):
@@ -518,9 +519,10 @@ class TestDecisionExitPins:
             run_scenario(get_scenario("E5"), scale="quick", seed=4)
         counters = rec.counters
         assert counters["scenario.trials"] == counters["engine.trials"] == 460
-        assert counters["kernel.forward.sweeps"] == 69
-        assert counters["kernel.forward.groups_scanned"] == 3196
-        assert counters["kernel.forward.saturation_exits"] == 22
+        assert counters["engine.shards"] == 23
+        assert counters["kernel.forward.sweeps"] == 23
+        assert counters["kernel.forward.groups_scanned"] == 1090
+        assert counters["kernel.forward.saturation_exits"] == 5
         assert "kernel.forward.deficient_exits" not in counters
         assert "analysis.compute.reachability" not in counters
 
@@ -585,16 +587,17 @@ class TestEngineTransport:
         parallel_run, parallel_rec = self._e6(jobs=2)
         assert parallel_run.records == serial_run.records
         assert parallel_rec.counters == serial_rec.counters
-        # 32 probes of 10 trials, each decided in stacks of 8 and 2, and
-        # one box assignment per family (one sweep per trial took 323).
-        assert serial_rec.counters["kernel.forward.sweeps"] == 67
+        # 32 probes of 10 trials, each decided in one stack, and one box
+        # assignment per family (stacks of 8 and 2 took 67 sweeps, one
+        # sweep per trial 323).
+        assert serial_rec.counters["kernel.forward.sweeps"] == 35
         assert serial_rec.counters["scenario.direct_points"] == 3
 
     def test_direct_points_sweep_in_spawned_workers(self):
         serial_run, _ = self._e6()
         run, rec = self._e6(executor=MultiprocessExecutor(2, start_method="spawn"))
         assert run.records == serial_run.records
-        assert rec.counters["kernel.forward.sweeps"] == 67
+        assert rec.counters["kernel.forward.sweeps"] == 35
 
     def test_no_telemetry_state_when_disabled(self):
         experiment = Experiment(name="telemetry-off", trial=_coin_trial)
