@@ -222,27 +222,31 @@ def tree_broadcast_assignment(
         raise GraphError("cannot label an empty graph")
     if not is_connected(graph):
         raise GraphError("tree_broadcast_assignment requires a connected graph")
-    to_root = bfs_distances(graph.reverse(), root)
+    reverse = graph.reverse()
+    to_root = bfs_distances(reverse, root)
     from_root = to_root if not graph.directed else bfs_distances(graph, root)
     height_in = int(to_root.max())
-    tails, heads = graph.arc_tails, graph.arc_heads
-    # In-parent of v: the least w with an arc v → w one step closer to the
-    # root; out-parent of v: the least w with an arc w → v one step further.
-    in_parent = _least_parent(graph.n, tails, heads, to_root)
-    out_parent = _least_parent(graph.n, heads, tails, from_root)
 
-    others = np.flatnonzero(np.arange(graph.n) != root)
-    edges = np.concatenate(
-        [
-            _edge_indices(graph, others, in_parent[others]),
-            _edge_indices(graph, out_parent[others], others),
-        ]
-    )
-    # No arc gets one label twice: a gather label is at most H_in, a
-    # scatter label more.
-    values = np.concatenate(
-        [height_in - to_root[others] + 1, height_in + from_root[others]]
-    )
+    # Gather parent of v: the least out-neighbour one step closer to the
+    # root.  Scatter parent: the least in-neighbour one step further from it.
+    # No arc gets one label twice: a gather label is at most H_in, a scatter
+    # label more.
+    labels: dict[int, set[int]] = {}
+    for v in range(graph.n):
+        if v == root:
+            continue
+        gather_parent = min(
+            int(w) for w in graph.out_neighbors(v) if to_root[w] == to_root[v] - 1
+        )
+        scatter_parent = min(
+            int(w) for w in reverse.out_neighbors(v) if from_root[w] == from_root[v] - 1
+        )
+        labels.setdefault(graph.edge_index(v, gather_parent), set()).add(
+            height_in - int(to_root[v]) + 1
+        )
+        labels.setdefault(graph.edge_index(scatter_parent, v), set()).add(
+            height_in + int(from_root[v])
+        )
 
     needed = height_in + int(from_root.max()) if graph.n > 1 else 1
     a = check_positive_int(
@@ -253,35 +257,8 @@ def tree_broadcast_assignment(
             f"lifetime {a} is too small for the tree broadcast assignment, "
             f"which needs labels up to {needed}"
         )
-    order = np.lexsort((values, edges))
-    return TemporalGraph._from_arrays(graph, edges[order], values[order], a)
-
-
-def _least_parent(
-    n: int, tails: np.ndarray, heads: np.ndarray, depth: np.ndarray
-) -> np.ndarray:
-    """For every vertex ``v``, the least ``heads[i]`` with ``tails[i] = v`` one level up.
-
-    One level up is ``depth[heads[i]] = depth[v] − 1``; the root, with no
-    such arc, gets ``n``.
-    """
-    up = depth[heads] == depth[tails] - 1
-    parent = np.full(n, n, dtype=np.int64)
-    np.minimum.at(parent, tails[up], heads[up])
-    return parent
-
-
-def _edge_indices(graph: StaticGraph, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """The canonical edge index of every existing arc ``tails[i] → heads[i]``.
-
-    The edges are sorted by tail and then head, so their ``tail·n + head``
-    keys are sorted and one binary search finds them all.
-    """
-    if not graph.directed:
-        tails, heads = np.minimum(tails, heads), np.maximum(tails, heads)
-    n = graph.n
-    keys = graph.pair_tails * n + graph.pair_heads
-    return np.searchsorted(keys, tails * n + heads)
+    label_list = [tuple(sorted(labels.get(i, ()))) for i in range(graph.m)]
+    return TemporalGraph(graph, label_list, lifetime=a)
 
 
 def assign_deterministic_labels(

@@ -30,7 +30,6 @@ loops once over the label groups for the whole stack.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
@@ -49,14 +48,14 @@ __all__ = [
     "preserves_reachability",
     "preserves_reachability_stacked",
     "arc_stacks",
+    "stack_weight",
     "STACK_ARCS",
 ]
 
 #: Time arcs one stacked sweep holds at most: the summed
-#: :attr:`~repro.core.temporal_graph.TemporalGraph.num_time_arcs` of its
-#: networks.  The one owner of stack size; a stack's layout, bitset and
-#: networks grow with it.  A star's stack at ``n = 256`` and ``r = 17``
-#: holds about eight networks of 8.4 k arcs.
+#: :func:`stack_weight` of its networks.  The one owner of stack size; a
+#: stack's layout, bitset and networks grow with it.  A star's stack at
+#: ``n = 256`` and ``r = 17`` holds about eight networks of 8.4 k arcs.
 STACK_ARCS = 1 << 16
 
 _Item = TypeVar("_Item")
@@ -142,10 +141,21 @@ def preserves_reachability(network: TemporalGraph) -> bool:
     return _reaches_all(network, network.graph.packed_reachability_closure)
 
 
+def stack_weight(network: TemporalGraph) -> int:
+    """What ``network`` adds to a stack: its time arcs, or its ``n`` when more.
+
+    A stacked network adds its time arcs to the layout and ``n`` rows to the
+    bitset, so networks with few or no time arcs still fill the budget.  A
+    label on every edge of a (strongly) connected graph on ``n ≥ 2``
+    vertices makes at least ``n`` time arcs, so there ``n`` never wins.
+    """
+    return max(network.num_time_arcs, network.n)
+
+
 def arc_stacks(
-    items: Iterable[_Item], time_arcs: Callable[[_Item], int]
+    items: Iterable[_Item], weight: Callable[[_Item], int]
 ) -> Iterator[list[_Item]]:
-    """Cut a stream into stacks whose summed ``time_arcs`` stay within :data:`STACK_ARCS`.
+    """Cut a stream into stacks whose summed ``weight`` stays within :data:`STACK_ARCS`.
 
     Greedy and in order: a stack takes items until the next one would carry
     it past the budget, and that item starts the next stack.  So the stream
@@ -156,7 +166,7 @@ def arc_stacks(
     stack: list[_Item] = []
     total = 0
     for item in items:
-        size = time_arcs(item)
+        size = weight(item)
         if stack and total + size > STACK_ARCS:
             yield stack
             stack, total = [], 0
@@ -170,9 +180,10 @@ def preserves_reachability_stacked(networks: Iterable[TemporalGraph]) -> list[bo
     """:func:`preserves_reachability` of every network, a stack per sweep.
 
     The networks must lie on one graph object.  :func:`arc_stacks` cuts them
-    into stacks of at most :data:`STACK_ARCS` time arcs, drawing an iterator
-    one stack at a time, and each stack is decided by one reach-only sweep
-    over :meth:`TemporalGraph.stacked`.  The copies share one column space:
+    into stacks whose :func:`stack_weight` sums to at most
+    :data:`STACK_ARCS`, drawing an iterator one stack at a time, and each
+    stack is decided by one reach-only sweep over
+    :meth:`TemporalGraph.stacked`.  The copies share one column space:
     row ``t·n + v`` holds network ``t``'s bits of the ``n`` sources, so the
     bitset is as large as ``T`` separate sweeps' but the sweep loops over the
     label groups once.  Network ``t``'s answer compares its block of rows
@@ -181,7 +192,7 @@ def preserves_reachability_stacked(networks: Iterable[TemporalGraph]) -> list[bo
     such as a network over the budget, is the network itself and keeps it.
     """
     answers: list[bool] = []
-    for stack in arc_stacks(networks, attrgetter("num_time_arcs")):
+    for stack in arc_stacks(networks, stack_weight):
         closure = stack[0].graph.packed_reachability_closure
         if len(stack) == 1:
             answers.append(_reaches_all(stack[0], closure))

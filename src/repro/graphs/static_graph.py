@@ -286,32 +286,25 @@ class StaticGraph:
         block ``t`` of the canonical edge list, in this graph's order: edge
         ``e`` of copy ``t`` is edge ``t·m + e``.  A stack of trials lays its
         networks out on it (:meth:`TemporalGraph.stacked
-        <repro.core.temporal_graph.TemporalGraph.stacked>`).  Every column is
-        this graph's plus an offset, already in canonical order: the pair
-        columns and the edge arcs plus ``t·n``, the edge arcs' head and tail
-        orders plus ``t·A`` for this graph's ``A`` arcs, so nothing is
-        sorted.  Nothing is kept on this graph: a union lives as long as the
-        stack that uses it, and one copy is the graph itself.  Nothing should
-        ask the union for its closure, a dense ``(copies·n)²`` matrix: its
-        block ``t`` is this graph's.
+        <repro.core.temporal_graph.TemporalGraph.stacked>`).  The pair columns
+        are this graph's plus ``t·n``, already in canonical order, so nothing
+        is sorted; the edge arcs are built from them on first use.  Nothing
+        is kept on this graph: a union lives as long as the stack that uses
+        it, and one copy is the graph itself.  Nothing should ask the union
+        for its closure, a dense ``(copies·n)²`` matrix: its block ``t`` is
+        this graph's.
         """
         copies = check_positive_int(copies, "copies")
         if copies == 1:
             return self
+        offsets = np.arange(copies, dtype=np.int64)[:, np.newaxis] * self._n
         union = StaticGraph.__new__(StaticGraph)
         union._n = copies * self._n
         union._directed = self._directed
         union._init(
-            _offset_blocks(self._pair_tails, copies, self._n),
-            _offset_blocks(self._pair_heads, copies, self._n),
+            (self._pair_tails + offsets).ravel(),
+            (self._pair_heads + offsets).ravel(),
             self._name,
-        )
-        union._edge_arcs = EdgeArcs(
-            union._n,
-            union.pair_tails,
-            union.pair_heads,
-            self._directed,
-            copy_of=(self.edge_arcs, copies),
         )
         return union
 
@@ -480,18 +473,12 @@ class EdgeArcs:
         "heads",
         "arc_edge_index",
         "_vertex_type",
-        "_copy_of",
         "_head_order",
         "_tail_order",
     )
 
     def __init__(
-        self,
-        n: int,
-        pair_tails: np.ndarray,
-        pair_heads: np.ndarray,
-        directed: bool,
-        copy_of: tuple["EdgeArcs", int] | None = None,
+        self, n: int, pair_tails: np.ndarray, pair_heads: np.ndarray, directed: bool
     ) -> None:
         self.edge_index = _readonly(np.arange(pair_tails.size, dtype=np.int64))
         if directed:
@@ -503,9 +490,6 @@ class EdgeArcs:
             self.arc_edge_index = _readonly(np.repeat(self.edge_index, 2))
         # Every vertex id fits this type; numpy radix-sorts 8- and 16-bit keys.
         self._vertex_type = np.min_scalar_type(max(n - 1, 0))
-        # ``(base, T)`` when these are the arcs of T disjoint copies of base's
-        # graph: arc ``t·A + i`` is base arc ``i`` moved to copy ``t``.
-        self._copy_of = copy_of
         self._head_order: np.ndarray | None = None
         self._tail_order: np.ndarray | None = None
 
@@ -513,30 +497,18 @@ class EdgeArcs:
     def head_order(self) -> np.ndarray:
         """``np.argsort(heads, kind="stable")``, a forward layout's first sort, kept."""
         if self._head_order is None:
-            self._head_order = self._stable_order(self.heads, "head_order")
+            self._head_order = self._stable_order(self.heads)
         return self._head_order
 
     @property
     def tail_order(self) -> np.ndarray:
         """``np.argsort(tails, kind="stable")``, a reverse layout's first sort, kept."""
         if self._tail_order is None:
-            self._tail_order = self._stable_order(self.tails, "tail_order")
+            self._tail_order = self._stable_order(self.tails)
         return self._tail_order
 
-    def _stable_order(self, vertices: np.ndarray, name: str) -> np.ndarray:
-        if self._copy_of is not None:
-            # Copy t's vertices all exceed copy t − 1's, and a stable sort
-            # keeps each copy's ties in base order: base's order, offset.
-            base, copies = self._copy_of
-            order = getattr(base, name)
-            return _readonly(_offset_blocks(order, copies, order.size))
+    def _stable_order(self, vertices: np.ndarray) -> np.ndarray:
         return _readonly(np.argsort(vertices.astype(self._vertex_type), kind="stable"))
-
-
-def _offset_blocks(column: np.ndarray, copies: int, step: int) -> np.ndarray:
-    """``column + t·step`` for ``t = 0 … copies − 1``, concatenated."""
-    offsets = np.arange(copies, dtype=np.int64)[:, np.newaxis] * step
-    return (column + offsets).ravel()
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from typing import Any, Iterable, Iterator, Mapping
 import numpy as np
 
 from .. import telemetry
-from ..core.reachability import arc_stacks
+from ..core.reachability import arc_stacks, stack_weight
 from ..engine.driver import ProgressCallback
 from ..engine.executors import Executor, RunContext, merge_telemetry, resolve_executor
 from ..exceptions import ConfigurationError
@@ -70,8 +70,8 @@ def _batch_forms(scenario: Scenario) -> list[BatchMetricFunction] | None:
     return forms
 
 
-def _context_arcs(ctx: TrialContext) -> int:
-    return 0 if ctx.network is None else ctx.network.num_time_arcs
+def _context_weight(ctx: TrialContext) -> int:
+    return 0 if ctx.network is None else stack_weight(ctx.network)
 
 
 class ScenarioTrial:
@@ -124,7 +124,7 @@ class ScenarioTrial:
         if forms is None:
             return [self(params, rng) for rng in rngs]
         results: list[dict[str, float]] = []
-        for stack in arc_stacks(self._contexts(params, rngs), _context_arcs):
+        for stack in arc_stacks(self._contexts(params, rngs), _context_weight):
             results.extend(self._run_stack(stack, forms))
             # Release this stack's networks before the next one is drawn.
             del stack

@@ -198,3 +198,55 @@ class TestUpperBoundNeedsTheLifetime:
                 opt_labels_upper_bound(graph, lifetime)
         assert opt_labels_exhaustive(graph, lifetime=4) == 6
         assert opt_labels_upper_bound(graph, 4) == 6
+
+
+class TestPriceOfRandomness:
+    def test_definition(self):
+        graph = star_graph(11)
+        r = 7
+        por = price_of_randomness(graph, r, opt=opt_labels_star(11, 2))
+        assert por == pytest.approx(graph.m * r / (2 * graph.m))
+        assert por == pytest.approx(r / 2)
+
+    def test_default_opt_is_upper_bound(self):
+        graph = grid_graph(3, 3)
+        por_default = price_of_randomness(graph, 5)
+        por_explicit = price_of_randomness(graph, 5, opt=opt_labels_upper_bound(graph))
+        assert por_default == por_explicit
+
+    def test_invalid_r(self):
+        with pytest.raises(ValueError):
+            price_of_randomness(star_graph(5), 0)
+
+
+class TestTheoremBounds:
+    def test_r_sufficient_formula(self):
+        assert r_sufficient_theorem7(100, 3) == pytest.approx(6 * math.log(100))
+
+    def test_por_bound_formula(self):
+        n, m, d = 50, 120, 4
+        expected = (2 * d * math.log(n)) * m / (n - 1)
+        assert por_upper_bound_theorem8(n, m, d) == pytest.approx(expected)
+
+    def test_por_bound_with_epsilon(self):
+        base = por_upper_bound_theorem8(50, 120, 4)
+        assert por_upper_bound_theorem8(50, 120, 4, epsilon=1.0) > base
+
+    def test_por_bound_negative_epsilon_rejected(self):
+        with pytest.raises(ValueError):
+            por_upper_bound_theorem8(50, 120, 4, epsilon=-1.0)
+
+    def test_star_por_theorem6_consistency(self):
+        # For the star (d = 2, m = n−1), Theorem 8 gives ≈ 4·log n, consistent
+        # with the Θ(log n) statement of Theorem 6.
+        n = 200
+        bound = por_upper_bound_theorem8(n, n - 1, 2)
+        assert bound == pytest.approx(4 * math.log(n))
+
+    def test_measured_por_below_theorem8_bound(self):
+        # Theorem 8 draws the random labels from {1, …, n}: OPT at lifetime n.
+        graph = star_graph(64)
+        d = diameter(graph)
+        r_hat = 8  # a plausible empirical threshold around log n
+        measured = price_of_randomness(graph, r_hat, opt=opt_labels_star(64, 64))
+        assert measured <= por_upper_bound_theorem8(64, graph.m, d)

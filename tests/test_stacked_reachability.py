@@ -28,6 +28,7 @@ from repro.core.reachability import (
     arc_stacks,
     preserves_reachability,
     preserves_reachability_stacked,
+    stack_weight,
 )
 from repro.core.temporal_graph import TemporalGraph
 from repro.engine.sharding import plan_shards
@@ -40,7 +41,17 @@ from repro.graphs.generators import (
 )
 from repro.graphs.static_graph import StaticGraph
 from repro.randomness.distributions import GeometricLabelDistribution
-from repro.scenarios import get_scenario, run_scenario
+from repro.scenarios import (
+    GraphFamilySpec,
+    LabelModelSpec,
+    MetricSuite,
+    Scenario,
+    ScenarioScale,
+    ScenarioTrial,
+    SweepBlock,
+    get_scenario,
+    run_scenario,
+)
 from repro.types import UNREACHABLE
 from repro.utils.seeding import spawn_rngs
 
@@ -99,9 +110,9 @@ class TestStackedEqualsPerTrial:
         # would carry it past the budget.
         stacks, total = 0, budget
         for network in networks:
-            if total + network.num_time_arcs > budget:
+            if total + stack_weight(network) > budget:
                 stacks, total = stacks + 1, 0
-            total += network.num_time_arcs
+            total += stack_weight(network)
         with telemetry.session() as rec:
             fresh = _draws(graph, trials, 2, 12, seed=trials)
             assert preserves_reachability_stacked(iter(fresh)) == expected
@@ -190,10 +201,24 @@ class TestStackedEqualsPerTrial:
         # Between small networks of its graph, it is still a stack of one.
         few = _draws(big_graph, 3, 1, 257, seed=9)
         mixed = [few[0], big, few[1], few[2]]
-        assert [len(stack) for stack in arc_stacks(mixed, _arcs)] == [1, 1, 1, 1]
+        assert [len(stack) for stack in arc_stacks(mixed, stack_weight)] == [1, 1, 1, 1]
         assert preserves_reachability_stacked(mixed) == [
             preserves_reachability(network) for network in mixed
         ]
+
+    def test_edgeless_networks_weigh_their_rows(self, monkeypatch):
+        # No time arcs, but each network adds n rows to the bitset: stacks
+        # hold STACK_ARCS // n of them, not the whole stream.  With no static
+        # paths to preserve, every network preserves reachability.
+        n = 1000
+        graph = StaticGraph(n)
+        networks = _draws(graph, 200, 1, n, seed=3)
+        assert {network.num_time_arcs for network in networks} == {0}
+        assert {stack_weight(network) for network in networks} == {n}
+        heights = _record_stack_heights(monkeypatch)
+        assert preserves_reachability_stacked(iter(networks)) == [True] * 200
+        height = STACK_ARCS // n
+        assert heights == [height] * (200 // height) + [200 % height]
 
     def test_networks_must_share_one_graph_object(self):
         first = uniform_random_labels(path_graph(4), seed=0)
@@ -202,8 +227,17 @@ class TestStackedEqualsPerTrial:
             preserves_reachability_stacked([first, second])
 
 
-def _arcs(network: TemporalGraph) -> int:
-    return network.num_time_arcs
+def _record_stack_heights(monkeypatch) -> list[int]:
+    """Patch :meth:`TemporalGraph.stacked` to log each stack's height."""
+    heights: list[int] = []
+    stacked = TemporalGraph.stacked.__func__
+
+    def recorded(cls, stack):
+        heights.append(len(stack))
+        return stacked(cls, stack)
+
+    monkeypatch.setattr(TemporalGraph, "stacked", classmethod(recorded))
+    return heights
 
 
 class TestArcStacks:
@@ -303,8 +337,8 @@ class TestDisjointCopies:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_the_union_equals_the_sorted_offset_pairs(self, name, copies):
         # Derived by offsets, every column equals the one _from_arcs builds
-        # (with its lexsort) from the offset pairs, and the edge arcs' head
-        # and tail orders equal the argsorts of a graph built that way.
+        # (with its lexsort) from the offset pairs, the edge arcs and their
+        # head and tail orders included.
         graph = GRAPHS[name]()
         union = graph.disjoint_copies(copies)
         offsets = np.arange(copies)[:, np.newaxis] * graph.n
@@ -349,10 +383,9 @@ class TestDisjointCopies:
         [union] = unions
         assert union.n == 6 * graph.n
         gc.collect()
-        # Only this test's list holds the union: the base graph and its edge
-        # arcs keep nothing of it.
+        # Only this test's list holds the union: the base graph keeps
+        # nothing of it.
         assert [ref for ref in gc.get_referrers(union) if ref is not unions] == []
-        assert graph.edge_arcs._copy_of is None
 
     def test_freed_graphs_never_lend_their_union(self):
         # A cache keyed by id() would hand a new graph the union of a freed
@@ -488,6 +521,36 @@ class TestScenarioStacks:
         assert run.to_records() == run_scenario(scenario, scale="quick", seed=9).to_records()
         assert len(alive_at_sweeps) > len(list(run.points()))
         assert all(alive <= height + 1 for alive, height in alive_at_sweeps), alive_at_sweeps
+
+    def test_edgeless_point_runs_bounded_stacks(self, monkeypatch):
+        # G(n, 0) has no edges, so its networks have no time arcs; the point's
+        # one shard still samples and sweeps them in stacks of STACK_ARCS // n.
+        n, trials = 1000, 150
+        scenario = Scenario(
+            name="edgeless-reachability",
+            title="",
+            description="",
+            graph=GraphFamilySpec("erdos_renyi", {"n": "n", "p": 0.0}),
+            labels=LabelModelSpec(model="uniform", labels_per_edge=1, lifetime="n"),
+            metrics=MetricSuite.of("strong_reachability"),
+            scales={"quick": ScenarioScale(trials, (SweepBlock(axes={"n": [n]}),))},
+        )
+        sampled = []
+        run_stack = ScenarioTrial._run_stack
+
+        def recorded(self, stack, forms):
+            sampled.append(len(stack))
+            return run_stack(self, stack, forms)
+
+        monkeypatch.setattr(ScenarioTrial, "_run_stack", recorded)
+        swept = _record_stack_heights(monkeypatch)
+        with telemetry.session() as rec:
+            run = run_scenario(scenario, scale="quick", seed=1)
+        assert rec.counters["engine.shards"] == 1
+        [record] = run.to_records()
+        assert (record["repetitions"], record["reachable_mean"]) == (trials, 1.0)
+        height = STACK_ARCS // n
+        assert sampled == swept == [height] * (trials // height) + [trials % height]
 
     def test_fcase_reachability(self):
         with telemetry.session() as rec:
