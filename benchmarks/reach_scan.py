@@ -3,14 +3,22 @@
 Runs the entry points a user reaches — the E1–E9 reports and every
 registered scenario at quick scale, the ``scenario list/show/run/sweep`` and
 ``profile`` commands, both blocked sweep directions, every service query op
-and centrality measure, one scenario job and every HTTP route — with
-``sys.setprofile`` and ``threading.setprofile`` active, then lists every
-function defined under ``src/repro`` that none of them entered.
+and centrality measure, one scenario job, every HTTP route, and one
+scenario run with ``jobs=2`` that checkpoints its shards and then resumes
+from them — with ``sys.setprofile`` and ``threading.setprofile`` active,
+then lists every function defined under ``src/repro`` that none of them
+entered.
 
-Run it from the repository root; it runs everything serially, because worker
-processes are not traced::
+Run it from the repository root::
 
     PYTHONPATH=src python benchmarks/reach_scan.py
+
+Worker processes are not traced.  The ``jobs=2`` run traces the parent
+side of the process pool (``MultiprocessExecutor`` and the shards it
+collects), but not what runs in a worker: ``run_unit`` and the shard and
+point ``run`` methods it calls count only because the serial runs enter
+them too, and a function that only a worker would call cannot show up as
+reached.
 
 It prints one ``path:line qualified.name`` line per unreached function, then
 ``unreached: U of F src/ functions``.  A listed function is a candidate for
@@ -117,6 +125,17 @@ def run_scenarios() -> None:
         run_scenario(scenario, scale="quick" if "quick" in scales else scales[0])
 
 
+def run_parallel(work: Path) -> None:
+    """One scenario over a pool of two workers, then resumed from its checkpoint."""
+    from repro.scenarios import get_scenario, run_scenario
+
+    for _ in range(2):
+        run_scenario(
+            get_scenario("E1"), scale="quick", seed=5, jobs=2,
+            checkpoint_dir=work / "checkpoint",
+        )
+
+
 def run_blocked_sweeps() -> None:
     """One blocked all-pairs sweep in each direction."""
     from repro import grid_graph, uniform_random_labels
@@ -185,6 +204,7 @@ def scan() -> tuple[dict[tuple[str, int], str], set[tuple[str, int]]]:
             with Recorder() as recorder:
                 run_cli_commands(work)
                 run_scenarios()
+                run_parallel(work)
                 run_blocked_sweeps()
                 run_service(work)
     return functions, recorder.entered()

@@ -22,7 +22,7 @@ from ..graphs.static_graph import StaticGraph
 from ..randomness.distributions import LabelDistribution
 from ..utils.seeding import SeedLike, spawn_rngs
 from ..utils.validation import check_positive_int, check_probability
-from .labeling import uniform_random_labels
+from .labeling import uniform_label_draws
 from .reachability import preserves_reachability_stacked
 
 __all__ = [
@@ -59,24 +59,20 @@ def reachability_probability(
     seed:
         RNG seed.
 
-    The trials are decided in stacks of up to
-    :data:`~repro.core.reachability.STACK_ARCS` time arcs, one sweep per
-    stack (:func:`~repro.core.reachability.preserves_reachability_stacked`).
+    The trials are decided from their label draws, a stack of them per
+    sweep (:func:`~repro.core.reachability.preserves_reachability_stacked`).
     """
     trials = check_positive_int(trials, "trials")
+    a = lifetime if lifetime is not None else graph.n
     # Trial i draws from child i of the seed; the generator hands the
-    # stacked decision one stack of networks at a time.
-    networks = (
-        uniform_random_labels(
-            graph,
-            labels_per_edge=labels_per_edge,
-            lifetime=lifetime,
-            distribution=distribution,
-            seed=rng,
+    # stacked decision one stack of draws at a time.
+    draws = (
+        uniform_label_draws(
+            graph, labels_per_edge=labels_per_edge, lifetime=a, distribution=distribution, seed=rng
         )
         for rng in spawn_rngs(seed, trials)
     )
-    return sum(preserves_reachability_stacked(networks)) / trials
+    return sum(preserves_reachability_stacked(graph, draws, a)) / trials
 
 
 def minimal_labels_for_reachability(

@@ -53,6 +53,7 @@ from ..types import UNREACHABLE, Journey, TimeEdge, as_vertex_array
 from ..utils.validation import check_non_negative_int
 from .kernels import NumpyBackend
 from .temporal_graph import TemporalGraph
+from .timearc_csr import TimeArcCSR
 
 __all__ = [
     "earliest_arrival_times",
@@ -170,7 +171,7 @@ class SweepOutputs(NamedTuple):
     last: np.ndarray | None
 
 
-def _check_lifetime(network: TemporalGraph) -> None:
+def _check_lifetime(network: TemporalGraph | TimeArcCSR) -> None:
     """Refuse lifetimes whose labels could collide with the sentinel."""
     if network.lifetime >= UNREACHABLE:
         raise ConfigurationError(
@@ -180,7 +181,7 @@ def _check_lifetime(network: TemporalGraph) -> None:
 
 
 def _sweep(
-    network: TemporalGraph,
+    network: TemporalGraph | TimeArcCSR,
     columns: Sequence[int] | None,
     start: int,
     *,
@@ -216,14 +217,16 @@ def _sweep(
     :meth:`~repro.core.kernels.NumpyBackend.forward_sweep`); the caller
     compares the two.
 
-    ``copies`` sweeps a stack (:meth:`TemporalGraph.stacked`): the network
-    lies on ``copies`` disjoint copies of an ``n``-vertex graph, and the
-    columns are vertices of one copy.  Every copy shares the columns, so
-    row ``t·n + s`` starts with column ``s``'s bit; the rows of copy ``t``
-    end up holding copy ``t``'s reached bitset, in the single-copy layout.
-    A stack sweeps reach-only: the arrival state, the settle counts and
-    ``required`` are single-copy outputs, so asking for any of them with
-    ``copies > 1`` raises ``ValueError``.
+    ``copies`` sweeps a stack's forward layout
+    (:func:`~repro.core.timearc_csr.build_stack_timearc_csr`), passed in
+    place of the network: it lies on ``copies`` disjoint copies of an
+    ``n``-vertex graph, and the columns are vertices of one copy.  Every
+    copy shares the columns, so row ``t·n + s`` starts with column ``s``'s
+    bit; the rows of copy ``t`` end up holding copy ``t``'s reached bitset,
+    in the single-copy layout.  A stack sweeps forward and reach-only: the
+    arrival state, the settle counts and ``required`` are single-copy
+    outputs, so asking for any of them with ``copies > 1``, or sweeping a
+    layout in reverse, raises ``ValueError``.
 
     With a telemetry recorder active it records ``<prefix>.sweeps``, the
     batch width as ``<prefix>.sources`` (``.targets`` reverse), the label
@@ -236,6 +239,9 @@ def _sweep(
     """
     if copies > 1 and (arrivals or settles or required is not None):
         raise ValueError("a stacked sweep is reach-only")
+    layout = network if isinstance(network, TimeArcCSR) else None
+    if layout is not None and reverse:
+        raise ValueError("a layout is swept forward")
     _check_lifetime(network)
     n = network.n // copies
     if columns is None:
@@ -269,7 +275,8 @@ def _sweep(
         last = np.full(width, start, dtype=np.int64)
     groups_scanned = 0
     stop = None
-    if network.num_time_arcs != 0 and width != 0:
+    num_arcs = network.num_time_arcs if layout is None else layout.num_arcs
+    if num_arcs != 0 and width != 0:
         # Arrivals start at ``start`` and only ever take values equal to some
         # label strictly greater than a tail's arrival, so groups labelled
         # <= start can never be used; skip straight past them.
@@ -282,7 +289,9 @@ def _sweep(
                 np.searchsorted(csr.labels, network.lifetime - start, side="right")
             )
         else:
-            csr = network.reverse_timearc_csr if reverse else network.timearc_csr
+            csr = layout
+            if csr is None:
+                csr = network.reverse_timearc_csr if reverse else network.timearc_csr
             first_group = int(np.searchsorted(csr.labels, start, side="right"))
         if settles:
             settled = np.zeros(csr.labels.size, dtype=np.int64)

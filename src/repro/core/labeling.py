@@ -6,7 +6,8 @@ Random assignments
   independently receives ``r`` labels, each drawn from ``{1, …, a}`` (UNI-CASE
   by default, or an arbitrary :class:`~repro.randomness.LabelDistribution` for
   the F-CASE).  With ``r = 1`` and ``a = n`` this is exactly the *Normalized
-  Uniform Random Temporal Network* of Definition 4.
+  Uniform Random Temporal Network* of Definition 4.  The stacked reachability
+  decisions read its draws, :func:`uniform_label_draws`, with no network.
 * :func:`normalized_urtn` — convenience wrapper for the normalized U-RTN.
 
 Deterministic assignments (baselines / OPT constructions)
@@ -37,12 +38,41 @@ from ..utils.validation import check_positive_int
 from .temporal_graph import TemporalGraph
 
 __all__ = [
+    "uniform_label_draws",
     "uniform_random_labels",
     "normalized_urtn",
     "box_assignment",
     "tree_broadcast_assignment",
     "assign_deterministic_labels",
 ]
+
+
+def uniform_label_draws(
+    graph: StaticGraph,
+    *,
+    labels_per_edge: int = 1,
+    lifetime: int | None = None,
+    distribution: LabelDistribution | None = None,
+    seed: SeedLike = None,
+) -> np.ndarray:
+    """The ``(m, r)`` label draws of :func:`uniform_random_labels`, which takes the same parameters.
+
+    Row ``i`` holds the labels drawn for edge ``i``, duplicates included:
+    one ``distribution.sample((m, r))`` call, or none on a graph with no edges.
+    """
+    r = check_positive_int(labels_per_edge, "labels_per_edge")
+    a = check_positive_int(lifetime if lifetime is not None else graph.n, "lifetime")
+    if distribution is None:
+        distribution = UniformLabelDistribution(a)
+    elif distribution.lifetime != a:
+        raise LabelingError(
+            f"distribution lifetime {distribution.lifetime} does not match the "
+            f"requested lifetime {a}"
+        )
+    rng = normalize_rng(seed)
+    if graph.m == 0:
+        return np.empty((0, r), dtype=np.int64)
+    return distribution.sample((graph.m, r), seed=rng)
 
 
 def uniform_random_labels(
@@ -80,27 +110,12 @@ def uniform_random_labels(
     TemporalGraph
         The sampled random temporal network.
     """
-    r = check_positive_int(labels_per_edge, "labels_per_edge")
-    a = check_positive_int(lifetime if lifetime is not None else graph.n, "lifetime")
-    if distribution is None:
-        distribution = UniformLabelDistribution(a)
-    elif distribution.lifetime != a:
-        raise LabelingError(
-            f"distribution lifetime {distribution.lifetime} does not match the "
-            f"requested lifetime {a}"
-        )
-    rng = normalize_rng(seed)
-    m = graph.m
-    if m == 0:
-        return TemporalGraph(graph, [], lifetime=a)
-    draws = distribution.sample((m, r), seed=rng)
-    # Direct-to-CSR fast path: sorting each row of the draw matrix yields the
-    # network's stored edge-major (edge, label) arrays without the per-edge
-    # Python normalisation of the mapping constructor
-    # (benchmarks/bench_label_sampling.py gates the speedup).  With r = 1
-    # there is nothing to sort: the network stores its one column of labels
-    # and shares its edge and arc columns with the graph.  The resulting
-    # network is bit-identical either way.
+    a = lifetime if lifetime is not None else graph.n
+    draws = uniform_label_draws(
+        graph, labels_per_edge=labels_per_edge, lifetime=a, distribution=distribution, seed=seed
+    )
+    # A row sort gives the stored (edge, label) arrays with no per-edge Python
+    # work (benchmarks/bench_label_sampling.py gates the speedup).
     return TemporalGraph.from_label_matrix(graph, draws, lifetime=a)
 
 

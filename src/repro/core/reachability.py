@@ -22,15 +22,17 @@ one when reading several quantities of an instance.
 Monte-Carlo estimates of ``P[T_reach]`` ask :func:`preserves_reachability`
 thousands of times over one graph, and each small sweep costs about a dozen
 numpy calls per label group whatever its arcs.
-:func:`preserves_reachability_stacked` decides such trials in stacks of up
-to :data:`STACK_ARCS` time arcs (:func:`arc_stacks`): one sweep over a
-network on disjoint copies of the graph (:meth:`TemporalGraph.stacked`)
-loops once over the label groups for the whole stack.
+:func:`preserves_reachability_stacked` decides such trials from their label
+draws, a stack of :func:`stack_height` trials per sweep (:func:`draw_stacks`):
+one sweep over the layout of the stack's networks on disjoint copies of the
+graph (:func:`~repro.core.timearc_csr.build_stack_timearc_csr`) loops once
+over the label groups for the whole stack, and no network is built.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, TypeVar
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from ..graphs.static_graph import StaticGraph
 from ..types import UNREACHABLE
 from .journeys import _sweep, earliest_arrival_times
 from .temporal_graph import TemporalGraph
+from .timearc_csr import TimeArcCSR, build_stack_timearc_csr, timed_build
 
 __all__ = [
     "static_reachability_matrix",
@@ -47,18 +50,16 @@ __all__ = [
     "is_temporally_connected",
     "preserves_reachability",
     "preserves_reachability_stacked",
-    "arc_stacks",
-    "stack_weight",
+    "draw_stacks",
+    "stack_height",
     "STACK_ARCS",
 ]
 
-#: Time arcs one stacked sweep holds at most: the summed
-#: :func:`stack_weight` of its networks.  The one owner of stack size; a
-#: stack's layout, bitset and networks grow with it.  A star's stack at
-#: ``n = 256`` and ``r = 17`` holds about eight networks of 8.4 k arcs.
+#: The budget of one stacked sweep: a stack holds ``STACK_ARCS // w``
+#: trials of weight ``w`` (:func:`stack_height`).  The one owner of stack
+#: size; a stack's layout, bitset and draws grow with it.  A star's stack
+#: at ``n = 256`` and ``r = 17`` holds seven trials.
 STACK_ARCS = 1 << 16
-
-_Item = TypeVar("_Item")
 
 
 def static_reachability_matrix(graph: StaticGraph) -> np.ndarray:
@@ -104,7 +105,7 @@ def reachable_fraction(network: TemporalGraph) -> float:
     return pairs / float(n * (n - 1))
 
 
-def _reaches_all(network: TemporalGraph, required: np.ndarray) -> bool:
+def _reaches_all(network: TemporalGraph | TimeArcCSR, required: np.ndarray) -> bool:
     """Whether the all-pairs reached bitset equals the packed rows ``required``.
 
     The sweep stops at the first vertex whose row is final and lacks a bit
@@ -141,72 +142,61 @@ def preserves_reachability(network: TemporalGraph) -> bool:
     return _reaches_all(network, network.graph.packed_reachability_closure)
 
 
-def stack_weight(network: TemporalGraph) -> int:
-    """What ``network`` adds to a stack: its time arcs, or its ``n`` when more.
+def stack_height(graph: StaticGraph, labels_per_edge: int, lifetime: int) -> int:
+    """How many trials of ``r`` label draws per edge of ``graph`` one stacked sweep holds.
 
-    A stacked network adds its time arcs to the layout and ``n`` rows to the
-    bitset, so networks with few or no time arcs still fill the budget.  A
-    label on every edge of a (strongly) connected graph on ``n ≥ 2``
-    vertices makes at least ``n`` time arcs, so there ``n`` never wins.
+    ``max(1, STACK_ARCS // w)`` for a trial's weight ``w = max(A·min(r, a),
+    m·r, n)``: the most time arcs it adds to the layout (an edge keeps at
+    most ``min(r, a)`` labels of lifetime ``a``), its draws and its bitset
+    rows.  So unless it holds one trial, a stack's layout and bitset stay
+    within :data:`STACK_ARCS` and every array its build gathers within
+    twice that.  A graph with no vertices stacks :data:`STACK_ARCS` trials.
     """
-    return max(network.num_time_arcs, network.n)
+    r = labels_per_edge
+    weight = max(graph.num_arcs * min(r, lifetime), graph.m * r, graph.n, 1)
+    return max(1, STACK_ARCS // weight)
 
 
-def arc_stacks(
-    items: Iterable[_Item], weight: Callable[[_Item], int]
-) -> Iterator[list[_Item]]:
-    """Cut a stream into stacks whose summed ``weight`` stays within :data:`STACK_ARCS`.
+def draw_stacks(
+    graph: StaticGraph, draws: Iterable[np.ndarray], lifetime: int
+) -> Iterator[list[np.ndarray]]:
+    """Cut a stream of trials' ``(m, r)`` label draws into stacks of :func:`stack_height`.
 
-    Greedy and in order: a stack takes items until the next one would carry
-    it past the budget, and that item starts the next stack.  So the stream
-    is drawn one stack ahead by one item only, and an item over the budget
-    on its own is a stack of one: a stack exceeds :data:`STACK_ARCS` only
-    when it holds a single item.
+    The one place stacks are cut.  Each stack is drawn as it is asked for,
+    and no trial ahead of it.
     """
-    stack: list[_Item] = []
-    total = 0
-    for item in items:
-        size = weight(item)
-        if stack and total + size > STACK_ARCS:
-            yield stack
-            stack, total = [], 0
-        stack.append(item)
-        total += size
-    if stack:
-        yield stack
+    draws = iter(draws)
+    for first in draws:
+        height = stack_height(graph, first.shape[1], lifetime)
+        yield [first, *islice(draws, height - 1)]
 
 
-def preserves_reachability_stacked(networks: Iterable[TemporalGraph]) -> list[bool]:
-    """:func:`preserves_reachability` of every network, a stack per sweep.
+def preserves_reachability_stacked(
+    graph: StaticGraph, draws: Iterable[np.ndarray], lifetime: int
+) -> list[bool]:
+    """:func:`preserves_reachability` of every trial's network, a stack per sweep.
 
-    The networks must lie on one graph object.  :func:`arc_stacks` cuts them
-    into stacks whose :func:`stack_weight` sums to at most
-    :data:`STACK_ARCS`, drawing an iterator one stack at a time, and each
-    stack is decided by one reach-only sweep over
-    :meth:`TemporalGraph.stacked`.  The copies share one column space:
-    row ``t·n + v`` holds network ``t``'s bits of the ``n`` sources, so the
-    bitset is as large as ``T`` separate sweeps' but the sweep loops over the
-    label groups once.  Network ``t``'s answer compares its block of rows
-    with the graph's packed closure.  A stack gives up the deficient-row
-    exit, since such a row decides only its own network; a stack of one,
-    such as a network over the budget, is the network itself and keeps it.
+    Trial ``t``'s network, never built, is ``TemporalGraph.from_label_matrix
+    (graph, draws_t, lifetime=lifetime)``.  Each stack of
+    :func:`draw_stacks` is laid out by
+    :func:`~repro.core.timearc_csr.build_stack_timearc_csr` (recorded as
+    ``csr.builds.forward``) and decided by one reach-only sweep, whose row
+    ``t·n + v`` holds trial ``t``'s bits of the ``n`` sources: trial ``t``'s
+    answer compares its block of rows with the graph's packed closure.  A
+    stack gives up the deficient-row exit, since such a row decides only its
+    own trial; a stack of one keeps it.
     """
+    closure = graph.packed_reachability_closure
     answers: list[bool] = []
-    for stack in arc_stacks(networks, stack_weight):
-        closure = stack[0].graph.packed_reachability_closure
-        if len(stack) == 1:
-            answers.append(_reaches_all(stack[0], closure))
-        else:
-            reached = _sweep(
-                TemporalGraph.stacked(stack),
-                None,
-                0,
-                reverse=False,
-                arrivals=False,
-                copies=len(stack),
-            ).reached
-            blocks = reached.reshape(len(stack), *closure.shape)
-            answers.extend((blocks == closure).all(axis=(1, 2)).tolist())
-        # Release this stack's networks before the next one is drawn.
+    for stack in draw_stacks(graph, draws, lifetime):
+        layout = timed_build("forward", build_stack_timearc_csr, graph, stack, lifetime)
+        copies = len(stack)
+        # The layout holds what the sweep needs; drop the draws before it runs.
         del stack
+        if copies == 1:
+            answers.append(_reaches_all(layout, closure))
+        else:
+            swept = _sweep(layout, None, 0, reverse=False, arrivals=False, copies=copies)
+            blocks = swept.reached.reshape(copies, *closure.shape)
+            answers.extend((blocks == closure).all(axis=(1, 2)).tolist())
     return answers

@@ -46,20 +46,15 @@ head and tail orders its layout builds start from
 
 from __future__ import annotations
 
-import time
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..exceptions import GraphError, LabelingError, LifetimeError
+from ..exceptions import LabelingError, LifetimeError
 from ..graphs.static_graph import StaticGraph
-from ..telemetry import active as _telemetry_active
 from ..types import TimeEdge
 from ..utils.validation import check_positive_int
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .timearc_csr import TimeArcCSR
 
 __all__ = ["TemporalGraph"]
 
@@ -171,38 +166,6 @@ class TemporalGraph:
         )
         return cls._from_arrays(graph, edges, rows[keep], lifetime)
 
-    @classmethod
-    def stacked(cls, networks: Sequence["TemporalGraph"]) -> "TemporalGraph":
-        """One network holding ``T`` networks on disjoint copies of their graph.
-
-        Network ``t``'s labels go on copy ``t`` of
-        :meth:`StaticGraph.disjoint_copies
-        <repro.graphs.static_graph.StaticGraph.disjoint_copies>`, where edge
-        ``e`` of copy ``t`` is edge ``t·m + e``.  So the stored
-        ``(edge, label)`` arrays are the networks' own, concatenated with
-        their edges offset by ``t·m``, and need no sort; one-label networks
-        give a one-label stack, which shares the union's edge arcs.  A
-        journey of the stack stays inside one copy, so vertex ``t·n + v``
-        reaches what vertex ``v`` reaches in network ``t``.  The lifetime is
-        the largest of theirs.
-
-        Raises
-        ------
-        GraphError
-            If the networks are not all over one graph object.
-        """
-        graph = networks[0]._graph
-        if any(network._graph is not graph for network in networks):
-            raise GraphError("stacked networks must lie on one graph object")
-        m = graph.m
-        edges = np.concatenate(
-            [network._el_edge_index + t * m for t, network in enumerate(networks)]
-        )
-        labels = np.concatenate([network._el_labels for network in networks])
-        lifetime = max(network._lifetime for network in networks)
-        union = graph.disjoint_copies(len(networks))
-        return cls._from_arrays(union, edges, labels, lifetime)
-
     # ------------------------------------------------------------------ #
     # construction helpers
     # ------------------------------------------------------------------ #
@@ -260,9 +223,8 @@ class TemporalGraph:
 
         They list the stored entries in order, an undirected edge's two
         directions interleaved per label; a one-label network takes all but
-        the labels from its graph's edge arcs.  A network decided only
-        inside a stack never builds them.  Two threads racing to fill them
-        compute equal arrays, so the race needs no lock.
+        the labels from its graph's edge arcs.  Two threads racing to fill
+        them compute equal arrays, so the race needs no lock.
         """
         if self._time_arcs is None:
             graph, edges, labels = self._graph, self._el_edge_index, self._el_labels
@@ -423,9 +385,9 @@ class TemporalGraph:
             ``csr.build_ms.forward``.
         """
         if self._timearc_csr is None:
-            from .timearc_csr import build_timearc_csr
+            from .timearc_csr import build_timearc_csr, timed_build
 
-            self._timearc_csr = self._timed_build("forward", build_timearc_csr)
+            self._timearc_csr = timed_build("forward", build_timearc_csr, self)
         return self._timearc_csr
 
     @property
@@ -448,26 +410,12 @@ class TemporalGraph:
         """
         if self._reverse_timearc_csr is None:
             from .reverse_timearc_csr import build_reverse_timearc_csr
+            from .timearc_csr import timed_build
 
-            self._reverse_timearc_csr = self._timed_build(
-                "reverse", build_reverse_timearc_csr
+            self._reverse_timearc_csr = timed_build(
+                "reverse", build_reverse_timearc_csr, self
             )
         return self._reverse_timearc_csr
-
-    def _timed_build(
-        self, direction: str, build: Callable[[TemporalGraph], TimeArcCSR]
-    ) -> TimeArcCSR:
-        """Run a CSR ``build`` on this network, timing it on the active recorders."""
-        recs = _telemetry_active()
-        if not recs:
-            return build(self)
-        start = time.perf_counter()
-        csr = build(self)
-        duration_ms = (time.perf_counter() - start) * 1e3
-        for rec in recs:
-            rec.counter(f"csr.builds.{direction}")
-            rec.observe_ms(f"csr.build_ms.{direction}", duration_ms)
-        return csr
 
     # ------------------------------------------------------------------ #
     # label queries

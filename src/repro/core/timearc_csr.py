@@ -30,20 +30,34 @@ The layout stores only what the sweeps read.  The ``int64`` per-arc heads and
 the permutation back to the network's arc order (:attr:`TimeArcCSR.heads`,
 :attr:`TimeArcCSR.arc_order`) are derived on first use: journey
 reconstruction and the tests read them, no label-group sweep does.
+
+:func:`build_stack_timearc_csr` lays out ``T`` trials' networks on ``T``
+disjoint copies of their graph straight from their label draws, building no
+network, union graph or time-arc array first.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
+from ..exceptions import LabelingError
+from ..telemetry import active as _telemetry_active
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..graphs.static_graph import StaticGraph
     from .temporal_graph import TemporalGraph
 
-__all__ = ["TimeArcCSR", "build_timearc_csr", "build_timearc_csr_from_arrays"]
+__all__ = [
+    "TimeArcCSR",
+    "build_timearc_csr",
+    "build_timearc_csr_from_arrays",
+    "build_stack_timearc_csr",
+]
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -101,7 +115,7 @@ class TimeArcCSR:
     head_starts: np.ndarray
     #: Runs the build's sort again on the columns it came from; only
     #: :attr:`arc_order` calls it.
-    _resort: Callable[[], tuple[np.ndarray, np.ndarray]] = field(
+    _resort: Callable[[], tuple[np.ndarray, np.ndarray, int]] = field(
         repr=False, compare=False
     )
 
@@ -225,26 +239,100 @@ def build_timearc_csr_from_arrays(
     return _build_layout(n, lifetime, raw_tails, raw_heads, raw_labels, None)
 
 
+def build_stack_timearc_csr(
+    graph: "StaticGraph", draws: Sequence[np.ndarray], lifetime: int
+) -> TimeArcCSR:
+    """The layout of ``T`` trials' networks on disjoint copies of ``graph``, from their draws.
+
+    Trial ``t``'s network, ``from_label_matrix(graph, draws[t], lifetime=
+    lifetime)``, lies on copy ``t`` (vertices ``t·n …``, edges ``t·m + e``),
+    and the result equals :func:`build_timearc_csr` of the one network
+    holding all ``T``, in every column and dtype.  Gathered onto the graph's
+    arcs in head order, the draws sit in the union's head order, so one
+    stable sort by label orders the layout; a label drawn twice on one edge
+    of one trial then follows its first draw and is dropped.  A draw out of
+    ``[1, lifetime]`` raises what ``from_label_matrix`` raises on the first
+    trial holding one; :attr:`~TimeArcCSR.arc_order` raises ``ValueError``.
+    """
+    copies = len(draws)
+    n = copies * graph.n
+    narrow = np.min_scalar_type(max(n - 1, 0))
+    matrix = np.stack(draws)
+    if matrix.ndim != 3 or matrix.shape[1] != graph.m:
+        raise LabelingError(f"expected (m, r) draws with m = {graph.m}, got {matrix.shape[1:]}")
+    low, high = (int(matrix.min()), int(matrix.max())) if matrix.size else (1, 1)
+    if low < 1 or high > lifetime:
+        from .temporal_graph import TemporalGraph
+
+        for trial_draws in draws:
+            TemporalGraph.from_label_matrix(graph, trial_draws, lifetime=lifetime)
+    r = matrix.shape[2]
+    keys = np.empty(matrix.shape, dtype=np.min_scalar_type(high - low))
+    np.subtract(matrix, low, out=keys, casting="unsafe")
+    del matrix
+    arcs = graph.edge_arcs
+    order = arcs.head_order
+    keys = keys.take(arcs.arc_edge_index.take(order), axis=1).ravel()
+    points = np.argsort(keys, kind="stable")
+    keys = keys.take(points)
+    if r > 1:
+        # Flat positions to (t, p) points.
+        points //= r
+        keep = np.empty(keys.size, dtype=bool)
+        keep[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keep[1:] |= points[1:] != points[:-1]
+        kept = np.flatnonzero(keep)
+        keys, points = keys.take(kept), points.take(kept)
+    offsets = np.arange(copies, dtype=np.int64)[:, np.newaxis] * graph.n
+    tails = (arcs.tails.take(order) + offsets).ravel().take(points)
+    heads = arcs.heads.take(order).astype(narrow) + offsets.astype(narrow)
+    return _grouped_layout(
+        n, lifetime, tails, heads.ravel().take(points), keys, low, _no_arc_order
+    )
+
+
+def _no_arc_order() -> tuple[np.ndarray, np.ndarray, int]:
+    raise ValueError("a layout built from label draws has no arc order")
+
+
+def timed_build(
+    direction: str, build: Callable[..., TimeArcCSR], *args: object
+) -> TimeArcCSR:
+    """``build(*args)``, recording ``csr.builds.<direction>`` and its time on the active recorders."""
+    recs = _telemetry_active()
+    if not recs:
+        return build(*args)
+    start = time.perf_counter()
+    csr = build(*args)
+    duration_ms = (time.perf_counter() - start) * 1e3
+    for rec in recs:
+        rec.counter(f"csr.builds.{direction}")
+        rec.observe_ms(f"csr.build_ms.{direction}", duration_ms)
+    return csr
+
+
 def _sorted_arcs(
     heads: np.ndarray,
     raw_labels: np.ndarray,
     head_order: np.ndarray | None,
     mirrored: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The layout's arc order and its label keys in that order.
+    lifetime: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The layout's arc order, its label keys in that order, and the label of key 0.
 
     Two stable sorts, the minor key first: the permutation equals
     ``np.lexsort((heads, labels))`` at every key width, and with
     ``mirrored`` it sorts the labels ``a + 1 − l`` instead.  The label keys
     are the labels shifted to start at 0 (``l − min``, or ``max − l``
     mirrored), in the narrowest unsigned type that holds their span: one
-    8-bit radix pass whenever the labels span at most 256 values.
-    ``head_order`` is ``np.argsort(heads, kind="stable")``, or ``None`` to
-    sort the heads here.
+    8-bit radix pass whenever the labels span at most 256 values.  A key
+    ``k`` stands for the layout label ``first + k``.  ``head_order`` is
+    ``np.argsort(heads, kind="stable")``, or ``None`` to sort the heads here.
     """
     if raw_labels.size == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+        return empty, empty, 0
     low, high = int(raw_labels.min()), int(raw_labels.max())
     keys = np.empty(raw_labels.size, dtype=np.min_scalar_type(high - low))
     if mirrored:
@@ -256,7 +344,8 @@ def _sorted_arcs(
         order = np.argsort(heads, kind="stable")
     keys = keys.take(order)
     by_label = np.argsort(keys, kind="stable")
-    return order.take(by_label), keys.take(by_label)
+    first = lifetime + 1 - high if mirrored else low
+    return order.take(by_label), keys.take(by_label), first
 
 
 def _build_layout(
@@ -278,38 +367,38 @@ def _build_layout(
     head_keys = raw_heads.astype(np.min_scalar_type(max(n - 1, 0)))
     # arc_order sorts again from the source columns, which the network keeps
     # anyway; a stable sort of the int64 heads gives the same order.
-    resort = partial(_sorted_arcs, raw_heads, raw_labels, head_order, mirrored)
-    num_arcs = int(raw_labels.size)
-    if num_arcs == 0:
-        empty = _readonly(np.empty(0, dtype=np.int64))
-        offsets = _readonly(np.zeros(1, dtype=np.int64))
-        return TimeArcCSR(
-            n=n,
-            lifetime=lifetime,
-            labels=empty,
-            arc_offsets=offsets,
-            tails=empty,
-            narrow_heads=_readonly(head_keys),
-            head_values=empty,
-            head_offsets=offsets,
-            head_starts=empty,
-            _resort=resort,
-        )
+    resort = partial(_sorted_arcs, raw_heads, raw_labels, head_order, mirrored, lifetime)
+    order, keys, first = _sorted_arcs(head_keys, raw_labels, head_order, mirrored, lifetime)
+    tails, heads = raw_tails.take(order), head_keys.take(order)
+    del order
+    return _grouped_layout(n, lifetime, tails, heads, keys, first, resort)
 
-    order, keys = _sorted_arcs(head_keys, raw_labels, head_order, mirrored)
-    tails = raw_tails.take(order)
-    heads = head_keys.take(order)
 
+def _grouped_layout(
+    n: int,
+    lifetime: int,
+    tails: np.ndarray,
+    heads: np.ndarray,
+    keys: np.ndarray,
+    first: int,
+    resort: Callable[[], tuple[np.ndarray, np.ndarray, int]],
+) -> TimeArcCSR:
+    """The layout of arcs already in layout order.
+
+    ``tails`` (``int64``), ``heads`` (narrow) and the label ``keys`` are
+    sorted by ``(label, head)``; a key ``k`` stands for the label
+    ``first + k``.  The label groups and each group's head runs are read
+    off the runs of equal keys and heads.
+    """
+    num_arcs = int(keys.size)
     run_start = np.empty(num_arcs, dtype=bool)
-    run_start[0] = True
+    run_start[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
     group_starts = np.flatnonzero(run_start)
     arc_offsets = np.append(group_starts, num_arcs)
     # Each group's label is the label of its first arc.
-    labels = raw_labels.take(order.take(group_starts)).astype(np.int64)
-    if mirrored:
-        np.subtract(lifetime + 1, labels, out=labels)
-    del order, keys
+    labels = keys.take(group_starts).astype(np.int64)
+    labels += first
 
     # A head run starts wherever the head changes or a new label group begins.
     run_start[1:] |= heads[1:] != heads[:-1]

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..exceptions import GraphError, InvalidEdgeError, InvalidVertexError
-from ..utils.validation import check_non_negative_int, check_positive_int
+from ..utils.validation import check_non_negative_int
 
 __all__ = ["EdgeArcs", "StaticGraph"]
 
@@ -278,35 +278,6 @@ class StaticGraph:
                 self._n, self.pair_tails, self.pair_heads, self._directed
             )
         return self._edge_arcs
-
-    def disjoint_copies(self, copies: int) -> "StaticGraph":
-        """The disjoint union of ``copies`` copies of this graph, derived by offsets.
-
-        Copy ``t`` holds vertices ``t·n … t·n + n − 1``, and its edges are
-        block ``t`` of the canonical edge list, in this graph's order: edge
-        ``e`` of copy ``t`` is edge ``t·m + e``.  A stack of trials lays its
-        networks out on it (:meth:`TemporalGraph.stacked
-        <repro.core.temporal_graph.TemporalGraph.stacked>`).  The pair columns
-        are this graph's plus ``t·n``, already in canonical order, so nothing
-        is sorted; the edge arcs are built from them on first use.  Nothing
-        is kept on this graph: a union lives as long as the stack that uses
-        it, and one copy is the graph itself.  Nothing should ask the union
-        for its closure, a dense ``(copies·n)²`` matrix: its block ``t`` is
-        this graph's.
-        """
-        copies = check_positive_int(copies, "copies")
-        if copies == 1:
-            return self
-        offsets = np.arange(copies, dtype=np.int64)[:, np.newaxis] * self._n
-        union = StaticGraph.__new__(StaticGraph)
-        union._n = copies * self._n
-        union._directed = self._directed
-        union._init(
-            (self._pair_tails + offsets).ravel(),
-            (self._pair_heads + offsets).ravel(),
-            self._name,
-        )
-        return union
 
     # ------------------------------------------------------------------ #
     # queries

@@ -13,10 +13,14 @@ direct-to-CSR sampling fast path: the draw matrix becomes the network's
 stored edge-major ``(edge, label)`` arrays by a row sort, with no per-edge
 Python work.  The RNG consumption is exactly one ``(m, labels_per_edge)``
 draw, identical to the historical per-experiment trial functions.
+
+Only ``"uniform"`` also has a *draw form* (:data:`LABEL_DRAWS`): that draw
+matrix with no network, for the suites decided in stacks from their draws.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -24,6 +28,7 @@ import numpy as np
 from ..core.labeling import (
     box_assignment,
     tree_broadcast_assignment,
+    uniform_label_draws,
     uniform_random_labels,
 )
 from ..core.temporal_graph import TemporalGraph
@@ -32,7 +37,9 @@ from ..graphs.static_graph import StaticGraph
 from ..randomness.distributions import LabelDistribution, distribution_from_name
 from .specs import LabelModelSpec, eval_param_expr
 
-__all__ = ["LABEL_MODELS", "register_label_model", "resolve_distribution", "sample_labels"]
+__all__ = [
+    "LABEL_MODELS", "LABEL_DRAWS", "register_label_model", "resolve_distribution", "sample_labels"
+]
 
 #: Sampler signature: ``(spec, graph, params, rng) -> (network, extras)``.
 LabelSampler = Callable[
@@ -81,27 +88,38 @@ def _resolved_lifetime(
     return int(eval_param_expr(spec.lifetime, merged))
 
 
+def _uniform_point(
+    spec: LabelModelSpec, graph: StaticGraph, params: Mapping[str, Any]
+) -> dict[str, Any]:
+    """The uniform model's arguments at a sweep point, the lifetime resolved."""
+    r = int(eval_param_expr(spec.labels_per_edge, params))
+    lifetime = _resolved_lifetime(spec, graph, params)
+    if lifetime is None:
+        lifetime = graph.n
+    return {
+        "labels_per_edge": r,
+        "lifetime": lifetime,
+        "distribution": resolve_distribution(spec.distribution, params, lifetime),
+    }
+
+
 def _sample_uniform(
     spec: LabelModelSpec,
     graph: StaticGraph,
     params: Mapping[str, Any],
     rng: np.random.Generator,
 ) -> tuple[TemporalGraph, dict[str, Any]]:
-    r = int(eval_param_expr(spec.labels_per_edge, params))
-    lifetime = _resolved_lifetime(spec, graph, params)
-    effective = lifetime if lifetime is not None else graph.n
-    distribution = resolve_distribution(spec.distribution, params, effective)
-    network = uniform_random_labels(
-        graph,
-        labels_per_edge=r,
-        lifetime=lifetime,
-        distribution=distribution,
-        seed=rng,
-    )
-    extras: dict[str, Any] = {}
-    if distribution is not None:
-        extras["distribution"] = distribution
-    return network, extras
+    point = _uniform_point(spec, graph, params)
+    network = uniform_random_labels(graph, seed=rng, **point)
+    distribution = point["distribution"]
+    return network, {} if distribution is None else {"distribution": distribution}
+
+
+def _draw_uniform(
+    spec: LabelModelSpec, graph: StaticGraph, params: Mapping[str, Any]
+) -> tuple[Callable[..., np.ndarray], int]:
+    point = _uniform_point(spec, graph, params)
+    return partial(uniform_label_draws, graph, **point), point["lifetime"]
 
 
 def _sample_box(
@@ -145,6 +163,15 @@ LABEL_MODELS: dict[str, LabelSampler] = {
     "box": _sample_box,
     "tree_broadcast": _sample_tree_broadcast,
     "none": _sample_none,
+}
+
+
+#: Draw forms, ``(spec, graph, params) -> (draw, lifetime)``: ``draw(seed=rng)``
+#: returns the ``(m, r)`` label draws from which ``from_label_matrix(graph,
+#: draws, lifetime=lifetime)`` builds the network the model's sampler would.
+#: A registered model has none, so its trials run one by one.
+LABEL_DRAWS: dict[str, Callable[..., tuple[Callable[..., np.ndarray], int]]] = {
+    "uniform": _draw_uniform
 }
 
 

@@ -110,7 +110,8 @@ class TrialContext:
 
 MetricFunction = Callable[[TrialContext, Mapping[str, Any]], Mapping[str, float]]
 BatchMetricFunction = Callable[
-    [Sequence[TrialContext], Mapping[str, Any]], list[Mapping[str, float]]
+    [StaticGraph, Sequence[np.ndarray], int, Mapping[str, Any]],
+    list[Mapping[str, float]],
 ]
 DirectMetricFunction = Callable[
     [Mapping[str, Any], Sequence[np.random.Generator], Mapping[str, Any]],
@@ -411,22 +412,25 @@ METRICS: dict[str, MetricFunction] = {
 
 
 def _batch_strong_reachability(
-    contexts: Sequence[TrialContext], options: Mapping[str, Any]
+    graph: StaticGraph,
+    draws: Sequence[np.ndarray],
+    lifetime: int,
+    options: Mapping[str, Any],
 ) -> list[Mapping[str, float]]:
-    """:func:`_metric_strong_reachability` of every trial, one sweep per stack."""
+    """:func:`_metric_strong_reachability` of every trial, from its label draws."""
     del options
-    networks = [ctx.require_network("strong_reachability") for ctx in contexts]
     return [
         {"reachable": 1.0 if preserved else 0.0}
-        for preserved in preserves_reachability_stacked(networks)
+        for preserved in preserves_reachability_stacked(graph, draws, lifetime)
     ]
 
 
-#: Trial metrics with a batch form: ``(contexts, options)`` to one mapping
-#: per context, equal to the trial metric's on each.  A suite made up wholly
-#: of them runs a shard's trials together
-#: (:meth:`~repro.scenarios.pipeline.ScenarioTrial.batch`); metrics added by
-#: :func:`register_metric` run per trial.
+#: Trial metrics with a batch form: ``(graph, draws, lifetime, options)`` to
+#: one mapping per trial's ``(m, r)`` label draws, equal to the trial
+#: metric's on the network ``from_label_matrix`` builds from them.  A suite
+#: made up wholly of them, whose label model has a draw form, runs a shard's
+#: trials together (:meth:`~repro.scenarios.pipeline.ScenarioTrial.batch`);
+#: metrics added by :func:`register_metric` run per trial.
 BATCH_METRICS: dict[str, BatchMetricFunction] = {
     "strong_reachability": _batch_strong_reachability,
 }

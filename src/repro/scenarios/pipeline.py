@@ -20,10 +20,11 @@ The per-trial work is :class:`ScenarioTrial` — a picklable callable built
 from the scenario's declarative specs: build (or reuse) the graph, sample the
 label model with the trial generator, evaluate the metric suite in order.
 The engine hands it a shard's trials together (:meth:`ScenarioTrial.batch`);
-a suite of metrics with a batch form, such as ``strong_reachability``,
-decides them in stacks of up to :data:`~repro.core.reachability.STACK_ARCS`
-time arcs with one sweep per stack, and :func:`run_scenario` runs each
-point of such a suite as one shard.
+a suite of metrics with a batch form, such as ``strong_reachability``, over
+a label model with a draw form decides them straight from their label
+draws, in stacks of :func:`~repro.core.reachability.stack_height` trials
+with one sweep per stack, and :func:`run_scenario` runs each point of such
+a suite as one shard.
 """
 
 from __future__ import annotations
@@ -31,15 +32,17 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .. import telemetry
-from ..core.reachability import arc_stacks, stack_weight
+from ..core.reachability import draw_stacks
 from ..engine.driver import ProgressCallback
 from ..engine.executors import Executor, RunContext, merge_telemetry, resolve_executor
 from ..exceptions import ConfigurationError
+from ..graphs.static_graph import StaticGraph
 from ..montecarlo.experiment import Experiment
 from ..montecarlo.results import SweepResult, TrialResult
 from ..montecarlo.runner import MonteCarloRunner
@@ -47,7 +50,7 @@ from ..montecarlo.sweep import ParameterSweep
 from ..utils.logging import get_logger
 from ..utils.seeding import SeedLike, spawn_rngs
 from .families import build_graph
-from .labelmodels import sample_labels
+from .labelmodels import LABEL_DRAWS, sample_labels
 from .metrics import (
     BATCH_METRICS,
     DIRECT_METRICS,
@@ -63,15 +66,14 @@ _LOGGER = get_logger("scenarios.pipeline")
 
 
 def _batch_forms(scenario: Scenario) -> list[BatchMetricFunction] | None:
-    """The suite's batch forms in order, or ``None`` unless every metric has one."""
+    """The suite's batch forms in order, or ``None`` unless its trials stack.
+
+    They stack when every metric has a batch form and the label model draws
+    on a graph (:data:`~repro.scenarios.labelmodels.LABEL_DRAWS`).
+    """
     forms = [BATCH_METRICS.get(spec.metric) for spec in scenario.metrics]
-    if not forms or None in forms:
-        return None
-    return forms
-
-
-def _context_weight(ctx: TrialContext) -> int:
-    return 0 if ctx.network is None else stack_weight(ctx.network)
+    draws = scenario.labels.model in LABEL_DRAWS and scenario.graph.family != "none"
+    return forms if forms and None not in forms and draws else None
 
 
 class ScenarioTrial:
@@ -92,7 +94,12 @@ class ScenarioTrial:
         self, params: Mapping[str, Any], rng: np.random.Generator
     ) -> dict[str, float]:
         with telemetry.span("scenario.trial", scenario=self.scenario.name):
-            [ctx] = self._contexts(params, [rng])
+            graph = self._graph(params)
+            sample = partial(sample_labels, self.scenario.labels, graph, params)
+            [(network, extras)] = self._sampled([rng], sample)
+            ctx = TrialContext(
+                graph=graph, network=network, params=params, rng=rng, extras=extras
+            )
             for spec in self.scenario.metrics:
                 fn = METRICS.get(spec.metric)
                 if fn is None:
@@ -110,46 +117,51 @@ class ScenarioTrial:
         """Run one trial per generator, in order: a shard's trials at once.
 
         A suite made up wholly of metrics with a batch form
-        (:data:`~repro.scenarios.metrics.BATCH_METRICS`) samples the trials'
-        networks over the point's graph one by one and hands them to each
-        metric's batch form a stack at a time, cut by
-        :func:`~repro.core.reachability.arc_stacks`, so
-        ``strong_reachability`` decides a stack with one sweep and at most
-        one stack's networks are alive.  Any other suite runs the trials one
-        by one.  Either way each trial draws from its own generator alone,
-        so every value equals the per-trial call's, and counts as one
-        ``scenario.trials``.
+        (:data:`~repro.scenarios.metrics.BATCH_METRICS`), over a label model
+        with a draw form, draws the trials' label matrices over the point's
+        graph one by one and hands them to each metric's batch form a stack
+        at a time, cut by :func:`~repro.core.reachability.draw_stacks`, so
+        ``strong_reachability`` decides a stack with one sweep, builds no
+        network, and at most one stack's draws are alive.  Any other suite
+        runs the trials one by one.  Either way each trial draws from its
+        own generator alone, so every value equals the per-trial call's,
+        and counts as one ``scenario.trials``.
         """
         forms = _batch_forms(self.scenario)
         if forms is None:
             return [self(params, rng) for rng in rngs]
+        graph = self._graph(params)
+        draw, lifetime = LABEL_DRAWS[self.scenario.labels.model](
+            self.scenario.labels, graph, params
+        )
+        draws = self._sampled(rngs, lambda rng: draw(seed=rng))
         results: list[dict[str, float]] = []
-        for stack in arc_stacks(self._contexts(params, rngs), _context_weight):
-            results.extend(self._run_stack(stack, forms))
-            # Release this stack's networks before the next one is drawn.
+        for stack in draw_stacks(graph, draws, lifetime):
+            results.extend(self._run_stack(graph, stack, lifetime, forms))
+            # Release this stack's draws before the next one is drawn.
             del stack
         return results
 
     def _run_stack(
-        self, stack: list[TrialContext], forms: list[BatchMetricFunction]
+        self,
+        graph: StaticGraph,
+        stack: list[np.ndarray],
+        lifetime: int,
+        forms: list[BatchMetricFunction],
     ) -> list[dict[str, float]]:
-        """Evaluate the suite's batch forms on one stack of trials."""
+        """Evaluate the suite's batch forms on one stack of trials' draws."""
+        results: list[dict[str, float]] = [{} for _ in stack]
         with telemetry.span("scenario.stack", scenario=self.scenario.name):
             for spec, form in zip(self.scenario.metrics, forms):
                 with telemetry.span(f"scenario.metric.{spec.metric}"):
-                    for ctx, values in zip(stack, form(stack, spec.options)):
-                        ctx.metrics.update(values)
-        return [dict(ctx.metrics) for ctx in stack]
+                    for result, values in zip(
+                        results, form(graph, stack, lifetime, spec.options)
+                    ):
+                        result.update(values)
+        return results
 
-    def _contexts(
-        self, params: Mapping[str, Any], rngs: Iterable[np.random.Generator]
-    ) -> Iterator[TrialContext]:
-        """Build (or reuse) the point's graph, then sample one network per generator.
-
-        The networks are drawn as the caller asks for them.  Counts each
-        generator as one ``scenario.trials`` and times the graph build and
-        each label draw.
-        """
+    def _graph(self, params: Mapping[str, Any]) -> StaticGraph | None:
+        """Build (or reuse) the point's graph, timed as ``scenario.graph_build_ms``."""
         recs = telemetry.active()
         stamp = time.perf_counter() if recs else 0.0
         graph = build_graph(self.scenario.graph, params)
@@ -157,17 +169,26 @@ class ScenarioTrial:
             now = time.perf_counter()
             for rec in recs:
                 rec.observe_ms("scenario.graph_build_ms", (now - stamp) * 1e3)
+        return graph
+
+    @staticmethod
+    def _sampled(
+        rngs: Iterable[np.random.Generator], sample: Callable[[np.random.Generator], Any]
+    ) -> Iterator[Any]:
+        """``sample(rng)`` per generator as the caller asks: one ``scenario.trials``, timed.
+
+        Each draw is timed as ``scenario.label_sampling_ms``.
+        """
+        recs = telemetry.active()
         for rng in rngs:
             stamp = time.perf_counter() if recs else 0.0
-            network, extras = sample_labels(self.scenario.labels, graph, params, rng)
+            sampled = sample(rng)
             if recs:
                 now = time.perf_counter()
                 for rec in recs:
                     rec.counter("scenario.trials")
                     rec.observe_ms("scenario.label_sampling_ms", (now - stamp) * 1e3)
-            yield TrialContext(
-                graph=graph, network=network, params=params, rng=rng, extras=extras
-            )
+            yield sampled
 
     def __getstate__(self) -> Scenario:
         return self.scenario

@@ -34,7 +34,10 @@ gathers the CSR layout with every per-arc column ``int64``
 (:func:`assert_layout_matches` compares a layout with it).
 :func:`time_arcs_reference` lists a network's time arcs from per-edge label
 sets with the per-edge loop of Definition 1, independent of the edge-major
-arrays :class:`TemporalGraph` stores.
+arrays :class:`TemporalGraph` stores.  :func:`stacked_network` holds ``T``
+networks on :func:`disjoint_copies` of their graph: the union whose layout a
+stack of trials' label draws must equal
+(:func:`repro.core.timearc_csr.build_stack_timearc_csr`).
 
 The static-graph references answer by breadth-first search over the arc
 arrays, where the package asks ``scipy.sparse.csgraph``:
@@ -540,6 +543,53 @@ def time_arcs_reference(
                     column.append(value)
     tails, heads, labels, edges = (np.asarray(c, dtype=np.int64) for c in columns)
     return tails, heads, labels, edges
+
+
+def disjoint_copies(graph: StaticGraph, copies: int) -> StaticGraph:
+    """The disjoint union of ``copies`` copies of ``graph``, derived by offsets.
+
+    Copy ``t`` holds vertices ``t·n … t·n + n − 1``, and its edges are block
+    ``t`` of the canonical edge list, in the graph's order: edge ``e`` of
+    copy ``t`` is edge ``t·m + e``.  The pair columns are the graph's plus
+    ``t·n``, already in canonical order, so nothing is sorted.  One copy is
+    the graph itself.
+    """
+    copies = check_positive_int(copies, "copies")
+    if copies == 1:
+        return graph
+    offsets = np.arange(copies, dtype=np.int64)[:, np.newaxis] * graph.n
+    union = StaticGraph.__new__(StaticGraph)
+    union._n = copies * graph.n
+    union._directed = graph.directed
+    union._init(
+        (graph.pair_tails + offsets).ravel(),
+        (graph.pair_heads + offsets).ravel(),
+        graph.name,
+    )
+    return union
+
+
+def stacked_network(networks) -> TemporalGraph:
+    """One network holding ``T`` networks on :func:`disjoint_copies` of their graph.
+
+    Network ``t``'s labels go on copy ``t``: the stored ``(edge, label)``
+    arrays are the networks' own, concatenated with their edges offset by
+    ``t·m``.  A journey of the stack stays inside one copy, so vertex
+    ``t·n + v`` reaches what vertex ``v`` reaches in network ``t``.  The
+    lifetime is the largest of theirs.  The networks must lie on one graph
+    object (``GraphError`` otherwise).
+    """
+    graph = networks[0].graph
+    if any(network.graph is not graph for network in networks):
+        raise GraphError("stacked networks must lie on one graph object")
+    m = graph.m
+    edges = np.concatenate(
+        [network._el_edge_index + t * m for t, network in enumerate(networks)]
+    )
+    labels = np.concatenate([network._el_labels for network in networks])
+    lifetime = max(network.lifetime for network in networks)
+    union = disjoint_copies(graph, len(networks))
+    return TemporalGraph._from_arrays(union, edges, labels, lifetime)
 
 
 # ---------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import assert_layout_matches, timearc_csr_reference
+from oracles import assert_layout_matches, stacked_network, timearc_csr_reference
 from repro.core.journeys import earliest_arrival_matrix, earliest_arrival_times
 from repro.core.labeling import uniform_random_labels
 from repro.core.reachability import is_temporally_connected, preserves_reachability
@@ -82,7 +82,7 @@ class TestMultiLabelAndStacked:
             )
             for t in range(5)
         ]
-        stack = TemporalGraph.stacked(networks)
+        stack = stacked_network(networks)
         assert stack.n == 5 * graph.n
         _assert_both_layouts(stack)
 

@@ -22,6 +22,7 @@ import pytest
 from oracles import (
     LAYOUT_COLUMNS,
     assert_layout_matches,
+    disjoint_copies,
     time_arcs_reference,
     timearc_csr_reference,
 )
@@ -273,8 +274,8 @@ class TestPickling:
 class TestPickledState:
     """A pickle carries only what defines a graph or a network.
 
-    The pair columns define a graph; its adjacency, closures, edge arcs and
-    disjoint copies are rebuilt on first use.  The labels (and, with more
+    The pair columns define a graph; its adjacency, closures and edge arcs
+    are rebuilt on first use.  The labels (and, with more
     or fewer than one label per edge, the edge column) define a network; a
     one-label clone takes its columns from the clone graph's edge arcs.
     """
@@ -284,7 +285,7 @@ class TestPickledState:
         network = TemporalGraph.from_label_matrix(graph, _one_label_each(graph, 3))
         network.timearc_csr, network.reverse_timearc_csr
         graph.reachability_closure, graph.packed_reachability_closure
-        graph.degrees(), graph.disjoint_copies(2)
+        graph.degrees()
         # Pair columns 2 · 65 280 · 8 bytes, labels 65 280 · 8 bytes.
         assert len(pickle.dumps(graph)) <= 1_100_000
         assert len(pickle.dumps(network)) <= 1_700_000
@@ -313,7 +314,7 @@ class TestPickledState:
         for u in range(graph.n):
             assert np.array_equal(clone.graph.out_neighbors(u), graph.out_neighbors(u))
             assert np.array_equal(clone.graph.out_arcs(u), graph.out_arcs(u))
-        assert clone.graph.disjoint_copies(3) == graph.disjoint_copies(3)
+        assert disjoint_copies(clone.graph, 3) == disjoint_copies(graph, 3)
 
 
 class TestThreads:

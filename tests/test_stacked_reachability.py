@@ -1,18 +1,21 @@
 """Stacked reachability decisions: many trials, one sweep per stack.
 
-``preserves_reachability_stacked`` lays networks over one graph out as one
-network on disjoint copies of the graph, in stacks of up to ``STACK_ARCS``
-time arcs, and decides each stack with one reach-only sweep.  Every answer
-must equal the per-network ``preserves_reachability``, and the brute-force
-journeys of ``tests/oracles.py`` against the BFS closure, on the shapes
-that could break the block layout: disconnected graphs (whose closure is
-not all ones), ``n <= 1``, no edges, edges without labels, duplicate draws,
-a stack exactly at the budget and a network over it.
+``preserves_reachability_stacked`` decides trials straight from their
+``(m, r)`` label draws: ``draw_stacks`` cuts them into stacks of
+``stack_height`` trials, and each stack's layout on disjoint copies of the
+graph is decided by one reach-only sweep.  Every answer must equal the
+per-network ``preserves_reachability`` of ``from_label_matrix`` on the same
+draws, and the brute-force journeys of ``tests/oracles.py`` against the BFS
+closure, on the shapes that could break the block layout: disconnected
+graphs (whose closure is not all ones), ``n <= 1``, no edges, no draws,
+duplicate draws, a stack exactly at the budget and a trial over it.  The
+layouts themselves are pinned in ``tests/test_stacked_layout.py``.
 """
 
 from __future__ import annotations
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,18 +24,17 @@ from oracles import all_pairs_shortest_paths_reference, oracle_arrival_matrix
 from repro import telemetry
 from repro.core import reachability
 from repro.core.guarantees import reachability_probability
-from repro.core.journeys import _sweep
-from repro.core.labeling import uniform_random_labels
+from repro.core.labeling import uniform_label_draws, uniform_random_labels
 from repro.core.reachability import (
     STACK_ARCS,
-    arc_stacks,
+    draw_stacks,
     preserves_reachability,
     preserves_reachability_stacked,
-    stack_weight,
+    stack_height,
 )
 from repro.core.temporal_graph import TemporalGraph
 from repro.engine.sharding import plan_shards
-from repro.exceptions import CheckpointError, GraphError
+from repro.exceptions import CheckpointError
 from repro.graphs.generators import (
     complete_graph,
     erdos_renyi_graph,
@@ -52,6 +54,7 @@ from repro.scenarios import (
     get_scenario,
     run_scenario,
 )
+from repro.scenarios import labelmodels
 from repro.types import UNREACHABLE
 from repro.utils.seeding import spawn_rngs
 
@@ -82,9 +85,18 @@ def _oracle_preserves(network: TemporalGraph) -> bool:
 
 def _draws(graph: StaticGraph, trials: int, r: int, lifetime: int, seed: int):
     return [
-        uniform_random_labels(graph, labels_per_edge=r, lifetime=lifetime, seed=rng)
+        uniform_label_draws(graph, labels_per_edge=r, lifetime=lifetime, seed=rng)
         for rng in spawn_rngs(seed, trials)
     ]
+
+
+def _networks(graph: StaticGraph, draws, lifetime: int) -> list[TemporalGraph]:
+    return [TemporalGraph.from_label_matrix(graph, d, lifetime=lifetime) for d in draws]
+
+
+def _weight(graph: StaticGraph, r: int, lifetime: int) -> int:
+    """A trial's weight: its most time arcs, its draws or its bitset rows."""
+    return max(graph.num_arcs * min(r, lifetime), graph.m * r, graph.n)
 
 
 class TestStackedEqualsPerTrial:
@@ -93,30 +105,28 @@ class TestStackedEqualsPerTrial:
     def test_against_the_oracle(self, name, r):
         graph = GRAPHS[name]()
         # A lifetime of 4 makes duplicate draws common at r = 3.
-        networks = _draws(graph, 9, r, 4, seed=len(name) + r)
+        draws = _draws(graph, 9, r, 4, seed=len(name) + r)
+        networks = _networks(graph, draws, 4)
         expected = [_oracle_preserves(network) for network in networks]
         assert [preserves_reachability(network) for network in networks] == expected
-        assert preserves_reachability_stacked(networks) == expected
+        assert preserves_reachability_stacked(graph, draws, 4) == expected
 
     @pytest.mark.parametrize("trials", [1, 7, 8, 9, 17])
     @pytest.mark.parametrize("budget", [STACK_ARCS, 100, 1])
     def test_stack_heights(self, trials, budget, monkeypatch):
         graph = erdos_renyi_graph(12, 0.25, seed=5)
-        networks = _draws(graph, trials, 2, 12, seed=trials)
-        expected = [preserves_reachability(network) for network in networks]
+        draws = _draws(graph, trials, 2, 12, seed=trials)
+        expected = [preserves_reachability(network) for network in _networks(graph, draws, 12)]
         monkeypatch.setattr(reachability, "STACK_ARCS", budget)
-        assert preserves_reachability_stacked(networks) == expected
-        # One sweep per stack: a stack takes networks until the next one
-        # would carry it past the budget.
-        stacks, total = 0, budget
-        for network in networks:
-            if total + stack_weight(network) > budget:
-                stacks, total = stacks + 1, 0
-            total += stack_weight(network)
+        assert preserves_reachability_stacked(graph, draws, 12) == expected
+        # One sweep per stack: every stack but the last holds the height.
+        height = max(1, budget // _weight(graph, 2, 12))
+        stacks = -(-trials // height)
         with telemetry.session() as rec:
             fresh = _draws(graph, trials, 2, 12, seed=trials)
-            assert preserves_reachability_stacked(iter(fresh)) == expected
+            assert preserves_reachability_stacked(graph, iter(fresh), 12) == expected
         assert rec.counters["kernel.forward.sweeps"] == stacks
+        assert rec.counters["csr.builds.forward"] == stacks
         if budget == STACK_ARCS:
             assert stacks == 1
 
@@ -130,276 +140,191 @@ class TestStackedEqualsPerTrial:
             r = int(rng.integers(1, 4))
             lifetime = int(rng.integers(1, 2 * n + 3))
             trials = int(rng.integers(1, 24))
-            networks = _draws(graph, trials, r, lifetime, int(rng.integers(1 << 30)))
+            draws = _draws(graph, trials, r, lifetime, int(rng.integers(1 << 30)))
+            networks = _networks(graph, draws, lifetime)
             expected = [preserves_reachability(network) for network in networks]
-            assert preserves_reachability_stacked(networks) == expected, (graph, r)
+            assert preserves_reachability_stacked(graph, draws, lifetime) == expected, (graph, r)
 
     @pytest.mark.parametrize("directed", [False, True])
-    def test_edges_without_labels(self, directed):
+    def test_repeated_draws_and_no_draws(self, directed):
         graph = StaticGraph(
             6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)], directed=directed
         )
-        labelings = [
-            {0: [1], 1: [2], 2: [3], 3: [4], 4: [5]},
-            {0: [1, 5], 2: [2]},
-            {},
-            {edge: [edge + 1, 6 - edge] for edge in range(6)},
-            {0: [3], 1: [3], 2: [3], 3: [3], 4: [3], 5: [3]},
+        draws = [
+            np.array([[1, 1], [2, 2], [3, 3], [4, 4], [5, 5], [6, 6]]),
+            np.array([[edge + 1, 6 - edge] for edge in range(6)]),
+            np.full((6, 2), 3),
+            np.array([[1, 5], [5, 1], [2, 2], [6, 6], [6, 1], [3, 4]]),
         ]
-        networks = [TemporalGraph(graph, labels, lifetime=6) for labels in labelings]
-        expected = [_oracle_preserves(network) for network in networks]
-        assert [preserves_reachability(network) for network in networks] == expected
-        assert preserves_reachability_stacked(networks) == expected
+        # Labels drawn on no edge: r = 0.
+        none = [np.empty((6, 0), dtype=np.int64)] * 3
+        for stack in (draws, none):
+            networks = _networks(graph, stack, 6)
+            expected = [_oracle_preserves(network) for network in networks]
+            assert [preserves_reachability(network) for network in networks] == expected
+            assert preserves_reachability_stacked(graph, stack, 6) == expected
+        assert not any(preserves_reachability_stacked(graph, none, 6))
 
     def test_stacks_give_up_the_deficient_exit(self):
         graph = star_graph(16)
-        networks = _draws(graph, 8, 1, 16, seed=1)
-        assert not any(preserves_reachability_stacked(networks[:1]))
+        draws = _draws(graph, 8, 1, 16, seed=1)
+        assert not any(preserves_reachability_stacked(graph, draws[:1], 16))
         with telemetry.session() as rec:
-            assert not any(preserves_reachability_stacked(networks))
+            assert not any(preserves_reachability_stacked(graph, draws, 16))
         assert rec.counters["kernel.forward.sweeps"] == 1
         assert "kernel.forward.deficient_exits" not in rec.counters
         # A stack of one is the network itself and keeps the exit.
         with telemetry.session() as rec:
-            preserves_reachability_stacked(networks[:1])
+            preserves_reachability_stacked(graph, draws[:1], 16)
         assert rec.counters["kernel.forward.deficient_exits"] == 1
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_at_the_budgets_edges(self, directed):
-        # 256 one-label networks of 256 time arcs fill the budget exactly and
-        # are one stack; the next network starts another.  A network over
-        # the budget is a stack of one and keeps the deficient exit.
+        # 256 one-label trials of 256 time arcs fill the budget exactly and
+        # are one stack; the next trial starts another.  A trial over the
+        # budget is a stack of one and keeps the deficient exit.
         pairs = complete_graph(22, directed=directed).edge_pairs[: 256 if directed else 128]
         small = StaticGraph(22, pairs.tolist(), directed=directed)
         assert small.num_arcs == 256 and STACK_ARCS % 256 == 0
         height = STACK_ARCS // 256
-        networks = _draws(small, height + 1, 1, 22, seed=7)
+        assert stack_height(small, 1, 22) == height
+        draws = _draws(small, height + 1, 1, 22, seed=7)
+        networks = _networks(small, draws, 22)
         expected = [_oracle_preserves(network) for network in networks[:4]]
         expected += [preserves_reachability(network) for network in networks[4:]]
         assert 0 < sum(expected) < len(expected)
         with telemetry.session() as rec:
-            assert preserves_reachability_stacked(networks[:height]) == expected[:height]
+            assert preserves_reachability_stacked(small, draws[:height], 22) == expected[:height]
         assert rec.counters["kernel.forward.sweeps"] == 1
         with telemetry.session() as rec:
-            assert preserves_reachability_stacked(iter(networks)) == expected
+            assert preserves_reachability_stacked(small, iter(draws), 22) == expected
         assert rec.counters["kernel.forward.sweeps"] == 2
 
         big_graph = complete_graph(257, directed=directed)
         [big] = _draws(big_graph, 1, 1, 257, seed=8)
-        assert big.num_time_arcs > STACK_ARCS
+        assert big_graph.num_arcs > STACK_ARCS
+        assert stack_height(big_graph, 1, 257) == 1
         with telemetry.session() as alone:
-            big_expected = preserves_reachability(big)
+            big_expected = preserves_reachability(
+                TemporalGraph.from_label_matrix(big_graph, big, lifetime=257)
+            )
         with telemetry.session() as rec:
-            assert preserves_reachability_stacked([big]) == [big_expected]
-        # The same sweep, exits included (the layout is built once, above).
-        assert rec.counters == {
-            name: count
-            for name, count in alone.counters.items()
-            if name.startswith("kernel.")
-        }
+            assert preserves_reachability_stacked(big_graph, [big], 257) == [big_expected]
+        # The same layout build and the same sweep, exits included.
+        assert rec.counters == alone.counters
 
-        # Between small networks of its graph, it is still a stack of one.
+        # Beside other trials of its graph, each is a stack of one.
         few = _draws(big_graph, 3, 1, 257, seed=9)
         mixed = [few[0], big, few[1], few[2]]
-        assert [len(stack) for stack in arc_stacks(mixed, stack_weight)] == [1, 1, 1, 1]
-        assert preserves_reachability_stacked(mixed) == [
-            preserves_reachability(network) for network in mixed
+        assert [len(stack) for stack in draw_stacks(big_graph, mixed, 257)] == [1] * 4
+        assert preserves_reachability_stacked(big_graph, mixed, 257) == [
+            preserves_reachability(network) for network in _networks(big_graph, mixed, 257)
         ]
 
     def test_edgeless_networks_weigh_their_rows(self, monkeypatch):
-        # No time arcs, but each network adds n rows to the bitset: stacks
+        # No time arcs, but each trial adds n rows to the bitset: stacks
         # hold STACK_ARCS // n of them, not the whole stream.  With no static
-        # paths to preserve, every network preserves reachability.
+        # paths to preserve, every trial preserves reachability.
         n = 1000
         graph = StaticGraph(n)
-        networks = _draws(graph, 200, 1, n, seed=3)
-        assert {network.num_time_arcs for network in networks} == {0}
-        assert {stack_weight(network) for network in networks} == {n}
+        draws = _draws(graph, 200, 1, n, seed=3)
+        assert {network.num_time_arcs for network in _networks(graph, draws, n)} == {0}
+        assert _weight(graph, 1, n) == n
         heights = _record_stack_heights(monkeypatch)
-        assert preserves_reachability_stacked(iter(networks)) == [True] * 200
+        assert preserves_reachability_stacked(graph, iter(draws), n) == [True] * 200
         height = STACK_ARCS // n
         assert heights == [height] * (200 // height) + [200 % height]
 
-    def test_networks_must_share_one_graph_object(self):
-        first = uniform_random_labels(path_graph(4), seed=0)
-        second = uniform_random_labels(path_graph(4), seed=1)
-        with pytest.raises(GraphError):
-            preserves_reachability_stacked([first, second])
-
 
 def _record_stack_heights(monkeypatch) -> list[int]:
-    """Patch :meth:`TemporalGraph.stacked` to log each stack's height."""
+    """Patch the stack layout builder to log each stack's height."""
     heights: list[int] = []
-    stacked = TemporalGraph.stacked.__func__
+    build = reachability.build_stack_timearc_csr
 
-    def recorded(cls, stack):
-        heights.append(len(stack))
-        return stacked(cls, stack)
+    def recorded(graph, draws, lifetime):
+        heights.append(len(draws))
+        return build(graph, draws, lifetime)
 
-    monkeypatch.setattr(TemporalGraph, "stacked", classmethod(recorded))
+    monkeypatch.setattr(reachability, "build_stack_timearc_csr", recorded)
     return heights
 
 
-class TestArcStacks:
-    """The cut: greedy, in order, and over the budget only for one item."""
+class TestDrawStacks:
+    """The cut: fixed heights, in order, never drawn ahead of the stack."""
 
-    def test_random_sizes(self):
+    def test_every_stack_but_the_last_holds_the_height(self):
         rng = np.random.default_rng(31)
-        for _ in range(300):
-            sizes = rng.integers(0, 2 * STACK_ARCS, size=int(rng.integers(0, 30)))
-            sizes[rng.random(sizes.size) < 0.5] //= 64
-            sizes[rng.random(sizes.size) < 0.1] = 0
-            stacks = list(arc_stacks(sizes.tolist(), int))
-            assert [size for stack in stacks for size in stack] == sizes.tolist()
-            for index, stack in enumerate(stacks):
-                assert stack
-                if sum(stack) > STACK_ARCS:
-                    assert len(stack) == 1
-                if index + 1 < len(stacks):
-                    # The next stack's first item would not have fitted.
-                    assert sum(stack) + stacks[index + 1][0] > STACK_ARCS
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            directed = bool(rng.integers(0, 2))
+            graph = erdos_renyi_graph(n, float(rng.random()), directed=directed, seed=1)
+            r = int(rng.integers(1, 300))
+            lifetime = int(rng.integers(1, 100))
+            trials = int(rng.integers(1, 80))
+            draws = [np.ones((graph.m, r), dtype=np.int64) for _ in range(trials)]
+            stacks = list(draw_stacks(graph, draws, lifetime))
+            assert [id(d) for stack in stacks for d in stack] == [id(d) for d in draws]
+            height = max(1, STACK_ARCS // max(_weight(graph, r, lifetime), 1))
+            assert stack_height(graph, r, lifetime) == height
+            assert [len(stack) for stack in stacks[:-1]] == [height] * (len(stacks) - 1)
+            assert 0 < len(stacks[-1]) <= height
+
+    def test_each_term_of_the_weight(self):
+        # Time arcs: an undirected edge keeps min(r, a) labels per direction.
+        path = path_graph(9)
+        assert stack_height(path, 4, 9) == STACK_ARCS // (16 * 4)
+        # Draws: past the lifetime, the draws outweigh the distinct labels.
+        arcs = complete_graph(9, directed=True)
+        assert stack_height(arcs, 40, 9) == STACK_ARCS // (72 * 40)
+        # Rows: an edgeless graph still adds n rows per trial.
+        assert stack_height(StaticGraph(300), 5, 9) == STACK_ARCS // 300
 
     def test_exactly_at_and_one_past_the_budget(self):
         half = STACK_ARCS // 2
-        assert list(arc_stacks([half, half, 1], int)) == [[half, half], [1]]
-        assert list(arc_stacks([half, half + 1, 0], int)) == [[half], [half + 1, 0]]
-        assert list(arc_stacks([STACK_ARCS + 1, 0, 0], int)) == [[STACK_ARCS + 1], [0, 0]]
-        assert list(arc_stacks([0, STACK_ARCS + 1], int)) == [[0], [STACK_ARCS + 1]]
-        assert list(arc_stacks([], int)) == []
+        assert stack_height(StaticGraph(half), 1, 1) == 2
+        assert stack_height(StaticGraph(half + 1), 1, 1) == 1
+        assert stack_height(StaticGraph(STACK_ARCS), 1, 1) == 1
+        assert stack_height(StaticGraph(STACK_ARCS + 1), 1, 1) == 1
+        assert list(draw_stacks(StaticGraph(half), [], 1)) == []
 
-    def test_draws_one_item_ahead(self):
+    def test_draws_no_trial_ahead(self):
+        graph = StaticGraph(STACK_ARCS // 2)
         drawn = []
 
         def stream():
-            for size in [STACK_ARCS // 2] * 5:
-                drawn.append(size)
-                yield size
+            for _ in range(5):
+                drawn.append(np.empty((0, 1), dtype=np.int64))
+                yield drawn[-1]
 
-        for count, stack in enumerate(arc_stacks(stream(), int), start=1):
-            assert len(drawn) <= 2 * count + 1
+        for count, stack in enumerate(draw_stacks(graph, stream(), 1), start=1):
+            assert len(drawn) == min(2 * count, 5)
             assert len(stack) <= 2
 
 
-class TestStackedNetwork:
-    def test_blocks_are_the_networks(self):
-        graph = erdos_renyi_graph(9, 0.4, directed=True, seed=2)
-        networks = _draws(graph, 3, 2, 9, seed=4)
-        stack = TemporalGraph.stacked(networks)
-        assert stack.graph == graph.disjoint_copies(3)
-        assert stack.total_labels == sum(network.total_labels for network in networks)
-        tails, heads = stack.time_arc_tails, stack.time_arc_heads
-        start = 0
-        for t, network in enumerate(networks):
-            stop = start + network.num_time_arcs
-            assert np.array_equal(tails[start:stop], network.time_arc_tails + t * graph.n)
-            assert np.array_equal(heads[start:stop], network.time_arc_heads + t * graph.n)
-            assert np.array_equal(
-                stack.time_arc_labels[start:stop], network.time_arc_labels
-            )
-            start = stop
-
-    def test_one_label_stacks_share_the_unions_arcs(self):
-        graph = star_graph(10)
-        stack = TemporalGraph.stacked(_draws(graph, 4, 1, 10, seed=0))
-        arcs = stack.graph.edge_arcs
-        assert np.shares_memory(stack.time_arc_tails, arcs.tails)
-        assert np.shares_memory(stack.time_arc_heads, arcs.heads)
-
-    @pytest.mark.parametrize(
-        "outputs",
-        [{}, {"arrivals": True}, {"arrivals": False, "settles": True}],
-    )
-    def test_a_stacked_sweep_is_reach_only(self, outputs):
-        networks = _draws(path_graph(4), 2, 1, 4, seed=0)
-        stack = TemporalGraph.stacked(networks)
-        with pytest.raises(ValueError, match="reach-only"):
-            _sweep(stack, None, 0, reverse=False, copies=2, **outputs)
-        required = networks[0].graph.packed_reachability_closure
-        with pytest.raises(ValueError, match="reach-only"):
-            _sweep(
-                stack, None, 0, reverse=False, arrivals=False, required=required, copies=2
-            )
-
-
-class TestDisjointCopies:
-    def test_derived_per_call_not_kept(self):
-        graph = path_graph(5)
-        assert graph.disjoint_copies(1) is graph
-        union = graph.disjoint_copies(3)
-        again = graph.disjoint_copies(3)
-        assert union is not again and union == again
-        assert (union.n, union.m, union.directed) == (15, 12, False)
-        pairs = union.edge_pairs.reshape(3, graph.m, 2)
-        for t in range(3):
-            np.testing.assert_array_equal(pairs[t], graph.edge_pairs + t * graph.n)
-
-    @pytest.mark.parametrize("copies", [2, 3, 8])
-    @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_the_union_equals_the_sorted_offset_pairs(self, name, copies):
-        # Derived by offsets, every column equals the one _from_arcs builds
-        # (with its lexsort) from the offset pairs, the edge arcs and their
-        # head and tail orders included.
-        graph = GRAPHS[name]()
-        union = graph.disjoint_copies(copies)
-        offsets = np.arange(copies)[:, np.newaxis] * graph.n
-        built = StaticGraph._from_arcs(
-            copies * graph.n,
-            (graph.pair_tails + offsets).ravel(),
-            (graph.pair_heads + offsets).ravel(),
-            directed=graph.directed,
-            name=graph.name,
-        )
-        assert (union.n, union.directed, union.name) == (
-            built.n, built.directed, built.name
-        )
-        for column in ("pair_tails", "pair_heads", "arc_tails", "arc_heads"):
-            mine, theirs = getattr(union, column), getattr(built, column)
-            assert mine.dtype == theirs.dtype, column
-            np.testing.assert_array_equal(mine, theirs, err_msg=column)
-        derived, sorted_arcs = union.edge_arcs, built.edge_arcs
-        for column in (
-            "edge_index", "tails", "heads", "arc_edge_index", "head_order", "tail_order"
-        ):
-            mine, theirs = getattr(derived, column), getattr(sorted_arcs, column)
-            assert mine.dtype == theirs.dtype, column
-            assert not mine.flags.writeable, column
-            np.testing.assert_array_equal(mine, theirs, err_msg=column)
-
+class TestNoUnionIsKept:
     @pytest.mark.parametrize("directed", [False, True])
-    def test_a_decision_leaves_no_union_on_the_base_graph(self, directed, monkeypatch):
+    def test_a_decision_leaves_no_layout_behind(self, directed, monkeypatch):
         graph = erdos_renyi_graph(10, 0.4, directed=directed, seed=2)
-        networks = _draws(graph, 6, 1, 10, seed=3)
-        unions = []
-        stacked = TemporalGraph.stacked.__func__
+        draws = _draws(graph, 6, 1, 10, seed=3)
+        layouts = []
+        build = reachability.build_stack_timearc_csr
 
-        def kept(cls, stack):
-            network = stacked(cls, stack)
-            unions.append(network.graph)
-            return network
+        def kept(*args):
+            layout = build(*args)
+            layouts.append(weakref.ref(layout))
+            return layout
 
-        monkeypatch.setattr(TemporalGraph, "stacked", classmethod(kept))
-        expected = [preserves_reachability(network) for network in networks]
-        assert preserves_reachability_stacked(networks) == expected
-        [union] = unions
-        assert union.n == 6 * graph.n
+        monkeypatch.setattr(reachability, "build_stack_timearc_csr", kept)
+        expected = [preserves_reachability(network) for network in _networks(graph, draws, 10)]
+        assert preserves_reachability_stacked(graph, draws, 10) == expected
         gc.collect()
-        # Only this test's list holds the union: the base graph keeps
-        # nothing of it.
-        assert [ref for ref in gc.get_referrers(union) if ref is not unions] == []
-
-    def test_freed_graphs_never_lend_their_union(self):
-        # A cache keyed by id() would hand a new graph the union of a freed
-        # one whose id it reuses.
-        for n in range(3, 40):
-            graph = path_graph(n) if n % 2 else star_graph(n)
-            union = graph.disjoint_copies(8)
-            assert (union.n, union.m) == (8 * n, 8 * graph.m)
-            del graph, union
-            gc.collect()
+        # Nothing holds the stack's layout once it is decided: not the base
+        # graph, not the draws.
+        assert len(layouts) == 1 and layouts[0]() is None
 
     def test_a_stacked_decision_builds_no_union_closure(self, monkeypatch):
         graph = erdos_renyi_graph(10, 0.3, directed=True, seed=1)
-        networks = _draws(graph, 8, 2, 10, seed=6)
+        draws = _draws(graph, 8, 2, 10, seed=6)
         closures = []
         original = StaticGraph.reachability_closure.fget
 
@@ -408,7 +333,7 @@ class TestDisjointCopies:
             return original(self)
 
         monkeypatch.setattr(StaticGraph, "reachability_closure", property(counted))
-        preserves_reachability_stacked(networks)
+        preserves_reachability_stacked(graph, draws, 10)
         assert set(closures) == {graph.n}
 
 
@@ -496,35 +421,81 @@ class TestScenarioStacks:
         with pytest.raises(CheckpointError):
             run_scenario(scenario, scale="quick", seed=9, checkpoint_dir=tmp_path)
 
-    def test_at_most_one_stack_of_networks_is_alive(self, monkeypatch):
-        # With a budget of a few networks, each point's shard runs several
-        # stacks; while one is decided, only its networks and the one drawn
+    def test_at_most_one_stack_of_draws_is_alive(self, monkeypatch):
+        # With a budget of a few trials, each point's shard runs several
+        # stacks; while one is laid out, only its draws and the one drawn
         # ahead of it are alive, not the shard's.
         monkeypatch.setattr(reachability, "STACK_ARCS", 2_000)
-        alive_at_sweeps = []
-        stacked = TemporalGraph.stacked.__func__
+        drawn = []
+        draw = labelmodels.uniform_label_draws
 
-        def counted(cls, stack):
-            graph = stack[0].graph
-            alive = sum(
-                1
-                for obj in gc.get_objects()
-                if type(obj) is TemporalGraph and obj.graph is graph
-            )
-            alive_at_sweeps.append((alive, len(stack)))
-            return stacked(cls, stack)
+        def tracked(*args, **kwargs):
+            draws = draw(*args, **kwargs)
+            drawn.append(weakref.ref(draws))
+            return draws
 
-        monkeypatch.setattr(TemporalGraph, "stacked", classmethod(counted))
+        alive_at_builds = []
+        build = reachability.build_stack_timearc_csr
+
+        def counted(graph, draws, lifetime):
+            alive = sum(ref() is not None for ref in drawn)
+            alive_at_builds.append((alive, len(draws)))
+            return build(graph, draws, lifetime)
+
+        monkeypatch.setattr(labelmodels, "uniform_label_draws", tracked)
+        monkeypatch.setattr(reachability, "build_stack_timearc_csr", counted)
         scenario = get_scenario("E5")
         run = run_scenario(scenario, scale="quick", seed=9)
         monkeypatch.undo()
         assert run.to_records() == run_scenario(scenario, scale="quick", seed=9).to_records()
-        assert len(alive_at_sweeps) > len(list(run.points()))
-        assert all(alive <= height + 1 for alive, height in alive_at_sweeps), alive_at_sweeps
+        assert len(drawn) == sum(point.repetitions for point in run.points())
+        assert len(alive_at_builds) > len(list(run.points()))
+        assert all(alive <= height + 1 for alive, height in alive_at_builds), alive_at_builds
+
+    def test_a_point_of_many_draws_stays_within_the_bound(self, monkeypatch):
+        # r = 64·a draws per edge: the draws outweigh the distinct labels,
+        # so they set the height, and every array a stack gathers (a key
+        # per draw and direction) stays within twice the budget.
+        n, trials = 8, 40
+        lifetime, r = n, 64 * n
+        scenario = Scenario(
+            name="many-draws-reachability",
+            title="",
+            description="",
+            graph=GraphFamilySpec("star", {"n": "n"}),
+            labels=LabelModelSpec(model="uniform", labels_per_edge="r", lifetime="n"),
+            metrics=MetricSuite.of("strong_reachability"),
+            scales={
+                "quick": ScenarioScale(
+                    trials, (SweepBlock(axes={"r": [r]}, constants={"n": n}),)
+                )
+            },
+        )
+        graph = star_graph(n)
+        assert _weight(graph, r, lifetime) == graph.m * r
+        height = stack_height(graph, r, lifetime)
+        stacks = []
+        build = reachability.build_stack_timearc_csr
+
+        def measured(graph, draws, lifetime):
+            layout = build(graph, draws, lifetime)
+            stacks.append((sum(d.size for d in draws), layout.num_arcs, layout.n))
+            return layout
+
+        monkeypatch.setattr(reachability, "build_stack_timearc_csr", measured)
+        run = run_scenario(scenario, scale="quick", seed=4)
+        monkeypatch.undo()
+        assert run.to_records() == run_scenario(
+            scenario, scale="quick", seed=4, shard_size=1
+        ).to_records()
+        assert len(stacks) == -(-trials // height) > 1
+        for drawn, arcs, rows in stacks:
+            assert drawn <= STACK_ARCS and arcs <= STACK_ARCS and rows <= STACK_ARCS
+            assert drawn * graph.num_arcs // graph.m <= 2 * STACK_ARCS
 
     def test_edgeless_point_runs_bounded_stacks(self, monkeypatch):
         # G(n, 0) has no edges, so its networks have no time arcs; the point's
-        # one shard still samples and sweeps them in stacks of STACK_ARCS // n.
+        # one shard still draws and sweeps them in stacks of STACK_ARCS // n.
         n, trials = 1000, 150
         scenario = Scenario(
             name="edgeless-reachability",
@@ -538,9 +509,9 @@ class TestScenarioStacks:
         sampled = []
         run_stack = ScenarioTrial._run_stack
 
-        def recorded(self, stack, forms):
+        def recorded(self, graph, stack, lifetime, forms):
             sampled.append(len(stack))
-            return run_stack(self, stack, forms)
+            return run_stack(self, graph, stack, lifetime, forms)
 
         monkeypatch.setattr(ScenarioTrial, "_run_stack", recorded)
         swept = _record_stack_heights(monkeypatch)
@@ -551,6 +522,29 @@ class TestScenarioStacks:
         assert (record["repetitions"], record["reachable_mean"]) == (trials, 1.0)
         height = STACK_ARCS // n
         assert sampled == swept == [height] * (trials // height) + [trials % height]
+
+    def test_models_without_draws_run_trial_by_trial(self):
+        # The box model has no draw form: its suite keeps the engine's plan
+        # and runs one trial at a time, its records unchanged.
+        scenario = Scenario(
+            name="box-reachability",
+            title="",
+            description="",
+            graph=GraphFamilySpec("path", {"n": "n"}),
+            labels=LabelModelSpec(model="box", options={"mode": "random"}),
+            metrics=MetricSuite.of("strong_reachability"),
+            scales={"quick": ScenarioScale(6, (SweepBlock(axes={"n": [5, 8]}),))},
+        )
+        with telemetry.session() as rec:
+            run = run_scenario(scenario, scale="quick", seed=2)
+        assert "scenario.stack" not in rec.timings
+        assert rec.timings["scenario.trial"].count == rec.counters["scenario.trials"] == 12
+        assert rec.counters["engine.shards"] == sum(
+            len(plan_shards(point.repetitions)) for point in run.points()
+        )
+        single = run_scenario(scenario, scale="quick", seed=2, shard_size=1)
+        assert run.to_records() == single.to_records()
+        assert {record["reachable_mean"] for record in run.to_records()} == {1.0}
 
     def test_fcase_reachability(self):
         with telemetry.session() as rec:
