@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.distances import temporal_diameter
+from repro.analysis_api import NetworkAnalysis
 from repro.core.labeling import uniform_random_labels
 from repro.experiments.registry import run_experiment
 from repro.graphs.generators import complete_graph
@@ -31,7 +31,7 @@ def test_bench_experiment_e9(benchmark, attach_report):
 def test_bench_multilabel_diameter(benchmark, r):
     clique = complete_graph(96, directed=True)
     network = uniform_random_labels(clique, labels_per_edge=r, lifetime=96, seed=30)
-    result = benchmark(lambda: temporal_diameter(network))
+    result = benchmark(lambda: NetworkAnalysis(network).diameter)
     assert result <= 96
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.distances import temporal_distance_matrix
 from repro.core.guarantees import minimal_labels_for_reachability
 from repro.core.journeys import earliest_arrival_matrix, earliest_arrival_times
 from repro.core.labeling import normalized_urtn
@@ -37,7 +36,7 @@ class TestSingleSourceKernelAblation:
 
 class TestAllPairsKernelAblation:
     def test_bench_batched_distance_matrix(self, benchmark, clique_instance):
-        matrix = benchmark(lambda: temporal_distance_matrix(clique_instance))
+        matrix = benchmark(lambda: earliest_arrival_matrix(clique_instance))
         assert matrix.shape[0] == clique_instance.n
 
     def test_bench_row_by_row_distance_matrix(self, benchmark, clique_instance):
@@ -52,7 +51,7 @@ class TestAllPairsKernelAblation:
         assert matrix.shape == (len(sources), clique_instance.n)
 
     def test_batched_matches_row_by_row(self, clique_instance):
-        fast = temporal_distance_matrix(clique_instance)
+        fast = earliest_arrival_matrix(clique_instance)
         slow = _row_by_row(clique_instance)
         assert np.array_equal(fast, slow)
 

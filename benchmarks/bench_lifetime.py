@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.distances import temporal_diameter
+from repro.analysis_api import NetworkAnalysis
 from repro.core.labeling import uniform_random_labels
 from repro.core.lifetime import prefix_connectivity_time
 from repro.experiments.registry import run_experiment
@@ -24,7 +24,7 @@ def test_bench_long_lifetime_diameter(benchmark, multiplier):
     n = 64
     clique = complete_graph(n, directed=True)
     network = uniform_random_labels(clique, lifetime=multiplier * n, seed=3)
-    result = benchmark(lambda: temporal_diameter(network))
+    result = benchmark(lambda: NetworkAnalysis(network).diameter)
     assert result <= multiplier * n
 
 

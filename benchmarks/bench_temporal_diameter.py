@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.distances import temporal_diameter, temporal_distance_matrix
+from repro.analysis_api import NetworkAnalysis
 from repro.core.journeys import earliest_arrival_matrix, earliest_arrival_times
 from repro.core.labeling import normalized_urtn
 from repro.experiments.registry import run_experiment
@@ -58,14 +58,14 @@ def test_bench_experiment_e1(benchmark, attach_report):
 def test_bench_temporal_diameter_kernel(benchmark, n):
     clique = complete_graph(n, directed=True)
     network = normalized_urtn(clique, seed=5)
-    result = benchmark(lambda: temporal_diameter(network))
+    result = benchmark(lambda: NetworkAnalysis(network).diameter)
     assert result <= n
 
 
 def test_bench_distance_matrix_clique_192(benchmark):
     clique = complete_graph(192, directed=True)
     network = normalized_urtn(clique, seed=6)
-    matrix = benchmark(lambda: temporal_distance_matrix(network))
+    matrix = benchmark(lambda: earliest_arrival_matrix(network))
     assert matrix.shape == (192, 192)
 
 

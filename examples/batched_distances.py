@@ -5,9 +5,9 @@ Demonstrates the difference between looping a single-source kernel over every
 vertex and advancing all sources at once with
 :func:`repro.core.journeys.earliest_arrival_matrix` over the cached
 :class:`~repro.core.timearc_csr.TimeArcCSR` layout.  Both paths are timed on
-the same normalized random clique and cross-checked entry for entry; the
-batched sweep also feeds :func:`repro.core.distances.temporal_distance_summary`
-so the diameter, radius and average distance come out of a single pass.
+the same normalized random clique and cross-checked entry for entry; an
+analysis handle then reads the diameter, radius and average distance off a
+single batched pass.
 
 Run:  python examples/batched_distances.py
 """
@@ -21,11 +21,11 @@ import time
 import numpy as np
 
 from repro import (
+    NetworkAnalysis,
     complete_graph,
     earliest_arrival_matrix,
     earliest_arrival_times,
     normalized_urtn,
-    temporal_distance_summary,
 )
 
 
@@ -51,7 +51,7 @@ def main() -> None:
     print(f"looped path:    {looped_ms:7.2f} ms ({n} single-source sweeps)")
     print(f"speedup:        {looped_ms / batched_ms:7.1f}x")
 
-    summary = temporal_distance_summary(network)
+    summary = NetworkAnalysis(network).summary
     print(f"temporal diameter = {summary.diameter}  (log n = {math.log(n):.1f}, "
           f"direct-edge wait ~ n/2 = {n / 2:.0f})")
     print(f"temporal radius   = {summary.radius}")

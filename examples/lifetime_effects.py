@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from repro import complete_graph, temporal_diameter, uniform_random_labels
+from repro import NetworkAnalysis, complete_graph, uniform_random_labels
 from repro.core.lifetime import prefix_connectivity_time, temporal_diameter_lower_bound_theorem5
 from repro.io.tables import format_table
 
@@ -33,7 +33,7 @@ def main(n: int = 64, multipliers: tuple[int, ...] = (1, 2, 4, 8, 16), trials: i
         certificates = []
         for _ in range(trials):
             network = uniform_random_labels(clique, lifetime=lifetime, seed=rng)
-            diameters.append(temporal_diameter(network))
+            diameters.append(NetworkAnalysis(network).diameter)
             certificates.append(prefix_connectivity_time(network))
         scale = temporal_diameter_lower_bound_theorem5(n, lifetime)
         rows.append(

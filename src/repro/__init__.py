@@ -60,7 +60,6 @@ from .core import (
     flood_broadcast,
     foremost_journey,
     is_temporally_connected,
-    latest_departure,
     latest_departure_matrix,
     latest_departure_times,
     minimal_labels_for_reachability,
@@ -71,21 +70,10 @@ from .core import (
     price_of_randomness,
     push_phone_call_broadcast,
     reachability_probability,
-    reverse_reachable_set,
-    temporal_closeness,
-    temporal_diameter,
-    temporal_distance,
-    temporal_distance_matrix,
-    temporal_distance_summary,
-    temporal_harmonic_closeness,
-    temporal_influence_counts,
-    temporal_reach_counts,
     tree_broadcast_assignment,
     uniform_random_labels,
     BlockedSweepResult,
     blocked_sweep_summary,
-    streamed_distance_summary,
-    streamed_reachable_fraction,
 )
 from . import telemetry
 from .core import kernels
@@ -158,26 +146,14 @@ __all__ = [
     "earliest_arrival_matrix",
     "earliest_arrival_times",
     "foremost_journey",
-    "temporal_distance",
-    "temporal_distance_matrix",
-    "temporal_distance_summary",
-    "temporal_diameter",
     "is_temporally_connected",
     "preserves_reachability",
-    # reverse (target-side) sweeps and temporal centrality
+    # reverse (target-side) sweeps
     "latest_departure_times",
     "latest_departure_matrix",
-    "latest_departure",
-    "reverse_reachable_set",
-    "temporal_closeness",
-    "temporal_harmonic_closeness",
-    "temporal_influence_counts",
-    "temporal_reach_counts",
     # out-of-core blocked sweeps (O(n·tile) memory, bit-identical to dense)
     "BlockedSweepResult",
     "blocked_sweep_summary",
-    "streamed_distance_summary",
-    "streamed_reachable_fraction",
     "ExpansionParameters",
     "ExpansionResult",
     "expansion_process",

@@ -9,11 +9,9 @@ memoized, so however many views you read, each underlying sweep runs at most
 once.
 
 The handle only memoizes plain :mod:`repro.core` reductions
-(:class:`DistanceSummary` lives in :mod:`repro.core.distances`).  The free
-functions (``temporal_diameter``, ``is_temporally_connected``, …) run the
-sweep and apply the same reductions, so they agree bit for bit; anything
-reading more than one quantity per instance should hold a handle.
-``docs/api.md`` documents the full surface and the migration mapping.
+(:class:`DistanceSummary` lives in :mod:`repro.core.distances`); each
+per-instance quantity has no other public entry point.  ``docs/api.md``
+documents the full surface and the removed free functions' replacements.
 
 Cache behaviour is observable: :func:`compute_events` opens a scoped probe
 over artifact computations and cache hits (built on :mod:`repro.telemetry`).

@@ -24,10 +24,11 @@ Shared artifacts
 ``arrival_matrix()``, the ``(n, n)`` earliest-arrival matrix, is computed at
 most once and feeds ``eccentricities()``, ``summary`` and the centrality
 family; ``reachability()`` derives from it when it is cached and otherwise
-runs one reach-only sweep.  ``preserves_reachability()`` and
-``is_temporally_connected`` answer from a cached mask; with neither cached
-they run the free functions' yes/no sweeps, which stop at their first
-certain failure and cache no mask, so alone they never write arrival times.
+runs one reach-only sweep; ``reachable_fraction`` counts that mask.
+``preserves_reachability()`` and ``is_temporally_connected`` answer from a
+cached mask; with neither cached they run the yes/no sweeps of
+:mod:`repro.core.reachability`, which stop at their first certain failure
+and cache no mask, so alone they never write arrival times.
 ``departure_matrix()`` is its reverse-sweep twin.
 Row queries (``distances_from``, ``departures_to``, …) slice a cached matrix
 or run memoized narrow sweeps, so a single-target question never pays for an
@@ -283,7 +284,7 @@ class NetworkAnalysis:
         elif wanted:
             self._cache_hit(artifact)
         if vertex_arr.size == 0:
-            return np.empty((0, n), dtype=np.int64)
+            return _read_only(np.empty((0, n), dtype=np.int64))
         return _read_only(
             np.stack([self._cache[(artifact, int(v))] for v in vertex_arr])
         )
@@ -372,14 +373,6 @@ class NetworkAnalysis:
             ).summary,
         )
 
-    def streamed_reachable_fraction(
-        self, *, tile_size: int | None = None, direction: str = "forward"
-    ) -> float:
-        """:attr:`reachable_fraction` of :meth:`streamed_distance_summary`."""
-        return self.streamed_distance_summary(
-            tile_size=tile_size, direction=direction
-        ).reachable_fraction
-
     # ------------------------------------------------------------------ #
     # derived scalar views
     # ------------------------------------------------------------------ #
@@ -406,8 +399,19 @@ class NetworkAnalysis:
 
     @property
     def reachable_fraction(self) -> float:
-        """Fraction of ordered pairs ``s ≠ t`` connected by a journey."""
-        return self.summary.reachable_fraction
+        """Fraction of ordered pairs ``s ≠ t`` connected by a journey.
+
+        A count over :meth:`reachability`, so a fresh handle runs one
+        reach-only sweep and writes no arrival times, and a handle with
+        :attr:`summary` cached (which caches the mask) runs nothing.  The
+        value equals ``summary.reachable_fraction`` bit for bit.  1.0 for
+        ``n ≤ 1``.
+        """
+        n = self.n
+        if n <= 1:
+            return 1.0
+        pairs = int(np.count_nonzero(self.reachability())) - n
+        return pairs / float(n * (n - 1))
 
     @property
     def is_temporally_connected(self) -> bool:
@@ -415,7 +419,7 @@ class NetworkAnalysis:
 
         With ``reachability()`` cached (as it is whenever ``summary`` is) or
         ``arrival_matrix()`` cached, the cached mask or matrix answers and
-        nothing new is computed.  Otherwise the free
+        nothing new is computed.  Otherwise
         :func:`~repro.core.reachability.is_temporally_connected` decides,
         memoized as ``temporally_connected``: its sweep stops at the first
         vertex whose final row misses a source, and its partial bitset is
@@ -574,7 +578,7 @@ class NetworkAnalysis:
         constructor forbids; the comparison checks both directions anyway.)
 
         With ``reachability()`` or ``arrival_matrix()`` cached, the cached
-        mask is compared.  Otherwise the free
+        mask is compared.  Otherwise
         :func:`~repro.core.reachability.preserves_reachability` decides: its
         sweep stops at the first vertex whose final row misses a source, and
         its partial bitset is never cached as ``reachability``.

@@ -22,11 +22,11 @@ This subpackage implements:
 * the Price of Randomness (:mod:`repro.core.price_of_randomness`);
 * lifetime-scaling analysis for Theorem 5 (:mod:`repro.core.lifetime`).
 
-The per-instance distance, reachability and centrality free functions each
-run one sweep and apply a pure core reduction of the arrival matrix.  Nothing
-here imports :mod:`repro.analysis_api`; its memoizing ``NetworkAnalysis``
-handle calls the same reductions.  Hold a handle when reading more than one
-quantity (``docs/api.md`` has the migration table).
+Per-instance distances, summaries and centrality are asked of
+:class:`repro.analysis_api.NetworkAnalysis`, which runs the sweeps here and
+memoizes the pure reductions of :mod:`repro.core.distances` and
+:mod:`repro.core.centrality`.  Nothing here imports :mod:`repro.analysis_api`
+(``docs/api.md`` has the table of removed free functions).
 """
 
 from .temporal_graph import TemporalGraph
@@ -44,29 +44,9 @@ from .journeys import (
     earliest_arrival_times,
     foremost_journey,
     foremost_journey_tree,
-    temporal_distance,
 )
-from .reverse_journeys import (
-    latest_departure,
-    latest_departure_matrix,
-    latest_departure_times,
-    reverse_reachable_set,
-)
-from .centrality import (
-    temporal_closeness,
-    temporal_harmonic_closeness,
-    temporal_influence_counts,
-    temporal_reach_counts,
-)
-from .distances import (
-    DistanceSummary,
-    average_temporal_distance,
-    temporal_diameter,
-    temporal_distance_matrix,
-    temporal_distance_summary,
-    temporal_eccentricities,
-    temporal_radius,
-)
+from .reverse_journeys import latest_departure_matrix, latest_departure_times
+from .distances import DistanceSummary
 from .blocked_sweeps import (
     DEFAULT_TILE_SIZE,
     BlockedSummaryAccumulator,
@@ -74,16 +54,12 @@ from .blocked_sweeps import (
     ExactDistanceMoments,
     blocked_sweep_summary,
     resolve_tile_size,
-    streamed_distance_summary,
-    streamed_reachable_fraction,
     summary_of_distance_matrix,
 )
 from .reachability import (
     is_temporally_connected,
     preserves_reachability,
     reachability_matrix,
-    reachable_fraction,
-    reachable_set,
 )
 from .expansion import ExpansionParameters, ExpansionResult, expansion_process
 from .dissemination import (
@@ -122,34 +98,17 @@ __all__ = [
     "earliest_arrival_times",
     "foremost_journey",
     "foremost_journey_tree",
-    "temporal_distance",
     "latest_departure_times",
     "latest_departure_matrix",
-    "latest_departure",
-    "reverse_reachable_set",
-    "temporal_closeness",
-    "temporal_harmonic_closeness",
-    "temporal_influence_counts",
-    "temporal_reach_counts",
     "DistanceSummary",
-    "temporal_distance_matrix",
-    "temporal_distance_summary",
-    "temporal_diameter",
-    "temporal_eccentricities",
-    "temporal_radius",
-    "average_temporal_distance",
     "DEFAULT_TILE_SIZE",
     "BlockedSummaryAccumulator",
     "BlockedSweepResult",
     "ExactDistanceMoments",
     "blocked_sweep_summary",
     "resolve_tile_size",
-    "streamed_distance_summary",
-    "streamed_reachable_fraction",
     "summary_of_distance_matrix",
     "reachability_matrix",
-    "reachable_set",
-    "reachable_fraction",
     "is_temporally_connected",
     "preserves_reachability",
     "ExpansionParameters",

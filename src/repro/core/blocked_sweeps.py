@@ -16,7 +16,9 @@ Peak memory is ``O(n · tile_size)`` bits instead of ``O(n²)`` words, while
 every reported number stays **exact** (not sampled, not approximate) and
 bit-identical to the dense path wherever the dense path can run at all —
 the ``n ≤ 512`` pins are the cross-validation oracle for this engine
-(``tests/test_blocked_sweeps.py``).
+(``tests/test_blocked_sweeps.py``).  :func:`blocked_sweep_summary` is the
+one entry point; :meth:`repro.analysis_api.NetworkAnalysis.streamed_distance_summary`
+memoizes its summary per direction and tile width.
 
 Exactness and order invariance
 ------------------------------
@@ -85,8 +87,6 @@ __all__ = [
     "ExactDistanceMoments",
     "blocked_sweep_summary",
     "resolve_tile_size",
-    "streamed_distance_summary",
-    "streamed_reachable_fraction",
     "summary_of_distance_matrix",
 ]
 
@@ -475,40 +475,3 @@ def blocked_sweep_summary(
         reach_counts=accumulator.reach_counts,
         spill=spill,
     )
-
-
-def streamed_distance_summary(
-    network: TemporalGraph,
-    *,
-    tile_size: int | None = None,
-    direction: str = "forward",
-) -> DistanceSummary:
-    """All-pairs distance statistics in ``O(n · tile_size)`` memory.
-
-    The streamed twin of
-    :func:`repro.core.distances.temporal_distance_summary`: same
-    :class:`DistanceSummary`, bit for bit, without ever materializing the
-    ``(n, n)`` matrix.  Prefer
-    :meth:`repro.analysis_api.NetworkAnalysis.streamed_distance_summary` when
-    holding a handle.
-    """
-    return blocked_sweep_summary(
-        network, tile_size=tile_size, direction=direction
-    ).summary
-
-
-def streamed_reachable_fraction(
-    network: TemporalGraph,
-    *,
-    tile_size: int | None = None,
-    direction: str = "forward",
-) -> float:
-    """Fraction of ordered pairs ``s != t`` with a journey, streamed.
-
-    The blocked twin of :func:`repro.core.reachability.reachable_fraction`
-    (bit-identical), in ``O(n · tile_size)`` memory.
-    """
-    return streamed_distance_summary(
-        network, tile_size=tile_size, direction=direction
-    ).reachable_fraction
-

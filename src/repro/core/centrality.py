@@ -17,29 +17,20 @@ opens that family on top of the existing arrival machinery:
   ever reach (the size of its out-journey cone).
 * **reach counts** — the in-mirror: how many vertices can reach ``u``.  For
   a *single* vertex this is exactly one reverse sweep
-  (:func:`repro.core.reverse_journeys.reverse_reachable_set`); the batched
-  per-vertex vector here comes from the shared all-pairs structure.
+  (:meth:`repro.analysis_api.NetworkAnalysis.reverse_reachable_set`); the
+  batched per-vertex vector here comes from the shared all-pairs structure.
 
-The family is one reduction of the arrival matrix, :func:`centrality_arrays`;
-each free function runs one sweep and applies it.  The analysis handle
-memoizes the same reduction, so hold one when reading several quantities.
+The family is one reduction of the arrival matrix, :func:`centrality_arrays`.
+:class:`repro.analysis_api.NetworkAnalysis` runs the sweep and memoizes it:
+``.closeness()``, ``.harmonic_closeness()``, ``.influence_counts()`` and
+``.reach_counts()`` read one shared pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..types import UNREACHABLE
-from .journeys import earliest_arrival_matrix
-from .temporal_graph import TemporalGraph
-
-__all__ = [
-    "centrality_arrays",
-    "temporal_closeness",
-    "temporal_harmonic_closeness",
-    "temporal_influence_counts",
-    "temporal_reach_counts",
-]
+__all__ = ["centrality_arrays"]
 
 
 def centrality_arrays(
@@ -74,37 +65,3 @@ def centrality_arrays(
         "influence": counts_out.astype(np.int64),
         "reach": off_diagonal.sum(axis=0).astype(np.int64),
     }
-
-
-def _family(network: TemporalGraph) -> dict[str, np.ndarray]:
-    matrix = earliest_arrival_matrix(network)
-    return centrality_arrays(matrix, matrix < UNREACHABLE)
-
-
-def temporal_closeness(network: TemporalGraph) -> np.ndarray:
-    """Temporal closeness of every vertex (``float64`` array).
-
-    ``C(u)`` is the reciprocal of the mean temporal distance from ``u`` to
-    the vertices it can reach (0.0 when it reaches none); higher is more
-    central.
-    """
-    return _family(network)["closeness"]
-
-
-def temporal_harmonic_closeness(network: TemporalGraph) -> np.ndarray:
-    """Temporal harmonic closeness of every vertex (in ``[0, 1]``).
-
-    ``H(u) = (1/(n−1)) Σ_{t ≠ u} 1/δ(u, t)`` with ``1/∞ = 0`` for
-    unreachable targets.
-    """
-    return _family(network)["harmonic"]
-
-
-def temporal_influence_counts(network: TemporalGraph) -> np.ndarray:
-    """Number of vertices ``t ≠ u`` temporally reachable *from* each ``u``."""
-    return _family(network)["influence"]
-
-
-def temporal_reach_counts(network: TemporalGraph) -> np.ndarray:
-    """Number of vertices ``s ≠ v`` with a journey *to* each ``v``."""
-    return _family(network)["reach"]

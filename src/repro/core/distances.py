@@ -8,35 +8,26 @@ all-pairs temporal distances cost a *single* sweep of the time arcs instead
 of ``n`` independent single-source sweeps.
 
 The reductions are plain functions over arrays (:func:`eccentricities_of`,
-:func:`distance_summary`); each free function below runs one sweep and
-applies them.  :class:`repro.analysis_api.NetworkAnalysis` memoizes the same
-reductions, so anything reading **several** quantities of one instance should
-hold a handle (``benchmarks/bench_analysis_cache.py`` gates the speedup).
+:func:`distance_summary`).  :class:`repro.analysis_api.NetworkAnalysis` runs
+the sweep and memoizes them: ``NetworkAnalysis(network).diameter`` is the
+per-instance temporal diameter, and ``.summary``, ``.eccentricities()`` and
+``.distances_from(sources)`` are the other views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..types import UNREACHABLE
-from .journeys import earliest_arrival_matrix
-from .temporal_graph import TemporalGraph
 
 __all__ = [
     "DistanceSummary",
     "distance_summary",
     "eccentricities_of",
     "summary_of_distance_matrix",
-    "temporal_distance_matrix",
-    "temporal_distance_summary",
-    "temporal_eccentricities",
-    "temporal_diameter",
-    "temporal_radius",
-    "average_temporal_distance",
 ]
 
 
@@ -118,84 +109,3 @@ def summary_of_distance_matrix(matrix: np.ndarray) -> DistanceSummary:
             f"expected a square distance matrix, got shape {matrix.shape}"
         )
     return distance_summary(matrix, eccentricities_of(matrix), matrix < UNREACHABLE)
-
-
-def temporal_distance_matrix(
-    network: TemporalGraph, sources: Sequence[int] | None = None
-) -> np.ndarray:
-    """Temporal distances δ(s, v) for every requested source ``s``.
-
-    Thin wrapper over the batched engine
-    :func:`repro.core.journeys.earliest_arrival_matrix` with the paper's
-    convention ``start_time = 0``.
-
-    Parameters
-    ----------
-    network:
-        The temporal network.
-    sources:
-        Sources to compute rows for; defaults to all vertices.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(len(sources), n)`` ``int64`` matrix.  Entry ``[i, v]`` is the
-        earliest arrival at ``v`` from ``sources[i]`` (0 on the diagonal,
-        :data:`~repro.types.UNREACHABLE` when no journey exists).
-
-    See Also
-    --------
-    repro.analysis_api.NetworkAnalysis.distances_from : the memoizing
-        equivalent on an analysis handle.
-    """
-    return earliest_arrival_matrix(network, sources)
-
-
-def temporal_distance_summary(network: TemporalGraph) -> DistanceSummary:
-    """Compute diameter, radius, average distance and reachability together.
-
-    One call to the batched engine feeds all four statistics.  Equivalent to
-    ``NetworkAnalysis(network).summary``; hold the handle yourself if you need
-    any *further* quantity of the same instance.
-
-    Returns
-    -------
-    DistanceSummary
-        The bundled statistics for this instance.
-    """
-    return summary_of_distance_matrix(earliest_arrival_matrix(network))
-
-
-def temporal_eccentricities(network: TemporalGraph) -> np.ndarray:
-    """Temporal eccentricity of every vertex: ``max_v δ(s, v)``.
-
-    The maximum includes unreachable targets, so a vertex that cannot reach
-    the whole graph has eccentricity :data:`~repro.types.UNREACHABLE`.
-    """
-    return eccentricities_of(earliest_arrival_matrix(network))
-
-
-def temporal_diameter(network: TemporalGraph) -> int:
-    """The temporal diameter: ``max_{s,t} δ(s, t)`` for this instance.
-
-    Definition 5 of the paper defines the Temporal Diameter of the *random*
-    clique as the expectation of this quantity over instances; the Monte-Carlo
-    layer estimates that expectation by averaging this per-instance value.
-
-    Returns :data:`~repro.types.UNREACHABLE` when some ordered pair has no
-    journey.
-    """
-    return temporal_distance_summary(network).diameter
-
-
-def temporal_radius(network: TemporalGraph) -> int:
-    """The minimum temporal eccentricity over all vertices."""
-    return temporal_distance_summary(network).radius
-
-
-def average_temporal_distance(network: TemporalGraph) -> float:
-    """Mean δ(s, t) over ordered pairs ``s ≠ t`` with a journey.
-
-    Returns ``nan`` when no ordered pair is temporally reachable.
-    """
-    return temporal_distance_summary(network).average_distance

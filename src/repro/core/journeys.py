@@ -22,8 +22,12 @@ Two execution strategies are exposed:
 * :func:`earliest_arrival_matrix` — the batched engine: an ``(S, n)`` arrival
   matrix for ``S`` sources advanced simultaneously, one vectorised reduction
   per label group regardless of how many sources are in flight.  All-pairs
-  consumers (:func:`repro.core.distances.temporal_distance_matrix`, the
-  temporal diameter, the Monte-Carlo experiments) route through it.
+  consumers (:class:`repro.analysis_api.NetworkAnalysis`, the temporal
+  diameter, the Monte-Carlo experiments) route through it.
+
+The temporal distance δ(u, v) from ``start_time`` ``s`` is
+``earliest_arrival_times(network, u, start_time=s)[v]``; from time 0 it is
+also ``NetworkAnalysis(network).distance(u, v)``.
 
 Both sweeps terminate early once every entry of the arrival state is at most
 the current label: arrivals only ever decrease, and a group labelled ``l`` can
@@ -60,7 +64,6 @@ __all__ = [
     "earliest_arrival_matrix",
     "foremost_journey",
     "foremost_journey_tree",
-    "temporal_distance",
 ]
 
 #: The sweep kernel.  ``_sweep`` looks its methods up per call, so a
@@ -146,8 +149,8 @@ def earliest_arrival_matrix(
     See Also
     --------
     earliest_arrival_times : the single-source specialisation.
-    repro.core.distances.temporal_distance_matrix : thin wrapper fixing
-        ``start_time = 0``.
+    repro.analysis_api.NetworkAnalysis.distances_from : the memoizing rows
+        at ``start_time = 0``.
     """
     start_time = check_non_negative_int(start_time, "start_time")
     swept = _sweep(network, sources, start_time, reverse=False)
@@ -396,19 +399,3 @@ def foremost_journey(
         current = int(tails[arc])
     hops.reverse()
     return Journey(source, target, tuple(hops))
-
-
-def temporal_distance(
-    network: TemporalGraph,
-    source: int,
-    target: int,
-    *,
-    start_time: int = 0,
-) -> int:
-    """Temporal distance δ(source, target): the foremost journey's arrival time.
-
-    Returns :data:`~repro.types.UNREACHABLE` when no journey exists (rather
-    than raising), which keeps Monte-Carlo loops branch-free.
-    """
-    arrival = earliest_arrival_times(network, source, start_time=start_time)
-    return int(arrival[_validate_source(network.n, target)])

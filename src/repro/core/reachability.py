@@ -12,12 +12,12 @@ single-source sweeps, and the static side is the graph's cached closure,
 :func:`static_reachability_matrix`.
 :func:`reachability_matrix` runs that sweep reach-only: its answer is the
 kernel's packed ``reached`` bitset, with no arrival times written, and
-:func:`reachable_fraction` reduces it.  The two yes/no predicates,
-:func:`preserves_reachability` and :func:`is_temporally_connected`, hand
-the kernel the packed rows a "yes" needs, so the sweep stops at the first
-vertex whose row is final and falls short of them, and compare bitsets
-without unpacking.  The analysis handle memoizes the same reductions; hold
-one when reading several quantities of an instance.
+:attr:`repro.analysis_api.NetworkAnalysis.reachable_fraction` reduces it.
+The two yes/no predicates, :func:`preserves_reachability` and
+:func:`is_temporally_connected`, hand the kernel the packed rows a "yes"
+needs, so the sweep stops at the first vertex whose row is final and falls
+short of them, and compare bitsets without unpacking.  The analysis handle
+runs the same sweeps and memoizes their answers.
 
 Monte-Carlo estimates of ``P[T_reach]`` ask :func:`preserves_reachability`
 thousands of times over one graph, and each small sweep costs about a dozen
@@ -37,16 +37,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..graphs.static_graph import StaticGraph
-from ..types import UNREACHABLE
-from .journeys import _sweep, earliest_arrival_times
+from .journeys import _sweep
 from .temporal_graph import TemporalGraph
 from .timearc_csr import TimeArcCSR, build_stack_timearc_csr, timed_build
 
 __all__ = [
     "static_reachability_matrix",
     "reachability_matrix",
-    "reachable_set",
-    "reachable_fraction",
     "is_temporally_connected",
     "preserves_reachability",
     "preserves_reachability_stacked",
@@ -83,26 +80,6 @@ def reachability_matrix(network: TemporalGraph) -> np.ndarray:
     reached = _sweep(network, None, 0, reverse=False, arrivals=False).reached
     bits = np.unpackbits(reached.view(np.uint8), axis=1, count=network.n)
     return np.ascontiguousarray(bits.view(np.bool_).T)
-
-
-def reachable_set(network: TemporalGraph, source: int) -> np.ndarray:
-    """Vertices temporally reachable from ``source`` (including the source)."""
-    arrival = earliest_arrival_times(network, source)
-    return np.flatnonzero(arrival < UNREACHABLE)
-
-
-def reachable_fraction(network: TemporalGraph) -> float:
-    """Fraction of ordered pairs ``s ≠ t`` connected by a journey.
-
-    Equals 1.0 exactly when the network is temporally connected (and for
-    ``n <= 1``); a useful soft metric when sweeping the number of labels per
-    edge.  A reduction of :func:`reachability_matrix`.
-    """
-    n = network.n
-    if n <= 1:
-        return 1.0
-    pairs = int(np.count_nonzero(reachability_matrix(network))) - n
-    return pairs / float(n * (n - 1))
 
 
 def _reaches_all(network: TemporalGraph | TimeArcCSR, required: np.ndarray) -> bool:

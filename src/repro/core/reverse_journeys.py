@@ -8,7 +8,12 @@ answers the mirrored single-*target* questions in one sweep each:
   to the lifetime), the latest label at which a journey may leave each vertex
   and still reach ``t`` using labels ``<= D``;
 * **reverse reachability** — which vertices can reach ``t`` at all, i.e. the
-  support of the latest-departure vector.
+  support of the latest-departure vector
+  (:meth:`repro.analysis_api.NetworkAnalysis.reverse_reachable_set`).
+
+The latest departure of one journey ``u → t`` by deadline ``D`` is
+``latest_departure_times(network, t, deadline=D)[u]``; by the lifetime it is
+also ``NetworkAnalysis(network).latest_departure(u, t)``.
 
 Labels lie in ``{1, …, a}`` (``a`` the lifetime), a range the time reversal
 ``M(x) = a + 1 − x`` maps onto itself.  A journey ``v → t`` with labels
@@ -16,8 +21,8 @@ Labels lie in ``{1, …, a}`` (``a`` the lifetime), a range the time reversal
 with labels ``M(l_k) < … < M(l_1)``, all above ``M(D + 1) = a − D``; its
 arrival there is ``M(l_1)``, so
 
-``latest_departure(G, t, deadline=D)[v] ==
-M(earliest_arrival(reverse(G), t, start_time=a − D)[v])``
+``latest_departure_times(G, t, deadline=D)[v] ==
+M(earliest_arrival_times(reverse(G), t, start_time=a − D)[v])``
 
 entry for entry, with :data:`~repro.types.UNREACHABLE` mapped to
 :data:`~repro.types.NEVER` ``= 0`` (:meth:`TemporalGraph.time_reversed`
@@ -53,18 +58,7 @@ from .temporal_graph import TemporalGraph
 __all__ = [
     "latest_departure_times",
     "latest_departure_matrix",
-    "latest_departure",
-    "reverse_reachable_set",
 ]
-
-
-def _validate_vertex(graph_n: int, vertex: int, role: str) -> int:
-    vertex = int(vertex)
-    if not 0 <= vertex < graph_n:
-        raise ValueError(
-            f"{role} {vertex} is not a vertex of a graph with {graph_n} vertices"
-        )
-    return vertex
 
 
 def _resolve_deadline(network: TemporalGraph, deadline: int | None) -> int:
@@ -100,7 +94,11 @@ def latest_departure_times(
         :data:`~repro.types.NEVER` when no journey exists.  The target itself
         reports ``deadline + 1``.
     """
-    target = _validate_vertex(network.n, target, "target")
+    target = int(target)
+    if not 0 <= target < network.n:
+        raise ValueError(
+            f"target {target} is not a vertex of a graph with {network.n} vertices"
+        )
     deadline = _resolve_deadline(network, deadline)
     state = _sweep(
         network, (target,), network.lifetime - deadline, reverse=True
@@ -160,30 +158,3 @@ def _to_departures(state: np.ndarray, lifetime: int) -> np.ndarray:
     np.subtract(lifetime + 1, state, out=state)
     np.putmask(state, unreached, NEVER)
     return state
-
-
-def latest_departure(
-    network: TemporalGraph,
-    source: int,
-    target: int,
-    *,
-    deadline: int | None = None,
-) -> int:
-    """Latest departure time of a journey ``source → target``.
-
-    Returns :data:`~repro.types.NEVER` when no journey exists (rather than
-    raising), mirroring :func:`repro.core.journeys.temporal_distance`.
-    """
-    depart = latest_departure_times(network, target, deadline=deadline)
-    return int(depart[_validate_vertex(network.n, source, "source")])
-
-
-def reverse_reachable_set(network: TemporalGraph, target: int) -> np.ndarray:
-    """Vertices with a journey *to* ``target`` (including the target itself).
-
-    The reverse mirror of :func:`repro.core.reachability.reachable_set`, and
-    the per-vertex "who can influence ``target``" query; costs one reverse
-    sweep instead of an all-pairs forward pass.
-    """
-    depart = latest_departure_times(network, target)
-    return np.flatnonzero(depart > NEVER)

@@ -1,6 +1,7 @@
 """Tests for the :class:`repro.analysis_api.NetworkAnalysis` handle.
 
-Covers: equality with the historical free functions, the compute-once
+Covers: equality with the core reductions of one batched sweep
+(:mod:`repro.core.distances`, :mod:`repro.core.centrality`), the compute-once
 memoization contract (asserted through the counting hook, including through
 the scenario ``TrialContext`` used by every Monte-Carlo trial), derived
 restricted analyses, row queries, expansion/PoR memoization and cache
@@ -18,6 +19,8 @@ from repro import (
     NetworkAnalysis,
     UNREACHABLE,
     complete_graph,
+    earliest_arrival_matrix,
+    earliest_arrival_times,
     expansion_process,
     is_temporally_connected,
     normalized_urtn,
@@ -26,18 +29,11 @@ from repro import (
     price_of_randomness,
     star_graph,
     telemetry,
-    temporal_diameter,
-    temporal_distance,
-    temporal_distance_matrix,
-    temporal_distance_summary,
     uniform_random_labels,
 )
-from repro.core.distances import (
-    average_temporal_distance,
-    temporal_eccentricities,
-    temporal_radius,
-)
-from repro.core.reachability import reachability_matrix, reachable_fraction
+from repro.core.centrality import centrality_arrays
+from repro.core.distances import distance_summary, eccentricities_of
+from repro.core.reachability import reachability_matrix
 from repro.exceptions import ConfigurationError
 from repro.scenarios.metrics import METRICS, TrialContext
 from repro.scenarios.specs import MetricSpec
@@ -81,29 +77,35 @@ def counting_hook():
         yield _LiveCounts(events)
 
 
-class TestHandleMatchesFreeFunctions:
+def _core_summary(network):
+    """The core reduction of one batched sweep, with no handle."""
+    matrix = earliest_arrival_matrix(network)
+    return distance_summary(matrix, eccentricities_of(matrix), matrix < UNREACHABLE)
+
+
+class TestHandleMatchesCoreReductions:
     def test_scalar_views(self, clique_network):
         analysis = NetworkAnalysis(clique_network)
-        assert analysis.diameter == temporal_diameter(clique_network)
-        assert analysis.radius == temporal_radius(clique_network)
-        assert analysis.average_distance == average_temporal_distance(clique_network)
+        expected = _core_summary(clique_network)
+        assert analysis.diameter == expected.diameter
+        assert analysis.radius == expected.radius
+        assert analysis.average_distance == expected.average_distance
         assert analysis.is_temporally_connected == is_temporally_connected(
             clique_network
         )
-        assert analysis.summary == temporal_distance_summary(clique_network)
+        assert analysis.summary == expected
 
     def test_array_views(self, clique_network):
         analysis = NetworkAnalysis(clique_network)
-        assert np.array_equal(
-            analysis.arrival_matrix(), temporal_distance_matrix(clique_network)
-        )
-        assert np.array_equal(
-            analysis.eccentricities(), temporal_eccentricities(clique_network)
-        )
+        matrix = earliest_arrival_matrix(clique_network)
+        assert np.array_equal(analysis.arrival_matrix(), matrix)
+        assert np.array_equal(analysis.eccentricities(), eccentricities_of(matrix))
         assert np.array_equal(
             analysis.reachability(), reachability_matrix(clique_network)
         )
-        assert analysis.reachable_fraction == reachable_fraction(clique_network)
+        assert analysis.reachable_fraction == _core_summary(
+            clique_network
+        ).reachable_fraction
 
     def test_preserves_reachability_matches(self):
         for seed in range(6):
@@ -165,6 +167,24 @@ class TestMemoization:
             "summary": 1,
             "static_reachability": 1,
         }
+
+    @pytest.mark.parametrize("labels_per_edge", [1, 3])
+    def test_reachable_fraction_sweeps_reach_only(self, labels_per_edge):
+        """A fresh handle counts its reachability mask; after a summary, the cached mask answers."""
+        network = uniform_random_labels(
+            star_graph(9), labels_per_edge=labels_per_edge, lifetime=9, seed=2
+        )
+        analysis = NetworkAnalysis(network)
+        with analysis_api.compute_events() as events:
+            fraction = analysis.reachable_fraction
+        assert events.counts == {"reachability": 1}
+        assert fraction == _core_summary(network).reachable_fraction
+        summarized = NetworkAnalysis(network)
+        summarized.diameter
+        with analysis_api.compute_events() as events:
+            assert summarized.reachable_fraction == fraction
+        assert events.counts == {}
+        assert events.hits == {"reachability": 1}
 
     def test_invalidate_forces_recompute(self, clique_network, counting_hook):
         analysis = NetworkAnalysis(clique_network)
@@ -273,19 +293,30 @@ class TestRowQueries:
         again = analysis.distances_from([4, 2])
         assert counting_hook == {"source_rows": 1}  # served from the row cache
         assert np.array_equal(rows[::-1], again)
-        assert np.array_equal(rows, temporal_distance_matrix(clique_network, [2, 4]))
+        assert np.array_equal(rows, earliest_arrival_matrix(clique_network, [2, 4]))
 
     def test_distance_matches_temporal_distance(self, clique_network):
+        expected = earliest_arrival_times(clique_network, 1)[6]
         analysis = NetworkAnalysis(clique_network)
-        assert analysis.distance(1, 6) == temporal_distance(clique_network, 1, 6)
+        assert analysis.distance(1, 6) == expected
         analysis.arrival_matrix()
-        assert analysis.distance(1, 6) == temporal_distance(clique_network, 1, 6)
+        assert analysis.distance(1, 6) == expected
 
     def test_distances_from_none_is_full_matrix(self, clique_network):
         analysis = NetworkAnalysis(clique_network)
         assert np.array_equal(
-            analysis.distances_from(), temporal_distance_matrix(clique_network)
+            analysis.distances_from(), earliest_arrival_matrix(clique_network)
         )
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+    def test_empty_row_queries_are_read_only(self, clique_network, cached):
+        analysis = NetworkAnalysis(clique_network)
+        if cached:
+            analysis.arrival_matrix()
+            analysis.departure_matrix()
+        for rows in (analysis.distances_from([]), analysis.departures_to([])):
+            assert rows.shape == (0, clique_network.n)
+            assert not rows.flags.writeable
 
     def test_invalid_source_rejected(self, clique_network):
         analysis = NetworkAnalysis(clique_network)
@@ -360,7 +391,9 @@ class TestTrialContextSharing:
             "static_reachability": 1,
         }
         assert ctx.analysis is not None
-        assert metrics["temporal_diameter"] == float(temporal_diameter(clique_network))
+        assert metrics["temporal_diameter"] == float(
+            _core_summary(clique_network).diameter
+        )
 
     def test_require_analysis_reuses_one_handle(self, clique_network):
         ctx = TrialContext(
@@ -495,28 +528,18 @@ class TestReverseArtifacts:
             "centrality": 1,
         }
 
-    def test_centrality_free_functions_delegate(self, clique_network):
-        from repro import (
-            temporal_closeness,
-            temporal_harmonic_closeness,
-            temporal_influence_counts,
-            temporal_reach_counts,
-        )
-
+    def test_centrality_matches_core_reduction(self, clique_network):
+        matrix = earliest_arrival_matrix(clique_network)
+        expected = centrality_arrays(matrix, matrix < UNREACHABLE)
         analysis = NetworkAnalysis(clique_network)
-        np.testing.assert_allclose(
-            temporal_closeness(clique_network), analysis.closeness()
-        )
-        np.testing.assert_allclose(
-            temporal_harmonic_closeness(clique_network),
-            analysis.harmonic_closeness(),
+        np.testing.assert_array_equal(analysis.closeness(), expected["closeness"])
+        np.testing.assert_array_equal(
+            analysis.harmonic_closeness(), expected["harmonic"]
         )
         np.testing.assert_array_equal(
-            temporal_influence_counts(clique_network), analysis.influence_counts()
+            analysis.influence_counts(), expected["influence"]
         )
-        np.testing.assert_array_equal(
-            temporal_reach_counts(clique_network), analysis.reach_counts()
-        )
+        np.testing.assert_array_equal(analysis.reach_counts(), expected["reach"])
 
     def test_reverse_reachability_transposes_forward(self, clique_network):
         analysis = NetworkAnalysis(clique_network)

@@ -15,11 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.distances import (
-    temporal_diameter,
-    temporal_distance_matrix,
-    temporal_distance_summary,
-)
+from repro.analysis_api import NetworkAnalysis
 from repro.core.journeys import earliest_arrival_matrix, earliest_arrival_times
 from repro.core.labeling import normalized_urtn, uniform_random_labels
 from repro.core.temporal_graph import TemporalGraph
@@ -192,7 +188,7 @@ def random_temporal_networks(draw):
 @settings(max_examples=60, deadline=None)
 def test_batched_diameter_equals_looped_diameter(network):
     """Property: the batched diameter matches the loop over per-source sweeps."""
-    batched = temporal_diameter(network)
+    batched = NetworkAnalysis(network).diameter
     looped_matrix = np.stack([earliest_arrival_times(network, s) for s in range(network.n)])
     masked = looped_matrix.copy()
     np.fill_diagonal(masked, 0)
@@ -208,9 +204,9 @@ def test_batched_matrix_equals_scalar_reference(network):
 
 
 def test_summary_consistent_with_matrix(random_clique_instance):
-    summary = temporal_distance_summary(random_clique_instance)
-    matrix = temporal_distance_matrix(random_clique_instance)
-    assert summary.diameter == temporal_diameter(random_clique_instance)
+    summary = NetworkAnalysis(random_clique_instance).summary
+    matrix = earliest_arrival_matrix(random_clique_instance)
+    assert summary.diameter == matrix.max()
     off = ~np.eye(random_clique_instance.n, dtype=bool)
     reachable = off & (matrix < UNREACHABLE)
     assert summary.reachable_fraction == pytest.approx(

@@ -34,8 +34,6 @@ from repro.core.blocked_sweeps import (
     BlockedSummaryAccumulator,
     blocked_sweep_summary,
     resolve_tile_size,
-    streamed_distance_summary,
-    streamed_reachable_fraction,
     summary_of_distance_matrix,
 )
 from repro.core.journeys import foremost_journey_tree
@@ -135,15 +133,6 @@ class TestTiledVsDenseParity:
         assert result.moments.total == int(values.sum(dtype=object))
         assert result.moments.minimum == int(values.min())
         assert result.moments.maximum == int(values.max())
-
-    def test_free_function_delegates(self, network):
-        dense = _dense_forward(network)
-        assert_summary_identical(
-            streamed_distance_summary(network, tile_size=6), dense
-        )
-        assert streamed_reachable_fraction(network, tile_size=6) == (
-            dense.reachable_fraction
-        )
 
     def test_result_metadata(self, network):
         n = network.n
@@ -363,9 +352,6 @@ class TestHandleSurface:
         assert_summary_identical(
             handle.streamed_distance_summary(tile_size=6), handle.summary
         )
-        assert handle.streamed_reachable_fraction(tile_size=6) == (
-            handle.summary.reachable_fraction
-        )
 
     def test_streamed_does_not_materialize_dense_artifacts(self):
         network = _POOL["er-sparse"]
@@ -434,8 +420,6 @@ class TestHandleSurface:
 
     def test_top_level_exports(self):
         assert repro.blocked_sweep_summary is blocked_sweep_summary
-        assert repro.streamed_distance_summary is streamed_distance_summary
-        assert repro.streamed_reachable_fraction is streamed_reachable_fraction
 
 
 # --------------------------------------------------------------------- #

@@ -9,7 +9,6 @@ from repro.core.journeys import (
     earliest_arrival_times,
     foremost_journey,
     foremost_journey_tree,
-    temporal_distance,
 )
 from repro.core.labeling import assign_deterministic_labels, normalized_urtn, uniform_random_labels
 from repro.core.temporal_graph import TemporalGraph
@@ -100,7 +99,7 @@ class TestForemostJourney:
         network = random_clique_instance
         for target in (1, 7, 13, 23):
             journey = foremost_journey(network, 0, target)
-            assert journey.arrival_time == temporal_distance(network, 0, target)
+            assert journey.arrival_time == earliest_arrival_times(network, 0)[target]
 
     def test_journey_uses_existing_time_edges(self, random_clique_instance):
         journey = foremost_journey(random_clique_instance, 2, 9)
@@ -129,17 +128,17 @@ class TestForemostJourney:
 
 class TestTemporalDistance:
     def test_distance_zero_to_self(self, small_path):
-        assert temporal_distance(small_path, 1, 1) == 0
+        assert earliest_arrival_times(small_path, 1)[1] == 0
 
     def test_distance_unreachable_is_sentinel(self, small_path):
-        assert temporal_distance(small_path, 3, 0) == UNREACHABLE
+        assert earliest_arrival_times(small_path, 3)[0] == UNREACHABLE
 
     def test_direct_edge_on_clique_bounds_distance(self):
         graph = complete_graph(12, directed=True)
         network = normalized_urtn(graph, seed=3)
         for target in range(1, 12):
             direct_label = network.labels_of(0, target)[0]
-            assert temporal_distance(network, 0, target) <= direct_label
+            assert earliest_arrival_times(network, 0)[target] <= direct_label
 
     def test_star_single_label_blocks_second_hop(self):
         graph = star_graph(4)
@@ -147,6 +146,6 @@ class TestTemporalDistance:
             graph, {(0, 1): [3], (0, 2): [2], (0, 3): [1]}, lifetime=4
         )
         # 1 -> 0 at time 3, but both other edges are only available earlier.
-        assert temporal_distance(network, 1, 2) == UNREACHABLE
+        assert earliest_arrival_times(network, 1)[2] == UNREACHABLE
         # 3 -> 0 at time 1, then 0 -> 2 at time 2 works.
-        assert temporal_distance(network, 3, 2) == 2
+        assert earliest_arrival_times(network, 3)[2] == 2

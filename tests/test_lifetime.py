@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import prefix_connectivity_time_reference
-from repro.core.distances import temporal_diameter
+from repro.analysis_api import NetworkAnalysis
 from repro.core.labeling import assign_deterministic_labels, uniform_random_labels
 from repro.core.lifetime import (
     prefix_connectivity_time,
@@ -42,7 +42,7 @@ class TestPrefixConnectivityTime:
         for seed in range(3):
             network = uniform_random_labels(graph, lifetime=60, seed=seed)
             prefix = prefix_connectivity_time(network)
-            assert prefix <= temporal_diameter(network)
+            assert prefix <= NetworkAnalysis(network).diameter
 
     def test_grows_with_lifetime(self):
         graph = complete_graph(24, directed=True)
@@ -143,9 +143,9 @@ class TestTheorem5Bound:
         long_diameters = []
         for seed in range(3):
             short_diameters.append(
-                temporal_diameter(uniform_random_labels(graph, lifetime=n, seed=seed))
+                NetworkAnalysis(uniform_random_labels(graph, lifetime=n, seed=seed)).diameter
             )
             long_diameters.append(
-                temporal_diameter(uniform_random_labels(graph, lifetime=8 * n, seed=seed))
+                NetworkAnalysis(uniform_random_labels(graph, lifetime=8 * n, seed=seed)).diameter
             )
         assert sum(long_diameters) > 2 * sum(short_diameters)

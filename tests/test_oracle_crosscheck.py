@@ -6,9 +6,9 @@ raw time-arc list.  On every ``n <= 8`` instance in the pool, the forward
 kernel, the reverse kernels (single-target, batched and pure-Python
 reference) and the centrality family must all agree with them exactly.
 
-``TestFreeFunctionsAgainstOracle`` pins the core free functions (one sweep,
-one ``repro.core`` reduction, no handle) over the pool plus a single vertex
-and a network whose edges carry no labels.  ``TestReachOnlyAgainstOracle``
+``TestWholeInstanceAgainstOracle`` pins a fresh handle's whole-instance
+views and the core reachability predicates over the pool plus a single
+vertex and a network whose edges carry no labels.  ``TestReachOnlyAgainstOracle``
 pins the reach-only sweep, whose answer is the kernel's packed ``reached``
 bitset.  ``TestExitPointsAgainstOracle`` pins how many label groups each
 all-pairs sweep scans, ``TestDecisionsAgainstOracle`` the yes/no
@@ -42,14 +42,9 @@ from repro import (
     star_graph,
     uniform_random_labels,
 )
-from repro.core import centrality, distances, reachability
-from repro.core.blocked_sweeps import streamed_distance_summary, streamed_reachable_fraction
+from repro.core import reachability
 from repro.core.journeys import _sweep
-from repro.core.reverse_journeys import (
-    latest_departure_matrix,
-    latest_departure_times,
-    reverse_reachable_set,
-)
+from repro.core.reverse_journeys import latest_departure_matrix, latest_departure_times
 
 from oracles import (
     assert_layout_matches,
@@ -92,12 +87,12 @@ def _instance_pool():
 
 _POOL = _instance_pool()
 
-#: Kept out of ``_POOL``: only the free functions take them.
+#: Kept out of ``_POOL``: only the whole-instance pins and the layouts take them.
 _DEGENERATE = {
     "single-vertex": TemporalGraph(StaticGraph(1, []), []),
     "unlabelled-path": TemporalGraph(path_graph(4), {}),
 }
-_FREE_POOL = {**_POOL, **_DEGENERATE}
+_ANY_POOL = {**_POOL, **_DEGENERATE}
 
 
 @pytest.fixture(params=sorted(_POOL), ids=sorted(_POOL))
@@ -105,9 +100,9 @@ def network(request):
     return _POOL[request.param]
 
 
-@pytest.fixture(params=sorted(_FREE_POOL), ids=sorted(_FREE_POOL))
+@pytest.fixture(params=sorted(_ANY_POOL), ids=sorted(_ANY_POOL))
 def any_network(request):
-    return _FREE_POOL[request.param]
+    return _ANY_POOL[request.param]
 
 
 def _every_time(network):
@@ -229,10 +224,10 @@ class TestExitPointsAgainstOracle:
             assert exits == expected, time
 
 
-#: Networks for the single-target sweeps beyond :data:`_FREE_POOL`: no edges,
+#: Networks for the single-target sweeps beyond :data:`_ANY_POOL`: no edges,
 #: no vertices, and three labels per edge on a directed clique.
 _SINGLE_TARGET_POOL = {
-    **_FREE_POOL,
+    **_ANY_POOL,
     "no-edges": TemporalGraph(StaticGraph(3, []), []),
     "no-vertices": TemporalGraph(StaticGraph(0, []), []),
     "clique-r3": uniform_random_labels(
@@ -278,9 +273,10 @@ class TestSingleTargetSweepsAgainstOracle:
                     assert exits == exit_point_reference(
                         network, deadline, expected[None], reverse=True
                     ), (target, deadline)
+        handle = NetworkAnalysis(network)
         for target in range(network.n):
             np.testing.assert_array_equal(
-                reverse_reachable_set(network, target),
+                handle.reverse_reachable_set(target),
                 np.flatnonzero(oracle_latest_departure_times(network, target) > NEVER),
             )
         assert network._reverse_timearc_csr is None
@@ -291,7 +287,7 @@ class TestSingleTargetSweepsAgainstOracle:
 
 
 #: The yes/no predicates as run in :class:`TestDecisionsAgainstOracle`: the
-#: free functions, and each on a fresh handle.
+#: core functions, and each on a fresh handle.
 _DECISIONS = {
     "preserves": reachability.preserves_reachability,
     "preserves-handle": lambda net: NetworkAnalysis(net).preserves_reachability(),
@@ -413,13 +409,14 @@ class TestReachOnlyAgainstOracle:
     def test_reachable_sets(self, network):
         arrivals = oracle_arrival_matrix(network)
         departures = oracle_departure_matrix(network)
+        handle = NetworkAnalysis(network)
         for vertex in range(network.n):
             np.testing.assert_array_equal(
-                reachability.reachable_set(network, vertex),
+                np.flatnonzero(handle.distances_from([vertex])[0] < UNREACHABLE),
                 np.flatnonzero(arrivals[vertex] < UNREACHABLE),
             )
             np.testing.assert_array_equal(
-                reverse_reachable_set(network, vertex),
+                handle.reverse_reachable_set(vertex),
                 np.flatnonzero(departures[vertex] > NEVER),
             )
 
@@ -513,26 +510,19 @@ class TestStreamedSummaryAgainstOracle:
 
     @pytest.mark.parametrize("direction", ["forward", "reverse"])
     def test_streamed_entry_points(self, network, direction):
-        """The free functions and the handle methods built on the blocked sweep."""
+        """The handle's memoized summary of the blocked sweep."""
         expected = (
             oracle_distance_summary(network)
             if direction == "forward"
             else oracle_reverse_distance_summary(network)
         )
-        handle = NetworkAnalysis(network)
-        for summary in (
-            streamed_distance_summary(network, tile_size=3, direction=direction),
-            handle.streamed_distance_summary(tile_size=3, direction=direction),
-        ):
-            assert summary.diameter == expected["diameter"]
-            assert summary.radius == expected["radius"]
-            _assert_same_float(summary.average_distance, expected["average_distance"])
-            assert summary.reachable_fraction == expected["reachable_fraction"]
-        assert (
-            streamed_reachable_fraction(network, tile_size=3, direction=direction)
-            == handle.streamed_reachable_fraction(tile_size=3, direction=direction)
-            == expected["reachable_fraction"]
+        summary = NetworkAnalysis(network).streamed_distance_summary(
+            tile_size=3, direction=direction
         )
+        assert summary.diameter == expected["diameter"]
+        assert summary.radius == expected["radius"]
+        _assert_same_float(summary.average_distance, expected["average_distance"])
+        assert summary.reachable_fraction == expected["reachable_fraction"]
 
     @pytest.mark.parametrize("direction", ["forward", "reverse"])
     def test_spill_changes_nothing(self, network, direction, tmp_path):
@@ -580,17 +570,18 @@ class TestCentralityAgainstOracle:
         np.testing.assert_array_equal(analysis.reach_counts(), expected["reach"])
 
 
-class TestFreeFunctionsAgainstOracle:
+class TestWholeInstanceAgainstOracle:
     def test_distance_summary_and_eccentricities(self, any_network):
         expected = oracle_distance_summary(any_network)
-        summary = distances.temporal_distance_summary(any_network)
+        handle = NetworkAnalysis(any_network)
+        summary = handle.summary
         assert summary.diameter == expected["diameter"]
         assert summary.radius == expected["radius"]
         _assert_same_float(summary.average_distance, expected["average_distance"])
         assert summary.reachable_fraction == expected["reachable_fraction"]
         rows = oracle_arrival_matrix(any_network).tolist()
         np.testing.assert_array_equal(
-            distances.temporal_eccentricities(any_network), [max(row) for row in rows]
+            handle.eccentricities(), [max(row) for row in rows]
         )
 
     def test_reachability(self, any_network):
@@ -603,28 +594,32 @@ class TestFreeFunctionsAgainstOracle:
         assert NetworkAnalysis(any_network).preserves_reachability() == preserved
 
     def test_reach_only_reductions(self, any_network):
-        """``reachable_fraction`` and ``is_temporally_connected`` reduce the
-        reach-only bitset; they must equal the dense summary's values."""
-        summary = distances.temporal_distance_summary(any_network)
-        assert reachability.reachable_fraction(any_network) == summary.reachable_fraction
+        """A fresh handle's ``reachable_fraction`` reduces the reach-only
+        bitset and ``is_temporally_connected`` decides; both must equal the
+        dense summary's values, and the fraction the oracle's."""
+        summary = NetworkAnalysis(any_network).summary
+        fraction = NetworkAnalysis(any_network).reachable_fraction
+        assert fraction == summary.reachable_fraction
+        assert fraction == oracle_distance_summary(any_network)["reachable_fraction"]
         assert reachability.is_temporally_connected(any_network) == (
             summary.diameter < UNREACHABLE
         )
 
     def test_centrality(self, any_network):
         expected = oracle_centrality(any_network)
+        handle = NetworkAnalysis(any_network)
         for name, measure in [
-            ("closeness", centrality.temporal_closeness),
-            ("harmonic", centrality.temporal_harmonic_closeness),
-            ("influence", centrality.temporal_influence_counts),
-            ("reach", centrality.temporal_reach_counts),
+            ("closeness", handle.closeness),
+            ("harmonic", handle.harmonic_closeness),
+            ("influence", handle.influence_counts),
+            ("reach", handle.reach_counts),
         ]:
-            np.testing.assert_allclose(measure(any_network), expected[name], rtol=1e-12)
+            np.testing.assert_allclose(measure(), expected[name], rtol=1e-12)
 
     def test_degenerate_summaries(self):
         single = NetworkAnalysis(_DEGENERATE["single-vertex"]).summary
         assert astuple(single) == (0, 0, 0.0, 1.0)
-        empty = distances.temporal_distance_summary(_DEGENERATE["unlabelled-path"])
+        empty = NetworkAnalysis(_DEGENERATE["unlabelled-path"]).summary
         assert (empty.diameter, empty.radius) == (UNREACHABLE, UNREACHABLE)
         assert np.isnan(empty.average_distance) and empty.reachable_fraction == 0.0
 

@@ -14,14 +14,20 @@ import repro.analysis_api
 API_DOC = Path(__file__).resolve().parent.parent / "docs" / "api.md"
 
 
-def _documented_names(heading_fragment: str) -> set[str]:
-    """Backticked bullet names under the ``## <heading>`` containing the fragment."""
+def _section(heading_fragment: str) -> str:
+    """The ``## <heading>`` section of docs/api.md containing the fragment."""
     text = API_DOC.read_text(encoding="utf-8")
     sections = re.split(r"^## ", text, flags=re.MULTILINE)
     for section in sections:
         if heading_fragment in section.splitlines()[0]:
-            return set(re.findall(r"^- `([A-Za-z_][A-Za-z0-9_]*)`", section, re.MULTILINE))
+            return section
     raise AssertionError(f"docs/api.md has no '## …{heading_fragment}…' section")
+
+
+def _documented_names(heading_fragment: str) -> set[str]:
+    """Backticked bullet names under the ``## <heading>`` containing the fragment."""
+    section = _section(heading_fragment)
+    return set(re.findall(r"^- `([A-Za-z_][A-Za-z0-9_]*)`", section, re.MULTILINE))
 
 
 def test_version_is_exposed():
@@ -98,7 +104,7 @@ class TestApiDocDrift:
 def test_quickstart_snippet_from_docstring():
     clique = repro.complete_graph(32, directed=True)
     network = repro.normalized_urtn(clique, seed=0)
-    assert repro.temporal_diameter(network) <= 32
+    assert repro.NetworkAnalysis(network).diameter <= 32
     assert repro.is_temporally_connected(network)
 
 
@@ -160,12 +166,39 @@ def test_reverse_sweep_surface_resolves():
     departures = repro.latest_departure_matrix(network)
     assert departures.shape == (8, 8)
     assert repro.latest_departure_times(network, 2)[2] == network.lifetime + 1
-    assert repro.latest_departure(network, 0, 2) == departures[2, 0]
-    assert set(repro.reverse_reachable_set(network, 2).tolist()) <= set(range(8))
-    for fn in (
-        repro.temporal_closeness,
-        repro.temporal_harmonic_closeness,
-        repro.temporal_influence_counts,
-        repro.temporal_reach_counts,
+    analysis = repro.NetworkAnalysis(network)
+    assert analysis.latest_departure(0, 2) == departures[2, 0]
+    assert set(analysis.reverse_reachable_set(2).tolist()) <= set(range(8))
+    for measure in (
+        analysis.closeness,
+        analysis.harmonic_closeness,
+        analysis.influence_counts,
+        analysis.reach_counts,
     ):
-        assert fn(network).shape == (8,)
+        assert measure().shape == (8,)
+
+
+def _removed_names() -> list[str]:
+    """The first column of docs/api.md's table of removed free functions."""
+    section = _section("Removed free functions")
+    return list(dict.fromkeys(re.findall(r"^\| `([A-Za-z_.]+)\(", section, re.MULTILINE)))
+
+
+@pytest.mark.parametrize("name", _removed_names())
+def test_removed_free_functions_stay_removed(name):
+    """Each per-instance quantity has one public entry point, the handle."""
+    owner, _, attribute = name.rpartition(".")
+    if owner:
+        assert not hasattr(getattr(repro, owner), attribute)
+        return
+    for module_name in (
+        "repro",
+        "repro.core",
+        "repro.core.blocked_sweeps",
+        "repro.core.centrality",
+        "repro.core.distances",
+        "repro.core.journeys",
+        "repro.core.reachability",
+        "repro.core.reverse_journeys",
+    ):
+        assert not hasattr(importlib.import_module(module_name), name), module_name

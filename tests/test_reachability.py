@@ -15,8 +15,6 @@ from repro.core.reachability import (
     is_temporally_connected,
     preserves_reachability,
     reachability_matrix,
-    reachable_fraction,
-    reachable_set,
     static_reachability_matrix,
 )
 from repro.core.temporal_graph import TemporalGraph
@@ -24,6 +22,7 @@ from repro.graphs import static_graph
 from repro.graphs.generators import complete_graph, path_graph, star_graph
 from repro.graphs.properties import all_pairs_shortest_paths
 from repro.graphs.static_graph import StaticGraph
+from repro.types import UNREACHABLE
 
 
 class TestReachabilityMatrix:
@@ -40,8 +39,9 @@ class TestReachabilityMatrix:
         assert not matrix[3, 0]
 
     def test_reachable_set(self, small_path):
-        assert reachable_set(small_path, 0).tolist() == [0, 1, 2, 3]
-        assert reachable_set(small_path, 3).tolist() == [2, 3]
+        rows = NetworkAnalysis(small_path).distances_from([0, 3])
+        assert np.flatnonzero(rows[0] < UNREACHABLE).tolist() == [0, 1, 2, 3]
+        assert np.flatnonzero(rows[1] < UNREACHABLE).tolist() == [2, 3]
 
 
 #: Graphs whose closure needs several BFS levels, one-way arcs, components
@@ -167,19 +167,19 @@ class TestPackedClosure:
 
 class TestReachableFraction:
     def test_full_reachability_gives_one(self, random_clique_instance):
-        assert reachable_fraction(random_clique_instance) == 1.0
+        assert NetworkAnalysis(random_clique_instance).reachable_fraction == 1.0
 
     def test_partial_reachability(self, small_path):
-        fraction = reachable_fraction(small_path)
+        fraction = NetworkAnalysis(small_path).reachable_fraction
         assert 0.0 < fraction < 1.0
 
     def test_singleton_graph(self):
         network = TemporalGraph(StaticGraph(1), [])
-        assert reachable_fraction(network) == 1.0
+        assert NetworkAnalysis(network).reachable_fraction == 1.0
 
     def test_no_labels_fraction_zero(self):
         network = TemporalGraph(path_graph(3), [[], []])
-        assert reachable_fraction(network) == 0.0
+        assert NetworkAnalysis(network).reachable_fraction == 0.0
 
 
 class TestTreachPredicate:

@@ -22,15 +22,14 @@ import pytest
 from repro import (
     NEVER,
     UNREACHABLE,
+    NetworkAnalysis,
     complete_graph,
     earliest_arrival_matrix,
     erdos_renyi_graph,
     hypercube_graph,
-    latest_departure,
     latest_departure_matrix,
     latest_departure_times,
     normalized_urtn,
-    reverse_reachable_set,
     star_graph,
     uniform_random_labels,
 )
@@ -97,9 +96,10 @@ class TestTimeReversalDuality:
         forward = earliest_arrival_matrix(network) < UNREACHABLE
         backward = latest_departure_matrix(network) > NEVER
         np.testing.assert_array_equal(backward, forward.T)
+        analysis = NetworkAnalysis(network)
         for target in range(network.n):
             np.testing.assert_array_equal(
-                reverse_reachable_set(network, target),
+                analysis.reverse_reachable_set(target),
                 np.flatnonzero(forward[:, target]),
             )
 
@@ -169,8 +169,9 @@ class TestDeadlineSemantics:
 
     def test_scalar_query_matches_vector(self, network):
         vector = latest_departure_times(network, 1)
+        analysis = NetworkAnalysis(network)
         for source in range(network.n):
-            assert latest_departure(network, source, 1) == vector[source]
+            assert analysis.latest_departure(source, 1) == vector[source]
 
     def test_negative_deadline_rejected(self, network):
         with pytest.raises(Exception):
