@@ -376,10 +376,16 @@ def _fold_tile(
     if groups.size:
         csr = network.reverse_timearc_csr if reverse else network.timearc_csr
         values = csr.labels[groups].tolist()
-    complete = np.bitwise_and.reduce(swept.reached, axis=0).view(np.uint8)
+    # Both reductions read contiguous rows of the transposed bitset, one row
+    # per word; along axis 0 of ``reached`` they would make one inner-loop
+    # call per vertex.
+    words = np.ascontiguousarray(swept.reached.T)
+    complete = np.bitwise_and.reduce(words, axis=1).view(np.uint8)
     complete = np.unpackbits(complete, count=rows.size).view(np.bool_)
     eccentricities = np.where(complete, swept.last, UNREACHABLE)
-    reach_counts = np.bitwise_count(swept.reached).sum(axis=1, dtype=np.int64)
+    reach_counts = np.zeros(words.shape[1], dtype=np.int64)
+    for popcounts in np.bitwise_count(words):
+        reach_counts += popcounts
     reach_counts[rows] -= 1
     accumulator._absorb(
         eccentricities, values, swept.settled[groups].tolist(), reach_counts

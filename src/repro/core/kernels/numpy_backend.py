@@ -8,15 +8,21 @@ an entry the sweep settles takes the current label, which every later group
 exceeds.  So at group ``g`` a set bit means "arrived before ``labels[g]``",
 and the two per-group tests (a tail forwards where it has arrived, a head
 improves where it has not) are reads of that one bit.  Per group the kernel
-gathers the tail words (``take``), ORs each head's run of arcs with
-``np.bitwise_or.reduceat``, and sets the bits the heads lack (``new``): the
-entries this group settles.  One popcount of ``new`` skips a group that
-settles nothing.  The changed head rows go back with one ``put`` on a view
-of ``reached`` that has one ``void`` element per row, a whole-row copy
-instead of a fancy-index scatter of words.  The loop calls ufuncs,
-``take``, ``put`` and ``count_nonzero`` only, no ``.any()`` / ``.sum()`` /
-``.max()`` methods: on the few-arc groups of small instances the per-call
-overhead, not the data, is the cost.
+ORs, for each head, the words of the tails of its arcs, in one of two
+forms.  Where the layout has a gather plan
+(:attr:`~repro.core.timearc_csr.TimeArcCSR.gather_plan`: many heads per
+group, almost all with one arc) it gathers one tail per head (``take``) and
+ORs the few other arcs into their heads' rows with ``np.bitwise_or.at``;
+otherwise it gathers every arc's tail and ORs each head's run of arcs with
+``np.bitwise_or.reduceat``.  It then sets the bits the heads lack
+(``new``): the entries this group settles.  One popcount of ``new`` skips a
+group that settles nothing.  The changed head rows go back with one ``put``
+on a view of ``reached`` that has one ``void`` element per row, a whole-row
+copy instead of a fancy-index scatter of words.  The loop calls ufuncs and
+their ``reduce`` / ``reduceat`` / ``at`` methods, ``take``, ``put`` and
+``count_nonzero`` only, no ``.any()`` / ``.sum()`` / ``.max()`` methods: on
+the few-arc groups of small instances the per-call overhead, not the data,
+is the cost.
 
 ``new`` then feeds only the outputs the caller asked for:
 
@@ -28,8 +34,12 @@ overhead, not the data, is the cost.
   (gathered and put back as whole rows).  When the sweep ends, by any exit,
   it writes ``labels[stage − 1]`` into ``arrivals`` in one pass;
 * ``settled`` — that popcount;
-* ``last`` — the group's label, for every column with a bit in ``new``
-  (OR-reduced over a contiguous transpose of ``new``).
+* ``last`` — the OR of ``new`` over the group's heads (reduced over a
+  contiguous transpose of ``new``) goes into row ``g`` of a ``(G, words)``
+  array.  When the sweep ends, by any exit, each column with a bit in some
+  row takes the label of the last such row, once: a reversed cumulative OR
+  clears every bit a later row holds, and only the words left set are
+  unpacked.
 
 Saturation is detected by counting, not by rescanning: the sweep starts
 from the number of clear bits in the columns' words and subtracts each
@@ -227,18 +237,40 @@ def _packed(
     last: np.ndarray | None,
     required: np.ndarray | None,
 ) -> tuple[int, str | None]:
-    """The packed sweep; stages ``arrivals`` and writes them once at the end."""
-    stage = None
+    """The packed sweep; stages ``arrivals`` and ``last`` and writes them once at the end."""
+    stage = last_rows = None
     if arrivals is not None:
         stage = np.zeros(arrivals.shape, dtype=np.min_scalar_type(csr.labels.size))
+    if last is not None:
+        last_rows = np.zeros((csr.labels.size, reached.shape[1]), dtype=np.uint64)
     groups_scanned, stop = _advance(
-        csr, reached, first_group, stage, settled, last, required
+        csr, reached, first_group, stage, settled, last_rows, required
     )
     if stage is not None and groups_scanned:
         # Stage 0 reads UNREACHABLE, which leaves the start entries alone.
         table = np.concatenate(([UNREACHABLE], csr.labels))
         np.minimum(arrivals, table.take(stage), out=arrivals)
+    if last_rows is not None and groups_scanned:
+        _fold_last(last_rows, csr.labels, last)
     return groups_scanned, stop
+
+
+def _fold_last(rows: np.ndarray, labels: np.ndarray, last: np.ndarray) -> None:
+    """Set ``last[s]`` to ``labels[g]`` for the last row ``g`` of ``rows`` with bit ``s``.
+
+    ``rows`` is the ``(G, words)`` array of each group's settled columns, and
+    is overwritten.  Clearing from every row the bits a later row holds
+    leaves each column's bit in its last row alone, so at most one word per
+    column stays set, and only those words are unpacked.  Columns with no
+    bit keep their value.
+    """
+    later = np.bitwise_or.accumulate(rows[::-1], axis=0)[::-1]
+    rows[:-1] &= ~later[1:]
+    groups, words = np.nonzero(rows)
+    bits = np.unpackbits(rows[groups, words].view(np.uint8).reshape(-1, 8), axis=1)
+    bits = bits.view(np.bool_)
+    columns = (words[:, np.newaxis] * 64 + np.arange(64))[bits]
+    last[columns] = np.repeat(labels.take(groups), np.count_nonzero(bits, axis=1))
 
 
 def _advance(
@@ -247,14 +279,16 @@ def _advance(
     first_group: int,
     stage: np.ndarray | None,
     settled: np.ndarray | None,
-    last: np.ndarray | None,
+    last_rows: np.ndarray | None,
     required: np.ndarray | None,
 ) -> tuple[int, str | None]:
     """The packed group loop of :meth:`NumpyBackend.forward_sweep`.
 
     ``stage``, when given, is an ``(n, width)`` array of zeros in the
     narrowest unsigned type holding ``G``; an entry group ``g`` settles
-    becomes ``g + 1``.
+    becomes ``g + 1``.  ``last_rows``, when given, is a ``(G, words)``
+    ``uint64`` array of zeros; row ``g`` becomes the columns group ``g``
+    settles anything in, in the ``reached`` bit order.
     """
     labels = csr.labels.tolist()
     offsets = csr.arc_offsets.tolist()
@@ -278,21 +312,36 @@ def _advance(
         return groups_scanned, None
     # The columns are the bits set anywhere at the start (their start
     # bits); every clear bit among them is an unsettled entry.
-    columns = np.bitwise_or.reduce(reached, axis=0)
+    columns = np.bitwise_or.reduce(np.ascontiguousarray(reached.T), axis=1)
     unsettled = n * int(np.bitwise_count(columns).sum()) - int(
         np.bitwise_count(reached).sum()
     )
+    plan = csr.gather_plan
+    if plan is not None:
+        run_tails, extra_tails, extra_heads, extra_offsets = plan
+        extra_offsets = extra_offsets.tolist()
     for group in range(first_group, len(labels)):
         groups_scanned += 1
-        lo, hi = offsets[group], offsets[group + 1]
-        # Which columns can forward over each arc of this label group.
-        reachable = reached.take(tails[lo:hi], axis=0)
         hlo, hhi = head_offsets[group], head_offsets[group + 1]
-        if hhi - hlo != hi - lo:
-            # Some heads have several arcs: OR each head's run of words.
-            reachable = np.bitwise_or.reduceat(
-                reachable, head_starts[hlo:hhi], axis=0
-            )
+        # Which columns can forward into each head of this label group.
+        if plan is None:
+            lo, hi = offsets[group], offsets[group + 1]
+            reachable = reached.take(tails[lo:hi], axis=0)
+            if hhi - hlo != hi - lo:
+                # Some heads have several arcs: OR each head's run of words.
+                reachable = np.bitwise_or.reduceat(
+                    reachable, head_starts[hlo:hhi], axis=0
+                )
+        else:
+            # One arc per head, then the few other arcs ORed into theirs.
+            reachable = reached.take(run_tails[hlo:hhi], axis=0)
+            elo, ehi = extra_offsets[group], extra_offsets[group + 1]
+            if elo != ehi:
+                np.bitwise_or.at(
+                    reachable,
+                    extra_heads[elo:ehi],
+                    reached.take(extra_tails[elo:ehi], axis=0),
+                )
         heads = head_values[hlo:hhi]
         current = reached.take(heads, axis=0)
         new = reachable & ~current
@@ -304,10 +353,10 @@ def _advance(
             reached_rows.put(heads, current.view(reached_rows.dtype))
             if settled is not None:
                 settled[group] += gained
-            if last is not None:
-                touched = np.bitwise_or.reduce(np.ascontiguousarray(new.T), axis=1)
-                touched = np.unpackbits(touched.view(np.uint8), count=last.size)
-                last[touched.view(np.bool_)] = labels[group]
+            if last_rows is not None:
+                np.bitwise_or.reduce(
+                    np.ascontiguousarray(new.T), axis=1, out=last_rows[group]
+                )
             if stage is not None:
                 bits = np.unpackbits(new.view(np.uint8), axis=1, count=width)
                 staged = stage.take(heads, axis=0)

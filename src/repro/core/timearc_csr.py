@@ -29,7 +29,9 @@ for wider ones.
 The layout stores only what the sweeps read.  The ``int64`` per-arc heads and
 the permutation back to the network's arc order (:attr:`TimeArcCSR.heads`,
 :attr:`TimeArcCSR.arc_order`) are derived on first use: journey
-reconstruction and the tests read them, no label-group sweep does.
+reconstruction and the tests read them, no label-group sweep does.  So is
+:attr:`TimeArcCSR.gather_plan`, which lets a packed sweep gather one arc per
+head where almost every head of a group has one arc.
 
 :func:`build_stack_timearc_csr` lays out ``T`` trials' networks on ``T``
 disjoint copies of their graph straight from their label draws, building no
@@ -41,7 +43,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,6 +65,23 @@ __all__ = [
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+class GatherPlan(NamedTuple):
+    """A layout's head runs as one gathered arc per head plus the other arcs.
+
+    ``run_tails[i]`` is the tail of the first arc of the run of
+    ``head_values[i]``.  The arcs after the first of each run are the
+    *extra* arcs, in layout order: ``extra_tails`` holds their tails and
+    ``extra_heads`` the index of their head among their group's heads.
+    Group ``g``'s extra arcs are ``extra_offsets[g]`` to
+    ``extra_offsets[g + 1]``.  Every column is ``int64`` and read-only.
+    """
+
+    run_tails: np.ndarray
+    extra_tails: np.ndarray
+    extra_heads: np.ndarray
+    extra_offsets: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +152,8 @@ class TimeArcCSR:
     def nbytes(self) -> int:
         """Total bytes of the stored column arrays (diagnostics / capacity planning).
 
-        The derived :attr:`heads` and :attr:`arc_order` are not counted.
+        The derived :attr:`heads`, :attr:`arc_order` and :attr:`gather_plan`
+        are not counted.
         """
         return int(
             sum(
@@ -167,6 +187,24 @@ class TimeArcCSR:
         sort, so the first read costs about as much as a build.
         """
         return _readonly(self._resort()[0])
+
+    @cached_property
+    def gather_plan(self) -> GatherPlan | None:
+        """The head runs as one gathered arc per head; derived on first use.
+
+        A packed sweep with the plan gathers ``run_tails`` for a group's
+        heads and ORs in its few extra arcs, instead of gathering every arc
+        and OR-reducing each head's run.  That pays only where a group has
+        many heads and almost all of them one arc, so the plan exists only
+        when the layout has at least 64 heads per group and at most one
+        extra arc per 8 heads; it is ``None`` otherwise.  With a telemetry
+        recorder active a derivation records ``csr.plans`` and its
+        ``csr.plan_ms`` timing.
+        """
+        heads = self.head_values.size
+        if heads < 64 * self.num_groups or 8 * (self.num_arcs - heads) > heads:
+            return None
+        return _timed("csr.plans", "csr.plan_ms", _gather_plan, self)
 
     def group_slice(self, group: int) -> slice:
         """The ``slice`` into the arc arrays covered by label group ``group``."""
@@ -300,16 +338,42 @@ def timed_build(
     direction: str, build: Callable[..., TimeArcCSR], *args: object
 ) -> TimeArcCSR:
     """``build(*args)``, recording ``csr.builds.<direction>`` and its time on the active recorders."""
+    return _timed(f"csr.builds.{direction}", f"csr.build_ms.{direction}", build, *args)
+
+
+def _timed(count: str, timing: str, build: Callable, *args: object):
+    """``build(*args)``, recording the counter ``count`` and the ``timing`` on the active recorders."""
     recs = _telemetry_active()
     if not recs:
         return build(*args)
     start = time.perf_counter()
-    csr = build(*args)
+    built = build(*args)
     duration_ms = (time.perf_counter() - start) * 1e3
     for rec in recs:
-        rec.counter(f"csr.builds.{direction}")
-        rec.observe_ms(f"csr.build_ms.{direction}", duration_ms)
-    return csr
+        rec.counter(count)
+        rec.observe_ms(timing, duration_ms)
+    return built
+
+
+def _gather_plan(csr: TimeArcCSR) -> GatherPlan:
+    """The :class:`GatherPlan` of ``csr``'s head runs."""
+    run_starts = csr.head_starts + np.repeat(
+        csr.arc_offsets[:-1], np.diff(csr.head_offsets)
+    )
+    first = np.zeros(csr.num_arcs, dtype=bool)
+    first[run_starts] = True
+    extra = np.flatnonzero(~first)
+    extra_offsets = np.searchsorted(extra, csr.arc_offsets)
+    # An arc's head entry counts the run starts up to it; an extra arc's
+    # index among its group's heads is that entry less the group's first.
+    entries = np.cumsum(first).take(extra) - 1
+    entries -= np.repeat(csr.head_offsets[:-1], np.diff(extra_offsets))
+    return GatherPlan(
+        run_tails=_readonly(csr.tails.take(run_starts)),
+        extra_tails=_readonly(csr.tails.take(extra)),
+        extra_heads=_readonly(entries),
+        extra_offsets=_readonly(extra_offsets),
+    )
 
 
 def _sorted_arcs(
