@@ -356,26 +356,20 @@ class BlockedSweepResult:
 
 
 def _fold_tile(
-    accumulator: BlockedSummaryAccumulator,
-    network: TemporalGraph,
-    rows: np.ndarray,
-    swept: SweepOutputs,
-    reverse: bool,
+    accumulator: BlockedSummaryAccumulator, rows: np.ndarray, swept: SweepOutputs
 ) -> np.ndarray:
     """Fold one tile's sweep outputs into ``accumulator``, with no ``int64`` tile.
 
-    The entries group ``g`` settles are distances ``labels[g]``, so the
-    settle counts give the reachable pairs and the exact moments.  A row
+    The entries group ``g`` of the swept layout settles are distances
+    ``swept.labels[g]``, so the settle counts give the reachable pairs and
+    the exact moments.  A row
     whose column bit is set in every vertex has eccentricity ``last``, else
     :data:`~repro.types.UNREACHABLE`; the per-vertex popcounts, minus the
     tile's own start bits, are its reach counts.  Returns the tile's
     eccentricities.
     """
     groups = np.flatnonzero(swept.settled)
-    values = []
-    if groups.size:
-        csr = network.reverse_timearc_csr if reverse else network.timearc_csr
-        values = csr.labels[groups].tolist()
+    values = swept.labels[groups].tolist() if groups.size else []
     # Both reductions read contiguous rows of the transposed bitset, one row
     # per word; along axis 0 of ``reached`` they would make one inner-loop
     # call per vertex.
@@ -441,6 +435,10 @@ def blocked_sweep_summary(
         )
     recs = _telemetry_active()
     reverse = direction == "reverse"
+    if n > width and network.num_time_arcs:
+        # Many tiles sweep one layout: build it whole once, rather than a
+        # prefix that the tiles grow.
+        network._layout(reverse)
     num_tiles = 0
     for start in range(0, n, width):
         tile_start = time.perf_counter() if recs else 0.0
@@ -455,7 +453,7 @@ def blocked_sweep_summary(
             arrivals=spill is not None,
             settles=True,
         )
-        tile_ecc = _fold_tile(accumulator, network, rows, swept, reverse)
+        tile_ecc = _fold_tile(accumulator, rows, swept)
         if n > 1:
             eccentricities[rows] = tile_ecc
         if spill is not None:

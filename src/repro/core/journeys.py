@@ -34,6 +34,11 @@ the current label: arrivals only ever decrease, and a group labelled ``l`` can
 only improve entries currently greater than ``l``, so the remaining groups
 cannot change anything.  On the paper's normalized clique this cuts the sweep
 from ``a = n`` groups to about the temporal diameter ``Θ(log n)`` of them.
+So a sweep does not sort what it will not read either: it starts from a
+prefix of the layout, built through a label bound (at least
+``max(A // 8, PREFIX_ARCS)`` of the ``A`` arcs), and only a sweep that runs
+past the bound grows the layout, four times as long each time, and carries
+on from the first group it has not scanned.
 The scalar references and brute-force journey oracles that cross-validate
 these kernels live with the tests (``tests/oracles.py``).
 
@@ -69,6 +74,12 @@ __all__ = [
 #: The sweep kernel.  ``_sweep`` looks its methods up per call, so a
 #: profiler that wraps them on the class sees every sweep.
 _KERNEL = NumpyBackend()
+
+#: The least number of arcs in the first layout a sweep builds of a network:
+#: a prefix of at least ``max(A // 8, PREFIX_ARCS)`` of its ``A`` arcs, or the
+#: whole layout when that is at least half of them.  The one owner of the
+#: first prefix size.
+PREFIX_ARCS = 4096
 
 
 def _validate_source(graph_n: int, source: int) -> int:
@@ -163,15 +174,18 @@ class SweepOutputs(NamedTuple):
     ``reached`` is the final packed bitset (see
     :meth:`~repro.core.kernels.NumpyBackend.forward_sweep` for its layout);
     ``arrivals`` the vertex-major ``(n, width)`` arrival state; ``settled``
-    the settle counts of the layout's label groups (empty when nothing was
-    swept) and ``last`` each column's last settling label (its start value
-    when nothing settled).
+    the settle counts of the swept layout's label groups (empty when nothing
+    was swept) and ``last`` each column's last settling label (its start
+    value when nothing settled).  ``labels`` are the swept layout's group
+    labels (``None`` when nothing was swept): the layout a growing sweep
+    ended on, which the network's cache may have outgrown since.
     """
 
     reached: np.ndarray
     arrivals: np.ndarray | None
     settled: np.ndarray | None
     last: np.ndarray | None
+    labels: np.ndarray | None
 
 
 def _check_lifetime(network: TemporalGraph | TimeArcCSR) -> None:
@@ -200,25 +214,33 @@ def _sweep(
     ``columns`` is ``None``) at time ``start``, and returns the reached
     bitset plus the outputs asked for: the ``arrivals`` state, and with
     ``settles`` the ``settled`` counts and ``last`` labels.  Forward, the
-    columns are sources and the sweep runs over
-    :attr:`TemporalGraph.timearc_csr` from ``start_time``.  Reverse, the
-    columns are targets and the sweep runs over the time-reversed network
-    from the mirrored deadline ``a − deadline``, which is negative for a
-    deadline beyond the lifetime; the arrival state then holds
-    ``a + 1 − departure``, with :data:`~repro.types.UNREACHABLE` where the
-    departure is :data:`~repro.types.NEVER`, and the labels are the
-    distances a blocked sweep folds.  A wide reverse sweep reads
-    :attr:`TemporalGraph.reverse_timearc_csr`; one column asking for
-    arrivals alone reads the forward layout from its last group down
-    (:meth:`~repro.core.kernels.NumpyBackend.reverse_sweep`), so a
-    single-target query never builds the reverse layout.
+    columns are sources and the sweep runs over the network's layout from
+    ``start_time``.  Reverse, the columns are targets and the sweep runs
+    over the time-reversed layout from the mirrored deadline
+    ``a − deadline``, which is negative for a deadline beyond the lifetime;
+    the arrival state then holds ``a + 1 − departure``, with
+    :data:`~repro.types.UNREACHABLE` where the departure is
+    :data:`~repro.types.NEVER`, and the labels are the distances a blocked
+    sweep folds.  So a single-target query never builds a forward layout.
+
+    The sweep starts from the network's cached layout of its direction, or,
+    with none cached, from a prefix of at least ``max(A // 8,``
+    :data:`PREFIX_ARCS` ``)`` arcs (the whole layout when that is at least
+    half of them).  When the kernel runs out of groups with the sweep
+    unsettled and the layout is a prefix, the sweep grows the cached layout
+    to four times its arcs and calls the kernel again from the first group
+    it has not scanned.  ``reached``, the arrivals and ``last`` carry over
+    between the calls, and ``settled`` is extended to the grown layout's
+    groups, so every output and count equals the whole layout's sweep.
 
     ``required`` turns the sweep into a yes/no test: the packed rows (in the
     ``reached`` layout) a complete answer must reach.  The kernel then stops
     at the first row that is final and lacks one of them, leaving a partial
     bitset that differs from ``required`` in that row (see
     :meth:`~repro.core.kernels.NumpyBackend.forward_sweep`); the caller
-    compares the two.
+    compares the two.  A row is final after its vertex's last in-arc group,
+    which only the whole layout shows, so such a sweep reads the whole
+    layout.
 
     ``copies`` sweeps a stack's forward layout
     (:func:`~repro.core.timearc_csr.build_stack_timearc_csr`), passed in
@@ -277,36 +299,44 @@ def _sweep(
         settled = np.zeros(0, dtype=np.int64)
         last = np.full(width, start, dtype=np.int64)
     groups_scanned = 0
-    stop = None
+    stop = labels = None
     num_arcs = network.num_time_arcs if layout is None else layout.num_arcs
     if num_arcs != 0 and width != 0:
         # Arrivals start at ``start`` and only ever take values equal to some
         # label strictly greater than a tail's arrival, so groups labelled
         # <= start can never be used; skip straight past them.
         sweep = _KERNEL.reverse_sweep if reverse else _KERNEL.forward_sweep
-        if reverse and arrivals and width == 1 and not settles and required is None:
-            # The kernel's single-column loop walks the forward layout down:
-            # the mirrored labels <= start are the labels > a − start.
-            csr = network.timearc_csr
-            first_group = csr.labels.size - int(
-                np.searchsorted(csr.labels, network.lifetime - start, side="right")
+        csr = layout
+        if csr is None:
+            arcs = max(num_arcs // 8, PREFIX_ARCS)
+            whole = required is not None or 2 * arcs >= num_arcs
+            csr = network._layout(reverse, None if whole else arcs)
+        first_group = int(np.searchsorted(csr.labels, start, side="right"))
+        while True:
+            if settles:
+                settled = np.concatenate(
+                    (settled, np.zeros(csr.labels.size - settled.size, dtype=np.int64))
+                )
+            scanned, stop = sweep(
+                csr,
+                reached,
+                first_group,
+                arrivals=state,
+                settled=settled,
+                last=last,
+                required=required,
             )
-        else:
-            csr = layout
-            if csr is None:
-                csr = network.reverse_timearc_csr if reverse else network.timearc_csr
-            first_group = int(np.searchsorted(csr.labels, start, side="right"))
-        if settles:
-            settled = np.zeros(csr.labels.size, dtype=np.int64)
-        groups_scanned, stop = sweep(
-            csr,
-            reached,
-            first_group,
-            arrivals=state,
-            settled=settled,
-            last=last,
-            required=required,
-        )
+            groups_scanned += scanned
+            if stop is not None or csr.through is None:
+                break
+            # The prefix ran out first: go on from its end, or from the first
+            # group after ``start`` if that lies beyond it.
+            scanned_to = csr.labels.size
+            csr = network._layout(reverse, 4 * csr.num_arcs)
+            first_group = max(
+                scanned_to, int(np.searchsorted(csr.labels, start, side="right"))
+            )
+        labels = csr.labels
     if recs:
         duration_ms = (time.perf_counter() - sweep_start) * 1e3
         prefix = "kernel.reverse" if reverse else "kernel.forward"
@@ -318,7 +348,7 @@ def _sweep(
             if stop:
                 rec.counter(f"{prefix}.{stop}_exits")
             rec.observe_ms(f"{prefix}.sweep_ms", duration_ms)
-    return SweepOutputs(reached, state, settled, last)
+    return SweepOutputs(reached, state, settled, last, labels)
 
 
 def foremost_journey_tree(

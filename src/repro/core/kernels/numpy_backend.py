@@ -58,12 +58,18 @@ the group gathered anyway.  ``tests/test_oracle_crosscheck.py`` pins that
 exit point against the brute-force rows.
 
 A sweep of one column that asks for arrivals alone (single-source and
-single-target calls) runs a 1-D loop on ``np.minimum.at`` instead, in both
-directions over the network's *forward* layout: a reverse one walks the
-groups from the last one down, mirrors each label to ``a + 1 − l`` and
-reads every arc head → tail, so it visits the groups of the time-reversed
-layout in that layout's order without building it.  Every other reverse
-sweep runs the packed loop over the time-reversed layout.
+single-target calls) runs a 1-D loop on ``np.minimum.at`` instead.  Both
+directions run forward over the layout they are given: a reverse sweep's is
+the time-reversed layout.
+
+A layout may be a prefix, built through a label bound
+(:attr:`~repro.core.timearc_csr.TimeArcCSR.through`).  A sweep that runs out
+of its groups unsettled returns with no stop, and the caller calls again
+with the grown layout from the first group not scanned
+(``repro.core.journeys._sweep``).  Everything a call carries into the next
+lives in ``reached`` and the outputs: the stage and the ``last`` rows are
+written out at the end of every call, and the saturation count is taken
+afresh from ``reached`` at its start.
 """
 
 from __future__ import annotations
@@ -133,13 +139,13 @@ class NumpyBackend:
         its start value (``start_time`` forward, the mirrored deadline
         ``a − deadline`` reverse, which is negative for a deadline beyond
         the lifetime) — and every other entry starts unreached
-        (:data:`~repro.types.UNREACHABLE` in ``arrivals``).
-        :func:`repro.core.journeys._sweep`, behind every sweep entry point,
-        guarantees it; saturation detection by counting relies on it.
+        (:data:`~repro.types.UNREACHABLE` in ``arrivals``), or, when a
+        sweep goes on over a grown layout, reached below that label by the
+        calls before.  :func:`repro.core.journeys._sweep`, behind every
+        sweep entry point, guarantees it; saturation detection by counting
+        relies on it.
         """
-        if _single_column(arrivals, settled, last, required):
-            return _single(csr, reached, arrivals[:, 0], first_group, mirrored=False)
-        return _packed(csr, reached, first_group, arrivals, settled, last, required)
+        return _run(csr, reached, first_group, arrivals, settled, last, required)
 
     def reverse_sweep(
         self,
@@ -154,55 +160,48 @@ class NumpyBackend:
     ) -> tuple[int, str | None]:
         """:meth:`forward_sweep` over the time-reversed network.
 
-        ``csr`` is the time-reversed layout, which this sweep advances over
-        exactly as :meth:`forward_sweep` does, except for a single-column
-        sweep asking for ``arrivals`` alone: that one takes the network's
-        forward layout and walks it from group ``G − 1 − first_group`` down,
-        with labels mirrored to ``a + 1 − l`` and every arc read head →
-        tail.  Either way ``first_group`` counts the time-reversed groups
-        the sweep skips, so both layouts visit the same groups in the same
-        order.  Kept apart from :meth:`forward_sweep` so that a profiler
-        that wraps it sees reverse sweeps on their own.
+        ``csr`` is the time-reversed layout (or a prefix of it), which this
+        sweep advances over exactly as :meth:`forward_sweep` does.  Kept
+        apart from :meth:`forward_sweep` so that a profiler that wraps it
+        sees reverse sweeps on their own.
         """
-        if _single_column(arrivals, settled, last, required):
-            return _single(csr, reached, arrivals[:, 0], first_group, mirrored=True)
-        return _packed(csr, reached, first_group, arrivals, settled, last, required)
+        return _run(csr, reached, first_group, arrivals, settled, last, required)
 
     def __repr__(self) -> str:
         return "NumpyBackend()"
 
 
-def _single_column(arrivals, settled, last, required) -> bool:
-    """Whether a sweep runs the 1-D loop: one column, arrivals, nothing else."""
-    return (
+def _run(
+    csr,
+    reached: np.ndarray,
+    first_group: int,
+    arrivals: np.ndarray | None,
+    settled: np.ndarray | None,
+    last: np.ndarray | None,
+    required: np.ndarray | None,
+) -> tuple[int, str | None]:
+    """Either sweep: the 1-D loop for one column asking for arrivals alone, else the packed one."""
+    if (
         arrivals is not None
         and arrivals.shape[1] == 1
         and settled is None
         and last is None
         and required is None
-    )
+    ):
+        return _single(csr, reached, arrivals[:, 0], first_group)
+    return _packed(csr, reached, first_group, arrivals, settled, last, required)
 
 
 def _single(
-    csr, reached: np.ndarray, state: np.ndarray, first_group: int, *, mirrored: bool
+    csr, reached: np.ndarray, state: np.ndarray, first_group: int
 ) -> tuple[int, str | None]:
-    """The one-column sweep on the 1-D arrival ``state``, over a forward layout.
-
-    ``mirrored`` sweeps the time-reversed network: groups from the last one
-    down, labels ``a + 1 − l``, arcs head → tail.
-    """
+    """The one-column sweep on the 1-D arrival ``state``."""
     labels = csr.labels
     offsets = csr.arc_offsets
-    if mirrored:
-        groups = range(labels.size - 1 - first_group, -1, -1)
-        labels = csr.lifetime + 1 - labels
-        tails, heads = csr.narrow_heads, csr.tails
-    else:
-        groups = range(first_group, labels.size)
-        tails, heads = csr.tails, csr.narrow_heads
+    tails, heads = csr.tails, csr.narrow_heads
     groups_scanned = 0
     saturated = False
-    for group in groups:
+    for group in range(first_group, labels.size):
         groups_scanned += 1
         label = int(labels[group])
         lo, hi = int(offsets[group]), int(offsets[group + 1])

@@ -20,8 +20,12 @@ label.  Everything else is derived from them:
   the label-grouped CSR (arcs sorted by ``(label, head)`` with row offsets
   per label value) that backs every batched kernel, most importantly
   :func:`repro.core.journeys.earliest_arrival_matrix`, and its time-reversed
-  twin.  The caches mean the sort is paid once per network, not once per
-  sweep; they are safe because the label data is immutable;
+  twin.  Each direction caches the longest layout built so far: a sweep
+  starts from a prefix built through a label bound and grows it only when
+  it runs past the bound, so a sweep that saturates early never sorts the
+  label groups it does not reach.  The caches mean the sort is paid once per
+  network, not once per sweep; they are safe because the label data is
+  immutable;
 * a lazy per-edge tuple view for the label queries (``labels_of``,
   ``edge_label_items``, …), built only when one of them asks.
 
@@ -46,6 +50,7 @@ head and tail orders its layout builds start from
 
 from __future__ import annotations
 
+import threading
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -57,6 +62,10 @@ from ..types import TimeEdge
 from ..utils.validation import check_positive_int
 
 __all__ = ["TemporalGraph"]
+
+#: Guards the compare-and-store of the cached layouts, which the service's
+#: request threads share through their handles.
+_LAYOUT_LOCK = threading.Lock()
 
 
 class TemporalGraph:
@@ -371,51 +380,89 @@ class TemporalGraph:
 
     @property
     def timearc_csr(self):
-        """The label-grouped CSR layout of the time arcs, built lazily.
+        """The whole label-grouped CSR layout of the time arcs, built lazily.
 
         Returns
         -------
         repro.core.timearc_csr.TimeArcCSR
-            Immutable CSR structure shared by all batched kernels.  Building
-            it costs two stable ``O(A)`` radix sorts (``O(A log A)`` once a
-            vertex id or label needs more than 16 bits) on first access and
-            nothing afterwards; the label data cannot change after
-            construction, so the cache never goes stale.  With telemetry
-            active the build records ``csr.builds.forward`` and
-            ``csr.build_ms.forward``.
+            Immutable CSR structure over every time arc.  Building it costs
+            two stable ``O(A)`` radix sorts (``O(A log A)`` once a vertex id
+            or label needs more than 16 bits); the label data cannot change
+            after construction, so the cache never goes stale.  The sweeps
+            start from a prefix of it (:meth:`_layout`); reading this
+            property grows the cached layout to the whole one.  With
+            telemetry active each build records ``csr.builds.forward``,
+            ``csr.build_ms.forward`` and ``csr.arcs.forward``.
         """
-        if self._timearc_csr is None:
-            from .timearc_csr import build_timearc_csr, timed_build
-
-            self._timearc_csr = timed_build("forward", build_timearc_csr, self)
-        return self._timearc_csr
+        return self._layout(reverse=False)
 
     @property
     def reverse_timearc_csr(self):
-        """The time-reversed CSR layout of the time arcs, built lazily.
+        """The whole time-reversed CSR layout of the time arcs, built lazily.
 
         Returns
         -------
         repro.core.timearc_csr.TimeArcCSR
             The forward layout of the arcs flipped, with every label ``l``
-            mapped to ``lifetime + 1 − l``: the wide reverse
-            (latest-departure) sweeps — departure matrices, batches of
-            targets, blocked reverse tiles — run the packed kernel over it.
-            A single-target reverse sweep reads :attr:`timearc_csr` from
-            its last group down instead, so a handle builds this layout
-            only for a wide reverse sweep.  The two layouts are independent
-            caches: a forward-only workload never pays for this sort.  With
-            telemetry active the build records ``csr.builds.reverse`` and
-            ``csr.build_ms.reverse``.
+            mapped to ``lifetime + 1 − l``: every reverse
+            (latest-departure) sweep — departure matrices, single targets,
+            blocked reverse tiles — runs the kernel over it or over a prefix
+            of it.  The two directions are independent caches: a
+            forward-only workload never pays for this sort.  With telemetry
+            active each build records ``csr.builds.reverse``,
+            ``csr.build_ms.reverse`` and ``csr.arcs.reverse``.
         """
-        if self._reverse_timearc_csr is None:
-            from .reverse_timearc_csr import build_reverse_timearc_csr
-            from .timearc_csr import timed_build
+        return self._layout(reverse=True)
 
-            self._reverse_timearc_csr = timed_build(
-                "reverse", build_reverse_timearc_csr, self
-            )
-        return self._reverse_timearc_csr
+    def _layout(self, reverse: bool, arcs: int | None = None):
+        """The cached layout of one direction, holding at least ``arcs`` arcs.
+
+        ``None`` asks for the whole layout.  When the cached layout is
+        shorter, one is built through the least label bound whose layout
+        holds ``arcs`` arcs (:meth:`_layout_bound`) and cached.  Storing
+        never replaces a longer layout, so the cache holds the longest one
+        built so far, whichever thread built it.
+        """
+        slot = "_reverse_timearc_csr" if reverse else "_timearc_csr"
+        cached = getattr(self, slot)
+        if cached is not None and (
+            cached.through is None or (arcs is not None and cached.num_arcs >= arcs)
+        ):
+            return cached
+        # Looked up on their modules per build, so a profiler that wraps a
+        # builder sees every build.
+        from . import reverse_timearc_csr, timearc_csr
+
+        if reverse:
+            build = reverse_timearc_csr.build_reverse_timearc_csr
+        else:
+            build = timearc_csr.build_timearc_csr
+        through = None if arcs is None else self._layout_bound(reverse, arcs)
+        direction = "reverse" if reverse else "forward"
+        layout = timearc_csr.timed_build(direction, build, self, through)
+        with _LAYOUT_LOCK:
+            cached = getattr(self, slot)
+            if cached is not None and cached.num_arcs >= layout.num_arcs:
+                return cached
+            setattr(self, slot, layout)
+        return layout
+
+    def _layout_bound(self, reverse: bool, arcs: int) -> int | None:
+        """The least label bound whose layout in one direction holds ``arcs`` arcs.
+
+        An order statistic of the labels: forward, the ``k``-th smallest
+        label, where ``k`` labels give ``arcs`` time arcs; reverse, the
+        mirror ``a + 1 − l`` of the ``k``-th largest.  ``None`` when only
+        the whole layout holds that many.
+        """
+        labels = self._el_labels
+        k = -(-arcs // (1 if self.directed else 2))
+        if k >= labels.size:
+            return None
+        if reverse:
+            kth = labels.size - k
+            return self._lifetime + 1 - int(np.partition(labels, kth)[kth])
+        return int(np.partition(labels, k - 1)[k - 1])
 
     # ------------------------------------------------------------------ #
     # label queries

@@ -19,12 +19,21 @@ Because a journey's labels must strictly increase, a sweep that processes the
 groups in order maintains the invariant "after group ``g``, every arrival time
 ``<= labels[g]`` is final" — see ``docs/performance.md`` for the full argument.
 The structure is immutable (all arrays are read-only) and is built lazily and
-cached by :attr:`TemporalGraph.timearc_csr`, so the sort is paid once per
-network instead of once per kernel call.  The sort is two stable argsorts, the
-head column first and then the label column, each cast to the narrowest
-unsigned type that holds it (labels shifted by the smallest one): numpy
-radix-sorts 8- and 16-bit keys in ``O(A)`` and uses an ``O(A log A)`` timsort
-for wider ones.
+cached on the :class:`~repro.core.temporal_graph.TemporalGraph`, so the sort is
+paid once per network instead of once per kernel call.  The sort is two stable
+argsorts, the head column first and then the label column, each cast to the
+narrowest unsigned type that holds it (labels shifted by the smallest one):
+numpy radix-sorts 8- and 16-bit keys in ``O(A)`` and uses an ``O(A log A)``
+timsort for wider ones.
+
+A layout can be built *through a label bound*: ``build_timearc_csr(network,
+through=t)`` lays out only the arcs labelled at most ``t``.  One ``O(A)``
+compare on the label keys picks them, and the two sorts then run on the kept
+arcs alone.  The keys keep the whole network's span and type, so such a
+*prefix* equals the first groups of the whole layout in every column and
+dtype, and :attr:`TimeArcCSR.through` records the bound it covers.  A sweep
+that saturates early reads only the first groups, so it starts from a prefix
+and grows it on demand (``repro.core.journeys._sweep``).
 
 The layout stores only what the sweeps read.  The ``int64`` per-arc heads and
 the permutation back to the network's arc order (:attr:`TimeArcCSR.heads`,
@@ -119,6 +128,10 @@ class TimeArcCSR:
         For each entry of ``head_values``, the start of that head's run of
         arcs *relative to its group's first arc* — the ``reduceat`` index
         array for the group, shape matching ``head_values``.
+    through:
+        The label bound the layout covers: it holds the arcs labelled at
+        most ``through``, which are the first groups of the whole layout.
+        ``None`` when it holds every arc.
 
     Every column but ``narrow_heads`` is ``int64``.
     """
@@ -134,9 +147,10 @@ class TimeArcCSR:
     head_starts: np.ndarray
     #: Runs the build's sort again on the columns it came from; only
     #: :attr:`arc_order` calls it.
-    _resort: Callable[[], tuple[np.ndarray, np.ndarray, int]] = field(
+    _resort: Callable[[], tuple[np.ndarray, np.ndarray, int, int | None]] = field(
         repr=False, compare=False
     )
+    through: int | None = None
 
     @property
     def num_arcs(self) -> int:
@@ -184,7 +198,8 @@ class TimeArcCSR:
         position ``i``: journey reconstruction reports arcs by it.  The
         canonical edge index of every arc in layout order is
         ``network.time_arc_edge_index[arc_order]``.  It repeats the build's
-        sort, so the first read costs about as much as a build.
+        sort, so the first read costs about as much as a build.  A layout
+        built through a bound lists only the arcs it holds.
         """
         return _readonly(self._resort()[0])
 
@@ -222,7 +237,9 @@ class TimeArcCSR:
         )
 
 
-def build_timearc_csr(network: "TemporalGraph") -> TimeArcCSR:
+def build_timearc_csr(
+    network: "TemporalGraph", through: int | None = None
+) -> TimeArcCSR:
     """Build the label-grouped CSR layout for a temporal network.
 
     The arcs are sorted by ``(label, head)`` so that inside each label group
@@ -237,6 +254,11 @@ def build_timearc_csr(network: "TemporalGraph") -> TimeArcCSR:
     ----------
     network:
         The temporal network whose time arcs to lay out.
+    through:
+        Lay out only the arcs labelled at most ``through``: the first groups
+        of the whole layout, equal to the layout of
+        ``network.restricted_to_max_label(through)``.  ``None`` (the
+        default) lays out every arc.
 
     Returns
     -------
@@ -253,6 +275,7 @@ def build_timearc_csr(network: "TemporalGraph") -> TimeArcCSR:
         network.time_arc_heads,
         network.time_arc_labels,
         None if arcs is None else arcs.head_order,
+        through=through,
     )
 
 
@@ -330,15 +353,22 @@ def build_stack_timearc_csr(
     )
 
 
-def _no_arc_order() -> tuple[np.ndarray, np.ndarray, int]:
+def _no_arc_order() -> tuple[np.ndarray, np.ndarray, int, int | None]:
     raise ValueError("a layout built from label draws has no arc order")
 
 
 def timed_build(
     direction: str, build: Callable[..., TimeArcCSR], *args: object
 ) -> TimeArcCSR:
-    """``build(*args)``, recording ``csr.builds.<direction>`` and its time on the active recorders."""
-    return _timed(f"csr.builds.{direction}", f"csr.build_ms.{direction}", build, *args)
+    """``build(*args)``, recording ``csr.builds.<direction>``, its time and the arcs laid out.
+
+    The arcs go to the ``csr.arcs.<direction>`` counter of the active
+    recorders, so a build through a label bound shows what it left out.
+    """
+    built = _timed(f"csr.builds.{direction}", f"csr.build_ms.{direction}", build, *args)
+    for rec in _telemetry_active():
+        rec.counter(f"csr.arcs.{direction}", built.num_arcs)
+    return built
 
 
 def _timed(count: str, timing: str, build: Callable, *args: object):
@@ -377,13 +407,15 @@ def _gather_plan(csr: TimeArcCSR) -> GatherPlan:
 
 
 def _sorted_arcs(
-    heads: np.ndarray,
+    raw_heads: np.ndarray,
     raw_labels: np.ndarray,
     head_order: np.ndarray | None,
     mirrored: bool,
     lifetime: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The layout's arc order, its label keys in that order, and the label of key 0.
+    through: int | None,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, int, int | None]:
+    """The layout's arc order, its label keys in that order, the label of key 0 and its bound.
 
     Two stable sorts, the minor key first: the permutation equals
     ``np.lexsort((heads, labels))`` at every key width, and with
@@ -392,24 +424,44 @@ def _sorted_arcs(
     mirrored), in the narrowest unsigned type that holds their span: one
     8-bit radix pass whenever the labels span at most 256 values.  A key
     ``k`` stands for the layout label ``first + k``.  ``head_order`` is
-    ``np.argsort(heads, kind="stable")``, or ``None`` to sort the heads here.
+    ``np.argsort(raw_heads, kind="stable")``, or ``None`` to sort the heads
+    here, cast to the narrowest unsigned type that holds ``n − 1``.
+
+    With ``through``, only the arcs whose layout label is at most
+    ``through`` are kept: one compare on the keys picks them, in head order
+    when ``head_order`` is given and before the head sort otherwise, and the
+    sorts then run on them alone.  The returned bound is ``through``, or
+    ``None`` when every arc is kept.
     """
     if raw_labels.size == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty, 0
+        return empty, empty, 0, None
     low, high = int(raw_labels.min()), int(raw_labels.max())
     keys = np.empty(raw_labels.size, dtype=np.min_scalar_type(high - low))
     if mirrored:
         np.subtract(high, raw_labels, out=keys, casting="unsafe")
     else:
         np.subtract(raw_labels, low, out=keys, casting="unsafe")
-    order = head_order
-    if order is None:
-        order = np.argsort(heads, kind="stable")
-    keys = keys.take(order)
-    by_label = np.argsort(keys, kind="stable")
     first = lifetime + 1 - high if mirrored else low
-    return order.take(by_label), keys.take(by_label), first
+    if through is not None and through - first >= high - low:
+        through = None
+    narrow = np.min_scalar_type(max(n - 1, 0))
+    if through is None:
+        order = head_order
+        if order is None:
+            order = np.argsort(raw_heads.astype(narrow), kind="stable")
+        keys = keys.take(order)
+    elif head_order is None:
+        # A stable sort of the kept heads is the head order restricted to them.
+        kept = np.flatnonzero(keys <= through - first)
+        order = kept.take(np.argsort(raw_heads.take(kept).astype(narrow), kind="stable"))
+        keys = keys.take(order)
+    else:
+        keys = keys.take(head_order)
+        kept = np.flatnonzero(keys <= through - first)
+        order, keys = head_order.take(kept), keys.take(kept)
+    by_label = np.argsort(keys, kind="stable")
+    return order.take(by_label), keys.take(by_label), first, through
 
 
 def _build_layout(
@@ -421,21 +473,26 @@ def _build_layout(
     head_order: np.ndarray | None,
     *,
     mirrored: bool = False,
+    through: int | None = None,
 ) -> TimeArcCSR:
     """:func:`build_timearc_csr_from_arrays` from a known ``head_order``.
 
     ``head_order`` is ``np.argsort(raw_heads, kind="stable")``, or ``None``
     to sort the heads here.  With ``mirrored`` the layout's labels are
-    ``lifetime + 1 − raw_labels`` (the time-reversed layout).
+    ``lifetime + 1 − raw_labels`` (the time-reversed layout).  With
+    ``through`` it holds only the arcs whose layout label is at most
+    ``through``.
     """
-    head_keys = raw_heads.astype(np.min_scalar_type(max(n - 1, 0)))
     # arc_order sorts again from the source columns, which the network keeps
-    # anyway; a stable sort of the int64 heads gives the same order.
-    resort = partial(_sorted_arcs, raw_heads, raw_labels, head_order, mirrored, lifetime)
-    order, keys, first = _sorted_arcs(head_keys, raw_labels, head_order, mirrored, lifetime)
-    tails, heads = raw_tails.take(order), head_keys.take(order)
+    # anyway.
+    resort = partial(
+        _sorted_arcs, raw_heads, raw_labels, head_order, mirrored, lifetime, through, n
+    )
+    order, keys, first, through = resort()
+    tails = raw_tails.take(order)
+    heads = raw_heads.take(order).astype(np.min_scalar_type(max(n - 1, 0)))
     del order
-    return _grouped_layout(n, lifetime, tails, heads, keys, first, resort)
+    return _grouped_layout(n, lifetime, tails, heads, keys, first, resort, through)
 
 
 def _grouped_layout(
@@ -445,9 +502,10 @@ def _grouped_layout(
     heads: np.ndarray,
     keys: np.ndarray,
     first: int,
-    resort: Callable[[], tuple[np.ndarray, np.ndarray, int]],
+    resort: Callable[[], tuple[np.ndarray, np.ndarray, int, int | None]],
+    through: int | None = None,
 ) -> TimeArcCSR:
-    """The layout of arcs already in layout order.
+    """The layout of arcs already in layout order, covering the bound ``through``.
 
     ``tails`` (``int64``), ``heads`` (narrow) and the label ``keys`` are
     sorted by ``(label, head)``; a key ``k`` stands for the label
@@ -483,4 +541,5 @@ def _grouped_layout(
         head_offsets=_readonly(head_offsets),
         head_starts=_readonly(head_starts),
         _resort=resort,
+        through=through,
     )

@@ -464,7 +464,7 @@ class TestReverseArtifacts:
         analysis.latest_departure(0, 3)
         assert counting_hook == {"target_columns": 1}
 
-    def test_single_target_queries_never_build_the_reverse_layout(
+    def test_single_target_queries_never_build_the_forward_layout(
         self, clique_network
     ):
         network = normalized_urtn(complete_graph(24, directed=True), seed=7)
@@ -473,8 +473,9 @@ class TestReverseArtifacts:
             analysis.distances_to([3])
             analysis.latest_departure(0, 5)
             analysis.reverse_reachable_set(7)
-        assert network._reverse_timearc_csr is None
-        assert "csr.builds.reverse" not in recorder.counters
+        assert network._timearc_csr is None
+        assert "csr.builds.forward" not in recorder.counters
+        assert recorder.counters["csr.builds.reverse"] == 1
         assert recorder.counters["kernel.reverse.sweeps"] == 3
         expected = NetworkAnalysis(clique_network).departure_matrix()
         np.testing.assert_array_equal(
@@ -484,8 +485,9 @@ class TestReverseArtifacts:
             analysis.departure_matrix()
             analysis.departure_matrix()
             analysis.distances_to()
-        assert network._reverse_timearc_csr is not None
-        assert recorder.counters["csr.builds.reverse"] == 1
+        # The wide sweeps read the layout the single targets built.
+        assert "csr.builds.reverse" not in recorder.counters
+        assert network._timearc_csr is None
 
     def test_departures_to_served_from_cached_matrix(
         self, clique_network, counting_hook

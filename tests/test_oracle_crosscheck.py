@@ -237,15 +237,13 @@ _SINGLE_TARGET_POOL = {
 
 
 class TestSingleTargetSweepsAgainstOracle:
-    """A one-target reverse sweep walks the forward layout from its last group
-    down, mirroring each label and reading each arc head → tail.
+    """A one-target reverse sweep runs forward over the time-reversed layout.
 
     On a fresh copy of every network, for every target and every deadline in
     ``[0, a + 2]``, the departures and the reverse reachable set must equal
     the brute-force oracle's.  With two or more vertices the sweep must scan
     the groups and exit where :func:`oracles.exit_point_reference` reads off
-    the oracle's row, as the time-reversed layout's sweep would.  None of
-    this may build the reverse layout.
+    the oracle's row.  None of this may build the forward layout.
     """
 
     @pytest.mark.parametrize(
@@ -279,11 +277,12 @@ class TestSingleTargetSweepsAgainstOracle:
                 handle.reverse_reachable_set(target),
                 np.flatnonzero(oracle_latest_departure_times(network, target) > NEVER),
             )
-        assert network._reverse_timearc_csr is None
-        # A wide reverse sweep still reads (and builds) the reverse layout.
-        assert latest_departure_matrix(network).shape == (network.n, network.n)
+        assert network._timearc_csr is None
         built = network._reverse_timearc_csr is not None
-        assert built == (network.num_time_arcs > 0)
+        assert built == (network.num_time_arcs > 0 and network.n > 0)
+        # A wide reverse sweep reads the same layout.
+        assert latest_departure_matrix(network).shape == (network.n, network.n)
+        assert network._timearc_csr is None
 
 
 #: The yes/no predicates as run in :class:`TestDecisionsAgainstOracle`: the

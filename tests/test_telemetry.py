@@ -531,13 +531,36 @@ class TestCsrBuildTimers:
     """Lazy CSR layout builds record one count and one timing per build."""
 
     def test_e1_quick_records_one_forward_build_per_trial(self):
+        scenario = get_scenario("E1")
         with telemetry.session() as rec:
-            run_scenario(get_scenario("E1"), scale="quick", seed=3)
+            run_scenario(scenario, scale="quick", seed=3)
         trials = rec.counters["scenario.trials"]
         assert trials > 0
         assert rec.counters["csr.builds.forward"] == trials
         assert rec.timings["csr.build_ms.forward"].count == trials
         assert "csr.builds.reverse" not in rec.counters
+        # Its cliques (n <= 64, under 8 192 time arcs) are laid out whole.
+        config = scenario.scales["quick"].extras
+        assert trials == config["repetitions"] * len(config["sizes"])
+        arcs = sum(n * (n - 1) for n in config["sizes"]) * config["repetitions"]
+        assert rec.counters["csr.arcs.forward"] == arcs
+
+    def test_saturating_sweeps_lay_out_a_prefix(self):
+        queries = {
+            "diameter": lambda network: NetworkAnalysis(network).diameter,
+            "distances_from": lambda network: NetworkAnalysis(network).distances_from([0]),
+            "timearc_csr": lambda network: network.timearc_csr,
+        }
+        for name, query in queries.items():
+            network = normalized_urtn(complete_graph(256, directed=True), seed=0)
+            with telemetry.session() as rec:
+                query(network)
+            laid_out = rec.counters["csr.arcs.forward"]
+            if name == "timearc_csr":
+                assert laid_out == network.num_time_arcs
+            else:
+                assert rec.counters["kernel.forward.saturation_exits"] == 1
+                assert laid_out < network.num_time_arcs // 4, name
 
     def test_each_direction_is_built_and_recorded_once(self):
         network = normalized_urtn(complete_graph(8, directed=True), seed=0)
@@ -685,6 +708,7 @@ class TestCli:
         assert exit_code == 0
         assert "Analysis handle (artifact cache)" in captured.out
         assert "arrival_matrix" in captured.out
+        assert "csr.arcs.forward" in captured.out
 
     def test_profile_unknown_scenario_fails(self, capsys):
         exit_code = main(["profile", "no-such-scenario"])
