@@ -335,7 +335,7 @@ class ServiceApp:
         self._count("healthz")
         return {
             "status": "ok",
-            "schema_version": self.store.schema_version(),
+            "schema_version": self.store.migrated_version,
             "uptime_s": time.time() - self.started_at,
             "kernel_backend": kernels.default_backend(),
             "engine_jobs": self.jobs.engine_jobs,

@@ -166,7 +166,7 @@ class ArtifactStore:
         self._path = Path(path)
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._busy_timeout_ms = int(busy_timeout_ms)
-        self._migrate()
+        self._migrated_version = self._migrate()
 
     @property
     def path(self) -> Path:
@@ -177,6 +177,14 @@ class ArtifactStore:
     def busy_timeout_ms(self) -> int:
         """Writer wait budget on a locked database, in milliseconds."""
         return self._busy_timeout_ms
+
+    @property
+    def migrated_version(self) -> int:
+        """The schema version opening the store left the file at (no I/O).
+
+        :meth:`schema_version` reads the file instead.
+        """
+        return self._migrated_version
 
     # ------------------------------------------------------------------ #
     # connections and migration
@@ -196,7 +204,8 @@ class ArtifactStore:
         finally:
             conn.close()
 
-    def _migrate(self) -> None:
+    def _migrate(self) -> int:
+        """Apply every migration past the file's version; return the new version."""
         with self._connect() as conn:
             version = int(conn.execute("PRAGMA user_version").fetchone()[0])
             if version > SCHEMA_VERSION:
@@ -213,6 +222,7 @@ class ArtifactStore:
                     step,
                     step + 1,
                 )
+        return SCHEMA_VERSION
 
     def schema_version(self) -> int:
         """The database file's current schema version."""

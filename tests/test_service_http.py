@@ -2,22 +2,29 @@
 
 This is the full serving loop the CI smoke job also exercises: submit a
 scenario over the wire, poll the job, fetch the stored result, resubmit and
-observe the store hit, query a cached handle — plus the error surface and
-the ``repro-experiments serve`` CLI subcommand.
+observe the store hit, query a cached handle — plus the error surface, the
+transport's accept threads (bursts, idle and kept-alive connections,
+shutdown) and the ``repro-experiments serve`` CLI subcommand.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.service import serve
+from repro.service.http_stdlib import ACCEPT_THREAD_NAME, ACCEPT_THREADS
 
 QUERY = {
     "op": "centrality",
@@ -52,6 +59,25 @@ def _poll_done(base: str, job_id: str, timeout: float = 120.0) -> dict:
             return snapshot
         time.sleep(0.05)
     raise AssertionError(f"job {job_id} did not finish within {timeout}s")
+
+
+def _accept_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == ACCEPT_THREAD_NAME]
+
+
+def _idle_sockets(host: str, port: int, count: int) -> list[socket.socket]:
+    """``count`` open connections that never send a byte."""
+    return [socket.create_connection((host, port)) for _ in range(count)]
+
+
+def _seed_query(seed: int) -> dict:
+    return dict(QUERY, op="distances_from", source=0, seed=seed)
+
+
+@pytest.fixture(autouse=True)
+def no_accept_thread_outlives_the_test():
+    yield
+    assert _accept_threads() == []
 
 
 @pytest.fixture()
@@ -165,6 +191,126 @@ class TestEndToEnd:
         assert final["state"] in ("cancelled", "done")
 
 
+class TestHealthz:
+    def test_a_poll_opens_no_database_connection(self, server, monkeypatch):
+        store = server.app.store
+        opened = []
+        connect = store._connect
+
+        def counting_connect():
+            opened.append(1)
+            return connect()
+
+        monkeypatch.setattr(store, "_connect", counting_connect)
+        for _ in range(3):
+            status, payload = _call(server.url, "GET", "/healthz")
+            assert status == 200 and payload["schema_version"] == 2
+        assert opened == []
+        assert store.schema_version() == 2 and opened == [1]
+
+
+class TestTransport:
+    def test_a_burst_of_32_queries_is_answered(self, server):
+        """More simultaneous connections than socketserver's backlog of 5.
+
+        Once the burst is over, every live accept thread waits in
+        ``accept()``: a lost update of the idle count would break that.
+        """
+        seeds = [index % 8 for index in range(32)]
+        barrier = threading.Barrier(len(seeds))
+
+        def ask(seed):
+            barrier.wait(timeout=30)
+            return seed, _call(server.url, "POST", "/query", _seed_query(seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(seeds)) as pool:
+                answers = list(pool.map(ask, seeds))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [status for _, (status, _) in answers] == [200] * len(seeds)
+        accept_loops = server._server
+        deadline = time.monotonic() + 5
+        while accept_loops._idle != len(accept_loops._threads):
+            assert time.monotonic() < deadline, (accept_loops._idle, accept_loops._threads)
+            time.sleep(0.01)
+        assert len(accept_loops._threads) >= ACCEPT_THREADS
+        by_seed: dict[int, set] = {}
+        for seed, (_, payload) in answers:
+            by_seed.setdefault(seed, set()).add(json.dumps(payload["result"]))
+        assert sorted(by_seed) == list(range(8))
+        assert all(len(results) == 1 for results in by_seed.values())
+
+    def test_sequential_requests_start_no_thread(self, server, monkeypatch):
+        for _ in range(3):
+            assert _call(server.url, "POST", "/query", QUERY)[0] == 200
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        for index in range(50):
+            path, body = ("/query", QUERY) if index % 2 else ("/healthz", None)
+            assert _call(server.url, "POST" if body else "GET", path, body)[0] == 200
+        assert started == []
+        assert len(_accept_threads()) == ACCEPT_THREADS
+
+    def test_idle_connections_do_not_block_a_query(self, server):
+        idle = _idle_sockets(server.host, server.port, ACCEPT_THREADS + 2)
+        try:
+            sent = time.perf_counter()
+            status, _ = _call(server.url, "POST", "/query", QUERY)
+            assert status == 200
+            assert time.perf_counter() - sent < 1.0
+        finally:
+            for sock in idle:
+                sock.close()
+
+    def test_a_keep_alive_client_gets_several_answers_on_one_connection(self, server):
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        try:
+            ports = []
+            for seed in range(3):
+                conn.request(
+                    "POST", "/query", body=json.dumps(_seed_query(seed)),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                assert response.status == 200 and response.version == 11
+                assert response.getheader("Connection") != "close"
+                assert json.loads(response.read())["result"][0] == 0
+                ports.append(conn.sock.getsockname()[1])
+            assert len(set(ports)) == 1
+        finally:
+            conn.close()
+
+    def test_stop_ends_idle_connections_and_frees_the_port(self, tmp_path):
+        running = serve(data_dir=str(tmp_path / "data")).start()
+        port = running.port
+        assert _call(running.url, "GET", "/healthz")[0] == 200
+        idle = _idle_sockets(running.host, running.port, ACCEPT_THREADS + 2)
+        try:
+            began = time.perf_counter()
+            running.stop()
+            assert time.perf_counter() - began < 5.0
+            assert _accept_threads() == []
+            running.stop()  # idempotent
+        finally:
+            for sock in idle:
+                sock.close()
+        again = serve(data_dir=str(tmp_path / "data"), port=port).start()
+        try:
+            assert again.port == port
+            assert _call(again.url, "GET", "/healthz")[0] == 200
+        finally:
+            again.stop()
+
+
 class TestErrorSurface:
     def test_unknown_routes_are_404(self, server):
         assert _call(server.url, "GET", "/nope")[0] == 404
@@ -272,6 +418,34 @@ class TestServeCLI:
         finally:
             process.terminate()
             process.wait(timeout=30)
+
+    def test_serve_exits_zero_on_sigint_with_idle_connections(self, tmp_path):
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.experiments.registry",
+                "serve", "--port", "0", "--data-dir", str(tmp_path / "data"),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        idle = []
+        try:
+            line = process.stdout.readline()
+            assert line.startswith("serving on http://"), line
+            base = line.split()[2]
+            host, port = base[len("http://") :].split(":")
+            idle = _idle_sockets(host, int(port), ACCEPT_THREADS + 2)
+            assert _call(base, "POST", "/query", QUERY)[0] == 200
+            process.send_signal(signal.SIGINT)
+            assert process.wait(timeout=10) == 0
+        finally:
+            for sock in idle:
+                sock.close()
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=30)
+            process.stdout.close()
 
     def test_serve_rejects_unknown_kernel_backend(self, tmp_path):
         result = subprocess.run(
